@@ -9,15 +9,17 @@ gradient and Hessian, the a-function, the distinguished normals), flags the
 points where the construction degenerates, and implements the inverse
 extraction of (g, h) from a superconformal sample.
 
-Sign convention, fixed once for the whole package: with the deterministic
-normal frame (n1, n2) of the base surface,
+Sign convention, fixed once for the whole package: with W = g_u ^ g_v the
+tangent 2-form of the base surface, |W|^2 = EG - F^2, and * the Hodge star
+of R4 with e1^e2^e3^e4 > 0,
 
-    Jhat(+) n1 = -n2,   Jhat(+) n2 = +n1,
+    Jhat(+-) = (W +- *W) / |W|,   acting as (A h)_i = sum_j A_ij h_j,
 
-and Jhat(-) is the inverse rotation.  Which of the two built surfaces a
-closed-form reference calls "+" depends on orientation choices the reference
-leaves implicit, so comparisons against stored oracles allow one global swap
-of the labels and record the outcome.
+so Jhat(+) n1 = -n2 and Jhat(+) n2 = +n1 in the oriented normal frame of
+`geometry`.  Which of the two built surfaces a closed-form reference calls
+"+" depends on orientation choices the reference leaves implicit, so
+comparisons against stored oracles allow one global swap of the labels and
+record the outcome.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 
 from .errors import (FrameDegenerateError, FrameUndefinedError,
                      PreconditionError, SingularSampleError)
-from .geometry import (REGULARITY_FLOOR, FundamentalData, adapted_frame,
-                       ellipse_descriptor, fundamental_data)
+from .geometry import (REGULARITY_FLOOR, FundamentalData, _normal_parts,
+                       adapted_frame, ellipse_descriptor, fundamental_data)
 from .jets import DegenerateJetError, Jet2, Vec
 from .minimal import MinimalPair, split
 
@@ -55,39 +57,27 @@ def _check_sign(sign):
     return 1.0 if sign == "+" else -1.0
 
 
-def _solve2(E, F, G, b1, b2):
-    """Solve the 2x2 Gram system [[E,F],[F,G]] x = (b1, b2).
-
-    Works elementwise on Jet2 entries as well as on floats."""
-    det = E * G - F * F
-    return (b1 * G - b2 * F) / det, (b2 * E - b1 * F) / det
+# index pairs (i, j), i < j, of the six components of a 2-form on R4
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _field_normal_frame(gu, gv, E, F, G):
-    """Jet2-valued orthonormal normal frame along a surface patch in R4.
+def _act(form, h):
+    """(A h)_i = sum_j A_ij h_j for the 2-form A with components on _PAIRS."""
+    out = [0.0] * 4
+    for (i, j), w in zip(_PAIRS, form):
+        out[i] = out[i] + w * h[j]
+        out[j] = out[j] - w * h[i]
+    return out
 
-    Same deterministic rule as the pointwise frame in `geometry`: project the
-    ambient basis vectors off the tangent plane, keep the two with the
-    largest projected norms (ties broken toward lower index), orthonormalize
-    in index order, and flip the second one if the 4x4 frame determinant is
-    negative.  The discrete choices are locally constant, so jet arithmetic
-    through them is legitimate."""
-    projections = []
-    for k in range(4):
-        ek = Vec([Jet2(1.0 if i == k else 0.0) for i in range(4)])
-        al, be = _solve2(E, F, G, ek.dot(gu), ek.dot(gv))
-        projections.append(ek - al * gu - be * gv)
-    norms = [np.linalg.norm(p.values()) for p in projections]
-    order = sorted(range(4), key=lambda k: (-norms[k], k))
-    i1, i2 = sorted(order[:2])
-    n1 = projections[i1] * (1.0 / projections[i1].norm())
-    w = projections[i2] - n1 * projections[i2].dot(n1)
-    n2 = w * (1.0 / w.norm())
-    det = np.linalg.det(np.column_stack(
-        [gu.values(), gv.values(), n1.values(), n2.values()]))
-    if det < 0.0:
-        n2 = -n2
-    return n1, n2
+
+def _jhat_parts(gu, gv, h):
+    """(W h, *W h) for the tangent 2-form W = gu ^ gv of the base surface.
+
+    Jhat(s) h = (W h + s *W h) / |W|.  Entries may be floats or Jet2; the
+    results are lists of four entries of the same kind."""
+    W = [gu[i] * gv[j] - gu[j] * gv[i] for i, j in _PAIRS]
+    star = (W[5], -W[4], W[3], W[2], -W[1], W[0])
+    return _act(W, h), _act(star, h)
 
 
 @dataclass
@@ -101,13 +91,8 @@ class _FieldContext:
     r: Jet2
     ru: Jet2
     rv: Jet2
-    h1: Jet2
-    h2: Jet2
-    hN: Vec
-    n1: Vec
-    n2: Vec
-    p: Jet2
-    q: Jet2
+    turn_t: Vec    # W h / |W|, the tangential half of Jhat h
+    turn_n: Vec    # *W h / |W|, the normal half of Jhat h
 
 
 @dataclass
@@ -211,24 +196,19 @@ def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
     Z_amb = Z[0] * gu_val + Z[1] * gv_val
     T_amb = Tvec[0] * gu_val + Tvec[1] * gv_val
 
-    h1, h2 = _solve2(E, F, G, h.dot(gu), h.dot(gv))
-    hN = h - h1 * gu - h2 * gv
-    n1, n2 = _field_normal_frame(gu, gv, E, F, G)
-    p = hN.dot(n1)
-    q = hN.dot(n2)
+    inv_w = 1.0 / (E * G - F * F).sqrt()
+    turn_t, turn_n = (Vec(t) * inv_w for t in _jhat_parts(gu, gv, h))
 
-    hN_val = hN.values()
     if a_val > A_FLOOR:
-        xi = -hN_val / (a_val * r.v)
+        [hN] = _normal_parts([h.values()], gu_val, gv_val, np.dot)
+        xi = -hN / (a_val * r.v)
         fallback = False
     else:
-        xi = n1.values()
+        xi = fundamental_data(g).n1
         fallback = True
-    c1 = float(xi @ n1.values())
-    c2 = float(xi @ n2.values())
-    delta = c1 * n2.values() - c2 * n1.values()   # = Jhat(-) xi
-    delta_plus = -delta
-    delta_minus = delta
+    xt, xn = _jhat_parts(gu_val, gv_val, xi)
+    delta_minus = (np.array(xt) - np.array(xn)) * inv_w.v   # = Jhat(-) xi
+    delta_plus = -delta_minus
 
     # Hessian of r w.r.t. the conformal metric E(du^2 + dv^2), expressed in
     # the orthonormal tangent frame; Christoffels in closed form from E
@@ -252,7 +232,7 @@ def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
         bxi_res = float(np.abs(lhs - rhs).max())
 
     ctx = _FieldContext(sample=s, E=E, F=F, G=G, r=r, ru=ru, rv=rv,
-                        h1=h1, h2=h2, hN=hN, n1=n1, n2=n2, p=p, q=q)
+                        turn_t=turn_t, turn_n=turn_n)
     return ConstructionFrame(
         z=complex(z), r=r, grad_r=(grad_u, grad_v), norm_grad_r=norm_grad,
         a=a_val, a_jet=a_jet, Z=Z, Z_ambient=Z_amb, Tvec=Tvec,
@@ -264,10 +244,7 @@ def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
 def _phi_field(frame: ConstructionFrame, sign) -> Vec:
     s = _check_sign(sign)
     c = frame.ctx
-    smp = c.sample
-    tangential = c.h2 * smp.g_u - c.h1 * smp.g_v
-    normal = c.q * c.n1 - c.p * c.n2
-    return smp.g + tangential + normal * s
+    return c.sample.g + c.turn_t + c.turn_n * s
 
 
 def _g_degenerate_sign(fd_g: FundamentalData):
@@ -365,19 +342,16 @@ def phi_value(g_sample: Vec, h_sample: Vec, sign) -> np.ndarray:
     s = _check_sign(sign)
     fd = fundamental_data(g_sample)
     gu, gv = fd.Xu, fd.Xv
-    b = np.array([h_sample.values() @ gu, h_sample.values() @ gv])
-    h1, h2 = np.linalg.solve(np.array([[fd.E, fd.F], [fd.F, fd.G]]), b)
-    hN = h_sample.values() - h1 * gu - h2 * gv
-    p, q = hN @ fd.n1, hN @ fd.n2
     w = np.sqrt(fd.det1)
+    # W gu / |W| and W gv / |W|: the quarter turns of the coordinate fields
     ju = (fd.F * gu - fd.E * gv) / w
     jv = (fd.G * gu - fd.F * gv) / w
     hu, hv = h_sample.du(), h_sample.dv()
     standard = np.linalg.norm(hu - ju) + np.linalg.norm(hv - jv)
     mirrored = np.linalg.norm(hu + ju) + np.linalg.norm(hv + jv)
     orient = 1.0 if standard <= mirrored else -1.0
-    return (g_sample.values() + orient * (h1 * ju + h2 * jv)
-            + s * (q * fd.n1 - p * fd.n2))
+    tw, nw = _jhat_parts(gu, gv, h_sample.values())
+    return g_sample.values() + (orient * np.array(tw) + s * np.array(nw)) / w
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,13 @@
 The JSON mesh keeps all four coordinates and is the authoritative container;
 OBJ is a lossy 3d projection for viewers and says so in its header.  All
 writers format floats by repr, which is the shortest decimal that round-trips,
-so identical runs produce byte-identical files no matter how many worker
-threads sampled the grid.
+so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +45,8 @@ class GridSample:
 
 
 def thread_count() -> int:
-    """Worker cap from SUPERCONF_THREADS; sequential by default."""
+    """Worker cap from SUPERCONF_THREADS (default 1); validated, although
+    grid sampling is sequential."""
     raw = os.environ.get("SUPERCONF_THREADS", "1")
     try:
         n = int(raw)
@@ -84,23 +83,18 @@ def _sample_one(pair, sign, u, v) -> GridSample:
                       flags=flags)
 
 
-def sample_grid(pair, domain, nu, nv, sign, threads=None):
+def sample_grid(pair, domain, nu, nv, sign):
     """Sample one constructed surface over an inclusive nu x nv grid.
 
     Rows come back in row-major order, u varying slowest.  Points outside the
     pair's domain and points where the construction fails become flagged rows
-    rather than errors.  threads defaults to the SUPERCONF_THREADS cap; the
-    output order never depends on it.
+    rather than errors.
     """
     if nu < 2 or nv < 2:
         raise PreconditionError("grid needs at least 2 points per axis")
+    thread_count()
     us, vs = domain.linspace(nu, nv)
-    points = [(u, v) for u in us for v in vs]
-    n = thread_count() if threads is None else max(1, int(threads))
-    if n == 1:
-        return [_sample_one(pair, sign, u, v) for (u, v) in points]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(lambda p: _sample_one(pair, sign, *p), points))
+    return [_sample_one(pair, sign, u, v) for u in us for v in vs]
 
 
 def summarize(samples) -> dict:

@@ -9,8 +9,9 @@ normal form.
 Conventions fixed here and relied on everywhere else:
   - the orthonormal tangent basis is Gram-Schmidt of (X_u, X_v) in that order;
   - the normal frame projects ambient basis vectors, keeps the two largest
-    projections (ties to the lower index), orthonormalizes in index order,
-    then flips n2 if the ambient frame is negatively oriented;
+    projections (ties to the lower index), orthonormalizes in index order
+    (taking the next largest projection where those two are parallel), then
+    flips n2 if the ambient frame is negatively oriented;
   - K_N is computed in that oriented frame and is frame-dependent up to sign;
     cross-module checks use its absolute value.
 """
@@ -148,12 +149,20 @@ class AdaptedFrame:
     zeta_oriented: np.ndarray
 
 
-def _tangential(w, Xu, Xv, E, F, G, det1, dot):
-    rhs_u = dot(w, Xu)
-    rhs_v = dot(w, Xv)
-    a = (rhs_u * G - rhs_v * F) / det1
-    b = (rhs_v * E - rhs_u * F) / det1
-    return a * Xu + b * Xv
+def _normal_parts(ws, Xu, Xv, dot):
+    """Each w of ws minus its projection onto span{Xu, Xv} under the inner
+    product dot; the Gram system is solved in closed form, so entries may be
+    Jet2."""
+    E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
+    det1 = E * G - F * F
+    out = []
+    for w in ws:
+        rhs_u = dot(w, Xu)
+        rhs_v = dot(w, Xv)
+        a = (rhs_u * G - rhs_v * F) / det1
+        b = (rhs_v * E - rhs_u * F) / det1
+        out.append(w - (a * Xu + b * Xv))
+    return out
 
 
 def fundamental_data(sample, ambient=R4):
@@ -174,18 +183,14 @@ def fundamental_data(sample, ambient=R4):
         raise SingularSampleError(
             f"rank-deficient sample: EG - F^2 = {det1:.3e}", det=det1)
 
-    seconds = {"uu": sample.duu(), "uv": sample.duv(), "vv": sample.dvv()}
-    metric = {"uu": E, "uv": F, "vv": G}
-    B = {}
+    seconds = (sample.duu(), sample.duv(), sample.dvv())
+    B = dict(zip(("uu", "uv", "vv"), _normal_parts(seconds, Xu, Xv, dot)))
     radial = None
     if ambient.kind != "r4":
         radial = (x - ambient.center_vec()) / ambient.radius
         s = 1.0 if ambient.kind == "sphere" else -1.0
-    for key, w in seconds.items():
-        b = w - _tangential(w, Xu, Xv, E, F, G, det1, dot)
-        if radial is not None:
-            b = b + s * metric[key] * radial / ambient.radius
-        B[key] = b
+        for key, m in zip(B, (E, F, G)):
+            B[key] = B[key] + s * m * radial / ambient.radius
 
     Y1 = Xu / np.sqrt(E)
     w2 = Xv - (F / E) * Xu
@@ -201,25 +206,22 @@ def fundamental_data(sample, ambient=R4):
     K = ambient.curvature + dot(alpha11, alpha22) - dot(alpha12, alpha12)
 
     # deterministic normal frame from projected ambient basis vectors
-    basis = np.eye(ambient.dim)
-    span = [Y1, Y2]
+    projs = _normal_parts(np.eye(ambient.dim), Xu, Xv, dot)
     if radial is not None:
-        span.append(radial)
-
-    def project(w):
-        out = np.array(w, dtype=float)
-        for t in span:
-            tt = dot(t, t)
-            out = out - (dot(out, t) / tt) * t
-        return out
-
-    projs = [project(basis[k]) for k in range(ambient.dim)]
+        rr = dot(radial, radial)
+        projs = [p - (dot(p, radial) / rr) * radial for p in projs]
     norms = [ambient.norm(p) for p in projs]
     order = sorted(range(ambient.dim), key=lambda k: (-norms[k], k))
     i1, i2 = sorted(order[:2])
     n1 = projs[i1] / norms[i1]
-    p2 = projs[i2] - (dot(projs[i2], n1) / dot(n1, n1)) * n1
-    n2 = p2 / ambient.norm(p2)
+    # where the two largest projections are parallel, the next largest one
+    # supplies the second normal
+    for k in [i2] + order[2:]:
+        p2 = projs[k] - (dot(projs[k], n1) / dot(n1, n1)) * n1
+        len2 = ambient.norm(p2)
+        if len2 > FRAME_FLOOR * norms[k]:
+            break
+    n2 = p2 / len2
     cols = [Y1, Y2, n1, n2] + ([radial] if radial is not None else [])
     if np.linalg.det(np.column_stack(cols)) < 0:
         n2 = -n2
@@ -252,11 +254,20 @@ def shape_matrix(fd, nu):
 
 def shape_matrix_coords(fd, nu):
     """Shape operator of nu on the coordinate basis (d/du, d/dv)."""
-    dot = fd.ambient.dot
-    Bn = np.array([[dot(fd.Buu, nu), dot(fd.Buv, nu)],
-                   [dot(fd.Buv, nu), dot(fd.Bvv, nu)]])
-    g = np.array([[fd.E, fd.F], [fd.F, fd.G]])
-    return np.linalg.solve(g, Bn)
+    return _coord_shape(fd.Xu, fd.Xv, (fd.Buu, fd.Buv, fd.Bvv), nu,
+                        fd.ambient.dot)
+
+
+def _coord_shape(Xu, Xv, seconds, nu, dot):
+    """Shape operator of the normal nu on the coordinate basis, from the
+    first and the (uu, uv, vv) second partials under the inner product dot."""
+    E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
+    if not E * G - F * F > 1e-12 * max(abs(E * G), 1e-300):
+        raise SingularSampleError(
+            "sample is not a spacelike immersion; induced metric degenerates")
+    buu, buv, bvv = (dot(w, nu) for w in seconds)
+    return np.linalg.solve(np.array([[E, F], [F, G]]),
+                           np.array([[buu, buv], [buv, bvv]]))
 
 
 def ellipse_descriptor(fd):

@@ -203,13 +203,13 @@ def certify(pair, grid=None, nu=9, nv=9, margin=0.05):
     reg_min = float("inf")
     h_max = 0.0
     for z in grid:
-        jets = curve.eval_jets(z)
-        d = np.array([j.c1 for j in jets])
+        sample = pair.samples_at(z)
+        # G' = g_u + i h_u = g_u - i g_v
+        d = sample.g_u.values() - 1j * sample.g_v.values()
         herm = float(np.sum(np.abs(d) ** 2))
         iso = abs(complex(np.sum(d * d)))
         iso_max = max(iso_max, iso / max(herm, 1e-300))
 
-        sample = pair.samples_at(z)
         fd = geometry.fundamental_data(sample.g)
         reg_min = min(reg_min, fd.det1 / max(fd.scale, 1e-150) ** 4)
         h_max = max(h_max, fd.lam)

@@ -30,14 +30,14 @@ from functools import reduce
 
 import numpy as np
 
-from .construct import (SIGNS, _solve2, build_phi_pair, extract_minimal_pair,
-                        phi_value)
+from .construct import SIGNS, build_phi_pair, extract_minimal_pair, phi_value
 from .errors import (DualitySingularError, FrameDegenerateError,
                      FrameUndefinedError, InversionSingularError,
                      NotNullCurveError, PreconditionError, ProjectionError,
                      QuadricSingularError, SingularSampleError)
 from .expr import Bin, CurveExpr, Pow, const_node
-from .geometry import Ambient, ellipse_descriptor, fundamental_data
+from .geometry import (Ambient, _coord_shape, _normal_parts, ellipse_descriptor,
+                       fundamental_data)
 from .jets import Vec, graph_surface, split_im, split_re
 from .minimal import HolomorphicCurve
 
@@ -144,24 +144,6 @@ def inversion_differential(x, w, inv):
     return inv.orientation * (inv.radius ** 2 / q) * refl
 
 
-def _coord_shape_matrix(sample, nu, sig):
-    """Shape operator of a Vec sample for the unit normal nu, in the
-    coordinate basis, with the flat metric of the given signature."""
-
-    def dot(a, b):
-        return float(np.sum(sig * a * b))
-
-    Xu, Xv = sample.du(), sample.dv()
-    E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
-    det1 = E * G - F * F
-    if not det1 > 1e-12 * max(abs(E * G), 1e-300):
-        raise SingularSampleError(
-            "sample is not a spacelike immersion; induced metric degenerates")
-    B = np.array([[dot(sample.duu(), nu), dot(sample.duv(), nu)],
-                  [dot(sample.duv(), nu), dot(sample.dvv(), nu)]])
-    return np.linalg.solve(np.array([[E, F], [F, G]]), B)
-
-
 def normal_transform_check(sample, xi, inv):
     """How a unit normal and its shape operator move through an inversion.
 
@@ -200,8 +182,10 @@ def normal_transform_check(sample, xi, inv):
     res_unit = abs(dot(pxi, pxi) - 1.0)
     res_normal = max(abs(dot(pxi, iu)) / np.linalg.norm(iu),
                      abs(dot(pxi, iv)) / np.linalg.norm(iv))
-    A = _coord_shape_matrix(sample, xi, sig)
-    A_img = _coord_shape_matrix(image, pxi, sig)
+    A = _coord_shape(Xu, Xv, (sample.duu(), sample.duv(), sample.dvv()),
+                     xi, dot)
+    A_img = _coord_shape(iu, iv, (image.duu(), image.duv(), image.dvv()),
+                         pxi, dot)
     rhs = (q * A + 2.0 * dot(d, xi) * np.eye(2)) / (
         inv.orientation * inv.radius ** 2)
     res_shape = float(np.max(np.abs(A_img - rhs)))
@@ -275,20 +259,6 @@ def _graph_fields(curve, z):
     return pos, fu, fv
 
 
-def _normal_part_fields(w, fu, fv):
-    """Component of the field w normal to span{fu, fv}, with jets."""
-    E, F, G = fu.dot(fu), fu.dot(fv), fv.dot(fv)
-    a, b = _solve2(E, F, G, w.dot(fu), w.dot(fv))
-    return w - (fu * a + fv * b)
-
-
-def _normal_part_values(x, Xu, Xv):
-    E, F, G = Xu @ Xu, Xu @ Xv, Xv @ Xv
-    a, b = np.linalg.solve(np.array([[E, F], [F, G]]),
-                           np.array([x @ Xu, x @ Xv]))
-    return x - a * Xu - b * Xv
-
-
 @dataclass(frozen=True)
 class DualityReport:
     z: complex
@@ -308,7 +278,7 @@ def duality(curve, z):
     original point, and its induced metric is conformal.  Undefined where
     the position vector is tangential."""
     pos, fu, fv = _graph_fields(curve, z)
-    fN = _normal_part_fields(pos, fu, fv)
+    [fN] = _normal_parts([pos], fu, fv, Vec.dot)
     n2 = fN.dot(fN)
     scale = pos.dot(pos).v + fu.dot(fu).v
     if n2.v <= 1e-24 * max(scale, 1e-300):
@@ -323,7 +293,7 @@ def duality(curve, z):
     antiholo = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))) / sc
     E, F, G = Fu @ Fu, Fu @ Fv, Fv @ Fv
     conformality = max(abs(E - G), 2.0 * abs(F)) / max(E, G, 1e-300)
-    FN = _normal_part_values(fstar.values(), Fu, Fv)
+    [FN] = _normal_parts([fstar.values()], Fu, Fv, np.dot)
     nn = float(FN @ FN)
     if nn <= 1e-24 * max(float(fstar.values() @ fstar.values()), 1e-300):
         raise DualitySingularError(
@@ -349,7 +319,7 @@ def inversion_pair_of_holomorphic(curve, inv, z):
         raise PreconditionError("pair inversion works in euclidean R4")
     pos, fu, fv = _graph_fields(curve, z)
     d = pos - Vec.of_values(inv.center)
-    dN = _normal_part_fields(d, fu, fv)
+    [dN] = _normal_parts([d], fu, fv, Vec.dot)
     n2 = dN.dot(dN).v
     scale = d.dot(d).v + fu.dot(fu).v
     if n2 <= 1e-24 * max(scale, 1e-300):
@@ -559,7 +529,7 @@ def degenerate_collapse_check(pair, points):
         built = build_phi_pair(pair, z)
         smp = pair.samples_at(z)
         fd = fundamental_data(smp.g)
-        gN = _normal_part_values(smp.g.values(), fd.Xu, fd.Xv)
+        [gN] = _normal_parts([smp.g.values()], fd.Xu, fd.Xv, np.dot)
         for ps in built:
             vals[ps.sign].append(ps.phi.values())
             companion[ps.sign] = max(

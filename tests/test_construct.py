@@ -89,8 +89,12 @@ def test_h_decomposition_identity(catenoid):
 
 def test_tangential_coefficients_match_Tvec(catenoid):
     fr = construction_frame(catenoid, 1.7 - 0.9j)
-    assert fr.ctx.h1.v == pytest.approx(fr.Tvec[0], abs=1e-12)
-    assert fr.ctx.h2.v == pytest.approx(fr.Tvec[1], abs=1e-12)
+    s = fr.ctx.sample
+    gu, gv, h = s.g_u.values(), s.g_v.values(), s.h.values()
+    h1, h2 = np.linalg.solve([[gu @ gu, gu @ gv], [gu @ gv, gv @ gv]],
+                             [h @ gu, h @ gv])
+    assert h1 == pytest.approx(fr.Tvec[0], abs=1e-12)
+    assert h2 == pytest.approx(fr.Tvec[1], abs=1e-12)
 
 
 def test_frame_normals_unit_and_orthogonal(catenoid):
@@ -196,6 +200,45 @@ def test_phi_jets_match_finite_differences(catenoid):
         return build_phi(catenoid, "+", complex(u, v)).phi
     rep = fd_crosscheck(surf, (1.1, 0.6))
     assert rep["max"] < 1e-6
+
+
+def test_phi_jets_match_sympy_closed_form(catenoid):
+    # exact oracle: every Jet2 slot of both built surfaces against sympy
+    # derivatives of the catalog's closed-form phi, up to one global swap
+    sp = pytest.importorskip("sympy")
+    u, v = sp.symbols("u v", real=True)
+    entry = catalog.get("catenoid-helicoid")
+    points = ((1.0, 0.5), (2.0, -0.8), (3.5, 1.2), (-4.5, -0.3), (0.7, 1.4),
+              (5.5, 0.9))
+
+    def closed_form(s):
+        ch = sp.cosh(v)
+        comps = ((sp.cos(u) + u * sp.sin(u)) / ch,
+                 (sp.sin(u) - u * sp.cos(u)) / ch,
+                 (v * ch - sp.sinh(v)) / ch,
+                 s * u * sp.sinh(v) / ch)
+        return [[f, sp.diff(f, u), sp.diff(f, v), sp.diff(f, u, 2),
+                 sp.diff(f, u, v), sp.diff(f, v, 2)] for f in comps]
+
+    def evaluate(slots, p):
+        at = {u: p[0], v: p[1]}
+        return np.array([[float(e.evalf(30, subs=at)) for e in comp]
+                         for comp in slots])
+
+    exact = {sign: closed_form(1 if sign == "+" else -1) for sign in "+-"}
+    errors = {False: 0.0, True: 0.0}
+    for p in points:
+        for sign in "+-":
+            want = catalog.expected_eval(entry, "phi", sign, *p)
+            assert np.abs(evaluate(exact[sign], p)[:, 0] - want).max() < 1e-14
+        for ps in build_phi_pair(catenoid, complex(*p)):
+            jets = np.array([c.slots for c in ps.phi])
+            for swapped in (False, True):
+                label = ps.sign if not swapped else {"+": "-", "-": "+"}[ps.sign]
+                want = evaluate(exact[label], p)
+                rel = np.abs(jets - want).max() / max(1.0, np.abs(want).max())
+                errors[swapped] = max(errors[swapped], rel)
+    assert min(errors.values()) < 1e-12
 
 
 def test_phi_value_route_agrees_with_field_route(catenoid):

@@ -159,6 +159,22 @@ def test_rank_deficient_sample_raises():
                               Jet2.constant(2.0)]))
 
 
+def test_normal_frame_when_largest_projections_are_parallel():
+    # every basis vector projects to length 1/sqrt(2); e1 and e2 project to
+    # opposite vectors, so the second normal must come from e3 or e4
+    xu, xv = (0.0, 0.0, 1.0, 1.0), (-1.0, -1.0, -1.0, -1.0)
+    seconds = ((0.3, -0.2, 0.5), (0.1, 0.4, -0.7), (-0.6, 0.2, 0.1),
+               (0.25, -0.5, 0.3))
+    fd = fundamental_data(Vec([Jet2(0.0, xu[i], xv[i], *seconds[i])
+                               for i in range(4)]))
+    frame = np.column_stack([fd.Y1, fd.Y2, fd.n1, fd.n2])
+    assert np.all(np.isfinite(frame))
+    assert np.allclose(frame.T @ frame, np.eye(4), atol=1e-12)
+    assert np.linalg.det(frame) > 0.0
+    ed = ellipse_descriptor(fd)
+    assert ed.semi_major >= ed.semi_minor > 0.0
+
+
 class TestSphereAmbient:
     def test_clifford_torus_in_s4(self):
         amb = Ambient("sphere", radius=1.0)
