@@ -57,7 +57,6 @@ from .geometry import (
 )
 from .construct import (
     PhiSample,
-    build_phi,
     build_phi_pair,
     dual_pair_report,
     extract_minimal_pair,
@@ -113,7 +112,6 @@ __all__ = [
     "Vec",
     "adapted_frame",
     "associated_family",
-    "build_phi",
     "build_phi_pair",
     "certify",
     "degenerate_collapse_check",

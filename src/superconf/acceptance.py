@@ -476,8 +476,8 @@ def criterion_13() -> CriterionResult:
         for p in pts:
             fd_worst = max(fd_worst, fd_crosscheck(surface, p)["max"])
 
-    seq = sample_grid(pair, pair.domain, 5, 5, "+")
-    par = sample_grid(pair, pair.domain, 5, 5, "+")
+    [seq] = sample_grid(pair, pair.domain, 5, 5, ("+",))
+    [par] = sample_grid(pair, pair.domain, 5, 5, ("+",))
     deterministic = (csv_text(seq) == csv_text(par)
                      and canonical_json(mesh_dict(seq, 5, 5))
                      == canonical_json(mesh_dict(par, 5, 5))

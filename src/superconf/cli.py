@@ -198,9 +198,8 @@ def cmd_construct(args) -> int:
                "signs": {}}
     files = []
     ok = True
-    for sign in signs:
+    for sign, samples in zip(signs, sample_grid(pair, dom, nu, nv, signs)):
         word = SIGN_WORDS[sign]
-        samples = sample_grid(pair, dom, nu, nv, sign)
         agg = summarize(samples)
         summary["signs"][word] = agg
         ok = ok and agg["n_clear"] > 0
@@ -228,8 +227,7 @@ def cmd_verify(args) -> int:
 
     report = {"curve": stem, "grid": [nu, nv], "signs": {}}
     ok = True
-    for sign in signs:
-        samples = sample_grid(pair, dom, nu, nv, sign)
+    for sign, samples in zip(signs, sample_grid(pair, dom, nu, nv, signs)):
         agg = summarize(samples)
         report["signs"][SIGN_WORDS[sign]] = agg
         sign_ok = (agg["n_clear"] > 0
@@ -245,7 +243,7 @@ def cmd_verify(args) -> int:
     for z in grid[::stride]:
         try:
             rep = dual_pair_report(pair, z)
-        except (PreconditionError, SuperconfError):
+        except SuperconfError:
             continue
         n_dual += 1
         worst["center"] = max(worst["center"], *rep.center_residual.values())

@@ -33,7 +33,7 @@ from .errors import (FrameDegenerateError, FrameUndefinedError,
 from .geometry import (REGULARITY_FLOOR, FundamentalData, _normal_parts,
                        adapted_frame, ellipse_descriptor, fundamental_data)
 from .jets import DegenerateJetError, Jet2, Vec
-from .minimal import MinimalPair, split
+from .minimal import MinimalPair
 
 SIGNS = ("+", "-")
 
@@ -82,7 +82,7 @@ def _jhat_parts(gu, gv, h):
 
 @dataclass
 class _FieldContext:
-    """Everything build_phi needs, with full jets, computed once per point."""
+    """Everything phi assembly needs, with full jets, computed once per point."""
 
     sample: object
     E: Jet2
@@ -118,6 +118,7 @@ class ConstructionFrame:
     S: np.ndarray
     bxi_residual: float    # nan where xi came from the fallback basis
     bxi_scale: float
+    g_degenerate_signs: tuple  # signs collapsed by a circular ellipse of g
     ctx: _FieldContext
 
 
@@ -199,13 +200,19 @@ def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
     inv_w = 1.0 / (E * G - F * F).sqrt()
     turn_t, turn_n = (Vec(t) * inv_w for t in _jhat_parts(gu, gv, h))
 
-    if a_val > A_FLOOR:
+    # g's curvature data gives the fallback xi and the g-holomorphic flag
+    fallback = a_val <= A_FLOOR
+    try:
+        fd_g = fundamental_data(g)
+    except SingularSampleError:
+        if fallback:
+            raise
+        fd_g = None
+    if fallback:
+        xi = fd_g.n1
+    else:
         [hN] = _normal_parts([h.values()], gu_val, gv_val, np.dot)
         xi = -hN / (a_val * r.v)
-        fallback = False
-    else:
-        xi = fundamental_data(g).n1
-        fallback = True
     xt, xn = _jhat_parts(gu_val, gv_val, xi)
     delta_minus = (np.array(xt) - np.array(xn)) * inv_w.v   # = Jhat(-) xi
     delta_plus = -delta_minus
@@ -230,6 +237,7 @@ def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
         rhs = (r.v * hess - S) @ _JMAT
         bxi_scale = max(1.0, np.abs(lhs).max(), np.abs(rhs).max())
         bxi_res = float(np.abs(lhs - rhs).max())
+    g_degenerate = () if fd_g is None else _g_degenerate_sign(fd_g)
 
     ctx = _FieldContext(sample=s, E=E, F=F, G=G, r=r, ru=ru, rv=rv,
                         turn_t=turn_t, turn_n=turn_n)
@@ -238,7 +246,8 @@ def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
         a=a_val, a_jet=a_jet, Z=Z, Z_ambient=Z_amb, Tvec=Tvec,
         T_ambient=T_amb, xi=xi, xi_fallback=fallback,
         delta_plus=delta_plus, delta_minus=delta_minus, hess_r=hess, S=S,
-        bxi_residual=bxi_res, bxi_scale=bxi_scale, ctx=ctx)
+        bxi_residual=bxi_res, bxi_scale=bxi_scale,
+        g_degenerate_signs=g_degenerate, ctx=ctx)
 
 
 def _phi_field(frame: ConstructionFrame, sign) -> Vec:
@@ -264,26 +273,11 @@ def _g_degenerate_sign(fd_g: FundamentalData):
     return ("-",) if fd_g.K_N > 0.0 else ("+",)
 
 
-def regularity_flags(sample_or_frame, sign=None, phi: Vec | None = None
+def regularity_flags(frame: ConstructionFrame, sign, phi: Vec
                      ) -> RegularityFlags:
-    """Flags for one constructed sample.
-
-    Accepts a PhiSample, or (frame, sign, phi) pieces."""
-    if isinstance(sample_or_frame, PhiSample):
-        frame = sample_or_frame.frame
-        sign = sample_or_frame.sign
-        phi = sample_or_frame.phi
-    else:
-        frame = sample_or_frame
-        if sign is None or phi is None:
-            raise PreconditionError(
-                "regularity_flags needs a PhiSample or (frame, sign, phi)")
+    """Flags for the surface of the given sign built on this frame."""
     a_small = frame.a < A_SMALL
-    try:
-        fd_g = fundamental_data(frame.ctx.sample.g)
-        g_hol = sign in _g_degenerate_sign(fd_g)
-    except SingularSampleError:
-        g_hol = False
+    g_hol = sign in frame.g_degenerate_signs
     # rank floor relative to the pair's own length scale, not phi's: a
     # collapsed phi is pure roundoff and must not self-normalize into
     # looking like a (tiny) immersion
@@ -298,17 +292,9 @@ def regularity_flags(sample_or_frame, sign=None, phi: Vec | None = None
                            rank_deficient=rank_def)
 
 
-def build_phi(pair: MinimalPair, sign, z) -> PhiSample:
-    """One of the two surfaces attached to the pair, with full jets."""
-    _check_sign(sign)
-    frame = construction_frame(pair, z)
-    phi = _phi_field(frame, sign)
-    flags = regularity_flags(frame, sign, phi)
-    return PhiSample(sign=sign, phi=phi, frame=frame, flags=flags)
-
-
 def build_phi_pair(pair: MinimalPair, z):
-    """Both signs at once, sharing one frame computation."""
+    """Both surfaces attached to the pair at z, with full jets, in the order
+    of SIGNS; one frame serves both signs."""
     frame = construction_frame(pair, z)
     out = []
     for sign in SIGNS:

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import RegularityFlags, build_phi
-from .errors import (DomainError, EvaluationError, FrameDegenerateError,
-                     PreconditionError, SingularSampleError)
+from .construct import SIGNS, RegularityFlags, _check_sign, build_phi_pair
+from .errors import (BranchCutError, DegenerateJetError, DomainError,
+                     EvaluationError, FrameDegenerateError, PreconditionError,
+                     SingularSampleError)
 from .geometry import fundamental_data, superconformality_test
 
 CSV_HEADER = "u,v,x0,x1,x2,x3,K,KN_abs,Hnorm,mu,res_orth,res_len,wintgen,a,flags"
@@ -55,19 +56,26 @@ def thread_count() -> int:
     return max(1, n)
 
 
-def _sample_one(pair, sign, u, v) -> GridSample:
+def _sample_point(pair, signs, u, v):
+    """One grid point: a row per requested sign, all from one frame."""
     z = complex(u, v)
-    if not pair.domain.contains(z):
-        return GridSample(u=u, v=v, position=None, stats=None,
-                          flags=FLAG_OUT_OF_DOMAIN)
-    try:
-        ps = build_phi(pair, sign, z)
-    except DomainError:
-        return GridSample(u=u, v=v, position=None, stats=None,
-                          flags=FLAG_OUT_OF_DOMAIN)
-    except (FrameDegenerateError, SingularSampleError, EvaluationError):
-        return GridSample(u=u, v=v, position=None, stats=None,
-                          flags=FLAG_DEGENERATE_SAMPLE)
+    flags = FLAG_OUT_OF_DOMAIN
+    if pair.domain.contains(z):
+        try:
+            built = build_phi_pair(pair, z)
+        except DomainError:
+            pass
+        except (FrameDegenerateError, SingularSampleError, EvaluationError,
+                DegenerateJetError, BranchCutError):
+            flags = FLAG_DEGENERATE_SAMPLE
+        else:
+            return [_grid_sample(built[SIGNS.index(sign)], u, v)
+                    for sign in signs]
+    return [GridSample(u=u, v=v, position=None, stats=None, flags=flags)
+            for _ in signs]
+
+
+def _grid_sample(ps, u, v) -> GridSample:
     flags = ps.flags.bitmask
     try:
         fd = fundamental_data(ps.phi)
@@ -83,8 +91,9 @@ def _sample_one(pair, sign, u, v) -> GridSample:
                       flags=flags)
 
 
-def sample_grid(pair, domain, nu, nv, sign):
-    """Sample one constructed surface over an inclusive nu x nv grid.
+def sample_grid(pair, domain, nu, nv, signs):
+    """Sample the surfaces of the given signs over an inclusive nu x nv grid,
+    one frame per grid point; one row list per sign, in the order of signs.
 
     Rows come back in row-major order, u varying slowest.  Points outside the
     pair's domain and points where the construction fails become flagged rows
@@ -92,9 +101,12 @@ def sample_grid(pair, domain, nu, nv, sign):
     """
     if nu < 2 or nv < 2:
         raise PreconditionError("grid needs at least 2 points per axis")
+    for sign in signs:
+        _check_sign(sign)
     thread_count()
     us, vs = domain.linspace(nu, nv)
-    return [_sample_one(pair, sign, u, v) for u in us for v in vs]
+    points = [_sample_point(pair, signs, u, v) for u in us for v in vs]
+    return [list(rows) for rows in zip(*points)]
 
 
 def summarize(samples) -> dict:

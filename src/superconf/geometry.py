@@ -33,6 +33,13 @@ REGULARITY_FLOOR = 1e-12
 FRAME_FLOOR = 1e-10
 
 
+# inner-product signature per ambient kind; shared, so made read-only
+_SIGNATURES = {"r4": np.ones(4), "sphere": np.ones(5),
+               "hyperbolic": np.array([1.0, 1.0, 1.0, 1.0, -1.0])}
+for _sig in _SIGNATURES.values():
+    _sig.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class Ambient:
     """Where the surface lives: flat R4, a round sphere in R5, or the
@@ -43,7 +50,7 @@ class Ambient:
     center: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in ("r4", "sphere", "hyperbolic"):
+        if self.kind not in _SIGNATURES:
             raise ValueError(f"unknown ambient kind {self.kind!r}")
         if self.kind != "r4" and self.radius <= 0:
             raise ValueError("space-form radius must be positive")
@@ -54,9 +61,7 @@ class Ambient:
 
     @property
     def signature(self):
-        if self.kind == "hyperbolic":
-            return np.array([1.0, 1.0, 1.0, 1.0, -1.0])
-        return np.ones(self.dim)
+        return _SIGNATURES[self.kind]
 
     @property
     def curvature(self):
@@ -76,7 +81,8 @@ class Ambient:
         return np.zeros(4)
 
     def dot(self, a, b):
-        return float(np.sum(self.signature * np.asarray(a) * np.asarray(b)))
+        # np.sum's own reduction without its dispatch; a @ b rounds otherwise
+        return float(np.add.reduce(_SIGNATURES[self.kind] * a * b))
 
     def norm(self, a):
         return float(np.sqrt(max(self.dot(a, a), 0.0)))

@@ -12,7 +12,7 @@ by +90 degrees sends d/du to -d/dv and d/dv to d/du on the g surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -143,6 +143,62 @@ def test_construct_deterministic_across_threads(tmp_path, capsys, monkeypatch):
     assert texts["1"] == texts["3"]
 
 
+def test_construct_builds_one_frame_per_grid_point(tmp_path, capsys,
+                                                   monkeypatch):
+    from superconf import construct
+    calls = []
+    real = construct.construction_frame
+
+    def counting(pair, z):
+        calls.append(z)
+        return real(pair, z)
+
+    monkeypatch.setattr(construct, "construction_frame", counting)
+    code, _ = run(capsys, "construct", "--curve", "catenoid-helicoid",
+                  "--domain", "0.2,6.08,-1.5,1.5", "--grid", "4,4",
+                  "--sign", "both", "--out", str(tmp_path))
+    assert code == 0
+    assert len(calls) == 16
+
+
+def test_construct_both_signs_match_single_sign_runs(tmp_path, capsys):
+    for word in ("both", "plus", "minus"):
+        code, _ = run(capsys, "construct", "--curve", "catenoid-helicoid",
+                      "--grid", "5,5", "--sign", word, "--project", "drop:3",
+                      "--out", str(tmp_path / word))
+        assert code == 0
+    for word in ("plus", "minus"):
+        for ext in (".csv", ".mesh.json", ".obj"):
+            name = f"catenoid-helicoid-{word}{ext}"
+            assert ((tmp_path / "both" / name).read_bytes()
+                    == (tmp_path / word / name).read_bytes())
+
+
+# at z = 0 the metric factor E of g vanishes while h does not, so the frame's
+# division by E hits the jet floor there
+JET_FLOOR_CURVE = "(z^2/2 - z^4/4, i*(z^2/2 + z^4/4), 2*z^3/3, i)"
+
+
+def test_construct_flags_jet_floor_point(tmp_path, capsys):
+    code, rep = run_json(capsys, "construct", "--curve", JET_FLOOR_CURVE,
+                         "--domain=-1,1,-1,1", "--grid", "3,3",
+                         "--out", str(tmp_path))
+    assert code == 0 and rep["ok"]
+    for word in ("plus", "minus"):
+        rows = (tmp_path / f"inline-{word}.csv").read_text().splitlines()[1:]
+        flags = {tuple(r.split(",")[:2]): r.split(",")[-1] for r in rows}
+        assert flags.pop(("0.0", "0.0")) == "16"
+        assert set(flags.values()) == {"0"}
+
+
+def test_verify_flags_jet_floor_point(capsys):
+    code, rep = run_json(capsys, "verify", "--curve", JET_FLOOR_CURVE,
+                         "--domain=-1,1,-1,1", "--grid", "5,5")
+    assert code == 0 and rep["ok"]
+    assert rep["signs"]["plus"]["n_flagged"] == 1
+    assert rep["signs"]["minus"]["n_flagged"] == 1
+
+
 def test_usage_errors(capsys):
     code, rep = run_json(capsys, "certify", "--curve", "catenoid-helicoid",
                          "--grid", "1,5")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from superconf import catalog, construct
-from superconf.construct import (build_phi, build_phi_pair, construction_frame,
+from superconf.construct import (build_phi_pair, construction_frame,
                                  dual_pair_report, extract_minimal_pair,
                                  phi_route_direct, phi_value,
                                  reflection_pair_check, regularity_flags,
@@ -131,15 +131,16 @@ def test_h_zero_is_frame_degenerate(catenoid):
     with pytest.raises(FrameDegenerateError):
         construction_frame(catenoid, 0.0j)
     with pytest.raises(FrameDegenerateError):
-        build_phi(catenoid, "+", 0.0j)
+        build_phi_pair(catenoid, 0.0j)
 
 
 def test_bad_sign_rejected(catenoid):
+    s = catenoid.samples_at(1.0 + 0.5j)
     with pytest.raises(PreconditionError):
-        build_phi(catenoid, "plus", 1.0 + 0.5j)
+        phi_value(s.g, s.h, "plus")
 
 
-# ----- build_phi against the closed-form reference -----
+# ----- build_phi_pair against the closed-form reference -----
 
 def test_phi_matches_reference_with_global_swap(catenoid):
     # frozen outcome: the built "+" surface carries the reference's "-"
@@ -156,7 +157,7 @@ def test_phi_matches_reference_with_global_swap(catenoid):
 
 def test_phi_value_on_a_zero_line(catenoid):
     # (0, 1): third coordinate is e^{-1}/cosh 1, fourth vanishes
-    ps = build_phi(catenoid, "+", 1.0j)
+    ps, _ = build_phi_pair(catenoid, 1.0j)
     expect = np.array([1.0 / np.cosh(1.0), 0.0,
                        np.exp(-1.0) / np.cosh(1.0), 0.0])
     assert np.abs(ps.phi.values() - expect).max() < 1e-14
@@ -187,17 +188,16 @@ def test_phi_superconformal_on_catalog_pairs():
 def test_two_routes_agree(catenoid, perturbed):
     for pair in (catenoid, perturbed):
         for z in (0.9 + 0.6j, 0.5 - 0.4j):
-            for sign in ("+", "-"):
-                ps = build_phi(pair, sign, z)
+            for ps in build_phi_pair(pair, z):
                 if ps.frame.a <= 0.05:
                     continue
-                direct = phi_route_direct(ps.frame, sign)
+                direct = phi_route_direct(ps.frame, ps.sign)
                 assert np.abs(direct - ps.phi.values()).max() < 1e-10
 
 
 def test_phi_jets_match_finite_differences(catenoid):
     def surf(u, v):
-        return build_phi(catenoid, "+", complex(u, v)).phi
+        return build_phi_pair(catenoid, complex(u, v))[0].phi
     rep = fd_crosscheck(surf, (1.1, 0.6))
     assert rep["max"] < 1e-6
 
@@ -244,22 +244,21 @@ def test_phi_jets_match_sympy_closed_form(catenoid):
 def test_phi_value_route_agrees_with_field_route(catenoid):
     for z in (1.0 + 0.5j, 2.0 - 1.0j):
         s = catenoid.samples_at(z)
-        for sign in ("+", "-"):
-            ps = build_phi(catenoid, sign, z)
-            val = phi_value(s.g, s.h, sign)
+        for ps in build_phi_pair(catenoid, z):
+            val = phi_value(s.g, s.h, ps.sign)
             assert np.abs(val - ps.phi.values()).max() < 1e-12
 
 
 # ----- regularity flags -----
 
 def test_flags_generic_point_all_clear(catenoid):
-    ps = build_phi(catenoid, "+", 1.0 + 0.5j)
+    ps, _ = build_phi_pair(catenoid, 1.0 + 0.5j)
     assert ps.flags.all_clear
     assert ps.flags.bitmask == 0
 
 
 def test_flags_a_small_on_axis(catenoid):
-    ps = build_phi(catenoid, "+", 1.0j)
+    ps, _ = build_phi_pair(catenoid, 1.0j)
     assert ps.flags.a_small
     assert not ps.flags.rank_deficient
     assert ps.flags.bitmask == 1
@@ -268,22 +267,20 @@ def test_flags_a_small_on_axis(catenoid):
 def test_flags_holomorphic_pair_one_sign_degenerates():
     pair = catalog.get("q0-trig").pair
     z = 0.4 + 0.3j
-    plus = build_phi(pair, "+", z)
-    minus = build_phi(pair, "-", z)
+    plus, minus = build_phi_pair(pair, z)
     assert plus.flags.g_holomorphic_point
     assert plus.flags.rank_deficient
     assert plus.flags.bitmask == 6
     assert not minus.flags.g_holomorphic_point
     assert not minus.flags.rank_deficient
     # the collapsed sign is constant: compare two far-apart points
-    other = build_phi(pair, "+", -0.8 - 0.6j)
+    other, _ = build_phi_pair(pair, -0.8 - 0.6j)
     assert np.abs(plus.phi.values() - other.phi.values()).max() < 1e-12
 
 
 def test_flags_plane_pair_both_signs_degenerate():
     pair = catalog.get("q0-line").pair
-    for sign in ("+", "-"):
-        ps = build_phi(pair, sign, 0.5 + 0.4j)
+    for ps in build_phi_pair(pair, 0.5 + 0.4j):
         assert ps.flags.g_holomorphic_point
         assert ps.flags.rank_deficient
 
@@ -291,7 +288,7 @@ def test_flags_plane_pair_both_signs_degenerate():
 def test_nondegenerate_sign_equals_twice_normal_part():
     pair = catalog.get("q0-trig").pair
     z = 0.4 + 0.3j
-    ps = build_phi(pair, "-", z)
+    _, ps = build_phi_pair(pair, z)
     s = pair.samples_at(z)
     fd = fundamental_data(s.g)
     gval = s.g.values()
@@ -302,11 +299,9 @@ def test_nondegenerate_sign_equals_twice_normal_part():
 
 
 def test_regularity_flags_piecewise_api(catenoid):
-    ps = build_phi(catenoid, "-", 2.0 + 0.8j)
+    _, ps = build_phi_pair(catenoid, 2.0 + 0.8j)
     again = regularity_flags(ps.frame, ps.sign, ps.phi)
     assert again == ps.flags
-    with pytest.raises(PreconditionError):
-        regularity_flags(ps.frame)
 
 
 # ----- dual pair report -----
@@ -364,8 +359,7 @@ def test_reflection_rejects_non_r3_pair():
 def test_extraction_round_trip(catenoid):
     z = 1.0 + 0.5j
     s = catenoid.samples_at(z)
-    for sign in ("+", "-"):
-        ps = build_phi(catenoid, sign, z)
+    for ps in build_phi_pair(catenoid, z):
         ex = extract_minimal_pair(ps.phi)
         assert np.abs(ex.g - s.g.values()).max() < 1e-8
         # h is recovered up to one global sign; the orientation that was
@@ -378,7 +372,7 @@ def test_extraction_round_trip(catenoid):
 
 def test_extraction_callable_form(catenoid):
     def surf(z):
-        return build_phi(catenoid, "+", z).phi
+        return build_phi_pair(catenoid, z)[0].phi
     ex = extract_minimal_pair(surf, 2.0 + 0.8j)
     s = catenoid.samples_at(2.0 + 0.8j)
     assert np.abs(ex.g - s.g.values()).max() < 1e-8

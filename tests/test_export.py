@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from superconf import catalog
-from superconf.construct import build_phi
+from superconf.construct import build_phi_pair
 from superconf.errors import PreconditionError
 from superconf.export import (CSV_HEADER, FLAG_DEGENERATE_SAMPLE,
                               FLAG_OUT_OF_DOMAIN, canonical_json, csv_text,
@@ -29,7 +29,7 @@ def holed_pair():
 
 
 def test_sample_grid_row_major(catenoid):
-    samples = sample_grid(catenoid, catenoid.domain, 4, 4, "+")
+    [samples] = sample_grid(catenoid, catenoid.domain, 4, 4, ("+",))
     assert len(samples) == 16
     us = [s.u for s in samples]
     vs = [s.v for s in samples]
@@ -37,13 +37,13 @@ def test_sample_grid_row_major(catenoid):
     assert vs[:4] == sorted(vs[:4]) and vs[0] < vs[3]
     assert all(s.flags == 0 for s in samples)
     for s in samples:
-        ps = build_phi(catenoid, "+", complex(s.u, s.v))
+        ps, _ = build_phi_pair(catenoid, complex(s.u, s.v))
         assert np.array_equal(s.position, ps.phi.values())
 
 
 def test_sample_grid_flags_domain_and_degenerate_points():
     pair = holed_pair()
-    samples = sample_grid(pair, pair.domain, 3, 3, "+")
+    [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
     by_uv = {(s.u, s.v): s for s in samples}
     corner = by_uv[(0.3, 0.3)]
     assert corner.flags == FLAG_OUT_OF_DOMAIN     # inside the excluded disc
@@ -52,7 +52,7 @@ def test_sample_grid_flags_domain_and_degenerate_points():
     # h vanishes at the origin of this curve; the frame cannot be built there
     dom = Domain(-1.0, 1.0, -1.0, 1.0)
     pair2 = MinimalPair(HolomorphicCurve("cat", "(cos(z), sin(z), -i*z, 0)", dom))
-    samples2 = sample_grid(pair2, dom, 3, 3, "+")
+    [samples2] = sample_grid(pair2, dom, 3, 3, ("+",))
     center = {(s.u, s.v): s for s in samples2}[(0.0, 0.0)]
     assert center.flags == FLAG_DEGENERATE_SAMPLE
     assert center.position is None
@@ -60,12 +60,14 @@ def test_sample_grid_flags_domain_and_degenerate_points():
 
 def test_sample_grid_validation(catenoid):
     with pytest.raises(PreconditionError):
-        sample_grid(catenoid, catenoid.domain, 1, 3, "+")
+        sample_grid(catenoid, catenoid.domain, 1, 3, ("+",))
+    with pytest.raises(PreconditionError):
+        sample_grid(catenoid, catenoid.domain, 3, 3, ("+", "plus"))
 
 
 def test_summarize_skips_flagged_rows():
     pair = holed_pair()
-    samples = sample_grid(pair, pair.domain, 3, 3, "+")
+    [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
     agg = summarize(samples)
     assert agg["n_points"] == 9
     assert agg["n_flagged"] == 1
@@ -76,7 +78,7 @@ def test_summarize_skips_flagged_rows():
 
 def test_csv_shape_and_round_trip():
     pair = holed_pair()
-    samples = sample_grid(pair, pair.domain, 3, 3, "+")
+    [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
     text = csv_text(samples)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -94,7 +96,7 @@ def test_csv_shape_and_round_trip():
 
 def test_csv_nan_rows_for_flagged_points():
     pair = holed_pair()
-    samples = sample_grid(pair, pair.domain, 3, 3, "+")
+    [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
     row = csv_text(samples).strip().split("\n")[1]   # (0.3, 0.3) is first
     cells = row.split(",")
     assert cells[0] == "0.3" and cells[-1] == "8"
@@ -103,7 +105,7 @@ def test_csv_nan_rows_for_flagged_points():
 
 def test_mesh_quads_skip_missing_corners():
     pair = holed_pair()
-    samples = sample_grid(pair, pair.domain, 3, 3, "+")
+    [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
     mesh = mesh_dict(samples, 3, 3)
     assert mesh["vertices"][0] is None
     assert len([v for v in mesh["vertices"] if v is not None]) == 8
@@ -115,7 +117,7 @@ def test_mesh_quads_skip_missing_corners():
 def test_mesh_json_round_trips_bit_exactly(tmp_path, catenoid):
     from superconf.export import write_json
 
-    samples = sample_grid(catenoid, catenoid.domain, 3, 3, "+")
+    [samples] = sample_grid(catenoid, catenoid.domain, 3, 3, ("+",))
     mesh = mesh_dict(samples, 3, 3)
     path = tmp_path / "m.json"
     write_json(mesh, path)
@@ -126,7 +128,7 @@ def test_mesh_json_round_trips_bit_exactly(tmp_path, catenoid):
 
 
 def test_obj_two_by_two(catenoid):
-    samples = sample_grid(catenoid, catenoid.domain, 2, 2, "+")
+    [samples] = sample_grid(catenoid, catenoid.domain, 2, 2, ("+",))
     text = obj_text(samples, 2, 2, drop_projector(3), "drop coordinate 3")
     lines = text.strip().split("\n")
     verts = [l for l in lines if l.startswith("v ")]
@@ -138,7 +140,7 @@ def test_obj_two_by_two(catenoid):
 
 def test_obj_drops_faces_at_bad_vertices():
     pair = holed_pair()
-    samples = sample_grid(pair, pair.domain, 3, 3, "+")
+    [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
     text = obj_text(samples, 3, 3, drop_projector(0))
     lines = text.strip().split("\n")
     assert sum(l.startswith("v ") for l in lines) == 9
@@ -175,16 +177,16 @@ def test_thread_count_env(monkeypatch):
 
 def test_output_bytes_independent_of_threads(monkeypatch, catenoid):
     monkeypatch.setenv("SUPERCONF_THREADS", "1")
-    seq = sample_grid(catenoid, catenoid.domain, 5, 4, "+")
+    [seq] = sample_grid(catenoid, catenoid.domain, 5, 4, ("+",))
     monkeypatch.setenv("SUPERCONF_THREADS", "4")
-    par = sample_grid(catenoid, catenoid.domain, 5, 4, "+")
+    [par] = sample_grid(catenoid, catenoid.domain, 5, 4, ("+",))
     assert csv_text(par) == csv_text(seq)
     assert canonical_json(mesh_dict(par, 5, 4)) == canonical_json(mesh_dict(seq, 5, 4))
     assert canonical_json(summarize(par)) == canonical_json(summarize(seq))
 
 
 def test_write_csv_and_obj_files(tmp_path, catenoid):
-    samples = sample_grid(catenoid, catenoid.domain, 2, 2, "+")
+    [samples] = sample_grid(catenoid, catenoid.domain, 2, 2, ("+",))
     cpath = tmp_path / "g.csv"
     write_csv(samples, cpath)
     assert cpath.read_text() == csv_text(samples)

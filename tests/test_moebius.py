@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from superconf import catalog
-from superconf.construct import build_phi, build_phi_pair, extract_minimal_pair
+from superconf.construct import build_phi_pair, extract_minimal_pair
 from superconf.errors import (DualitySingularError, InversionSingularError,
                               NotNullCurveError, PreconditionError,
                               ProjectionError, QuadricSingularError)
@@ -81,7 +81,7 @@ def test_invert_singular_at_center_and_cone():
 
 def test_invert_vec_matches_points_and_chain_rule(catenoid, shifted_inversion):
     for z in GENERIC:
-        smp = build_phi(catenoid, "+", z).phi
+        smp = build_phi_pair(catenoid, z)[0].phi
         image = invert(smp, shifted_inversion)
         assert np.linalg.norm(
             image.values() - invert(smp.values(), shifted_inversion)) < 1e-12
@@ -109,7 +109,7 @@ def test_inversion_is_conformal():
 
 def test_normal_transform_euclidean(catenoid, shifted_inversion):
     for z in GENERIC:
-        smp = build_phi(catenoid, "+", z).phi
+        smp = build_phi_pair(catenoid, z)[0].phi
         fd = fundamental_data(smp)
         for xi in (fd.n1, fd.n2):
             rep = normal_transform_check(smp, xi, shifted_inversion)
@@ -138,7 +138,7 @@ def test_normal_transform_lorentzian():
 
 
 def test_normal_transform_rejects_bad_normals(catenoid, shifted_inversion):
-    smp = build_phi(catenoid, "+", 1.0 + 1.0j).phi
+    smp = build_phi_pair(catenoid, 1.0 + 1.0j)[0].phi
     tangent = smp.du() / np.linalg.norm(smp.du())
     with pytest.raises(PreconditionError):
         normal_transform_check(smp, tangent, shifted_inversion)
