@@ -34,7 +34,6 @@ from .jets import (
     Jet2,
     Vec,
     fd_crosscheck,
-    holo_eval,
     seed_first_derivative_fields,
     seed_surface,
     split_im,
@@ -121,7 +120,6 @@ __all__ = [
     "extract_minimal_pair",
     "fd_crosscheck",
     "fundamental_data",
-    "holo_eval",
     "holomorphic_inversion",
     "inversion_differential",
     "inversion_pair_of_holomorphic",

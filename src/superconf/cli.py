@@ -35,6 +35,8 @@ EXIT_IO = 4
 
 SIGN_WORDS = {"+": "plus", "-": "minus"}
 DEFAULT_INLINE_DOMAIN = Domain(-1.0, 1.0, -1.0, 1.0)
+# largest --grid, in points: 512 x 512
+MAX_GRID_POINTS = 262_144
 
 
 def _clean(x):
@@ -88,6 +90,9 @@ def _parse_grid(text):
         raise PreconditionError(f"--grid is not integral: {text!r}")
     if nu < 2 or nv < 2:
         raise PreconditionError("--grid dimensions must be at least 2")
+    if nu * nv > MAX_GRID_POINTS:
+        raise PreconditionError(
+            f"--grid {nu}x{nv} exceeds {MAX_GRID_POINTS} points")
     return nu, nv
 
 

@@ -105,17 +105,12 @@ class ConstructionFrame:
     grad_r: tuple          # coefficient jets of grad r in the (du, dv) basis
     norm_grad_r: float
     a: float
-    a_jet: Jet2 | None     # None where 1 - ||grad r||^2 is below floor
-    Z: np.ndarray          # coefficients of -J grad r
-    Z_ambient: np.ndarray
+    Z_ambient: np.ndarray  # -J grad r in R4
     Tvec: np.ndarray       # coefficients of r J grad r (tangential part of h)
-    T_ambient: np.ndarray
     xi: np.ndarray
     xi_fallback: bool
     delta_plus: np.ndarray
     delta_minus: np.ndarray
-    hess_r: np.ndarray     # in the orthonormal tangent frame
-    S: np.ndarray
     bxi_residual: float    # nan where xi came from the fallback basis
     bxi_scale: float
     g_degenerate_signs: tuple  # signs collapsed by a circular ellipse of g
@@ -138,10 +133,6 @@ class RegularityFlags:
         return ((self.FLAG_A_SMALL if self.a_small else 0)
                 | (self.FLAG_G_HOLOMORPHIC if self.g_holomorphic_point else 0)
                 | (self.FLAG_RANK_DEFICIENT if self.rank_deficient else 0))
-
-    @property
-    def all_clear(self):
-        return self.bitmask == 0
 
 
 @dataclass
@@ -188,14 +179,12 @@ def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
 
     one_minus = 1.0 - ng2
     a_val = float(np.sqrt(max(one_minus.v, 0.0)))
-    a_jet = one_minus.sqrt() if one_minus.v > 1e-14 else None
 
     # J(p du + q dv) = (q, -p) in coefficients, so Z = -J grad r = (-q, p)
     Z = np.array([-grad_v.v, grad_u.v])
     Tvec = np.array([r.v * grad_v.v, -r.v * grad_u.v])
     gu_val, gv_val = gu.values(), gv.values()
     Z_amb = Z[0] * gu_val + Z[1] * gv_val
-    T_amb = Tvec[0] * gu_val + Tvec[1] * gv_val
 
     inv_w = 1.0 / (E * G - F * F).sqrt()
     turn_t, turn_n = (Vec(t) * inv_w for t in _jhat_parts(gu, gv, h))
@@ -243,9 +232,8 @@ def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
                         turn_t=turn_t, turn_n=turn_n)
     return ConstructionFrame(
         z=complex(z), r=r, grad_r=(grad_u, grad_v), norm_grad_r=norm_grad,
-        a=a_val, a_jet=a_jet, Z=Z, Z_ambient=Z_amb, Tvec=Tvec,
-        T_ambient=T_amb, xi=xi, xi_fallback=fallback,
-        delta_plus=delta_plus, delta_minus=delta_minus, hess_r=hess, S=S,
+        a=a_val, Z_ambient=Z_amb, Tvec=Tvec, xi=xi, xi_fallback=fallback,
+        delta_plus=delta_plus, delta_minus=delta_minus,
         bxi_residual=bxi_res, bxi_scale=bxi_scale,
         g_degenerate_signs=g_degenerate, ctx=ctx)
 
@@ -264,9 +252,7 @@ def _g_degenerate_sign(fd_g: FundamentalData):
     collapses the corresponding phi.  Calibrated on the null-quadric
     trigonometric pair; for a point ellipse (K_N = 0) both signs degenerate
     and both are reported."""
-    ell = ellipse_descriptor(fd_g)
-    circ = max(abs(ell.res_orth), abs(ell.res_len)) < G_CIRCULAR_TOL
-    if not circ:
+    if not ellipse_descriptor(fd_g).is_circular(G_CIRCULAR_TOL):
         return ()
     if abs(fd_g.K_N) < G_CIRCULAR_TOL * max(1.0, abs(fd_g.K)):
         return SIGNS

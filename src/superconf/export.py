@@ -194,11 +194,6 @@ def mesh_dict(samples, nu, nv) -> dict:
             "vertices": vertices, "quads": quads}
 
 
-def load_mesh_json(path) -> dict:
-    with open(path) as f:
-        return json.load(f)
-
-
 def drop_projector(k: int):
     """R4 -> R3 by deleting coordinate k."""
     if not 0 <= k <= 3:

@@ -320,7 +320,7 @@ def superconformality_test(fd, tol=1e-8):
         "wintgen_defect": float(defect),
         "wintgen_defect_rel": float(rel),
         "mu": ed.mu,
-        "is_superconformal": bool(max(abs(ed.res_orth), abs(ed.res_len)) < tol),
+        "is_superconformal": ed.is_circular(tol),
     }
 
 

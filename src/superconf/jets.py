@@ -2,12 +2,13 @@
 
 ComplexJet carries (f, f', f'', f''') of a holomorphic function at a point of
 the z = u + iv parameter plane; Jet2 carries (value, du, dv, duu, duv, dvv) of
-a real function of (u, v).  split_re / split_im convert the first into the
-second through the Cauchy-Riemann relations, slot by slot and exactly.  The
-third holomorphic order exists so that the first-derivative fields g_u, g_v
-can themselves be seeded as full Jet2 data.  Nothing downstream differentiates
-numerically; finite differences appear only in fd_crosscheck, the independent
-referee.
+a real function of (u, v).  Both kinds share one algebra, _Jet: powers and
+elementary functions are written once against each kind's chain rule.
+split_re / split_im convert the first kind into the second through the
+Cauchy-Riemann relations, slot by slot and exactly; the third holomorphic
+order lets the fields g_u, g_v be split from the window (f', f'', f''') as
+full Jet2 data.  Finite differences appear only in fd_crosscheck, the
+independent referee.
 """
 
 from __future__ import annotations
@@ -24,7 +25,75 @@ DIV_FLOOR = 1e-13
 _SCALARS = (int, float, complex)
 
 
-class ComplexJet:
+class _Jet:
+    """What both jet kinds do the same way.
+
+    A subclass supplies its scalar math module _MATH, its base value _base,
+    its chain-rule kernel _compose(d0, d1, d2, d3) for an elementary function
+    whose derivatives at the base value are d0..d3 (Jet2, of order 2, ignores
+    d3), and _check(fn, w), the floor and branch-cut check of log and sqrt.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        slots = tuple(getattr(self, s) for s in self.__slots__)
+        return f"{type(self).__name__}{slots!r}"
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __rtruediv__(self, other):
+        return self.constant(other).__truediv__(self)
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.constant(1) / self.__pow__(-n)
+        out = self.constant(1)
+        base, k = self, n
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def exp(self):
+        e = self._MATH.exp(self._base)
+        return self._compose(e, e, e, e)
+
+    def log(self):
+        w = self._base
+        self._check("log", w)
+        iw = 1 / w
+        return self._compose(self._MATH.log(w), iw, -iw * iw, 2 * iw ** 3)
+
+    def sqrt(self):
+        w = self._base
+        self._check("sqrt", w)
+        s = self._MATH.sqrt(w)
+        return self._compose(s, 0.5 / s, -0.25 / (w * s), 0.375 / (w * w * s))
+
+    def sin(self):
+        s, c = self._MATH.sin(self._base), self._MATH.cos(self._base)
+        return self._compose(s, c, -s, -c)
+
+    def cos(self):
+        s, c = self._MATH.sin(self._base), self._MATH.cos(self._base)
+        return self._compose(c, -s, -c, s)
+
+    def sinh(self):
+        s, c = self._MATH.sinh(self._base), self._MATH.cosh(self._base)
+        return self._compose(s, c, s, c)
+
+    def cosh(self):
+        s, c = self._MATH.sinh(self._base), self._MATH.cosh(self._base)
+        return self._compose(c, s, c, s)
+
+
+class ComplexJet(_Jet):
     """Value and first three derivatives of a holomorphic function at a point.
 
     Slots hold derivative values, not Taylor coefficients; the product rule is
@@ -32,6 +101,7 @@ class ComplexJet:
     """
 
     __slots__ = ("c0", "c1", "c2", "c3")
+    _MATH = cmath
 
     def __init__(self, c0, c1=0j, c2=0j, c3=0j):
         self.c0 = complex(c0)
@@ -43,6 +113,10 @@ class ComplexJet:
     def coeffs(self):
         return (self.c0, self.c1, self.c2, self.c3)
 
+    @property
+    def _base(self):
+        return self.c0
+
     @staticmethod
     def constant(c):
         return ComplexJet(c, 0, 0, 0)
@@ -50,17 +124,6 @@ class ComplexJet:
     @staticmethod
     def variable(z):
         return ComplexJet(z, 1, 0, 0)
-
-    def __repr__(self):
-        return f"ComplexJet{self.coeffs!r}"
-
-    def __eq__(self, other):
-        if not isinstance(other, ComplexJet):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
@@ -82,9 +145,6 @@ class ComplexJet:
             return ComplexJet(self.c0 - other.c0, self.c1 - other.c1,
                               self.c2 - other.c2, self.c3 - other.c3)
         return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -120,29 +180,6 @@ class ComplexJet:
         q3 = (f3 - 3 * q2 * g1 - 3 * q1 * g2 - q0 * g3) / g0
         return ComplexJet(q0, q1, q2, q3)
 
-    def __rtruediv__(self, other):
-        return ComplexJet.constant(other).__truediv__(self)
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return ComplexJet.constant(1) / self.__pow__(-n)
-        out = ComplexJet.constant(1)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def shift(self):
-        """Jet of the derivative.  The third slot of the result is unknown and
-        stored as 0; consumers may only rely on orders 0..2."""
-        return ComplexJet(self.c1, self.c2, self.c3, 0)
-
     def _compose(self, d0, d1, d2, d3):
         g1, g2, g3 = self.c1, self.c2, self.c3
         return ComplexJet(
@@ -152,56 +189,24 @@ class ComplexJet:
             d3 * g1 ** 3 + 3 * d2 * g1 * g2 + d1 * g3,
         )
 
-    def exp(self):
-        e = cmath.exp(self.c0)
-        return self._compose(e, e, e, e)
-
-    def log(self):
-        w = self.c0
+    @staticmethod
+    def _check(fn, w):
         mag = abs(w)
         if mag <= DIV_FLOOR:
             raise DegenerateJetError(
-                f"log at magnitude floor: |z| = {mag:.3e}", magnitude=mag)
+                f"{fn} at magnitude floor: |z| = {mag:.3e}", magnitude=mag)
         if w.real < 0 and abs(w.imag) <= 1e-13 * mag:
-            raise BranchCutError(f"log evaluated on the branch cut at {w}")
-        iw = 1 / w
-        return self._compose(cmath.log(w), iw, -iw * iw, 2 * iw ** 3)
-
-    def sqrt(self):
-        w = self.c0
-        mag = abs(w)
-        if mag <= DIV_FLOOR:
-            raise DegenerateJetError(
-                f"sqrt at magnitude floor: |z| = {mag:.3e}", magnitude=mag)
-        if w.real < 0 and abs(w.imag) <= 1e-13 * mag:
-            raise BranchCutError(f"sqrt evaluated on the branch cut at {w}")
-        s = cmath.sqrt(w)
-        return self._compose(s, 0.5 / s, -0.25 / (w * s), 0.375 / (w * w * s))
-
-    def sin(self):
-        s, c = cmath.sin(self.c0), cmath.cos(self.c0)
-        return self._compose(s, c, -s, -c)
-
-    def cos(self):
-        s, c = cmath.sin(self.c0), cmath.cos(self.c0)
-        return self._compose(c, -s, -c, s)
-
-    def sinh(self):
-        s, c = cmath.sinh(self.c0), cmath.cosh(self.c0)
-        return self._compose(s, c, s, c)
-
-    def cosh(self):
-        s, c = cmath.sinh(self.c0), cmath.cosh(self.c0)
-        return self._compose(c, s, c, s)
+            raise BranchCutError(f"{fn} evaluated on the branch cut at {w}")
 
 
-class Jet2:
+class Jet2(_Jet):
     """Second-order jet of a real function of (u, v).
 
     duv is stored once; symmetry of mixed partials is structural.
     """
 
     __slots__ = ("v", "du", "dv", "duu", "duv", "dvv")
+    _MATH = math
 
     def __init__(self, v, du=0.0, dv=0.0, duu=0.0, duv=0.0, dvv=0.0):
         self.v = float(v)
@@ -215,6 +220,10 @@ class Jet2:
     def slots(self):
         return (self.v, self.du, self.dv, self.duu, self.duv, self.dvv)
 
+    @property
+    def _base(self):
+        return self.v
+
     @staticmethod
     def constant(x):
         return Jet2(x)
@@ -226,17 +235,6 @@ class Jet2:
     @staticmethod
     def coordinate_v(v):
         return Jet2(v, 0.0, 1.0)
-
-    def __repr__(self):
-        return f"Jet2{self.slots!r}"
-
-    def __eq__(self, other):
-        if not isinstance(other, Jet2):
-            return NotImplemented
-        return self.slots == other.slots
-
-    def __hash__(self):
-        return hash(self.slots)
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
@@ -262,9 +260,6 @@ class Jet2:
                         self.dv - other.dv, self.duu - other.duu,
                         self.duv - other.duv, self.dvv - other.dvv)
         return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -302,28 +297,7 @@ class Jet2:
         q_dvv = (self.dvv - q0 * b.dvv - 2 * q_dv * b.dv) / b.v
         return Jet2(q0, q_du, q_dv, q_duu, q_duv, q_dvv)
 
-    def __rtruediv__(self, other):
-        return Jet2.constant(other).__truediv__(self)
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return Jet2.constant(1.0) / self.__pow__(-n)
-        out = Jet2.constant(1.0)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def recip(self):
-        return Jet2.constant(1.0) / self
-
-    def _compose(self, d0, d1, d2):
+    def _compose(self, d0, d1, d2, d3):
         g = self
         return Jet2(
             d0,
@@ -334,34 +308,13 @@ class Jet2:
             d2 * g.dv * g.dv + d1 * g.dvv,
         )
 
-    def sqrt(self):
-        if self.v <= DIV_FLOOR:
+    @staticmethod
+    def _check(fn, v):
+        if v <= DIV_FLOOR and fn == "log":
+            raise BranchCutError(f"log of non-positive jet value {v:.3e}")
+        if v <= DIV_FLOOR:
             raise DegenerateJetError(
-                f"sqrt of jet at floor: value = {self.v:.3e}", magnitude=self.v)
-        s = math.sqrt(self.v)
-        return self._compose(s, 0.5 / s, -0.25 / (self.v * s))
-
-    def exp(self):
-        e = math.exp(self.v)
-        return self._compose(e, e, e)
-
-    def log(self):
-        if self.v <= DIV_FLOOR:
-            raise BranchCutError(f"log of non-positive jet value {self.v:.3e}")
-        iv = 1.0 / self.v
-        return self._compose(math.log(self.v), iv, -iv * iv)
-
-    def sin(self):
-        return self._compose(math.sin(self.v), math.cos(self.v), -math.sin(self.v))
-
-    def cos(self):
-        return self._compose(math.cos(self.v), -math.sin(self.v), -math.cos(self.v))
-
-    def sinh(self):
-        return self._compose(math.sinh(self.v), math.cosh(self.v), math.sinh(self.v))
-
-    def cosh(self):
-        return self._compose(math.cosh(self.v), math.sinh(self.v), math.cosh(self.v))
+            f"sqrt of jet at floor: value = {v:.3e}", magnitude=v)
 
     def reparam_rot(self, c, s):
         """Jet of the same function precomposed with the parameter rotation
@@ -385,10 +338,6 @@ class Vec:
 
     def __init__(self, components):
         self.c = [x if isinstance(x, Jet2) else Jet2(x) for x in components]
-
-    @staticmethod
-    def zeros(n):
-        return Vec([Jet2(0.0) for _ in range(n)])
 
     @staticmethod
     def of_values(values):
@@ -473,16 +422,24 @@ class Vec:
         return Vec([a.reparam_rot(c, s) for a in self.c])
 
 
+def _re_part(w0, w1, w2):
+    """Jet2 of Re f, where f, f', f'' = w0, w1, w2 (Cauchy-Riemann)."""
+    return Jet2(w0.real, w1.real, -w1.imag, w2.real, -w2.imag, -w2.real)
+
+
+def _im_part(w0, w1, w2):
+    """Jet2 of Im f, where f, f', f'' = w0, w1, w2."""
+    return Jet2(w0.imag, w1.imag, w1.real, w2.imag, w2.real, -w2.imag)
+
+
 def split_re(cj):
     """Jet2 of Re f for a holomorphic jet, via the Cauchy-Riemann relations."""
-    return Jet2(cj.c0.real, cj.c1.real, -cj.c1.imag,
-                cj.c2.real, -cj.c2.imag, -cj.c2.real)
+    return _re_part(cj.c0, cj.c1, cj.c2)
 
 
 def split_im(cj):
     """Jet2 of Im f for a holomorphic jet."""
-    return Jet2(cj.c0.imag, cj.c1.imag, cj.c1.real,
-                cj.c2.imag, cj.c2.real, -cj.c2.imag)
+    return _im_part(cj.c0, cj.c1, cj.c2)
 
 
 def seed_surface(jets):
@@ -495,11 +452,11 @@ def seed_surface(jets):
 def seed_first_derivative_fields(jets):
     """Full Jet2 data of the fields g_u and g_v.
 
-    Uses the third holomorphic order: the field u -> Re F'(z) is seeded from
-    the shifted jet, and g_v from i times it since dF/dv = iF'.
+    Uses the third holomorphic order: g_u = Re F' is split from the window
+    (c1, c2, c3) of F's jet, and g_v from i times it since dF/dv = iF'.
     """
-    g_u = Vec([split_re(j.shift()) for j in jets])
-    g_v = Vec([split_re(j.shift() * 1j) for j in jets])
+    g_u = Vec([_re_part(j.c1, j.c2, j.c3) for j in jets])
+    g_v = Vec([_re_part(j.c1 * 1j, j.c2 * 1j, j.c3 * 1j) for j in jets])
     return g_u, g_v
 
 
@@ -508,29 +465,6 @@ def graph_surface(jets):
     components (Re w1, Im w1, Re w2, Im w2)."""
     j1, j2 = jets[0], jets[1]
     return Vec([split_re(j1), split_im(j1), split_re(j2), split_im(j2)])
-
-
-def holo_eval(curve, z):
-    """Evaluate a holomorphic curve to its list of component ComplexJets.
-
-    Accepts anything exposing eval_jets(z) (parsed curves, catalog entries) or
-    a plain callable z -> list of ComplexJet.
-    """
-    ev = getattr(curve, "eval_jets", None)
-    if ev is not None:
-        return ev(z)
-    if callable(curve):
-        return curve(z)
-    raise TypeError(f"cannot jet-evaluate object of type {type(curve)!r}")
-
-
-def _fd_values(surface, u, v):
-    out = surface(u, v)
-    if isinstance(out, Vec):
-        return out.values()
-    if isinstance(out, Jet2):
-        return np.array([out.v])
-    return np.asarray(out, dtype=float)
 
 
 def fd_crosscheck(surface, p, step=1e-4):
@@ -543,27 +477,19 @@ def fd_crosscheck(surface, p, step=1e-4):
     """
     if step <= 0:
         raise ValueError("step must be positive")
+
+    def sample(u, v):
+        out = surface(u, v)
+        return Vec([out]) if isinstance(out, Jet2) else out
+
     u0, v0 = p
     h = float(step)
-    center = surface(u0, v0)
-    if isinstance(center, Jet2):
-        jet_du, jet_dv = np.array([center.du]), np.array([center.dv])
-        jet_duu, jet_duv, jet_dvv = (np.array([center.duu]),
-                                     np.array([center.duv]),
-                                     np.array([center.dvv]))
-        f00 = np.array([center.v])
-    else:
-        jet_du, jet_dv = center.du(), center.dv()
-        jet_duu, jet_duv, jet_dvv = center.duu(), center.duv(), center.dvv()
-        f00 = center.values()
-
-    F = {}
+    center = sample(u0, v0)
+    F = {(0, 0): center.values()}
     for i in (-2, -1, 0, 1, 2):
         for j in (-2, -1, 0, 1, 2):
-            if i == 0 and j == 0:
-                F[i, j] = f00
-            elif i == 0 or j == 0 or abs(i) == abs(j):
-                F[i, j] = _fd_values(surface, u0 + i * h, v0 + j * h)
+            if (i or j) and (i == 0 or j == 0 or abs(i) == abs(j)):
+                F[i, j] = sample(u0 + i * h, v0 + j * h).values()
 
     fd_du = (-F[2, 0] + 8 * F[1, 0] - 8 * F[-1, 0] + F[-2, 0]) / (12 * h)
     fd_dv = (-F[0, 2] + 8 * F[0, 1] - 8 * F[0, -1] + F[0, -2]) / (12 * h)
@@ -575,9 +501,10 @@ def fd_crosscheck(surface, p, step=1e-4):
     cross_2h = (F[2, 2] - F[2, -2] - F[-2, 2] + F[-2, -2]) / (16 * h * h)
     fd_duv = (4 * cross_h - cross_2h) / 3
 
-    first = max(np.max(np.abs(fd_du - jet_du)), np.max(np.abs(fd_dv - jet_dv)))
-    second = max(np.max(np.abs(fd_duu - jet_duu)),
-                 np.max(np.abs(fd_duv - jet_duv)),
-                 np.max(np.abs(fd_dvv - jet_dvv)))
+    first = max(np.max(np.abs(fd_du - center.du())),
+                np.max(np.abs(fd_dv - center.dv())))
+    second = max(np.max(np.abs(fd_duu - center.duu())),
+                 np.max(np.abs(fd_duv - center.duv())),
+                 np.max(np.abs(fd_dvv - center.dvv())))
     return {"first": float(first), "second": float(second),
             "max": float(max(first, second))}

@@ -38,7 +38,7 @@ from .errors import (DualitySingularError, FrameDegenerateError,
 from .expr import Bin, CurveExpr, Pow, const_node
 from .geometry import (Ambient, _coord_shape, _normal_parts, ellipse_descriptor,
                        fundamental_data)
-from .jets import Vec, graph_surface, split_im, split_re
+from .jets import Vec, _im_part, _re_part, graph_surface
 from .minimal import HolomorphicCurve
 
 # relative floor below which an inversion denominator counts as zero
@@ -250,13 +250,12 @@ def _graph_fields(curve, z):
             f"graph surfaces take two-component curves; {curve.name} "
             f"declares {curve.expr.ast.declared_arity}")
     jets = curve.eval_jets(z)[:2]
-    pos = graph_surface(jets)
-    sh = [j.shift() for j in jets]
-    fu = Vec([split_re(sh[0]), split_im(sh[0]),
-              split_re(sh[1]), split_im(sh[1])])
-    fv = Vec([-split_im(sh[0]), split_re(sh[0]),
-              -split_im(sh[1]), split_re(sh[1])])
-    return pos, fu, fv
+    fu, fv = [], []
+    for j in jets:
+        re, im = _re_part(j.c1, j.c2, j.c3), _im_part(j.c1, j.c2, j.c3)
+        fu += [re, im]
+        fv += [-im, re]
+    return graph_surface(jets), Vec(fu), Vec(fv)
 
 
 @dataclass(frozen=True)

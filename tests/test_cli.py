@@ -5,6 +5,7 @@ import json
 import pytest
 
 from superconf import cli
+from superconf.errors import PreconditionError
 
 
 def run(capsys, *argv):
@@ -212,6 +213,32 @@ def test_usage_errors(capsys):
     code, rep = run_json(capsys, "construct", "--curve", "catenoid-helicoid",
                          "--grid", "4,4", "--project", "squash")
     assert code == 2
+
+
+def test_parse_grid_caps_the_point_count():
+    assert cli._parse_grid("512,512") == (512, 512)
+    with pytest.raises(PreconditionError, match="exceeds 262144 points"):
+        cli._parse_grid("513,512")
+
+
+def test_construct_rejects_oversized_grid_before_sampling(tmp_path, capsys,
+                                                          monkeypatch):
+    from superconf import construct
+    calls = []
+    real = construct.construction_frame
+
+    def counting(pair, z):
+        calls.append(z)
+        return real(pair, z)
+
+    monkeypatch.setattr(construct, "construction_frame", counting)
+    out = tmp_path / "out"
+    code, rep = run_json(capsys, "construct", "--curve", "catenoid-helicoid",
+                         "--grid", "513,512", "--out", str(out))
+    assert code == 2
+    assert rep["error"]["type"] == "PreconditionError"
+    assert calls == []
+    assert not out.exists()
 
 
 def test_io_error_exit(tmp_path, capsys):

@@ -177,7 +177,7 @@ def test_phi_superconformal_on_catalog_pairs():
                 except FrameDegenerateError:
                     continue
                 for ps in samples:
-                    if not ps.flags.all_clear:
+                    if ps.flags.bitmask != 0:
                         continue
                     rep = superconformality_test(fundamental_data(ps.phi))
                     assert abs(rep["res_orth"]) < 1e-10, (name, z, ps.sign)
@@ -253,7 +253,6 @@ def test_phi_value_route_agrees_with_field_route(catenoid):
 
 def test_flags_generic_point_all_clear(catenoid):
     ps, _ = build_phi_pair(catenoid, 1.0 + 0.5j)
-    assert ps.flags.all_clear
     assert ps.flags.bitmask == 0
 
 

@@ -10,7 +10,7 @@ from superconf.construct import build_phi_pair
 from superconf.errors import PreconditionError
 from superconf.export import (CSV_HEADER, FLAG_DEGENERATE_SAMPLE,
                               FLAG_OUT_OF_DOMAIN, canonical_json, csv_text,
-                              drop_projector, load_mesh_json, mesh_dict,
+                              drop_projector, mesh_dict,
                               obj_text, sample_grid, stereo_projector,
                               summarize, thread_count, write_csv, write_obj)
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
@@ -122,7 +122,8 @@ def test_mesh_json_round_trips_bit_exactly(tmp_path, catenoid):
     path = tmp_path / "m.json"
     write_json(mesh, path)
     text = path.read_text()
-    loaded = load_mesh_json(path)
+    with open(path) as f:
+        loaded = json.load(f)
     assert loaded == mesh
     assert canonical_json(loaded) == text
 

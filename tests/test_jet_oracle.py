@@ -1,0 +1,169 @@
+"""Exact oracle for the jets: sympy derivatives evaluated in mpmath.
+
+Every golden expression of the acceptance suite and every catalog curve is
+evaluated to its ComplexJet at fixed-seed points, and c0..c3 are compared
+with sympy.diff of the same expression, evaluated at 30 digits.  The Jet2
+algebra is checked the same way against sympy partials in (u, v).
+"""
+
+import mpmath
+import numpy as np
+import pytest
+import sympy as sp
+
+from superconf import catalog
+from superconf.acceptance import GOLDEN_EXPRESSIONS
+from superconf.errors import EvaluationError
+from superconf.expr import Bin, Call, CurveExpr, Lit, Neg, Pow, Var
+from superconf.jets import Jet2
+
+Z, U, V = sp.symbols("z u v")
+REL_TOL = 1e-12
+MIN_POINTS = 3
+
+
+def to_sympy(node):
+    """The sympy expression in Z of a parsed expression node."""
+    if isinstance(node, Lit):
+        return sp.Rational(node.re) + sp.I * sp.Rational(node.im)
+    if isinstance(node, Var):
+        return Z
+    if isinstance(node, Neg):
+        return -to_sympy(node.x)
+    if isinstance(node, Bin):
+        a, b = to_sympy(node.a), to_sympy(node.b)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        return a / b
+    if isinstance(node, Pow):
+        return to_sympy(node.base) ** node.exponent
+    if isinstance(node, Call):
+        return getattr(sp, node.fn)(to_sympy(node.arg))
+    raise TypeError(node)
+
+
+def derivative_functions(expr):
+    """mpmath callables of the derivatives of orders 0..3 in Z."""
+    return [sp.lambdify(Z, sp.diff(expr, Z, k) if k else expr, "mpmath")
+            for k in range(4)]
+
+
+def worst_relative_error(curve_expr, points):
+    """Largest deviation of the jet slots from the exact derivatives, over
+    all components, orders and points, relative to the largest exact
+    derivative of the component; and the number of points evaluated and
+    skipped (EvaluationError)."""
+    exact = [derivative_functions(to_sympy(c))
+             for c in curve_expr.ast.components]
+    worst, evaluated, skipped = 0.0, 0, 0
+    for z in points:
+        try:
+            jets = curve_expr.eval_jets(z)
+        except EvaluationError:
+            skipped += 1
+            continue
+        evaluated += 1
+        with mpmath.workdps(30):
+            for jet, fns in zip(jets, exact, strict=True):
+                want = [complex(f(mpmath.mpc(z.real, z.imag))) for f in fns]
+                scale = max(abs(w) for w in want)
+                for got, w in zip(jet.coeffs, want):
+                    if scale == 0.0:
+                        assert got == 0.0
+                    else:
+                        worst = max(worst, abs(got - w) / scale)
+    return worst, evaluated, skipped
+
+
+def golden_points():
+    rng = np.random.default_rng(2024)
+    # z = 0 is a pole of several goldens and exercises the skip count
+    return [0j] + [complex(u, v) for u, v in rng.uniform(-1.5, 1.5, (6, 2))]
+
+
+def domain_points(domain, n=6, seed=7):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        z = complex(rng.uniform(domain.u_min, domain.u_max),
+                    rng.uniform(domain.v_min, domain.v_max))
+        if domain.contains(z):
+            out.append(z)
+    return out
+
+
+@pytest.mark.parametrize("text", GOLDEN_EXPRESSIONS)
+def test_golden_expression_jets_match_sympy(text):
+    worst, evaluated, skipped = worst_relative_error(
+        CurveExpr.parse(text), golden_points())
+    assert evaluated >= MIN_POINTS, (text, skipped)
+    assert evaluated + skipped == len(golden_points())
+    assert worst < REL_TOL, (text, worst)
+
+
+def test_golden_skip_count_at_the_pole():
+    # (z, 1/z) has its pole at the first golden point and nowhere else
+    _, evaluated, skipped = worst_relative_error(
+        CurveExpr.parse("(z, 1/z)"), golden_points())
+    assert (evaluated, skipped) == (len(golden_points()) - 1, 1)
+
+
+PAIR_ENTRIES = ("catenoid-helicoid", "enneper-r3", "q0-line", "q0-trig",
+                "q0-trig-perturbed", "whitney")
+
+
+def test_pair_entries_are_every_catalog_curve():
+    assert list(PAIR_ENTRIES) == [n for n in catalog.names()
+                                  if catalog.get(n).kind == "minimal-pair"]
+
+
+@pytest.mark.parametrize("name", PAIR_ENTRIES)
+def test_catalog_curve_jets_match_sympy(name):
+    curve = catalog.get(name).pair.curve
+    worst, evaluated, skipped = worst_relative_error(
+        curve.expr, domain_points(curve.domain))
+    assert evaluated >= MIN_POINTS, (name, skipped)
+    assert worst < REL_TOL, (name, worst)
+
+
+# a real function of (u, v) that stays positive on [-0.8, 0.8]^2, so log and
+# sqrt are defined there
+BASE = (sp.Rational(13, 10) + sp.Rational(2, 5) * U - sp.Rational(7, 10) * V
+        + U ** 2 / 2 + sp.Rational(3, 10) * U * V - V ** 2 / 5)
+PARTIALS = ((), (U,), (V,), (U, U), (U, V), (V, V))
+
+JET2_OPS = {
+    "exp": (lambda j: j.exp(), sp.exp),
+    "log": (lambda j: j.log(), sp.log),
+    "sqrt": (lambda j: j.sqrt(), sp.sqrt),
+    "sin": (lambda j: j.sin(), sp.sin),
+    "cos": (lambda j: j.cos(), sp.cos),
+    "sinh": (lambda j: j.sinh(), sp.sinh),
+    "cosh": (lambda j: j.cosh(), sp.cosh),
+    "pow3": (lambda j: j ** 3, lambda e: e ** 3),
+    "pow-2": (lambda j: j ** -2, lambda e: e ** -2),
+    "reciprocal": (lambda j: 1 / j, lambda e: 1 / e),
+    "rsub": (lambda j: 2 - j, lambda e: 2 - e),
+}
+
+
+def exact_slots(expr, u0, v0):
+    point = {U: sp.Rational(u0), V: sp.Rational(v0)}
+    return [float((sp.diff(expr, *d) if d else expr).subs(point).evalf(30))
+            for d in PARTIALS]
+
+
+@pytest.mark.parametrize("op", sorted(JET2_OPS))
+def test_jet2_functions_match_sympy_partials(op):
+    jet_fn, sym_fn = JET2_OPS[op]
+    rng = np.random.default_rng(11)
+    for u0, v0 in rng.uniform(-0.8, 0.8, (4, 2)):
+        got = jet_fn(Jet2(*exact_slots(BASE, u0, v0))).slots
+        want = exact_slots(sym_fn(BASE), u0, v0)
+        scale = max(abs(w) for w in want)
+        err = max(abs(g - w) for g, w in zip(got, want))
+        assert err < REL_TOL * scale, (op, u0, v0, err / scale)
