@@ -245,10 +245,13 @@ def cmd_verify(args) -> int:
     stride = max(1, len(grid) // max(1, args.dual_samples))
     worst = {"center": 0.0, "conformal": 0.0, "tangency": 0.0, "metric": 0.0}
     n_dual = 0
+    skipped = {}    # exception class name -> points it skipped
     for z in grid[::stride]:
         try:
             rep = dual_pair_report(pair, z)
-        except SuperconfError:
+        except SuperconfError as exc:
+            name = type(exc).__name__
+            skipped[name] = skipped.get(name, 0) + 1
             continue
         n_dual += 1
         worst["center"] = max(worst["center"], *rep.center_residual.values())
@@ -258,7 +261,7 @@ def cmd_verify(args) -> int:
         worst["tangency"] = max(worst["tangency"],
                                 *rep.tangency_residual.values())
         worst["metric"] = max(worst["metric"], rep.metric_relation_residual)
-    report["dual_pair"] = {"n_points": n_dual, **worst}
+    report["dual_pair"] = {"n_points": n_dual, "skipped": skipped, **worst}
     ok = ok and n_dual > 0 and all(v < args.dual_tol for v in worst.values())
     _emit({**report, "ok": ok})
     return EXIT_OK if ok else EXIT_NUMERIC

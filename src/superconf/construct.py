@@ -30,9 +30,10 @@ import numpy as np
 
 from .errors import (FrameDegenerateError, FrameUndefinedError,
                      PreconditionError, SingularSampleError)
-from .geometry import (REGULARITY_FLOOR, FundamentalData, _normal_parts,
-                       adapted_frame, ellipse_descriptor, fundamental_data)
-from .jets import DegenerateJetError, Jet2, Vec
+from .geometry import (REGULARITY_FLOOR, FundamentalData, _blas_dot,
+                       _normal_parts, _pypow, _sqrt0, adapted_frame,
+                       ellipse_descriptor, fundamental_data)
+from .jets import DegenerateJetError, Jet2, Vec, fail_rows
 from .minimal import MinimalPair
 
 SIGNS = ("+", "-")
@@ -82,7 +83,8 @@ def _jhat_parts(gu, gv, h):
 
 @dataclass
 class _FieldContext:
-    """Everything phi assembly needs, with full jets, computed once per point."""
+    """Everything phi assembly needs, with full jets, computed once for both
+    signs: at one point (numbers in the jets) or over a batch (arrays)."""
 
     sample: object
     E: Jet2
@@ -91,8 +93,13 @@ class _FieldContext:
     r: Jet2
     ru: Jet2
     rv: Jet2
+    ng2: Jet2      # ||grad r||^2
+    a: float
+    inv_w: Jet2    # 1 / |W|
     turn_t: Vec    # W h / |W|, the tangential half of Jhat h
     turn_n: Vec    # *W h / |W|, the normal half of Jhat h
+    fd_g: FundamentalData | None
+    g_collapse: dict  # sign -> whether a circular ellipse of g collapses it
 
 
 @dataclass
@@ -130,9 +137,10 @@ class RegularityFlags:
 
     @property
     def bitmask(self):
-        return ((self.FLAG_A_SMALL if self.a_small else 0)
-                | (self.FLAG_G_HOLOMORPHIC if self.g_holomorphic_point else 0)
-                | (self.FLAG_RANK_DEFICIENT if self.rank_deficient else 0))
+        """The flag bits; an int array when the flags hold batch masks."""
+        return (self.FLAG_A_SMALL * self.a_small
+                | self.FLAG_G_HOLOMORPHIC * self.g_holomorphic_point
+                | self.FLAG_RANK_DEFICIENT * self.rank_deficient)
 
 
 @dataclass
@@ -143,67 +151,94 @@ class PhiSample:
     flags: RegularityFlags
 
 
-def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
-    """Frame quantities of the construction at z.
+def _assemble(s) -> _FieldContext:
+    """The field context of a split sample, at one point or over a batch.
 
-    Raises FrameDegenerateError where h vanishes.  Where a is below floor
-    (h tangent to g) the xi/delta normals fall back to the deterministic
-    ambient-projection frame; the construction itself stays regular there."""
-    s = pair.samples_at(z)
+    One point raises FrameDegenerateError where h vanishes, DegenerateJetError
+    at a jet floor, and SingularSampleError where a is at its floor and g is
+    singular (g's normal frame would have to stand in for h's); a batch
+    records those rows instead (jets.row_failures)."""
     g, h = s.g, s.h
     gu, gv = s.g_u, s.g_v
-    hu, hv = s.h_u, s.h_v
-
     E = gu.dot(gu)
     F = gu.dot(gv)
     G = gv.dot(gv)
 
-    scale = max(np.linalg.norm(h.values()), np.linalg.norm(g.values()), 1.0)
+    scale = np.maximum(np.maximum(_vec_norm(h.values()),
+                                  _vec_norm(g.values())), 1.0)
     r2 = h.dot(h)
-    if r2.v <= (R_FLOOR * scale) ** 2:
-        raise FrameDegenerateError(
-            f"h vanishes at z={z}: ||h|| = {np.sqrt(max(r2.v, 0.0)):.3e}")
+    fail_rows(r2.v <= _pypow(R_FLOOR * scale, 2), FrameDegenerateError,
+              lambda: f"h vanishes at z={s.z}: "
+                      f"||h|| = {np.sqrt(max(r2.v, 0.0)):.3e}")
     try:
         r = r2.sqrt()
     except DegenerateJetError as exc:
-        raise FrameDegenerateError(f"h vanishes at z={z}") from exc
+        raise FrameDegenerateError(f"h vanishes at z={s.z}") from exc
 
     # d||h|| = <h_u, h>/||h||; routing through the conjugate fields keeps
     # full second-order jets for the gradient coefficients
-    ru = hu.dot(h) / r
-    rv = hv.dot(h) / r
-    grad_u = ru / E
-    grad_v = rv / E
+    ru = s.h_u.dot(h) / r
+    rv = s.h_v.dot(h) / r
     ng2 = (ru * ru + rv * rv) / E
-    norm_grad = float(np.sqrt(max(ng2.v, 0.0)))
-
-    one_minus = 1.0 - ng2
-    a_val = float(np.sqrt(max(one_minus.v, 0.0)))
-
-    # J(p du + q dv) = (q, -p) in coefficients, so Z = -J grad r = (-q, p)
-    Z = np.array([-grad_v.v, grad_u.v])
-    Tvec = np.array([r.v * grad_v.v, -r.v * grad_u.v])
-    gu_val, gv_val = gu.values(), gv.values()
-    Z_amb = Z[0] * gu_val + Z[1] * gv_val
+    batch = isinstance(ng2.v, np.ndarray)
+    a = _sqrt0(1.0 - ng2.v)
 
     inv_w = 1.0 / (E * G - F * F).sqrt()
     turn_t, turn_n = (Vec(t) * inv_w for t in _jhat_parts(gu, gv, h))
 
     # g's curvature data gives the fallback xi and the g-holomorphic flag
-    fallback = a_val <= A_FLOOR
-    try:
+    fallback = a <= A_FLOOR
+    if batch:
         fd_g = fundamental_data(g)
-    except SingularSampleError:
-        if fallback:
-            raise
-        fd_g = None
-    if fallback:
-        xi = fd_g.n1
+        fail_rows(fallback & ~fd_g.regular, SingularSampleError,
+                  lambda: "g is singular where a is at its floor")
     else:
-        [hN] = _normal_parts([h.values()], gu_val, gv_val, np.dot)
+        try:
+            fd_g = fundamental_data(g)
+        except SingularSampleError:
+            if fallback:
+                raise
+            fd_g = None
+    return _FieldContext(sample=s, E=E, F=F, G=G, r=r, ru=ru, rv=rv, ng2=ng2,
+                         a=a, inv_w=inv_w, turn_t=turn_t, turn_n=turn_n,
+                         fd_g=fd_g, g_collapse=_g_collapse(fd_g))
+
+
+def _vec_norm(x):
+    """np.linalg.norm of every vector of x, rounded as np.linalg.norm."""
+    return np.sqrt(_blas_dot(x, x))
+
+
+def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
+    """Frame quantities of the construction at z, per the decomposition
+    h = -r (g_* grad r + a xi).
+
+    Raises FrameDegenerateError where h vanishes.  Where a is below floor
+    (h tangent to g) the xi/delta normals fall back to the deterministic
+    ambient-projection frame; the construction itself stays regular there."""
+    s = pair.samples_at(z)
+    ctx = _assemble(s)
+    g, r, E = s.g, ctx.r, ctx.E
+    gu_val, gv_val = s.g_u.values(), s.g_v.values()
+
+    grad_u = ctx.ru / E
+    grad_v = ctx.rv / E
+    norm_grad = _sqrt0(ctx.ng2.v)
+    a_val = ctx.a
+
+    # J(p du + q dv) = (q, -p) in coefficients, so Z = -J grad r = (-q, p)
+    Z = np.array([-grad_v.v, grad_u.v])
+    Tvec = np.array([r.v * grad_v.v, -r.v * grad_u.v])
+    Z_amb = Z[0] * gu_val + Z[1] * gv_val
+
+    fallback = a_val <= A_FLOOR
+    if fallback:
+        xi = ctx.fd_g.n1
+    else:
+        [hN] = _normal_parts([s.h.values()], gu_val, gv_val, np.dot)
         xi = -hN / (a_val * r.v)
     xt, xn = _jhat_parts(gu_val, gv_val, xi)
-    delta_minus = (np.array(xt) - np.array(xn)) * inv_w.v   # = Jhat(-) xi
+    delta_minus = (np.array(xt) - np.array(xn)) * ctx.inv_w.v   # = Jhat(-) xi
     delta_plus = -delta_minus
 
     # Hessian of r w.r.t. the conformal metric E(du^2 + dv^2), expressed in
@@ -226,54 +261,61 @@ def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
         rhs = (r.v * hess - S) @ _JMAT
         bxi_scale = max(1.0, np.abs(lhs).max(), np.abs(rhs).max())
         bxi_res = float(np.abs(lhs - rhs).max())
-    g_degenerate = () if fd_g is None else _g_degenerate_sign(fd_g)
 
-    ctx = _FieldContext(sample=s, E=E, F=F, G=G, r=r, ru=ru, rv=rv,
-                        turn_t=turn_t, turn_n=turn_n)
     return ConstructionFrame(
         z=complex(z), r=r, grad_r=(grad_u, grad_v), norm_grad_r=norm_grad,
         a=a_val, Z_ambient=Z_amb, Tvec=Tvec, xi=xi, xi_fallback=fallback,
         delta_plus=delta_plus, delta_minus=delta_minus,
         bxi_residual=bxi_res, bxi_scale=bxi_scale,
-        g_degenerate_signs=g_degenerate, ctx=ctx)
+        g_degenerate_signs=tuple(t for t in SIGNS if ctx.g_collapse[t]),
+        ctx=ctx)
 
 
-def _phi_field(frame: ConstructionFrame, sign) -> Vec:
+def _phi_field(ctx: _FieldContext, sign) -> Vec:
     s = _check_sign(sign)
-    c = frame.ctx
-    return c.sample.g + c.turn_t + c.turn_n * s
+    return ctx.sample.g + ctx.turn_t + ctx.turn_n * s
 
 
-def _g_degenerate_sign(fd_g: FundamentalData):
+def _g_collapse(fd_g):
     """Which construction sign degenerates when g has a circular ellipse.
 
     The rotation Jhat(s) that matches the orientation of g's curvature
     circle (the sign of its normal curvature in the deterministic frame)
     collapses the corresponding phi.  Calibrated on the null-quadric
-    trigonometric pair; for a point ellipse (K_N = 0) both signs degenerate
-    and both are reported."""
-    if not ellipse_descriptor(fd_g).is_circular(G_CIRCULAR_TOL):
-        return ()
-    if abs(fd_g.K_N) < G_CIRCULAR_TOL * max(1.0, abs(fd_g.K)):
-        return SIGNS
-    return ("-",) if fd_g.K_N > 0.0 else ("+",)
+    trigonometric pair; for a point ellipse (K_N = 0) both signs degenerate.
+    Without g's data (g singular at one point) neither does."""
+    if fd_g is None:
+        return {"+": False, "-": False}
+    circular = np.logical_and(
+        ellipse_descriptor(fd_g).is_circular(G_CIRCULAR_TOL), fd_g.regular)
+    point = abs(fd_g.K_N) < G_CIRCULAR_TOL * np.maximum(1.0, abs(fd_g.K))
+    positive = fd_g.K_N > 0.0
+    return {"-": circular & (point | positive),
+            "+": circular & (point | np.logical_not(positive))}
 
 
 def regularity_flags(frame: ConstructionFrame, sign, phi: Vec
                      ) -> RegularityFlags:
     """Flags for the surface of the given sign built on this frame."""
-    a_small = frame.a < A_SMALL
-    g_hol = sign in frame.g_degenerate_signs
+    return _flags(frame.ctx, sign, phi)
+
+
+def _flags(ctx: _FieldContext, sign, phi: Vec) -> RegularityFlags:
+    a_small = ctx.a < A_SMALL
+    g_hol = ctx.g_collapse[sign]
     # rank floor relative to the pair's own length scale, not phi's: a
     # collapsed phi is pure roundoff and must not self-normalize into
     # looking like a (tiny) immersion
     pu, pv = phi.du(), phi.dv()
-    E, F, G = pu @ pu, pu @ pv, pv @ pv
+    E, F, G = _blas_dot(pu, pu), _blas_dot(pu, pv), _blas_dot(pv, pv)
     det1 = E * G - F * F
-    gu, gv = frame.ctx.sample.g_u.values(), frame.ctx.sample.g_v.values()
-    scale = max(np.linalg.norm(pu), np.linalg.norm(pv),
-                np.linalg.norm(gu), np.linalg.norm(gv), 1e-150)
-    rank_def = bool(det1 <= REGULARITY_FLOOR * scale ** 4)
+    gu, gv = ctx.sample.g_u.values(), ctx.sample.g_v.values()
+    scale = np.maximum(np.maximum(np.maximum(_vec_norm(pu), _vec_norm(pv)),
+                                  np.maximum(_vec_norm(gu), _vec_norm(gv))),
+                       1e-150)
+    rank_def = det1 <= REGULARITY_FLOOR * _pypow(scale, 4)
+    if rank_def.ndim == 0:
+        a_small, g_hol, rank_def = bool(a_small), bool(g_hol), bool(rank_def)
     return RegularityFlags(a_small=a_small, g_holomorphic_point=g_hol,
                            rank_deficient=rank_def)
 
@@ -284,7 +326,7 @@ def build_phi_pair(pair: MinimalPair, z):
     frame = construction_frame(pair, z)
     out = []
     for sign in SIGNS:
-        phi = _phi_field(frame, sign)
+        phi = _phi_field(frame.ctx, sign)
         out.append(PhiSample(sign=sign, phi=phi, frame=frame,
                              flags=regularity_flags(frame, sign, phi)))
     return tuple(out)

@@ -44,10 +44,6 @@ class DomainError(EvaluationError):
 class DegenerateJetError(SuperconfError):
     """Jet division or root hit the magnitude floor."""
 
-    def __init__(self, message, magnitude=None):
-        super().__init__(message)
-        self.magnitude = magnitude
-
 
 class BranchCutError(SuperconfError):
     """log or sqrt evaluated on its branch cut."""

@@ -14,19 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import SIGNS, RegularityFlags, _check_sign, build_phi_pair
+from .construct import (RegularityFlags, _assemble, _check_sign, _flags,
+                        _phi_field)
 from .errors import (BranchCutError, DegenerateJetError, DomainError,
                      EvaluationError, FrameDegenerateError, PreconditionError,
                      SingularSampleError)
 from .geometry import fundamental_data, superconformality_test
+from .jets import row_failures
 
 CSV_HEADER = "u,v,x0,x1,x2,x3,K,KN_abs,Hnorm,mu,res_orth,res_len,wintgen,a,flags"
 STAT_KEYS = ("K", "KN_abs", "Hnorm", "mu", "res_orth", "res_len", "wintgen", "a")
+# the keys of GridSample.stats, in the order _fill_rows writes them
+_STAT_NAMES = ("K", "KN_abs", "Hnorm", "mu", "res_orth", "res_len", "wintgen",
+               "wintgen_rel", "a")
 
 FLAG_OUT_OF_DOMAIN = RegularityFlags.FLAG_OUT_OF_DOMAIN
 # sampling failed outright (h vanished, jets blew up); beyond the per-sample
 # regularity bits
 FLAG_DEGENERATE_SAMPLE = 16
+# grid points per array pass of sample_grid; bounds the pass's working set
+BLOCK_POINTS = 256
 
 
 @dataclass
@@ -56,48 +63,15 @@ def thread_count() -> int:
     return max(1, n)
 
 
-def _sample_point(pair, signs, u, v):
-    """One grid point: a row per requested sign, all from one frame."""
-    z = complex(u, v)
-    flags = FLAG_OUT_OF_DOMAIN
-    if pair.domain.contains(z):
-        try:
-            built = build_phi_pair(pair, z)
-        except DomainError:
-            pass
-        except (FrameDegenerateError, SingularSampleError, EvaluationError,
-                DegenerateJetError, BranchCutError):
-            flags = FLAG_DEGENERATE_SAMPLE
-        else:
-            return [_grid_sample(built[SIGNS.index(sign)], u, v)
-                    for sign in signs]
-    return [GridSample(u=u, v=v, position=None, stats=None, flags=flags)
-            for _ in signs]
-
-
-def _grid_sample(ps, u, v) -> GridSample:
-    flags = ps.flags.bitmask
-    try:
-        fd = fundamental_data(ps.phi)
-        sc = superconformality_test(fd)
-        stats = {"K": fd.K, "KN_abs": abs(fd.K_N), "Hnorm": fd.lam,
-                 "mu": sc["mu"], "res_orth": sc["res_orth"],
-                 "res_len": sc["res_len"], "wintgen": sc["wintgen_defect"],
-                 "wintgen_rel": sc["wintgen_defect_rel"], "a": ps.frame.a}
-    except SingularSampleError:
-        stats = None
-        flags |= RegularityFlags.FLAG_RANK_DEFICIENT
-    return GridSample(u=u, v=v, position=ps.phi.values(), stats=stats,
-                      flags=flags)
-
-
 def sample_grid(pair, domain, nu, nv, signs):
-    """Sample the surfaces of the given signs over an inclusive nu x nv grid,
-    one frame per grid point; one row list per sign, in the order of signs.
+    """Sample the surfaces of the given signs over an inclusive nu x nv grid;
+    one row list per sign, in the order of signs.
 
     Rows come back in row-major order, u varying slowest.  Points outside the
     pair's domain and points where the construction fails become flagged rows
-    rather than errors.
+    rather than errors.  The grid is built in array passes over blocks of
+    BLOCK_POINTS points, each pass evaluating the curve once for all signs;
+    every row is bit-identical to the same point built alone.
     """
     if nu < 2 or nv < 2:
         raise PreconditionError("grid needs at least 2 points per axis")
@@ -105,8 +79,66 @@ def sample_grid(pair, domain, nu, nv, signs):
         _check_sign(sign)
     thread_count()
     us, vs = domain.linspace(nu, nv)
-    points = [_sample_point(pair, signs, u, v) for u in us for v in vs]
-    return [list(rows) for rows in zip(*points)]
+    u, v = np.repeat(us, nv), np.tile(vs, nu)
+    rows = [[] for _ in signs]
+    for start in range(0, u.size, BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        for out, got in zip(rows, _sample_block(pair, signs, u[block],
+                                                 v[block])):
+            out.extend(got)
+    return rows
+
+
+def _sample_block(pair, signs, u, v):
+    """The rows of every sign for one block of grid points."""
+    z = np.empty(u.size, complex)
+    z.real, z.imag = u, v
+    rows = [[GridSample(u=uk, v=vk, position=None, stats=None,
+                        flags=FLAG_OUT_OF_DOMAIN) for uk, vk in zip(u, v)]
+            for _ in signs]
+    inside = np.flatnonzero(pair.domain.contains(z))
+    if not inside.size:
+        return rows
+    with np.errstate(all="ignore"), row_failures(inside.size) as failed:
+        try:
+            ctx = _assemble(pair.samples_at(z[inside]))
+        except DomainError:
+            return rows
+        except (FrameDegenerateError, SingularSampleError, EvaluationError,
+                DegenerateJetError, BranchCutError):
+            # raised for every point alike, by a constant subexpression
+            for sign_rows in rows:
+                for k in inside.tolist():
+                    sign_rows[k].flags = FLAG_DEGENERATE_SAMPLE
+            return rows
+        for sign, sign_rows in zip(signs, rows):
+            _fill_rows(sign_rows, inside, ctx, sign, failed)
+    return rows
+
+
+def _fill_rows(rows, inside, ctx, sign, failed):
+    """Flags, positions and stats of one sign at the block's points inside
+    the domain (rows[k] for k in inside) from the block's field context."""
+    phi = _phi_field(ctx, sign)
+    fd = fundamental_data(phi)
+    sc = superconformality_test(fd)
+    flags = _flags(ctx, sign, phi).bitmask | np.where(
+        fd.regular, 0, RegularityFlags.FLAG_RANK_DEFICIENT)
+    flags = np.where(failed.rows(), FLAG_DEGENERATE_SAMPLE, flags)
+    flags = np.where(failed.rows(DomainError), FLAG_OUT_OF_DOMAIN, flags)
+    columns = (fd.K, abs(fd.K_N), fd.lam, sc["mu"], sc["res_orth"],
+               sc["res_len"], sc["wintgen_defect"], sc["wintgen_defect_rel"],
+               ctx.a)
+    positions = phi.values()
+    for j, (k, bits, regular, values) in enumerate(zip(
+            inside.tolist(), flags.tolist(), fd.regular.tolist(),
+            zip(*(c.tolist() for c in columns)))):
+        row = rows[k]
+        row.flags = bits
+        if bits < FLAG_OUT_OF_DOMAIN:
+            row.position = positions[j]
+            if regular:
+                row.stats = dict(zip(_STAT_NAMES, values))
 
 
 def summarize(samples) -> dict:

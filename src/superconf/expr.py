@@ -25,8 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import BranchCutError, DegenerateJetError, EvaluationError, ExpressionError
-from .jets import ComplexJet
+from .jets import ComplexJet, fail_rows, row_failures
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
 
@@ -425,8 +427,21 @@ class CurveExpr:
         return print_node(self.ast)
 
     def eval_jets(self, z):
+        """Component jets at z, a point or an array of points.
+
+        Over an array every slot holds an array, and the points where a
+        scalar evaluation would raise EvaluationError are recorded as failed
+        rows of that class (see jets.row_failures)."""
         zj = ComplexJet.variable(z)
-        return [eval_node(c, zj, self.source, z) for c in self.ast.components]
+        if not isinstance(z, np.ndarray):
+            return [eval_node(c, zj, self.source, z)
+                    for c in self.ast.components]
+        with row_failures(z.size) as failed:
+            jets = [eval_node(c, zj, self.source, "a batch point")
+                    for c in self.ast.components]
+        fail_rows(failed.rows(), EvaluationError,
+                  lambda: "cannot evaluate the curve at a batch point")
+        return [j.batched(z.size) for j in jets]
 
     def eval_values(self, z):
         return [j.c0 for j in self.eval_jets(z)]

@@ -18,6 +18,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,6 +126,7 @@ class FundamentalData:
     K: float
     K_N: float
     position: np.ndarray = field(repr=False, default=None)
+    regular: np.ndarray | bool = True
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ class EllipseDescriptor:
     mu: float
 
     def is_circular(self, tol=1e-8):
-        return max(abs(self.res_orth), abs(self.res_len)) < tol
+        return np.maximum(abs(self.res_orth), abs(self.res_len)) < tol
 
 
 @dataclass(frozen=True)
@@ -155,12 +157,15 @@ class AdaptedFrame:
     zeta_oriented: np.ndarray
 
 
-def _normal_parts(ws, Xu, Xv, dot):
+def _normal_parts(ws, Xu, Xv, dot, gram=None):
     """Each w of ws minus its projection onto span{Xu, Xv} under the inner
     product dot; the Gram system is solved in closed form, so entries may be
-    Jet2."""
-    E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
-    det1 = E * G - F * F
+    Jet2, or batches with a dot that keeps the reduced axis.  gram, if
+    given, is (E, F, G, EG - F^2) of Xu, Xv already computed."""
+    if gram is None:
+        E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
+        gram = E, F, G, E * G - F * F
+    E, F, G, det1 = gram
     out = []
     for w in ws:
         rhs_u = dot(w, Xu)
@@ -171,78 +176,168 @@ def _normal_parts(ws, Xu, Xv, dot):
     return out
 
 
+def _pypow(x, n):
+    """x ** n as Python computes it for a float (C pow), also entry by entry
+    over an array: numpy's power differs in the last bit on about 0.1% of
+    squares."""
+    if not isinstance(x, np.ndarray):
+        return x ** n
+    return np.array([t ** n for t in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _sqrt0(x):
+    """sqrt(max(x, 0)) of a number, or over an array of squared norms
+    (never -0.0, where np.maximum would differ from max)."""
+    if not isinstance(x, np.ndarray):
+        return math.sqrt(max(x, 0.0))
+    return np.sqrt(np.maximum(x, 0.0))
+
+
+def _blas_dot(a, b):
+    """a @ b, also for every row of two batches of vectors: the BLAS dot
+    numpy uses for one pair, which rounds differently from a sum along the
+    component axis."""
+    if a.ndim == 1:
+        return a @ b
+    n = a.shape[-1]
+    return np.matmul(a[:, None, :], b.reshape(-1, n, 1))[:, 0, 0]
+
+
+def _row_dot(ambient, keepdims=False):
+    """The ambient inner product of every row of two batches of vectors,
+    summed along the component axis as Ambient.dot sums one pair."""
+    sig = ambient.signature
+    if ambient.kind == "r4":
+        # the all-ones signature multiplies exactly; skip it
+        def dot(a, b):
+            return np.add.reduce(a * b, axis=-1, keepdims=keepdims)
+    else:
+        def dot(a, b):
+            return np.add.reduce(sig * a * b, axis=-1, keepdims=keepdims)
+
+    return dot
+
+
+def _first(fields):
+    """Row 0 of batch fields: numbers as floats, vectors as 1-d arrays."""
+    return {k: v[0] if v.ndim > 1 else float(v[0]) for k, v in fields.items()}
+
+
 def fundamental_data(sample, ambient=R4):
     """First/second fundamental data, curvatures, and the deterministic normal
-    frame of a surface sample."""
+    frame of a surface sample.
+
+    The sample's jets hold numbers (one point) or arrays over a batch of
+    points.  A batch gives every field a leading batch axis; .regular marks
+    the rows whose first form is nondegenerate, and the other rows hold
+    meaningless values.  One point with a degenerate first form raises
+    SingularSampleError.  One point is computed as a batch of one."""
     if not isinstance(sample, Vec):
         raise TypeError("fundamental_data wants a Vec sample")
     if len(sample) != ambient.dim:
         raise PreconditionError(
             f"sample has {len(sample)} components, ambient wants {ambient.dim}")
-    dot = ambient.dot
-    x = sample.values()
-    Xu, Xv = sample.du(), sample.dv()
+    slots = [sample.values(), sample.du(), sample.dv(), sample.duu(),
+             sample.duv(), sample.dvv()]
+    one = slots[0].ndim == 1
+    if one:
+        slots = [a[None] for a in slots]
+    x, Xu, Xv, Xuu, Xuv, Xvv = slots
+    dot = _row_dot(ambient, keepdims=True)
     E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
     det1 = E * G - F * F
-    scale = max(np.max(np.abs(Xu)), np.max(np.abs(Xv)))
-    if det1 <= REGULARITY_FLOOR * max(scale, 1e-150) ** 4:
+    scale = np.abs(np.concatenate((Xu, Xv), axis=-1)).max(axis=-1)
+    singular = det1[:, 0] <= REGULARITY_FLOOR * _pypow(
+        np.maximum(scale, 1e-150), 4)
+    if one and singular[0]:
         raise SingularSampleError(
-            f"rank-deficient sample: EG - F^2 = {det1:.3e}", det=det1)
+            f"rank-deficient sample: EG - F^2 = {det1[0, 0]:.3e}",
+            det=float(det1[0, 0]))
 
-    seconds = (sample.duu(), sample.duv(), sample.dvv())
-    B = dict(zip(("uu", "uv", "vv"), _normal_parts(seconds, Xu, Xv, dot)))
+    # the second partials and the ambient basis vectors, stacked on a
+    # second axis, (n, 3 + dim, dim), are projected in one pass
+    dim = ambient.dim
+    ws = np.empty((len(x), 3 + dim, dim))
+    ws[:, 0], ws[:, 1], ws[:, 2], ws[:, 3:] = Xuu, Xuv, Xvv, np.eye(dim)
+    [normal] = _normal_parts([ws], Xu[:, None], Xv[:, None], dot,
+                             [m[..., None] for m in (E, F, G, det1)])
+    B, P = normal[:, :3], normal[:, 3:]
     radial = None
     if ambient.kind != "r4":
         radial = (x - ambient.center_vec()) / ambient.radius
+        R = radial[:, None]
         s = 1.0 if ambient.kind == "sphere" else -1.0
-        for key, m in zip(B, (E, F, G)):
-            B[key] = B[key] + s * m * radial / ambient.radius
+        EFG = np.concatenate((E, F, G), axis=1)[..., None]
+        B = B + s * EFG * R / ambient.radius
+    Buu, Buv, Bvv = B[:, 0], B[:, 1], B[:, 2]
 
     Y1 = Xu / np.sqrt(E)
     w2 = Xv - (F / E) * Xu
-    n2w = np.sqrt(max(dot(w2, w2), 0.0))
+    n2w = _sqrt0(dot(w2, w2))
     Y2 = w2 / n2w
 
     fe = F / E
-    alpha11 = B["uu"] / E
-    alpha12 = (B["uv"] - fe * B["uu"]) / (np.sqrt(E) * n2w)
-    alpha22 = (B["vv"] - 2 * fe * B["uv"] + fe * fe * B["uu"]) / (n2w * n2w)
+    alpha11 = Buu / E
+    alpha12 = (Buv - fe * Buu) / (np.sqrt(E) * n2w)
+    alpha22 = (Bvv - 2 * fe * Buv + fe * fe * Buu) / (n2w * n2w)
     H = 0.5 * (alpha11 + alpha22)
-    lam = ambient.norm(H)
+    lam = _sqrt0(dot(H, H))
     K = ambient.curvature + dot(alpha11, alpha22) - dot(alpha12, alpha12)
 
     # deterministic normal frame from projected ambient basis vectors
-    projs = _normal_parts(np.eye(ambient.dim), Xu, Xv, dot)
     if radial is not None:
-        rr = dot(radial, radial)
-        projs = [p - (dot(p, radial) / rr) * radial for p in projs]
-    norms = [ambient.norm(p) for p in projs]
-    order = sorted(range(ambient.dim), key=lambda k: (-norms[k], k))
-    i1, i2 = sorted(order[:2])
-    n1 = projs[i1] / norms[i1]
+        P = P - (dot(P, R) / dot(R, R)) * R
+    norms = _sqrt0(dot(P, P))[..., 0]
+    rows = np.arange(len(P))
+    # stable: ties go to the lower index
+    order = np.argsort(-norms, axis=-1, kind="stable")
+    i1 = np.minimum(order[:, 0], order[:, 1])
+    n1 = P[rows, i1] / norms[rows, i1, None]
     # where the two largest projections are parallel, the next largest one
-    # supplies the second normal
-    for k in [i2] + order[2:]:
-        p2 = projs[k] - (dot(projs[k], n1) / dot(n1, n1)) * n1
-        len2 = ambient.norm(p2)
-        if len2 > FRAME_FLOOR * norms[k]:
+    # supplies the second normal; if none is independent, the last one does
+    pending = None
+    for j in range(1, dim):
+        k = np.maximum(order[:, 0], order[:, 1]) if j == 1 else order[:, j]
+        pk = P[rows, k]
+        p2 = pk - (dot(pk, n1) / dot(n1, n1)) * n1
+        len2 = _sqrt0(dot(p2, p2))
+        found = len2[:, 0] > FRAME_FLOOR * norms[rows, k]
+        if j + 1 < dim and not found.all():
+            # only rows that keep this candidate divide by its length
+            len2 = np.where(found[:, None], len2, 1.0)
+        if pending is None:
+            n2, pending = p2 / len2, ~found
+        else:
+            n2 = np.where(pending[:, None], p2 / len2, n2)
+            pending = pending & ~found
+        if not pending.any():
             break
-    n2 = p2 / len2
     cols = [Y1, Y2, n1, n2] + ([radial] if radial is not None else [])
-    if np.linalg.det(np.column_stack(cols)) < 0:
-        n2 = -n2
+    frame = np.empty((len(x), dim, dim))
+    for j, col in enumerate(cols):
+        frame[:, :, j] = col
+    flip = np.linalg.det(frame) < 0
+    n2 = np.where(flip[:, None], -n2, n2)
 
-    A1 = shape_matrix_on(alpha11, alpha12, alpha22, n1, dot)
-    A2 = shape_matrix_on(alpha11, alpha12, alpha22, n2, dot)
-    comm = A1 @ A2 - A2 @ A1
-    K_N = float(comm[1, 0])
+    # shape operators of n1 and n2: entries (alpha11, alpha12, alpha22) . n
+    alphas = np.concatenate((alpha11[:, None], alpha12[:, None],
+                             alpha22[:, None]), axis=1)[:, None]
+    c = dot(alphas, np.concatenate((n1[:, None, None], n2[:, None, None]),
+                                   axis=1))[..., 0]
+    A = c[..., [0, 1, 1, 2]].reshape(-1, 2, 2, 2)
+    A1, A2 = A[:, 0], A[:, 1]
+    K_N = (A1 @ A2 - A2 @ A1)[:, 1, 0]
 
-    return FundamentalData(
-        ambient=ambient, E=E, F=F, G=G, det1=det1, scale=scale,
-        Xu=Xu, Xv=Xv, Y1=Y1, Y2=Y2, n1=n1, n2=n2,
-        Buu=B["uu"], Buv=B["uv"], Bvv=B["vv"],
-        alpha11=alpha11, alpha12=alpha12, alpha22=alpha22,
-        H=H, lam=lam, K=K, K_N=K_N, position=x)
+    fields = dict(E=E[:, 0], F=F[:, 0], G=G[:, 0], det1=det1[:, 0],
+                  Xu=Xu, Xv=Xv, Y1=Y1, Y2=Y2, n1=n1, n2=n2,
+                  Buu=Buu, Buv=Buv, Bvv=Bvv,
+                  alpha11=alpha11, alpha12=alpha12, alpha22=alpha22,
+                  H=H, lam=lam[:, 0], K=K[:, 0], K_N=K_N, position=x)
+    if one:
+        return FundamentalData(ambient=ambient, scale=scale[0], regular=True,
+                               **_first(fields))
+    return FundamentalData(ambient=ambient, scale=scale, regular=~singular,
+                           **fields)
 
 
 def shape_matrix_on(alpha11, alpha12, alpha22, nu, dot):
@@ -278,28 +373,40 @@ def _coord_shape(Xu, Xv, seconds, nu, dot):
 
 def ellipse_descriptor(fd):
     """Semi-axes and circularity residuals of the curvature ellipse
-    theta -> H + cos(2 theta) (alpha11 - alpha22)/2 + sin(2 theta) alpha12."""
-    dot = fd.ambient.dot
+    theta -> H + cos(2 theta) (alpha11 - alpha22)/2 + sin(2 theta) alpha12.
+
+    Works on the FundamentalData of one point or of a batch; rows with
+    non-finite data get nan semi-axes."""
+    dot = _row_dot(fd.ambient)
     d = 0.5 * (fd.alpha11 - fd.alpha22)
     m = fd.alpha12
-    gen = np.array([[dot(d, fd.n1), dot(m, fd.n1)],
-                    [dot(d, fd.n2), dot(m, fd.n2)]])
-    sv = np.linalg.svd(gen, compute_uv=False)
-    semi_major, semi_minor = float(sv[0]), float(sv[1])
-    len_d = 2.0 * ambient_norm(fd, d)
-    len_m = 2.0 * ambient_norm(fd, m)
-    amax = max(ambient_norm(fd, fd.alpha11), ambient_norm(fd, fd.alpha22),
-               ambient_norm(fd, fd.alpha12))
-    M = max(len_d, len_m)
-    if M <= 1e-9 * (1.0 + amax):
-        # point ellipse: circular by convention
-        res_orth = res_len = 0.0
-    else:
-        res_orth = dot(m, 2.0 * d) / (M * M)
-        res_len = (len_d - len_m) / M
+    gen = np.array([dot(d, fd.n1), dot(m, fd.n1),
+                    dot(d, fd.n2), dot(m, fd.n2)]).T.reshape(-1, 2, 2)
+    try:
+        sv = np.linalg.svd(gen, compute_uv=False)
+    except np.linalg.LinAlgError:     # rows of a batch with non-finite data
+        finite = np.isfinite(gen).all(axis=(1, 2))
+        sv = np.linalg.svd(np.where(finite[:, None, None], gen, 0.0),
+                           compute_uv=False)
+        sv[~finite] = np.nan
+    # the norms of d, m, alpha11, alpha22 and alpha12 in one pass
+    five = np.array([d, m, fd.alpha11, fd.alpha22, fd.alpha12])
+    norms = _sqrt0(dot(five, five))
+    len_d, len_m = 2.0 * norms[0], 2.0 * norms[1]
+    amax = norms[2:].max(axis=0)
+    M = np.maximum(len_d, len_m)
+    # point ellipse: circular by convention
+    point = M <= 1e-9 * (1.0 + amax)
+    M = np.where(point, 1.0, M)
+    res_orth = np.where(point, 0.0, dot(m, 2.0 * d) / (M * M))
+    res_len = np.where(point, 0.0, (len_d - len_m) / M)
+    semi_major, semi_minor = sv[:, 0], sv[:, 1]
+    if d.ndim == 1:
+        semi_major, semi_minor = float(semi_major[0]), float(semi_minor[0])
+        res_orth, res_len = float(res_orth), float(res_len)
     return EllipseDescriptor(
         center=fd.H, semi_major=semi_major, semi_minor=semi_minor,
-        res_orth=float(res_orth), res_len=float(res_len),
+        res_orth=res_orth, res_len=res_len,
         mu=0.5 * (semi_major + semi_minor))
 
 
@@ -310,17 +417,25 @@ def ambient_norm(fd, w):
 def superconformality_test(fd, tol=1e-8):
     """Circularity residuals plus the curvature-equality defect
     |H|^2 + c - K - |K_N| (nonnegative in general, zero exactly at circular
-    points)."""
+    points).  Entries are arrays for the FundamentalData of a batch."""
     ed = ellipse_descriptor(fd)
-    defect = fd.lam ** 2 + fd.ambient.curvature - fd.K - abs(fd.K_N)
-    rel = defect / fd.lam ** 2 if fd.lam > 0 else float("inf")
+    lam2 = _pypow(fd.lam, 2)
+    defect = lam2 + fd.ambient.curvature - fd.K - abs(fd.K_N)
+    circular = ed.is_circular(tol)
+    if isinstance(defect, np.ndarray):
+        positive = fd.lam > 0
+        rel = np.where(positive, defect / np.where(positive, lam2, 1.0),
+                       float("inf"))
+    else:
+        rel = defect / lam2 if fd.lam > 0 else float("inf")
+        circular = bool(circular)
     return {
         "res_orth": ed.res_orth,
         "res_len": ed.res_len,
-        "wintgen_defect": float(defect),
-        "wintgen_defect_rel": float(rel),
+        "wintgen_defect": defect,
+        "wintgen_defect_rel": rel,
         "mu": ed.mu,
-        "is_superconformal": ed.is_circular(tol),
+        "is_superconformal": circular,
     }
 
 

@@ -9,12 +9,24 @@ Cauchy-Riemann relations, slot by slot and exactly; the third holomorphic
 order lets the fields g_u, g_v be split from the window (f', f'', f''') as
 full Jet2 data.  Finite differences appear only in fd_crosscheck, the
 independent referee.
+
+Every slot holds either a number (one point) or an array over a batch of
+points, the batch axis leading; the algebra is the same code for both.  A
+batch rounds exactly as the same jets would at each of its points: complex
+batch values are _CArray, whose products and quotients follow CPython's, and
+the elementary functions numpy rounds differently from math and cmath are
+mapped point by point.  Where a floor or branch-cut check fails, one point
+raises; a batch records the failed rows in the innermost row_failures() sink
+and carries on with the harmless base value 1 in them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,16 +37,237 @@ DIV_FLOOR = 1e-13
 _SCALARS = (int, float, complex)
 
 
+class RowFailures:
+    """Rows of a batch of n points where a check failed, per error class."""
+
+    def __init__(self, n):
+        self.n = n
+        self.by_class = {}
+
+    def add(self, cls, bad):
+        prev = self.by_class.get(cls)
+        self.by_class[cls] = bad if prev is None else prev | bad
+
+    def rows(self, cls=None):
+        """Mask of the rows that failed with cls (any class if None)."""
+        masks = [m for c, m in self.by_class.items() if cls in (None, c)]
+        return np.logical_or.reduce(masks) if masks else np.zeros(self.n, bool)
+
+
+# the innermost open row_failures() sink of this thread or task
+_SINK = ContextVar("row_failures", default=None)
+
+
+@contextmanager
+def row_failures(n):
+    """Collect the failed rows of batch checks over n points, instead of
+    raising, for the duration of the block."""
+    token = _SINK.set(RowFailures(n))
+    try:
+        yield _SINK.get()
+    finally:
+        _SINK.reset(token)
+
+
+def fail_rows(bad, cls, message):
+    """Raise cls(message()) where the check came out bad.
+
+    bad is a bool for one point and a mask for a batch; a batch records its
+    bad rows in the innermost row_failures() sink, and raises only if none
+    is open."""
+    if not isinstance(bad, np.ndarray):
+        if bad:
+            raise cls(message())
+        return
+    if not bad.any():
+        return
+    sink = _SINK.get()
+    if sink is None:
+        raise cls(f"check failed at {np.count_nonzero(bad)} of {bad.size} "
+                  "points of a batch")
+    sink.add(cls, bad)
+
+
+def _checked(bad, base, cls, message):
+    """base after fail_rows; failed rows of a batch get the base value 1."""
+    if not isinstance(bad, np.ndarray):
+        if bad:
+            raise cls(message())
+        return base
+    fail_rows(bad, cls, message)
+    if not bad.any():
+        return base
+    if isinstance(base, _CArray):
+        return _CArray(np.where(bad, 1.0, base.z))
+    return np.where(bad, 1.0, base)
+
+
+def _parts(x):
+    if isinstance(x, _CArray):
+        return x.z.real, x.z.imag
+    if isinstance(x, complex):
+        return x.real, x.imag
+    return float(x), 0.0
+
+
+def _join(re, im):
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), complex)
+    out.real = re
+    out.imag = im
+    return _CArray(out)
+
+
+def _prod(a, b):
+    """CPython's _Py_c_prod; a number is the complex (x, 0)."""
+    ar, ai = _parts(a)
+    br, bi = _parts(b)
+    return _join(ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _quot(a, b):
+    """CPython's _Py_c_quot (Smith's algorithm, divided by the scaled
+    denominator rather than multiplied by its reciprocal as numpy does)."""
+    ar, ai = _parts(a)
+    br, bi = (np.asarray(x, float) for x in _parts(b))
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return _join(re, im)
+
+
+class _CArray:
+    """Complex values over a batch of points, with CPython's arithmetic.
+
+    numpy's complex product fuses multiply-adds and its quotient multiplies
+    by a reciprocal, so on about half of all inputs they differ from
+    Python's complex in the last bit; here products, quotients and integer
+    powers follow CPython's own formulas on the real and imaginary parts.
+    Sums, differences and negation are numpy's, which round the same."""
+
+    __slots__ = ("z",)
+    __array_ufunc__ = None     # ndarray operands defer to these methods
+
+    def __init__(self, z):
+        self.z = z
+
+    @property
+    def real(self):
+        return self.z.real
+
+    @property
+    def imag(self):
+        return self.z.imag
+
+    def __repr__(self):
+        return f"_CArray({self.z!r})"
+
+    def __add__(self, other):
+        return _CArray(self.z + getattr(other, "z", other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _CArray(self.z - getattr(other, "z", other))
+
+    def __rsub__(self, other):
+        return _CArray(other - self.z)
+
+    def __neg__(self):
+        return _CArray(-self.z)
+
+    def __mul__(self, other):
+        return _prod(self, other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return _quot(self, other)
+
+    def __rtruediv__(self, other):
+        return _quot(other, self)
+
+    def __pow__(self, n):
+        """CPython's c_powu: square-and-multiply from the complex 1."""
+        if not isinstance(n, int) or n < 1:
+            return NotImplemented
+        out, p = 1.0, self
+        while n:
+            if n & 1:
+                out = _prod(out, p)
+            p = _prod(p, p)
+            n >>= 1
+        return out
+
+    def __abs__(self):
+        return np.hypot(self.z.real, self.z.imag)
+
+
+def _pointwise(fn, dtype):
+    """fn over every entry of an array; nan where fn raises, which happens
+    only on rows a check has already failed."""
+    def safe(t):
+        try:
+            return fn(t)
+        except (OverflowError, ValueError):
+            return math.nan
+
+    def apply(x):
+        z = getattr(x, "z", x)
+        out = np.array([safe(t) for t in z.ravel().tolist()],
+                       dtype).reshape(z.shape)
+        return _CArray(out) if dtype is complex else out
+
+    return apply
+
+
+def _on_values(fn):
+    return lambda x: _CArray(fn(x.z))
+
+
+# numpy's functions where they round as math's and cmath's (measured on
+# 200 000 points each); the module's own function point by point elsewhere
+_REAL_BATCH_MATH = SimpleNamespace(
+    exp=_pointwise(math.exp, float), log=_pointwise(math.log, float),
+    sqrt=np.sqrt, sin=np.sin, cos=np.cos,
+    sinh=_pointwise(math.sinh, float), cosh=_pointwise(math.cosh, float))
+_COMPLEX_BATCH_MATH = SimpleNamespace(
+    exp=_on_values(np.exp), log=_pointwise(cmath.log, complex),
+    sqrt=_on_values(np.sqrt), sin=_on_values(np.sin),
+    cos=_on_values(np.cos), sinh=_on_values(np.sinh),
+    cosh=_on_values(np.cosh))
+
+
+def _as_complex(x):
+    if isinstance(x, _CArray):
+        return x
+    if isinstance(x, np.ndarray):
+        return _CArray(np.asarray(x, complex))
+    return complex(x)
+
+
+def _as_real(x):
+    return np.asarray(x, float) if isinstance(x, np.ndarray) else float(x)
+
+
 class _Jet:
     """What both jet kinds do the same way.
 
-    A subclass supplies its scalar math module _MATH, its base value _base,
-    its chain-rule kernel _compose(d0, d1, d2, d3) for an elementary function
-    whose derivatives at the base value are d0..d3 (Jet2, of order 2, ignores
-    d3), and _check(fn, w), the floor and branch-cut check of log and sqrt.
+    A subclass supplies its math module _MATH for one point and _BATCH_MATH
+    for a batch, its base value _base, its chain-rule kernel
+    _compose(d0, d1, d2, d3) for an elementary function whose derivatives at
+    the base value are d0..d3 (Jet2, of order 2, ignores d3), and
+    _check(fn, w), the floor and branch-cut check of log and sqrt, which
+    returns the base to go on with.
     """
 
     __slots__ = ()
+
+    @property
+    def _math(self):
+        return self._MATH if type(self._base) in _SCALARS else self._BATCH_MATH
 
     def __repr__(self):
         slots = tuple(getattr(self, s) for s in self.__slots__)
@@ -61,35 +294,37 @@ class _Jet:
         return out
 
     def exp(self):
-        e = self._MATH.exp(self._base)
+        e = self._math.exp(self._base)
         return self._compose(e, e, e, e)
 
     def log(self):
-        w = self._base
-        self._check("log", w)
+        w = self._check("log", self._base)
         iw = 1 / w
-        return self._compose(self._MATH.log(w), iw, -iw * iw, 2 * iw ** 3)
+        return self._compose(self._math.log(w), iw, -iw * iw, 2 * iw ** 3)
 
     def sqrt(self):
-        w = self._base
-        self._check("sqrt", w)
-        s = self._MATH.sqrt(w)
+        w = self._check("sqrt", self._base)
+        s = self._math.sqrt(w)
         return self._compose(s, 0.5 / s, -0.25 / (w * s), 0.375 / (w * w * s))
 
     def sin(self):
-        s, c = self._MATH.sin(self._base), self._MATH.cos(self._base)
+        m = self._math
+        s, c = m.sin(self._base), m.cos(self._base)
         return self._compose(s, c, -s, -c)
 
     def cos(self):
-        s, c = self._MATH.sin(self._base), self._MATH.cos(self._base)
+        m = self._math
+        s, c = m.sin(self._base), m.cos(self._base)
         return self._compose(c, -s, -c, s)
 
     def sinh(self):
-        s, c = self._MATH.sinh(self._base), self._MATH.cosh(self._base)
+        m = self._math
+        s, c = m.sinh(self._base), m.cosh(self._base)
         return self._compose(s, c, s, c)
 
     def cosh(self):
-        s, c = self._MATH.sinh(self._base), self._MATH.cosh(self._base)
+        m = self._math
+        s, c = m.sinh(self._base), m.cosh(self._base)
         return self._compose(c, s, c, s)
 
 
@@ -102,12 +337,16 @@ class ComplexJet(_Jet):
 
     __slots__ = ("c0", "c1", "c2", "c3")
     _MATH = cmath
+    _BATCH_MATH = _COMPLEX_BATCH_MATH
 
     def __init__(self, c0, c1=0j, c2=0j, c3=0j):
-        self.c0 = complex(c0)
-        self.c1 = complex(c1)
-        self.c2 = complex(c2)
-        self.c3 = complex(c3)
+        # the algebra's own results need no coercion: complex, or _CArray
+        if type(c0) is not complex and type(c0) is not _CArray:
+            c0, c1, c2, c3 = map(_as_complex, (c0, c1, c2, c3))
+        self.c0 = c0
+        self.c1 = c1
+        self.c2 = c2
+        self.c3 = c3
 
     @property
     def coeffs(self):
@@ -119,11 +358,17 @@ class ComplexJet(_Jet):
 
     @staticmethod
     def constant(c):
-        return ComplexJet(c, 0, 0, 0)
+        return ComplexJet(c, 0j, 0j, 0j)
 
     @staticmethod
     def variable(z):
-        return ComplexJet(z, 1, 0, 0)
+        return ComplexJet(z, 1 + 0j, 0j, 0j)
+
+    def batched(self, n):
+        """This jet with every slot an array over n points."""
+        return ComplexJet(*(c if isinstance(c, _CArray)
+                            else _CArray(np.full(n, c, complex))
+                            for c in self.coeffs))
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
@@ -170,9 +415,8 @@ class ComplexJet(_Jet):
             return NotImplemented
         g0, g1, g2, g3 = other.coeffs
         mag = abs(g0)
-        if mag <= DIV_FLOOR:
-            raise DegenerateJetError(
-                f"jet division floor: |denominator| = {mag:.3e}", magnitude=mag)
+        g0 = _checked(mag <= DIV_FLOOR, g0, DegenerateJetError, lambda: (
+            f"jet division floor: |denominator| = {mag:.3e}"))
         f0, f1, f2, f3 = self.coeffs
         q0 = f0 / g0
         q1 = (f1 - q0 * g1) / g0
@@ -192,11 +436,12 @@ class ComplexJet(_Jet):
     @staticmethod
     def _check(fn, w):
         mag = abs(w)
-        if mag <= DIV_FLOOR:
-            raise DegenerateJetError(
-                f"{fn} at magnitude floor: |z| = {mag:.3e}", magnitude=mag)
-        if w.real < 0 and abs(w.imag) <= 1e-13 * mag:
-            raise BranchCutError(f"{fn} evaluated on the branch cut at {w}")
+        w = _checked(mag <= DIV_FLOOR, w, DegenerateJetError,
+                     lambda: f"{fn} at magnitude floor: |z| = {mag:.3e}")
+        # rows at the floor now hold 1, off the cut
+        cut = (w.real < 0) & (abs(w.imag) <= 1e-13 * mag)
+        return _checked(cut, w, BranchCutError,
+                        lambda: f"{fn} evaluated on the branch cut at {w}")
 
 
 class Jet2(_Jet):
@@ -207,14 +452,19 @@ class Jet2(_Jet):
 
     __slots__ = ("v", "du", "dv", "duu", "duv", "dvv")
     _MATH = math
+    _BATCH_MATH = _REAL_BATCH_MATH
 
     def __init__(self, v, du=0.0, dv=0.0, duu=0.0, duv=0.0, dvv=0.0):
-        self.v = float(v)
-        self.du = float(du)
-        self.dv = float(dv)
-        self.duu = float(duu)
-        self.duv = float(duv)
-        self.dvv = float(dvv)
+        # the algebra's own results need no coercion: float, or float arrays
+        if type(v) is not float and type(v) is not np.ndarray:
+            v, du, dv, duu, duv, dvv = map(_as_real,
+                                           (v, du, dv, duu, duv, dvv))
+        self.v = v
+        self.du = du
+        self.dv = dv
+        self.duu = duu
+        self.duv = duv
+        self.dvv = dvv
 
     @property
     def slots(self):
@@ -286,15 +536,14 @@ class Jet2(_Jet):
             return NotImplemented
         b = other
         mag = abs(b.v)
-        if mag <= DIV_FLOOR:
-            raise DegenerateJetError(
-                f"jet division floor: |denominator| = {mag:.3e}", magnitude=mag)
-        q0 = self.v / b.v
-        q_du = (self.du - q0 * b.du) / b.v
-        q_dv = (self.dv - q0 * b.dv) / b.v
-        q_duu = (self.duu - q0 * b.duu - 2 * q_du * b.du) / b.v
-        q_duv = (self.duv - q0 * b.duv - q_du * b.dv - q_dv * b.du) / b.v
-        q_dvv = (self.dvv - q0 * b.dvv - 2 * q_dv * b.dv) / b.v
+        bv = _checked(mag <= DIV_FLOOR, b.v, DegenerateJetError, lambda: (
+            f"jet division floor: |denominator| = {mag:.3e}"))
+        q0 = self.v / bv
+        q_du = (self.du - q0 * b.du) / bv
+        q_dv = (self.dv - q0 * b.dv) / bv
+        q_duu = (self.duu - q0 * b.duu - 2 * q_du * b.du) / bv
+        q_duv = (self.duv - q0 * b.duv - q_du * b.dv - q_dv * b.du) / bv
+        q_dvv = (self.dvv - q0 * b.dvv - 2 * q_dv * b.dv) / bv
         return Jet2(q0, q_du, q_dv, q_duu, q_duv, q_dvv)
 
     def _compose(self, d0, d1, d2, d3):
@@ -310,11 +559,11 @@ class Jet2(_Jet):
 
     @staticmethod
     def _check(fn, v):
-        if v <= DIV_FLOOR and fn == "log":
-            raise BranchCutError(f"log of non-positive jet value {v:.3e}")
-        if v <= DIV_FLOOR:
-            raise DegenerateJetError(
-            f"sqrt of jet at floor: value = {v:.3e}", magnitude=v)
+        if fn == "log":
+            return _checked(v <= DIV_FLOOR, v, BranchCutError,
+                            lambda: f"log of non-positive jet value {v:.3e}")
+        return _checked(v <= DIV_FLOOR, v, DegenerateJetError,
+                        lambda: f"sqrt of jet at floor: value = {v:.3e}")
 
     def reparam_rot(self, c, s):
         """Jet of the same function precomposed with the parameter rotation
@@ -327,11 +576,24 @@ class Jet2(_Jet):
         return Jet2(self.v, du, dv, duu, duv, dvv)
 
 
+def _stack(xs):
+    """One slot of a Vec's components as an array: (dim,) at one point, and
+    (n, dim), C-contiguous, over a batch, so that reductions along the
+    component axis sum in the same order as at one point."""
+    try:
+        out = np.array(xs)
+    except ValueError:        # numbers mixed with batch arrays
+        return np.stack(np.broadcast_arrays(*xs), axis=-1)
+    return out if out.ndim == 1 else np.ascontiguousarray(out.T)
+
+
 class Vec:
     """Tuple of Jet2 components; the surface-sample container.
 
     4 components for ambient R4 work, 5 for space-form work.  An optional
     signature on dot/norm selects the Lorentzian product (+,+,+,+,-).
+    Slot arrays (values(), du(), ...) carry a leading batch axis when the
+    components hold batches.
     """
 
     __slots__ = ("c",)
@@ -388,22 +650,22 @@ class Vec:
         return self.dot(self, signature).sqrt()
 
     def values(self):
-        return np.array([a.v for a in self.c])
+        return _stack([a.v for a in self.c])
 
     def du(self):
-        return np.array([a.du for a in self.c])
+        return _stack([a.du for a in self.c])
 
     def dv(self):
-        return np.array([a.dv for a in self.c])
+        return _stack([a.dv for a in self.c])
 
     def duu(self):
-        return np.array([a.duu for a in self.c])
+        return _stack([a.duu for a in self.c])
 
     def duv(self):
-        return np.array([a.duv for a in self.c])
+        return _stack([a.duv for a in self.c])
 
     def dvv(self):
-        return np.array([a.dvv for a in self.c])
+        return _stack([a.dvv for a in self.c])
 
     def transform(self, matrix):
         """Apply a constant linear map to the component tuple, slot-wise."""

@@ -19,7 +19,7 @@ import numpy as np
 from . import geometry
 from .errors import DomainError, PreconditionError
 from .expr import Bin, Curve, CurveExpr, const_node
-from .jets import Vec, seed_first_derivative_fields, seed_surface
+from .jets import Vec, fail_rows, seed_first_derivative_fields, seed_surface
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,13 @@ class Domain:
             raise ValueError("domain rectangle is empty")
 
     def contains(self, z):
-        z = complex(z)
-        if not (self.u_min <= z.real <= self.u_max
-                and self.v_min <= z.imag <= self.v_max):
-            return False
+        """Whether z lies in the domain; a mask for an array of points."""
+        z = z if isinstance(z, np.ndarray) else complex(z)
+        inside = ((self.u_min <= z.real) & (z.real <= self.u_max)
+                  & (self.v_min <= z.imag) & (z.imag <= self.v_max))
         for center, radius in self.excluded:
-            if abs(z - complex(center)) <= radius:
-                return False
-        return True
+            inside = inside & (abs(z - complex(center)) > radius)
+        return inside
 
     def linspace(self, nu, nv, margin=0.0):
         du = margin * (self.u_max - self.u_min)
@@ -75,7 +74,10 @@ class HolomorphicCurve:
         return self.expr.to_text()
 
     def check_domain(self, z):
-        if not self.domain.contains(z):
+        if isinstance(z, np.ndarray):
+            fail_rows(~self.domain.contains(z), DomainError,
+                      lambda: f"points outside the domain of {self.name}")
+        elif not self.domain.contains(z):
             raise DomainError(
                 f"point ({complex(z).real:g}, {complex(z).imag:g}) is outside "
                 f"the domain of {self.name}",
@@ -95,14 +97,15 @@ class HolomorphicCurve:
 
 @dataclass(frozen=True)
 class SplitSample:
-    """Second-order data of the conjugate pair at one parameter point.
+    """Second-order data of the conjugate pair at one parameter point, or at
+    an array of points (the jets then hold arrays).
 
     g, h hold position jets; g_u, g_v hold full jets of the first-derivative
     fields (their own derivatives use third holomorphic order).  h's
     derivative fields come for free from conjugacy.
     """
 
-    z: complex
+    z: complex | np.ndarray
     g: Vec
     h: Vec
     g_u: Vec
@@ -150,7 +153,8 @@ class MinimalPair:
         if np.any(self.h_offset):
             h = h + Vec.of_values(self.h_offset)
         g_u, g_v = seed_first_derivative_fields(jets)
-        return SplitSample(z=complex(z), g=g, h=h, g_u=g_u, g_v=g_v)
+        z = z if isinstance(z, np.ndarray) else complex(z)
+        return SplitSample(z=z, g=g, h=h, g_u=g_u, g_v=g_v)
 
     def sample_g(self, z):
         return self.samples_at(z).g

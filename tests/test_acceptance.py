@@ -1,93 +1,106 @@
 """One test per built-in acceptance criterion.
 
-Each test runs the corresponding criterion function and asserts its
-verdict, so a red here is a red in `superconf selftest` and vice versa.
-Two checks compare against recorded closed-form displays that disagree
-with the measured geometry by a documented amount; they are asserted at
-face value and fail, with the companion checks pinning the discrepancy.
+`superconf selftest`'s own run, acceptance.run_all, runs once per session;
+each test asserts the verdict of its criterion in that shared result, so a
+red here is a red in `superconf selftest` and vice versa.  Two checks
+compare against recorded closed-form displays that disagree with the
+measured geometry by a documented amount; they are asserted at face value
+and fail, with the companion checks pinning the discrepancy.
 """
+
+import pytest
 
 from superconf import acceptance
 
 
-def _run(fn):
-    r = fn()
-    assert r.passed, f"criterion {r.key}: {r.detail}"
-    return r
+@pytest.fixture(scope="session")
+def results():
+    return acceptance.run_all()
 
 
-def test_catenoid_closed_form_grid():
-    _run(acceptance.criterion_1)
+@pytest.fixture
+def check(results):
+    by_key = {r.key: r for r in results}
+
+    def check(fn):
+        r = by_key[fn.__name__.replace("criterion_", "").replace("_", "-")]
+        assert r.passed, f"criterion {r.key}: {r.detail}"
+        return r
+
+    return check
 
 
-def test_constructed_surfaces_superconformal_with_torus_control():
-    _run(acceptance.criterion_2)
+def test_catenoid_closed_form_grid(check):
+    check(acceptance.criterion_1)
 
 
-def test_shared_sphere_conformal_factor_metric_translation():
-    _run(acceptance.criterion_3)
+def test_constructed_surfaces_superconformal_with_torus_control(check):
+    check(acceptance.criterion_2)
 
 
-def test_pair_inversion_dual_routes():
-    _run(acceptance.criterion_4)
+def test_shared_sphere_conformal_factor_metric_translation(check):
+    check(acceptance.criterion_3)
 
 
-def test_transformed_curve_recertifies():
-    _run(acceptance.criterion_5)
+def test_pair_inversion_dual_routes(check):
+    check(acceptance.criterion_4)
 
 
-def test_graph_duality_properties():
-    _run(acceptance.criterion_6)
+def test_transformed_curve_recertifies(check):
+    check(acceptance.criterion_5)
 
 
-def test_complex_structure_recovery_and_collapse():
-    _run(acceptance.criterion_7)
+def test_graph_duality_properties(check):
+    check(acceptance.criterion_6)
 
 
-def test_inverted_graph_equals_built_surface():
-    _run(acceptance.criterion_8a)
+def test_complex_structure_recovery_and_collapse(check):
+    check(acceptance.criterion_7)
 
 
-def test_inverted_graph_vs_compact_display():
+def test_inverted_graph_equals_built_surface(check):
+    check(acceptance.criterion_8a)
+
+
+def test_inverted_graph_vs_compact_display(check):
     # known red: conformally but not isometrically equivalent surfaces
-    _run(acceptance.criterion_8b)
+    check(acceptance.criterion_8b)
 
 
-def test_degree2_sphere_superminimal():
-    _run(acceptance.criterion_9a)
+def test_degree2_sphere_superminimal(check):
+    check(acceptance.criterion_9a)
 
 
-def test_degree2_metric_vs_recorded_display():
+def test_degree2_metric_vs_recorded_display(check):
     # known red: measured metric is exactly 4/3 x the recorded display
-    _run(acceptance.criterion_9b)
+    check(acceptance.criterion_9b)
 
 
-def test_degree2_metric_matches_display_after_factor():
-    _run(acceptance.criterion_9b_companion)
+def test_degree2_metric_matches_display_after_factor(check):
+    check(acceptance.criterion_9b_companion)
 
 
-def test_degree2_pair_quadric_invariant():
-    _run(acceptance.criterion_9c)
+def test_degree2_pair_quadric_invariant(check):
+    check(acceptance.criterion_9c)
 
 
-def test_normal_transport_and_stereographic_bridges():
-    _run(acceptance.criterion_10)
+def test_normal_transport_and_stereographic_bridges(check):
+    check(acceptance.criterion_10)
 
 
-def test_reflection_symmetry_of_pairs():
-    _run(acceptance.criterion_11)
+def test_reflection_symmetry_of_pairs(check):
+    check(acceptance.criterion_11)
 
 
-def test_associated_family_superconformal():
-    _run(acceptance.criterion_12)
+def test_associated_family_superconformal(check):
+    check(acceptance.criterion_12)
 
 
-def test_jets_determinism_parser_goldens():
-    _run(acceptance.criterion_13)
+def test_jets_determinism_parser_goldens(check):
+    check(acceptance.criterion_13)
 
 
-def test_run_all_covers_every_criterion():
-    results = acceptance.run_all()
+def test_run_all_covers_every_criterion(results):
     keys = [r.key for r in results]
     assert keys == ["1", "2", "3", "4", "5", "6", "7", "8a", "8b", "9a",
                     "9b", "9b-companion", "9c", "10", "11", "12", "13"]

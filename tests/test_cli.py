@@ -144,22 +144,35 @@ def test_construct_deterministic_across_threads(tmp_path, capsys, monkeypatch):
     assert texts["1"] == texts["3"]
 
 
+def count_calls(monkeypatch, owner, name):
+    """Record the arguments of every call of owner.name."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def test_construct_builds_one_frame_per_grid_point(tmp_path, capsys,
                                                    monkeypatch):
+    # the grid pass evaluates the curve once per block of points, for both
+    # signs together, and builds no per-point frame; 17 x 16 = 272 points
+    # make two blocks
     from superconf import construct
-    calls = []
-    real = construct.construction_frame
-
-    def counting(pair, z):
-        calls.append(z)
-        return real(pair, z)
-
-    monkeypatch.setattr(construct, "construction_frame", counting)
+    from superconf.export import BLOCK_POINTS
+    from superconf.expr import CurveExpr
+    evals = count_calls(monkeypatch, CurveExpr, "eval_jets")
+    frames = count_calls(monkeypatch, construct, "construction_frame")
     code, _ = run(capsys, "construct", "--curve", "catenoid-helicoid",
-                  "--domain", "0.2,6.08,-1.5,1.5", "--grid", "4,4",
+                  "--domain", "0.2,6.08,-1.5,1.5", "--grid", "17,16",
                   "--sign", "both", "--out", str(tmp_path))
     assert code == 0
-    assert len(calls) == 16
+    assert [z.size for _, z in evals] == [BLOCK_POINTS, 272 - BLOCK_POINTS]
+    assert frames == []
 
 
 def test_construct_both_signs_match_single_sign_runs(tmp_path, capsys):
@@ -200,6 +213,16 @@ def test_verify_flags_jet_floor_point(capsys):
     assert rep["signs"]["minus"]["n_flagged"] == 1
 
 
+def test_verify_counts_dual_sample_skips_by_class(capsys):
+    # all 25 points are dual samples; at z = 0 the division by E hits the
+    # jet floor, and that point is counted instead of silently dropped
+    code, rep = run_json(capsys, "verify", "--curve", JET_FLOOR_CURVE,
+                         "--domain=-1,1,-1,1", "--grid", "5,5")
+    assert code == 0
+    assert rep["dual_pair"]["skipped"] == {"DegenerateJetError": 1}
+    assert rep["dual_pair"]["n_points"] == 24
+
+
 def test_usage_errors(capsys):
     code, rep = run_json(capsys, "certify", "--curve", "catenoid-helicoid",
                          "--grid", "1,5")
@@ -224,21 +247,28 @@ def test_parse_grid_caps_the_point_count():
 def test_construct_rejects_oversized_grid_before_sampling(tmp_path, capsys,
                                                           monkeypatch):
     from superconf import construct
-    calls = []
-    real = construct.construction_frame
-
-    def counting(pair, z):
-        calls.append(z)
-        return real(pair, z)
-
-    monkeypatch.setattr(construct, "construction_frame", counting)
+    from superconf.expr import CurveExpr
+    evals = count_calls(monkeypatch, CurveExpr, "eval_jets")
+    frames = count_calls(monkeypatch, construct, "construction_frame")
     out = tmp_path / "out"
     code, rep = run_json(capsys, "construct", "--curve", "catenoid-helicoid",
                          "--grid", "513,512", "--out", str(out))
     assert code == 2
     assert rep["error"]["type"] == "PreconditionError"
-    assert calls == []
+    assert evals == [] and frames == []
     assert not out.exists()
+
+
+def test_verify_builds_each_dual_sample_point_once(capsys, monkeypatch):
+    # the default 16 x 16 grid tries 16 dual-sample points; the grid pass
+    # itself builds no frame
+    from superconf import construct
+    frames = count_calls(monkeypatch, construct, "construction_frame")
+    code, rep = run_json(capsys, "verify", "--curve", "catenoid-helicoid")
+    assert code == 0
+    assert rep["dual_pair"]["n_points"] == 16
+    assert rep["dual_pair"]["skipped"] == {}
+    assert len(frames) == 16
 
 
 def test_io_error_exit(tmp_path, capsys):

@@ -7,12 +7,15 @@ import pytest
 
 from superconf import catalog
 from superconf.construct import build_phi_pair
-from superconf.errors import PreconditionError
+from superconf.errors import (BranchCutError, DegenerateJetError,
+                              EvaluationError, FrameDegenerateError,
+                              PreconditionError, SingularSampleError)
 from superconf.export import (CSV_HEADER, FLAG_DEGENERATE_SAMPLE,
                               FLAG_OUT_OF_DOMAIN, canonical_json, csv_text,
                               drop_projector, mesh_dict,
                               obj_text, sample_grid, stereo_projector,
                               summarize, thread_count, write_csv, write_obj)
+from superconf.geometry import fundamental_data, superconformality_test
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
 
 
@@ -56,6 +59,68 @@ def test_sample_grid_flags_domain_and_degenerate_points():
     center = {(s.u, s.v): s for s in samples2}[(0.0, 0.0)]
     assert center.flags == FLAG_DEGENERATE_SAMPLE
     assert center.position is None
+
+
+def point_rows(pair, u, v):
+    """The rows of both signs at one grid point, built alone: the
+    per-point construction the grid pass must reproduce bit for bit."""
+    z = complex(u, v)
+    if not pair.domain.contains(z):
+        return [(FLAG_OUT_OF_DOMAIN, None, None)] * 2
+    try:
+        built = build_phi_pair(pair, z)
+    except (FrameDegenerateError, SingularSampleError, EvaluationError,
+            DegenerateJetError, BranchCutError):
+        return [(FLAG_DEGENERATE_SAMPLE, None, None)] * 2
+    rows = []
+    for ps in built:
+        flags, stats = ps.flags.bitmask, None
+        try:
+            fd = fundamental_data(ps.phi)
+        except SingularSampleError:
+            flags |= 4
+        else:
+            sc = superconformality_test(fd)
+            stats = {"K": fd.K, "KN_abs": abs(fd.K_N), "Hnorm": fd.lam,
+                     "mu": sc["mu"], "res_orth": sc["res_orth"],
+                     "res_len": sc["res_len"],
+                     "wintgen": sc["wintgen_defect"],
+                     "wintgen_rel": sc["wintgen_defect_rel"],
+                     "a": ps.frame.a}
+        rows.append((flags, ps.phi.values(), stats))
+    return rows
+
+
+def as_bits(x):
+    return None if x is None else np.asarray(x, float).view(np.uint64).tolist()
+
+
+JET_FLOOR_PAIR = MinimalPair(HolomorphicCurve(
+    "jet-floor", "(z^2/2 - z^4/4, i*(z^2/2 + z^4/4), 2*z^3/3, i)",
+    Domain(-1.0, 1.0, -1.0, 1.0)))
+
+
+@pytest.mark.parametrize("name", ["catenoid-helicoid", "enneper-r3", "q0-line",
+                                  "q0-trig", "q0-trig-perturbed", "whitney",
+                                  "holed", "jet-floor"])
+def test_grid_rows_are_bit_identical_to_points_built_alone(name):
+    pair = {"holed": holed_pair(), "jet-floor": JET_FLOOR_PAIR}.get(name)
+    pair = pair or catalog.get(name).pair
+    grid = sample_grid(pair, pair.domain, 7, 5, ("+", "-"))
+    flags_seen = set()
+    for k, (plus, minus) in enumerate(zip(*grid)):
+        for row, (flags, position, stats) in zip(
+                (plus, minus), point_rows(pair, plus.u, plus.v)):
+            assert row.flags == flags, (name, row.u, row.v)
+            assert as_bits(row.position) == as_bits(position)
+            assert (row.stats is None) == (stats is None)
+            if stats is not None:
+                assert row.stats.keys() == stats.keys()
+                assert as_bits(list(row.stats.values())) == as_bits(
+                    list(stats.values())), (name, row.u, row.v)
+            flags_seen.add(flags)
+    if name in ("whitney", "q0-trig", "holed", "jet-floor"):
+        assert flags_seen - {0}, name    # flagged rows are covered too
 
 
 def test_sample_grid_validation(catenoid):

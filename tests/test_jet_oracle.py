@@ -3,7 +3,9 @@
 Every golden expression of the acceptance suite and every catalog curve is
 evaluated to its ComplexJet at fixed-seed points, and c0..c3 are compared
 with sympy.diff of the same expression, evaluated at 30 digits.  The Jet2
-algebra is checked the same way against sympy partials in (u, v).
+algebra is checked the same way against sympy partials in (u, v).  The
+same curves evaluated over a batch of points must match the point-by-point
+jets bit for bit.
 """
 
 import mpmath
@@ -15,7 +17,7 @@ from superconf import catalog
 from superconf.acceptance import GOLDEN_EXPRESSIONS
 from superconf.errors import EvaluationError
 from superconf.expr import Bin, Call, CurveExpr, Lit, Neg, Pow, Var
-from superconf.jets import Jet2
+from superconf.jets import Jet2, row_failures
 
 Z, U, V = sp.symbols("z u v")
 REL_TOL = 1e-12
@@ -167,3 +169,67 @@ def test_jet2_functions_match_sympy_partials(op):
         scale = max(abs(w) for w in want)
         err = max(abs(g - w) for g, w in zip(got, want))
         assert err < REL_TOL * scale, (op, u0, v0, err / scale)
+
+
+# ----- a batch of points rounds exactly as each point alone -----
+
+def bits(x):
+    """The IEEE bit patterns of the real and imaginary parts of x."""
+    return np.array([complex(x)]).view(np.uint64).tolist()
+
+
+def assert_batch_is_pointwise(curve_expr, points):
+    """Evaluate the curve once over all points as an array: every slot of
+    every component matches the scalar jet bit for bit, and the points
+    where the scalar evaluation raises are the rows masked with its error
+    class.  Returns the number of masked rows."""
+    with row_failures(len(points)) as failed:
+        batch = curve_expr.eval_jets(np.array(points))
+    masked = failed.rows(EvaluationError)
+    assert np.array_equal(masked, failed.rows())
+    for k, z in enumerate(points):
+        try:
+            jets = curve_expr.eval_jets(z)
+        except EvaluationError:
+            assert masked[k], z
+            continue
+        assert not masked[k], z
+        for bj, sj in zip(batch, jets, strict=True):
+            for got, want in zip(bj.coeffs, sj.coeffs, strict=True):
+                assert bits(got.z[k]) == bits(want), (z, got.z[k], want)
+    return int(masked.sum())
+
+
+def test_golden_expression_batch_jets_are_pointwise():
+    # exp, log, sqrt, sinh and cosh all occur among the goldens, with
+    # products and quotients of jets around them
+    masked = sum(assert_batch_is_pointwise(CurveExpr.parse(text),
+                                           golden_points())
+                 for text in GOLDEN_EXPRESSIONS)
+    # the five goldens with a pole at z = 0
+    assert masked == 5
+
+
+@pytest.mark.parametrize("name", PAIR_ENTRIES)
+def test_catalog_curve_batch_jets_are_pointwise(name):
+    curve = catalog.get(name).pair.curve
+    assert assert_batch_is_pointwise(curve.expr,
+                                     domain_points(curve.domain)) == 0
+
+
+def test_batch_without_a_sink_raises_like_one_point():
+    with pytest.raises(EvaluationError):
+        CurveExpr.parse("(z, 1/z)").eval_jets(np.array([1.0 + 0j, 0j]))
+
+
+@pytest.mark.parametrize("op", sorted(JET2_OPS))
+def test_jet2_batch_functions_are_pointwise(op):
+    # numpy's exp, log, sinh and cosh differ from math's in the last bit on
+    # some inputs; the batch must not
+    jet_fn, _ = JET2_OPS[op]
+    rng = np.random.default_rng(5)
+    slots = rng.uniform(0.2, 3.0, (6, 200))
+    batch = jet_fn(Jet2(*slots)).slots
+    for k in range(slots.shape[1]):
+        point = jet_fn(Jet2(*slots[:, k].tolist())).slots
+        assert [bits(b[k]) for b in batch] == [bits(p) for p in point]

@@ -5,7 +5,7 @@ import pytest
 
 from superconf.errors import DomainError, PreconditionError
 from superconf.expr import CurveExpr
-from superconf.jets import Vec
+from superconf.jets import Vec, _im_part
 from superconf.minimal import (
     Domain,
     HolomorphicCurve,
@@ -64,10 +64,17 @@ class TestSplit:
         assert s.h.norm().v == pytest.approx(np.cosh(1.0), rel=1e-14)
 
     def test_conjugacy_is_slot_exact(self):
-        s = split(catenoid_pair(), complex(0.3, 0.8))
-        for a, b in zip(s.h_u, -s.g_v):
+        # h = Im F, so h_u = Im F' and h_v = Im(i F'), each split from the
+        # window of F', F'' and F''' in the curve's own jets
+        pair = catenoid_pair()
+        z = complex(0.3, 0.8)
+        s = split(pair, z)
+        jets = pair.curve.eval_jets(z)
+        h_u = [_im_part(j.c1, j.c2, j.c3) for j in jets]
+        h_v = [_im_part(1j * j.c1, 1j * j.c2, 1j * j.c3) for j in jets]
+        for a, b in zip(s.h_u, h_u, strict=True):
             assert a.slots == b.slots
-        for a, b in zip(s.h_v, s.g_u):
+        for a, b in zip(s.h_v, h_v, strict=True):
             assert a.slots == b.slots
 
     def test_derivative_fields_match_position_jets(self):
