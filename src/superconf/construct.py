@@ -288,6 +288,8 @@ def _g_collapse(fd_g):
         return {"+": False, "-": False}
     circular = np.logical_and(
         ellipse_descriptor(fd_g).is_circular(G_CIRCULAR_TOL), fd_g.regular)
+    if not circular.any():
+        return {"+": circular, "-": circular}
     point = abs(fd_g.K_N) < G_CIRCULAR_TOL * np.maximum(1.0, abs(fd_g.K))
     positive = fd_g.K_N > 0.0
     return {"-": circular & (point | positive),

@@ -358,7 +358,7 @@ class ComplexJet(_Jet):
 
     @staticmethod
     def constant(c):
-        return ComplexJet(c, 0j, 0j, 0j)
+        return ComplexJet(complex(c), 0j, 0j, 0j)
 
     @staticmethod
     def variable(z):
@@ -476,7 +476,7 @@ class Jet2(_Jet):
 
     @staticmethod
     def constant(x):
-        return Jet2(x)
+        return Jet2(float(x))
 
     @staticmethod
     def coordinate_u(u):
