@@ -31,8 +31,8 @@ import numpy as np
 from .errors import (FrameDegenerateError, FrameUndefinedError,
                      PreconditionError, SingularSampleError)
 from .geometry import (REGULARITY_FLOOR, FundamentalData, _blas_dot,
-                       _normal_parts, _pypow, _sqrt0, adapted_frame,
-                       ellipse_descriptor, fundamental_data)
+                       _largest, _normal_parts, _pypow, _sqrt0,
+                       adapted_frame, ellipse_descriptor, fundamental_data)
 from .jets import DegenerateJetError, Jet2, Vec, fail_rows
 from .minimal import MinimalPair
 
@@ -164,8 +164,7 @@ def _assemble(s) -> _FieldContext:
     F = gu.dot(gv)
     G = gv.dot(gv)
 
-    scale = np.maximum(np.maximum(_vec_norm(h.values()),
-                                  _vec_norm(g.values())), 1.0)
+    scale = _largest(_vec_norm(h.values()), _vec_norm(g.values()), 1.0)
     r2 = h.dot(h)
     fail_rows(r2.v <= _pypow(R_FLOOR * scale, 2), FrameDegenerateError,
               lambda: f"h vanishes at z={s.z}: "
@@ -312,9 +311,8 @@ def _flags(ctx: _FieldContext, sign, phi: Vec) -> RegularityFlags:
     E, F, G = _blas_dot(pu, pu), _blas_dot(pu, pv), _blas_dot(pv, pv)
     det1 = E * G - F * F
     gu, gv = ctx.sample.g_u.values(), ctx.sample.g_v.values()
-    scale = np.maximum(np.maximum(np.maximum(_vec_norm(pu), _vec_norm(pv)),
-                                  np.maximum(_vec_norm(gu), _vec_norm(gv))),
-                       1e-150)
+    scale = _largest(_vec_norm(pu), _vec_norm(pv), _vec_norm(gu),
+                     _vec_norm(gv), 1e-150)
     rank_def = det1 <= REGULARITY_FLOOR * _pypow(scale, 4)
     if rank_def.ndim == 0:
         a_small, g_hol, rank_def = bool(a_small), bool(g_hol), bool(rank_def)

@@ -185,6 +185,16 @@ def _pypow(x, n):
     return np.array([t ** n for t in x.ravel().tolist()]).reshape(x.shape)
 
 
+def _largest(*xs):
+    """max of numbers, or the elementwise maximum of arrays."""
+    if not isinstance(xs[0], np.ndarray):
+        return max(xs)
+    out = xs[0]
+    for x in xs[1:]:
+        out = np.maximum(out, x)
+    return out
+
+
 def _sqrt0(x):
     """sqrt(max(x, 0)) of a number, or over an array of squared norms
     (never -0.0, where np.maximum would differ from max)."""

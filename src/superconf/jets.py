@@ -415,8 +415,9 @@ class ComplexJet(_Jet):
             return NotImplemented
         g0, g1, g2, g3 = other.coeffs
         mag = abs(g0)
-        g0 = _checked(mag <= DIV_FLOOR, g0, DegenerateJetError, lambda: (
-            f"jet division floor: |denominator| = {mag:.3e}"))
+        if type(mag) is not float or mag <= DIV_FLOOR:
+            g0 = _checked(mag <= DIV_FLOOR, g0, DegenerateJetError, lambda: (
+                f"jet division floor: |denominator| = {mag:.3e}"))
         f0, f1, f2, f3 = self.coeffs
         q0 = f0 / g0
         q1 = (f1 - q0 * g1) / g0
@@ -535,9 +536,11 @@ class Jet2(_Jet):
         if not isinstance(other, Jet2):
             return NotImplemented
         b = other
-        mag = abs(b.v)
-        bv = _checked(mag <= DIV_FLOOR, b.v, DegenerateJetError, lambda: (
-            f"jet division floor: |denominator| = {mag:.3e}"))
+        bv = b.v
+        mag = abs(bv)
+        if type(mag) is not float or mag <= DIV_FLOOR:
+            bv = _checked(mag <= DIV_FLOOR, bv, DegenerateJetError, lambda: (
+                f"jet division floor: |denominator| = {mag:.3e}"))
         q0 = self.v / bv
         q_du = (self.du - q0 * b.du) / bv
         q_dv = (self.dv - q0 * b.dv) / bv
