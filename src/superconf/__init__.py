@@ -45,7 +45,6 @@ from .minimal import (
     MinimalPair,
     associated_family,
     certify,
-    split,
 )
 from .geometry import (
     Ambient,
@@ -68,9 +67,6 @@ from .moebius import (
     Stereographic,
     degenerate_collapse_check,
     duality,
-    holomorphic_inversion,
-    inversion_differential,
-    inversion_pair_of_holomorphic,
     invert,
     normal_transform_check,
     pair_transform_check,
@@ -120,9 +116,6 @@ __all__ = [
     "extract_minimal_pair",
     "fd_crosscheck",
     "fundamental_data",
-    "holomorphic_inversion",
-    "inversion_differential",
-    "inversion_pair_of_holomorphic",
     "invert",
     "normal_transform_check",
     "pair_transform_check",
@@ -132,7 +125,6 @@ __all__ = [
     "reflection_pair_check",
     "seed_first_derivative_fields",
     "seed_surface",
-    "split",
     "split_im",
     "split_re",
     "superconformality_test",

@@ -277,7 +277,7 @@ def cmd_invert(args) -> int:
     _emit({"curve": stem, "center": center, "radius": args.radius,
            "sup_g": rep.sup_g, "sup_h": rep.sup_h, "sup": rep.sup,
            "h_convention": rep.h_convention, "n_points": rep.n_points,
-           "n_skipped": rep.n_skipped, "ok": ok})
+           "n_skipped": rep.n_skipped, "skipped": rep.skipped, "ok": ok})
     return EXIT_OK if ok else EXIT_NUMERIC
 
 

@@ -52,7 +52,8 @@ G_CIRCULAR_TOL = 1e-8
 _JMAT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _check_sign(sign):
+def check_sign(sign):
+    """+1.0 or -1.0 for a sign of SIGNS; PreconditionError otherwise."""
     if sign not in SIGNS:
         raise PreconditionError(f"sign must be '+' or '-', got {sign!r}")
     return 1.0 if sign == "+" else -1.0
@@ -145,9 +146,13 @@ class RegularityFlags:
 
 @dataclass
 class PhiSample:
+    """One built surface: phi with full jets, the field context it was
+    assembled from (ctx.a is the a-function) and its regularity flags; at
+    one point or over a batch of points."""
+
     sign: str
     phi: Vec
-    frame: ConstructionFrame
+    ctx: _FieldContext
     flags: RegularityFlags
 
 
@@ -270,11 +275,6 @@ def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
         ctx=ctx)
 
 
-def _phi_field(ctx: _FieldContext, sign) -> Vec:
-    s = _check_sign(sign)
-    return ctx.sample.g + ctx.turn_t + ctx.turn_n * s
-
-
 def _g_collapse(fd_g):
     """Which construction sign degenerates when g has a circular ellipse.
 
@@ -293,12 +293,6 @@ def _g_collapse(fd_g):
     positive = fd_g.K_N > 0.0
     return {"-": circular & (point | positive),
             "+": circular & (point | np.logical_not(positive))}
-
-
-def regularity_flags(frame: ConstructionFrame, sign, phi: Vec
-                     ) -> RegularityFlags:
-    """Flags for the surface of the given sign built on this frame."""
-    return _flags(frame.ctx, sign, phi)
 
 
 def _flags(ctx: _FieldContext, sign, phi: Vec) -> RegularityFlags:
@@ -321,21 +315,30 @@ def _flags(ctx: _FieldContext, sign, phi: Vec) -> RegularityFlags:
 
 
 def build_phi_pair(pair: MinimalPair, z):
-    """Both surfaces attached to the pair at z, with full jets, in the order
-    of SIGNS; one frame serves both signs."""
-    frame = construction_frame(pair, z)
+    """Both surfaces attached to the pair, with full jets, in the order of
+    SIGNS: at one point z, or over a 1-d array of points.
+
+    One point raises where the construction fails; a batch records those
+    rows in the innermost jets.row_failures() sink (and raises without
+    one), like the jets it is built from."""
+    return _phi_pair(_assemble(pair.samples_at(z)))
+
+
+def _phi_pair(ctx: _FieldContext):
+    """Both surfaces of one field context, with their flags."""
+    base = ctx.sample.g + ctx.turn_t
     out = []
     for sign in SIGNS:
-        phi = _phi_field(frame.ctx, sign)
-        out.append(PhiSample(sign=sign, phi=phi, frame=frame,
-                             flags=regularity_flags(frame, sign, phi)))
+        phi = base + ctx.turn_n * check_sign(sign)
+        out.append(PhiSample(sign=sign, phi=phi, ctx=ctx,
+                             flags=_flags(ctx, sign, phi)))
     return tuple(out)
 
 
 def phi_route_direct(frame: ConstructionFrame, sign) -> np.ndarray:
     """Value of phi by the closed decomposition g - r g_* grad r + s a r
     delta; agrees with the field route wherever a is away from zero."""
-    s = _check_sign(sign)
+    s = check_sign(sign)
     c = frame.ctx
     smp = c.sample
     g_val = smp.g.values()
@@ -353,7 +356,7 @@ def phi_value(g_sample: Vec, h_sample: Vec, sign) -> np.ndarray:
     turn of the induced metric, which reduces to the split-curve formula on
     isothermal charts.  Whether the chart is oriented with or against the
     conjugacy convention is read off the first derivatives of h."""
-    s = _check_sign(sign)
+    s = check_sign(sign)
     fd = fundamental_data(g_sample)
     gu, gv = fd.Xu, fd.Xv
     w = np.sqrt(fd.det1)
@@ -392,8 +395,8 @@ def dual_pair_report(pair: MinimalPair, z) -> DualPairReport:
     (the factor has a^2 in the denominator and degenerates with it); the
     floor is far below the a_small flag threshold, so flagged-but-sane
     samples still get a finite entry."""
-    plus, minus = build_phi_pair(pair, z)
-    frame = plus.frame
+    frame = construction_frame(pair, z)
+    plus, minus = _phi_pair(frame.ctx)
     for ps in (plus, minus):
         if ps.flags.rank_deficient:
             raise PreconditionError(
@@ -440,15 +443,11 @@ def translation_check(pair: MinimalPair, offset, points):
     Translating h rigidly translates each built surface by a rotated copy
     of the offset, so the displacement norm is exactly the offset norm."""
     offset = np.asarray(offset, dtype=float)
-    shifted = pair.translated(offset)
-    worst = 0.0
-    for z in points:
-        base = build_phi_pair(pair, z)
-        moved = build_phi_pair(shifted, z)
-        for b, m in zip(base, moved):
-            d = np.linalg.norm(m.phi.values() - b.phi.values())
-            worst = max(worst, abs(d - np.linalg.norm(offset)))
-    return worst
+    z = np.asarray(points, dtype=complex)
+    moved = build_phi_pair(pair.translated(offset), z)
+    shift = np.concatenate([_vec_norm(m.phi.values() - b.phi.values())
+                            for b, m in zip(build_phi_pair(pair, z), moved)])
+    return float(np.abs(shift - np.linalg.norm(offset)).max(initial=0.0))
 
 
 def reflection_pair_check(pair: MinimalPair, points, sample_tol=1e-9):
@@ -458,19 +457,18 @@ def reflection_pair_check(pair: MinimalPair, points, sample_tol=1e-9):
 
     Raises PreconditionError if the pair leaves the hyperplane."""
     mirror = np.array([1.0, 1.0, 1.0, -1.0])
-    worst = 0.0
-    for z in points:
-        s = pair.samples_at(z)
-        scale = max(np.linalg.norm(s.g.values()), np.linalg.norm(s.h.values()),
-                    1.0)
-        if max(abs(s.g.values()[3]), abs(s.h.values()[3])) > sample_tol * scale:
-            raise PreconditionError(
-                f"pair leaves the x4 = 0 hyperplane at z={z}; reflection "
-                "symmetry only applies to pairs in R3")
-        plus, minus = build_phi_pair(pair, z)
-        worst = max(worst, float(np.abs(
-            mirror * plus.phi.values() - minus.phi.values()).max()))
-    return worst
+    z = np.asarray(points, dtype=complex)
+    plus, minus = build_phi_pair(pair, z)
+    g, h = plus.ctx.sample.g.values(), plus.ctx.sample.h.values()
+    scale = _largest(_vec_norm(g), _vec_norm(h), 1.0)
+    off = np.flatnonzero(np.maximum(abs(g[:, 3]), abs(h[:, 3]))
+                         > sample_tol * scale)
+    if off.size:
+        raise PreconditionError(
+            f"pair leaves the x4 = 0 hyperplane at z={complex(z[off[0]])}; "
+            "reflection symmetry only applies to pairs in R3")
+    return float(np.abs(mirror * plus.phi.values()
+                        - minus.phi.values()).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,11 @@ so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import (RegularityFlags, _assemble, _check_sign, _flags,
-                        _phi_field)
+from .construct import RegularityFlags, build_phi_pair, check_sign
 from .errors import (BranchCutError, DegenerateJetError, DomainError,
                      EvaluationError, FrameDegenerateError, PreconditionError,
                      SingularSampleError)
@@ -52,17 +50,6 @@ class GridSample:
     flags: int
 
 
-def thread_count() -> int:
-    """Worker cap from SUPERCONF_THREADS (default 1); validated, although
-    grid sampling is sequential."""
-    raw = os.environ.get("SUPERCONF_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise PreconditionError(f"SUPERCONF_THREADS is not an integer: {raw!r}")
-    return max(1, n)
-
-
 def sample_grid(pair, domain, nu, nv, signs):
     """Sample the surfaces of the given signs over an inclusive nu x nv grid;
     one row list per sign, in the order of signs.
@@ -76,8 +63,7 @@ def sample_grid(pair, domain, nu, nv, signs):
     if nu < 2 or nv < 2:
         raise PreconditionError("grid needs at least 2 points per axis")
     for sign in signs:
-        _check_sign(sign)
-    thread_count()
+        check_sign(sign)
     us, vs = domain.linspace(nu, nv)
     u, v = np.repeat(us, nv), np.tile(vs, nu)
     rows = [[] for _ in signs]
@@ -101,7 +87,7 @@ def _sample_block(pair, signs, u, v):
         return rows
     with np.errstate(all="ignore"), row_failures(inside.size) as failed:
         try:
-            ctx = _assemble(pair.samples_at(z[inside]))
+            built = {ps.sign: ps for ps in build_phi_pair(pair, z[inside])}
         except DomainError:
             return rows
         except (FrameDegenerateError, SingularSampleError, EvaluationError,
@@ -112,23 +98,23 @@ def _sample_block(pair, signs, u, v):
                     sign_rows[k].flags = FLAG_DEGENERATE_SAMPLE
             return rows
         for sign, sign_rows in zip(signs, rows):
-            _fill_rows(sign_rows, inside, ctx, sign, failed)
+            _fill_rows(sign_rows, inside, built[sign], failed)
     return rows
 
 
-def _fill_rows(rows, inside, ctx, sign, failed):
+def _fill_rows(rows, inside, ps, failed):
     """Flags, positions and stats of one sign at the block's points inside
-    the domain (rows[k] for k in inside) from the block's field context."""
-    phi = _phi_field(ctx, sign)
+    the domain (rows[k] for k in inside) from the block's built surface."""
+    phi = ps.phi
     fd = fundamental_data(phi)
     sc = superconformality_test(fd)
-    flags = _flags(ctx, sign, phi).bitmask | np.where(
+    flags = ps.flags.bitmask | np.where(
         fd.regular, 0, RegularityFlags.FLAG_RANK_DEFICIENT)
     flags = np.where(failed.rows(), FLAG_DEGENERATE_SAMPLE, flags)
     flags = np.where(failed.rows(DomainError), FLAG_OUT_OF_DOMAIN, flags)
     columns = (fd.K, abs(fd.K_N), fd.lam, sc["mu"], sc["res_orth"],
                sc["res_len"], sc["wintgen_defect"], sc["wintgen_defect_rel"],
-               ctx.a)
+               ps.ctx.a)
     positions = phi.values()
     for j, (k, bits, regular, values) in enumerate(zip(
             inside.tolist(), flags.tolist(), fd.regular.tolist(),

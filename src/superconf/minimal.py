@@ -166,11 +166,6 @@ class MinimalPair:
         return f"MinimalPair({self.curve!r})"
 
 
-def split(pair, z):
-    """Jet data of the conjugate pair of `pair` at z."""
-    return pair.samples_at(z)
-
-
 def associated_family(pair, theta):
     """Rotate the pair through its associated family: every component of the
     underlying curve is multiplied by exp(-i theta), trading g for a mix of

@@ -34,7 +34,7 @@ from .construct import SIGNS, build_phi_pair, extract_minimal_pair, phi_value
 from .errors import (DualitySingularError, FrameDegenerateError,
                      FrameUndefinedError, InversionSingularError,
                      NotNullCurveError, PreconditionError, ProjectionError,
-                     QuadricSingularError, SingularSampleError)
+                     SingularSampleError)
 from .expr import Bin, CurveExpr, Pow, const_node
 from .geometry import (Ambient, _coord_shape, _normal_parts, ellipse_descriptor,
                        fundamental_data)
@@ -129,21 +129,6 @@ def invert(x, inv):
     return inv.center + (inv.orientation * inv.radius ** 2 / q) * d
 
 
-def inversion_differential(x, w, inv):
-    """Tangent vector w at x pushed forward through the inversion.
-
-    The differential is the reflection in the hyperplane orthogonal to
-    x - c, scaled by the conformal factor radius^2 / <x - c, x - c>."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    sig = inv.sig()
-    d = x - inv.center
-    q = float(np.sum(sig * d * d))
-    _check_denominator(q, d)
-    refl = w - (2.0 * float(np.sum(sig * w * d)) / q) * d
-    return inv.orientation * (inv.radius ** 2 / q) * refl
-
-
 def normal_transform_check(sample, xi, inv):
     """How a unit normal and its shape operator move through an inversion.
 
@@ -192,21 +177,6 @@ def normal_transform_check(sample, xi, inv):
     out = {"unit": res_unit, "normal": res_normal, "shape": res_shape}
     out["max"] = max(out.values())
     return out
-
-
-def holomorphic_inversion(Z, radius=1.0):
-    """radius^2 Z / <<Z, Z>> with the complex-bilinear square downstairs.
-
-    Sends the quadric of constant level k to the one of level radius^4 / k;
-    undefined on the null quadric."""
-    Z = np.asarray(Z, dtype=complex)
-    k = complex(np.sum(Z * Z))
-    scale = float(np.sum(np.abs(Z) ** 2))
-    if abs(k) <= INV_FLOOR * max(scale, 1e-300):
-        raise QuadricSingularError(
-            f"<<Z, Z>> = {k:.3e} vanishes; the quadratic inversion is "
-            "undefined on the null quadric")
-    return (radius ** 2) * Z / k
 
 
 def transformed_curve(curve, radius=1.0, center=None, name=None):
@@ -304,33 +274,6 @@ def duality(curve, z):
                          conformality=conformality)
 
 
-def inversion_pair_of_holomorphic(curve, inv, z):
-    """Conjugate pair of an inverted graph surface, in closed form.
-
-    For a two-component holomorphic curve with graph f, the minimal pair
-    attached to the inversion of f is
-    g = c + r^2 (f-c)^N / (2 ||(f-c)^N||^2) and h = J g-part, where the
-    normal plane is rotated by the ambient complex structure.  The
-    orientation of that rotation is fixed so the recovered pair matches the
-    catalog closed forms for the Whitney-type graph; the opposite choice
-    merely flips h.  Returns (g, h) values."""
-    if inv.signature != "euclidean" or inv.dim != 4:
-        raise PreconditionError("pair inversion works in euclidean R4")
-    pos, fu, fv = _graph_fields(curve, z)
-    d = pos - Vec.of_values(inv.center)
-    [dN] = _normal_parts([d], fu, fv, Vec.dot)
-    n2 = dN.dot(dN).v
-    scale = d.dot(d).v + fu.dot(fu).v
-    if n2 <= 1e-24 * max(scale, 1e-300):
-        raise InversionSingularError(
-            f"normal component of f - c vanishes at z = {z}; the inverted "
-            "pair is undefined")
-    r2 = inv.radius ** 2
-    g = inv.center + r2 * dN.values() / (2.0 * n2)
-    h = r2 * (J_AMB @ dN.values()) / (2.0 * n2)
-    return g, h
-
-
 # -- pair transformation ------------------------------------------------------
 
 
@@ -340,11 +283,15 @@ class PairTransformReport:
     sup_h: float
     h_convention: str
     n_points: int
-    n_skipped: int
+    skipped: dict   # "flagged" or exception class name -> samples skipped
 
     @property
     def sup(self):
         return max(self.sup_g, self.sup_h)
+
+    @property
+    def n_skipped(self):
+        return sum(self.skipped.values())
 
 
 def pair_transform_check(pair, inv, points):
@@ -378,26 +325,30 @@ def pair_transform_check(pair, inv, points):
 
     tcurve = transformed_curve(pair.curve, inv.radius, center=center_eff)
     sup_g, d_plus, d_minus = 0.0, 0.0, 0.0
-    used, skipped = 0, 0
+    used, skipped = 0, {}
+
+    def skip(reason):
+        skipped[reason] = skipped.get(reason, 0) + 1
+
     for z in pts:
         try:
             built = build_phi_pair(pair, z)
-        except (FrameDegenerateError, SingularSampleError):
-            skipped += 1
+        except (FrameDegenerateError, SingularSampleError) as exc:
+            skip(type(exc).__name__)
             continue
         w = tcurve.eval(z)
         g_curve = inv.center + w.real
         h_curve = w.imag
         for ps in built:
             if ps.flags.bitmask:
-                skipped += 1
+                skip("flagged")
                 continue
             try:
                 image = invert(ps.phi, inv)
                 ext = extract_minimal_pair(image)
             except (InversionSingularError, FrameUndefinedError,
-                    SingularSampleError):
-                skipped += 1
+                    SingularSampleError) as exc:
+                skip(type(exc).__name__)
                 continue
             used += 1
             h_ext = ext.zeta_orientation * ext.h
@@ -412,7 +363,7 @@ def pair_transform_check(pair, inv, points):
         convention, sup_h = "+", d_plus
     return PairTransformReport(sup_g=sup_g, sup_h=sup_h,
                                h_convention=convention,
-                               n_points=used, n_skipped=skipped)
+                               n_points=used, skipped=skipped)
 
 
 # -- complex structure of null-quadric pairs ----------------------------------
@@ -526,7 +477,7 @@ def degenerate_collapse_check(pair, points):
     companion = {s: 0.0 for s in SIGNS}
     for z in pts:
         built = build_phi_pair(pair, z)
-        smp = pair.samples_at(z)
+        smp = built[0].ctx.sample
         fd = fundamental_data(smp.g)
         [gN] = _normal_parts([smp.g.values()], fd.Xu, fd.Xv, np.dot)
         for ps in built:

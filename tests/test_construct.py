@@ -5,12 +5,12 @@ from superconf import catalog, construct
 from superconf.construct import (build_phi_pair, construction_frame,
                                  dual_pair_report, extract_minimal_pair,
                                  phi_route_direct, phi_value,
-                                 reflection_pair_check, regularity_flags,
-                                 translation_check)
+                                 reflection_pair_check, translation_check)
 from superconf.errors import (FrameDegenerateError, FrameUndefinedError,
                               PreconditionError, SingularSampleError)
 from superconf.geometry import fundamental_data, superconformality_test
 from superconf.jets import Jet2, Vec, fd_crosscheck
+from test_cli import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -188,10 +188,11 @@ def test_phi_superconformal_on_catalog_pairs():
 def test_two_routes_agree(catenoid, perturbed):
     for pair in (catenoid, perturbed):
         for z in (0.9 + 0.6j, 0.5 - 0.4j):
+            frame = construction_frame(pair, z)
+            if frame.a <= 0.05:
+                continue
             for ps in build_phi_pair(pair, z):
-                if ps.frame.a <= 0.05:
-                    continue
-                direct = phi_route_direct(ps.frame, ps.sign)
+                direct = phi_route_direct(frame, ps.sign)
                 assert np.abs(direct - ps.phi.values()).max() < 1e-10
 
 
@@ -297,12 +298,6 @@ def test_nondegenerate_sign_equals_twice_normal_part():
     assert np.abs(ps.phi.values() - 2.0 * gN).max() < 1e-12
 
 
-def test_regularity_flags_piecewise_api(catenoid):
-    _, ps = build_phi_pair(catenoid, 2.0 + 0.8j)
-    again = regularity_flags(ps.frame, ps.sign, ps.phi)
-    assert again == ps.flags
-
-
 # ----- dual pair report -----
 
 def test_dual_pair_report_catenoid(catenoid):
@@ -335,6 +330,23 @@ def test_translation_moves_phi_by_offset_norm(catenoid, perturbed):
     assert worst < 1e-9
     worst = translation_check(perturbed, offset, [0.5 + 0.3j, -0.2 - 0.6j])
     assert worst < 1e-9
+
+
+def test_build_phi_pair_builds_no_decomposition_frame(monkeypatch, catenoid):
+    # phi and its flags read only the field context, at one point and over
+    # an array alike
+    frames = count_calls(monkeypatch, construct, "construction_frame")
+    build_phi_pair(catenoid, 1.0 + 0.5j)
+    build_phi_pair(catenoid, np.array(GENERIC))
+    assert frames == []
+
+
+def test_translation_check_evaluates_each_curve_once(monkeypatch, catenoid):
+    from superconf.expr import CurveExpr
+    evals = count_calls(monkeypatch, CurveExpr, "eval_jets")
+    translation_check(catenoid, (0.3, -0.2, 0.5, 0.1), GENERIC)
+    # one array call for the pair and one for its translate
+    assert [z.size for _, z in evals] == [len(GENERIC)] * 2
 
 
 # ----- reflection symmetry for pairs in R3 -----

@@ -1,4 +1,4 @@
-"""Grid sampling, CSV/JSON/OBJ writers, determinism across thread counts."""
+"""Grid sampling, CSV/JSON/OBJ writers, byte determinism of the output."""
 
 import json
 
@@ -9,13 +9,15 @@ from superconf import catalog
 from superconf.construct import build_phi_pair
 from superconf.errors import (BranchCutError, DegenerateJetError,
                               EvaluationError, FrameDegenerateError,
-                              PreconditionError, SingularSampleError)
+                              PreconditionError, SingularSampleError,
+                              SuperconfError)
 from superconf.export import (CSV_HEADER, FLAG_DEGENERATE_SAMPLE,
                               FLAG_OUT_OF_DOMAIN, canonical_json, csv_text,
                               drop_projector, mesh_dict,
                               obj_text, sample_grid, stereo_projector,
-                              summarize, thread_count, write_csv, write_obj)
+                              summarize, write_csv, write_obj)
 from superconf.geometry import fundamental_data, superconformality_test
+from superconf.jets import row_failures
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
 
 
@@ -86,7 +88,7 @@ def point_rows(pair, u, v):
                      "res_len": sc["res_len"],
                      "wintgen": sc["wintgen_defect"],
                      "wintgen_rel": sc["wintgen_defect_rel"],
-                     "a": ps.frame.a}
+                     "a": ps.ctx.a}
         rows.append((flags, ps.phi.values(), stats))
     return rows
 
@@ -121,6 +123,25 @@ def test_grid_rows_are_bit_identical_to_points_built_alone(name):
             flags_seen.add(flags)
     if name in ("whitney", "q0-trig", "holed", "jet-floor"):
         assert flags_seen - {0}, name    # flagged rows are covered too
+
+    # build_phi_pair over all the grid's points as one array: the full phi
+    # jets and the flags of every row are those of the point built alone,
+    # and the failed rows are the points that raise alone
+    z = np.array([complex(row.u, row.v) for row in grid[0]])
+    with np.errstate(all="ignore"), row_failures(z.size) as failed:
+        batch = build_phi_pair(pair, z)
+    bad = failed.rows()
+    for k, zk in enumerate(z.tolist()):
+        try:
+            alone = build_phi_pair(pair, zk)
+        except SuperconfError:
+            assert bad[k], (name, zk)
+            continue
+        assert not bad[k], (name, zk)
+        for b, a in zip(batch, alone, strict=True):
+            assert b.flags.bitmask[k] == a.flags.bitmask, (name, zk)
+            assert ([as_bits([slot[k] for slot in c.slots]) for c in b.phi]
+                    == [as_bits(c.slots) for c in a.phi]), (name, zk)
 
 
 def test_sample_grid_validation(catenoid):
@@ -229,22 +250,9 @@ def test_projectors():
         stereo_projector((0.0, 0.0, 0.0, 0.0))
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("SUPERCONF_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("SUPERCONF_THREADS", "6")
-    assert thread_count() == 6
-    monkeypatch.setenv("SUPERCONF_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("SUPERCONF_THREADS", "many")
-    with pytest.raises(PreconditionError):
-        thread_count()
-
-
-def test_output_bytes_independent_of_threads(monkeypatch, catenoid):
-    monkeypatch.setenv("SUPERCONF_THREADS", "1")
+def test_output_bytes_independent_of_threads(catenoid):
+    # two runs of the same grid write the same bytes
     [seq] = sample_grid(catenoid, catenoid.domain, 5, 4, ("+",))
-    monkeypatch.setenv("SUPERCONF_THREADS", "4")
     [par] = sample_grid(catenoid, catenoid.domain, 5, 4, ("+",))
     assert csv_text(par) == csv_text(seq)
     assert canonical_json(mesh_dict(par, 5, 4)) == canonical_json(mesh_dict(seq, 5, 4))

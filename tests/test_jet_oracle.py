@@ -1,8 +1,9 @@
 """Exact oracle for the jets: sympy derivatives evaluated in mpmath.
 
-Every golden expression of the acceptance suite and every catalog curve is
-evaluated to its ComplexJet at fixed-seed points, and c0..c3 are compared
-with sympy.diff of the same expression, evaluated at 30 digits.  The Jet2
+Every golden expression of the acceptance suite, three composite curves and
+every catalog curve is evaluated to its ComplexJet at fixed-seed points, and
+c0..c3 are compared with sympy.diff of the same expression, evaluated at 30
+digits.  The Jet2
 algebra is checked the same way against sympy partials in (u, v).  The
 same curves evaluated over a batch of points must match the point-by-point
 jets bit for bit.
@@ -98,7 +99,16 @@ def domain_points(domain, n=6, seed=7):
     return out
 
 
-@pytest.mark.parametrize("text", GOLDEN_EXPRESSIONS)
+# elementary functions of nonlinear arguments: the only inputs on which the
+# third-order chain-rule term 3 f'' g' g'' of a composition is nonzero
+COMPOSITE_CURVES = (
+    "(exp(z^2), sin(z^2 + z), cosh(1/(z + 3)), sqrt(z^3 + 4))",
+    "(log(z^2 + 4), cos(z*z - 1), sinh(z^3/3), exp(sin(z)))",
+    "(sqrt(exp(z) + 2), log(cosh(z) + 1), sin(1/(z - 3)), z*exp(-z^2))",
+)
+
+
+@pytest.mark.parametrize("text", GOLDEN_EXPRESSIONS + COMPOSITE_CURVES)
 def test_golden_expression_jets_match_sympy(text):
     worst, evaluated, skipped = worst_relative_error(
         CurveExpr.parse(text), golden_points())

@@ -12,7 +12,6 @@ from superconf.minimal import (
     MinimalPair,
     associated_family,
     certify,
-    split,
 )
 
 CAT_DOM = Domain(-2.0, 2.0, -1.5, 1.5)
@@ -48,7 +47,7 @@ class TestDomain:
 
 class TestSplit:
     def test_catenoid_and_helicoid_values(self):
-        s = split(catenoid_pair(), complex(0.7, -0.4))
+        s = catenoid_pair().samples_at(complex(0.7, -0.4))
         u, v = 0.7, -0.4
         np.testing.assert_allclose(
             s.g.values(),
@@ -60,7 +59,7 @@ class TestSplit:
             atol=1e-15)
 
     def test_conjugate_norm_at_1_1(self):
-        s = split(catenoid_pair(), complex(1.0, 1.0))
+        s = catenoid_pair().samples_at(complex(1.0, 1.0))
         assert s.h.norm().v == pytest.approx(np.cosh(1.0), rel=1e-14)
 
     def test_conjugacy_is_slot_exact(self):
@@ -68,7 +67,7 @@ class TestSplit:
         # window of F', F'' and F''' in the curve's own jets
         pair = catenoid_pair()
         z = complex(0.3, 0.8)
-        s = split(pair, z)
+        s = pair.samples_at(z)
         jets = pair.curve.eval_jets(z)
         h_u = [_im_part(j.c1, j.c2, j.c3) for j in jets]
         h_v = [_im_part(1j * j.c1, 1j * j.c2, 1j * j.c3) for j in jets]
@@ -78,7 +77,7 @@ class TestSplit:
             assert a.slots == b.slots
 
     def test_derivative_fields_match_position_jets(self):
-        s = split(catenoid_pair(), complex(-0.6, 0.2))
+        s = catenoid_pair().samples_at(complex(-0.6, 0.2))
         np.testing.assert_allclose(s.g_u.values(), s.g.du(), atol=1e-15)
         np.testing.assert_allclose(s.g_v.values(), s.g.dv(), atol=1e-15)
         np.testing.assert_allclose(s.g_u.dv(), s.g_v.du(), atol=1e-15)

@@ -8,13 +8,12 @@ from superconf.construct import build_phi_pair, extract_minimal_pair
 from superconf.errors import (DualitySingularError, InversionSingularError,
                               NotNullCurveError, PreconditionError,
                               ProjectionError, QuadricSingularError)
-from superconf.geometry import fundamental_data
+from superconf.geometry import _normal_parts, fundamental_data
+from superconf.jets import Vec
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair, certify
-from superconf.moebius import (Inversion, J_AMB, Stereographic,
-                               degenerate_collapse_check, duality,
-                               holomorphic_inversion, invert,
-                               inversion_differential,
-                               inversion_pair_of_holomorphic,
+from superconf.moebius import (INV_FLOOR, Inversion, J_AMB, Stereographic,
+                               _check_denominator, _graph_fields,
+                               degenerate_collapse_check, duality, invert,
                                normal_transform_check, pair_transform_check,
                                quadric_classification,
                                recover_complex_structure, superminimal_test,
@@ -31,6 +30,66 @@ def catenoid():
 @pytest.fixture(scope="module")
 def shifted_inversion():
     return Inversion(center=(0.0, 0.0, 0.0, 5.0), radius=1.0)
+
+
+# -- closed-form oracles ------------------------------------------------------
+
+
+def inversion_differential(x, w, inv):
+    """Tangent vector w at x pushed forward through the inversion.
+
+    The differential is the reflection in the hyperplane orthogonal to
+    x - c, scaled by the conformal factor radius^2 / <x - c, x - c>."""
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    sig = inv.sig()
+    d = x - inv.center
+    q = float(np.sum(sig * d * d))
+    _check_denominator(q, d)
+    refl = w - (2.0 * float(np.sum(sig * w * d)) / q) * d
+    return inv.orientation * (inv.radius ** 2 / q) * refl
+
+
+def holomorphic_inversion(Z, radius=1.0):
+    """radius^2 Z / <<Z, Z>> with the complex-bilinear square downstairs.
+
+    Sends the quadric of constant level k to the one of level radius^4 / k;
+    undefined on the null quadric."""
+    Z = np.asarray(Z, dtype=complex)
+    k = complex(np.sum(Z * Z))
+    scale = float(np.sum(np.abs(Z) ** 2))
+    if abs(k) <= INV_FLOOR * max(scale, 1e-300):
+        raise QuadricSingularError(
+            f"<<Z, Z>> = {k:.3e} vanishes; the quadratic inversion is "
+            "undefined on the null quadric")
+    return (radius ** 2) * Z / k
+
+
+def inversion_pair_of_holomorphic(curve, inv, z):
+    """Conjugate pair of an inverted graph surface, in closed form.
+
+    For a two-component holomorphic curve with graph f, the minimal pair
+    attached to the inversion of f is
+    g = c + r^2 (f-c)^N / (2 ||(f-c)^N||^2) and h = J g-part, where the
+    normal plane is rotated by the ambient complex structure.  The
+    orientation of that rotation is fixed so the recovered pair matches the
+    catalog closed forms for the Whitney-type graph; the opposite choice
+    merely flips h.  Returns (g, h) values."""
+    if inv.signature != "euclidean" or inv.dim != 4:
+        raise PreconditionError("pair inversion works in euclidean R4")
+    pos, fu, fv = _graph_fields(curve, z)
+    d = pos - Vec.of_values(inv.center)
+    [dN] = _normal_parts([d], fu, fv, Vec.dot)
+    n2 = dN.dot(dN).v
+    scale = d.dot(d).v + fu.dot(fu).v
+    if n2 <= 1e-24 * max(scale, 1e-300):
+        raise InversionSingularError(
+            f"normal component of f - c vanishes at z = {z}; the inverted "
+            "pair is undefined")
+    r2 = inv.radius ** 2
+    g = inv.center + r2 * dN.values() / (2.0 * n2)
+    h = r2 * (J_AMB @ dN.values()) / (2.0 * n2)
+    return g, h
 
 
 # -- inversions of flat space -------------------------------------------------
@@ -293,7 +352,19 @@ def test_pair_transform_dual_routes(catenoid, shifted_inversion):
     assert rep.sup < 1e-9
     assert rep.h_convention in ("+", "-")
     assert rep.n_points == 2 * len(points)
-    assert rep.n_skipped == 0
+    assert rep.n_skipped == 0 and rep.skipped == {}
+
+
+def test_pair_transform_counts_skips_by_reason():
+    # a circular ellipse of g collapses the Whitney pair's "+" surface at
+    # every point (flags 2 and 4), so each of the 36 points skips one sample
+    wpair = catalog.get("whitney").pair
+    inv = Inversion(center=(0.0, 0.0, 0.0, 5.0), radius=1.0)
+    points = wpair.domain.grid(6, 6)
+    rep = pair_transform_check(wpair, inv, points)
+    assert rep.skipped == {"flagged": 36}
+    assert rep.n_skipped == sum(rep.skipped.values()) == len(points) == 36
+    assert rep.n_points == 36
 
 
 def test_pair_transform_huge_radius(catenoid):
