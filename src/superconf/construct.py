@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import (FrameDegenerateError, FrameUndefinedError,
                      PreconditionError, SingularSampleError)
-from .geometry import (REGULARITY_FLOOR, FundamentalData, _blas_dot,
-                       _largest, _normal_parts, _pypow, _sqrt0,
+from .geometry import (REGULARITY_FLOOR, FundamentalData, _blas_dot, _col,
+                       _largest, _normal_parts, _pypow, _sqrt0, _sym2,
                        adapted_frame, ellipse_descriptor, fundamental_data)
 from .jets import DegenerateJetError, Jet2, Vec, fail_rows
 from .minimal import MinimalPair
@@ -121,7 +121,6 @@ class ConstructionFrame:
     delta_minus: np.ndarray
     bxi_residual: float    # nan where xi came from the fallback basis
     bxi_scale: float
-    g_degenerate_signs: tuple  # signs collapsed by a circular ellipse of g
     ctx: _FieldContext
 
 
@@ -215,11 +214,12 @@ def _vec_norm(x):
 
 def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
     """Frame quantities of the construction at z, per the decomposition
-    h = -r (g_* grad r + a xi).
+    h = -r (g_* grad r + a xi), at one point or over a 1-d array of points.
 
-    Raises FrameDegenerateError where h vanishes.  Where a is below floor
-    (h tangent to g) the xi/delta normals fall back to the deterministic
-    ambient-projection frame; the construction itself stays regular there."""
+    Raises FrameDegenerateError where h vanishes (an array records the rows,
+    like build_phi_pair).  Where a is below floor (h tangent to g) the
+    xi/delta normals fall back to the deterministic ambient-projection
+    frame; the construction itself stays regular there."""
     s = pair.samples_at(z)
     ctx = _assemble(s)
     g, r, E = s.g, ctx.r, ctx.E
@@ -227,23 +227,22 @@ def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
 
     grad_u = ctx.ru / E
     grad_v = ctx.rv / E
-    norm_grad = _sqrt0(ctx.ng2.v)
     a_val = ctx.a
 
     # J(p du + q dv) = (q, -p) in coefficients, so Z = -J grad r = (-q, p)
-    Z = np.array([-grad_v.v, grad_u.v])
-    Tvec = np.array([r.v * grad_v.v, -r.v * grad_u.v])
-    Z_amb = Z[0] * gu_val + Z[1] * gv_val
+    Z_amb = _col(-grad_v.v) * gu_val + _col(grad_u.v) * gv_val
+    Tvec = np.stack((r.v * grad_v.v, -r.v * grad_u.v), -1)
 
     fallback = a_val <= A_FLOOR
-    if fallback:
-        xi = ctx.fd_g.n1
-    else:
-        [hN] = _normal_parts([s.h.values()], gu_val, gv_val, np.dot)
-        xi = -hN / (a_val * r.v)
-    xt, xn = _jhat_parts(gu_val, gv_val, xi)
-    delta_minus = (np.array(xt) - np.array(xn)) * ctx.inv_w.v   # = Jhat(-) xi
-    delta_plus = -delta_minus
+    [hN] = _normal_parts([s.h.values()], gu_val, gv_val,
+                         lambda a, b: _col(_blas_dot(a, b)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = -hN / _col(a_val * r.v)
+    if np.any(fallback):
+        xi = np.where(_col(fallback), ctx.fd_g.n1, xi)
+    xt, xn = _jhat_parts(gu_val.T, gv_val.T, xi.T)
+    # = Jhat(-) xi
+    delta_minus = (np.stack(xt, -1) - np.stack(xn, -1)) * _col(ctx.inv_w.v)
 
     # Hessian of r w.r.t. the conformal metric E(du^2 + dv^2), expressed in
     # the orthonormal tangent frame; Christoffels in closed form from E
@@ -252,27 +251,26 @@ def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
     huu = r.duu - 0.5 * iE * (Eu * r.du - Ev * r.dv)
     huv = r.duv - 0.5 * iE * (Ev * r.du + Eu * r.dv)
     hvv = r.dvv - 0.5 * iE * (-Eu * r.du + Ev * r.dv)
-    hess = np.array([[huu, huv], [huv, hvv]]) * iE
-    rho = np.array([r.du, r.dv]) / np.sqrt(E.v)
-    S = np.eye(2) - np.outer(rho, rho)
+    rho = np.stack((r.du, r.dv), -1) / _col(np.sqrt(E.v))
+    S = np.eye(2) - rho[..., :, None] * rho[..., None, :]
 
-    if fallback:
-        bxi_res, bxi_scale = float("nan"), float("nan")
-    else:
-        B_xi = np.array([[g.duu() @ xi, g.duv() @ xi],
-                         [g.duv() @ xi, g.dvv() @ xi]]) * iE
-        lhs = a_val * r.v * B_xi
-        rhs = (r.v * hess - S) @ _JMAT
-        bxi_scale = max(1.0, np.abs(lhs).max(), np.abs(rhs).max())
-        bxi_res = float(np.abs(lhs - rhs).max())
+    # a r B_xi = (r hess - S) J, entry by entry
+    ar = a_val * r.v
+    lhs = _sym2(*(ar * (_blas_dot(w, xi) * iE)
+                  for w in (g.duu(), g.duv(), g.dvv())))
+    rhs = (_sym2(*(r.v * (h * iE) for h in (huu, huv, hvv))) - S) @ _JMAT
+    lhs_max, rhs_max = (np.abs(m).max(axis=(-2, -1)) for m in (lhs, rhs))
+    # nan where xi came from the fallback basis
+    bxi_scale = np.where(fallback, np.nan,
+                         np.maximum(np.maximum(1.0, lhs_max), rhs_max))[()]
+    bxi_res = np.where(fallback, np.nan,
+                       np.abs(lhs - rhs).max(axis=(-2, -1)))[()]
 
     return ConstructionFrame(
-        z=complex(z), r=r, grad_r=(grad_u, grad_v), norm_grad_r=norm_grad,
+        z=s.z, r=r, grad_r=(grad_u, grad_v), norm_grad_r=_sqrt0(ctx.ng2.v),
         a=a_val, Z_ambient=Z_amb, Tvec=Tvec, xi=xi, xi_fallback=fallback,
-        delta_plus=delta_plus, delta_minus=delta_minus,
-        bxi_residual=bxi_res, bxi_scale=bxi_scale,
-        g_degenerate_signs=tuple(t for t in SIGNS if ctx.g_collapse[t]),
-        ctx=ctx)
+        delta_plus=-delta_minus, delta_minus=delta_minus,
+        bxi_residual=bxi_res, bxi_scale=bxi_scale, ctx=ctx)
 
 
 def _g_collapse(fd_g):
@@ -380,61 +378,61 @@ class DualPairReport:
     center_residual: dict
     conformal_residual: dict
     tangency_residual: dict
-    metric_relation_residual: float
+    metric_relation_residual: float | None
 
 
-def dual_pair_report(pair: MinimalPair, z) -> DualPairReport:
-    """Shared-geometry checks for the two surfaces built at z.
+def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
+    """Shared-geometry checks for the surfaces of the given signs built at
+    z, one point or a 1-d array of points (failed rows are recorded as by
+    build_phi_pair).
 
     Residuals reported: each surface plus its normalized mean-curvature
     vector lands back on g (common central sphere); the pull-back metric of
     g equals (r mu / a)^2 times each surface's metric; the two surfaces'
-    metrics agree after scaling by their mu^2; the vector g_* Z + a xi is
-    orthogonal to each surface's tangent plane and to its mean curvature.
-    The conformal-factor entries are nan where a is below a small floor
-    (the factor has a^2 in the denominator and degenerates with it); the
-    floor is far below the a_small flag threshold, so flagged-but-sane
-    samples still get a finite entry."""
+    metrics agree after scaling by their mu^2 (None unless both signs are
+    asked for); the vector g_* Z + a xi is orthogonal to each surface's
+    tangent plane and to its mean curvature.  The conformal-factor entries
+    are nan where a is below a small floor (the factor has a^2 in the
+    denominator and degenerates with it); the floor is far below the
+    a_small flag threshold, so flagged-but-sane samples still get a finite
+    entry.  A rank-deficient surface raises PreconditionError."""
+    for sign in signs:
+        check_sign(sign)
     frame = construction_frame(pair, z)
-    plus, minus = _phi_pair(frame.ctx)
-    for ps in (plus, minus):
-        if ps.flags.rank_deficient:
-            raise PreconditionError(
-                f"constructed surface {ps.sign} is rank-deficient at z={z}")
-    g_val = frame.ctx.sample.g.values()
-    E_g, F_g, G_g = frame.ctx.E.v, frame.ctx.F.v, frame.ctx.G.v
-    zeta_c = frame.Z_ambient + frame.a * frame.xi
+    built = [ps for ps in _phi_pair(frame.ctx) if ps.sign in signs]
+    for ps in built:
+        fail_rows(ps.flags.rank_deficient, PreconditionError, lambda: (
+            f"constructed surface {ps.sign} is rank-deficient at z={z}"))
+    ctx, a = frame.ctx, frame.a
+    g_val = ctx.sample.g.values()
+    zeta_c = frame.Z_ambient + _col(a) * frame.xi
+    conformal_ok = a >= CONFORMAL_A_FLOOR
 
-    mu = {}
-    center = {}
-    conformal = {}
-    tangency = {}
-    forms = {}
-    for ps in (plus, minus):
+    mu, center, conformal, tangency, forms = {}, {}, {}, {}, {}
+    for ps in built:
         fd = fundamental_data(ps.phi)
         fr = adapted_frame(fd)
         mu[ps.sign] = fr.mu
-        lam2 = float(fd.H @ fd.H)
-        center[ps.sign] = float(np.linalg.norm(
-            ps.phi.values() + fd.H / lam2 - g_val))
-        forms[ps.sign] = np.array([[fd.E, fd.F], [fd.F, fd.G]])
-        if frame.a >= CONFORMAL_A_FLOOR:
-            rho = (frame.r.v * fr.mu / frame.a) ** 2
-            conformal[ps.sign] = max(
-                abs(E_g - rho * fd.E), abs(F_g - rho * fd.F),
-                abs(G_g - rho * fd.G))
-        else:
-            conformal[ps.sign] = float("nan")
-        tangency[ps.sign] = max(
-            abs(zeta_c @ fd.Xu) / np.linalg.norm(fd.Xu),
-            abs(zeta_c @ fd.Xv) / np.linalg.norm(fd.Xv),
-            abs(zeta_c @ fd.H) / np.linalg.norm(fd.H))
-    rel = mu["+"] ** 2 * forms["+"] - mu["-"] ** 2 * forms["-"]
+        lam2 = _blas_dot(fd.H, fd.H)
+        center[ps.sign] = _vec_norm(ps.phi.values() + fd.H / _col(lam2)
+                                    - g_val)
+        forms[ps.sign] = (fd.E, fd.F, fd.G)
+        rho = _pypow(frame.r.v * fr.mu / np.where(conformal_ok, a, 1.0), 2)
+        conformal[ps.sign] = np.where(conformal_ok, _largest(
+            abs(ctx.E.v - rho * fd.E), abs(ctx.F.v - rho * fd.F),
+            abs(ctx.G.v - rho * fd.G)), np.nan)[()]
+        tangency[ps.sign] = _largest(
+            *(abs(_blas_dot(zeta_c, w)) / _vec_norm(w)
+              for w in (fd.Xu, fd.Xv, fd.H)))
+    metric = None
+    if len(built) == 2:
+        m_plus, m_minus = _pypow(mu["+"], 2), _pypow(mu["-"], 2)
+        metric = _largest(*(abs(m_plus * p - m_minus * m) for p, m in
+                            zip(forms["+"], forms["-"])))
     return DualPairReport(
-        z=complex(z), r=frame.r.v, a=frame.a, mu=mu,
-        center_residual=center, conformal_residual=conformal,
-        tangency_residual=tangency,
-        metric_relation_residual=float(np.abs(rel).max()))
+        z=frame.z, r=frame.r.v, a=a, mu=mu, center_residual=center,
+        conformal_residual=conformal, tangency_residual=tangency,
+        metric_relation_residual=metric)
 
 
 def translation_check(pair: MinimalPair, offset, points):
@@ -481,22 +479,22 @@ class ExtractedPair:
 
 
 def extract_minimal_pair(surface, z=None) -> ExtractedPair:
-    """Recover (g, h) values from one superconformal surface sample.
+    """Recover (g, h) values from a superconformal surface sample, at one
+    point or over a batch.
 
     `surface` is a Vec sample or a callable z -> Vec.  g is the center of
     the curvature circle's sphere: phi + H/||H||^2; h is -zeta/||H|| with
     zeta the oriented second adapted normal.  The orientation sign that was
     used is part of the result, since a reference pair may differ from the
-    recovered h by one global sign."""
+    recovered h by one global sign.  A batch records its failed rows."""
     sample = surface(z) if callable(surface) else surface
     fd = fundamental_data(sample)
     fr = adapted_frame(fd)
     lam, mu = fr.lam, fr.mu
-    if lam <= R_FLOOR or mu <= R_FLOOR:
-        raise FrameUndefinedError(
-            f"extraction needs ||H|| and mu above floor, got {lam:.3e}, "
-            f"{mu:.3e}")
-    g = sample.values() + fd.H / (lam * lam)
-    h = -fr.zeta_oriented / lam
+    fail_rows((lam <= R_FLOOR) | (mu <= R_FLOOR), FrameUndefinedError,
+              lambda: f"extraction needs ||H|| and mu above floor, got "
+                      f"{lam:.3e}, {mu:.3e}")
+    g = sample.values() + fd.H / _col(lam * lam)
+    h = -fr.zeta_oriented / _col(lam)
     return ExtractedPair(g=g, h=h, lam=lam, mu=mu,
                          zeta_orientation=fr.ambient_det)

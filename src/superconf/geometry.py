@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     PreconditionError,
     SingularSampleError,
 )
-from .jets import Vec
+from .jets import Vec, fail_rows
 
 REGULARITY_FLOOR = 1e-12
 FRAME_FLOOR = 1e-10
@@ -61,10 +62,6 @@ class Ambient:
         return 4 if self.kind == "r4" else 5
 
     @property
-    def signature(self):
-        return _SIGNATURES[self.kind]
-
-    @property
     def curvature(self):
         if self.kind == "sphere":
             return 1.0 / self.radius ** 2
@@ -81,12 +78,13 @@ class Ambient:
             return -self.radius * np.eye(5)[4]
         return np.zeros(4)
 
-    def dot(self, a, b):
-        # np.sum's own reduction without its dispatch; a @ b rounds otherwise
-        return float(np.add.reduce(_SIGNATURES[self.kind] * a * b))
-
-    def norm(self, a):
-        return float(np.sqrt(max(self.dot(a, a), 0.0)))
+    def dot(self, a, b, keepdims=False):
+        """The inner product of two vectors, or of every row of two batches:
+        np.sum's own reduction along the component axis without its dispatch
+        (a @ b rounds otherwise); R4's all-ones signature is skipped."""
+        if self.kind != "r4":
+            a = _SIGNATURES[self.kind] * a
+        return np.add.reduce(a * b, axis=-1, keepdims=keepdims)
 
     def on_manifold_residual(self, x):
         """Zero when x lies on the space form; position-norm residual."""
@@ -181,7 +179,7 @@ def _pypow(x, n):
     over an array: numpy's power differs in the last bit on about 0.1% of
     squares."""
     if not isinstance(x, np.ndarray):
-        return x ** n
+        return float(x) ** n
     return np.array([t ** n for t in x.ravel().tolist()]).reshape(x.shape)
 
 
@@ -213,24 +211,9 @@ def _blas_dot(a, b):
     return np.matmul(a[:, None, :], b.reshape(-1, n, 1))[:, 0, 0]
 
 
-def _row_dot(ambient, keepdims=False):
-    """The ambient inner product of every row of two batches of vectors,
-    summed along the component axis as Ambient.dot sums one pair."""
-    sig = ambient.signature
-    if ambient.kind == "r4":
-        # the all-ones signature multiplies exactly; skip it
-        def dot(a, b):
-            return np.add.reduce(a * b, axis=-1, keepdims=keepdims)
-    else:
-        def dot(a, b):
-            return np.add.reduce(sig * a * b, axis=-1, keepdims=keepdims)
-
-    return dot
-
-
-def _first(fields):
-    """Row 0 of batch fields: numbers as floats, vectors as 1-d arrays."""
-    return {k: v[0] if v.ndim > 1 else float(v[0]) for k, v in fields.items()}
+def _col(x):
+    """A number, or a batch of numbers as a column, to scale vectors by."""
+    return np.asarray(x)[..., None]
 
 
 def fundamental_data(sample, ambient=R4):
@@ -253,7 +236,7 @@ def fundamental_data(sample, ambient=R4):
     if one:
         slots = [a[None] for a in slots]
     x, Xu, Xv, Xuu, Xuv, Xvv = slots
-    dot = _row_dot(ambient, keepdims=True)
+    dot = partial(ambient.dot, keepdims=True)
     E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
     det1 = E * G - F * F
     scale = np.abs(np.concatenate((Xu, Xv), axis=-1)).max(axis=-1)
@@ -344,23 +327,26 @@ def fundamental_data(sample, ambient=R4):
                   alpha11=alpha11, alpha12=alpha12, alpha22=alpha22,
                   H=H, lam=lam[:, 0], K=K[:, 0], K_N=K_N, position=x)
     if one:
-        return FundamentalData(ambient=ambient, scale=scale[0], regular=True,
-                               **_first(fields))
+        return FundamentalData(
+            ambient=ambient, scale=scale[0], regular=True,
+            **{k: v[0] if v.ndim > 1 else float(v[0])
+               for k, v in fields.items()})
     return FundamentalData(ambient=ambient, scale=scale, regular=~singular,
                            **fields)
 
 
-def shape_matrix_on(alpha11, alpha12, alpha22, nu, dot):
-    """Shape operator of the normal direction nu on the orthonormal tangent
-    basis, as a symmetric 2x2 matrix."""
-    a = dot(alpha11, nu)
-    b = dot(alpha12, nu)
-    c = dot(alpha22, nu)
-    return np.array([[a, b], [b, c]])
+def _sym2(a, b, c):
+    """The symmetric 2x2 matrices [[a, b], [b, c]] of numbers or batches."""
+    a, b, c = np.broadcast_arrays(a, b, c)
+    return np.stack((np.stack((a, b), -1), np.stack((b, c), -1)), -2)
 
 
 def shape_matrix(fd, nu):
-    return shape_matrix_on(fd.alpha11, fd.alpha12, fd.alpha22, nu, fd.ambient.dot)
+    """Shape operator of the normal direction nu on the orthonormal tangent
+    basis, as a symmetric 2x2 matrix (one per row of a batch)."""
+    dot = fd.ambient.dot
+    return _sym2(dot(fd.alpha11, nu), dot(fd.alpha12, nu),
+                 dot(fd.alpha22, nu))
 
 
 def shape_matrix_coords(fd, nu):
@@ -387,7 +373,7 @@ def ellipse_descriptor(fd):
 
     Works on the FundamentalData of one point or of a batch; rows with
     non-finite data get nan semi-axes."""
-    dot = _row_dot(fd.ambient)
+    dot = fd.ambient.dot
     d = 0.5 * (fd.alpha11 - fd.alpha22)
     m = fd.alpha12
     gen = np.array([dot(d, fd.n1), dot(m, fd.n1),
@@ -410,18 +396,11 @@ def ellipse_descriptor(fd):
     M = np.where(point, 1.0, M)
     res_orth = np.where(point, 0.0, dot(m, 2.0 * d) / (M * M))
     res_len = np.where(point, 0.0, (len_d - len_m) / M)
-    semi_major, semi_minor = sv[:, 0], sv[:, 1]
-    if d.ndim == 1:
-        semi_major, semi_minor = float(semi_major[0]), float(semi_minor[0])
-        res_orth, res_len = float(res_orth), float(res_len)
+    semi_major, semi_minor = sv.reshape(d.shape[:-1] + (2,)).T
     return EllipseDescriptor(
         center=fd.H, semi_major=semi_major, semi_minor=semi_minor,
-        res_orth=res_orth, res_len=res_len,
+        res_orth=res_orth[()], res_len=res_len[()],
         mu=0.5 * (semi_major + semi_minor))
-
-
-def ambient_norm(fd, w):
-    return fd.ambient.norm(w)
 
 
 def superconformality_test(fd, tol=1e-8):
@@ -431,21 +410,16 @@ def superconformality_test(fd, tol=1e-8):
     ed = ellipse_descriptor(fd)
     lam2 = _pypow(fd.lam, 2)
     defect = lam2 + fd.ambient.curvature - fd.K - abs(fd.K_N)
-    circular = ed.is_circular(tol)
-    if isinstance(defect, np.ndarray):
-        positive = fd.lam > 0
-        rel = np.where(positive, defect / np.where(positive, lam2, 1.0),
-                       float("inf"))
-    else:
-        rel = defect / lam2 if fd.lam > 0 else float("inf")
-        circular = bool(circular)
+    positive = fd.lam > 0
+    rel = np.where(positive, defect / np.where(positive, lam2, 1.0),
+                   float("inf"))[()]
     return {
         "res_orth": ed.res_orth,
         "res_len": ed.res_len,
         "wintgen_defect": defect,
         "wintgen_defect_rel": rel,
         "mu": ed.mu,
-        "is_superconformal": circular,
+        "is_superconformal": ed.is_circular(tol),
     }
 
 
@@ -458,58 +432,65 @@ def adapted_frame(fd, pattern_tol=1e-6):
     determinant is negative the positively oriented partner is exposed as
     zeta_oriented = ambient_det * zeta while the returned zeta keeps the
     pattern.
+
+    Works on the FundamentalData of one point or of a batch; a batch
+    records the rows without a frame, the irregular ones included, in the
+    innermost jets.row_failures() sink.
     """
     dot = fd.ambient.dot
-    amax = max(ambient_norm(fd, fd.alpha11), ambient_norm(fd, fd.alpha22),
-               ambient_norm(fd, fd.alpha12), 1e-300)
+    fail_rows(np.logical_not(fd.regular), SingularSampleError,
+              lambda: "rank-deficient sample")
+    amax = _largest(*(_sqrt0(dot(a, a))
+                      for a in (fd.alpha11, fd.alpha22, fd.alpha12)), 1e-300)
+    floor = FRAME_FLOOR * _largest(amax, 1.0)
     lam = fd.lam
-    if lam <= FRAME_FLOOR * max(amax, 1.0):
-        raise FrameUndefinedError(
-            f"adapted frame undefined at a minimal point (|H| = {lam:.3e})")
-    eta = fd.H / lam
+    fail_rows(lam <= floor, FrameUndefinedError, lambda: (
+        f"adapted frame undefined at a minimal point (|H| = {lam:.3e})"))
+    eta = fd.H / _col(lam)
     c1, c2 = dot(eta, fd.n1), dot(eta, fd.n2)
-    zeta0 = -c2 * fd.n1 + c1 * fd.n2
+    zeta0 = -_col(c2) * fd.n1 + _col(c1) * fd.n2
 
     A_eta = shape_matrix(fd, eta)
-    x = 0.5 * (A_eta[0, 0] - A_eta[1, 1])
-    y = A_eta[0, 1]
-    mu = float(np.hypot(x, y))
-    if mu <= FRAME_FLOOR * max(amax, 1.0):
-        raise FrameUndefinedError(
-            f"adapted frame undefined at an umbilic point (mu = {mu:.3e})")
+    x = 0.5 * (A_eta[..., 0, 0] - A_eta[..., 1, 1])
+    y = A_eta[..., 0, 1]
+    mu = np.hypot(x, y)
+    fail_rows(mu <= floor, FrameUndefinedError, lambda: (
+        f"adapted frame undefined at an umbilic point (mu = {mu:.3e})"))
 
-    # traceless parts rotate by -2t under a tangent rotation by t
+    # traceless parts rotate by -2t under a tangent rotation by t, so this
+    # t turns A_eta's off-diagonal entry into y cos 2t - x sin 2t = mu,
+    # which the floor above keeps positive through roundoff
     t = -0.5 * np.arctan2(x, y)
-    for _ in range(2):
-        ct, st = np.cos(t), np.sin(t)
-        R = np.array([[ct, -st], [st, ct]])
-        Ae = R.T @ A_eta @ R
-        if Ae[0, 1] >= 0:
-            break
-        t += 0.5 * np.pi
+    ct, st = np.cos(t), np.sin(t)
+    R = np.stack((np.stack((ct, -st), -1), np.stack((st, ct), -1)), -2)
+    Rt = np.swapaxes(R, -1, -2)
+    Ae = Rt @ A_eta @ R
+    ct, st = _col(ct), _col(st)
     Y1 = ct * fd.Y1 + st * fd.Y2
     Y2 = -st * fd.Y1 + ct * fd.Y2
 
-    A_z0 = R.T @ shape_matrix(fd, zeta0) @ R
-    zeta = zeta0 if A_z0[0, 0] >= 0 else -zeta0
-    A_z = A_z0 if A_z0[0, 0] >= 0 else -A_z0
+    A_z0 = Rt @ shape_matrix(fd, zeta0) @ R
+    flip = np.logical_not(A_z0[..., 0, 0] >= 0)
+    zeta = np.where(_col(flip), -zeta0, zeta0)
+    A_z = np.where(flip[..., None, None], -A_z0, A_z0)
 
-    target_eta = np.array([[lam, Ae[0, 1]], [Ae[0, 1], lam]])
-    target_zeta = np.array([[A_z[0, 0], 0.0], [0.0, -A_z[0, 0]]])
-    sffa_residual = max(np.max(np.abs(Ae - target_eta)),
-                        np.max(np.abs(A_z - target_zeta)),
-                        abs(Ae[0, 1] - A_z[0, 0]))
-    if sffa_residual > pattern_tol * max(lam, mu):
-        raise PreconditionError(
-            f"sample is not superconformal: shape operators miss the "
-            f"normal-form pattern by {sffa_residual:.3e}")
+    off, a_z = Ae[..., 0, 1], A_z[..., 0, 0]
+    target_eta = _sym2(lam, off, lam)
+    target_zeta = _sym2(a_z, 0.0, -a_z)
+    sffa_residual = _largest(np.abs(Ae - target_eta).max(axis=(-2, -1)),
+                             np.abs(A_z - target_zeta).max(axis=(-2, -1)),
+                             np.abs(off - a_z))
+    fail_rows(sffa_residual > pattern_tol * _largest(lam, mu),
+              PreconditionError, lambda: (
+                  f"sample is not superconformal: shape operators miss the "
+                  f"normal-form pattern by {sffa_residual:.3e}"))
 
-    mu = float(0.5 * (Ae[0, 1] + A_z[0, 0]))
+    mu = 0.5 * (off + a_z)
     cols = [Y1, Y2, eta, zeta]
     if fd.ambient.kind != "r4":
         cols.append((fd.position - fd.ambient.center_vec()) / fd.ambient.radius)
-    ambient_det = float(np.sign(np.linalg.det(np.column_stack(cols))))
+    ambient_det = np.sign(np.linalg.det(np.stack(cols, axis=-1)))
     return AdaptedFrame(
         Y1=Y1, Y2=Y2, eta=eta, zeta=zeta, lam=lam, mu=mu,
-        A_eta=Ae, A_zeta=A_z, sffa_residual=float(sffa_residual),
-        ambient_det=ambient_det, zeta_oriented=ambient_det * zeta)
+        A_eta=Ae, A_zeta=A_z, sffa_residual=sffa_residual,
+        ambient_det=ambient_det, zeta_oriented=_col(ambient_det) * zeta)

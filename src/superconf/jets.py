@@ -38,20 +38,39 @@ _SCALARS = (int, float, complex)
 
 
 class RowFailures:
-    """Rows of a batch of n points where a check failed, per error class."""
+    """Rows of a batch of n points where a check failed, per error class.
+
+    A row keeps the class of the first check it failed: the error that
+    point raises alone, since checks run in the same order for both."""
 
     def __init__(self, n):
         self.n = n
         self.by_class = {}
 
     def add(self, cls, bad):
-        prev = self.by_class.get(cls)
-        self.by_class[cls] = bad if prev is None else prev | bad
+        bad = bad & ~self.rows()
+        if bad.any():
+            prev = self.by_class.get(cls)
+            self.by_class[cls] = bad if prev is None else prev | bad
 
     def rows(self, cls=None):
         """Mask of the rows that failed with cls (any class if None)."""
         masks = [m for c, m in self.by_class.items() if cls in (None, c)]
         return np.logical_or.reduce(masks) if masks else np.zeros(self.n, bool)
+
+    def counts(self):
+        """The number of failed rows per error class name."""
+        return {c.__name__: int(np.count_nonzero(m))
+                for c, m in self.by_class.items()}
+
+    def raise_unless(self, allowed):
+        """Raise the error of the first failed row whose class is not a
+        subclass of one in the tuple allowed."""
+        first = {int(np.argmax(m)): c for c, m in self.by_class.items()
+                 if not issubclass(c, allowed)}
+        if first:
+            k = min(first)
+            raise first[k](f"check failed at point {k} of a batch")
 
 
 # the innermost open row_failures() sink of this thread or task
@@ -619,6 +638,12 @@ class Vec:
 
     def __repr__(self):
         return f"Vec({self.c!r})"
+
+    def rows(self, index):
+        """The sample at some rows of a batch: one point for an integer
+        index, a batch for an index array."""
+        return Vec([Jet2(*(x[index] if isinstance(x, np.ndarray) else x
+                           for x in a.slots)) for a in self.c])
 
     def __add__(self, other):
         if not isinstance(other, Vec):

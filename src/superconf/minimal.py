@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, SingularSampleError
 from .expr import Bin, Curve, CurveExpr, const_node
 from .jets import Vec, fail_rows, seed_first_derivative_fields, seed_surface
 
@@ -88,8 +88,10 @@ class HolomorphicCurve:
         return self.expr.eval_jets(z)
 
     def eval(self, z):
+        """Component values: (4,) at one point, (n, 4) over n points."""
         self.check_domain(z)
-        return np.array(self.expr.eval_values(z))
+        return np.stack([getattr(c, "z", c) for c in self.expr.eval_values(z)],
+                        axis=-1)
 
     def __repr__(self):
         return f"HolomorphicCurve({self.name!r}, {self.to_text()!r})"
@@ -195,26 +197,24 @@ def certify(pair, grid=None, nu=9, nv=9, margin=0.05):
         raise TypeError("certify wants a MinimalPair or HolomorphicCurve")
     if grid is None:
         grid = curve.domain.grid(nu, nv, margin)
-    if not grid:
+    z = np.array(list(grid), dtype=complex)
+    if not z.size:
         raise PreconditionError("certification grid is empty")
 
-    iso_max = 0.0
-    reg_min = float("inf")
-    h_max = 0.0
-    for z in grid:
-        sample = pair.samples_at(z)
-        # G' = g_u + i h_u = g_u - i g_v
-        d = sample.g_u.values() - 1j * sample.g_v.values()
-        herm = float(np.sum(np.abs(d) ** 2))
-        iso = abs(complex(np.sum(d * d)))
-        iso_max = max(iso_max, iso / max(herm, 1e-300))
+    sample = pair.samples_at(z)
+    # G' = g_u + i h_u = g_u - i g_v
+    d = sample.g_u.values() - 1j * sample.g_v.values()
+    herm = np.sum(np.abs(d) ** 2, axis=-1)
+    iso = np.sum(d * d, axis=-1)
+    iso = np.hypot(iso.real, iso.imag) / np.maximum(herm, 1e-300)
 
-        fd = geometry.fundamental_data(sample.g)
-        reg_min = min(reg_min, fd.det1 / max(fd.scale, 1e-150) ** 4)
-        h_max = max(h_max, fd.lam)
+    fd = geometry.fundamental_data(sample.g)
+    fail_rows(~fd.regular, SingularSampleError,
+              lambda: f"{curve.name} is singular at a certification point")
+    reg = fd.det1 / geometry._pypow(np.maximum(fd.scale, 1e-150), 4)
     return {
-        "isotropy_max": iso_max,
-        "regularity_min": reg_min,
-        "minimality_max": h_max,
-        "points": len(grid),
+        "isotropy_max": float(iso.max()),
+        "regularity_min": float(reg.min()),
+        "minimality_max": float(fd.lam.max()),
+        "points": int(z.size),
     }

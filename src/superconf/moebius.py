@@ -25,20 +25,23 @@ closed forms score both conventions and report the winner.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .construct import SIGNS, build_phi_pair, extract_minimal_pair, phi_value
+from .construct import (SIGNS, _vec_norm, build_phi_pair, extract_minimal_pair,
+                        phi_value)
 from .errors import (DualitySingularError, FrameDegenerateError,
                      FrameUndefinedError, InversionSingularError,
                      NotNullCurveError, PreconditionError, ProjectionError,
                      SingularSampleError)
 from .expr import Bin, CurveExpr, Pow, const_node
-from .geometry import (Ambient, _coord_shape, _normal_parts, ellipse_descriptor,
-                       fundamental_data)
-from .jets import Vec, _im_part, _re_part, graph_surface
+from .geometry import (Ambient, _blas_dot, _col, _coord_shape, _normal_parts,
+                       ellipse_descriptor, fundamental_data)
+from .jets import (Vec, _im_part, _re_part, fail_rows, graph_surface,
+                   row_failures)
 from .minimal import HolomorphicCurve
 
 # relative floor below which an inversion denominator counts as zero
@@ -99,18 +102,20 @@ class Inversion:
 
 
 def _check_denominator(q, d_values):
-    scale = float(np.sum(np.asarray(d_values) ** 2))
-    if abs(q) <= INV_FLOOR * max(scale, 1e-300):
-        raise InversionSingularError(
-            f"point lies on the singular set of the inversion "
-            f"(<x - c, x - c> = {q:.3e})")
+    scale = np.sum(np.asarray(d_values) ** 2, axis=-1)
+    fail_rows(abs(q) <= INV_FLOOR * np.maximum(scale, 1e-300),
+              InversionSingularError, lambda: (
+                  f"point lies on the singular set of the inversion "
+                  f"(<x - c, x - c> = {q:.3e})"))
 
 
 def invert(x, inv):
     """Image of a point (array) or surface sample (Vec) under the inversion.
 
     Vec samples are transported with their full second-order jets, so the
-    image can be fed straight back into curvature computations."""
+    image can be fed straight back into curvature computations; a batch
+    sample records the rows on the singular set in the innermost
+    jets.row_failures() sink."""
     if isinstance(x, Vec):
         if len(x) != inv.dim:
             raise PreconditionError("sample and inversion dimensions disagree")
@@ -305,65 +310,66 @@ def pair_transform_check(pair, inv, points):
     the recorded orientation first; the one remaining global sign is scored
     both ways and the better convention reported.  Pairs whose shifted
     curve lies on the null quadric are rejected (the collapse picture
-    applies to them instead)."""
+    applies to them instead).  Skipped samples are counted by reason:
+    "flagged", or the class of the error the sample raises alone where h
+    vanishes, a sample is singular, or an image lies on the inversion's
+    singular set or has no adapted frame; any other error propagates."""
     if inv.signature != "euclidean" or inv.dim != 4:
         raise PreconditionError("pair transformation works in euclidean R4")
-    pts = list(points)
-    if not pts:
+    z = np.array(list(points), dtype=complex)
+    if not z.size:
         raise PreconditionError("no sample points given")
 
     center_eff = inv.center.astype(complex) - 1j * pair.h_offset
-    qmax, qscale = 0.0, 1e-300
-    for z in pts:
-        w = pair.curve.eval(z) - center_eff
-        qmax = max(qmax, abs(complex(np.sum(w * w))))
-        qscale = max(qscale, float(np.sum(np.abs(w) ** 2)))
+    w = pair.curve.eval(z) - center_eff
+    q = np.sum(w * w, axis=-1)
+    qmax = np.hypot(q.real, q.imag).max(initial=0.0)
+    qscale = np.sum(np.abs(w) ** 2, axis=-1).max(initial=1e-300)
     if qmax <= 1e-8 * qscale:
         raise PreconditionError(
             f"curve of {pair.name} shifted by the center lies on the null "
             "quadric; the quadratic inversion degenerates there")
 
+    # only phi and its flags are kept, so the field context is freed before
+    # the images are built
+    with np.errstate(all="ignore"), row_failures(z.size) as failed:
+        built = [(ps.phi, ps.flags.bitmask) for ps in build_phi_pair(pair, z)]
+    failed.raise_unless((FrameDegenerateError, SingularSampleError))
+    skipped = Counter(failed.counts())
+    ok = ~failed.rows()
     tcurve = transformed_curve(pair.curve, inv.radius, center=center_eff)
-    sup_g, d_plus, d_minus = 0.0, 0.0, 0.0
-    used, skipped = 0, {}
-
-    def skip(reason):
-        skipped[reason] = skipped.get(reason, 0) + 1
-
-    for z in pts:
-        try:
-            built = build_phi_pair(pair, z)
-        except (FrameDegenerateError, SingularSampleError) as exc:
-            skip(type(exc).__name__)
+    route_two = np.zeros_like(w)
+    if ok.any():
+        route_two[ok] = tcurve.eval(z[ok])
+    g_curve, h_curve = inv.center + route_two.real, route_two.imag
+    sup_g, d_plus, d_minus, used = 0.0, 0.0, 0.0, 0
+    for phi, flags in built:
+        flagged = ok & (flags != 0)
+        skipped["flagged"] += int(np.count_nonzero(flagged))
+        rows = np.flatnonzero(ok & ~flagged)
+        if not rows.size:
             continue
-        w = tcurve.eval(z)
-        g_curve = inv.center + w.real
-        h_curve = w.imag
-        for ps in built:
-            if ps.flags.bitmask:
-                skip("flagged")
-                continue
-            try:
-                image = invert(ps.phi, inv)
-                ext = extract_minimal_pair(image)
-            except (InversionSingularError, FrameUndefinedError,
-                    SingularSampleError) as exc:
-                skip(type(exc).__name__)
-                continue
-            used += 1
-            h_ext = ext.zeta_orientation * ext.h
-            sup_g = max(sup_g, float(np.linalg.norm(ext.g - g_curve)))
-            d_plus = max(d_plus, float(np.linalg.norm(h_ext - h_curve)))
-            d_minus = max(d_minus, float(np.linalg.norm(h_ext + h_curve)))
+        with np.errstate(all="ignore"), row_failures(rows.size) as bad:
+            ext = extract_minimal_pair(invert(phi.rows(rows), inv))
+        bad.raise_unless((InversionSingularError, FrameUndefinedError,
+                          SingularSampleError))
+        skipped.update(bad.counts())
+        good = ~bad.rows()
+        rows = rows[good]
+        used += rows.size
+        h_ext = _col(ext.zeta_orientation[good]) * ext.h[good]
+        sup_g = _vec_norm(ext.g[good] - g_curve[rows]).max(initial=sup_g)
+        d_plus = _vec_norm(h_ext - h_curve[rows]).max(initial=d_plus)
+        d_minus = _vec_norm(h_ext + h_curve[rows]).max(initial=d_minus)
     if used == 0:
         raise PreconditionError("every sample point was degenerate")
     if d_minus <= d_plus:
         convention, sup_h = "-", d_minus
     else:
         convention, sup_h = "+", d_plus
-    return PairTransformReport(sup_g=sup_g, sup_h=sup_h,
+    return PairTransformReport(sup_g=float(sup_g), sup_h=float(sup_h),
                                h_convention=convention,
-                               n_points=used, skipped=skipped)
+                               n_points=used, skipped=dict(+skipped))
 
 
 # -- complex structure of null-quadric pairs ----------------------------------
@@ -392,36 +398,31 @@ def recover_complex_structure(pair, points):
     fit_residual is the root-mean-square equation misfit; the constancy
     residual is the worst single-point misfit, certifying that one constant
     matrix serves the whole grid."""
-    pts = list(points)
-    if not pts:
+    z = np.array(list(points), dtype=complex)
+    if not z.size:
         raise PreconditionError("no sample points given")
-    eqs, per_point = [], []
-    qmax, qscale = 0.0, 1.0
-    for z in pts:
-        s = pair.samples_at(z)
-        g, h = s.g.values(), s.h.values()
-        gu, gv = s.g_u.values(), s.g_v.values()
-        qmax = max(qmax, abs((g @ g - h @ h) + 2j * (g @ h)))
-        qscale = max(qscale, g @ g + h @ h)
-        point_eqs = [(g, h), (gu, -gv), (gv, gu)]
-        eqs.extend(point_eqs)
-        per_point.append(point_eqs)
+    s = pair.samples_at(z)
+    g, h = s.g.values(), s.h.values()
+    gu, gv = s.g_u.values(), s.g_v.values()
+    gg, hh = _blas_dot(g, g), _blas_dot(h, h)
+    qmax = np.hypot(gg - hh, 2.0 * _blas_dot(g, h)).max(initial=0.0)
+    qscale = (gg + hh).max(initial=1.0)
     if qmax > 1e-8 * qscale:
         raise NotNullCurveError(
             f"curve of {pair.name} leaves the null quadric "
             f"(max |<<G, G>>| = {qmax:.3e}); no constant complex structure "
             "pairs g with h")
 
-    A = np.zeros((4 * len(eqs), 16))
-    b = np.zeros(4 * len(eqs))
-    for r, (x, y) in enumerate(eqs):
-        for i in range(4):
-            A[4 * r + i, 4 * i:4 * i + 4] = x
-            b[4 * r + i] = y[i]
-    m, *_ = np.linalg.lstsq(A, b, rcond=None)
+    # three equations J x = y per point, in point order
+    X = np.stack((g, gu, gv), axis=1).reshape(-1, 4)
+    Y = np.stack((h, -gv, gu), axis=1).reshape(-1, 4)
+    A = np.zeros((len(X), 4, 16))
+    for i in range(4):
+        A[:, i, 4 * i:4 * i + 4] = X
+    m, *_ = np.linalg.lstsq(A.reshape(-1, 16), Y.reshape(-1), rcond=None)
     J = m.reshape(4, 4)
 
-    data = np.array([x for x, _ in eqs] + [y for _, y in eqs])
+    data = np.concatenate((X, Y))
     sv = np.linalg.svd(data, compute_uv=False)
     rank = int(np.sum(sv > 1e-9 * max(sv[0], 1e-300)))
     if rank == 2:
@@ -434,24 +435,15 @@ def recover_complex_structure(pair, points):
             w2 = -w2
         J = J + np.outer(w2, w1) - np.outer(w1, w2)
 
-    xscale = np.sqrt(max(float(x @ x) for x, _ in eqs))
-    xscale = max(xscale, 1e-300)
-    misfits = []
-    point_worst = []
-    for point_eqs in per_point:
-        worst = 0.0
-        for x, y in point_eqs:
-            r = float(np.linalg.norm(J @ x - y)) / xscale
-            misfits.append(r)
-            worst = max(worst, r)
-        point_worst.append(worst)
+    xscale = max(np.sqrt(_blas_dot(X, X).max()), 1e-300)
+    misfits = _vec_norm(np.matmul(J, X[..., None])[..., 0] - Y) / xscale
     return ComplexStructureReport(
         matrix=J,
         rank=rank,
         square_residual=float(np.max(np.abs(J @ J + np.eye(4)))),
         orthogonality_residual=float(np.max(np.abs(J.T @ J - np.eye(4)))),
         fit_residual=float(np.sqrt(np.mean(np.square(misfits)))),
-        constancy_residual=float(np.max(point_worst)))
+        constancy_residual=float(misfits.max()))
 
 
 @dataclass(frozen=True)
@@ -471,29 +463,24 @@ def degenerate_collapse_check(pair, points):
     recover_complex_structure).  Reports which sign collapsed, the constant
     value with its variation across the grid, and the worst distance of the
     companion surface from 2 g^N."""
-    pts = list(points)
-    structure = recover_complex_structure(pair, pts)
-    vals = {s: [] for s in SIGNS}
-    companion = {s: 0.0 for s in SIGNS}
-    for z in pts:
-        built = build_phi_pair(pair, z)
-        smp = built[0].ctx.sample
-        fd = fundamental_data(smp.g)
-        [gN] = _normal_parts([smp.g.values()], fd.Xu, fd.Xv, np.dot)
-        for ps in built:
-            vals[ps.sign].append(ps.phi.values())
-            companion[ps.sign] = max(
-                companion[ps.sign],
-                float(np.linalg.norm(ps.phi.values() - 2.0 * gN)))
-    variation = {
-        s: max(float(np.linalg.norm(v - vals[s][0])) for v in vals[s])
-        for s in SIGNS}
+    z = np.array(list(points), dtype=complex)
+    structure = recover_complex_structure(pair, z)
+    built = build_phi_pair(pair, z)
+    fd = built[0].ctx.fd_g
+    fail_rows(~fd.regular, SingularSampleError,
+              lambda: "g is singular at a sample point")
+    [gN] = _normal_parts([built[0].ctx.sample.g.values()], fd.Xu, fd.Xv,
+                         lambda a, b: _col(_blas_dot(a, b)))
+    vals = {ps.sign: ps.phi.values() for ps in built}
+    companion = {s: _vec_norm(v - 2.0 * gN).max(initial=0.0)
+                 for s, v in vals.items()}
+    variation = {s: _vec_norm(v - v[0]).max() for s, v in vals.items()}
     collapsed = "+" if variation["+"] <= variation["-"] else "-"
     other = "-" if collapsed == "+" else "+"
-    center = np.mean(np.array(vals[collapsed]), axis=0)
+    center = np.mean(vals[collapsed], axis=0)
     return CollapseReport(collapsed_sign=collapsed, center=center,
-                          variation=variation[collapsed],
-                          companion_residual=companion[other],
+                          variation=float(variation[collapsed]),
+                          companion_residual=float(companion[other]),
                           structure=structure)
 
 
@@ -588,22 +575,25 @@ def superminimal_test(surface, ambient, points, h_tol=1e-9, circ_tol=1e-8):
     space form; off-manifold samples raise ProjectionError.  Totally
     umbilic immersions carry a point circle at every sample; they pass
     vacuously and the verdict says so."""
-    worst_H, worst_circ = 0.0, 0.0
-    mus = []
-    for u, v in points:
-        smp = surface(u, v)
-        res = ambient.on_manifold_residual(smp.values())
-        if res > 1e-9 * max(1.0, ambient.radius ** 2):
-            raise ProjectionError(
-                f"sample at ({u:g}, {v:g}) is off the {ambient.kind} "
-                f"space form (residual {res:.3e})")
-        fd = fundamental_data(smp, ambient)
-        ed = ellipse_descriptor(fd)
-        worst_H = max(worst_H, fd.lam)
-        worst_circ = max(worst_circ, abs(ed.res_orth), abs(ed.res_len))
-        mus.append(ed.mu)
-    if not mus:
+    uv = np.array(list(points), dtype=float).reshape(-1, 2)
+    if not uv.size:
         raise PreconditionError("no sample points given")
+    u, v = uv.T
+    smp = surface(u, v)
+    res = ambient.on_manifold_residual(smp.values())
+    off = np.flatnonzero(res > 1e-9 * max(1.0, ambient.radius ** 2))
+    if off.size:
+        k = off[0]
+        raise ProjectionError(
+            f"sample at ({u[k]:g}, {v[k]:g}) is off the {ambient.kind} "
+            f"space form (residual {res[k]:.3e})")
+    fd = fundamental_data(smp, ambient)
+    fail_rows(~fd.regular, SingularSampleError,
+              lambda: "rank-deficient sample")
+    ed = ellipse_descriptor(fd)
+    worst_H = float(fd.lam.max())
+    worst_circ = float(np.maximum(abs(ed.res_orth), abs(ed.res_len)).max())
+    mus = ed.mu.tolist()
     degenerate = max(mus) <= 1e-9 * (1.0 + worst_H)
     minimal = worst_H <= h_tol
     if minimal and degenerate:
@@ -648,20 +638,14 @@ def quadric_classification(pair_like, points, immersion=None, ambient=None):
     may be supplied.  It is then run through the minimality-and-roundness
     test, and the surfaces constructed from the pair are compared against
     the stereographic image of the immersion (best of the two signs)."""
-    pts = list(points)
-    if not pts:
+    z = np.array(list(points), dtype=complex)
+    if not z.size:
         raise PreconditionError("no sample points given")
-    gs, hs, vals = [], [], []
-    scale = 1.0
-    for z in pts:
-        g = pair_like.sample_g(z)
-        h = pair_like.sample_h(z)
-        gv, hv = g.values(), h.values()
-        vals.append(complex((gv @ gv - hv @ hv) + 2j * (gv @ hv)))
-        scale = max(scale, float(gv @ gv + hv @ hv))
-        gs.append(g)
-        hs.append(h)
-    vals = np.array(vals)
+    g, h = pair_like.sample_g(z), pair_like.sample_h(z)
+    gv, hv = g.values(), h.values()
+    gg, hh = _blas_dot(gv, gv), _blas_dot(hv, hv)
+    vals = (gg - hh) + 2j * _blas_dot(gv, hv)
+    scale = (gg + hh).max(initial=1.0)
     mean = complex(vals.mean())
     dev = float(np.max(np.abs(vals - mean)))
     if dev > 1e-8 * (1.0 + abs(mean)):
@@ -679,13 +663,13 @@ def quadric_classification(pair_like, points, immersion=None, ambient=None):
         amb = ambient if ambient is not None else Ambient("sphere",
                                                           radius=radius)
         bridge = Stereographic(radius=amb.radius, space=amb.kind)
-        form = superminimal_test(immersion, amb,
-                                 [(z.real, z.imag) for z in pts])
+        form = superminimal_test(immersion, amb, zip(z.real, z.imag))
+        images = immersion(z.real, z.imag).values()
         sup = {s: 0.0 for s in SIGNS}
-        for z, g, h in zip(pts, gs, hs, strict=True):
-            proj = bridge.to_R4(immersion(z.real, z.imag).values())
+        for row, image in enumerate(images):
+            proj = bridge.to_R4(image)
             for s in SIGNS:
-                phi = phi_value(g, h, s)
+                phi = phi_value(g.rows(row), h.rows(row), s)
                 sup[s] = max(sup[s], float(np.linalg.norm(phi - proj)))
         best = "+" if sup["+"] <= sup["-"] else "-"
         cross = {"space_form": form,

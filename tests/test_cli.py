@@ -223,6 +223,18 @@ def test_verify_counts_dual_sample_skips_by_class(capsys):
     assert rep["dual_pair"]["n_points"] == 24
 
 
+def test_verify_dual_samples_check_only_the_requested_sign(capsys):
+    # the Whitney pair's "+" surface collapses everywhere; "-" alone is a
+    # regular superconformal surface and its dual samples all count
+    code, rep = run_json(capsys, "verify", "--curve", "whitney",
+                         "--sign", "minus")
+    assert code == 0 and rep["ok"]
+    dual = rep["dual_pair"]
+    assert dual["n_points"] == 17 and dual["skipped"] == {}
+    assert dual["metric"] is None      # the relation needs both signs
+    assert max(dual["center"], dual["conformal"], dual["tangency"]) < 1e-14
+
+
 def test_usage_errors(capsys):
     code, rep = run_json(capsys, "certify", "--curve", "catenoid-helicoid",
                          "--grid", "1,5")
@@ -260,15 +272,15 @@ def test_construct_rejects_oversized_grid_before_sampling(tmp_path, capsys,
 
 
 def test_verify_builds_each_dual_sample_point_once(capsys, monkeypatch):
-    # the default 16 x 16 grid tries 16 dual-sample points; the grid pass
-    # itself builds no frame
+    # the default 16 x 16 grid tries 16 dual-sample points, built as one
+    # array; the grid pass itself builds no frame
     from superconf import construct
     frames = count_calls(monkeypatch, construct, "construction_frame")
     code, rep = run_json(capsys, "verify", "--curve", "catenoid-helicoid")
     assert code == 0
     assert rep["dual_pair"]["n_points"] == 16
     assert rep["dual_pair"]["skipped"] == {}
-    assert len(frames) == 16
+    assert [z.size for _, z in frames] == [16]
 
 
 def test_io_error_exit(tmp_path, capsys):

@@ -5,11 +5,12 @@ import pytest
 
 from superconf import catalog
 from superconf.construct import build_phi_pair, extract_minimal_pair
-from superconf.errors import (DualitySingularError, InversionSingularError,
-                              NotNullCurveError, PreconditionError,
-                              ProjectionError, QuadricSingularError)
+from superconf.errors import (DualitySingularError, FrameUndefinedError,
+                              InversionSingularError, NotNullCurveError,
+                              PreconditionError, ProjectionError,
+                              QuadricSingularError)
 from superconf.geometry import _normal_parts, fundamental_data
-from superconf.jets import Vec
+from superconf.jets import Vec, fail_rows
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair, certify
 from superconf.moebius import (INV_FLOOR, Inversion, J_AMB, Stereographic,
                                _check_denominator, _graph_fields,
@@ -243,6 +244,11 @@ def test_transformed_curve_matches_hand_composition(catenoid):
         catenoid.domain)
     for z in GENERIC:
         assert np.max(np.abs(tc.eval(z) - fixture.eval(z))) < 1e-14
+    # over an array of points: one row of values per point
+    rows = tc.eval(np.array(GENERIC))
+    assert rows.shape == (len(GENERIC), 4) and rows.dtype == complex
+    for row, z in zip(rows, GENERIC):
+        assert np.array_equal(row, tc.eval(z))
 
 
 def test_transformed_curve_is_involutive(catenoid):
@@ -365,6 +371,31 @@ def test_pair_transform_counts_skips_by_reason():
     assert rep.skipped == {"flagged": 36}
     assert rep.n_skipped == sum(rep.skipped.values()) == len(points) == 36
     assert rep.n_points == 36
+
+
+@pytest.mark.parametrize("cls, propagates", [(FrameUndefinedError, False),
+                                              (PreconditionError, True)])
+def test_pair_transform_counts_or_propagates_row_failures(
+        catenoid, shifted_inversion, monkeypatch, cls, propagates):
+    # one extracted row fails: an undefined adapted frame is a skip, and a
+    # pattern miss propagates, as each does for the point alone
+    from superconf import moebius
+
+    def extract_failing_one_row(image):
+        ext = extract_minimal_pair(image)
+        fail_rows(np.arange(len(ext.lam)) == 3, cls, lambda: "row 3")
+        return ext
+
+    monkeypatch.setattr(moebius, "extract_minimal_pair",
+                        extract_failing_one_row)
+    points = catenoid.domain.grid(4, 4, margin=0.05)
+    if propagates:
+        with pytest.raises(cls):
+            pair_transform_check(catenoid, shifted_inversion, points)
+        return
+    rep = pair_transform_check(catenoid, shifted_inversion, points)
+    assert rep.skipped == {cls.__name__: 2}     # row 3 of either sign
+    assert rep.n_points == 2 * len(points) - 2
 
 
 def test_pair_transform_huge_radius(catenoid):
