@@ -102,8 +102,6 @@ def _parse_points(text):
     for chunk in text.split(";"):
         re_, im_ = _parse_floats(chunk, 2, "--points entry")
         out.append(complex(re_, im_))
-    if not out:
-        raise PreconditionError("--points is empty")
     return out
 
 
@@ -134,8 +132,12 @@ def _is_expression(text) -> bool:
     return text.lstrip().startswith("(")
 
 
-def _resolve(args):
-    """(pair, domain, stem) from --curve plus optional --domain."""
+def _resolve(args, closed_form=False):
+    """(pair, domain, stem) from --curve plus optional --domain.
+
+    The pair is a MinimalPair, split off a holomorphic curve; a catalog
+    pair given only by closed-form samplers is accepted where closed_form
+    says the command reads nothing but samples."""
     override = _parse_domain(args.domain) if getattr(args, "domain", None) else None
     if _is_expression(args.curve):
         dom = override or DEFAULT_INLINE_DOMAIN
@@ -147,6 +149,10 @@ def _resolve(args):
         raise PreconditionError(
             f"entry {entry.name} has no minimal pair; use `catalog show` "
             "or the project command for surface entries")
+    if not (closed_form or isinstance(pair, MinimalPair)):
+        raise PreconditionError(
+            f"entry {entry.name} has a closed-form pair without a holomorphic "
+            "curve; only the quadric command reads it")
     dom = override or entry.domain or getattr(pair, "domain", None)
     if dom is None:
         raise PreconditionError(f"entry {entry.name} has no domain; pass --domain")
@@ -230,6 +236,8 @@ def cmd_verify(args) -> int:
     pair, dom, stem = _resolve(args)
     nu, nv = _parse_grid(args.grid)
     signs = _parse_signs(args.sign)
+    if args.dual_samples < 1:
+        raise PreconditionError("--dual-samples must be at least 1")
 
     report = {"curve": stem, "grid": [nu, nv], "signs": {}}
     ok = True
@@ -243,7 +251,7 @@ def cmd_verify(args) -> int:
         ok = ok and sign_ok
 
     grid = [z for z in dom.grid(nu, nv) if pair.domain.contains(z)]
-    stride = max(1, len(grid) // max(1, args.dual_samples))
+    stride = max(1, len(grid) // args.dual_samples)
     z = np.array(grid[::stride], dtype=complex)
     # the two surfaces' metric relation needs both signs
     worst = {"center": 0.0, "conformal": 0.0, "tangency": 0.0,
@@ -320,7 +328,7 @@ _QUADRIC_LABELS = {"null": "Q_0", "non-constant": "not on any quadric",
 
 
 def cmd_quadric(args) -> int:
-    pair, dom, stem = _resolve(args)
+    pair, dom, stem = _resolve(args, closed_form=True)
     nu, nv = _parse_grid(args.grid)
     points = dom.grid(nu, nv, margin=args.margin)
     rep = quadric_classification(pair, points)

@@ -4,10 +4,9 @@ Given a pair (g, h) the two surfaces are phi = g + Jhat(sign) h, where the
 bundle map acts as the complex structure J on the tangential part of h and as
 a +-90 degree rotation on its normal part.  The module computes full
 second-order jets of phi so the curvature machinery in `geometry` can run on
-the result, exposes the frame quantities of the construction (r = ||h||, its
-gradient and Hessian, the a-function, the distinguished normals), flags the
-points where the construction degenerates, and implements the inverse
-extraction of (g, h) from a superconformal sample.
+the result, flags the points where the construction degenerates, checks the
+geometry the two surfaces share with g (dual_pair_report), and implements the
+inverse extraction of (g, h) from a superconformal sample.
 
 Sign convention, fixed once for the whole package: with W = g_u ^ g_v the
 tangent 2-form of the base surface, |W|^2 = EG - F^2, and * the Hodge star
@@ -31,8 +30,8 @@ import numpy as np
 from .errors import (FrameDegenerateError, FrameUndefinedError,
                      PreconditionError, SingularSampleError)
 from .geometry import (REGULARITY_FLOOR, FundamentalData, _blas_dot, _col,
-                       _largest, _normal_parts, _pypow, _sqrt0, _sym2,
-                       adapted_frame, ellipse_descriptor, fundamental_data)
+                       _largest, _normal_parts, _pypow, _sqrt0, adapted_frame,
+                       ellipse_descriptor, fundamental_data)
 from .jets import DegenerateJetError, Jet2, Vec, fail_rows
 from .minimal import MinimalPair
 
@@ -48,8 +47,6 @@ A_SMALL = 0.05
 CONFORMAL_A_FLOOR = 1e-3
 # circularity threshold for the g_holomorphic_point flag
 G_CIRCULAR_TOL = 1e-8
-
-_JMAT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def check_sign(sign):
@@ -101,27 +98,6 @@ class _FieldContext:
     turn_n: Vec    # *W h / |W|, the normal half of Jhat h
     fd_g: FundamentalData | None
     g_collapse: dict  # sign -> whether a circular ellipse of g collapses it
-
-
-@dataclass
-class ConstructionFrame:
-    """Pointwise frame data of the construction, per the decomposition
-    h = -r (g_* grad r + a xi)."""
-
-    z: complex
-    r: Jet2
-    grad_r: tuple          # coefficient jets of grad r in the (du, dv) basis
-    norm_grad_r: float
-    a: float
-    Z_ambient: np.ndarray  # -J grad r in R4
-    Tvec: np.ndarray       # coefficients of r J grad r (tangential part of h)
-    xi: np.ndarray
-    xi_fallback: bool
-    delta_plus: np.ndarray
-    delta_minus: np.ndarray
-    bxi_residual: float    # nan where xi came from the fallback basis
-    bxi_scale: float
-    ctx: _FieldContext
 
 
 @dataclass(frozen=True)
@@ -212,67 +188,6 @@ def _vec_norm(x):
     return np.sqrt(_blas_dot(x, x))
 
 
-def construction_frame(pair: MinimalPair, z) -> ConstructionFrame:
-    """Frame quantities of the construction at z, per the decomposition
-    h = -r (g_* grad r + a xi), at one point or over a 1-d array of points.
-
-    Raises FrameDegenerateError where h vanishes (an array records the rows,
-    like build_phi_pair).  Where a is below floor (h tangent to g) the
-    xi/delta normals fall back to the deterministic ambient-projection
-    frame; the construction itself stays regular there."""
-    s = pair.samples_at(z)
-    ctx = _assemble(s)
-    g, r, E = s.g, ctx.r, ctx.E
-    gu_val, gv_val = s.g_u.values(), s.g_v.values()
-
-    grad_u = ctx.ru / E
-    grad_v = ctx.rv / E
-    a_val = ctx.a
-
-    # J(p du + q dv) = (q, -p) in coefficients, so Z = -J grad r = (-q, p)
-    Z_amb = _col(-grad_v.v) * gu_val + _col(grad_u.v) * gv_val
-    Tvec = np.stack((r.v * grad_v.v, -r.v * grad_u.v), -1)
-
-    fallback = a_val <= A_FLOOR
-    [hN] = _normal_parts([s.h.values()], gu_val, gv_val,
-                         lambda a, b: _col(_blas_dot(a, b)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = -hN / _col(a_val * r.v)
-    if np.any(fallback):
-        xi = np.where(_col(fallback), ctx.fd_g.n1, xi)
-    xt, xn = _jhat_parts(gu_val.T, gv_val.T, xi.T)
-    # = Jhat(-) xi
-    delta_minus = (np.stack(xt, -1) - np.stack(xn, -1)) * _col(ctx.inv_w.v)
-
-    # Hessian of r w.r.t. the conformal metric E(du^2 + dv^2), expressed in
-    # the orthonormal tangent frame; Christoffels in closed form from E
-    Eu, Ev = E.du, E.dv
-    iE = 1.0 / E.v
-    huu = r.duu - 0.5 * iE * (Eu * r.du - Ev * r.dv)
-    huv = r.duv - 0.5 * iE * (Ev * r.du + Eu * r.dv)
-    hvv = r.dvv - 0.5 * iE * (-Eu * r.du + Ev * r.dv)
-    rho = np.stack((r.du, r.dv), -1) / _col(np.sqrt(E.v))
-    S = np.eye(2) - rho[..., :, None] * rho[..., None, :]
-
-    # a r B_xi = (r hess - S) J, entry by entry
-    ar = a_val * r.v
-    lhs = _sym2(*(ar * (_blas_dot(w, xi) * iE)
-                  for w in (g.duu(), g.duv(), g.dvv())))
-    rhs = (_sym2(*(r.v * (h * iE) for h in (huu, huv, hvv))) - S) @ _JMAT
-    lhs_max, rhs_max = (np.abs(m).max(axis=(-2, -1)) for m in (lhs, rhs))
-    # nan where xi came from the fallback basis
-    bxi_scale = np.where(fallback, np.nan,
-                         np.maximum(np.maximum(1.0, lhs_max), rhs_max))[()]
-    bxi_res = np.where(fallback, np.nan,
-                       np.abs(lhs - rhs).max(axis=(-2, -1)))[()]
-
-    return ConstructionFrame(
-        z=s.z, r=r, grad_r=(grad_u, grad_v), norm_grad_r=_sqrt0(ctx.ng2.v),
-        a=a_val, Z_ambient=Z_amb, Tvec=Tvec, xi=xi, xi_fallback=fallback,
-        delta_plus=-delta_minus, delta_minus=delta_minus,
-        bxi_residual=bxi_res, bxi_scale=bxi_scale, ctx=ctx)
-
-
 def _g_collapse(fd_g):
     """Which construction sign degenerates when g has a circular ellipse.
 
@@ -333,18 +248,6 @@ def _phi_pair(ctx: _FieldContext):
     return tuple(out)
 
 
-def phi_route_direct(frame: ConstructionFrame, sign) -> np.ndarray:
-    """Value of phi by the closed decomposition g - r g_* grad r + s a r
-    delta; agrees with the field route wherever a is away from zero."""
-    s = check_sign(sign)
-    c = frame.ctx
-    smp = c.sample
-    g_val = smp.g.values()
-    grad_amb = (frame.grad_r[0].v * smp.g_u.values()
-                + frame.grad_r[1].v * smp.g_v.values())
-    return g_val - frame.r.v * grad_amb + s * frame.a * frame.r.v * frame.delta_minus
-
-
 def phi_value(g_sample: Vec, h_sample: Vec, sign) -> np.ndarray:
     """Value of phi from plain 2-jet samples of g and h.
 
@@ -398,14 +301,26 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
     entry.  A rank-deficient surface raises PreconditionError."""
     for sign in signs:
         check_sign(sign)
-    frame = construction_frame(pair, z)
-    built = [ps for ps in _phi_pair(frame.ctx) if ps.sign in signs]
+    s = pair.samples_at(z)
+    ctx = _assemble(s)
+    built = [ps for ps in _phi_pair(ctx) if ps.sign in signs]
     for ps in built:
         fail_rows(ps.flags.rank_deficient, PreconditionError, lambda: (
             f"constructed surface {ps.sign} is rank-deficient at z={z}"))
-    ctx, a = frame.ctx, frame.a
-    g_val = ctx.sample.g.values()
-    zeta_c = frame.Z_ambient + _col(a) * frame.xi
+    a, r = ctx.a, ctx.r.v
+    g_val, gu, gv = s.g.values(), s.g_u.values(), s.g_v.values()
+    # the coefficients (p, q) of grad r are (ru, rv) / E, and those of
+    # Z = -J grad r are (-q, p)
+    grad_u, grad_v = ((d / ctx.E).v for d in (ctx.ru, ctx.rv))
+    # xi = -h^N / (a r), or g's first normal where a is at its floor
+    [hN] = _normal_parts([s.h.values()], gu, gv,
+                         lambda x, y: _col(_blas_dot(x, y)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = -hN / _col(a * r)
+    fallback = a <= A_FLOOR
+    if np.any(fallback):
+        xi = np.where(_col(fallback), ctx.fd_g.n1, xi)
+    zeta_c = _col(-grad_v) * gu + _col(grad_u) * gv + _col(a) * xi
     conformal_ok = a >= CONFORMAL_A_FLOOR
 
     mu, center, conformal, tangency, forms = {}, {}, {}, {}, {}
@@ -417,7 +332,7 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
         center[ps.sign] = _vec_norm(ps.phi.values() + fd.H / _col(lam2)
                                     - g_val)
         forms[ps.sign] = (fd.E, fd.F, fd.G)
-        rho = _pypow(frame.r.v * fr.mu / np.where(conformal_ok, a, 1.0), 2)
+        rho = _pypow(r * fr.mu / np.where(conformal_ok, a, 1.0), 2)
         conformal[ps.sign] = np.where(conformal_ok, _largest(
             abs(ctx.E.v - rho * fd.E), abs(ctx.F.v - rho * fd.F),
             abs(ctx.G.v - rho * fd.G)), np.nan)[()]
@@ -430,7 +345,7 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
         metric = _largest(*(abs(m_plus * p - m_minus * m) for p, m in
                             zip(forms["+"], forms["-"])))
     return DualPairReport(
-        z=frame.z, r=frame.r.v, a=a, mu=mu, center_residual=center,
+        z=s.z, r=r, a=a, mu=mu, center_residual=center,
         conformal_residual=conformal, tangency_residual=tangency,
         metric_relation_residual=metric)
 

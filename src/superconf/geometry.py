@@ -216,6 +216,7 @@ def _col(x):
     return np.asarray(x)[..., None]
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def fundamental_data(sample, ambient=R4):
     """First/second fundamental data, curvatures, and the deterministic normal
     frame of a surface sample.
@@ -223,8 +224,9 @@ def fundamental_data(sample, ambient=R4):
     The sample's jets hold numbers (one point) or arrays over a batch of
     points.  A batch gives every field a leading batch axis; .regular marks
     the rows whose first form is nondegenerate, and the other rows hold
-    meaningless values.  One point with a degenerate first form raises
-    SingularSampleError.  One point is computed as a batch of one."""
+    meaningless values, computed without numpy's floating-point warnings.
+    One point with a degenerate first form raises SingularSampleError.  One
+    point is computed as a batch of one."""
     if not isinstance(sample, Vec):
         raise TypeError("fundamental_data wants a Vec sample")
     if len(sample) != ambient.dim:
@@ -347,12 +349,6 @@ def shape_matrix(fd, nu):
     dot = fd.ambient.dot
     return _sym2(dot(fd.alpha11, nu), dot(fd.alpha12, nu),
                  dot(fd.alpha22, nu))
-
-
-def shape_matrix_coords(fd, nu):
-    """Shape operator of nu on the coordinate basis (d/du, d/dv)."""
-    return _coord_shape(fd.Xu, fd.Xv, (fd.Buu, fd.Buv, fd.Bvv), nu,
-                        fd.ambient.dot)
 
 
 def _coord_shape(Xu, Xv, seconds, nu, dot):

@@ -26,6 +26,7 @@ import cmath
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
+from operator import add, attrgetter, neg, sub
 from types import SimpleNamespace
 
 import numpy as np
@@ -274,11 +275,12 @@ def _as_real(x):
 class _Jet:
     """What both jet kinds do the same way.
 
-    A subclass supplies its math module _MATH for one point and _BATCH_MATH
-    for a batch, its base value _base, its chain-rule kernel
-    _compose(d0, d1, d2, d3) for an elementary function whose derivatives at
-    the base value are d0..d3 (Jet2, of order 2, ignores d3), and
-    _check(fn, w), the floor and branch-cut check of log and sqrt, which
+    A subclass supplies its slots in order as the tuple _all, the number
+    types _NUMBERS that add to its base value, its math module _MATH for one
+    point and _BATCH_MATH for a batch, its base value _base, its chain-rule
+    kernel _compose(d0, d1, d2, d3) for an elementary function whose
+    derivatives at the base value are d0..d3 (Jet2, of order 2, ignores d3),
+    and _check(fn, w), the floor and branch-cut check of log and sqrt, which
     returns the base to go on with.
     """
 
@@ -289,8 +291,30 @@ class _Jet:
         return self._MATH if type(self._base) in _SCALARS else self._BATCH_MATH
 
     def __repr__(self):
-        slots = tuple(getattr(self, s) for s in self.__slots__)
-        return f"{type(self).__name__}{slots!r}"
+        return f"{type(self).__name__}{self._all!r}"
+
+    def __add__(self, other):
+        cls = type(self)
+        if isinstance(other, cls):
+            return cls(*map(add, self._all, other._all))
+        if isinstance(other, self._NUMBERS):
+            base, *rest = self._all
+            return cls(base + other, *rest)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(*map(neg, self._all))
+
+    def __sub__(self, other):
+        cls = type(self)
+        if isinstance(other, cls):
+            return cls(*map(sub, self._all, other._all))
+        if isinstance(other, self._NUMBERS):
+            base, *rest = self._all
+            return cls(base - other, *rest)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -355,6 +379,8 @@ class ComplexJet(_Jet):
     """
 
     __slots__ = ("c0", "c1", "c2", "c3")
+    _all = coeffs = property(attrgetter(*__slots__))
+    _NUMBERS = _SCALARS
     _MATH = cmath
     _BATCH_MATH = _COMPLEX_BATCH_MATH
 
@@ -366,10 +392,6 @@ class ComplexJet(_Jet):
         self.c1 = c1
         self.c2 = c2
         self.c3 = c3
-
-    @property
-    def coeffs(self):
-        return (self.c0, self.c1, self.c2, self.c3)
 
     @property
     def _base(self):
@@ -388,27 +410,6 @@ class ComplexJet(_Jet):
         return ComplexJet(*(c if isinstance(c, _CArray)
                             else _CArray(np.full(n, c, complex))
                             for c in self.coeffs))
-
-    def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            return ComplexJet(self.c0 + other, self.c1, self.c2, self.c3)
-        if isinstance(other, ComplexJet):
-            return ComplexJet(self.c0 + other.c0, self.c1 + other.c1,
-                              self.c2 + other.c2, self.c3 + other.c3)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ComplexJet(-self.c0, -self.c1, -self.c2, -self.c3)
-
-    def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            return ComplexJet(self.c0 - other, self.c1, self.c2, self.c3)
-        if isinstance(other, ComplexJet):
-            return ComplexJet(self.c0 - other.c0, self.c1 - other.c1,
-                              self.c2 - other.c2, self.c3 - other.c3)
-        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -471,6 +472,8 @@ class Jet2(_Jet):
     """
 
     __slots__ = ("v", "du", "dv", "duu", "duv", "dvv")
+    _all = slots = property(attrgetter(*__slots__))
+    _NUMBERS = (int, float)
     _MATH = math
     _BATCH_MATH = _REAL_BATCH_MATH
 
@@ -487,10 +490,6 @@ class Jet2(_Jet):
         self.dvv = dvv
 
     @property
-    def slots(self):
-        return (self.v, self.du, self.dv, self.duu, self.duv, self.dvv)
-
-    @property
     def _base(self):
         return self.v
 
@@ -505,31 +504,6 @@ class Jet2(_Jet):
     @staticmethod
     def coordinate_v(v):
         return Jet2(v, 0.0, 1.0)
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet2(self.v + other, self.du, self.dv,
-                        self.duu, self.duv, self.dvv)
-        if isinstance(other, Jet2):
-            return Jet2(self.v + other.v, self.du + other.du,
-                        self.dv + other.dv, self.duu + other.duu,
-                        self.duv + other.duv, self.dvv + other.dvv)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(-self.v, -self.du, -self.dv, -self.duu, -self.duv, -self.dvv)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet2(self.v - other, self.du, self.dv,
-                        self.duu, self.duv, self.dvv)
-        if isinstance(other, Jet2):
-            return Jet2(self.v - other.v, self.du - other.du,
-                        self.dv - other.dv, self.duu - other.duu,
-                        self.duv - other.duv, self.dvv - other.dvv)
-        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -587,16 +561,6 @@ class Jet2(_Jet):
         return _checked(v <= DIV_FLOOR, v, DegenerateJetError,
                         lambda: f"sqrt of jet at floor: value = {v:.3e}")
 
-    def reparam_rot(self, c, s):
-        """Jet of the same function precomposed with the parameter rotation
-        (w1, w2) -> (c w1 - s w2, s w1 + c w2) about the base point."""
-        du = c * self.du + s * self.dv
-        dv = -s * self.du + c * self.dv
-        duu = c * c * self.duu + 2 * c * s * self.duv + s * s * self.dvv
-        duv = -c * s * self.duu + (c * c - s * s) * self.duv + c * s * self.dvv
-        dvv = s * s * self.duu - 2 * c * s * self.duv + c * c * self.dvv
-        return Jet2(self.v, du, dv, duu, duv, dvv)
-
 
 def _stack(xs):
     """One slot of a Vec's components as an array: (dim,) at one point, and
@@ -613,7 +577,7 @@ class Vec:
     """Tuple of Jet2 components; the surface-sample container.
 
     4 components for ambient R4 work, 5 for space-form work.  An optional
-    signature on dot/norm selects the Lorentzian product (+,+,+,+,-).
+    signature on dot selects the Lorentzian product (+,+,+,+,-).
     Slot arrays (values(), du(), ...) carry a leading batch axis when the
     components hold batches.
     """
@@ -674,9 +638,6 @@ class Vec:
             acc = acc + (term if s == 1.0 or s == 1 else term * float(s))
         return acc
 
-    def norm(self, signature=None):
-        return self.dot(self, signature).sqrt()
-
     def values(self):
         return _stack([a.v for a in self.c])
 
@@ -694,22 +655,6 @@ class Vec:
 
     def dvv(self):
         return _stack([a.dvv for a in self.c])
-
-    def transform(self, matrix):
-        """Apply a constant linear map to the component tuple, slot-wise."""
-        m = np.asarray(matrix, dtype=float)
-        out = []
-        for i in range(m.shape[0]):
-            acc = Jet2(0.0)
-            for j, comp in enumerate(self.c):
-                coef = m[i, j]
-                if coef != 0.0:
-                    acc = acc + comp * float(coef)
-            out.append(acc)
-        return Vec(out)
-
-    def reparam_rot(self, c, s):
-        return Vec([a.reparam_rot(c, s) for a in self.c])
 
 
 def _re_part(w0, w1, w2):

@@ -282,6 +282,13 @@ def duality(curve, z):
 # -- pair transformation ------------------------------------------------------
 
 
+def _complex_square(g, h):
+    """<<G, G>> = |g|^2 - |h|^2 + 2i <g, h> of G = g + i h at every point,
+    and its scale |g|^2 + |h|^2 there."""
+    gg, hh = _blas_dot(g, g), _blas_dot(h, h)
+    return (gg - hh) + 2j * _blas_dot(g, h), gg + hh
+
+
 @dataclass(frozen=True)
 class PairTransformReport:
     sup_g: float
@@ -322,10 +329,8 @@ def pair_transform_check(pair, inv, points):
 
     center_eff = inv.center.astype(complex) - 1j * pair.h_offset
     w = pair.curve.eval(z) - center_eff
-    q = np.sum(w * w, axis=-1)
-    qmax = np.hypot(q.real, q.imag).max(initial=0.0)
-    qscale = np.sum(np.abs(w) ** 2, axis=-1).max(initial=1e-300)
-    if qmax <= 1e-8 * qscale:
+    q, scale = _complex_square(w.real, w.imag)
+    if abs(q).max(initial=0.0) <= 1e-8 * scale.max(initial=1e-300):
         raise PreconditionError(
             f"curve of {pair.name} shifted by the center lies on the null "
             "quadric; the quadratic inversion degenerates there")
@@ -404,10 +409,9 @@ def recover_complex_structure(pair, points):
     s = pair.samples_at(z)
     g, h = s.g.values(), s.h.values()
     gu, gv = s.g_u.values(), s.g_v.values()
-    gg, hh = _blas_dot(g, g), _blas_dot(h, h)
-    qmax = np.hypot(gg - hh, 2.0 * _blas_dot(g, h)).max(initial=0.0)
-    qscale = (gg + hh).max(initial=1.0)
-    if qmax > 1e-8 * qscale:
+    q, scale = _complex_square(g, h)
+    qmax = abs(q).max(initial=0.0)
+    if qmax > 1e-8 * scale.max(initial=1.0):
         raise NotNullCurveError(
             f"curve of {pair.name} leaves the null quadric "
             f"(max |<<G, G>>| = {qmax:.3e}); no constant complex structure "
@@ -642,10 +646,8 @@ def quadric_classification(pair_like, points, immersion=None, ambient=None):
     if not z.size:
         raise PreconditionError("no sample points given")
     g, h = pair_like.sample_g(z), pair_like.sample_h(z)
-    gv, hv = g.values(), h.values()
-    gg, hh = _blas_dot(gv, gv), _blas_dot(hv, hv)
-    vals = (gg - hh) + 2j * _blas_dot(gv, hv)
-    scale = (gg + hh).max(initial=1.0)
+    vals, scale = _complex_square(g.values(), h.values())
+    scale = scale.max(initial=1.0)
     mean = complex(vals.mean())
     dev = float(np.max(np.abs(vals - mean)))
     if dev > 1e-8 * (1.0 + abs(mean)):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from superconf import catalog
-from superconf.construct import (build_phi_pair, construction_frame,
-                                 dual_pair_report, extract_minimal_pair)
+from superconf.construct import (build_phi_pair, dual_pair_report,
+                                 extract_minimal_pair)
 from superconf.errors import SuperconfError
 from superconf.geometry import adapted_frame, fundamental_data
 from superconf.jets import Jet2, Vec, row_failures
@@ -76,8 +76,7 @@ def test_array_calls_match_point_calls_row_by_row(name):
     us, vs = pair.domain.linspace(7, 5)
     z = np.array([complex(u, v) for u in us for v in vs])
     failures = {}
-    for run, where in ((lambda x: construction_frame(pair, x), "frame"),
-                       (lambda x: dual_pair_report(pair, x), "dual"),
+    for run, where in ((lambda x: dual_pair_report(pair, x), "dual"),
                        (lambda x: dual_pair_report(pair, x, ("-",)),
                         "dual-")):
         failed = assert_rows_match(run, z, lambda k: complex(z[k]), z.size,

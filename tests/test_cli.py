@@ -1,6 +1,10 @@
 """Driver subcommands, exit codes, error JSON, output determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -50,6 +54,36 @@ def test_certify_pass_and_reject(capsys):
     # surface-only entries carry no pair to certify
     code, rep = run_json(capsys, "certify", "--curve", "torus")
     assert code == 2 and rep["error"]["type"] == "PreconditionError"
+
+
+@pytest.mark.parametrize("command", ["certify", "construct", "verify",
+                                     "invert"])
+def test_closed_form_pair_is_a_usage_error(command, tmp_path, capsys):
+    # the veronese pair has closed-form samplers but no holomorphic curve;
+    # only quadric reads it
+    extra = {"construct": ["--out", str(tmp_path / "out")],
+             "invert": ["--center", "0,0,0,5"]}.get(command, [])
+    code, rep = run_json(capsys, command, "--curve", "veronese", *extra)
+    assert code == 2
+    assert rep["error"]["type"] == "PreconditionError"
+    assert "veronese" in rep["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_certify_singular_batch_prints_no_warnings():
+    # every row of the batch is singular; the command fails cleanly, with
+    # nothing on stderr
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "superconf.cli", "certify", "--curve",
+         "(z, 0)", "--grid", "3,3"], capture_output=True, text=True, env=env,
+        timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {"error": {
+        "message": "check failed at 9 of 9 points of a batch",
+        "type": "SingularSampleError"}}
 
 
 def test_quadric_labels(capsys):
@@ -157,22 +191,23 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_construct_builds_one_frame_per_grid_point(tmp_path, capsys,
-                                                   monkeypatch):
-    # the grid pass evaluates the curve once per block of points, for both
-    # signs together, and builds no per-point frame; 17 x 16 = 272 points
-    # make two blocks
+def test_construct_builds_one_field_context_per_block(tmp_path, capsys,
+                                                     monkeypatch):
+    # the grid pass evaluates the curve and assembles the field context once
+    # per block of points, for both signs together, and never per point;
+    # 17 x 16 = 272 points make two blocks
     from superconf import construct
     from superconf.export import BLOCK_POINTS
     from superconf.expr import CurveExpr
     evals = count_calls(monkeypatch, CurveExpr, "eval_jets")
-    frames = count_calls(monkeypatch, construct, "construction_frame")
+    contexts = count_calls(monkeypatch, construct, "_assemble")
     code, _ = run(capsys, "construct", "--curve", "catenoid-helicoid",
                   "--domain", "0.2,6.08,-1.5,1.5", "--grid", "17,16",
                   "--sign", "both", "--out", str(tmp_path))
     assert code == 0
     assert [z.size for _, z in evals] == [BLOCK_POINTS, 272 - BLOCK_POINTS]
-    assert frames == []
+    assert [s.z.size for (s,) in contexts] == [BLOCK_POINTS,
+                                               272 - BLOCK_POINTS]
 
 
 def test_construct_both_signs_match_single_sign_runs(tmp_path, capsys):
@@ -250,6 +285,15 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_verify_rejects_too_few_dual_samples(capsys):
+    for n in ("0", "-3"):
+        code, rep = run_json(capsys, "verify", "--curve", "catenoid-helicoid",
+                             "--grid", "4,4", "--dual-samples", n)
+        assert code == 2
+        assert rep["error"]["type"] == "PreconditionError"
+        assert "--dual-samples" in rep["error"]["message"]
+
+
 def test_parse_grid_caps_the_point_count():
     assert cli._parse_grid("512,512") == (512, 512)
     with pytest.raises(PreconditionError, match="exceeds 262144 points"):
@@ -261,26 +305,27 @@ def test_construct_rejects_oversized_grid_before_sampling(tmp_path, capsys,
     from superconf import construct
     from superconf.expr import CurveExpr
     evals = count_calls(monkeypatch, CurveExpr, "eval_jets")
-    frames = count_calls(monkeypatch, construct, "construction_frame")
+    contexts = count_calls(monkeypatch, construct, "_assemble")
     out = tmp_path / "out"
     code, rep = run_json(capsys, "construct", "--curve", "catenoid-helicoid",
                          "--grid", "513,512", "--out", str(out))
     assert code == 2
     assert rep["error"]["type"] == "PreconditionError"
-    assert evals == [] and frames == []
+    assert evals == [] and contexts == []
     assert not out.exists()
 
 
 def test_verify_builds_each_dual_sample_point_once(capsys, monkeypatch):
-    # the default 16 x 16 grid tries 16 dual-sample points, built as one
-    # array; the grid pass itself builds no frame
+    # the default 16 x 16 grid is one array pass for both signs; its 16
+    # dual-sample points are built once more, together, as one array
     from superconf import construct
-    frames = count_calls(monkeypatch, construct, "construction_frame")
+    from superconf.export import BLOCK_POINTS
+    contexts = count_calls(monkeypatch, construct, "_assemble")
     code, rep = run_json(capsys, "verify", "--curve", "catenoid-helicoid")
     assert code == 0
     assert rep["dual_pair"]["n_points"] == 16
     assert rep["dual_pair"]["skipped"] == {}
-    assert [z.size for _, z in frames] == [16]
+    assert [s.z.size for (s,) in contexts] == [BLOCK_POINTS, 16]
 
 
 def test_io_error_exit(tmp_path, capsys):

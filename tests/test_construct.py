@@ -1,16 +1,91 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from superconf import catalog, construct
-from superconf.construct import (build_phi_pair, construction_frame,
-                                 dual_pair_report, extract_minimal_pair,
-                                 phi_route_direct, phi_value,
+from superconf.construct import (A_FLOOR, _assemble, _jhat_parts,
+                                 build_phi_pair, check_sign, dual_pair_report,
+                                 extract_minimal_pair, phi_value,
                                  reflection_pair_check, translation_check)
 from superconf.errors import (FrameDegenerateError, FrameUndefinedError,
                               PreconditionError, SingularSampleError)
-from superconf.geometry import fundamental_data, superconformality_test
+from superconf.geometry import (_blas_dot, _col, _normal_parts, _sqrt0, _sym2,
+                                fundamental_data, superconformality_test)
 from superconf.jets import Jet2, Vec, fd_crosscheck
 from test_cli import count_calls
+
+_JMAT = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def construction_frame(pair, z):
+    """Oracle: the frame quantities of the decomposition
+    h = -r (g_* grad r + a xi) at z, one point or a 1-d array of points.
+
+    Where a is below floor (h tangent to g) the xi/delta normals fall back
+    to g's first normal; bxi_residual, the defect of the identity
+    a r B_xi = (r Hess r - S) J, is nan there."""
+    s = pair.samples_at(z)
+    ctx = _assemble(s)
+    g, r, E = s.g, ctx.r, ctx.E
+    gu_val, gv_val = s.g_u.values(), s.g_v.values()
+
+    grad_u = ctx.ru / E
+    grad_v = ctx.rv / E
+    a_val = ctx.a
+
+    # J(p du + q dv) = (q, -p) in coefficients, so Z = -J grad r = (-q, p)
+    Z_amb = _col(-grad_v.v) * gu_val + _col(grad_u.v) * gv_val
+    Tvec = np.stack((r.v * grad_v.v, -r.v * grad_u.v), -1)
+
+    fallback = a_val <= A_FLOOR
+    [hN] = _normal_parts([s.h.values()], gu_val, gv_val,
+                         lambda a, b: _col(_blas_dot(a, b)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = -hN / _col(a_val * r.v)
+    if np.any(fallback):
+        xi = np.where(_col(fallback), ctx.fd_g.n1, xi)
+    xt, xn = _jhat_parts(gu_val.T, gv_val.T, xi.T)
+    # = Jhat(-) xi
+    delta_minus = (np.stack(xt, -1) - np.stack(xn, -1)) * _col(ctx.inv_w.v)
+
+    # Hessian of r w.r.t. the conformal metric E(du^2 + dv^2), expressed in
+    # the orthonormal tangent frame; Christoffels in closed form from E
+    Eu, Ev = E.du, E.dv
+    iE = 1.0 / E.v
+    huu = r.duu - 0.5 * iE * (Eu * r.du - Ev * r.dv)
+    huv = r.duv - 0.5 * iE * (Ev * r.du + Eu * r.dv)
+    hvv = r.dvv - 0.5 * iE * (-Eu * r.du + Ev * r.dv)
+    rho = np.stack((r.du, r.dv), -1) / _col(np.sqrt(E.v))
+    S = np.eye(2) - rho[..., :, None] * rho[..., None, :]
+
+    # a r B_xi = (r hess - S) J, entry by entry
+    ar = a_val * r.v
+    lhs = _sym2(*(ar * (_blas_dot(w, xi) * iE)
+                  for w in (g.duu(), g.duv(), g.dvv())))
+    rhs = (_sym2(*(r.v * (h * iE) for h in (huu, huv, hvv))) - S) @ _JMAT
+    lhs_max, rhs_max = (np.abs(m).max(axis=(-2, -1)) for m in (lhs, rhs))
+    bxi_scale = np.where(fallback, np.nan,
+                         np.maximum(np.maximum(1.0, lhs_max), rhs_max))[()]
+    bxi_res = np.where(fallback, np.nan,
+                       np.abs(lhs - rhs).max(axis=(-2, -1)))[()]
+
+    return SimpleNamespace(
+        z=s.z, r=r, grad_r=(grad_u, grad_v), norm_grad_r=_sqrt0(ctx.ng2.v),
+        a=a_val, Z_ambient=Z_amb, Tvec=Tvec, xi=xi, xi_fallback=fallback,
+        delta_plus=-delta_minus, delta_minus=delta_minus,
+        bxi_residual=bxi_res, bxi_scale=bxi_scale, ctx=ctx)
+
+
+def phi_route_direct(frame, sign):
+    """Value of phi by the closed decomposition g - r g_* grad r + s a r
+    delta; agrees with the field route wherever a is away from zero."""
+    s = check_sign(sign)
+    smp = frame.ctx.sample
+    grad_amb = (frame.grad_r[0].v * smp.g_u.values()
+                + frame.grad_r[1].v * smp.g_v.values())
+    return (smp.g.values() - frame.r.v * grad_amb
+            + s * frame.a * frame.r.v * frame.delta_minus)
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +102,7 @@ GENERIC = [complex(1.0, 0.5), complex(1.0, 1.0), complex(2.5, -1.2),
            complex(4.0, 0.8)]
 
 
-# ----- construction frame -----
+# ----- construction frame (the decomposition oracle above) -----
 
 def test_r_at_1_1_is_cosh_1(catenoid):
     fr = construction_frame(catenoid, 1.0 + 1.0j)
@@ -333,12 +408,27 @@ def test_translation_moves_phi_by_offset_norm(catenoid, perturbed):
 
 
 def test_build_phi_pair_builds_no_decomposition_frame(monkeypatch, catenoid):
-    # phi and its flags read only the field context, at one point and over
-    # an array alike
-    frames = count_calls(monkeypatch, construct, "construction_frame")
+    # phi and its flags for both signs read only one field context, at one
+    # point and over an array alike
+    contexts = count_calls(monkeypatch, construct, "_assemble")
     build_phi_pair(catenoid, 1.0 + 0.5j)
     build_phi_pair(catenoid, np.array(GENERIC))
-    assert frames == []
+    assert [np.size(s.z) for (s,) in contexts] == [1, len(GENERIC)]
+
+
+def test_dual_pair_report_matches_the_decomposition_oracle(catenoid):
+    # the report's g_* Z + a xi is the oracle's, and -h / r by the identity
+    for z in GENERIC:
+        fr = construction_frame(catenoid, z)
+        rep = dual_pair_report(catenoid, z)
+        assert (rep.z, rep.r, rep.a) == (fr.z, fr.r.v, fr.a)
+        zeta_c = fr.Z_ambient + fr.a * fr.xi
+        for ps in build_phi_pair(catenoid, z):
+            fd = fundamental_data(ps.phi)
+            want = max(abs(zeta_c @ w) / np.linalg.norm(w)
+                       for w in (fd.Xu, fd.Xv, fd.H))
+            assert rep.tangency_residual[ps.sign] == pytest.approx(
+                want, rel=1e-12, abs=1e-300)
 
 
 def test_translation_check_evaluates_each_curve_once(monkeypatch, catenoid):

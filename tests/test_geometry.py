@@ -19,12 +19,13 @@ from superconf.geometry import (
     adapted_frame,
     ellipse_descriptor,
     fundamental_data,
+    _coord_shape,
     shape_matrix,
-    shape_matrix_coords,
     superconformality_test,
 )
 from superconf.jets import Jet2, Vec
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
+from test_jets import reparam_rot, transform
 
 
 def U(u):
@@ -254,7 +255,7 @@ class TestAdaptedFrame:
         for _ in range(6):
             q = random_so4(rng)
             t = rng.uniform(0, 2 * np.pi)
-            moved = base.transform(q).reparam_rot(np.cos(t), np.sin(t))
+            moved = reparam_rot(transform(base, q), np.cos(t), np.sin(t))
             fr = adapted_frame(fundamental_data(moved))
             assert fr.lam == pytest.approx(0.8, rel=1e-9)
             assert fr.mu == pytest.approx(0.3, rel=1e-9)
@@ -272,7 +273,7 @@ class TestInvariance:
             q = random_so4(rng)
             t = rng.uniform(0, 2 * np.pi)
             fd = fundamental_data(
-                base.transform(q).reparam_rot(np.cos(t), np.sin(t)))
+                reparam_rot(transform(base, q), np.cos(t), np.sin(t)))
             assert fd.K == pytest.approx(fd0.K, rel=1e-9, abs=1e-12)
             assert fd.K_N == pytest.approx(fd0.K_N, rel=1e-9, abs=1e-12)
             assert fd.lam == pytest.approx(fd0.lam, rel=1e-9, abs=1e-12)
@@ -287,6 +288,12 @@ def sheared_torus(u, v):
     uu = Jet2(u + 0.3 * v, 1.0, 0.3, 0.0, 0.0, 0.0)
     vv = Jet2.coordinate_v(v)
     return Vec([uu.cos(), uu.sin(), 0.6 * vv.cos(), 0.6 * vv.sin()])
+
+
+def shape_matrix_coords(fd, nu):
+    """Shape operator of nu on the coordinate basis (d/du, d/dv)."""
+    return _coord_shape(fd.Xu, fd.Xv, (fd.Buu, fd.Buv, fd.Bvv), nu,
+                        fd.ambient.dot)
 
 
 def test_shape_matrix_bases_agree():

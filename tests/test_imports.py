@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+public function the package defines is used."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -64,3 +66,58 @@ def test_every_export_is_used():
     for path in MODULES + sorted(TESTS.glob("test_*.py")):
         used |= referenced_names(path.read_text())
     assert sorted(set(exported_names()) - used) == []
+
+
+def public_defs(tree):
+    """(qualified name, node) of every public module-level function and
+    every public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def name_reads(node):
+    """How often each name is read under node, bare or as an attribute."""
+    reads = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            reads[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            reads[n.attr] += 1
+    return reads
+
+
+def unread_defs(sources, exported):
+    """Public functions and methods no module reads outside their own body;
+    a module-level function named in exported counts as read."""
+    trees = [ast.parse(source) for source in sources]
+    reads = sum((name_reads(tree) for tree in trees), collections.Counter())
+    unread = []
+    for tree in trees:
+        for qualname, node in public_defs(tree):
+            if "." not in qualname and qualname in exported:
+                continue
+            if reads[node.name] <= name_reads(node)[node.name]:
+                unread.append(qualname)
+    return sorted(unread)
+
+
+def test_unread_def_scan():
+    sources = ["def f():\n    return f()\n\ndef g():\n    pass\n",
+               "class C:\n    def m(self):\n        pass\n"
+               "    def n(self):\n        return self.m()\n",
+               "def h():\n    pass\n"]
+    assert unread_defs(sources, ["h"]) == ["C.n", "f", "g"]
+
+
+def test_every_public_def_is_read_in_src():
+    """Each public function and method of the package is read by a package
+    module outside its own body, or exported; test-only helpers live in
+    the tests."""
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unread_defs(sources, exported_names()) == []

@@ -21,6 +21,34 @@ def cj(*coeffs):
     return ComplexJet(*coeffs)
 
 
+def transform(vec, matrix):
+    """Apply a constant linear map to a Vec's component tuple, slot-wise."""
+    m = np.asarray(matrix, dtype=float)
+    out = []
+    for i in range(m.shape[0]):
+        acc = Jet2(0.0)
+        for j, comp in enumerate(vec):
+            coef = m[i, j]
+            if coef != 0.0:
+                acc = acc + comp * float(coef)
+        out.append(acc)
+    return Vec(out)
+
+
+def reparam_rot(x, c, s):
+    """Jet of the same function (every component of a Vec) precomposed with
+    the parameter rotation (w1, w2) -> (c w1 - s w2, s w1 + c w2) about the
+    base point."""
+    if isinstance(x, Vec):
+        return Vec([reparam_rot(a, c, s) for a in x])
+    du = c * x.du + s * x.dv
+    dv = -s * x.du + c * x.dv
+    duu = c * c * x.duu + 2 * c * s * x.duv + s * s * x.dvv
+    duv = -c * s * x.duu + (c * c - s * s) * x.duv + c * s * x.dvv
+    dvv = s * s * x.duu - 2 * c * s * x.duv + c * c * x.dvv
+    return Jet2(x.v, du, dv, duu, duv, dvv)
+
+
 def test_exp_taylor_at_zero():
     j = ComplexJet.variable(0j).exp()
     assert j.coeffs == (1, 1, 1, 1)
@@ -120,6 +148,23 @@ def test_jet2_ring_axioms():
         assert max(abs(x - y) for x, y in zip(lhs.slots, rhs.slots)) < 1e-12
 
 
+def test_slotwise_ops_take_each_kinds_numbers():
+    # a number shifts the base value only; a complex number is a number to
+    # a holomorphic jet and not to a real one
+    a = Jet2(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    assert (a + 2).slots == (3.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    assert (2.5 - a).slots == (1.5, -2.0, -3.0, -4.0, -5.0, -6.0)
+    assert (a - a).slots == (0.0,) * 6
+    with pytest.raises(TypeError):
+        a + 1j
+    with pytest.raises(TypeError):
+        a - cj(1j)
+    c = cj(1j, 2.0, 3j, 4.0)
+    assert (c - 1j).coeffs == (0j, 2.0, 3j, 4.0)
+    assert (1 + c).coeffs == (1 + 1j, 2.0, 3j, 4.0)
+    assert (-c).coeffs == (-1j, -2.0, -3j, -4.0)
+
+
 def test_jet2_division_roundtrip():
     rng = np.random.default_rng(5)
     for _ in range(30):
@@ -211,7 +256,7 @@ def test_vec_dot_norm_signature():
 def test_vec_transform():
     a = Vec([Jet2(1, 2, 3), Jet2(4, 5, 6)])
     m = [[0.0, 1.0], [-1.0, 0.0], [2.0, 0.5]]
-    out = a.transform(m)
+    out = transform(a, m)
     assert out[0].slots == (4, 5, 6, 0, 0, 0)
     assert out[1].slots == (-1, -2, -3, 0, 0, 0)
     assert out[2].slots == (4, 6.5, 9, 0, 0, 0)
@@ -229,7 +274,7 @@ def test_reparam_rot_quadratic():
                     6 * u + 2 * v, 2 * u - 1, 6, 2, 0)
 
     base = f_jet(p1, p2, *(0,) * 5)
-    rot = base.reparam_rot(c, s)
+    rot = reparam_rot(base, c, s)
 
     # direct jet of w -> f(p1 + c w1 - s w2, p2 + s w1 + c w2) at 0
     fu, fv = 6 * p1 + 2 * p2, 2 * p1 - 1
