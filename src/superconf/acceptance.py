@@ -58,10 +58,12 @@ def _inset(dom, margin):
 
 def _clear_worst(rows):
     """(worst residual, count) over the unflagged rows of sample_grid runs."""
-    stats = [r.stats for sign_rows in rows for r in sign_rows if r.flags == 0]
-    worst = max((max(abs(st["res_orth"]), abs(st["res_len"]),
-                     st["wintgen_rel"]) for st in stats), default=0.0)
-    return worst, len(stats)
+    worst = []
+    for sign_rows in rows:
+        clear = sign_rows.clear_columns()
+        worst += map(max, map(abs, clear["res_orth"]),
+                     map(abs, clear["res_len"]), clear["wintgen_rel"])
+    return max(worst, default=0.0), len(worst)
 
 
 def criterion_1() -> CriterionResult:

@@ -9,7 +9,7 @@ so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -22,37 +22,59 @@ from .jets import row_failures
 
 CSV_HEADER = "u,v,x0,x1,x2,x3,K,KN_abs,Hnorm,mu,res_orth,res_len,wintgen,a,flags"
 STAT_KEYS = ("K", "KN_abs", "Hnorm", "mu", "res_orth", "res_len", "wintgen", "a")
-# the keys of GridSample.stats, in the order _fill_rows writes them
+# the columns of GridRows.stats, in the order _fill_rows writes them
 _STAT_NAMES = ("K", "KN_abs", "Hnorm", "mu", "res_orth", "res_len", "wintgen",
                "wintgen_rel", "a")
+_CSV_STATS = [_STAT_NAMES.index(k) for k in STAT_KEYS]
 
 FLAG_OUT_OF_DOMAIN = RegularityFlags.FLAG_OUT_OF_DOMAIN
 # sampling failed outright (h vanished, jets blew up); beyond the per-sample
 # regularity bits
 FLAG_DEGENERATE_SAMPLE = 16
-# grid points per array pass of sample_grid; bounds the pass's working set
-BLOCK_POINTS = 256
+# grid points per array pass of sample_grid; bounds the pass's working set,
+# while each pass pays a few milliseconds of fixed numpy overhead
+BLOCK_POINTS = 512
 
 
-@dataclass
-class GridSample:
-    """One grid point of a construction run.
+# one row of a GridRows, copied out of its columns
+GridSample = namedtuple("GridSample", "u v position stats flags")
 
-    position and stats are None where sampling failed; flags is the regularity
-    bitmask, extended by the out-of-domain and failed-sample bits.  Rows with
-    flags != 0 are written to files but excluded from residual aggregation.
-    """
 
-    u: float
-    v: float
-    position: np.ndarray | None
-    stats: dict | None
-    flags: int
+class GridRows:
+    """The rows of one sign of a grid run, held as columns: u, v (n,);
+    position (n, 4), set where flags < FLAG_OUT_OF_DOMAIN; stats (n, 9) in
+    _STAT_NAMES order, set where has_stats; nan where unset.  flags is the
+    regularity bitmask with the out-of-domain and failed-sample bits; rows
+    with flags != 0 are written out but not aggregated.  Indexing and
+    iteration give GridSample rows, None for what a row lacks."""
+
+    def __init__(self, u, v):
+        self.u, self.v = u, v
+        self.position = np.full((u.size, 4), np.nan)
+        self.stats = np.full((u.size, len(_STAT_NAMES)), np.nan)
+        self.has_stats = np.zeros(u.size, bool)
+        self.flags = np.full(u.size, FLAG_OUT_OF_DOMAIN)
+
+    def __len__(self):
+        return self.u.size
+
+    def __getitem__(self, k):
+        flags = int(self.flags[k])
+        stats = (dict(zip(_STAT_NAMES, self.stats[k].tolist()))
+                 if self.has_stats[k] else None)
+        return GridSample(float(self.u[k]), float(self.v[k]),
+                          self.position[k].copy() if flags < FLAG_OUT_OF_DOMAIN
+                          else None, stats, flags)
+
+    def clear_columns(self) -> dict:
+        """Stat name -> its floats over the unflagged rows, in row order."""
+        clear = (self.flags == 0) & self.has_stats
+        return dict(zip(_STAT_NAMES, self.stats[clear].T.tolist()))
 
 
 def sample_grid(pair, domain, nu, nv, signs):
     """Sample the surfaces of the given signs over an inclusive nu x nv grid;
-    one row list per sign, in the order of signs.
+    one GridRows per sign, in the order of signs.
 
     Rows come back in row-major order, u varying slowest.  Points outside the
     pair's domain and points where the construction fails become flagged rows
@@ -66,45 +88,38 @@ def sample_grid(pair, domain, nu, nv, signs):
         check_sign(sign)
     us, vs = domain.linspace(nu, nv)
     u, v = np.repeat(us, nv), np.tile(vs, nu)
-    rows = [[] for _ in signs]
-    for start in range(0, u.size, BLOCK_POINTS):
-        block = slice(start, start + BLOCK_POINTS)
-        for out, got in zip(rows, _sample_block(pair, signs, u[block],
-                                                 v[block])):
-            out.extend(got)
+    z = np.empty(u.size, complex)
+    z.real, z.imag = u, v
+    rows = [GridRows(u, v) for _ in signs]
+    index = np.arange(z.size)
+    for start in range(0, z.size, BLOCK_POINTS):
+        _sample_block(pair, signs, rows, z, index[start:start + BLOCK_POINTS])
     return rows
 
 
-def _sample_block(pair, signs, u, v):
-    """The rows of every sign for one block of grid points."""
-    z = np.empty(u.size, complex)
-    z.real, z.imag = u, v
-    rows = [[GridSample(u=uk, v=vk, position=None, stats=None,
-                        flags=FLAG_OUT_OF_DOMAIN) for uk, vk in zip(u, v)]
-            for _ in signs]
-    inside = np.flatnonzero(pair.domain.contains(z))
-    if not inside.size:
-        return rows
-    with np.errstate(all="ignore"), row_failures(inside.size) as failed:
+def _sample_block(pair, signs, rows, z, block):
+    """Fill the rows of every sign at the grid points z[block]."""
+    at = block[pair.domain.contains(z[block])]
+    if not at.size:
+        return
+    with np.errstate(all="ignore"), row_failures(at.size) as failed:
         try:
-            built = {ps.sign: ps for ps in build_phi_pair(pair, z[inside])}
+            built = {ps.sign: ps for ps in build_phi_pair(pair, z[at])}
         except DomainError:
-            return rows
+            return
         except (FrameDegenerateError, SingularSampleError, EvaluationError,
                 DegenerateJetError, BranchCutError):
             # raised for every point alike, by a constant subexpression
             for sign_rows in rows:
-                for k in inside.tolist():
-                    sign_rows[k].flags = FLAG_DEGENERATE_SAMPLE
-            return rows
+                sign_rows.flags[at] = FLAG_DEGENERATE_SAMPLE
+            return
         for sign, sign_rows in zip(signs, rows):
-            _fill_rows(sign_rows, inside, built[sign], failed)
-    return rows
+            _fill_rows(sign_rows, at, built[sign], failed)
 
 
-def _fill_rows(rows, inside, ps, failed):
-    """Flags, positions and stats of one sign at the block's points inside
-    the domain (rows[k] for k in inside) from the block's built surface."""
+def _fill_rows(rows, at, ps, failed):
+    """Flags, positions and stats of one sign at the rows at, a block's
+    points inside the domain, from their built surface ps."""
     phi = ps.phi
     fd = fundamental_data(phi)
     sc = superconformality_test(fd)
@@ -112,64 +127,50 @@ def _fill_rows(rows, inside, ps, failed):
         fd.regular, 0, RegularityFlags.FLAG_RANK_DEFICIENT)
     flags = np.where(failed.rows(), FLAG_DEGENERATE_SAMPLE, flags)
     flags = np.where(failed.rows(DomainError), FLAG_OUT_OF_DOMAIN, flags)
-    columns = (fd.K, abs(fd.K_N), fd.lam, sc["mu"], sc["res_orth"],
-               sc["res_len"], sc["wintgen_defect"], sc["wintgen_defect_rel"],
-               ps.ctx.a)
-    positions = phi.values()
-    for j, (k, bits, regular, values) in enumerate(zip(
-            inside.tolist(), flags.tolist(), fd.regular.tolist(),
-            zip(*(c.tolist() for c in columns)))):
-        row = rows[k]
-        row.flags = bits
-        if bits < FLAG_OUT_OF_DOMAIN:
-            row.position = positions[j]
-            if regular:
-                row.stats = dict(zip(_STAT_NAMES, values))
+    placed = flags < FLAG_OUT_OF_DOMAIN
+    stated = placed & fd.regular
+    rows.flags[at] = flags
+    rows.position[at[placed]] = phi.values()[placed]
+    rows.has_stats[at] = stated
+    rows.stats[at[stated]] = np.column_stack((
+        fd.K, abs(fd.K_N), fd.lam, sc["mu"], sc["res_orth"], sc["res_len"],
+        sc["wintgen_defect"], sc["wintgen_defect_rel"], ps.ctx.a))[stated]
 
 
 def summarize(samples) -> dict:
-    """Aggregate residuals over the unflagged rows of a grid run."""
-    clear = [s for s in samples if s.flags == 0 and s.stats is not None]
+    """Aggregate residuals over the unflagged rows of a grid run.
+
+    The extremes are the builtin max and min over the rows in order, so a
+    nan among them counts only where it comes first.
+    """
+    clear = samples.clear_columns()
+    n_clear = len(clear["K"])
     out = {
         "n_points": len(samples),
-        "n_clear": len(clear),
-        "n_flagged": len(samples) - len(clear),
+        "n_clear": n_clear,
+        "n_flagged": len(samples) - n_clear,
     }
-    if not clear:
+    if not n_clear:
         out.update(max_res_orth=None, max_res_len=None, max_wintgen=None,
                    max_wintgen_rel=None, mu_min=None, mu_max=None,
                    Hnorm_max=None)
         return out
-    out["max_res_orth"] = max(abs(s.stats["res_orth"]) for s in clear)
-    out["max_res_len"] = max(abs(s.stats["res_len"]) for s in clear)
-    out["max_wintgen"] = max(abs(s.stats["wintgen"]) for s in clear)
-    out["max_wintgen_rel"] = max(abs(s.stats["wintgen_rel"]) for s in clear)
-    out["mu_min"] = min(s.stats["mu"] for s in clear)
-    out["mu_max"] = max(s.stats["mu"] for s in clear)
-    out["Hnorm_max"] = max(s.stats["Hnorm"] for s in clear)
+    out["max_res_orth"] = max(map(abs, clear["res_orth"]))
+    out["max_res_len"] = max(map(abs, clear["res_len"]))
+    out["max_wintgen"] = max(map(abs, clear["wintgen"]))
+    out["max_wintgen_rel"] = max(map(abs, clear["wintgen_rel"]))
+    out["mu_min"] = min(clear["mu"])
+    out["mu_max"] = max(clear["mu"])
+    out["Hnorm_max"] = max(clear["Hnorm"])
     return out
 
 
-def _cell(x) -> str:
-    return repr(float(x))
-
-
 def csv_text(samples) -> str:
-    nan = repr(float("nan"))
-    lines = [CSV_HEADER]
-    for s in samples:
-        cells = [_cell(s.u), _cell(s.v)]
-        if s.position is None:
-            cells += [nan] * 4
-        else:
-            cells += [_cell(x) for x in s.position]
-        if s.stats is None:
-            cells += [nan] * len(STAT_KEYS)
-        else:
-            cells += [_cell(s.stats[k]) for k in STAT_KEYS]
-        cells.append(str(s.flags))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    cells = np.column_stack((samples.u, samples.v, samples.position,
+                             samples.stats[:, _CSV_STATS])).tolist()
+    lines = [",".join(map(repr, row)) + f",{bits}"
+             for row, bits in zip(cells, samples.flags.tolist())]
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def write_csv(samples, path) -> None:
@@ -191,35 +192,36 @@ def write_json(obj, path) -> None:
         f.write(canonical_json(obj))
 
 
+def _quads(valid, nu, nv):
+    """Row-major (q, 4) corners of the quads whose four corners are valid."""
+    if nu * nv != valid.size:
+        raise PreconditionError(
+            f"grid shape {nu}x{nv} does not match {valid.size} samples")
+    m = valid.reshape(nu, nv)
+    iu, iv = np.nonzero(m[:-1, :-1] & m[1:, :-1] & m[1:, 1:] & m[:-1, 1:])
+    a = iu * nv + iv
+    return np.column_stack((a, a + nv, a + nv + 1, a + 1))
+
+
 def mesh_dict(samples, nu, nv) -> dict:
     """4d mesh container: vertex list (null where sampling failed) plus quads
     whose four corners all exist, wound consistently."""
-    if nu * nv != len(samples):
-        raise PreconditionError(
-            f"grid shape {nu}x{nv} does not match {len(samples)} samples")
-    vertices = [None if s.position is None else [float(x) for x in s.position]
-                for s in samples]
-    quads = []
-    for iu in range(nu - 1):
-        for iv in range(nv - 1):
-            a = iu * nv + iv
-            b = (iu + 1) * nv + iv
-            c = (iu + 1) * nv + iv + 1
-            d = iu * nv + iv + 1
-            if all(vertices[k] is not None for k in (a, b, c, d)):
-                quads.append([a, b, c, d])
+    placed = samples.flags < FLAG_OUT_OF_DOMAIN
+    quads = _quads(placed, nu, nv).tolist()
+    vertices = [x if ok else None
+                for x, ok in zip(samples.position.tolist(), placed.tolist())]
     return {"kind": "grid-mesh-r4", "nu": nu, "nv": nv,
             "vertices": vertices, "quads": quads}
 
 
 def drop_projector(k: int):
-    """R4 -> R3 by deleting coordinate k."""
+    """R4 -> R3 by deleting coordinate k; every row projects (ok True)."""
     if not 0 <= k <= 3:
         raise PreconditionError(f"coordinate index out of range: {k}")
     keep = [i for i in range(4) if i != k]
 
     def project(x):
-        return np.asarray(x, dtype=float)[keep]
+        return x[:, keep], np.ones(len(x), bool)
 
     return project
 
@@ -230,8 +232,8 @@ def stereo_projector(pole=(0.0, 0.0, 0.0, 1.0)):
     The pole's direction is the axis, its length the projection height R:
     x maps to R/(R - <x, p>) times the component of x orthogonal to the unit
     axis p, written in a deterministic basis of the orthogonal complement.
-    Points on the horizon hyperplane <x, p> = R project to None.  The default
-    pole reduces to (x0, x1, x2) * R/(R - x3).
+    It maps (n, 4) rows to (Y, ok), ok False on the horizon <x, p> = R.  The
+    default pole reduces to (x0, x1, x2) * R/(R - x3).
     """
     p = np.asarray(pole, dtype=float)
     if p.shape != (4,):
@@ -251,11 +253,13 @@ def stereo_projector(pole=(0.0, 0.0, 0.0, 1.0)):
     B = np.array(basis[:3])
 
     def project(x):
-        x = np.asarray(x, dtype=float)
-        den = R - x @ axis
-        if abs(den) <= 1e-12 * max(R, float(np.abs(x).max())):
-            return None
-        return (R / den) * (B @ x)
+        # stacked matmul sums each row as the one-vector x @ axis and B @ x
+        # do, bit for bit; X @ axis and X @ B.T do not
+        den = R - np.matmul(x[:, None, :], axis[:, None])[:, 0, 0]
+        ok = ~(abs(den) <= 1e-12 * np.fmax(R, np.abs(x).max(axis=1)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = (R / den)[:, None] * np.matmul(B, x[:, :, None])[:, :, 0]
+        return y, ok
 
     return project
 
@@ -268,22 +272,17 @@ def obj_text(samples, nu, nv, projector, note="") -> str:
     faces touching a bad vertex are dropped.  Quads split into two triangles
     with matching winding.
     """
-    mesh = mesh_dict(samples, nu, nv)
+    placed = samples.flags < FLAG_OUT_OF_DOMAIN
+    y = np.full((len(samples), 3), np.nan)
+    ok = np.zeros(len(samples), bool)
+    y[placed], ok[placed] = projector(samples.position[placed])
+    y[~ok] = np.nan
     lines = ["# lossy 3d projection of a 4d grid surface"
              + (f" ({note})" if note else ""),
              f"# grid {nu} x {nv}, row-major, u varying slowest"]
-    ok = []
-    for vert in mesh["vertices"]:
-        y = None if vert is None else projector(vert)
-        ok.append(y is not None)
-        if y is None:
-            lines.append("v nan nan nan")
-        else:
-            lines.append("v " + " ".join(_cell(c) for c in y))
-    for (a, b, c, d) in mesh["quads"]:
-        if ok[a] and ok[b] and ok[c] and ok[d]:
-            lines.append(f"f {a + 1} {b + 1} {c + 1}")
-            lines.append(f"f {a + 1} {c + 1} {d + 1}")
+    lines += ["v " + " ".join(map(repr, row)) for row in y.tolist()]
+    lines += [f"f {a} {b} {c}\nf {a} {c} {d}"
+              for a, b, c, d in (_quads(ok, nu, nv) + 1).tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -195,19 +195,21 @@ def test_construct_builds_one_field_context_per_block(tmp_path, capsys,
                                                      monkeypatch):
     # the grid pass evaluates the curve and assembles the field context once
     # per block of points, for both signs together, and never per point;
-    # 17 x 16 = 272 points make two blocks
+    # the grid is one full block and a remainder
     from superconf import construct
     from superconf.export import BLOCK_POINTS
     from superconf.expr import CurveExpr
     evals = count_calls(monkeypatch, CurveExpr, "eval_jets")
     contexts = count_calls(monkeypatch, construct, "_assemble")
+    nu = BLOCK_POINTS // 16 + 1
     code, _ = run(capsys, "construct", "--curve", "catenoid-helicoid",
-                  "--domain", "0.2,6.08,-1.5,1.5", "--grid", "17,16",
+                  "--domain", "0.2,6.08,-1.5,1.5", "--grid", f"{nu},16",
                   "--sign", "both", "--out", str(tmp_path))
     assert code == 0
-    assert [z.size for _, z in evals] == [BLOCK_POINTS, 272 - BLOCK_POINTS]
-    assert [s.z.size for (s,) in contexts] == [BLOCK_POINTS,
-                                               272 - BLOCK_POINTS]
+    blocks = [BLOCK_POINTS, nu * 16 - BLOCK_POINTS]
+    assert 0 < blocks[1] < BLOCK_POINTS
+    assert [z.size for _, z in evals] == blocks
+    assert [s.z.size for (s,) in contexts] == blocks
 
 
 def test_construct_both_signs_match_single_sign_runs(tmp_path, capsys):
@@ -316,16 +318,20 @@ def test_construct_rejects_oversized_grid_before_sampling(tmp_path, capsys,
 
 
 def test_verify_builds_each_dual_sample_point_once(capsys, monkeypatch):
-    # the default 16 x 16 grid is one array pass for both signs; its 16
-    # dual-sample points are built once more, together, as one array
+    # the grid, one full block and a remainder, takes one array pass per
+    # block for both signs; its 16 dual-sample points are built once more,
+    # together, as one array
     from superconf import construct
     from superconf.export import BLOCK_POINTS
     contexts = count_calls(monkeypatch, construct, "_assemble")
-    code, rep = run_json(capsys, "verify", "--curve", "catenoid-helicoid")
+    nv = BLOCK_POINTS // 16 + 1
+    code, rep = run_json(capsys, "verify", "--curve", "catenoid-helicoid",
+                         "--grid", f"16,{nv}")
     assert code == 0
     assert rep["dual_pair"]["n_points"] == 16
     assert rep["dual_pair"]["skipped"] == {}
-    assert [s.z.size for (s,) in contexts] == [BLOCK_POINTS, 16]
+    assert [s.z.size for (s,) in contexts] == [
+        BLOCK_POINTS, 16 * nv - BLOCK_POINTS, 16]
 
 
 def test_io_error_exit(tmp_path, capsys):

@@ -11,11 +11,12 @@ from superconf.errors import (BranchCutError, DegenerateJetError,
                               EvaluationError, FrameDegenerateError,
                               PreconditionError, SingularSampleError,
                               SuperconfError)
-from superconf.export import (CSV_HEADER, FLAG_DEGENERATE_SAMPLE,
-                              FLAG_OUT_OF_DOMAIN, canonical_json, csv_text,
-                              drop_projector, mesh_dict,
-                              obj_text, sample_grid, stereo_projector,
-                              summarize, write_csv, write_obj)
+from superconf.acceptance import _clear_worst
+from superconf.export import (_STAT_NAMES, CSV_HEADER, FLAG_DEGENERATE_SAMPLE,
+                              FLAG_OUT_OF_DOMAIN, GridRows, canonical_json,
+                              csv_text, drop_projector, mesh_dict, obj_text,
+                              sample_grid, stereo_projector, summarize,
+                              write_csv, write_obj)
 from superconf.geometry import fundamental_data, superconformality_test
 from superconf.jets import row_failures
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
@@ -238,16 +239,33 @@ def test_obj_drops_faces_at_bad_vertices():
 def test_projectors():
     with pytest.raises(PreconditionError):
         drop_projector(4)
-    assert np.array_equal(drop_projector(1)([1.0, 2.0, 3.0, 4.0]), [1.0, 3.0, 4.0])
+    y, ok = drop_projector(1)(np.array([[1.0, 2.0, 3.0, 4.0]]))
+    assert np.array_equal(y, [[1.0, 3.0, 4.0]]) and ok.tolist() == [True]
 
     proj = stereo_projector()
-    assert np.allclose(proj([1.0, 2.0, 3.0, 0.5]), [2.0, 4.0, 6.0])
-    assert proj([0.0, 0.0, 0.0, 1.0]) is None
+    y, ok = proj(np.array([[1.0, 2.0, 3.0, 0.5], [0.0, 0.0, 0.0, 1.0],
+                           [np.nan, 0.0, 0.0, 0.0]]))
+    assert np.allclose(y[0], [2.0, 4.0, 6.0])
+    # the horizon point fails; a nan point is no horizon point and passes
+    assert ok.tolist() == [True, False, True]
     # doubling the pole length rescales the chart, not the axis
     far = stereo_projector((0.0, 0.0, 0.0, 2.0))
-    assert np.allclose(far([1.0, 0.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
+    y, ok = far(np.array([[1.0, 0.0, 0.0, 0.0]]))
+    assert np.allclose(y, [[1.0, 0.0, 0.0]]) and ok.tolist() == [True]
     with pytest.raises(PreconditionError):
         stereo_projector((0.0, 0.0, 0.0, 0.0))
+    assert proj(np.empty((0, 4)))[0].shape == (0, 3)
+
+
+@pytest.mark.parametrize("pole", [(0.0, 0.0, 0.0, 1.0), (0.3, 0.1, -0.2, 1.7)])
+def test_stereo_rows_are_bit_identical_to_one_vector_projections(pole):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((4000, 4)) * 10.0 ** rng.uniform(-3, 3, (4000, 1))
+    y, ok = stereo_projector(pole)(x)
+    ref = reference_stereo(pole)
+    assert ok.all()
+    for k, xk in enumerate(x):
+        assert as_bits(y[k]) == as_bits(ref(xk)), (pole, k)
 
 
 def test_output_bytes_independent_of_threads(catenoid):
@@ -267,3 +285,195 @@ def test_write_csv_and_obj_files(tmp_path, catenoid):
     opath = tmp_path / "g.obj"
     write_obj(samples, 2, 2, opath, stereo_projector(), "stereo")
     assert opath.read_text().startswith("# lossy 3d projection")
+
+
+# The per-row writers, projectors and reducers that the columnar ones
+# replaced, kept as the reference those must match byte for byte.  They take
+# lists of GridSample rows and project one vertex at a time.
+
+def reference_summarize(samples):
+    clear = [s for s in samples if s.flags == 0 and s.stats is not None]
+    out = {"n_points": len(samples), "n_clear": len(clear),
+           "n_flagged": len(samples) - len(clear)}
+    if not clear:
+        out.update(max_res_orth=None, max_res_len=None, max_wintgen=None,
+                   max_wintgen_rel=None, mu_min=None, mu_max=None,
+                   Hnorm_max=None)
+        return out
+    out["max_res_orth"] = max(abs(s.stats["res_orth"]) for s in clear)
+    out["max_res_len"] = max(abs(s.stats["res_len"]) for s in clear)
+    out["max_wintgen"] = max(abs(s.stats["wintgen"]) for s in clear)
+    out["max_wintgen_rel"] = max(abs(s.stats["wintgen_rel"]) for s in clear)
+    out["mu_min"] = min(s.stats["mu"] for s in clear)
+    out["mu_max"] = max(s.stats["mu"] for s in clear)
+    out["Hnorm_max"] = max(s.stats["Hnorm"] for s in clear)
+    return out
+
+
+def reference_clear_worst(rows):
+    stats = [r.stats for sign_rows in rows for r in sign_rows if r.flags == 0]
+    worst = max((max(abs(st["res_orth"]), abs(st["res_len"]),
+                     st["wintgen_rel"]) for st in stats), default=0.0)
+    return worst, len(stats)
+
+
+def _cell(x):
+    return repr(float(x))
+
+
+def reference_csv_text(samples):
+    nan = repr(float("nan"))
+    lines = [CSV_HEADER]
+    for s in samples:
+        cells = [_cell(s.u), _cell(s.v)]
+        if s.position is None:
+            cells += [nan] * 4
+        else:
+            cells += [_cell(x) for x in s.position]
+        if s.stats is None:
+            cells += [nan] * 8
+        else:
+            cells += [_cell(s.stats[k]) for k in CSV_HEADER.split(",")[6:14]]
+        cells.append(str(s.flags))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_mesh_dict(samples, nu, nv):
+    vertices = [None if s.position is None else [float(x) for x in s.position]
+                for s in samples]
+    quads = []
+    for iu in range(nu - 1):
+        for iv in range(nv - 1):
+            a, b = iu * nv + iv, (iu + 1) * nv + iv
+            c, d = (iu + 1) * nv + iv + 1, iu * nv + iv + 1
+            if all(vertices[k] is not None for k in (a, b, c, d)):
+                quads.append([a, b, c, d])
+    return {"kind": "grid-mesh-r4", "nu": nu, "nv": nv,
+            "vertices": vertices, "quads": quads}
+
+
+def reference_stereo(pole):
+    """One vertex at a time; None on the horizon."""
+    p = np.asarray(pole, dtype=float)
+    R = float(np.linalg.norm(p))
+    axis = p / R
+    basis = []
+    for e in np.eye(4):
+        w = e - (e @ axis) * axis
+        for b in basis:
+            w = w - (w @ b) * b
+        nw = np.linalg.norm(w)
+        if nw > 1e-12:
+            basis.append(w / nw)
+    B = np.array(basis[:3])
+
+    def project(x):
+        x = np.asarray(x, dtype=float)
+        den = R - x @ axis
+        if abs(den) <= 1e-12 * max(R, float(np.abs(x).max())):
+            return None
+        return (R / den) * (B @ x)
+
+    return project
+
+
+def reference_drop(k):
+    keep = [i for i in range(4) if i != k]
+    return lambda x: np.asarray(x, dtype=float)[keep]
+
+
+def reference_obj_text(samples, nu, nv, projector, note=""):
+    mesh = reference_mesh_dict(samples, nu, nv)
+    lines = ["# lossy 3d projection of a 4d grid surface"
+             + (f" ({note})" if note else ""),
+             f"# grid {nu} x {nv}, row-major, u varying slowest"]
+    ok = []
+    for vert in mesh["vertices"]:
+        y = None if vert is None else projector(vert)
+        ok.append(y is not None)
+        lines.append("v nan nan nan" if y is None
+                     else "v " + " ".join(_cell(c) for c in y))
+    for (a, b, c, d) in mesh["quads"]:
+        if ok[a] and ok[b] and ok[c] and ok[d]:
+            lines.append(f"f {a + 1} {b + 1} {c + 1}")
+            lines.append(f"f {a + 1} {c + 1} {d + 1}")
+    return "\n".join(lines) + "\n"
+
+
+# the --project choices of construct: (array projector, reference, note)
+PROJECTIONS = [
+    (stereo_projector(), reference_stereo((0.0, 0.0, 0.0, 1.0)), "stereo"),
+    (stereo_projector((0.3, 0.1, -0.2, 1.7)),
+     reference_stereo((0.3, 0.1, -0.2, 1.7)), "stereo:0.3,0.1,-0.2,1.7"),
+    (drop_projector(2), reference_drop(2), "drop:2"),
+]
+
+
+def assert_writers_match_reference(rows, nu, nv):
+    listed = list(rows)
+    assert csv_text(rows) == reference_csv_text(listed)
+    # repr, not JSON, so that a nan coordinate compares too
+    assert (repr(mesh_dict(rows, nu, nv))
+            == repr(reference_mesh_dict(listed, nu, nv)))
+    assert repr(summarize(rows)) == repr(reference_summarize(listed))
+    for proj, ref, note in PROJECTIONS:
+        assert (obj_text(rows, nu, nv, proj, note)
+                == reference_obj_text(listed, nu, nv, ref, note)), note
+
+
+@pytest.mark.parametrize("name", ["catenoid-helicoid", "enneper-r3", "q0-line",
+                                  "q0-trig", "q0-trig-perturbed", "whitney",
+                                  "holed", "jet-floor"])
+def test_writers_match_the_per_row_reference(name):
+    pair = {"holed": holed_pair(), "jet-floor": JET_FLOOR_PAIR}.get(name)
+    pair = pair or catalog.get(name).pair
+    for rows in sample_grid(pair, pair.domain, 9, 7, ("+", "-")):
+        assert_writers_match_reference(rows, 9, 7)
+        listed = list(rows)
+        assert (canonical_json(mesh_dict(rows, 9, 7))
+                == canonical_json(reference_mesh_dict(listed, 9, 7)))
+        assert (canonical_json(summarize(rows))
+                == canonical_json(reference_summarize(listed)))
+
+
+def test_obj_pole_at_a_vertex_drops_its_faces(catenoid):
+    [rows] = sample_grid(catenoid, catenoid.domain, 5, 4, ("+",))
+    k = 6                                   # interior: 4 quads touch it
+    pole = rows.position[k].tolist()
+    text = obj_text(rows, 5, 4, stereo_projector(pole))
+    assert text == reference_obj_text(list(rows), 5, 4, reference_stereo(pole))
+    lines = text.split("\n")
+    assert lines[2 + k] == "v nan nan nan"
+    faces = [l.split()[1:] for l in lines if l.startswith("f ")]
+    assert len(faces) == 2 * (4 * 3 - 4)
+    assert all(str(k + 1) not in f for f in faces)
+
+
+def hand_rows(nan_at):
+    """A 3 x 2 grid of made-up clear rows but the last, with a nan res_orth
+    in row nan_at and a nan position in row 1."""
+    rng = np.random.default_rng(3)
+    rows = GridRows(np.repeat([0.0, 0.5, 1.0], 2), np.tile([0.0, 1.0], 3))
+    rows.flags[:] = [0, 0, 0, 0, 0, 1]
+    rows.position[:] = rng.standard_normal((6, 4))
+    rows.position[1, 2] = np.nan
+    rows.stats[:] = rng.standard_normal((6, len(_STAT_NAMES)))
+    rows.has_stats[:] = True
+    rows.stats[nan_at, _STAT_NAMES.index("res_orth")] = np.nan
+    return rows
+
+
+@pytest.mark.parametrize("nan_at", [0, 2])
+def test_reducers_keep_the_builtin_max_nan_semantics(nan_at):
+    # builtin max keeps a nan only when it comes first; np.max always would
+    rows = hand_rows(nan_at)
+    agg = summarize(rows)
+    assert repr(agg) == repr(reference_summarize(list(rows)))
+    assert np.isnan(agg["max_res_orth"]) == (nan_at == 0)
+    worst = _clear_worst([rows, rows])
+    assert repr(worst) == repr(reference_clear_worst([list(rows)] * 2))
+    assert np.isnan(worst[0]) == (nan_at == 0) and worst[1] == 10
+    # a nan position is written as it is, and its faces stay
+    assert_writers_match_reference(rows, 3, 2)
+    assert obj_text(rows, 3, 2, stereo_projector()).count("\nf ") == 4
