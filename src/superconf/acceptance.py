@@ -11,6 +11,7 @@ mismatch.  See the test suite for the same checks run under pytest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -44,9 +45,8 @@ class CriterionResult:
 
 
 def _cat_grid():
-    us = np.linspace(*CAT_GRID_U)
-    vs = np.linspace(*CAT_GRID_V)
-    return [complex(u, v) for u in us for v in vs]
+    (u0, u1, nu), (v0, v1, nv) = CAT_GRID_U, CAT_GRID_V
+    return Domain(u0, u1, v0, v1).grid(nu, nv)
 
 
 def _inset(dom, margin):
@@ -72,20 +72,15 @@ def criterion_1() -> CriterionResult:
     pair = entry.pair
     grid = _cat_grid()
 
-    built = {ps.sign: ps.phi.values()
-             for ps in build_phi_pair(pair, np.array(grid))}
-    z0 = grid[0]
-    exp0 = catalog.expected_eval(entry, "phi", "+", z0.real, z0.imag)
-    swapped = (np.linalg.norm(built["+"][0] - exp0)
-               > np.linalg.norm(built["-"][0] - exp0))
+    built = {ps.sign: ps.phi.values() for ps in build_phi_pair(pair, grid)}
+    want = {s: catalog.expected_eval(entry, "phi", s, grid.real, grid.imag)
+            for s in SIGNS}
+    swapped = (np.linalg.norm(built["+"][0] - want["+"][0])
+               > np.linalg.norm(built["-"][0] - want["+"][0]))
     label = {"+": "-", "-": "+"} if swapped else {"+": "+", "-": "-"}
 
-    sup = 0.0
-    for k, z in enumerate(grid):
-        for sign, values in built.items():
-            want = catalog.expected_eval(entry, "phi", label[sign],
-                                         z.real, z.imag)
-            sup = max(sup, float(np.linalg.norm(values[k] - want)))
+    sup = max(float(_vec_norm(values - want[label[sign]]).max())
+              for sign, values in built.items())
     # the global label swap is part of the frozen convention
     passed = sup < 1e-9 and swapped
     return CriterionResult(
@@ -127,7 +122,7 @@ def criterion_3() -> CriterionResult:
     translation of the conjugate member."""
     pair = catalog.get("catenoid-helicoid").pair
     grid = _cat_grid()
-    rep = dual_pair_report(pair, np.array(grid))
+    rep = dual_pair_report(pair, grid)
     # a nan entry (conformal factor undefined) fails the criterion
     worst = {"center": max(c.max() for c in rep.center_residual.values()),
              "conformal": max(np.where(np.isfinite(c), c, np.inf).max()
@@ -163,7 +158,7 @@ def criterion_5() -> CriterionResult:
     tpair = MinimalPair(tc)
     grid = tc.domain.grid(12, 12, margin=0.02)
     rep = certify(tpair, grid=grid)
-    s = tpair.samples_at(np.array(grid))
+    s = tpair.samples_at(grid)
     gu, gv = s.g_u.values(), s.g_v.values()
     scale = np.maximum(np.maximum(_vec_norm(gu), _vec_norm(gv)), 1e-300)
     conj = max((_vec_norm(s.h.du() + gv) / scale).max(),
@@ -188,14 +183,11 @@ def criterion_6() -> CriterionResult:
         curve = HolomorphicCurve("probe", text, dom)
         # even grid counts keep the origin (dual undefined there) off the
         # lattice
-        for z in dom.grid(8, 8, margin=0.05):
-            rep = duality(curve, z)
-            worst["antiholo"] = max(worst["antiholo"], rep.antiholo)
-            worst["involution"] = max(worst["involution"], rep.involution)
-            worst["conformality"] = max(worst["conformality"],
-                                        rep.conformality)
+        rep = duality(curve, dom.grid(8, 8, margin=0.05))
+        for key in worst:
+            worst[key] = max(worst[key], float(getattr(rep, key).max()))
     graph = catalog.get("whitney").aux["graph_curve"]
-    value = duality(graph, 1.0 + 0j).value
+    value = duality(graph, 1.0 + 0j).value[0]
     value_err = float(np.max(np.abs(value - np.array([0.25, 0.0, 0.25, 0.0]))))
     passed = (worst["antiholo"] < 1e-8 and worst["involution"] < 1e-9
               and worst["conformality"] < 1e-8 and value_err < 1e-12)
@@ -237,14 +229,14 @@ def criterion_8a() -> CriterionResult:
     sample = entry.aux["graph_sample"]
     inv = Inversion(center=np.zeros(4), radius=1.0)
     grid = pair.domain.grid(12, 12, margin=0.02)
-    plus, minus = build_phi_pair(pair, np.array(grid))
+    plus, minus = build_phi_pair(pair, grid)
     odd = np.flatnonzero((plus.flags.bitmask == 0)
                          | (minus.flags.bitmask != 0))
     if odd.size:
         return CriterionResult(
             "8a", "inverted graph equals the built surface", False,
             f"unexpected surviving signs at {grid[odd[0]]}")
-    image = invert(sample(np.array(grid)), inv).values()
+    image = invert(sample(grid), inv).values()
     sup = float(_vec_norm(minus.phi.values() - image).max())
     passed = sup < 1e-8
     return CriterionResult(
@@ -258,9 +250,8 @@ def _whitney_display_pair():
     entry = catalog.get("whitney")
     inv = Inversion(center=np.zeros(4), radius=1.0)
     grid = entry.pair.domain.grid(12, 12, margin=0.02)
-    X = invert(entry.aux["graph_sample"](np.array(grid)), inv).values()
-    Y = np.array([catalog.expected_eval(entry, "display", z) for z in grid])
-    return X, Y
+    X = invert(entry.aux["graph_sample"](grid), inv).values()
+    return X, catalog.expected_eval(entry, "display", grid)
 
 
 def criterion_8b() -> CriterionResult:
@@ -349,36 +340,32 @@ def criterion_10() -> CriterionResult:
     signatures, and stereographic round trips."""
     pair = catalog.get("catenoid-helicoid").pair
     inv = Inversion(center=(0.0, 0.0, 0.0, 5.0), radius=1.0)
-    worst_e = 0.0
-    for z in (1.0 + 1.0j, 2.0 - 0.5j, 4.0 + 0.8j):
-        smp = build_phi_pair(pair, z)[0].phi
-        fd = fundamental_data(smp)
-        for xi in (fd.n1, fd.n2):
-            worst_e = max(worst_e, normal_transform_check(smp, xi, inv)["max"])
+    smp = build_phi_pair(pair, np.array([1.0 + 1.0j, 2.0 - 0.5j,
+                                         4.0 + 0.8j]))[0].phi
+    fd = fundamental_data(smp)
+    worst_e = max(float(normal_transform_check(smp, xi, inv)["max"].max())
+                  for xi in (fd.n1, fd.n2))
 
     entry = catalog.get("h4-flat-torus")
-    lorentz = Ambient("hyperbolic").dot
-    worst_l = 0.0
-    for center in (np.zeros(5), np.array([0.0, 0.0, 0.0, 0.0, -1.0])):
-        linv = Inversion(center=center, radius=1.0, signature="lorentzian")
-        for (u, v) in ((0.7, 1.3), (2.1, 0.4)):
-            smp = entry.sample(u, v)
-            [n] = _normal_parts([np.eye(5)[0]], smp.du(), smp.dv(), lorentz)
-            n = n / np.sqrt(lorentz(n, n))
-            worst_l = max(worst_l, normal_transform_check(smp, n, linv)["max"])
+    lorentz = partial(Ambient("hyperbolic").dot, keepdims=True)
+    smp = entry.sample(np.array([0.7, 2.1]), np.array([1.3, 0.4]))
+    [n] = _normal_parts([np.eye(5)[0]], smp.du(), smp.dv(), lorentz)
+    n = n / np.sqrt(lorentz(n, n))
+    worst_l = max(float(normal_transform_check(smp, n, Inversion(
+        center=center, radius=1.0, signature="lorentzian"))["max"].max())
+        for center in (np.zeros(5), np.array([0.0, 0.0, 0.0, 0.0, -1.0])))
 
+    # the random points in the order of their draws
     rng = np.random.default_rng(17)
-    round_trip = 0.0
-    sphere = Stereographic(1.0, "sphere")
-    hyper = Stereographic(1.0, "hyperbolic")
+    flat, ball = [], []
     for _ in range(30):
-        x = rng.normal(size=4) * 2.5
-        round_trip = max(round_trip, float(np.linalg.norm(
-            sphere.to_R4(sphere.from_R4(x)) - x)))
+        flat.append(rng.normal(size=4) * 2.5)
         d = rng.normal(size=4)
-        y = d / np.linalg.norm(d) * 1.9 * rng.random()
-        round_trip = max(round_trip, float(np.linalg.norm(
-            hyper.to_R4(hyper.from_R4(y)) - y)))
+        ball.append(d / np.linalg.norm(d) * 1.9 * rng.random())
+    round_trip = max(
+        float(_vec_norm(st.to_R4(st.from_R4(x)) - x).max())
+        for st, x in ((Stereographic(1.0, "sphere"), np.array(flat)),
+                      (Stereographic(1.0, "hyperbolic"), np.array(ball))))
 
     passed = worst_e < 1e-7 and worst_l < 1e-7 and round_trip < 1e-11
     return CriterionResult(
@@ -465,15 +452,12 @@ def criterion_13() -> CriterionResult:
     veronese = catalog.get("veronese")
 
     def phi_plus(u, v):
-        return build_phi_pair(pair, complex(u, v))[0].phi
+        return build_phi_pair(pair, u + 1j * v)[0].phi
 
-    fd_worst = 0.0
-    for surface, pts in (
-            (phi_plus, ((1.0, 1.0), (2.0, -0.5), (4.5, 0.8))),
-            (torus.surface, ((0.7, 1.9), (3.0, 4.0))),
-            (veronese.surface, ((1.0, 1.2), (2.5, 0.8)))):
-        for p in pts:
-            fd_worst = max(fd_worst, fd_crosscheck(surface, p)["max"])
+    fd_worst = max(fd_crosscheck(surface, pts)["max"] for surface, pts in (
+        (phi_plus, ((1.0, 1.0), (2.0, -0.5), (4.5, 0.8))),
+        (torus.surface, ((0.7, 1.9), (3.0, 4.0))),
+        (veronese.surface, ((1.0, 1.2), (2.5, 0.8)))))
 
     [seq] = sample_grid(pair, pair.domain, 5, 5, ("+",))
     [par] = sample_grid(pair, pair.domain, 5, 5, ("+",))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, SingularSampleError, UnknownEntryError
-from .geometry import Ambient, R4, _blas_dot, fundamental_data
+from .geometry import Ambient, R4, _blas_dot, _pypow, fundamental_data
 from .jets import Jet2, Vec, fail_rows, graph_surface
 from .minimal import Domain, HolomorphicCurve, MinimalPair, certify
 
@@ -49,30 +49,37 @@ class CatalogEntry:
 
 def _catenoid_expected_phi(sign, u, v):
     """Closed-form reference for the constructed surfaces of the
-    catenoid/helicoid pair (sign is the label of one member of the dual
-    pair; the build labels may match this up to one global swap)."""
+    catenoid/helicoid pair, (n, 4) over the points (u, v) (sign is the label
+    of one member of the dual pair; the build labels may match this up to
+    one global swap)."""
     s = 1.0 if sign == "+" else -1.0
+    u, v = np.atleast_1d(u, v)
     ch = np.cosh(v)
-    return np.array([
+    return np.column_stack((
         (np.cos(u) + u * np.sin(u)) / ch,
         (np.sin(u) - u * np.cos(u)) / ch,
         (v * ch - np.sinh(v)) / ch,
         s * u * np.sinh(v) / ch,
-    ])
+    ))
 
 
 def _whitney_display(z):
-    """Classical compact Whitney-sphere parameterization, under the chart
-    C -> S^2 by stereographic projection from the north pole:
-    w(x, y, Z) = (x(1 + iZ), y(1 + iZ)) / (1 + Z^2), read into R4 as
-    (Re w1, Im w1, Re w2, Im w2)."""
-    z = complex(z)
-    d = 1.0 + abs(z) ** 2
+    """Classical compact Whitney-sphere parameterization, (n, 4) over the
+    points z, under the chart C -> S^2 by stereographic projection from the
+    north pole: w(x, y, Z) = (x(1 + iZ), y(1 + iZ)) / (1 + Z^2), read into
+    R4 as (Re w1, Im w1, Re w2, Im w2).  Written in real arithmetic that
+    rounds as Python's complex arithmetic of the formula does, up to the
+    sign of a zero."""
+    z = np.atleast_1d(z)
+    # |z| ** 2 as Python's abs and float power round it
+    r2 = _pypow(np.hypot(z.real, z.imag), 2)
+    d = 1.0 + r2
     x, y = 2.0 * z.real / d, 2.0 * z.imag / d
-    Z = (abs(z) ** 2 - 1.0) / d
-    f = (1.0 + 1j * Z) / (1.0 + Z * Z)
-    w1, w2 = x * f, y * f
-    return np.array([w1.real, w1.imag, w2.real, w2.imag])
+    Z = (r2 - 1.0) / d
+    # (1 + iZ) / (1 + Z^2), by CPython's complex quotient
+    q = 1.0 + Z * Z
+    fr, fi = 1.0 / q, Z / q
+    return np.column_stack((x * fr, x * fi, y * fr, y * fi))
 
 
 def _whitney_graph_sample(pair_curve):
@@ -182,17 +189,21 @@ def veronese_h(u, v):
 
 def veronese_metric_expected(u, v):
     """(E, F, G) metric oracle for the conjugate pair in the (theta, phi)
-    chart, kept verbatim as recorded with the catalog entry.
+    chart, (n, 3) over the points (u, v), kept as recorded with the catalog
+    entry.
 
     Measurement shows the closed-form pair's actual metric equals exactly
     4/3 times this oracle at every chart point: the oracle corresponds to
     the pair with its 2/sqrt(3) prefactor dropped, since (2/sqrt(3))^2 =
     4/3.  certify_veronese reports both the raw comparison and the
     comparison after restoring the factor."""
+    v = np.atleast_1d(v)
     c = np.cos(v)
     s = np.sin(v)
     w = 4.0 * (1.0 + 3.0 * c * c)
-    return (w / s ** 4, 0.0, w / s ** 6)
+    # s ** 4 and s ** 6 as the recorded scalar formula rounds them
+    return np.column_stack((w / _pypow(s, 4), np.zeros_like(w),
+                            w / _pypow(s, 6)))
 
 
 # the exact mismatch factor between the pair's measured metric and the
@@ -210,12 +221,10 @@ class VeronesePair:
         self.domain = domain
 
     def sample_g(self, z):
-        z = z if isinstance(z, np.ndarray) else complex(z)
-        return veronese_g(z.real, z.imag)
+        return veronese_g(np.real(z), np.imag(z))
 
     def sample_h(self, z):
-        z = z if isinstance(z, np.ndarray) else complex(z)
-        return veronese_h(z.real, z.imag)
+        return veronese_h(np.real(z), np.imag(z))
 
 
 _CAT_DOMAIN = Domain(-7.0, 7.0, -1.6, 1.6)
@@ -369,13 +378,10 @@ def certify_veronese(n_theta=9, n_phi=9):
         dev = np.maximum(np.maximum(abs(Eg - E), abs(Fg - F)), abs(Gg - G))
         return float((dev / scale).max())
 
-    # the recorded scalar formula point by point: its s ** 4 rounds
-    # differently over an array
-    expected = np.array([veronese_metric_expected(a, b)
-                         for a, b in zip(u, v)]).T
+    expected = veronese_metric_expected(u, v).T
     fd = fundamental_data(g)
-    fail_rows(~fd.regular, SingularSampleError,
-              lambda: "rank-deficient sample of the veronese pair")
+    fail_rows(~fd.regular, lambda k: SingularSampleError(
+        "rank-deficient sample of the veronese pair"))
     return {"metric_mismatch": worst(Eh, Fh, Gh),
             "metric_vs_expected": worst(*expected),
             "metric_vs_expected_scaled": worst(

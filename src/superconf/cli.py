@@ -13,6 +13,7 @@ Reports are single-line canonical JSON on stdout.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -24,6 +25,7 @@ from .errors import (DomainError, ExpressionError, PreconditionError,
 from .export import (canonical_json, drop_projector, mesh_dict, sample_grid,
                      stereo_projector, summarize, write_csv, write_json,
                      write_obj)
+from .construct import _vec_norm, dual_pair_report
 from .jets import row_failures
 from .minimal import Domain, HolomorphicCurve, MinimalPair, certify
 from .moebius import (Inversion, Stereographic, duality, pair_transform_check,
@@ -69,9 +71,12 @@ def _parse_floats(text, n, what):
     if len(parts) != n:
         raise PreconditionError(f"{what} wants {n} comma-separated numbers")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise PreconditionError(f"{what} is not numeric: {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise PreconditionError(f"{what} is not finite: {text!r}")
+    return values
 
 
 def _parse_domain(text) -> Domain:
@@ -231,8 +236,6 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .construct import dual_pair_report
-
     pair, dom, stem = _resolve(args)
     nu, nv = _parse_grid(args.grid)
     signs = _parse_signs(args.sign)
@@ -250,9 +253,10 @@ def cmd_verify(args) -> int:
                    and agg["max_wintgen_rel"] < args.tol)
         ok = ok and sign_ok
 
-    grid = [z for z in dom.grid(nu, nv) if pair.domain.contains(z)]
+    grid = dom.grid(nu, nv)
+    grid = grid[pair.domain.contains(grid)]
     stride = max(1, len(grid) // args.dual_samples)
-    z = np.array(grid[::stride], dtype=complex)
+    z = grid[::stride]
     # the two surfaces' metric relation needs both signs
     worst = {"center": 0.0, "conformal": 0.0, "tangency": 0.0,
              "metric": 0.0 if len(signs) == 2 else None}
@@ -307,19 +311,16 @@ def cmd_dual(args) -> int:
             raise PreconditionError(
                 f"entry {entry.name} has no two-component graph curve")
         stem = entry.name
-    points = _parse_points(args.points)
-    worst = {"antiholo": 0.0, "involution": 0.0, "conformality": 0.0}
-    first_value = None
-    for z in points:
-        rep = duality(curve, z)
-        if first_value is None:
-            first_value = rep.value
-        worst["antiholo"] = max(worst["antiholo"], rep.antiholo)
-        worst["involution"] = max(worst["involution"], rep.involution)
-        worst["conformality"] = max(worst["conformality"], rep.conformality)
+    points = np.array(_parse_points(args.points))
+    # the first failed point raises its own error
+    with np.errstate(all="ignore"), row_failures(points.size) as failed:
+        rep = duality(curve, points)
+    failed.raise_unless()
+    worst = {key: float(getattr(rep, key).max())
+             for key in ("antiholo", "involution", "conformality")}
     ok = all(v < args.tol for v in worst.values())
     _emit({"curve": stem, "n_points": len(points), **worst,
-           "value_at_first": first_value, "ok": ok})
+           "value_at_first": rep.value[0], "ok": ok})
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
@@ -347,18 +348,15 @@ def cmd_project(args) -> int:
             f"entry {entry.name} is not a space-form immersion")
     nu, nv = _parse_grid(args.grid)
     us, vs = entry.domain.linspace(nu, nv, margin=args.margin)
-    points = [(u, v) for u in us for v in vs]
-    rep = superminimal_test(entry.surface, entry.ambient, points,
+    u, v = np.repeat(us, nv), np.tile(vs, nu)
+    rep = superminimal_test(entry.surface, entry.ambient,
+                            np.column_stack((u, v)),
                             h_tol=args.h_tol, circ_tol=args.circ_tol)
 
     space = "sphere" if entry.ambient.kind == "sphere" else "hyperbolic"
     st = Stereographic(entry.ambient.radius, space)
-    round_trip = 0.0
-    for (u, v) in points:
-        P = entry.sample(u, v).values()
-        x = st.to_R4(P)
-        round_trip = max(round_trip,
-                         float(np.linalg.norm(st.from_R4(x) - P)))
+    P = entry.sample(u, v).values()
+    round_trip = float(_vec_norm(st.from_R4(st.to_R4(P)) - P).max())
     ok = rep.verdict.startswith("superminimal")
     _emit({"entry": entry.name, "verdict": rep.verdict,
            "max_mean_curvature": rep.max_mean_curvature,

@@ -28,11 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (FrameDegenerateError, FrameUndefinedError,
-                     PreconditionError, SingularSampleError)
+                     PreconditionError)
 from .geometry import (REGULARITY_FLOOR, FundamentalData, _blas_dot, _col,
-                       _largest, _normal_parts, _pypow, _sqrt0, adapted_frame,
-                       ellipse_descriptor, fundamental_data)
-from .jets import DegenerateJetError, Jet2, Vec, fail_rows
+                       _largest, _normal_parts, _pypow, _rank_deficient,
+                       _sqrt0, adapted_frame, ellipse_descriptor,
+                       fundamental_data)
+from .jets import DIV_FLOOR, DegenerateJetError, Jet2, Vec, fail_rows
 from .minimal import MinimalPair
 
 SIGNS = ("+", "-")
@@ -72,8 +73,8 @@ def _act(form, h):
 def _jhat_parts(gu, gv, h):
     """(W h, *W h) for the tangent 2-form W = gu ^ gv of the base surface.
 
-    Jhat(s) h = (W h + s *W h) / |W|.  Entries may be floats or Jet2; the
-    results are lists of four entries of the same kind."""
+    Jhat(s) h = (W h + s *W h) / |W|.  Entries may be batches of numbers or
+    Jet2; the results are lists of four entries of the same kind."""
     W = [gu[i] * gv[j] - gu[j] * gv[i] for i, j in _PAIRS]
     star = (W[5], -W[4], W[3], W[2], -W[1], W[0])
     return _act(W, h), _act(star, h)
@@ -81,8 +82,8 @@ def _jhat_parts(gu, gv, h):
 
 @dataclass
 class _FieldContext:
-    """Everything phi assembly needs, with full jets, computed once for both
-    signs: at one point (numbers in the jets) or over a batch (arrays)."""
+    """Everything phi assembly needs, with full jets over a batch of points,
+    computed once for both signs."""
 
     sample: object
     E: Jet2
@@ -92,19 +93,19 @@ class _FieldContext:
     ru: Jet2
     rv: Jet2
     ng2: Jet2      # ||grad r||^2
-    a: float
+    a: np.ndarray
     inv_w: Jet2    # 1 / |W|
     turn_t: Vec    # W h / |W|, the tangential half of Jhat h
     turn_n: Vec    # *W h / |W|, the normal half of Jhat h
-    fd_g: FundamentalData | None
+    fd_g: FundamentalData
     g_collapse: dict  # sign -> whether a circular ellipse of g collapses it
 
 
 @dataclass(frozen=True)
 class RegularityFlags:
-    a_small: bool
-    g_holomorphic_point: bool
-    rank_deficient: bool
+    a_small: np.ndarray
+    g_holomorphic_point: np.ndarray
+    rank_deficient: np.ndarray
 
     FLAG_A_SMALL = 1
     FLAG_G_HOLOMORPHIC = 2
@@ -113,7 +114,7 @@ class RegularityFlags:
 
     @property
     def bitmask(self):
-        """The flag bits; an int array when the flags hold batch masks."""
+        """The flag bits, an int array over the batch."""
         return (self.FLAG_A_SMALL * self.a_small
                 | self.FLAG_G_HOLOMORPHIC * self.g_holomorphic_point
                 | self.FLAG_RANK_DEFICIENT * self.rank_deficient)
@@ -121,9 +122,9 @@ class RegularityFlags:
 
 @dataclass
 class PhiSample:
-    """One built surface: phi with full jets, the field context it was
-    assembled from (ctx.a is the a-function) and its regularity flags; at
-    one point or over a batch of points."""
+    """One built surface over a batch of points: phi with full jets, the
+    field context it was assembled from (ctx.a is the a-function) and its
+    regularity flags."""
 
     sign: str
     phi: Vec
@@ -132,12 +133,12 @@ class PhiSample:
 
 
 def _assemble(s) -> _FieldContext:
-    """The field context of a split sample, at one point or over a batch.
+    """The field context of a split sample.
 
-    One point raises FrameDegenerateError where h vanishes, DegenerateJetError
-    at a jet floor, and SingularSampleError where a is at its floor and g is
-    singular (g's normal frame would have to stand in for h's); a batch
-    records those rows instead (jets.row_failures)."""
+    The rows fail (jets.fail_rows) with FrameDegenerateError where h
+    vanishes, DegenerateJetError at a jet floor, and SingularSampleError
+    where a is at its floor and g is singular (g's normal frame would have
+    to stand in for h's)."""
     g, h = s.g, s.h
     gu, gv = s.g_u, s.g_v
     E = gu.dot(gu)
@@ -146,38 +147,30 @@ def _assemble(s) -> _FieldContext:
 
     scale = _largest(_vec_norm(h.values()), _vec_norm(g.values()), 1.0)
     r2 = h.dot(h)
-    fail_rows(r2.v <= _pypow(R_FLOOR * scale, 2), FrameDegenerateError,
-              lambda: f"h vanishes at z={s.z}: "
-                      f"||h|| = {np.sqrt(max(r2.v, 0.0)):.3e}")
+    fail_rows(r2.v <= _pypow(R_FLOOR * scale, 2),
+              lambda k: FrameDegenerateError(
+                  f"h vanishes at z={complex(s.z[k])}: "
+                  f"||h|| = {np.sqrt(max(r2.v[k], 0.0)):.3e}"))
     try:
         r = r2.sqrt()
     except DegenerateJetError as exc:
-        raise FrameDegenerateError(f"h vanishes at z={s.z}") from exc
+        k = int(np.argmax(r2.v <= DIV_FLOOR))
+        raise FrameDegenerateError(
+            f"h vanishes at z={complex(s.z[k])}") from exc
 
     # d||h|| = <h_u, h>/||h||; routing through the conjugate fields keeps
     # full second-order jets for the gradient coefficients
     ru = s.h_u.dot(h) / r
     rv = s.h_v.dot(h) / r
     ng2 = (ru * ru + rv * rv) / E
-    batch = isinstance(ng2.v, np.ndarray)
     a = _sqrt0(1.0 - ng2.v)
 
     inv_w = 1.0 / (E * G - F * F).sqrt()
     turn_t, turn_n = (Vec(t) * inv_w for t in _jhat_parts(gu, gv, h))
 
     # g's curvature data gives the fallback xi and the g-holomorphic flag
-    fallback = a <= A_FLOOR
-    if batch:
-        fd_g = fundamental_data(g)
-        fail_rows(fallback & ~fd_g.regular, SingularSampleError,
-                  lambda: "g is singular where a is at its floor")
-    else:
-        try:
-            fd_g = fundamental_data(g)
-        except SingularSampleError:
-            if fallback:
-                raise
-            fd_g = None
+    fd_g = fundamental_data(g)
+    fail_rows((a <= A_FLOOR) & ~fd_g.regular, _rank_deficient(fd_g))
     return _FieldContext(sample=s, E=E, F=F, G=G, r=r, ru=ru, rv=rv, ng2=ng2,
                          a=a, inv_w=inv_w, turn_t=turn_t, turn_n=turn_n,
                          fd_g=fd_g, g_collapse=_g_collapse(fd_g))
@@ -194,10 +187,8 @@ def _g_collapse(fd_g):
     The rotation Jhat(s) that matches the orientation of g's curvature
     circle (the sign of its normal curvature in the deterministic frame)
     collapses the corresponding phi.  Calibrated on the null-quadric
-    trigonometric pair; for a point ellipse (K_N = 0) both signs degenerate.
-    Without g's data (g singular at one point) neither does."""
-    if fd_g is None:
-        return {"+": False, "-": False}
+    trigonometric pair; for a point ellipse (K_N = 0) both signs degenerate;
+    where g is singular neither does."""
     circular = np.logical_and(
         ellipse_descriptor(fd_g).is_circular(G_CIRCULAR_TOL), fd_g.regular)
     if not circular.any():
@@ -221,19 +212,17 @@ def _flags(ctx: _FieldContext, sign, phi: Vec) -> RegularityFlags:
     scale = _largest(_vec_norm(pu), _vec_norm(pv), _vec_norm(gu),
                      _vec_norm(gv), 1e-150)
     rank_def = det1 <= REGULARITY_FLOOR * _pypow(scale, 4)
-    if rank_def.ndim == 0:
-        a_small, g_hol, rank_def = bool(a_small), bool(g_hol), bool(rank_def)
     return RegularityFlags(a_small=a_small, g_holomorphic_point=g_hol,
                            rank_deficient=rank_def)
 
 
 def build_phi_pair(pair: MinimalPair, z):
     """Both surfaces attached to the pair, with full jets, in the order of
-    SIGNS: at one point z, or over a 1-d array of points.
+    SIGNS, over the points z; one point is a batch of one.
 
-    One point raises where the construction fails; a batch records those
-    rows in the innermost jets.row_failures() sink (and raises without
-    one), like the jets it is built from."""
+    The rows where the construction fails are recorded in the innermost
+    jets.row_failures() sink (without one, the first raises), like the jets
+    it is built from."""
     return _phi_pair(_assemble(pair.samples_at(z)))
 
 
@@ -249,45 +238,48 @@ def _phi_pair(ctx: _FieldContext):
 
 
 def phi_value(g_sample: Vec, h_sample: Vec, sign) -> np.ndarray:
-    """Value of phi from plain 2-jet samples of g and h.
+    """Value of phi, (n, 4), from plain 2-jet samples of g and h.
 
     For pairs given by closed-form samplers rather than holomorphic curves;
     no derivative fields are required because only the value is produced.
     The chart need not be conformal: the tangent rotation is the quarter
     turn of the induced metric, which reduces to the split-curve formula on
     isothermal charts.  Whether the chart is oriented with or against the
-    conjugacy convention is read off the first derivatives of h."""
+    conjugacy convention is read off the first derivatives of h, per row.
+    The rows where g is singular fail (jets.fail_rows)."""
     s = check_sign(sign)
     fd = fundamental_data(g_sample)
+    fail_rows(~fd.regular, _rank_deficient(fd))
     gu, gv = fd.Xu, fd.Xv
-    w = np.sqrt(fd.det1)
+    w = _col(np.sqrt(fd.det1))
     # W gu / |W| and W gv / |W|: the quarter turns of the coordinate fields
-    ju = (fd.F * gu - fd.E * gv) / w
-    jv = (fd.G * gu - fd.F * gv) / w
+    ju = (_col(fd.F) * gu - _col(fd.E) * gv) / w
+    jv = (_col(fd.G) * gu - _col(fd.F) * gv) / w
     hu, hv = h_sample.du(), h_sample.dv()
-    standard = np.linalg.norm(hu - ju) + np.linalg.norm(hv - jv)
-    mirrored = np.linalg.norm(hu + ju) + np.linalg.norm(hv + jv)
-    orient = 1.0 if standard <= mirrored else -1.0
-    tw, nw = _jhat_parts(gu, gv, h_sample.values())
-    return g_sample.values() + (orient * np.array(tw) + s * np.array(nw)) / w
+    standard = _vec_norm(hu - ju) + _vec_norm(hv - jv)
+    mirrored = _vec_norm(hu + ju) + _vec_norm(hv + jv)
+    orient = _col(np.where(standard <= mirrored, 1.0, -1.0))
+    tw, nw = _jhat_parts(gu.T, gv.T, h_sample.values().T)
+    return g_sample.values() + (orient * np.array(tw).T
+                                + s * np.array(nw).T) / w
 
 
 @dataclass(frozen=True)
 class DualPairReport:
-    z: complex
-    r: float
-    a: float
+    z: np.ndarray
+    r: np.ndarray
+    a: np.ndarray
     mu: dict
     center_residual: dict
     conformal_residual: dict
     tangency_residual: dict
-    metric_relation_residual: float | None
+    metric_relation_residual: np.ndarray | None
 
 
 def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
     """Shared-geometry checks for the surfaces of the given signs built at
-    z, one point or a 1-d array of points (failed rows are recorded as by
-    build_phi_pair).
+    the points z, one entry per point in every residual (failed rows are
+    recorded as by build_phi_pair).
 
     Residuals reported: each surface plus its normalized mean-curvature
     vector lands back on g (common central sphere); the pull-back metric of
@@ -298,15 +290,16 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
     are nan where a is below a small floor (the factor has a^2 in the
     denominator and degenerates with it); the floor is far below the
     a_small flag threshold, so flagged-but-sane samples still get a finite
-    entry.  A rank-deficient surface raises PreconditionError."""
+    entry.  A rank-deficient surface fails its row with PreconditionError."""
     for sign in signs:
         check_sign(sign)
     s = pair.samples_at(z)
     ctx = _assemble(s)
     built = [ps for ps in _phi_pair(ctx) if ps.sign in signs]
     for ps in built:
-        fail_rows(ps.flags.rank_deficient, PreconditionError, lambda: (
-            f"constructed surface {ps.sign} is rank-deficient at z={z}"))
+        fail_rows(ps.flags.rank_deficient, lambda k, sign=ps.sign: (
+            PreconditionError(f"constructed surface {sign} is rank-deficient "
+                              f"at z={complex(s.z[k])}")))
     a, r = ctx.a, ctx.r.v
     g_val, gu, gv = s.g.values(), s.g_u.values(), s.g_v.values()
     # the coefficients (p, q) of grad r are (ru, rv) / E, and those of
@@ -388,27 +381,29 @@ def reflection_pair_check(pair: MinimalPair, points, sample_tol=1e-9):
 class ExtractedPair:
     g: np.ndarray
     h: np.ndarray
-    lam: float
-    mu: float
-    zeta_orientation: float
+    lam: np.ndarray
+    mu: np.ndarray
+    zeta_orientation: np.ndarray
 
 
 def extract_minimal_pair(surface, z=None) -> ExtractedPair:
-    """Recover (g, h) values from a superconformal surface sample, at one
-    point or over a batch.
+    """Recover (g, h) values, (n, 4), from a superconformal surface sample
+    over a batch of points.
 
     `surface` is a Vec sample or a callable z -> Vec.  g is the center of
     the curvature circle's sphere: phi + H/||H||^2; h is -zeta/||H|| with
     zeta the oriented second adapted normal.  The orientation sign that was
     used is part of the result, since a reference pair may differ from the
-    recovered h by one global sign.  A batch records its failed rows."""
+    recovered h by one global sign.  Failed rows are recorded as by
+    adapted_frame."""
     sample = surface(z) if callable(surface) else surface
     fd = fundamental_data(sample)
     fr = adapted_frame(fd)
     lam, mu = fr.lam, fr.mu
-    fail_rows((lam <= R_FLOOR) | (mu <= R_FLOOR), FrameUndefinedError,
-              lambda: f"extraction needs ||H|| and mu above floor, got "
-                      f"{lam:.3e}, {mu:.3e}")
+    fail_rows((lam <= R_FLOOR) | (mu <= R_FLOOR),
+              lambda k: FrameUndefinedError(
+                  f"extraction needs ||H|| and mu above floor, got "
+                  f"{lam[k]:.3e}, {mu[k]:.3e}"))
     g = sample.values() + fd.H / _col(lam * lam)
     h = -fr.zeta_oriented / _col(lam)
     return ExtractedPair(g=g, h=h, lam=lam, mu=mu,

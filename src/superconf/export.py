@@ -14,9 +14,7 @@ from collections import namedtuple
 import numpy as np
 
 from .construct import RegularityFlags, build_phi_pair, check_sign
-from .errors import (BranchCutError, DegenerateJetError, DomainError,
-                     EvaluationError, FrameDegenerateError, PreconditionError,
-                     SingularSampleError)
+from .errors import DomainError, PreconditionError
 from .geometry import fundamental_data, superconformality_test
 from .jets import row_failures
 
@@ -103,16 +101,7 @@ def _sample_block(pair, signs, rows, z, block):
     if not at.size:
         return
     with np.errstate(all="ignore"), row_failures(at.size) as failed:
-        try:
-            built = {ps.sign: ps for ps in build_phi_pair(pair, z[at])}
-        except DomainError:
-            return
-        except (FrameDegenerateError, SingularSampleError, EvaluationError,
-                DegenerateJetError, BranchCutError):
-            # raised for every point alike, by a constant subexpression
-            for sign_rows in rows:
-                sign_rows.flags[at] = FLAG_DEGENERATE_SAMPLE
-            return
+        built = {ps.sign: ps for ps in build_phi_pair(pair, z[at])}
         for sign, sign_rows in zip(signs, rows):
             _fill_rows(sign_rows, at, built[sign], failed)
 
@@ -238,6 +227,8 @@ def stereo_projector(pole=(0.0, 0.0, 0.0, 1.0)):
     p = np.asarray(pole, dtype=float)
     if p.shape != (4,):
         raise PreconditionError("pole must be a 4-vector")
+    if not np.isfinite(p).all():
+        raise PreconditionError("pole must be finite")
     R = float(np.linalg.norm(p))
     if R <= 0.0:
         raise PreconditionError("pole must be nonzero")

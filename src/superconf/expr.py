@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import BranchCutError, DegenerateJetError, EvaluationError, ExpressionError
+from .errors import DegenerateJetError, EvaluationError, ExpressionError
 from .jets import ComplexJet, fail_rows, row_failures
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
@@ -356,16 +354,20 @@ def const_node(c):
 
 
 def _guard(node, src, z, fn):
-    try:
-        return fn()
-    except DegenerateJetError as e:
-        raise EvaluationError(
-            _eval_msg(node, src, z, "pole"), reason="pole",
-            where=_span_text(node, src), z=z) from e
-    except BranchCutError as e:
-        raise EvaluationError(
-            _eval_msg(node, src, z, "branch cut"), reason="branch cut",
-            where=_span_text(node, src), z=z) from e
+    """fn(), with the rows where its jet checks fail recorded as
+    EvaluationError at this node: a pole or a branch cut at z."""
+    with row_failures(z.size) as failed:
+        out = fn()
+    poles = failed.rows(DegenerateJetError)
+
+    def error(k):
+        reason = "pole" if poles[k] else "branch cut"
+        return EvaluationError(
+            _eval_msg(node, src, complex(z[k]), reason), reason=reason,
+            where=_span_text(node, src), z=complex(z[k]))
+
+    fail_rows(failed.rows(), error)
+    return out
 
 
 def _span_text(node, src):
@@ -378,7 +380,7 @@ def _eval_msg(node, src, z, reason):
     return f"cannot evaluate '{_span_text(node, src)}' at z = {z}: {reason}"
 
 
-def eval_node(node, zjet, src=None, z=None):
+def eval_node(node, zjet, src, z):
     if isinstance(node, Lit):
         return ComplexJet.constant(complex(node.re, node.im))
     if isinstance(node, Var):
@@ -427,24 +429,15 @@ class CurveExpr:
         return print_node(self.ast)
 
     def eval_jets(self, z):
-        """Component jets at z, a point or an array of points.
+        """Component jets at the points z, every slot an array over them;
+        one point is a batch of one.
 
-        Over an array every slot holds an array, and the points where a
-        scalar evaluation would raise EvaluationError are recorded as failed
-        rows of that class (see jets.row_failures)."""
+        The points where the curve has a pole or meets a branch cut are
+        recorded as failed rows of EvaluationError (see jets.fail_rows)."""
         zj = ComplexJet.variable(z)
-        if not isinstance(z, np.ndarray):
-            return [eval_node(c, zj, self.source, z)
-                    for c in self.ast.components]
-        with row_failures(z.size) as failed:
-            jets = [eval_node(c, zj, self.source, "a batch point")
-                    for c in self.ast.components]
-        fail_rows(failed.rows(), EvaluationError,
-                  lambda: "cannot evaluate the curve at a batch point")
-        return [j.batched(z.size) for j in jets]
-
-    def eval_values(self, z):
-        return [j.c0 for j in self.eval_jets(z)]
+        z = zj.c0.z
+        return [eval_node(c, zj, self.source, z).batched(z.size)
+                for c in self.ast.components]
 
     def __eq__(self, other):
         if not isinstance(other, CurveExpr):

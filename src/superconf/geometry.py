@@ -18,9 +18,8 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -102,11 +101,11 @@ R4 = Ambient("r4")
 @dataclass(frozen=True)
 class FundamentalData:
     ambient: Ambient
-    E: float
-    F: float
-    G: float
-    det1: float
-    scale: float
+    E: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    det1: np.ndarray
+    scale: np.ndarray
     Xu: np.ndarray
     Xv: np.ndarray
     Y1: np.ndarray
@@ -120,21 +119,21 @@ class FundamentalData:
     alpha12: np.ndarray
     alpha22: np.ndarray
     H: np.ndarray
-    lam: float
-    K: float
-    K_N: float
+    lam: np.ndarray
+    K: np.ndarray
+    K_N: np.ndarray
     position: np.ndarray = field(repr=False, default=None)
-    regular: np.ndarray | bool = True
+    regular: np.ndarray = None
 
 
 @dataclass(frozen=True)
 class EllipseDescriptor:
     center: np.ndarray
-    semi_major: float
-    semi_minor: float
-    res_orth: float
-    res_len: float
-    mu: float
+    semi_major: np.ndarray
+    semi_minor: np.ndarray
+    res_orth: np.ndarray
+    res_len: np.ndarray
+    mu: np.ndarray
 
     def is_circular(self, tol=1e-8):
         return np.maximum(abs(self.res_orth), abs(self.res_len)) < tol
@@ -146,12 +145,12 @@ class AdaptedFrame:
     Y2: np.ndarray
     eta: np.ndarray
     zeta: np.ndarray
-    lam: float
-    mu: float
+    lam: np.ndarray
+    mu: np.ndarray
     A_eta: np.ndarray
     A_zeta: np.ndarray
-    sffa_residual: float
-    ambient_det: float
+    sffa_residual: np.ndarray
+    ambient_det: np.ndarray
     zeta_oriented: np.ndarray
 
 
@@ -175,45 +174,40 @@ def _normal_parts(ws, Xu, Xv, dot, gram=None):
 
 
 def _pypow(x, n):
-    """x ** n as Python computes it for a float (C pow), also entry by entry
-    over an array: numpy's power differs in the last bit on about 0.1% of
+    """x ** n entry by entry over an array, as Python computes it for a
+    float (C pow): numpy's power differs in the last bit on about 0.1% of
     squares."""
-    if not isinstance(x, np.ndarray):
-        return float(x) ** n
     return np.array([t ** n for t in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _largest(*xs):
-    """max of numbers, or the elementwise maximum of arrays."""
-    if not isinstance(xs[0], np.ndarray):
-        return max(xs)
-    out = xs[0]
-    for x in xs[1:]:
-        out = np.maximum(out, x)
-    return out
+    """The elementwise maximum of arrays (numbers broadcast)."""
+    return reduce(np.maximum, xs)
 
 
 def _sqrt0(x):
-    """sqrt(max(x, 0)) of a number, or over an array of squared norms
-    (never -0.0, where np.maximum would differ from max)."""
-    if not isinstance(x, np.ndarray):
-        return math.sqrt(max(x, 0.0))
+    """sqrt(max(x, 0)) over an array of squared norms."""
     return np.sqrt(np.maximum(x, 0.0))
 
 
 def _blas_dot(a, b):
-    """a @ b, also for every row of two batches of vectors: the BLAS dot
+    """a @ b for every row of two (n, dim) batches of vectors: the BLAS dot
     numpy uses for one pair, which rounds differently from a sum along the
     component axis."""
-    if a.ndim == 1:
-        return a @ b
     n = a.shape[-1]
     return np.matmul(a[:, None, :], b.reshape(-1, n, 1))[:, 0, 0]
 
 
 def _col(x):
-    """A number, or a batch of numbers as a column, to scale vectors by."""
+    """A batch of numbers as a column, to scale vectors by."""
     return np.asarray(x)[..., None]
+
+
+def _rank_deficient(fd):
+    """The error of row k of fd where its first form is degenerate."""
+    return lambda k: SingularSampleError(
+        f"rank-deficient sample: EG - F^2 = {fd.det1[k]:.3e}",
+        det=float(fd.det1[k]))
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -221,33 +215,25 @@ def fundamental_data(sample, ambient=R4):
     """First/second fundamental data, curvatures, and the deterministic normal
     frame of a surface sample.
 
-    The sample's jets hold numbers (one point) or arrays over a batch of
-    points.  A batch gives every field a leading batch axis; .regular marks
-    the rows whose first form is nondegenerate, and the other rows hold
-    meaningless values, computed without numpy's floating-point warnings.
-    One point with a degenerate first form raises SingularSampleError.  One
-    point is computed as a batch of one."""
+    Every field has the leading batch axis of the sample's jets; .regular
+    marks the rows whose first form is nondegenerate, and the other rows
+    hold meaningless values, computed without numpy's floating-point
+    warnings (_rank_deficient gives the error such a row stands for)."""
     if not isinstance(sample, Vec):
         raise TypeError("fundamental_data wants a Vec sample")
     if len(sample) != ambient.dim:
         raise PreconditionError(
             f"sample has {len(sample)} components, ambient wants {ambient.dim}")
-    slots = [sample.values(), sample.du(), sample.dv(), sample.duu(),
-             sample.duv(), sample.dvv()]
-    one = slots[0].ndim == 1
-    if one:
-        slots = [a[None] for a in slots]
-    x, Xu, Xv, Xuu, Xuv, Xvv = slots
+    # a slot that is constant in every component broadcasts over the batch
+    x, Xu, Xv, Xuu, Xuv, Xvv = np.broadcast_arrays(
+        sample.values(), sample.du(), sample.dv(), sample.duu(),
+        sample.duv(), sample.dvv())
     dot = partial(ambient.dot, keepdims=True)
     E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
     det1 = E * G - F * F
     scale = np.abs(np.concatenate((Xu, Xv), axis=-1)).max(axis=-1)
     singular = det1[:, 0] <= REGULARITY_FLOOR * _pypow(
         np.maximum(scale, 1e-150), 4)
-    if one and singular[0]:
-        raise SingularSampleError(
-            f"rank-deficient sample: EG - F^2 = {det1[0, 0]:.3e}",
-            det=float(det1[0, 0]))
 
     # the second partials and the ambient basis vectors, stacked on a
     # second axis, (n, 3 + dim, dim), are projected in one pass
@@ -323,52 +309,48 @@ def fundamental_data(sample, ambient=R4):
     A1, A2 = A[:, 0], A[:, 1]
     K_N = (A1 @ A2 - A2 @ A1)[:, 1, 0]
 
-    fields = dict(E=E[:, 0], F=F[:, 0], G=G[:, 0], det1=det1[:, 0],
-                  Xu=Xu, Xv=Xv, Y1=Y1, Y2=Y2, n1=n1, n2=n2,
-                  Buu=Buu, Buv=Buv, Bvv=Bvv,
-                  alpha11=alpha11, alpha12=alpha12, alpha22=alpha22,
-                  H=H, lam=lam[:, 0], K=K[:, 0], K_N=K_N, position=x)
-    if one:
-        return FundamentalData(
-            ambient=ambient, scale=scale[0], regular=True,
-            **{k: v[0] if v.ndim > 1 else float(v[0])
-               for k, v in fields.items()})
-    return FundamentalData(ambient=ambient, scale=scale, regular=~singular,
-                           **fields)
+    return FundamentalData(
+        ambient=ambient, E=E[:, 0], F=F[:, 0], G=G[:, 0], det1=det1[:, 0],
+        scale=scale, Xu=Xu, Xv=Xv, Y1=Y1, Y2=Y2, n1=n1, n2=n2,
+        Buu=Buu, Buv=Buv, Bvv=Bvv,
+        alpha11=alpha11, alpha12=alpha12, alpha22=alpha22,
+        H=H, lam=lam[:, 0], K=K[:, 0], K_N=K_N, position=x,
+        regular=~singular)
 
 
 def _sym2(a, b, c):
-    """The symmetric 2x2 matrices [[a, b], [b, c]] of numbers or batches."""
+    """The symmetric 2x2 matrices [[a, b], [b, c]] over a batch (numbers
+    broadcast)."""
     a, b, c = np.broadcast_arrays(a, b, c)
     return np.stack((np.stack((a, b), -1), np.stack((b, c), -1)), -2)
 
 
 def shape_matrix(fd, nu):
     """Shape operator of the normal direction nu on the orthonormal tangent
-    basis, as a symmetric 2x2 matrix (one per row of a batch)."""
+    basis, as a symmetric 2x2 matrix per row."""
     dot = fd.ambient.dot
     return _sym2(dot(fd.alpha11, nu), dot(fd.alpha12, nu),
                  dot(fd.alpha22, nu))
 
 
 def _coord_shape(Xu, Xv, seconds, nu, dot):
-    """Shape operator of the normal nu on the coordinate basis, from the
-    first and the (uu, uv, vv) second partials under the inner product dot."""
+    """Shape operator of the normal nu on the coordinate basis, per row,
+    from the first and the (uu, uv, vv) second partials under the inner
+    product dot, which reduces along the component axis."""
     E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
-    if not E * G - F * F > 1e-12 * max(abs(E * G), 1e-300):
-        raise SingularSampleError(
-            "sample is not a spacelike immersion; induced metric degenerates")
-    buu, buv, bvv = (dot(w, nu) for w in seconds)
-    return np.linalg.solve(np.array([[E, F], [F, G]]),
-                           np.array([[buu, buv], [buv, bvv]]))
+    fail_rows(~(E * G - F * F > 1e-12 * np.maximum(abs(E * G), 1e-300)),
+              lambda k: SingularSampleError(
+                  "sample is not a spacelike immersion; induced metric "
+                  "degenerates"))
+    return np.linalg.solve(_sym2(E, F, G),
+                           _sym2(*(dot(w, nu) for w in seconds)))
 
 
 def ellipse_descriptor(fd):
     """Semi-axes and circularity residuals of the curvature ellipse
     theta -> H + cos(2 theta) (alpha11 - alpha22)/2 + sin(2 theta) alpha12.
 
-    Works on the FundamentalData of one point or of a batch; rows with
-    non-finite data get nan semi-axes."""
+    Rows with non-finite data get nan semi-axes."""
     dot = fd.ambient.dot
     d = 0.5 * (fd.alpha11 - fd.alpha22)
     m = fd.alpha12
@@ -395,20 +377,20 @@ def ellipse_descriptor(fd):
     semi_major, semi_minor = sv.reshape(d.shape[:-1] + (2,)).T
     return EllipseDescriptor(
         center=fd.H, semi_major=semi_major, semi_minor=semi_minor,
-        res_orth=res_orth[()], res_len=res_len[()],
+        res_orth=res_orth, res_len=res_len,
         mu=0.5 * (semi_major + semi_minor))
 
 
 def superconformality_test(fd, tol=1e-8):
     """Circularity residuals plus the curvature-equality defect
     |H|^2 + c - K - |K_N| (nonnegative in general, zero exactly at circular
-    points).  Entries are arrays for the FundamentalData of a batch."""
+    points).  Entries are arrays over the rows of fd."""
     ed = ellipse_descriptor(fd)
     lam2 = _pypow(fd.lam, 2)
     defect = lam2 + fd.ambient.curvature - fd.K - abs(fd.K_N)
     positive = fd.lam > 0
     rel = np.where(positive, defect / np.where(positive, lam2, 1.0),
-                   float("inf"))[()]
+                   float("inf"))
     return {
         "res_orth": ed.res_orth,
         "res_len": ed.res_len,
@@ -429,19 +411,17 @@ def adapted_frame(fd, pattern_tol=1e-6):
     zeta_oriented = ambient_det * zeta while the returned zeta keeps the
     pattern.
 
-    Works on the FundamentalData of one point or of a batch; a batch
-    records the rows without a frame, the irregular ones included, in the
-    innermost jets.row_failures() sink.
+    The rows without a frame, the irregular ones included, are recorded as
+    failed rows (jets.fail_rows).
     """
     dot = fd.ambient.dot
-    fail_rows(np.logical_not(fd.regular), SingularSampleError,
-              lambda: "rank-deficient sample")
+    fail_rows(np.logical_not(fd.regular), _rank_deficient(fd))
     amax = _largest(*(_sqrt0(dot(a, a))
                       for a in (fd.alpha11, fd.alpha22, fd.alpha12)), 1e-300)
     floor = FRAME_FLOOR * _largest(amax, 1.0)
     lam = fd.lam
-    fail_rows(lam <= floor, FrameUndefinedError, lambda: (
-        f"adapted frame undefined at a minimal point (|H| = {lam:.3e})"))
+    fail_rows(lam <= floor, lambda k: FrameUndefinedError(
+        f"adapted frame undefined at a minimal point (|H| = {lam[k]:.3e})"))
     eta = fd.H / _col(lam)
     c1, c2 = dot(eta, fd.n1), dot(eta, fd.n2)
     zeta0 = -_col(c2) * fd.n1 + _col(c1) * fd.n2
@@ -450,8 +430,8 @@ def adapted_frame(fd, pattern_tol=1e-6):
     x = 0.5 * (A_eta[..., 0, 0] - A_eta[..., 1, 1])
     y = A_eta[..., 0, 1]
     mu = np.hypot(x, y)
-    fail_rows(mu <= floor, FrameUndefinedError, lambda: (
-        f"adapted frame undefined at an umbilic point (mu = {mu:.3e})"))
+    fail_rows(mu <= floor, lambda k: FrameUndefinedError(
+        f"adapted frame undefined at an umbilic point (mu = {mu[k]:.3e})"))
 
     # traceless parts rotate by -2t under a tangent rotation by t, so this
     # t turns A_eta's off-diagonal entry into y cos 2t - x sin 2t = mu,
@@ -477,16 +457,16 @@ def adapted_frame(fd, pattern_tol=1e-6):
                              np.abs(A_z - target_zeta).max(axis=(-2, -1)),
                              np.abs(off - a_z))
     fail_rows(sffa_residual > pattern_tol * _largest(lam, mu),
-              PreconditionError, lambda: (
+              lambda k: PreconditionError(
                   f"sample is not superconformal: shape operators miss the "
-                  f"normal-form pattern by {sffa_residual:.3e}"))
+                  f"normal-form pattern by {sffa_residual[k]:.3e}"))
 
-    mu = 0.5 * (off + a_z)
+    mu_adapted = 0.5 * (off + a_z)
     cols = [Y1, Y2, eta, zeta]
     if fd.ambient.kind != "r4":
         cols.append((fd.position - fd.ambient.center_vec()) / fd.ambient.radius)
     ambient_det = np.sign(np.linalg.det(np.stack(cols, axis=-1)))
     return AdaptedFrame(
-        Y1=Y1, Y2=Y2, eta=eta, zeta=zeta, lam=lam, mu=mu,
+        Y1=Y1, Y2=Y2, eta=eta, zeta=zeta, lam=lam, mu=mu_adapted,
         A_eta=Ae, A_zeta=A_z, sffa_residual=sffa_residual,
         ambient_det=ambient_det, zeta_oriented=_col(ambient_det) * zeta)

@@ -10,14 +10,18 @@ order lets the fields g_u, g_v be split from the window (f', f'', f''') as
 full Jet2 data.  Finite differences appear only in fd_crosscheck, the
 independent referee.
 
-Every slot holds either a number (one point) or an array over a batch of
-points, the batch axis leading; the algebra is the same code for both.  A
-batch rounds exactly as the same jets would at each of its points: complex
-batch values are _CArray, whose products and quotients follow CPython's, and
-the elementary functions numpy rounds differently from math and cmath are
-mapped point by point.  Where a floor or branch-cut check fails, one point
-raises; a batch records the failed rows in the innermost row_failures() sink
-and carries on with the harmless base value 1 in them.
+Every slot holds an array over a batch of points, the batch axis leading;
+one point is a batch of one.  The only other slot values are constants, from
+literal sub-expressions and fixed coordinates, which stay numbers and
+broadcast.  A batch rounds at each of its rows exactly as Python's complex,
+math and cmath would at that point, so a row's bits do not depend on the
+batch around it: complex values are _CArray, whose products and quotients
+follow CPython's, and where numpy's elementary functions round differently
+from math's and cmath's, those points are computed by the module's own
+function.  Where a floor or branch-cut check fails, the failed rows are
+recorded in the innermost row_failures() sink, which carries on with the
+harmless base value 1 in them; without a sink the check raises the error of
+its first failed row.
 """
 
 from __future__ import annotations
@@ -35,43 +39,42 @@ from .errors import BranchCutError, DegenerateJetError
 
 DIV_FLOOR = 1e-13
 
-_SCALARS = (int, float, complex)
-
 
 class RowFailures:
-    """Rows of a batch of n points where a check failed, per error class.
+    """Rows of a batch of n points where a check failed.
 
-    A row keeps the class of the first check it failed: the error that
-    point raises alone, since checks run in the same order for both."""
+    A row keeps the first check it failed, and with it the error that point
+    raises alone, since the checks run in the same order for both."""
 
     def __init__(self, n):
         self.n = n
-        self.by_class = {}
+        self.checks = []     # (error class, rows it failed first, error of a row)
 
-    def add(self, cls, bad):
+    def add(self, bad, error):
         bad = bad & ~self.rows()
         if bad.any():
-            prev = self.by_class.get(cls)
-            self.by_class[cls] = bad if prev is None else prev | bad
+            self.checks.append((type(error(int(np.argmax(bad)))), bad, error))
 
     def rows(self, cls=None):
         """Mask of the rows that failed with cls (any class if None)."""
-        masks = [m for c, m in self.by_class.items() if cls in (None, c)]
+        masks = [m for c, m, _ in self.checks if cls in (None, c)]
         return np.logical_or.reduce(masks) if masks else np.zeros(self.n, bool)
 
     def counts(self):
         """The number of failed rows per error class name."""
-        return {c.__name__: int(np.count_nonzero(m))
-                for c, m in self.by_class.items()}
+        out = {}
+        for c, m, _ in self.checks:
+            out[c.__name__] = out.get(c.__name__, 0) + int(np.count_nonzero(m))
+        return out
 
-    def raise_unless(self, allowed):
+    def raise_unless(self, allowed=()):
         """Raise the error of the first failed row whose class is not a
         subclass of one in the tuple allowed."""
-        first = {int(np.argmax(m)): c for c, m in self.by_class.items()
+        first = {int(np.argmax(m)): error for c, m, error in self.checks
                  if not issubclass(c, allowed)}
         if first:
             k = min(first)
-            raise first[k](f"check failed at point {k} of a batch")
+            raise first[k](k)
 
 
 # the innermost open row_failures() sink of this thread or task
@@ -89,37 +92,35 @@ def row_failures(n):
         _SINK.reset(token)
 
 
-def fail_rows(bad, cls, message):
-    """Raise cls(message()) where the check came out bad.
+def fail_rows(bad, error):
+    """Record the rows of a batch where a check came out bad.
 
-    bad is a bool for one point and a mask for a batch; a batch records its
-    bad rows in the innermost row_failures() sink, and raises only if none
-    is open."""
-    if not isinstance(bad, np.ndarray):
-        if bad:
-            raise cls(message())
-        return
-    if not bad.any():
+    bad is a mask over the batch, or one bool for a broadcast constant, and
+    error(k) is the error row k raises alone; the sink may call it after
+    the check, so it must not read names the caller rebinds later.  The
+    rows go to the innermost row_failures() sink; without one, the first
+    bad row's error is raised."""
+    if not np.any(bad):
         return
     sink = _SINK.get()
     if sink is None:
-        raise cls(f"check failed at {np.count_nonzero(bad)} of {bad.size} "
-                  "points of a batch")
-    sink.add(cls, bad)
+        raise error(int(np.argmax(bad)))
+    sink.add(bad, error)
 
 
-def _checked(bad, base, cls, message):
-    """base after fail_rows; failed rows of a batch get the base value 1."""
-    if not isinstance(bad, np.ndarray):
-        if bad:
-            raise cls(message())
+def _checked(bad, base, error):
+    """base after fail_rows, where error(b) is the error of a row whose base
+    value is the number b; the failed rows get the base value 1."""
+    if not np.any(bad):
         return base
-    fail_rows(bad, cls, message)
-    if not bad.any():
-        return base
-    if isinstance(base, _CArray):
-        return _CArray(np.where(bad, 1.0, base.z))
-    return np.where(bad, 1.0, base)
+    values = getattr(base, "z", base)
+    fail_rows(bad, lambda k: error(np.ravel(values)[k].item()))
+    out = np.where(bad, 1.0, values)
+    return _CArray(out) if np.iscomplexobj(out) else out
+
+
+def _division_floor(b):
+    return DegenerateJetError(f"jet division floor: |denominator| = {abs(b):.3e}")
 
 
 def _parts(x):
@@ -235,7 +236,7 @@ def _pointwise(fn, dtype):
             return math.nan
 
     def apply(x):
-        z = getattr(x, "z", x)
+        z = np.asarray(getattr(x, "z", x))
         out = np.array([safe(t) for t in z.ravel().tolist()],
                        dtype).reshape(z.shape)
         return _CArray(out) if dtype is complex else out
@@ -243,8 +244,26 @@ def _pointwise(fn, dtype):
     return apply
 
 
-def _on_values(fn):
-    return lambda x: _CArray(fn(x.z))
+def _numpy_but(fn, exact, differs):
+    """numpy's complex fn, and the cmath function exact point by point at
+    the points z where differs(z): there the two round differently."""
+    exact = _pointwise(exact, complex)
+
+    def apply(x):
+        z = np.asarray(getattr(x, "z", x))
+        out = np.array(fn(z))
+        pick = differs(z)
+        if pick.any():
+            out[pick] = exact(z[pick]).z
+        return _CArray(out)
+
+    return apply
+
+
+def _near_overflow(part):
+    """Where the exponential of the real or imaginary part takes cmath's
+    scaled branch (|x| > log(DBL_MAX / 4) = 708.4), or is not finite."""
+    return lambda z: ~(abs(part(z)) <= 708.0)
 
 
 # numpy's functions where they round as math's and cmath's (measured on
@@ -254,41 +273,28 @@ _REAL_BATCH_MATH = SimpleNamespace(
     sqrt=np.sqrt, sin=np.sin, cos=np.cos,
     sinh=_pointwise(math.sinh, float), cosh=_pointwise(math.cosh, float))
 _COMPLEX_BATCH_MATH = SimpleNamespace(
-    exp=_on_values(np.exp), log=_pointwise(cmath.log, complex),
-    sqrt=_on_values(np.sqrt), sin=_on_values(np.sin),
-    cos=_on_values(np.cos), sinh=_on_values(np.sinh),
-    cosh=_on_values(np.cosh))
-
-
-def _as_complex(x):
-    if isinstance(x, _CArray):
-        return x
-    if isinstance(x, np.ndarray):
-        return _CArray(np.asarray(x, complex))
-    return complex(x)
-
-
-def _as_real(x):
-    return np.asarray(x, float) if isinstance(x, np.ndarray) else float(x)
+    exp=_numpy_but(np.exp, cmath.exp, _near_overflow(np.real)),
+    log=_pointwise(cmath.log, complex),
+    sqrt=_numpy_but(np.sqrt, cmath.sqrt, lambda z: z.real == 0),
+    sin=_numpy_but(np.sin, cmath.sin, _near_overflow(np.imag)),
+    cos=_numpy_but(np.cos, cmath.cos, _near_overflow(np.imag)),
+    sinh=_numpy_but(np.sinh, cmath.sinh, _near_overflow(np.real)),
+    cosh=_numpy_but(np.cosh, cmath.cosh, _near_overflow(np.real)))
 
 
 class _Jet:
     """What both jet kinds do the same way.
 
     A subclass supplies its slots in order as the tuple _all, the number
-    types _NUMBERS that add to its base value, its math module _MATH for one
-    point and _BATCH_MATH for a batch, its base value _base, its chain-rule
-    kernel _compose(d0, d1, d2, d3) for an elementary function whose
-    derivatives at the base value are d0..d3 (Jet2, of order 2, ignores d3),
-    and _check(fn, w), the floor and branch-cut check of log and sqrt, which
+    types _NUMBERS that add to its base value, its elementary functions
+    _ELEMENTARY, its base value _base, its chain-rule kernel
+    _compose(d0, d1, d2, d3) for an elementary function whose derivatives at
+    the base value are d0..d3 (Jet2, of order 2, ignores d3), and
+    _check(fn, w), the floor and branch-cut check of log and sqrt, which
     returns the base to go on with.
     """
 
     __slots__ = ()
-
-    @property
-    def _math(self):
-        return self._MATH if type(self._base) in _SCALARS else self._BATCH_MATH
 
     def __repr__(self):
         return f"{type(self).__name__}{self._all!r}"
@@ -337,36 +343,37 @@ class _Jet:
         return out
 
     def exp(self):
-        e = self._math.exp(self._base)
+        e = self._ELEMENTARY.exp(self._base)
         return self._compose(e, e, e, e)
 
     def log(self):
         w = self._check("log", self._base)
         iw = 1 / w
-        return self._compose(self._math.log(w), iw, -iw * iw, 2 * iw ** 3)
+        return self._compose(self._ELEMENTARY.log(w), iw, -iw * iw,
+                             2 * iw ** 3)
 
     def sqrt(self):
         w = self._check("sqrt", self._base)
-        s = self._math.sqrt(w)
+        s = self._ELEMENTARY.sqrt(w)
         return self._compose(s, 0.5 / s, -0.25 / (w * s), 0.375 / (w * w * s))
 
     def sin(self):
-        m = self._math
+        m = self._ELEMENTARY
         s, c = m.sin(self._base), m.cos(self._base)
         return self._compose(s, c, -s, -c)
 
     def cos(self):
-        m = self._math
+        m = self._ELEMENTARY
         s, c = m.sin(self._base), m.cos(self._base)
         return self._compose(c, -s, -c, s)
 
     def sinh(self):
-        m = self._math
+        m = self._ELEMENTARY
         s, c = m.sinh(self._base), m.cosh(self._base)
         return self._compose(s, c, s, c)
 
     def cosh(self):
-        m = self._math
+        m = self._ELEMENTARY
         s, c = m.sinh(self._base), m.cosh(self._base)
         return self._compose(c, s, c, s)
 
@@ -380,14 +387,15 @@ class ComplexJet(_Jet):
 
     __slots__ = ("c0", "c1", "c2", "c3")
     _all = coeffs = property(attrgetter(*__slots__))
-    _NUMBERS = _SCALARS
-    _MATH = cmath
-    _BATCH_MATH = _COMPLEX_BATCH_MATH
+    _NUMBERS = (int, float, complex)
+    _ELEMENTARY = _COMPLEX_BATCH_MATH
 
     def __init__(self, c0, c1=0j, c2=0j, c3=0j):
         # the algebra's own results need no coercion: complex, or _CArray
         if type(c0) is not complex and type(c0) is not _CArray:
-            c0, c1, c2, c3 = map(_as_complex, (c0, c1, c2, c3))
+            c0, c1, c2, c3 = (c if type(c) is _CArray
+                              else _CArray(np.asarray(c, complex))
+                              for c in (c0, c1, c2, c3))
         self.c0 = c0
         self.c1 = c1
         self.c2 = c2
@@ -403,16 +411,17 @@ class ComplexJet(_Jet):
 
     @staticmethod
     def variable(z):
-        return ComplexJet(z, 1 + 0j, 0j, 0j)
+        """The identity's jet at the points z; one point is a batch of one."""
+        return ComplexJet(_CArray(np.atleast_1d(np.asarray(z, complex))),
+                          1 + 0j, 0j, 0j)
 
     def batched(self, n):
         """This jet with every slot an array over n points."""
-        return ComplexJet(*(c if isinstance(c, _CArray)
-                            else _CArray(np.full(n, c, complex))
+        return ComplexJet(*(_CArray(np.full(n, getattr(c, "z", c), complex))
                             for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, self._NUMBERS):
             return ComplexJet(self.c0 * other, self.c1 * other,
                               self.c2 * other, self.c3 * other)
         if not isinstance(other, ComplexJet):
@@ -429,15 +438,12 @@ class ComplexJet(_Jet):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, self._NUMBERS):
             other = ComplexJet.constant(other)
         if not isinstance(other, ComplexJet):
             return NotImplemented
         g0, g1, g2, g3 = other.coeffs
-        mag = abs(g0)
-        if type(mag) is not float or mag <= DIV_FLOOR:
-            g0 = _checked(mag <= DIV_FLOOR, g0, DegenerateJetError, lambda: (
-                f"jet division floor: |denominator| = {mag:.3e}"))
+        g0 = _checked(abs(g0) <= DIV_FLOOR, g0, _division_floor)
         f0, f1, f2, f3 = self.coeffs
         q0 = f0 / g0
         q1 = (f1 - q0 * g1) / g0
@@ -457,12 +463,12 @@ class ComplexJet(_Jet):
     @staticmethod
     def _check(fn, w):
         mag = abs(w)
-        w = _checked(mag <= DIV_FLOOR, w, DegenerateJetError,
-                     lambda: f"{fn} at magnitude floor: |z| = {mag:.3e}")
+        w = _checked(mag <= DIV_FLOOR, w, lambda b: DegenerateJetError(
+            f"{fn} at magnitude floor: |z| = {abs(b):.3e}"))
         # rows at the floor now hold 1, off the cut
         cut = (w.real < 0) & (abs(w.imag) <= 1e-13 * mag)
-        return _checked(cut, w, BranchCutError,
-                        lambda: f"{fn} evaluated on the branch cut at {w}")
+        return _checked(cut, w, lambda b: BranchCutError(
+            f"{fn} evaluated on the branch cut at {b}"))
 
 
 class Jet2(_Jet):
@@ -474,14 +480,13 @@ class Jet2(_Jet):
     __slots__ = ("v", "du", "dv", "duu", "duv", "dvv")
     _all = slots = property(attrgetter(*__slots__))
     _NUMBERS = (int, float)
-    _MATH = math
-    _BATCH_MATH = _REAL_BATCH_MATH
+    _ELEMENTARY = _REAL_BATCH_MATH
 
     def __init__(self, v, du=0.0, dv=0.0, duu=0.0, duv=0.0, dvv=0.0):
         # the algebra's own results need no coercion: float, or float arrays
         if type(v) is not float and type(v) is not np.ndarray:
-            v, du, dv, duu, duv, dvv = map(_as_real,
-                                           (v, du, dv, duu, duv, dvv))
+            v, du, dv, duu, duv, dvv = (np.asarray(x, float) for x in
+                                        (v, du, dv, duu, duv, dvv))
         self.v = v
         self.du = du
         self.dv = dv
@@ -499,11 +504,13 @@ class Jet2(_Jet):
 
     @staticmethod
     def coordinate_u(u):
-        return Jet2(u, 1.0, 0.0)
+        """The jet of u at the points u; one point is a batch of one."""
+        return Jet2(np.atleast_1d(np.asarray(u, float)), 1.0, 0.0)
 
     @staticmethod
     def coordinate_v(v):
-        return Jet2(v, 0.0, 1.0)
+        """The jet of v at the points v; one point is a batch of one."""
+        return Jet2(np.atleast_1d(np.asarray(v, float)), 0.0, 1.0)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -529,11 +536,7 @@ class Jet2(_Jet):
         if not isinstance(other, Jet2):
             return NotImplemented
         b = other
-        bv = b.v
-        mag = abs(bv)
-        if type(mag) is not float or mag <= DIV_FLOOR:
-            bv = _checked(mag <= DIV_FLOOR, bv, DegenerateJetError, lambda: (
-                f"jet division floor: |denominator| = {mag:.3e}"))
+        bv = _checked(abs(b.v) <= DIV_FLOOR, b.v, _division_floor)
         q0 = self.v / bv
         q_du = (self.du - q0 * b.du) / bv
         q_dv = (self.dv - q0 * b.dv) / bv
@@ -556,21 +559,22 @@ class Jet2(_Jet):
     @staticmethod
     def _check(fn, v):
         if fn == "log":
-            return _checked(v <= DIV_FLOOR, v, BranchCutError,
-                            lambda: f"log of non-positive jet value {v:.3e}")
-        return _checked(v <= DIV_FLOOR, v, DegenerateJetError,
-                        lambda: f"sqrt of jet at floor: value = {v:.3e}")
+            return _checked(v <= DIV_FLOOR, v, lambda b: BranchCutError(
+                f"log of non-positive jet value {b:.3e}"))
+        return _checked(v <= DIV_FLOOR, v, lambda b: DegenerateJetError(
+            f"sqrt of jet at floor: value = {b:.3e}"))
 
 
 def _stack(xs):
-    """One slot of a Vec's components as an array: (dim,) at one point, and
-    (n, dim), C-contiguous, over a batch, so that reductions along the
-    component axis sum in the same order as at one point."""
+    """One slot of a Vec's components as an (n, dim) array, C-contiguous, so
+    that reductions along the component axis sum in the same order at every
+    row; constant components are broadcast, and constants alone are one
+    row."""
     try:
         out = np.array(xs)
-    except ValueError:        # numbers mixed with batch arrays
+    except ValueError:        # constants mixed with batch arrays
         return np.stack(np.broadcast_arrays(*xs), axis=-1)
-    return out if out.ndim == 1 else np.ascontiguousarray(out.T)
+    return np.ascontiguousarray(np.atleast_2d(out.T))
 
 
 class Vec:
@@ -578,8 +582,7 @@ class Vec:
 
     4 components for ambient R4 work, 5 for space-form work.  An optional
     signature on dot selects the Lorentzian product (+,+,+,+,-).
-    Slot arrays (values(), du(), ...) carry a leading batch axis when the
-    components hold batches.
+    Slot arrays (values(), du(), ...) carry a leading batch axis.
     """
 
     __slots__ = ("c",)
@@ -604,8 +607,7 @@ class Vec:
         return f"Vec({self.c!r})"
 
     def rows(self, index):
-        """The sample at some rows of a batch: one point for an integer
-        index, a batch for an index array."""
+        """The sample at the rows of a batch an index array or slice picks."""
         return Vec([Jet2(*(x[index] if isinstance(x, np.ndarray) else x
                            for x in a.slots)) for a in self.c])
 
@@ -702,29 +704,27 @@ def graph_surface(jets):
     return Vec([split_re(j1), split_im(j1), split_re(j2), split_im(j2)])
 
 
-def fd_crosscheck(surface, p, step=1e-4):
+def fd_crosscheck(surface, points, step=1e-4):
     """Compare jet-carried first and second partials against fourth-order
-    central differences on a 5x5 stencil.
+    central differences on a 5x5 stencil around each point (u, v).
 
-    surface: callable (u, v) -> Vec or Jet2.  Returns a dict with the largest
-    absolute deviation per derivative order and overall.  Any domain failure
-    raised by the surface propagates.
+    surface: callable (u, v) -> Vec or Jet2 over arrays of parameters, called
+    once on every stencil point of every center.  Returns a dict with the
+    largest absolute deviation per derivative order and overall, over all
+    the points.  Any domain failure raised by the surface propagates.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-
-    def sample(u, v):
-        out = surface(u, v)
-        return Vec([out]) if isinstance(out, Jet2) else out
-
-    u0, v0 = p
+    u0, v0 = np.asarray(points, dtype=float).reshape(-1, 2).T
     h = float(step)
-    center = sample(u0, v0)
-    F = {(0, 0): center.values()}
-    for i in (-2, -1, 0, 1, 2):
-        for j in (-2, -1, 0, 1, 2):
-            if (i or j) and (i == 0 or j == 0 or abs(i) == abs(j)):
-                F[i, j] = sample(u0 + i * h, v0 + j * h).values()
+    stencil = [(0, 0)] + [(i, j) for i in (-2, -1, 0, 1, 2)
+                          for j in (-2, -1, 0, 1, 2)
+                          if (i or j) and (i == 0 or j == 0 or abs(i) == abs(j))]
+    di, dj = np.array(stencil).T[..., None]
+    out = surface((u0 + di * h).ravel(), (v0 + dj * h).ravel())
+    sample = Vec([out]) if isinstance(out, Jet2) else out
+    F = dict(zip(stencil, sample.values().reshape(len(stencil), u0.size, -1)))
+    center = sample.rows(slice(0, u0.size))
 
     fd_du = (-F[2, 0] + 8 * F[1, 0] - 8 * F[-1, 0] + F[-2, 0]) / (12 * h)
     fd_dv = (-F[0, 2] + 8 * F[0, 1] - 8 * F[0, -1] + F[0, -2]) / (12 * h)

@@ -38,7 +38,6 @@ class Domain:
 
     def contains(self, z):
         """Whether z lies in the domain; a mask for an array of points."""
-        z = z if isinstance(z, np.ndarray) else complex(z)
         inside = ((self.u_min <= z.real) & (z.real <= self.u_max)
                   & (self.v_min <= z.imag) & (z.imag <= self.v_max))
         for center, radius in self.excluded:
@@ -52,10 +51,12 @@ class Domain:
                 np.linspace(self.v_min + dv, self.v_max - dv, nv))
 
     def grid(self, nu, nv, margin=0.0):
-        """Contained grid points as complex numbers, u varying slowest."""
+        """Contained grid points as a complex array, u varying slowest."""
         us, vs = self.linspace(nu, nv, margin)
-        return [complex(u, v) for u in us for v in vs
-                if self.contains(complex(u, v))]
+        z = np.empty((nu, nv), complex)
+        z.real, z.imag = us[:, None], vs
+        z = z.ravel()
+        return z[self.contains(z)]
 
 
 class HolomorphicCurve:
@@ -74,24 +75,21 @@ class HolomorphicCurve:
         return self.expr.to_text()
 
     def check_domain(self, z):
-        if isinstance(z, np.ndarray):
-            fail_rows(~self.domain.contains(z), DomainError,
-                      lambda: f"points outside the domain of {self.name}")
-        elif not self.domain.contains(z):
-            raise DomainError(
-                f"point ({complex(z).real:g}, {complex(z).imag:g}) is outside "
-                f"the domain of {self.name}",
-                reason="domain", where=self.name, z=complex(z))
+        """Record the points of the array z outside the domain as failed
+        rows of DomainError (see jets.fail_rows)."""
+        fail_rows(~self.domain.contains(z), lambda k: DomainError(
+            f"point ({z[k].real:g}, {z[k].imag:g}) is outside the domain of "
+            f"{self.name}", reason="domain", where=self.name, z=complex(z[k])))
 
     def eval_jets(self, z):
+        """Component jets at the points z; one point is a batch of one."""
+        z = np.atleast_1d(np.asarray(z, complex))
         self.check_domain(z)
         return self.expr.eval_jets(z)
 
     def eval(self, z):
-        """Component values: (4,) at one point, (n, 4) over n points."""
-        self.check_domain(z)
-        return np.stack([getattr(c, "z", c) for c in self.expr.eval_values(z)],
-                        axis=-1)
+        """Component values, (n, 4) over the n points z."""
+        return np.stack([j.c0.z for j in self.eval_jets(z)], axis=-1)
 
     def __repr__(self):
         return f"HolomorphicCurve({self.name!r}, {self.to_text()!r})"
@@ -99,15 +97,15 @@ class HolomorphicCurve:
 
 @dataclass(frozen=True)
 class SplitSample:
-    """Second-order data of the conjugate pair at one parameter point, or at
-    an array of points (the jets then hold arrays).
+    """Second-order data of the conjugate pair at an array of parameter
+    points, z (the jets hold arrays over them).
 
     g, h hold position jets; g_u, g_v hold full jets of the first-derivative
     fields (their own derivatives use third holomorphic order).  h's
     derivative fields come for free from conjugacy.
     """
 
-    z: complex | np.ndarray
+    z: np.ndarray
     g: Vec
     h: Vec
     g_u: Vec
@@ -150,12 +148,12 @@ class MinimalPair:
         return MinimalPair(self.curve, self.h_offset + np.asarray(v, dtype=float))
 
     def samples_at(self, z):
+        z = np.atleast_1d(np.asarray(z, complex))
         jets = self.curve.eval_jets(z)
         g, h = seed_surface(jets)
         if np.any(self.h_offset):
             h = h + Vec.of_values(self.h_offset)
         g_u, g_v = seed_first_derivative_fields(jets)
-        z = z if isinstance(z, np.ndarray) else complex(z)
         return SplitSample(z=z, g=g, h=h, g_u=g_u, g_v=g_v)
 
     def sample_g(self, z):
@@ -209,8 +207,8 @@ def certify(pair, grid=None, nu=9, nv=9, margin=0.05):
     iso = np.hypot(iso.real, iso.imag) / np.maximum(herm, 1e-300)
 
     fd = geometry.fundamental_data(sample.g)
-    fail_rows(~fd.regular, SingularSampleError,
-              lambda: f"{curve.name} is singular at a certification point")
+    fail_rows(~fd.regular, lambda k: SingularSampleError(
+        f"{curve.name} is singular at a certification point"))
     reg = fd.det1 / geometry._pypow(np.maximum(fd.scale, 1e-150), 4)
     return {
         "isotropy_max": float(iso.max()),

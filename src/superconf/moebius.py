@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from .errors import (DualitySingularError, FrameDegenerateError,
                      NotNullCurveError, PreconditionError, ProjectionError,
                      SingularSampleError)
 from .expr import Bin, CurveExpr, Pow, const_node
-from .geometry import (Ambient, _blas_dot, _col, _coord_shape, _normal_parts,
-                       ellipse_descriptor, fundamental_data)
+from .geometry import (Ambient, _blas_dot, _col, _coord_shape, _largest,
+                       _normal_parts, ellipse_descriptor, fundamental_data)
 from .jets import (Vec, _im_part, _re_part, fail_rows, graph_surface,
                    row_failures)
 from .minimal import HolomorphicCurve
@@ -76,8 +76,12 @@ class Inversion:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if self.center.ndim != 1 or len(self.center) not in (4, 5):
             raise PreconditionError("inversion center must be a 4- or 5-vector")
+        if not np.isfinite(self.center).all():
+            raise PreconditionError("inversion center must be finite")
         if not self.radius > 0:
             raise PreconditionError("inversion radius must be positive")
+        if not np.isfinite(self.radius):
+            raise PreconditionError("inversion radius must be finite")
         if self.signature not in SIGNATURES:
             raise PreconditionError(
                 f"unknown signature {self.signature!r}; expected one of "
@@ -104,18 +108,33 @@ class Inversion:
 def _check_denominator(q, d_values):
     scale = np.sum(np.asarray(d_values) ** 2, axis=-1)
     fail_rows(abs(q) <= INV_FLOOR * np.maximum(scale, 1e-300),
-              InversionSingularError, lambda: (
+              lambda k: InversionSingularError(
                   f"point lies on the singular set of the inversion "
-                  f"(<x - c, x - c> = {q:.3e})"))
+                  f"(<x - c, x - c> = {q[k]:.3e})"))
+
+
+def _sig_dot(sig, a, b):
+    """The inner product of signature sig along the component axis."""
+    return np.add.reduce(sig * a * b, axis=-1)
+
+
+def _points(x, dim, message):
+    """x as an (n, dim) float array, one dim-vector as a batch of one;
+    PreconditionError(message) for any other shape."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise PreconditionError(message)
+    return x
 
 
 def invert(x, inv):
-    """Image of a point (array) or surface sample (Vec) under the inversion.
+    """Image of points, (n, dim) or one dim-vector as a batch of one, or of
+    a surface sample (Vec) under the inversion.
 
     Vec samples are transported with their full second-order jets, so the
-    image can be fed straight back into curvature computations; a batch
-    sample records the rows on the singular set in the innermost
-    jets.row_failures() sink."""
+    image can be fed straight back into curvature computations.  The rows
+    on the singular set are recorded in the innermost jets.row_failures()
+    sink (without one, the first raises)."""
     if isinstance(x, Vec):
         if len(x) != inv.dim:
             raise PreconditionError("sample and inversion dimensions disagree")
@@ -125,63 +144,59 @@ def invert(x, inv):
         q = d.dot(d, signature=sig)
         _check_denominator(q.v, d.values())
         return center + d * ((inv.orientation * inv.radius ** 2) / q)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (inv.dim,):
-        raise PreconditionError("point and inversion dimensions disagree")
+    x = _points(x, inv.dim, "point and inversion dimensions disagree")
     d = x - inv.center
-    q = float(np.sum(inv.sig() * d * d))
+    q = _sig_dot(inv.sig(), d, d)
     _check_denominator(q, d)
-    return inv.center + (inv.orientation * inv.radius ** 2 / q) * d
+    return inv.center + _col(inv.orientation * inv.radius ** 2 / q) * d
 
 
 def normal_transform_check(sample, xi, inv):
-    """How a unit normal and its shape operator move through an inversion.
+    """How a unit normal and its shape operator move through an inversion,
+    at every row of a sample, with xi (n, dim) the normals at the rows.
 
     The reflected normal xi - 2 <xi, x - c> (x - c) / <x - c, x - c> must be
     a unit normal of the inverted sample ("unit", "normal" residuals), and
     the shape operator of the image must equal
     (<x-c, x-c> A_xi + 2 <x-c, xi> Id) / (s radius^2) with s the signature
-    orientation ("shape" residual, max entry).  Returns the residual dict
-    with a "max" summary.  A tangential or non-unit xi is rejected."""
-    sig = inv.sig()
+    orientation ("shape" residual, max entry).  Returns the dict of the
+    residuals per row, with their "max".  A row with a tangential or
+    non-unit xi fails with PreconditionError (jets.fail_rows)."""
+    x = sample.values()
     xi = np.asarray(xi, dtype=float)
-    if len(sample) != inv.dim or xi.shape != (inv.dim,):
+    if len(sample) != inv.dim or xi.shape != x.shape:
         raise PreconditionError(
             "sample, normal, and inversion dimensions disagree")
-
-    def dot(a, b):
-        return float(np.sum(sig * a * b))
+    dot = partial(_sig_dot, inv.sig())
 
     Xu, Xv = sample.du(), sample.dv()
-    unit_defect = abs(dot(xi, xi) - 1.0)
-    if unit_defect > 1e-8:
-        raise PreconditionError(
-            f"xi must be a unit spacelike vector; <xi, xi> = {dot(xi, xi):.6f}")
-    tang = max(abs(dot(xi, Xu)) / np.linalg.norm(Xu),
-               abs(dot(xi, Xv)) / np.linalg.norm(Xv))
-    if tang > 1e-6:
-        raise PreconditionError(
-            f"xi is not normal to the sample (tangential part {tang:.3e})")
+    xx = dot(xi, xi)
+    fail_rows(abs(xx - 1.0) > 1e-8, lambda k: PreconditionError(
+        f"xi must be a unit spacelike vector; <xi, xi> = {xx[k]:.6f}"))
+    tang = np.maximum(abs(dot(xi, Xu)) / _vec_norm(Xu),
+                      abs(dot(xi, Xv)) / _vec_norm(Xv))
+    fail_rows(tang > 1e-6, lambda k: PreconditionError(
+        f"xi is not normal to the sample (tangential part {tang[k]:.3e})"))
 
-    d = sample.values() - inv.center
+    d = x - inv.center
     q = dot(d, d)
     _check_denominator(q, d)
-    pxi = xi - (2.0 * dot(xi, d) / q) * d
+    pxi = xi - _col(2.0 * dot(xi, d) / q) * d
     image = invert(sample, inv)
     iu, iv = image.du(), image.dv()
     res_unit = abs(dot(pxi, pxi) - 1.0)
-    res_normal = max(abs(dot(pxi, iu)) / np.linalg.norm(iu),
-                     abs(dot(pxi, iv)) / np.linalg.norm(iv))
+    res_normal = np.maximum(abs(dot(pxi, iu)) / _vec_norm(iu),
+                            abs(dot(pxi, iv)) / _vec_norm(iv))
     A = _coord_shape(Xu, Xv, (sample.duu(), sample.duv(), sample.dvv()),
                      xi, dot)
     A_img = _coord_shape(iu, iv, (image.duu(), image.duv(), image.dvv()),
                          pxi, dot)
-    rhs = (q * A + 2.0 * dot(d, xi) * np.eye(2)) / (
+    rhs = (q[:, None, None] * A
+           + (2.0 * dot(d, xi))[:, None, None] * np.eye(2)) / (
         inv.orientation * inv.radius ** 2)
-    res_shape = float(np.max(np.abs(A_img - rhs)))
-    out = {"unit": res_unit, "normal": res_normal, "shape": res_shape}
-    out["max"] = max(out.values())
-    return out
+    res_shape = np.abs(A_img - rhs).max(axis=(-2, -1))
+    return {"unit": res_unit, "normal": res_normal, "shape": res_shape,
+            "max": _largest(res_unit, res_normal, res_shape)}
 
 
 def transformed_curve(curve, radius=1.0, center=None, name=None):
@@ -235,48 +250,55 @@ def _graph_fields(curve, z):
 
 @dataclass(frozen=True)
 class DualityReport:
-    z: complex
+    z: np.ndarray
     value: np.ndarray
     field: Vec
-    antiholo: float
-    involution: float
-    conformality: float
+    antiholo: np.ndarray
+    involution: np.ndarray
+    conformality: np.ndarray
 
 
 def duality(curve, z):
     """Normal-component dual f^N / (2 ||f^N||^2) of a graph surface.
 
-    The curve must have two components; its R4 graph is dualized at z and
-    the defining properties are measured: the dual is anti-holomorphic for
-    the paired ambient complex structure, applying it twice returns the
-    original point, and its induced metric is conformal.  Undefined where
-    the position vector is tangential."""
+    The curve must have two components; its R4 graph is dualized at the
+    points z (one point is a batch of one) and the defining properties are
+    measured per point: the dual is anti-holomorphic for the paired ambient
+    complex structure, applying it twice returns the original point, and
+    its induced metric is conformal.  Undefined where the position vector
+    is tangential: those rows fail with DualitySingularError
+    (jets.fail_rows)."""
+    z = np.atleast_1d(np.asarray(z, complex))
     pos, fu, fv = _graph_fields(curve, z)
     [fN] = _normal_parts([pos], fu, fv, Vec.dot)
     n2 = fN.dot(fN)
     scale = pos.dot(pos).v + fu.dot(fu).v
-    if n2.v <= 1e-24 * max(scale, 1e-300):
-        raise DualitySingularError(
-            f"position vector of {curve.name} is tangential at z = {z}; "
-            "the dual is undefined")
+    fail_rows(n2.v <= 1e-24 * np.maximum(scale, 1e-300),
+              lambda k: DualitySingularError(
+                  f"position vector of {curve.name} is tangential at "
+                  f"z = {complex(z[k])}; the dual is undefined"))
     fstar = fN * (0.5 / n2)
     Fu, Fv = fstar.du(), fstar.dv()
-    sc = max(np.linalg.norm(Fu), np.linalg.norm(Fv), 1e-300)
-    r1 = Fv + J_AMB @ Fu
-    r2 = -Fu + J_AMB @ Fv
-    antiholo = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))) / sc
-    E, F, G = Fu @ Fu, Fu @ Fv, Fv @ Fv
-    conformality = max(abs(E - G), 2.0 * abs(F)) / max(E, G, 1e-300)
-    [FN] = _normal_parts([fstar.values()], Fu, Fv, np.dot)
-    nn = float(FN @ FN)
-    if nn <= 1e-24 * max(float(fstar.values() @ fstar.values()), 1e-300):
-        raise DualitySingularError(
-            f"dual of {curve.name} is itself tangential at z = {z}")
-    second = FN / (2.0 * nn)
-    involution = float(np.linalg.norm(second - pos.values()))
-    return DualityReport(z=complex(z), value=fstar.values(), field=fstar,
-                         antiholo=antiholo, involution=involution,
-                         conformality=conformality)
+    sc = _largest(_vec_norm(Fu), _vec_norm(Fv), 1e-300)
+    # J_AMB's entries are 0 and +-1, so these products are exact
+    r1 = Fv + Fu @ J_AMB.T
+    r2 = -Fu + Fv @ J_AMB.T
+    antiholo = np.maximum(np.abs(r1).max(axis=1), np.abs(r2).max(axis=1)) / sc
+    E, F, G = _blas_dot(Fu, Fu), _blas_dot(Fu, Fv), _blas_dot(Fv, Fv)
+    conformality = (np.maximum(abs(E - G), 2.0 * abs(F))
+                    / _largest(E, G, 1e-300))
+    value = fstar.values()
+    [FN] = _normal_parts([value], Fu, Fv,
+                         lambda a, b: _col(_blas_dot(a, b)))
+    nn = _blas_dot(FN, FN)
+    fail_rows(nn <= 1e-24 * np.maximum(_blas_dot(value, value), 1e-300),
+              lambda k: DualitySingularError(
+                  f"dual of {curve.name} is itself tangential at "
+                  f"z = {complex(z[k])}"))
+    second = FN / _col(2.0 * nn)
+    involution = _vec_norm(second - pos.values())
+    return DualityReport(z=z, value=value, field=fstar, antiholo=antiholo,
+                         involution=involution, conformality=conformality)
 
 
 # -- pair transformation ------------------------------------------------------
@@ -471,8 +493,8 @@ def degenerate_collapse_check(pair, points):
     structure = recover_complex_structure(pair, z)
     built = build_phi_pair(pair, z)
     fd = built[0].ctx.fd_g
-    fail_rows(~fd.regular, SingularSampleError,
-              lambda: "g is singular at a sample point")
+    fail_rows(~fd.regular, lambda k: SingularSampleError(
+        "g is singular at a sample point"))
     [gN] = _normal_parts([built[0].ctx.sample.g.values()], fd.Xu, fd.Xv,
                          lambda a, b: _col(_blas_dot(a, b)))
     vals = {ps.sign: ps.phi.values() for ps in built}
@@ -518,47 +540,48 @@ class Stereographic:
         amb = self.ambient
         d = P - amb.center_vec()
         res = amb.on_manifold_residual(P)
-        if res > 1e-9 * max(1.0, float(d @ d)):
-            raise ProjectionError(
-                f"point is off the {self.space} space form "
-                f"(residual {res:.3e})")
+        fail_rows(res > 1e-9 * np.maximum(1.0, _blas_dot(d, d)),
+                  lambda k: ProjectionError(
+                      f"point is off the {self.space} space form "
+                      f"(residual {res[k]:.3e})"))
 
     def to_R4(self, P):
-        P = np.asarray(P, dtype=float)
-        if P.shape != (5,):
-            raise PreconditionError("space-form points are 5-vectors")
+        """R4 images, (n, 4), of the space-form points P, (n, 5) or one
+        5-vector as a batch of one; rows without an image fail with
+        ProjectionError (jets.fail_rows)."""
+        P = _points(P, 5, "space-form points are 5-vectors")
         self._check_on_manifold(P)
         r = self.radius
         if self.space == "sphere":
             c = 2.0 * r * _E5
             d = P - c
-            q = float(d @ d)
-            if q <= INV_FLOOR * max(1.0, r * r):
-                raise ProjectionError(
-                    "the point opposite the image plane has no image")
-            return (c + (4.0 * r * r / q) * d)[:4]
-        den = P[4] + 2.0 * r
-        if den <= INV_FLOOR * max(1.0, r):
-            raise ProjectionError(
-                "point sits on the wrong sheet of the hyperboloid")
-        return (2.0 * r / den) * P[:4]
+            q = _blas_dot(d, d)
+            fail_rows(q <= INV_FLOOR * max(1.0, r * r),
+                      lambda k: ProjectionError(
+                          "the point opposite the image plane has no image"))
+            return (c + _col(4.0 * r * r / q) * d)[:, :4]
+        den = P[:, 4] + 2.0 * r
+        fail_rows(den <= INV_FLOOR * max(1.0, r), lambda k: ProjectionError(
+            "point sits on the wrong sheet of the hyperboloid"))
+        return _col(2.0 * r / den) * P[:, :4]
 
     def from_R4(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (4,):
-            raise PreconditionError("flat points are 4-vectors")
+        """Space-form points, (n, 5), of the R4 points x, (n, 4) or one
+        4-vector as a batch of one; rows outside the hyperbolic model fail
+        with ProjectionError (jets.fail_rows)."""
+        x = _points(x, 4, "flat points are 4-vectors")
         r = self.radius
         if self.space == "sphere":
             c = 2.0 * r * _E5
-            d = np.append(x, 0.0) - c
-            return c + (4.0 * r * r / float(d @ d)) * d
-        n2 = float(x @ x)
-        if n2 >= 4.0 * r * r:
-            raise ProjectionError(
-                f"the hyperbolic model fills the open ball of radius "
-                f"{2.0 * r:g}; |x| = {np.sqrt(n2):.6g} falls outside")
+            d = np.concatenate((x, np.zeros((len(x), 1))), axis=1) - c
+            return c + _col(4.0 * r * r / _blas_dot(d, d)) * d
+        n2 = _blas_dot(x, x)
+        fail_rows(n2 >= 4.0 * r * r, lambda k: ProjectionError(
+            f"the hyperbolic model fills the open ball of radius "
+            f"{2.0 * r:g}; |x| = {np.sqrt(n2[k]):.6g} falls outside"))
         s = 4.0 * r * r / (4.0 * r * r - n2)
-        return np.append(s * x, 2.0 * r * (s - 1.0))
+        return np.concatenate((_col(s) * x, _col(2.0 * r * (s - 1.0))),
+                              axis=1)
 
 
 @dataclass(frozen=True)
@@ -592,8 +615,8 @@ def superminimal_test(surface, ambient, points, h_tol=1e-9, circ_tol=1e-8):
             f"sample at ({u[k]:g}, {v[k]:g}) is off the {ambient.kind} "
             f"space form (residual {res[k]:.3e})")
     fd = fundamental_data(smp, ambient)
-    fail_rows(~fd.regular, SingularSampleError,
-              lambda: "rank-deficient sample")
+    fail_rows(~fd.regular, lambda k: SingularSampleError(
+        "rank-deficient sample"))
     ed = ellipse_descriptor(fd)
     worst_H = float(fd.lam.max())
     worst_circ = float(np.maximum(abs(ed.res_orth), abs(ed.res_len)).max())
@@ -666,13 +689,9 @@ def quadric_classification(pair_like, points, immersion=None, ambient=None):
                                                           radius=radius)
         bridge = Stereographic(radius=amb.radius, space=amb.kind)
         form = superminimal_test(immersion, amb, zip(z.real, z.imag))
-        images = immersion(z.real, z.imag).values()
-        sup = {s: 0.0 for s in SIGNS}
-        for row, image in enumerate(images):
-            proj = bridge.to_R4(image)
-            for s in SIGNS:
-                phi = phi_value(g.rows(row), h.rows(row), s)
-                sup[s] = max(sup[s], float(np.linalg.norm(phi - proj)))
+        proj = bridge.to_R4(immersion(z.real, z.imag).values())
+        sup = {s: float(_vec_norm(phi_value(g, h, s) - proj).max())
+               for s in SIGNS}
         best = "+" if sup["+"] <= sup["-"] else "-"
         cross = {"space_form": form,
                  "surface_residual": sup[best],

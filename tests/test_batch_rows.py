@@ -1,6 +1,7 @@
-"""Every routine that takes a point or an array of points returns, per row
-of the array, exactly what its one-point call returns: the same bits, and
-for a failed row the error class the point raises alone."""
+"""Every routine that takes an array of points returns, per row of the
+array, exactly what the point's batch-of-one slice returns: the same bits,
+and for a failed row the error the batch of one raises, with its class,
+message and fields."""
 
 import dataclasses
 
@@ -21,7 +22,8 @@ PAIRS = ("catenoid-helicoid", "enneper-r3", "q0-line", "q0-trig",
 
 
 def assert_row(batch, alone, k, where):
-    """Row k of a batch result equals the one-point result, bit for bit."""
+    """Row k of a batch result equals row 0 of the batch-of-one result, bit
+    for bit; a constant equals the constant."""
     if dataclasses.is_dataclass(alone):
         for f in dataclasses.fields(alone):
             if f.name != "ctx":      # build_phi_pair's own rows are tested
@@ -42,15 +44,16 @@ def assert_row(batch, alone, k, where):
     elif alone is None:
         assert batch is None, where
     else:
-        got = batch[k] if isinstance(batch, np.ndarray) else batch
-        got, want = np.asarray(got), np.asarray(alone)
+        got, want = np.asarray(batch), np.asarray(alone)
+        if want.ndim:
+            got, want = got[k], want[0]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
             where, got, want)
 
 
 def assert_rows_match(run, batch_input, point_input, n, where):
     """run(batch_input) over n points inside a row_failures() sink against
-    run(point_input(k)) for every row k."""
+    run(point_input(k)), the batch of one of row k, for every row k."""
     with np.errstate(all="ignore"):
         with row_failures(n) as failed:
             batch = run(batch_input)
@@ -58,9 +61,10 @@ def assert_rows_match(run, batch_input, point_input, n, where):
             try:
                 alone = run(point_input(k))
             except SuperconfError as exc:
-                assert failed.rows(type(exc))[k], (where, k, type(exc))
-                assert sum(m[k] for m in failed.by_class.values()) == 1, (
-                    where, k, failed.counts())
+                [error] = [e for _, m, e in failed.checks if m[k]]
+                recorded = error(k)
+                assert (type(recorded), str(recorded), vars(recorded)) == (
+                    type(exc), str(exc), vars(exc)), (where, k)
                 continue
             assert not failed.rows()[k], (where, k, failed.counts())
             assert_row(batch, alone, k, where)
@@ -79,7 +83,7 @@ def test_array_calls_match_point_calls_row_by_row(name):
     for run, where in ((lambda x: dual_pair_report(pair, x), "dual"),
                        (lambda x: dual_pair_report(pair, x, ("-",)),
                         "dual-")):
-        failed = assert_rows_match(run, z, lambda k: complex(z[k]), z.size,
+        failed = assert_rows_match(run, z, lambda k: z[k:k + 1], z.size,
                                    where)
         failures.update(failed.counts())
 
@@ -96,8 +100,9 @@ def test_array_calls_match_point_calls_row_by_row(name):
                     (lambda x: extract_minimal_pair(invert(x, inv)),
                      "extract"),
                     (lambda x: adapted_frame(fundamental_data(x)), "frame")):
-                failed = assert_rows_match(run, ps.phi, ps.phi.rows, z.size,
-                                           f"{where} {ps.sign}")
+                failed = assert_rows_match(
+                    run, ps.phi, lambda k: ps.phi.rows(slice(k, k + 1)),
+                    z.size, f"{where} {ps.sign}")
                 failures.update(failed.counts())
     # the rows cover failures as well as clean points
     assert failures, name

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -82,8 +83,29 @@ def test_certify_singular_batch_prints_no_warnings():
     assert proc.returncode == 3
     assert proc.stderr == ""
     assert json.loads(proc.stdout) == {"error": {
-        "message": "check failed at 9 of 9 points of a batch",
+        "message": "inline is singular at a certification point",
         "type": "SingularSampleError"}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--project", "stereo:nan,0,0,1"],
+    ["construct", "--project", "stereo:inf,0,0,1"],
+    ["invert", "--center", "0,0,0,5", "--radius", "inf"],
+    ["invert", "--center", "nan,0,0,5"],
+], ids=["pole-nan", "pole-inf", "radius-inf", "center-nan"])
+def test_non_finite_numbers_are_usage_errors(argv, tmp_path, capsys):
+    # rejected before any work: exit 2, no file, nothing on stderr
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if argv[0] == "construct" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([argv[0], "--curve", "catenoid-helicoid", "--grid",
+                         "3,3", *argv[1:], *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"]["type"] == "PreconditionError"
+    assert captured.err == "" and caught == []
+    assert not out.exists()
 
 
 def test_quadric_labels(capsys):

@@ -12,7 +12,7 @@ from superconf.errors import (FrameDegenerateError, FrameUndefinedError,
                               PreconditionError, SingularSampleError)
 from superconf.geometry import (_blas_dot, _col, _normal_parts, _sqrt0, _sym2,
                                 fundamental_data, superconformality_test)
-from superconf.jets import Jet2, Vec, fd_crosscheck
+from superconf.jets import Jet2, Vec, fd_crosscheck, row_failures
 from test_cli import count_calls
 
 _JMAT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -135,17 +135,12 @@ def test_gradient_bound_never_exceeded():
     for name in ("catenoid-helicoid", "whitney", "enneper-r3",
                  "q0-trig", "q0-trig-perturbed"):
         pair = catalog.get(name).pair
-        us, vs = pair.curve.domain.linspace(8, 8, margin=0.05)
-        for u in us:
-            for v in vs:
-                z = complex(u, v)
-                if not pair.curve.domain.contains(z):
-                    continue
-                try:
-                    fr = construction_frame(pair, z)
-                except FrameDegenerateError:
-                    continue
-                assert fr.norm_grad_r <= 1.0 + 1e-10
+        z = pair.curve.domain.grid(8, 8, margin=0.05)
+        with np.errstate(all="ignore"), row_failures(z.size) as failed:
+            fr = construction_frame(pair, z)
+        # the points where h vanishes have no frame and are skipped
+        assert set(failed.counts()) <= {"FrameDegenerateError"}
+        assert (fr.norm_grad_r[~failed.rows()] <= 1.0 + 1e-10).all()
 
 
 def test_h_decomposition_identity(catenoid):
@@ -165,23 +160,26 @@ def test_h_decomposition_identity(catenoid):
 def test_tangential_coefficients_match_Tvec(catenoid):
     fr = construction_frame(catenoid, 1.7 - 0.9j)
     s = fr.ctx.sample
-    gu, gv, h = s.g_u.values(), s.g_v.values(), s.h.values()
+    [gu], [gv], [h] = s.g_u.values(), s.g_v.values(), s.h.values()
     h1, h2 = np.linalg.solve([[gu @ gu, gu @ gv], [gu @ gv, gv @ gv]],
                              [h @ gu, h @ gv])
-    assert h1 == pytest.approx(fr.Tvec[0], abs=1e-12)
-    assert h2 == pytest.approx(fr.Tvec[1], abs=1e-12)
+    [(t1, t2)] = fr.Tvec
+    assert h1 == pytest.approx(t1, abs=1e-12)
+    assert h2 == pytest.approx(t2, abs=1e-12)
 
 
 def test_frame_normals_unit_and_orthogonal(catenoid):
     fr = construction_frame(catenoid, 1.0 + 0.5j)
-    assert np.linalg.norm(fr.xi) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(fr.delta_plus) == pytest.approx(1.0, abs=1e-12)
-    assert fr.xi @ fr.delta_minus == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(fr.delta_plus, -fr.delta_minus)
+    [xi], [delta_plus], [delta_minus] = fr.xi, fr.delta_plus, fr.delta_minus
+    assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(delta_plus) == pytest.approx(1.0, abs=1e-12)
+    assert xi @ delta_minus == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(delta_plus, -delta_minus)
     s = fr.ctx.sample
-    for n in (fr.xi, fr.delta_minus):
-        assert abs(n @ s.g_u.values()) < 1e-12
-        assert abs(n @ s.g_v.values()) < 1e-12
+    [gu], [gv] = s.g_u.values(), s.g_v.values()
+    for n in (xi, delta_minus):
+        assert abs(n @ gu) < 1e-12
+        assert abs(n @ gv) < 1e-12
 
 
 def test_bxi_identity(catenoid):
@@ -273,7 +271,7 @@ def test_two_routes_agree(catenoid, perturbed):
 
 def test_phi_jets_match_finite_differences(catenoid):
     def surf(u, v):
-        return build_phi_pair(catenoid, complex(u, v))[0].phi
+        return build_phi_pair(catenoid, u + 1j * v)[0].phi
     rep = fd_crosscheck(surf, (1.1, 0.6))
     assert rep["max"] < 1e-6
 
@@ -308,7 +306,7 @@ def test_phi_jets_match_sympy_closed_form(catenoid):
             want = catalog.expected_eval(entry, "phi", sign, *p)
             assert np.abs(evaluate(exact[sign], p)[:, 0] - want).max() < 1e-14
         for ps in build_phi_pair(catenoid, complex(*p)):
-            jets = np.array([c.slots for c in ps.phi])
+            jets = np.array([c.slots for c in ps.phi])[..., 0]
             for swapped in (False, True):
                 label = ps.sign if not swapped else {"+": "-", "-": "+"}[ps.sign]
                 want = evaluate(exact[label], p)
@@ -366,10 +364,10 @@ def test_nondegenerate_sign_equals_twice_normal_part():
     _, ps = build_phi_pair(pair, z)
     s = pair.samples_at(z)
     fd = fundamental_data(s.g)
-    gval = s.g.values()
-    al, be = np.linalg.solve([[fd.E, fd.F], [fd.F, fd.G]],
-                             [gval @ fd.Xu, gval @ fd.Xv])
-    gN = gval - al * fd.Xu - be * fd.Xv
+    [gval], [Xu], [Xv] = s.g.values(), fd.Xu, fd.Xv
+    [E], [F], [G] = fd.E, fd.F, fd.G
+    al, be = np.linalg.solve([[E, F], [F, G]], [gval @ Xu, gval @ Xv])
+    gN = gval - al * Xu - be * Xv
     assert np.abs(ps.phi.values() - 2.0 * gN).max() < 1e-12
 
 
@@ -422,11 +420,11 @@ def test_dual_pair_report_matches_the_decomposition_oracle(catenoid):
         fr = construction_frame(catenoid, z)
         rep = dual_pair_report(catenoid, z)
         assert (rep.z, rep.r, rep.a) == (fr.z, fr.r.v, fr.a)
-        zeta_c = fr.Z_ambient + fr.a * fr.xi
+        [zeta_c] = fr.Z_ambient + _col(fr.a) * fr.xi
         for ps in build_phi_pair(catenoid, z):
             fd = fundamental_data(ps.phi)
             want = max(abs(zeta_c @ w) / np.linalg.norm(w)
-                       for w in (fd.Xu, fd.Xv, fd.H))
+                       for [w] in (fd.Xu, fd.Xv, fd.H))
             assert rep.tangency_residual[ps.sign] == pytest.approx(
                 want, rel=1e-12, abs=1e-300)
 

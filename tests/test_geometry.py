@@ -154,10 +154,14 @@ class TestCatenoid:
 
 
 def test_rank_deficient_sample_raises():
+    # the row is marked irregular, and the frame it lacks raises with det
     w = U(0.1) + V(0.2)
-    with pytest.raises(SingularSampleError):
-        fundamental_data(Vec([w, 2.0 * w, Jet2.constant(1.0),
-                              Jet2.constant(2.0)]))
+    fd = fundamental_data(Vec([w, 2.0 * w, Jet2.constant(1.0),
+                               Jet2.constant(2.0)]))
+    assert not fd.regular[0]
+    with pytest.raises(SingularSampleError) as exc:
+        adapted_frame(fd)
+    assert exc.value.det == fd.det1[0]
 
 
 def test_normal_frame_when_largest_projections_are_parallel():
@@ -168,7 +172,7 @@ def test_normal_frame_when_largest_projections_are_parallel():
                (0.25, -0.5, 0.3))
     fd = fundamental_data(Vec([Jet2(0.0, xu[i], xv[i], *seconds[i])
                                for i in range(4)]))
-    frame = np.column_stack([fd.Y1, fd.Y2, fd.n1, fd.n2])
+    frame = np.column_stack([fd.Y1[0], fd.Y2[0], fd.n1[0], fd.n2[0]])
     assert np.all(np.isfinite(frame))
     assert np.allclose(frame.T @ frame, np.eye(4), atol=1e-12)
     assert np.linalg.det(frame) > 0.0
@@ -230,14 +234,14 @@ class TestAdaptedFrame:
         assert fr.mu == pytest.approx(0.35, rel=1e-12)
         assert fr.sffa_residual < 1e-12
         assert fr.ambient_det == 1.0
-        np.testing.assert_allclose(fr.eta, [0, 0, 1, 0], atol=1e-12)
-        np.testing.assert_allclose(fr.A_zeta, [[0.35, 0], [0, -0.35]],
+        np.testing.assert_allclose(fr.eta[0], [0, 0, 1, 0], atol=1e-12)
+        np.testing.assert_allclose(fr.A_zeta[0], [[0.35, 0], [0, -0.35]],
                                    atol=1e-12)
 
     def test_pattern_beats_orientation(self):
         fr = adapted_frame(fundamental_data(quadratic_jet(0.9, 0.35, flip=True)))
         assert fr.ambient_det == -1.0
-        np.testing.assert_allclose(fr.A_zeta, [[0.35, 0], [0, -0.35]],
+        np.testing.assert_allclose(fr.A_zeta[0], [[0.35, 0], [0, -0.35]],
                                    atol=1e-12)
         np.testing.assert_allclose(fr.zeta_oriented, -fr.zeta, atol=1e-15)
 
@@ -245,7 +249,7 @@ class TestAdaptedFrame:
         # the adapted pattern forces K_N = 2 mu^2 up to the frame sign
         fd = fundamental_data(quadratic_jet(1.2, 0.4))
         fr = adapted_frame(fd)
-        comm = fr.A_eta @ fr.A_zeta - fr.A_zeta @ fr.A_eta
+        [comm] = fr.A_eta @ fr.A_zeta - fr.A_zeta @ fr.A_eta
         assert comm[1, 0] == pytest.approx(2 * fr.mu ** 2, rel=1e-12)
         assert abs(fd.K_N) == pytest.approx(2 * fr.mu ** 2, rel=1e-12)
 
@@ -260,7 +264,7 @@ class TestAdaptedFrame:
             assert fr.lam == pytest.approx(0.8, rel=1e-9)
             assert fr.mu == pytest.approx(0.3, rel=1e-9)
             assert fr.sffa_residual < 1e-9
-            np.testing.assert_allclose(fr.eta, q @ [0, 0, 1, 0], atol=1e-9)
+            np.testing.assert_allclose(fr.eta[0], q @ [0, 0, 1, 0], atol=1e-9)
 
 
 class TestInvariance:
@@ -298,12 +302,13 @@ def shape_matrix_coords(fd, nu):
 
 def test_shape_matrix_bases_agree():
     fd = fundamental_data(sheared_torus(0.4, 1.1))
-    assert abs(fd.F) > 1e-3
-    w = np.sqrt(fd.G - fd.F ** 2 / fd.E)
-    M = np.array([[np.sqrt(fd.E), fd.F / np.sqrt(fd.E)], [0.0, w]])
+    [E], [F], [G] = fd.E, fd.F, fd.G
+    assert abs(F) > 1e-3
+    w = np.sqrt(G - F ** 2 / E)
+    M = np.array([[np.sqrt(E), F / np.sqrt(E)], [0.0, w]])
     for nu in (fd.n1, fd.n2):
-        a_on = shape_matrix(fd, nu)
-        a_co = shape_matrix_coords(fd, nu)
+        [a_on] = shape_matrix(fd, nu)
+        [a_co] = shape_matrix_coords(fd, nu)
         np.testing.assert_allclose(M @ a_co @ np.linalg.inv(M), a_on,
                                    atol=1e-10)
 

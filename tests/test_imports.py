@@ -121,3 +121,49 @@ def test_every_public_def_is_read_in_src():
     the tests."""
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unread_defs(sources, exported_names()) == []
+
+
+# the names of the two-regime jet algebra, which must not come back
+REGIME_NAMES = {"_SCALARS", "_MATH", "_BATCH_MATH"}
+# isinstance(x, np.ndarray) tests a module may make: cli.py cleans values
+# for JSON, and jets.py may test a slot that holds a broadcast constant
+ARRAY_TESTS_ALLOWED = {"cli.py": None, "jets.py": 1}
+
+
+def regime_checks(source):
+    """The lines of source that call isinstance(..., np.ndarray), and the
+    regime names it defines."""
+    tree = ast.parse(source)
+    lines, names = [], set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and any(getattr(n, "attr", getattr(n, "id", None))
+                        == "ndarray" for n in ast.walk(node.args[1]))):
+            lines.append(node.lineno)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return lines, sorted(names & REGIME_NAMES)
+
+
+def test_regime_scan():
+    source = ("import numpy as np\n_MATH = 1\n"
+              "class A:\n    _BATCH_MATH = 2\n"
+              "def f(x):\n    return isinstance(x, (int, np.ndarray))\n"
+              "def g(x, ndarray):\n    return isinstance(x, dict)\n"
+              "def _SCALARS():\n    return isinstance(x, ndarray)\n")
+    assert regime_checks(source) == ([6, 10],
+                                     ["_BATCH_MATH", "_MATH", "_SCALARS"])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_regime(path):
+    """No module asks whether it holds one point or a batch."""
+    lines, names = regime_checks(path.read_text())
+    assert names == []
+    allowed = ARRAY_TESTS_ALLOWED.get(path.name, 0)
+    if allowed is not None:
+        assert len(lines) <= allowed, lines

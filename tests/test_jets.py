@@ -14,11 +14,18 @@ from superconf import (
     seed_surface,
 )
 from superconf.errors import BranchCutError
-from superconf.jets import _im_part
+from superconf.jets import (_COMPLEX_BATCH_MATH, _REAL_BATCH_MATH, _CArray,
+                            _im_part)
 
 
 def cj(*coeffs):
     return ComplexJet(*coeffs)
+
+
+def row0(slots):
+    """The slots' values at the first point of their batch; a constant slot
+    is the same at every point."""
+    return tuple(np.ravel(getattr(x, "z", x))[0] for x in slots)
 
 
 def transform(vec, matrix):
@@ -51,12 +58,12 @@ def reparam_rot(x, c, s):
 
 def test_exp_taylor_at_zero():
     j = ComplexJet.variable(0j).exp()
-    assert j.coeffs == (1, 1, 1, 1)
+    assert row0(j.coeffs) == (1, 1, 1, 1)
 
 
 def test_cos_jet_at_zero():
     j = ComplexJet.variable(0j).cos()
-    assert j.coeffs == (1, 0, -1, 0)
+    assert row0(j.coeffs) == (1, 0, -1, 0)
 
 
 def test_pole_raises():
@@ -301,7 +308,7 @@ def test_fd_crosscheck_polynomial():
 
 def test_fd_crosscheck_catenoid():
     def surf(u, v):
-        g, _ = seed_surface(catenoid_jets(complex(u, v)))
+        g, _ = seed_surface(catenoid_jets(u + 1j * v))
         return g
 
     rep = fd_crosscheck(surf, (0.7, 0.3), step=1e-4)
@@ -310,9 +317,75 @@ def test_fd_crosscheck_catenoid():
 
 def test_fd_crosscheck_propagates_domain_failure():
     def surf(u, v):
-        if u > 1.0:
+        if np.any(u > 1.0):
             raise ValueError("off domain")
         return Jet2(u * v)
 
     with pytest.raises(ValueError):
         fd_crosscheck(surf, (0.9999, 0.0), step=1e-3)
+
+
+# ----- the batch arithmetic rounds as Python's complex, math and cmath -----
+
+def bits(x):
+    """The IEEE bit patterns of the real and imaginary parts of x."""
+    return np.array([complex(x)]).view(np.uint64).tolist()
+
+
+def random_parts(rng, n):
+    """n reals of either sign with magnitudes from 1e-6 to 1e6, then zero,
+    then the band 700 < |x| < 710 where cmath's exponentials change
+    formula."""
+    def signed(x):
+        return x * rng.choice([-1.0, 1.0], x.size)
+    return np.concatenate((
+        signed(np.exp(rng.uniform(np.log(1e-6), np.log(1e6), n))), [0.0],
+        signed(rng.uniform(700.0, 710.0, n // 20))))
+
+
+def random_complex(rng, n):
+    """Random complex numbers, with points on both axes among them."""
+    re, im = random_parts(rng, n), rng.permutation(random_parts(rng, n))
+    re[: n // 8], im[n // 8: n // 4] = 0.0, 0.0
+    z = np.empty(re.size, complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def test_carray_arithmetic_rounds_as_python_complex():
+    rng = np.random.default_rng(2026)
+    a, b = random_complex(rng, 4000), random_complex(rng, 4000)
+    ops = {"*": (lambda x, y: x * y), "/": (lambda x, y: x / y)}
+    ops.update({f"**{n}": (lambda x, y, n=n: x ** n) for n in (2, 3, 5, 8)})
+    with np.errstate(all="ignore"):
+        for name, op in ops.items():
+            got = op(_CArray(a), _CArray(b)).z
+            for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+                try:
+                    want = op(x, y)
+                except (OverflowError, ZeroDivisionError):
+                    continue
+                assert bits(got[k]) == bits(want), (name, x, y)
+        got = abs(_CArray(a))
+        assert [bits(g) for g in got] == [bits(abs(x)) for x in a.tolist()]
+
+
+@pytest.mark.parametrize("name", ["exp", "log", "sqrt", "sin", "cos",
+                                  "sinh", "cosh"])
+def test_batch_functions_round_as_math_and_cmath(name):
+    # where the Python function raises, the batch holds a non-finite value
+    rng = np.random.default_rng(7)
+    z, x = random_complex(rng, 4000), random_parts(rng, 4000)
+    with np.errstate(all="ignore"):
+        cases = ((getattr(_COMPLEX_BATCH_MATH, name)(_CArray(z)).z,
+                  getattr(cmath, name), z.tolist()),
+                 (getattr(_REAL_BATCH_MATH, name)(x),
+                  getattr(math, name), x.tolist()))
+    for got, fn, points in cases:
+        for k, t in enumerate(points):
+            try:
+                want = fn(t)
+            except (OverflowError, ValueError):
+                assert not np.isfinite(got[k]), (name, t)
+                continue
+            assert bits(got[k]) == bits(want), (name, t, got[k], want)
