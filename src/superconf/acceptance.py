@@ -20,7 +20,8 @@ from .construct import (SIGNS, _vec_norm, build_phi_pair, dual_pair_report,
                         reflection_pair_check, translation_check)
 from .errors import ExpressionError
 from .expr import parse_curve, print_node
-from .export import canonical_json, csv_text, mesh_dict, sample_grid, summarize
+from .export import (canonical_json, csv_text, mesh_text, obj_text,
+                     sample_grid, stereo_projector, summarize)
 from .geometry import (Ambient, _normal_parts, fundamental_data,
                        superconformality_test)
 from .jets import fd_crosscheck
@@ -60,9 +61,9 @@ def _clear_worst(rows):
     """(worst residual, count) over the unflagged rows of sample_grid runs."""
     worst = []
     for sign_rows in rows:
-        clear = sign_rows.clear_columns()
-        worst += map(max, map(abs, clear["res_orth"]),
-                     map(abs, clear["res_len"]), clear["wintgen_rel"])
+        clear = sign_rows.clear_floats
+        worst += map(max, map(abs, clear("res_orth")),
+                     map(abs, clear("res_len")), clear("wintgen_rel"))
     return max(worst, default=0.0), len(worst)
 
 
@@ -461,9 +462,11 @@ def criterion_13() -> CriterionResult:
 
     [seq] = sample_grid(pair, pair.domain, 5, 5, ("+",))
     [par] = sample_grid(pair, pair.domain, 5, 5, ("+",))
-    deterministic = (csv_text(seq) == csv_text(par)
-                     and canonical_json(mesh_dict(seq, 5, 5))
-                     == canonical_json(mesh_dict(par, 5, 5))
+    stereo = stereo_projector()
+    deterministic = (csv_text(seq, 5, 5) == csv_text(par, 5, 5)
+                     and mesh_text(seq, 5, 5) == mesh_text(par, 5, 5)
+                     and obj_text(seq, 5, 5, stereo)
+                     == obj_text(par, 5, 5, stereo)
                      and canonical_json(summarize(seq))
                      == canonical_json(summarize(par)))
 

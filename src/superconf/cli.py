@@ -22,7 +22,7 @@ import numpy as np
 from . import catalog
 from .errors import (DomainError, ExpressionError, PreconditionError,
                      SuperconfError, UnknownEntryError)
-from .export import (canonical_json, drop_projector, mesh_dict, sample_grid,
+from .export import (canonical_json, drop_projector, sample_grid,
                      stereo_projector, summarize, write_csv, write_json,
                      write_obj)
 from .construct import _vec_norm, dual_pair_report
@@ -221,8 +221,7 @@ def cmd_construct(args) -> int:
         summary["signs"][word] = agg
         ok = ok and agg["n_clear"] > 0
         base = os.path.join(args.out, f"{stem}-{word}")
-        write_csv(samples, base + ".csv")
-        write_json(mesh_dict(samples, nu, nv), base + ".mesh.json")
+        write_csv(samples, nu, nv, base + ".csv", base + ".mesh.json")
         files.extend([base + ".csv", base + ".mesh.json"])
         if projector is not None:
             write_obj(samples, nu, nv, base + ".obj", projector[0],

@@ -3,13 +3,15 @@
 The JSON mesh keeps all four coordinates and is the authoritative container;
 OBJ is a lossy 3d projection for viewers and says so in its header.  All
 writers format floats by repr, which is the shortest decimal that round-trips,
-so identical runs produce byte-identical files.
+so identical runs produce byte-identical files, and write their text one
+block of rows at a time.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
+from itertools import chain
 
 import numpy as np
 
@@ -29,9 +31,14 @@ FLAG_OUT_OF_DOMAIN = RegularityFlags.FLAG_OUT_OF_DOMAIN
 # sampling failed outright (h vanished, jets blew up); beyond the per-sample
 # regularity bits
 FLAG_DEGENERATE_SAMPLE = 16
-# grid points per array pass of sample_grid; bounds the pass's working set,
-# while each pass pays a few milliseconds of fixed numpy overhead
+# grid points per array pass of sample_grid, and rows per chunk of text the
+# writers format; bounds the working set, while each pass pays a few
+# milliseconds of fixed numpy overhead
 BLOCK_POINTS = 512
+
+
+def _block_starts(n):
+    return range(0, n, BLOCK_POINTS)
 
 
 # one row of a GridRows, copied out of its columns
@@ -64,10 +71,18 @@ class GridRows:
                           self.position[k].copy() if flags < FLAG_OUT_OF_DOMAIN
                           else None, stats, flags)
 
-    def clear_columns(self) -> dict:
-        """Stat name -> its floats over the unflagged rows, in row order."""
-        clear = (self.flags == 0) & self.has_stats
-        return dict(zip(_STAT_NAMES, self.stats[clear].T.tolist()))
+    def clear(self):
+        """Mask of the unflagged rows, the ones aggregated."""
+        return (self.flags == 0) & self.has_stats
+
+    def clear_floats(self, name):
+        """The floats of stat name over the unflagged rows, in row order,
+        made into Python floats one block of rows at a time."""
+        clear = self.clear()
+        column = self.stats[:, _STAT_NAMES.index(name)]
+        return chain.from_iterable(
+            column[lo:lo + BLOCK_POINTS][clear[lo:lo + BLOCK_POINTS]].tolist()
+            for lo in _block_starts(len(self)))
 
 
 def sample_grid(pair, domain, nu, nv, signs):
@@ -90,7 +105,7 @@ def sample_grid(pair, domain, nu, nv, signs):
     z.real, z.imag = u, v
     rows = [GridRows(u, v) for _ in signs]
     index = np.arange(z.size)
-    for start in range(0, z.size, BLOCK_POINTS):
+    for start in _block_starts(z.size):
         _sample_block(pair, signs, rows, z, index[start:start + BLOCK_POINTS])
     return rows
 
@@ -114,12 +129,15 @@ def _fill_rows(rows, at, ps, failed):
     sc = superconformality_test(fd)
     flags = ps.flags.bitmask | np.where(
         fd.regular, 0, RegularityFlags.FLAG_RANK_DEFICIENT)
-    flags = np.where(failed.rows(), FLAG_DEGENERATE_SAMPLE, flags)
+    position = phi.values()
+    # a position past the float range has no values to write either
+    flags = np.where(failed.rows() | ~np.isfinite(position).all(axis=1),
+                     FLAG_DEGENERATE_SAMPLE, flags)
     flags = np.where(failed.rows(DomainError), FLAG_OUT_OF_DOMAIN, flags)
     placed = flags < FLAG_OUT_OF_DOMAIN
     stated = placed & fd.regular
     rows.flags[at] = flags
-    rows.position[at[placed]] = phi.values()[placed]
+    rows.position[at[placed]] = position[placed]
     rows.has_stats[at] = stated
     rows.stats[at[stated]] = np.column_stack((
         fd.K, abs(fd.K_N), fd.lam, sc["mu"], sc["res_orth"], sc["res_len"],
@@ -132,8 +150,8 @@ def summarize(samples) -> dict:
     The extremes are the builtin max and min over the rows in order, so a
     nan among them counts only where it comes first.
     """
-    clear = samples.clear_columns()
-    n_clear = len(clear["K"])
+    clear = samples.clear_floats
+    n_clear = int(samples.clear().sum())
     out = {
         "n_points": len(samples),
         "n_clear": n_clear,
@@ -144,27 +162,88 @@ def summarize(samples) -> dict:
                    max_wintgen_rel=None, mu_min=None, mu_max=None,
                    Hnorm_max=None)
         return out
-    out["max_res_orth"] = max(map(abs, clear["res_orth"]))
-    out["max_res_len"] = max(map(abs, clear["res_len"]))
-    out["max_wintgen"] = max(map(abs, clear["wintgen"]))
-    out["max_wintgen_rel"] = max(map(abs, clear["wintgen_rel"]))
-    out["mu_min"] = min(clear["mu"])
-    out["mu_max"] = max(clear["mu"])
-    out["Hnorm_max"] = max(clear["Hnorm"])
+    out["max_res_orth"] = max(map(abs, clear("res_orth")))
+    out["max_res_len"] = max(map(abs, clear("res_len")))
+    out["max_wintgen"] = max(map(abs, clear("wintgen")))
+    out["max_wintgen_rel"] = max(map(abs, clear("wintgen_rel")))
+    out["mu_min"] = min(clear("mu"))
+    out["mu_max"] = max(clear("mu"))
+    out["Hnorm_max"] = max(clear("Hnorm"))
     return out
 
 
-def csv_text(samples) -> str:
-    cells = np.column_stack((samples.u, samples.v, samples.position,
-                             samples.stats[:, _CSV_STATS])).tolist()
-    lines = [",".join(map(repr, row)) + f",{bits}"
-             for row, bits in zip(cells, samples.flags.tolist())]
-    return "\n".join([CSV_HEADER, *lines]) + "\n"
+def _groups(strings, k):
+    """Consecutive k-tuples of an iterable."""
+    it = iter(strings)
+    return zip(*[it] * k)
 
 
-def write_csv(samples, path) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write(csv_text(samples))
+def _csv_mesh_chunks(samples, nu, nv):
+    """The diagnostics CSV and the 4d mesh JSON of one grid as (csv, mesh)
+    pairs of text chunks, one block of rows or quads at a time.
+
+    Every float goes through repr once: u and v once per grid axis, the mesh
+    vertices are the CSV's x0..x3 cells.  The mesh is canonical_json's text
+    of its dict, keys in sorted order; callers check that its vertices are
+    finite.
+    """
+    placed = samples.flags < FLAG_OUT_OF_DOMAIN
+    quads = _quads(placed, nu, nv)
+    yield (CSV_HEADER + "\n",
+           f'{{"kind":"grid-mesh-r4","nu":{nu},"nv":{nv},"quads":[')
+    for lo in _block_starts(len(quads)):
+        yield "", ("," if lo else "") + ",".join(
+            f"[{a},{b},{c},{d}]"
+            for a, b, c, d in quads[lo:lo + BLOCK_POINTS].tolist())
+    yield "", '],"vertices":['
+    us = list(map(repr, samples.u[::nv].tolist()))
+    vs = list(map(repr, samples.v[:nv].tolist()))
+    for lo in _block_starts(len(samples)):
+        hi = lo + BLOCK_POINTS
+        xs = list(map(",".join, _groups(
+            map(repr, samples.position[lo:hi].ravel().tolist()), 4)))
+        stats = map(",".join, _groups(map(repr, samples.stats[
+            lo:hi, _CSV_STATS].ravel().tolist()), len(_CSV_STATS)))
+        csv = "".join(
+            f"{us[k // nv]},{vs[k % nv]},{x},{st},{bits}\n"
+            for k, x, st, bits in zip(range(lo, hi), xs, stats,
+                                      samples.flags[lo:hi].tolist()))
+        mesh = ",".join(f"[{x}]" if ok else "null"
+                        for x, ok in zip(xs, placed[lo:hi].tolist()))
+        yield csv, ("," if lo else "") + mesh
+    yield "", "]}\n"
+
+
+def _check_vertices(samples):
+    """JSON has no nan or inf: refuse a placed row whose position is not
+    finite, as canonical_json would."""
+    placed = samples.flags < FLAG_OUT_OF_DOMAIN
+    if not np.isfinite(samples.position[placed]).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+
+
+def csv_text(samples, nu, nv) -> str:
+    return "".join(c for c, _ in _csv_mesh_chunks(samples, nu, nv))
+
+
+def mesh_text(samples, nu, nv) -> str:
+    """4d mesh container: vertex list (null where sampling failed) plus quads
+    whose four corners all exist, wound consistently; canonical JSON."""
+    _check_vertices(samples)
+    return "".join(m for _, m in _csv_mesh_chunks(samples, nu, nv))
+
+
+def write_csv(samples, nu, nv, path, mesh_path) -> None:
+    """Write the diagnostics CSV to path and the mesh JSON to mesh_path,
+    block by block, from the same formatted cells."""
+    _check_vertices(samples)
+    chunks = _csv_mesh_chunks(samples, nu, nv)
+    first = next(chunks)        # checks the grid shape before a file opens
+    with (open(path, "w", newline="\n") as fc,
+          open(mesh_path, "w", newline="\n") as fm):
+        for c, m in chain([first], chunks):
+            fc.write(c)
+            fm.write(m)
 
 
 def canonical_json(obj) -> str:
@@ -190,17 +269,6 @@ def _quads(valid, nu, nv):
     iu, iv = np.nonzero(m[:-1, :-1] & m[1:, :-1] & m[1:, 1:] & m[:-1, 1:])
     a = iu * nv + iv
     return np.column_stack((a, a + nv, a + nv + 1, a + 1))
-
-
-def mesh_dict(samples, nu, nv) -> dict:
-    """4d mesh container: vertex list (null where sampling failed) plus quads
-    whose four corners all exist, wound consistently."""
-    placed = samples.flags < FLAG_OUT_OF_DOMAIN
-    quads = _quads(placed, nu, nv).tolist()
-    vertices = [x if ok else None
-                for x, ok in zip(samples.position.tolist(), placed.tolist())]
-    return {"kind": "grid-mesh-r4", "nu": nu, "nv": nv,
-            "vertices": vertices, "quads": quads}
 
 
 def drop_projector(k: int):
@@ -255,8 +323,9 @@ def stereo_projector(pole=(0.0, 0.0, 0.0, 1.0)):
     return project
 
 
-def obj_text(samples, nu, nv, projector, note="") -> str:
-    """Triangulated OBJ of the projected grid.
+def _obj_chunks(samples, nu, nv, projector, note):
+    """Triangulated OBJ of the projected grid, one block of vertex or face
+    lines at a time.
 
     Every grid point contributes a vertex line (nan coordinates where the
     sample or the projection failed) so face indices stay grid-addressable;
@@ -268,15 +337,24 @@ def obj_text(samples, nu, nv, projector, note="") -> str:
     ok = np.zeros(len(samples), bool)
     y[placed], ok[placed] = projector(samples.position[placed])
     y[~ok] = np.nan
-    lines = ["# lossy 3d projection of a 4d grid surface"
-             + (f" ({note})" if note else ""),
-             f"# grid {nu} x {nv}, row-major, u varying slowest"]
-    lines += ["v " + " ".join(map(repr, row)) for row in y.tolist()]
-    lines += [f"f {a} {b} {c}\nf {a} {c} {d}"
-              for a, b, c, d in (_quads(ok, nu, nv) + 1).tolist()]
-    return "\n".join(lines) + "\n"
+    faces = _quads(ok, nu, nv) + 1
+    yield ("# lossy 3d projection of a 4d grid surface"
+           + (f" ({note})" if note else "")
+           + f"\n# grid {nu} x {nv}, row-major, u varying slowest\n")
+    for lo in _block_starts(len(y)):
+        yield "".join(f"v {a} {b} {c}\n" for a, b, c in _groups(
+            map(repr, y[lo:lo + BLOCK_POINTS].ravel().tolist()), 3))
+    for lo in _block_starts(len(faces)):
+        yield "".join(f"f {a} {b} {c}\nf {a} {c} {d}\n"
+                      for a, b, c, d in faces[lo:lo + BLOCK_POINTS].tolist())
+
+
+def obj_text(samples, nu, nv, projector, note="") -> str:
+    return "".join(_obj_chunks(samples, nu, nv, projector, note))
 
 
 def write_obj(samples, nu, nv, path, projector, note="") -> None:
+    chunks = _obj_chunks(samples, nu, nv, projector, note)
+    first = next(chunks)        # projects and checks before the file opens
     with open(path, "w", newline="\n") as f:
-        f.write(obj_text(samples, nu, nv, projector, note))
+        f.writelines(chain([first], chunks))

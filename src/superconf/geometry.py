@@ -18,6 +18,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
@@ -176,8 +177,21 @@ def _normal_parts(ws, Xu, Xv, dot, gram=None):
 def _pypow(x, n):
     """x ** n entry by entry over an array, as Python computes it for a
     float (C pow): numpy's power differs in the last bit on about 0.1% of
-    squares."""
-    return np.array([t ** n for t in x.ravel().tolist()]).reshape(x.shape)
+    squares.  Where the power overflows, inf, as C pow gives; Python
+    raises there."""
+    flat = x.ravel().tolist()
+    try:
+        out = [t ** n for t in flat]
+    except OverflowError:
+        out = [_pow_or_inf(t, n) for t in flat]
+    return np.array(out).reshape(x.shape)
+
+
+def _pow_or_inf(t, n):
+    try:
+        return t ** n
+    except OverflowError:
+        return math.copysign(math.inf, t) if n % 2 else math.inf
 
 
 def _largest(*xs):

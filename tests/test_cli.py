@@ -11,6 +11,7 @@ import pytest
 
 from superconf import cli
 from superconf.errors import PreconditionError
+from superconf.export import canonical_json
 
 
 def run(capsys, *argv):
@@ -187,7 +188,7 @@ def test_construct_writes_files(tmp_path, capsys):
     assert summary["signs"]["plus"]["max_res_orth"] < 1e-8
 
 
-def test_construct_deterministic_across_threads(tmp_path, capsys):
+def test_construct_twice_writes_the_same_bytes(tmp_path, capsys):
     # two runs of the same command write the same bytes
     texts = {}
     for n in ("1", "3"):
@@ -262,6 +263,31 @@ def test_construct_flags_jet_floor_point(tmp_path, capsys):
         flags = {tuple(r.split(",")[:2]): r.split(",")[-1] for r in rows}
         assert flags.pop(("0.0", "0.0")) == "16"
         assert set(flags.values()) == {"0"}
+
+
+# exp(z^3) overflows on these domains: squares of its derivatives pass the
+# float range on the first, its values themselves on the second
+OVERFLOW_CURVE = "(exp(z^3), i*exp(z^3), z, 0)"
+
+
+@pytest.mark.parametrize("domain", ["-6,6,-6,6", "-30,30,-30,30"])
+def test_overflowing_curve_gives_flagged_rows(tmp_path, capsys, domain):
+    code, rep = run_json(capsys, "construct", "--curve", OVERFLOW_CURVE,
+                         f"--domain={domain}", "--grid", "9,9", "--sign",
+                         "both", "--project", "stereo", "--out", str(tmp_path))
+    assert code == 0
+    assert len(rep["files"]) == len(set(rep["files"])) == 7
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        os.path.basename(f) for f in rep["files"])
+    for word in ("plus", "minus"):
+        path = tmp_path / f"inline-{word}.mesh.json"
+        with open(path) as f:
+            assert canonical_json(json.load(f)) == path.read_text()
+        rows = (tmp_path / f"inline-{word}.csv").read_text().splitlines()[1:]
+        assert {r.split(",")[-1] for r in rows} >= {"0", "16"}
+    code, rep = run_json(capsys, "verify", "--curve", OVERFLOW_CURVE,
+                         f"--domain={domain}", "--grid", "9,9")
+    assert code in (0, 3) and rep["signs"]["plus"]["n_clear"] > 0
 
 
 def test_verify_flags_jet_floor_point(capsys):

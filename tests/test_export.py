@@ -1,20 +1,22 @@
 """Grid sampling, CSV/JSON/OBJ writers, byte determinism of the output."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from superconf import catalog
+from superconf import catalog, cli
 from superconf.construct import build_phi_pair
 from superconf.errors import (BranchCutError, DegenerateJetError,
                               EvaluationError, FrameDegenerateError,
                               PreconditionError, SingularSampleError,
                               SuperconfError)
 from superconf.acceptance import _clear_worst
-from superconf.export import (_STAT_NAMES, CSV_HEADER, FLAG_DEGENERATE_SAMPLE,
-                              FLAG_OUT_OF_DOMAIN, GridRows, canonical_json,
-                              csv_text, drop_projector, mesh_dict, obj_text,
+from superconf.export import (_STAT_NAMES, BLOCK_POINTS, CSV_HEADER,
+                              FLAG_DEGENERATE_SAMPLE, FLAG_OUT_OF_DOMAIN,
+                              GridRows, canonical_json, csv_text,
+                              drop_projector, mesh_text, obj_text,
                               sample_grid, stereo_projector, summarize,
                               write_csv, write_obj)
 from superconf.geometry import fundamental_data, superconformality_test
@@ -167,7 +169,7 @@ def test_summarize_skips_flagged_rows():
 def test_csv_shape_and_round_trip():
     pair = holed_pair()
     [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
-    text = csv_text(samples)
+    text = csv_text(samples, 3, 3)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) == 10                       # header + 9 data rows
@@ -185,7 +187,7 @@ def test_csv_shape_and_round_trip():
 def test_csv_nan_rows_for_flagged_points():
     pair = holed_pair()
     [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
-    row = csv_text(samples).strip().split("\n")[1]   # (0.3, 0.3) is first
+    row = csv_text(samples, 3, 3).strip().split("\n")[1]   # (0.3, 0.3) is first
     cells = row.split(",")
     assert cells[0] == "0.3" and cells[-1] == "8"
     assert all(c == "nan" for c in cells[2:14])
@@ -194,7 +196,7 @@ def test_csv_nan_rows_for_flagged_points():
 def test_mesh_quads_skip_missing_corners():
     pair = holed_pair()
     [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
-    mesh = mesh_dict(samples, 3, 3)
+    mesh = json.loads(mesh_text(samples, 3, 3))
     assert mesh["vertices"][0] is None
     assert len([v for v in mesh["vertices"] if v is not None]) == 8
     # of the 4 quads only the one at the excluded corner is dropped
@@ -203,16 +205,13 @@ def test_mesh_quads_skip_missing_corners():
 
 
 def test_mesh_json_round_trips_bit_exactly(tmp_path, catenoid):
-    from superconf.export import write_json
-
     [samples] = sample_grid(catenoid, catenoid.domain, 3, 3, ("+",))
-    mesh = mesh_dict(samples, 3, 3)
     path = tmp_path / "m.json"
-    write_json(mesh, path)
+    write_csv(samples, 3, 3, tmp_path / "m.csv", path)
     text = path.read_text()
     with open(path) as f:
         loaded = json.load(f)
-    assert loaded == mesh
+    assert loaded == reference_mesh_dict(list(samples), 3, 3)
     assert canonical_json(loaded) == text
 
 
@@ -269,23 +268,25 @@ def test_stereo_rows_are_bit_identical_to_one_vector_projections(pole):
         assert as_bits(y[k]) == as_bits(ref(xk)), (pole, k)
 
 
-def test_output_bytes_independent_of_threads(catenoid):
-    # two runs of the same grid write the same bytes
+def test_two_runs_of_one_grid_write_the_same_bytes(catenoid):
     [seq] = sample_grid(catenoid, catenoid.domain, 5, 4, ("+",))
     [par] = sample_grid(catenoid, catenoid.domain, 5, 4, ("+",))
-    assert csv_text(par) == csv_text(seq)
-    assert canonical_json(mesh_dict(par, 5, 4)) == canonical_json(mesh_dict(seq, 5, 4))
+    assert csv_text(par, 5, 4) == csv_text(seq, 5, 4)
+    assert mesh_text(par, 5, 4) == mesh_text(seq, 5, 4)
     assert canonical_json(summarize(par)) == canonical_json(summarize(seq))
 
 
 def test_write_csv_and_obj_files(tmp_path, catenoid):
     [samples] = sample_grid(catenoid, catenoid.domain, 2, 2, ("+",))
-    cpath = tmp_path / "g.csv"
-    write_csv(samples, cpath)
-    assert cpath.read_text() == csv_text(samples)
+    cpath, mpath = tmp_path / "g.csv", tmp_path / "g.mesh.json"
+    write_csv(samples, 2, 2, cpath, mpath)
+    assert cpath.read_text() == csv_text(samples, 2, 2)
+    assert mpath.read_text() == mesh_text(samples, 2, 2)
     opath = tmp_path / "g.obj"
     write_obj(samples, 2, 2, opath, stereo_projector(), "stereo")
     assert opath.read_text().startswith("# lossy 3d projection")
+    assert opath.read_text() == obj_text(samples, 2, 2, stereo_projector(),
+                                         "stereo")
 
 
 # The per-row writers, projectors and reducers that the columnar ones
@@ -413,10 +414,14 @@ PROJECTIONS = [
 
 def assert_writers_match_reference(rows, nu, nv):
     listed = list(rows)
-    assert csv_text(rows) == reference_csv_text(listed)
-    # repr, not JSON, so that a nan coordinate compares too
-    assert (repr(mesh_dict(rows, nu, nv))
-            == repr(reference_mesh_dict(listed, nu, nv)))
+    assert csv_text(rows, nu, nv) == reference_csv_text(listed)
+    try:
+        mesh = canonical_json(reference_mesh_dict(listed, nu, nv))
+    except ValueError:          # JSON has no nan: both refuse the rows
+        with pytest.raises(ValueError):
+            mesh_text(rows, nu, nv)
+    else:
+        assert mesh_text(rows, nu, nv) == mesh
     assert repr(summarize(rows)) == repr(reference_summarize(listed))
     for proj, ref, note in PROJECTIONS:
         assert (obj_text(rows, nu, nv, proj, note)
@@ -431,11 +436,83 @@ def test_writers_match_the_per_row_reference(name):
     pair = pair or catalog.get(name).pair
     for rows in sample_grid(pair, pair.domain, 9, 7, ("+", "-")):
         assert_writers_match_reference(rows, 9, 7)
-        listed = list(rows)
-        assert (canonical_json(mesh_dict(rows, 9, 7))
-                == canonical_json(reference_mesh_dict(listed, 9, 7)))
         assert (canonical_json(summarize(rows))
-                == canonical_json(reference_summarize(listed)))
+                == canonical_json(reference_summarize(list(rows))))
+
+
+# grids of fewer rows than a block of written text, one block, one block and
+# a row, and two blocks and a row
+BLOCK_EDGE_GRIDS = [(9, 7), (16, 32), (27, 19), (25, 41)]
+
+
+@pytest.mark.parametrize("nu, nv", BLOCK_EDGE_GRIDS)
+def test_writers_match_the_per_row_reference_at_block_edges(nu, nv):
+    assert nu * nv < BLOCK_POINTS or nu * nv % BLOCK_POINTS in (0, 1)
+    pair = catalog.get("whitney").pair
+    plus, minus = sample_grid(pair, pair.domain, nu, nv, ("+", "-"))
+    # whitney's plus surface is flagged everywhere, with positions but no
+    # stats; both signs have out-of-domain rows around the excluded disc
+    assert set(plus.flags.tolist()) == {6, FLAG_OUT_OF_DOMAIN}
+    assert set(minus.flags.tolist()) == {0, FLAG_OUT_OF_DOMAIN}
+    for rows in (plus, minus):
+        assert_writers_match_reference(rows, nu, nv)
+
+
+@pytest.mark.parametrize("sign", ["plus", "both"])
+def test_construct_files_match_the_per_row_reference(tmp_path, capsys, sign):
+    nu, nv = 27, 19
+    code = cli.main(["construct", "--curve", "whitney", "--grid", f"{nu},{nv}",
+                     "--sign", sign, "--project", "stereo",
+                     "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 3                # the plus surface has no clear row
+    signs = {"plus": ("+",), "both": ("+", "-")}[sign]
+    pair = catalog.get("whitney").pair
+    names = {"whitney-summary.json"}
+    for s, rows in zip(signs, sample_grid(pair, pair.domain, nu, nv, signs)):
+        listed = list(rows)
+        stem = f"whitney-{cli.SIGN_WORDS[s]}"
+        names |= {stem + ".csv", stem + ".mesh.json", stem + ".obj"}
+        assert (tmp_path / f"{stem}.csv").read_text() == reference_csv_text(
+            listed)
+        assert ((tmp_path / f"{stem}.mesh.json").read_text()
+                == canonical_json(reference_mesh_dict(listed, nu, nv)))
+        assert ((tmp_path / f"{stem}.obj").read_text() == reference_obj_text(
+            listed, nu, nv, reference_stereo((0.0, 0.0, 0.0, 1.0)),
+            "stereo from pole (0,0,0,1)"))
+    assert {p.name for p in tmp_path.iterdir()} == names
+
+
+def test_writers_hold_one_block_of_text(tmp_path):
+    # writing one sign of a 128 x 128 grid holds the columns plus one block
+    # of text: the whole text held at once peaked at 22.1 MB for the CSV and
+    # the mesh and at 7.1 MB for the OBJ
+    nu = nv = 128
+    rng = np.random.default_rng(5)
+    rows = GridRows(np.repeat(rng.standard_normal(nu), nv),
+                    np.tile(rng.standard_normal(nv), nu))
+    rows.flags[:] = rng.choice([0, 0, 0, 4, FLAG_OUT_OF_DOMAIN], nu * nv)
+    placed = rows.flags < FLAG_OUT_OF_DOMAIN
+    rows.position[placed] = rng.standard_normal((placed.sum(), 4))
+    rows.has_stats[:] = rows.flags == 0
+    rows.stats[rows.has_stats] = rng.standard_normal(
+        (rows.has_stats.sum(), len(_STAT_NAMES)))
+    writers = [
+        lambda: write_csv(rows, nu, nv, tmp_path / "g.csv",
+                          tmp_path / "g.mesh.json"),
+        lambda: write_obj(rows, nu, nv, tmp_path / "g.obj",
+                          stereo_projector())]
+    tracemalloc.start()
+    try:
+        for write in writers:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write()
+            assert tracemalloc.get_traced_memory()[1] - held < 4e6
+    finally:
+        tracemalloc.stop()
+    # more text than the bound was written
+    assert sum(p.stat().st_size for p in tmp_path.iterdir()) > 4e6
 
 
 def test_obj_pole_at_a_vertex_drops_its_faces(catenoid):
@@ -466,7 +543,7 @@ def hand_rows(nan_at):
 
 
 @pytest.mark.parametrize("nan_at", [0, 2])
-def test_reducers_keep_the_builtin_max_nan_semantics(nan_at):
+def test_reducers_keep_the_builtin_max_nan_semantics(nan_at, tmp_path):
     # builtin max keeps a nan only when it comes first; np.max always would
     rows = hand_rows(nan_at)
     agg = summarize(rows)
@@ -475,6 +552,10 @@ def test_reducers_keep_the_builtin_max_nan_semantics(nan_at):
     worst = _clear_worst([rows, rows])
     assert repr(worst) == repr(reference_clear_worst([list(rows)] * 2))
     assert np.isnan(worst[0]) == (nan_at == 0) and worst[1] == 10
-    # a nan position is written as it is, and its faces stay
+    # a nan position is written as it is to the CSV and the OBJ, where its
+    # faces stay; the mesh JSON refuses it before a file is opened
     assert_writers_match_reference(rows, 3, 2)
     assert obj_text(rows, 3, 2, stereo_projector()).count("\nf ") == 4
+    with pytest.raises(ValueError):
+        write_csv(rows, 3, 2, tmp_path / "g.csv", tmp_path / "g.mesh.json")
+    assert not any(tmp_path.iterdir())

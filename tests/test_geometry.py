@@ -20,6 +20,7 @@ from superconf.geometry import (
     ellipse_descriptor,
     fundamental_data,
     _coord_shape,
+    _pypow,
     shape_matrix,
     superconformality_test,
 )
@@ -311,6 +312,21 @@ def test_shape_matrix_bases_agree():
         [a_co] = shape_matrix_coords(fd, nu)
         np.testing.assert_allclose(M @ a_co @ np.linalg.inv(M), a_on,
                                    atol=1e-10)
+
+
+def test_pypow_is_python_pow_and_inf_past_the_float_range():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((50, 2)) * 10.0 ** rng.uniform(-70, 70, (50, 1))
+    for n in (2, 3, 4):
+        y = _pypow(x, n)
+        assert y.shape == x.shape
+        assert y.view(np.uint64).tolist() == np.array(
+            [[a ** n for a in row] for row in x.tolist()]).view(
+                np.uint64).tolist()
+    big = np.array([1e200, -1e200, 3.0, np.nan, -np.inf])
+    assert _pypow(big, 2).tolist()[:3] == [np.inf, np.inf, 9.0]
+    assert _pypow(big, 3).tolist()[:3] == [np.inf, -np.inf, 27.0]
+    assert np.isnan(_pypow(big, 2)[3]) and _pypow(big, 3)[4] == -np.inf
 
 
 def test_ambient_validation():
