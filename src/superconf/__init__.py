@@ -32,7 +32,6 @@ from .errors import (
 from .jets import (
     ComplexJet,
     Jet2,
-    Vec,
     fd_crosscheck,
     seed_first_derivative_fields,
     seed_surface,
@@ -104,7 +103,6 @@ __all__ = [
     "Stereographic",
     "SuperconfError",
     "UnknownEntryError",
-    "Vec",
     "adapted_frame",
     "associated_family",
     "build_phi_pair",

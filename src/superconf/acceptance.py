@@ -162,8 +162,9 @@ def criterion_5() -> CriterionResult:
     s = tpair.samples_at(grid)
     gu, gv = s.g_u.values(), s.g_v.values()
     scale = np.maximum(np.maximum(_vec_norm(gu), _vec_norm(gv)), 1e-300)
-    conj = max((_vec_norm(s.h.du() + gv) / scale).max(),
-               (_vec_norm(s.h.dv() - gu) / scale).max())
+    hu, hv = s.h.first_partials()
+    conj = max((_vec_norm(hu + gv) / scale).max(),
+               (_vec_norm(hv - gu) / scale).max())
     passed = (rep["isotropy_max"] < 1e-8 and conj < 1e-8
               and rep["minimality_max"] < 1e-8)
     return CriterionResult(
@@ -350,7 +351,7 @@ def criterion_10() -> CriterionResult:
     entry = catalog.get("h4-flat-torus")
     lorentz = partial(Ambient("hyperbolic").dot, keepdims=True)
     smp = entry.sample(np.array([0.7, 2.1]), np.array([1.3, 0.4]))
-    [n] = _normal_parts([np.eye(5)[0]], smp.du(), smp.dv(), lorentz)
+    [n] = _normal_parts([np.eye(5)[0]], *smp.first_partials(), lorentz)
     n = n / np.sqrt(lorentz(n, n))
     worst_l = max(float(normal_transform_check(smp, n, Inversion(
         center=center, radius=1.0, signature="lorentzian"))["max"].max())

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PreconditionError, SingularSampleError, UnknownEntryError
 from .geometry import Ambient, R4, _blas_dot, _pypow, fundamental_data
-from .jets import Jet2, Vec, fail_rows, graph_surface
+from .jets import Jet2, fail_rows, graph_surface
 from .minimal import Domain, HolomorphicCurve, MinimalPair, certify
 
 SQRT3 = np.sqrt(3.0)
@@ -31,7 +31,7 @@ class CatalogEntry:
     description: str
     ambient: Ambient = R4
     pair: MinimalPair | None = None
-    surface: object = None       # callable (u, v) -> Vec for surface kinds
+    surface: object = None       # (u, v) -> vector Jet2, for surface kinds
     domain: Domain | None = None
     expected: dict = field(default_factory=dict)
     aux: dict = field(default_factory=dict)
@@ -93,7 +93,7 @@ def _torus_surface(a=1.0, b=0.6):
     def sample(u, v):
         cu, su = Jet2.coordinate_u(u).cos(), Jet2.coordinate_u(u).sin()
         cv, sv = Jet2.coordinate_v(v).cos(), Jet2.coordinate_v(v).sin()
-        return Vec([a * cu, a * su, b * cv, b * sv])
+        return Jet2.stack([a * cu, a * su, b * cv, b * sv])
     return sample
 
 
@@ -101,8 +101,8 @@ def _sphere_surface(rho=1.0):
     def sample(u, v):
         cu, su = Jet2.coordinate_u(u).cos(), Jet2.coordinate_u(u).sin()
         cv, sv = Jet2.coordinate_v(v).cos(), Jet2.coordinate_v(v).sin()
-        return Vec([rho * cv * cu, rho * cv * su, rho * sv,
-                    Jet2.constant(0.0)])
+        return Jet2.stack([rho * cv * cu, rho * cv * su, rho * sv,
+                           Jet2.constant(0.0)])
     return sample
 
 
@@ -110,8 +110,8 @@ def _clifford_s4_surface(alpha=0.8, beta=0.6):
     def sample(u, v):
         cu, su = Jet2.coordinate_u(u).cos(), Jet2.coordinate_u(u).sin()
         cv, sv = Jet2.coordinate_v(v).cos(), Jet2.coordinate_v(v).sin()
-        return Vec([alpha * cu, alpha * su, beta * cv, beta * sv,
-                    Jet2.constant(1.0)])
+        return Jet2.stack([alpha * cu, alpha * su, beta * cv, beta * sv,
+                           Jet2.constant(1.0)])
     return sample
 
 
@@ -119,8 +119,8 @@ def _great_sphere_s4_surface():
     def sample(u, v):
         cu, su = Jet2.coordinate_u(u).cos(), Jet2.coordinate_u(u).sin()
         cv, sv = Jet2.coordinate_v(v).cos(), Jet2.coordinate_v(v).sin()
-        return Vec([cv * cu, cv * su, sv, Jet2.constant(0.0),
-                    Jet2.constant(1.0)])
+        return Jet2.stack([cv * cu, cv * su, sv, Jet2.constant(0.0),
+                           Jet2.constant(1.0)])
     return sample
 
 
@@ -129,7 +129,8 @@ def _h4_torus_surface(a=0.6, b=0.8):
     def sample(u, v):
         cu, su = Jet2.coordinate_u(u).cos(), Jet2.coordinate_u(u).sin()
         cv, sv = Jet2.coordinate_v(v).cos(), Jet2.coordinate_v(v).sin()
-        return Vec([a * cu, a * su, b * cv, b * sv, Jet2.constant(t - 1.0)])
+        return Jet2.stack([a * cu, a * su, b * cv, b * sv,
+                           Jet2.constant(t - 1.0)])
     return sample
 
 
@@ -150,7 +151,7 @@ def veronese_immersion(u, v):
     """Degree-2 spherical immersion into the unit sphere centered at e5."""
     x, y, z = _veronese_xyz(u, v)
     k = 1.0 / (2.0 * SQRT3)
-    return Vec([
+    return Jet2.stack([
         k * 2.0 * x * y,
         k * 2.0 * x * z,
         k * 2.0 * y * z,
@@ -177,14 +178,14 @@ def veronese_g(u, v):
     f = 2.0 / (SQRT3 * sp * sp)
     w1 = 1.0 + cp * cp
     w2 = 2.0 * sp * cp
-    return Vec([f * (w1 * a - w2 * b) for a, b in zip(X1, X2)])
+    return Jet2.stack([f * (w1 * a - w2 * b) for a, b in zip(X1, X2)])
 
 
 def veronese_h(u, v):
     ph, _, _, X3, X4 = _veronese_frames(u, v)
     sp, cp = ph.sin(), ph.cos()
     f = 4.0 / (SQRT3 * sp * sp)
-    return Vec([f * (cp * a - sp * b) for a, b in zip(X3, X4)])
+    return Jet2.stack([f * (cp * a - sp * b) for a, b in zip(X3, X4)])
 
 
 def veronese_metric_expected(u, v):
@@ -368,8 +369,9 @@ def certify_veronese(n_theta=9, n_phi=9):
     us, vs = entry.domain.linspace(n_theta, n_phi, margin=0.02)
     u, v = np.repeat(us, len(vs)), np.tile(vs, len(us))
     g, h = veronese_g(u, v), veronese_h(u, v)
-    Eg, Fg, Gg, Eh, Fh, Gh = (_blas_dot(x, y) for s in (g, h) for x, y in (
-        (s.du(), s.du()), (s.du(), s.dv()), (s.dv(), s.dv())))
+    Eg, Fg, Gg, Eh, Fh, Gh = (_blas_dot(x, y) for su, sv in (
+        g.first_partials(), h.first_partials()) for x, y in (
+        (su, su), (su, sv), (sv, sv)))
     scale = np.maximum(Eg, Gg)
 
     def worst(E, F, G):

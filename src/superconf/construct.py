@@ -33,7 +33,7 @@ from .geometry import (REGULARITY_FLOOR, FundamentalData, _blas_dot, _col,
                        _largest, _normal_parts, _pypow, _rank_deficient,
                        _sqrt0, adapted_frame, ellipse_descriptor,
                        fundamental_data)
-from .jets import DIV_FLOOR, DegenerateJetError, Jet2, Vec, fail_rows
+from .jets import DIV_FLOOR, Jet2, fail_rows
 from .minimal import MinimalPair
 
 SIGNS = ("+", "-")
@@ -95,8 +95,8 @@ class _FieldContext:
     ng2: Jet2      # ||grad r||^2
     a: np.ndarray
     inv_w: Jet2    # 1 / |W|
-    turn_t: Vec    # W h / |W|, the tangential half of Jhat h
-    turn_n: Vec    # *W h / |W|, the normal half of Jhat h
+    turn_t: Jet2   # W h / |W|, the tangential half of Jhat h
+    turn_n: Jet2   # *W h / |W|, the normal half of Jhat h
     fd_g: FundamentalData
     g_collapse: dict  # sign -> whether a circular ellipse of g collapses it
 
@@ -127,7 +127,7 @@ class PhiSample:
     regularity flags."""
 
     sign: str
-    phi: Vec
+    phi: Jet2
     ctx: _FieldContext
     flags: RegularityFlags
 
@@ -136,9 +136,10 @@ def _assemble(s) -> _FieldContext:
     """The field context of a split sample.
 
     The rows fail (jets.fail_rows) with FrameDegenerateError where h
-    vanishes, DegenerateJetError at a jet floor, and SingularSampleError
-    where a is at its floor and g is singular (g's normal frame would have
-    to stand in for h's)."""
+    vanishes (||h||^2 at its relative floor or at the sqrt floor DIV_FLOOR),
+    DegenerateJetError at another jet floor, and SingularSampleError where a
+    is at its floor and g is singular (g's normal frame would have to stand
+    in for h's)."""
     g, h = s.g, s.h
     gu, gv = s.g_u, s.g_v
     E = gu.dot(gu)
@@ -147,16 +148,11 @@ def _assemble(s) -> _FieldContext:
 
     scale = _largest(_vec_norm(h.values()), _vec_norm(g.values()), 1.0)
     r2 = h.dot(h)
-    fail_rows(r2.v <= _pypow(R_FLOOR * scale, 2),
+    fail_rows(r2.v <= np.maximum(_pypow(R_FLOOR * scale, 2), DIV_FLOOR),
               lambda k: FrameDegenerateError(
                   f"h vanishes at z={complex(s.z[k])}: "
                   f"||h|| = {np.sqrt(max(r2.v[k], 0.0)):.3e}"))
-    try:
-        r = r2.sqrt()
-    except DegenerateJetError as exc:
-        k = int(np.argmax(r2.v <= DIV_FLOOR))
-        raise FrameDegenerateError(
-            f"h vanishes at z={complex(s.z[k])}") from exc
+    r = r2.sqrt()
 
     # d||h|| = <h_u, h>/||h||; routing through the conjugate fields keeps
     # full second-order jets for the gradient coefficients
@@ -166,7 +162,7 @@ def _assemble(s) -> _FieldContext:
     a = _sqrt0(1.0 - ng2.v)
 
     inv_w = 1.0 / (E * G - F * F).sqrt()
-    turn_t, turn_n = (Vec(t) * inv_w for t in _jhat_parts(gu, gv, h))
+    turn_t, turn_n = (Jet2.stack(t) * inv_w for t in _jhat_parts(gu, gv, h))
 
     # g's curvature data gives the fallback xi and the g-holomorphic flag
     fd_g = fundamental_data(g)
@@ -199,13 +195,13 @@ def _g_collapse(fd_g):
             "+": circular & (point | np.logical_not(positive))}
 
 
-def _flags(ctx: _FieldContext, sign, phi: Vec) -> RegularityFlags:
+def _flags(ctx: _FieldContext, sign, phi: Jet2) -> RegularityFlags:
     a_small = ctx.a < A_SMALL
     g_hol = ctx.g_collapse[sign]
     # rank floor relative to the pair's own length scale, not phi's: a
     # collapsed phi is pure roundoff and must not self-normalize into
     # looking like a (tiny) immersion
-    pu, pv = phi.du(), phi.dv()
+    pu, pv = phi.first_partials()
     E, F, G = _blas_dot(pu, pu), _blas_dot(pu, pv), _blas_dot(pv, pv)
     det1 = E * G - F * F
     gu, gv = ctx.sample.g_u.values(), ctx.sample.g_v.values()
@@ -237,7 +233,7 @@ def _phi_pair(ctx: _FieldContext):
     return tuple(out)
 
 
-def phi_value(g_sample: Vec, h_sample: Vec, sign) -> np.ndarray:
+def phi_value(g_sample: Jet2, h_sample: Jet2, sign) -> np.ndarray:
     """Value of phi, (n, 4), from plain 2-jet samples of g and h.
 
     For pairs given by closed-form samplers rather than holomorphic curves;
@@ -255,7 +251,7 @@ def phi_value(g_sample: Vec, h_sample: Vec, sign) -> np.ndarray:
     # W gu / |W| and W gv / |W|: the quarter turns of the coordinate fields
     ju = (_col(fd.F) * gu - _col(fd.E) * gv) / w
     jv = (_col(fd.G) * gu - _col(fd.F) * gv) / w
-    hu, hv = h_sample.du(), h_sample.dv()
+    hu, hv = h_sample.first_partials()
     standard = _vec_norm(hu - ju) + _vec_norm(hv - jv)
     mirrored = _vec_norm(hu + ju) + _vec_norm(hv + jv)
     orient = _col(np.where(standard <= mirrored, 1.0, -1.0))
@@ -390,12 +386,12 @@ def extract_minimal_pair(surface, z=None) -> ExtractedPair:
     """Recover (g, h) values, (n, 4), from a superconformal surface sample
     over a batch of points.
 
-    `surface` is a Vec sample or a callable z -> Vec.  g is the center of
-    the curvature circle's sphere: phi + H/||H||^2; h is -zeta/||H|| with
-    zeta the oriented second adapted normal.  The orientation sign that was
-    used is part of the result, since a reference pair may differ from the
-    recovered h by one global sign.  Failed rows are recorded as by
-    adapted_frame."""
+    `surface` is a vector Jet2 sample or a callable z -> one.  g is the
+    center of the curvature circle's sphere: phi + H/||H||^2; h is
+    -zeta/||H|| with zeta the oriented second adapted normal.  The
+    orientation sign that was used is part of the result, since a reference
+    pair may differ from the recovered h by one global sign.  Failed rows
+    are recorded as by adapted_frame."""
     sample = surface(z) if callable(surface) else surface
     fd = fundamental_data(sample)
     fr = adapted_frame(fd)

@@ -1,7 +1,9 @@
 """Pointwise surface geometry from jet samples.
 
-Input is a Vec of 4 components (ambient R4) or 5 components with a space-form
-flag (round sphere in R5, hyperbolic space in L5 with the (+,+,+,+,-) product).
+Input is a vector Jet2 sample (jets.Jet2.stack) of 4 components (ambient
+R4) or 5 components with a space-form flag (round sphere in R5, hyperbolic
+space in L5 with the (+,+,+,+,-) product); its slots are read as (n, dim)
+arrays, one row per point of the batch.
 Outputs: fundamental forms, curvature invariants, the ellipse of curvature,
 and the adapted tangent/normal frame in which both shape operators take their
 normal form.
@@ -29,7 +31,7 @@ from .errors import (
     PreconditionError,
     SingularSampleError,
 )
-from .jets import Vec, fail_rows
+from .jets import Jet2, fail_rows
 
 REGULARITY_FLOOR = 1e-12
 FRAME_FLOOR = 1e-10
@@ -49,7 +51,6 @@ class Ambient:
 
     kind: str = "r4"
     radius: float = 1.0
-    center: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in _SIGNATURES:
@@ -70,8 +71,6 @@ class Ambient:
         return 0.0
 
     def center_vec(self):
-        if self.center is not None:
-            return np.asarray(self.center, dtype=float)
         if self.kind == "sphere":
             return self.radius * np.eye(5)[4]
         if self.kind == "hyperbolic":
@@ -158,8 +157,9 @@ class AdaptedFrame:
 def _normal_parts(ws, Xu, Xv, dot, gram=None):
     """Each w of ws minus its projection onto span{Xu, Xv} under the inner
     product dot; the Gram system is solved in closed form, so entries may be
-    Jet2, or batches with a dot that keeps the reduced axis.  gram, if
-    given, is (E, F, G, EG - F^2) of Xu, Xv already computed."""
+    vector Jet2 (scaled vector first, as its components would be), or
+    batches with a dot that keeps the reduced axis.  gram, if given, is
+    (E, F, G, EG - F^2) of Xu, Xv already computed."""
     if gram is None:
         E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
         gram = E, F, G, E * G - F * F
@@ -170,7 +170,7 @@ def _normal_parts(ws, Xu, Xv, dot, gram=None):
         rhs_v = dot(w, Xv)
         a = (rhs_u * G - rhs_v * F) / det1
         b = (rhs_v * E - rhs_u * F) / det1
-        out.append(w - (a * Xu + b * Xv))
+        out.append(w - (Xu * a + Xv * b))
     return out
 
 
@@ -233,15 +233,15 @@ def fundamental_data(sample, ambient=R4):
     marks the rows whose first form is nondegenerate, and the other rows
     hold meaningless values, computed without numpy's floating-point
     warnings (_rank_deficient gives the error such a row stands for)."""
-    if not isinstance(sample, Vec):
-        raise TypeError("fundamental_data wants a Vec sample")
-    if len(sample) != ambient.dim:
+    if not isinstance(sample, Jet2) or np.ndim(sample.v) != 2:
+        raise TypeError("fundamental_data wants a vector Jet2 sample")
+    if len(sample.v) != ambient.dim:
         raise PreconditionError(
-            f"sample has {len(sample)} components, ambient wants {ambient.dim}")
+            f"sample has {len(sample.v)} components, ambient wants "
+            f"{ambient.dim}")
     # a slot that is constant in every component broadcasts over the batch
     x, Xu, Xv, Xuu, Xuv, Xvv = np.broadcast_arrays(
-        sample.values(), sample.du(), sample.dv(), sample.duu(),
-        sample.duv(), sample.dvv())
+        sample.values(), *sample.first_partials(), *sample.second_partials())
     dot = partial(ambient.dot, keepdims=True)
     E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
     det1 = E * G - F * F

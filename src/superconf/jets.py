@@ -10,18 +10,21 @@ order lets the fields g_u, g_v be split from the window (f', f'', f''') as
 full Jet2 data.  Finite differences appear only in fd_crosscheck, the
 independent referee.
 
-Every slot holds an array over a batch of points, the batch axis leading;
-one point is a batch of one.  The only other slot values are constants, from
-literal sub-expressions and fixed coordinates, which stay numbers and
-broadcast.  A batch rounds at each of its rows exactly as Python's complex,
-math and cmath would at that point, so a row's bits do not depend on the
-batch around it: complex values are _CArray, whose products and quotients
-follow CPython's, and where numpy's elementary functions round differently
-from math's and cmath's, those points are computed by the module's own
-function.  Where a floor or branch-cut check fails, the failed rows are
-recorded in the innermost row_failures() sink, which carries on with the
-harmless base value 1 in them; without a sink the check raises the error of
-its first failed row.
+Every slot holds an array over a batch of points; one point is a batch of
+one.  The only other slot values are constants, from literal sub-expressions
+and fixed coordinates, which stay numbers and broadcast.  A vector jet, the
+sample of a surface, is one Jet2 whose slots are (dim, n) arrays
+(Jet2.stack): the component axis comes first and the batch axis last, so a
+scalar jet broadcasts against it and one algebra serves both.  A batch
+rounds at each of its rows exactly as Python's complex, math and cmath
+would at that point, so a row's bits do not depend on the batch around it:
+complex values are _CArray, whose products and quotients follow CPython's,
+and where numpy's elementary functions round differently from math's and
+cmath's, those points are computed by the module's own function.  Where a
+floor or branch-cut check fails, the failed rows are recorded in the
+innermost row_failures() sink, which carries on with the harmless base
+value 1 in them; without a sink the check raises the error of its first
+failed row.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import cmath
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import reduce
 from operator import add, attrgetter, neg, sub
 from types import SimpleNamespace
 
@@ -472,7 +476,8 @@ class ComplexJet(_Jet):
 
 
 class Jet2(_Jet):
-    """Second-order jet of a real function of (u, v).
+    """Second-order jet of a real function of (u, v), or of a vector of
+    them (stack).
 
     duv is stored once; symmetry of mixed partials is structural.
     """
@@ -564,99 +569,56 @@ class Jet2(_Jet):
         return _checked(v <= DIV_FLOOR, v, lambda b: DegenerateJetError(
             f"sqrt of jet at floor: value = {b:.3e}"))
 
-
-def _stack(xs):
-    """One slot of a Vec's components as an (n, dim) array, C-contiguous, so
-    that reductions along the component axis sum in the same order at every
-    row; constant components are broadcast, and constants alone are one
-    row."""
-    try:
-        out = np.array(xs)
-    except ValueError:        # constants mixed with batch arrays
-        return np.stack(np.broadcast_arrays(*xs), axis=-1)
-    return np.ascontiguousarray(np.atleast_2d(out.T))
-
-
-class Vec:
-    """Tuple of Jet2 components; the surface-sample container.
-
-    4 components for ambient R4 work, 5 for space-form work.  An optional
-    signature on dot selects the Lorentzian product (+,+,+,+,-).
-    Slot arrays (values(), du(), ...) carry a leading batch axis.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, components):
-        self.c = [x if isinstance(x, Jet2) else Jet2(x) for x in components]
+    # a vector jet: every slot a (dim, n) array, one row per component; a
+    # vector times a scalar jet, in that order, rounds as each component
+    # times it
 
     @staticmethod
-    def of_values(values):
-        return Vec([Jet2(float(x)) for x in values])
-
-    def __len__(self):
-        return len(self.c)
+    def stack(components):
+        """The vector jet of the components, Jet2 or numbers; a constant
+        component broadcasts over the batch, and a slot constant in every
+        component is (dim, 1)."""
+        comps = [c if isinstance(c, Jet2) else Jet2.constant(c)
+                 for c in components]
+        return Jet2(*(np.stack(np.broadcast_arrays(*xs)).reshape(len(xs), -1)
+                      for xs in zip(*(c.slots for c in comps))))
 
     def __getitem__(self, i):
-        return self.c[i]
-
-    def __iter__(self):
-        return iter(self.c)
-
-    def __repr__(self):
-        return f"Vec({self.c!r})"
+        """Component i of a vector jet."""
+        return Jet2(*(x[i] for x in self.slots))
 
     def rows(self, index):
-        """The sample at the rows of a batch an index array or slice picks."""
-        return Vec([Jet2(*(x[index] if isinstance(x, np.ndarray) else x
-                           for x in a.slots)) for a in self.c])
-
-    def __add__(self, other):
-        if not isinstance(other, Vec):
-            return NotImplemented
-        return Vec([a + b for a, b in zip(self.c, other.c, strict=True)])
-
-    def __sub__(self, other):
-        if not isinstance(other, Vec):
-            return NotImplemented
-        return Vec([a - b for a, b in zip(self.c, other.c, strict=True)])
-
-    def __neg__(self):
-        return Vec([-a for a in self.c])
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, float, Jet2)):
-            return Vec([a * scalar for a in self.c])
-        return NotImplemented
-
-    __rmul__ = __mul__
+        """The vector jet at the rows of its batch an index array or slice
+        picks."""
+        n = max(x.shape[1] for x in self.slots)
+        return Jet2(*(np.broadcast_to(x, (len(x), n))[:, index]
+                      for x in self.slots))
 
     def dot(self, other, signature=None):
-        if signature is None:
-            signature = (1.0,) * len(self.c)
-        acc = Jet2(0.0)
-        for s, a, b in zip(signature, self.c, other.c, strict=True):
-            term = a * b
-            acc = acc + (term if s == 1.0 or s == 1 else term * float(s))
-        return acc
+        """The inner product of two vector jets, with a signature entry per
+        component if given: the components' products summed in component
+        order, starting from 0.0."""
+        prod = (self * other).slots
+        if signature is not None:
+            sig = np.asarray(signature, float)[:, None]
+            prod = [x * sig for x in prod]
+        return Jet2(*(reduce(add, x, 0.0) for x in prod))
 
     def values(self):
-        return _stack([a.v for a in self.c])
+        """The value slot of a vector jet as an (n, dim) C-contiguous array,
+        so that a reduction along the component axis sums in the same order
+        at every row."""
+        return np.ascontiguousarray(self.v.T)
 
-    def du(self):
-        return _stack([a.du for a in self.c])
+    def first_partials(self):
+        """The du and dv slots of a vector jet, (n, dim) each, as values()."""
+        return np.ascontiguousarray(self.du.T), np.ascontiguousarray(self.dv.T)
 
-    def dv(self):
-        return _stack([a.dv for a in self.c])
-
-    def duu(self):
-        return _stack([a.duu for a in self.c])
-
-    def duv(self):
-        return _stack([a.duv for a in self.c])
-
-    def dvv(self):
-        return _stack([a.dvv for a in self.c])
+    def second_partials(self):
+        """The duu, duv and dvv slots of a vector jet, (n, dim) each, as
+        values()."""
+        return tuple(np.ascontiguousarray(x.T)
+                     for x in (self.duu, self.duv, self.dvv))
 
 
 def _re_part(w0, w1, w2):
@@ -682,8 +644,8 @@ def split_im(cj):
 def seed_surface(jets):
     """Split component jets of a holomorphic curve into the conjugate pair of
     real Jet2 bundles (g, h) = (Re, Im)."""
-    return (Vec([split_re(j) for j in jets]),
-            Vec([split_im(j) for j in jets]))
+    return (Jet2.stack([split_re(j) for j in jets]),
+            Jet2.stack([split_im(j) for j in jets]))
 
 
 def seed_first_derivative_fields(jets):
@@ -692,26 +654,27 @@ def seed_first_derivative_fields(jets):
     Uses the third holomorphic order: g_u = Re F' is split from the window
     (c1, c2, c3) of F's jet, and g_v from i times it since dF/dv = iF'.
     """
-    g_u = Vec([_re_part(j.c1, j.c2, j.c3) for j in jets])
-    g_v = Vec([_re_part(j.c1 * 1j, j.c2 * 1j, j.c3 * 1j) for j in jets])
+    g_u = Jet2.stack([_re_part(j.c1, j.c2, j.c3) for j in jets])
+    g_v = Jet2.stack([_re_part(j.c1 * 1j, j.c2 * 1j, j.c3 * 1j)
+                      for j in jets])
     return g_u, g_v
 
 
 def graph_surface(jets):
-    """Vec of the real surface under a C^2 graph curve (w1(z), w2(z)):
-    components (Re w1, Im w1, Re w2, Im w2)."""
-    j1, j2 = jets[0], jets[1]
-    return Vec([split_re(j1), split_im(j1), split_re(j2), split_im(j2)])
+    """Vector jet of the real surface under a C^2 graph curve
+    (w1(z), w2(z)): components (Re w1, Im w1, Re w2, Im w2)."""
+    return Jet2.stack([f(j) for j in jets[:2] for f in (split_re, split_im)])
 
 
 def fd_crosscheck(surface, points, step=1e-4):
     """Compare jet-carried first and second partials against fourth-order
     central differences on a 5x5 stencil around each point (u, v).
 
-    surface: callable (u, v) -> Vec or Jet2 over arrays of parameters, called
-    once on every stencil point of every center.  Returns a dict with the
-    largest absolute deviation per derivative order and overall, over all
-    the points.  Any domain failure raised by the surface propagates.
+    surface: callable (u, v) -> a vector or scalar Jet2 over arrays of
+    parameters, called once on every stencil point of every center.  Returns
+    a dict with the largest absolute deviation per derivative order and
+    overall, over all the points.  Any domain failure raised by the surface
+    propagates.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -722,9 +685,12 @@ def fd_crosscheck(surface, points, step=1e-4):
                           if (i or j) and (i == 0 or j == 0 or abs(i) == abs(j))]
     di, dj = np.array(stencil).T[..., None]
     out = surface((u0 + di * h).ravel(), (v0 + dj * h).ravel())
-    sample = Vec([out]) if isinstance(out, Jet2) else out
-    F = dict(zip(stencil, sample.values().reshape(len(stencil), u0.size, -1)))
-    center = sample.rows(slice(0, u0.size))
+    # every slot as (stencil point, center, component); a scalar jet is a
+    # vector of one component, and a constant slot broadcasts
+    value, *jet = (np.broadcast_to(x, np.shape(out.v)).T
+                   .reshape(len(stencil), u0.size, -1) for x in out.slots)
+    F = dict(zip(stencil, value))
+    du, dv, duu, duv, dvv = (x[0] for x in jet)
 
     fd_du = (-F[2, 0] + 8 * F[1, 0] - 8 * F[-1, 0] + F[-2, 0]) / (12 * h)
     fd_dv = (-F[0, 2] + 8 * F[0, 1] - 8 * F[0, -1] + F[0, -2]) / (12 * h)
@@ -736,10 +702,8 @@ def fd_crosscheck(surface, points, step=1e-4):
     cross_2h = (F[2, 2] - F[2, -2] - F[-2, 2] + F[-2, -2]) / (16 * h * h)
     fd_duv = (4 * cross_h - cross_2h) / 3
 
-    first = max(np.max(np.abs(fd_du - center.du())),
-                np.max(np.abs(fd_dv - center.dv())))
-    second = max(np.max(np.abs(fd_duu - center.duu())),
-                 np.max(np.abs(fd_duv - center.duv())),
-                 np.max(np.abs(fd_dvv - center.dvv())))
+    first = max(np.max(np.abs(fd_du - du)), np.max(np.abs(fd_dv - dv)))
+    second = max(np.max(np.abs(fd_duu - duu)), np.max(np.abs(fd_duv - duv)),
+                 np.max(np.abs(fd_dvv - dvv)))
     return {"first": float(first), "second": float(second),
             "max": float(max(first, second))}

@@ -19,7 +19,7 @@ import numpy as np
 from . import geometry
 from .errors import DomainError, PreconditionError, SingularSampleError
 from .expr import Bin, Curve, CurveExpr, const_node
-from .jets import Vec, fail_rows, seed_first_derivative_fields, seed_surface
+from .jets import Jet2, fail_rows, seed_first_derivative_fields, seed_surface
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,10 @@ class SplitSample:
     """
 
     z: np.ndarray
-    g: Vec
-    h: Vec
-    g_u: Vec
-    g_v: Vec
+    g: Jet2
+    h: Jet2
+    g_u: Jet2
+    g_v: Jet2
 
     @property
     def h_u(self):
@@ -152,7 +152,7 @@ class MinimalPair:
         jets = self.curve.eval_jets(z)
         g, h = seed_surface(jets)
         if np.any(self.h_offset):
-            h = h + Vec.of_values(self.h_offset)
+            h = h + Jet2.stack(self.h_offset)
         g_u, g_v = seed_first_derivative_fields(jets)
         return SplitSample(z=z, g=g, h=h, g_u=g_u, g_v=g_v)
 

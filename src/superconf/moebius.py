@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -38,9 +38,9 @@ from .errors import (DualitySingularError, FrameDegenerateError,
                      NotNullCurveError, PreconditionError, ProjectionError,
                      SingularSampleError)
 from .expr import Bin, CurveExpr, Pow, const_node
-from .geometry import (Ambient, _blas_dot, _col, _coord_shape, _largest,
+from .geometry import (R4, Ambient, _blas_dot, _col, _coord_shape, _largest,
                        _normal_parts, ellipse_descriptor, fundamental_data)
-from .jets import (Vec, _im_part, _re_part, fail_rows, graph_surface,
+from .jets import (Jet2, _im_part, _re_part, fail_rows, graph_surface,
                    row_failures)
 from .minimal import HolomorphicCurve
 
@@ -56,6 +56,7 @@ J_AMB = np.array([[0.0, -1.0, 0.0, 0.0],
                   [0.0, 0.0, 1.0, 0.0]])
 
 _E5 = np.eye(5)[4]
+_HYPERBOLIC = Ambient("hyperbolic")
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,11 @@ def _check_denominator(q, d_values):
                   f"(<x - c, x - c> = {q[k]:.3e})"))
 
 
-def _sig_dot(sig, a, b):
-    """The inner product of signature sig along the component axis."""
-    return np.add.reduce(sig * a * b, axis=-1)
+def _dot(inv):
+    """The inner product of the inversion's signature along the component
+    axis: R4's, whose all-ones signature fits any dimension, or the
+    hyperbolic space's."""
+    return R4.dot if inv.signature == "euclidean" else _HYPERBOLIC.dot
 
 
 def _points(x, dim, message):
@@ -129,24 +132,23 @@ def _points(x, dim, message):
 
 def invert(x, inv):
     """Image of points, (n, dim) or one dim-vector as a batch of one, or of
-    a surface sample (Vec) under the inversion.
+    a surface sample (a vector Jet2) under the inversion.
 
-    Vec samples are transported with their full second-order jets, so the
+    Samples are transported with their full second-order jets, so the
     image can be fed straight back into curvature computations.  The rows
     on the singular set are recorded in the innermost jets.row_failures()
     sink (without one, the first raises)."""
-    if isinstance(x, Vec):
-        if len(x) != inv.dim:
+    if isinstance(x, Jet2):
+        if len(x.v) != inv.dim:
             raise PreconditionError("sample and inversion dimensions disagree")
-        sig = tuple(inv.sig())
-        center = Vec.of_values(inv.center)
+        center = Jet2.stack(inv.center)
         d = x - center
-        q = d.dot(d, signature=sig)
+        q = d.dot(d, signature=inv.sig())
         _check_denominator(q.v, d.values())
         return center + d * ((inv.orientation * inv.radius ** 2) / q)
     x = _points(x, inv.dim, "point and inversion dimensions disagree")
     d = x - inv.center
-    q = _sig_dot(inv.sig(), d, d)
+    q = _dot(inv)(d, d)
     _check_denominator(q, d)
     return inv.center + _col(inv.orientation * inv.radius ** 2 / q) * d
 
@@ -164,12 +166,12 @@ def normal_transform_check(sample, xi, inv):
     non-unit xi fails with PreconditionError (jets.fail_rows)."""
     x = sample.values()
     xi = np.asarray(xi, dtype=float)
-    if len(sample) != inv.dim or xi.shape != x.shape:
+    if len(sample.v) != inv.dim or xi.shape != x.shape:
         raise PreconditionError(
             "sample, normal, and inversion dimensions disagree")
-    dot = partial(_sig_dot, inv.sig())
+    dot = _dot(inv)
 
-    Xu, Xv = sample.du(), sample.dv()
+    Xu, Xv = sample.first_partials()
     xx = dot(xi, xi)
     fail_rows(abs(xx - 1.0) > 1e-8, lambda k: PreconditionError(
         f"xi must be a unit spacelike vector; <xi, xi> = {xx[k]:.6f}"))
@@ -183,14 +185,12 @@ def normal_transform_check(sample, xi, inv):
     _check_denominator(q, d)
     pxi = xi - _col(2.0 * dot(xi, d) / q) * d
     image = invert(sample, inv)
-    iu, iv = image.du(), image.dv()
+    iu, iv = image.first_partials()
     res_unit = abs(dot(pxi, pxi) - 1.0)
     res_normal = np.maximum(abs(dot(pxi, iu)) / _vec_norm(iu),
                             abs(dot(pxi, iv)) / _vec_norm(iv))
-    A = _coord_shape(Xu, Xv, (sample.duu(), sample.duv(), sample.dvv()),
-                     xi, dot)
-    A_img = _coord_shape(iu, iv, (image.duu(), image.duv(), image.dvv()),
-                         pxi, dot)
+    A = _coord_shape(Xu, Xv, sample.second_partials(), xi, dot)
+    A_img = _coord_shape(iu, iv, image.second_partials(), pxi, dot)
     rhs = (q[:, None, None] * A
            + (2.0 * dot(d, xi))[:, None, None] * np.eye(2)) / (
         inv.orientation * inv.radius ** 2)
@@ -245,14 +245,13 @@ def _graph_fields(curve, z):
         re, im = _re_part(j.c1, j.c2, j.c3), _im_part(j.c1, j.c2, j.c3)
         fu += [re, im]
         fv += [-im, re]
-    return graph_surface(jets), Vec(fu), Vec(fv)
+    return graph_surface(jets), Jet2.stack(fu), Jet2.stack(fv)
 
 
 @dataclass(frozen=True)
 class DualityReport:
     z: np.ndarray
     value: np.ndarray
-    field: Vec
     antiholo: np.ndarray
     involution: np.ndarray
     conformality: np.ndarray
@@ -270,7 +269,7 @@ def duality(curve, z):
     (jets.fail_rows)."""
     z = np.atleast_1d(np.asarray(z, complex))
     pos, fu, fv = _graph_fields(curve, z)
-    [fN] = _normal_parts([pos], fu, fv, Vec.dot)
+    [fN] = _normal_parts([pos], fu, fv, Jet2.dot)
     n2 = fN.dot(fN)
     scale = pos.dot(pos).v + fu.dot(fu).v
     fail_rows(n2.v <= 1e-24 * np.maximum(scale, 1e-300),
@@ -278,7 +277,7 @@ def duality(curve, z):
                   f"position vector of {curve.name} is tangential at "
                   f"z = {complex(z[k])}; the dual is undefined"))
     fstar = fN * (0.5 / n2)
-    Fu, Fv = fstar.du(), fstar.dv()
+    Fu, Fv = fstar.first_partials()
     sc = _largest(_vec_norm(Fu), _vec_norm(Fv), 1e-300)
     # J_AMB's entries are 0 and +-1, so these products are exact
     r1 = Fv + Fu @ J_AMB.T
@@ -297,7 +296,7 @@ def duality(curve, z):
                   f"z = {complex(z[k])}"))
     second = FN / _col(2.0 * nn)
     involution = _vec_norm(second - pos.values())
-    return DualityReport(z=z, value=value, field=fstar, antiholo=antiholo,
+    return DualityReport(z=z, value=value, antiholo=antiholo,
                          involution=involution, conformality=conformality)
 
 
@@ -478,7 +477,6 @@ class CollapseReport:
     center: np.ndarray
     variation: float
     companion_residual: float
-    structure: ComplexStructureReport
 
 
 def degenerate_collapse_check(pair, points):
@@ -490,7 +488,7 @@ def degenerate_collapse_check(pair, points):
     value with its variation across the grid, and the worst distance of the
     companion surface from 2 g^N."""
     z = np.array(list(points), dtype=complex)
-    structure = recover_complex_structure(pair, z)
+    recover_complex_structure(pair, z)
     built = build_phi_pair(pair, z)
     fd = built[0].ctx.fd_g
     fail_rows(~fd.regular, lambda k: SingularSampleError(
@@ -506,8 +504,7 @@ def degenerate_collapse_check(pair, points):
     center = np.mean(vals[collapsed], axis=0)
     return CollapseReport(collapsed_sign=collapsed, center=center,
                           variation=float(variation[collapsed]),
-                          companion_residual=float(companion[other]),
-                          structure=structure)
+                          companion_residual=float(companion[other]))
 
 
 # -- stereographic bridges ----------------------------------------------------
@@ -598,8 +595,8 @@ class SpaceFormReport:
 def superminimal_test(surface, ambient, points, h_tol=1e-9, circ_tol=1e-8):
     """Minimality plus curvature-circle roundness for a space-form immersion.
 
-    surface maps (u, v) to a 5-component Vec whose values must lie on the
-    space form; off-manifold samples raise ProjectionError.  Totally
+    surface maps (u, v) to a 5-component vector Jet2 whose values must lie
+    on the space form; off-manifold samples raise ProjectionError.  Totally
     umbilic immersions carry a point circle at every sample; they pass
     vacuously and the verdict says so."""
     uv = np.array(list(points), dtype=float).reshape(-1, 2)

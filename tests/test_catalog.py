@@ -81,8 +81,9 @@ def test_whitney_graph_sample():
     s = entry.aux["graph_sample"](1.0 + 0.0j)
     assert np.allclose(s.values(), [1.0, 0.0, 1.0, 0.0], atol=1e-15)
     # graph of (z, 1/z): derivative of the second slot at z=1 is -1
-    assert np.allclose(s.du(), [1.0, 0.0, -1.0, 0.0], atol=1e-15)
-    assert np.allclose(s.dv(), [0.0, 1.0, 0.0, -1.0], atol=1e-15)
+    su, sv = s.first_partials()
+    assert np.allclose(su, [1.0, 0.0, -1.0, 0.0], atol=1e-15)
+    assert np.allclose(sv, [0.0, 1.0, 0.0, -1.0], atol=1e-15)
 
 
 def test_whitney_pair_matches_graph_normal_component():
@@ -154,7 +155,7 @@ def test_veronese_pair_normal_projection_route():
     e5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
     for (u, v) in ((0.7, 1.1), (1.9, 2.0), (4.1, 0.6)):
         f = catalog.veronese_immersion(u, v)
-        [fval], [fu], [fv] = f.values(), f.du(), f.dv()
+        [fval], [fu], [fv] = f.values(), *f.first_partials()
         P = fval - 2.0 * e5
         gram = np.array([[fu @ fu, fu @ fv], [fv @ fu, fv @ fv]])
         al, be = np.linalg.solve(gram, [P @ fu, P @ fv])

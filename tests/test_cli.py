@@ -146,6 +146,15 @@ def test_invert_command(capsys):
     assert code == 2 and rep["error"]["type"] == "PreconditionError"
 
 
+def test_invert_skips_a_point_where_h_is_at_the_sqrt_floor(capsys):
+    # ||h|| = 1e-7 at the corner z = 1e-7: the frame is degenerate there
+    code, rep = run_json(capsys, "invert", "--curve",
+                         "(cos(z), sin(z), -i*z, 0)", "--domain=1e-7,1,0,1",
+                         "--grid", "2,2", "--center", "0,0,0,5")
+    assert code == 0 and rep["ok"]
+    assert rep["skipped"]["FrameDegenerateError"] == 1
+
+
 def test_verify_command(capsys):
     code, rep = run_json(capsys, "verify", "--curve", "catenoid-helicoid",
                          "--domain", "0.2,6.08,-1.5,1.5", "--grid", "8,8")

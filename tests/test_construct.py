@@ -12,7 +12,7 @@ from superconf.errors import (FrameDegenerateError, FrameUndefinedError,
                               PreconditionError, SingularSampleError)
 from superconf.geometry import (_blas_dot, _col, _normal_parts, _sqrt0, _sym2,
                                 fundamental_data, superconformality_test)
-from superconf.jets import Jet2, Vec, fd_crosscheck, row_failures
+from superconf.jets import Jet2, fd_crosscheck, row_failures
 from test_cli import count_calls
 
 _JMAT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -62,7 +62,7 @@ def construction_frame(pair, z):
     # a r B_xi = (r hess - S) J, entry by entry
     ar = a_val * r.v
     lhs = _sym2(*(ar * (_blas_dot(w, xi) * iE)
-                  for w in (g.duu(), g.duv(), g.dvv())))
+                  for w in g.second_partials()))
     rhs = (_sym2(*(r.v * (h * iE) for h in (huu, huv, hvv))) - S) @ _JMAT
     lhs_max, rhs_max = (np.abs(m).max(axis=(-2, -1)) for m in (lhs, rhs))
     bxi_scale = np.where(fallback, np.nan,
@@ -205,6 +205,17 @@ def test_h_zero_is_frame_degenerate(catenoid):
         construction_frame(catenoid, 0.0j)
     with pytest.raises(FrameDegenerateError):
         build_phi_pair(catenoid, 0.0j)
+
+
+def test_h_at_the_sqrt_floor_fails_alike_alone_and_in_a_batch(catenoid):
+    # ||h||^2 = 1e-14 at z = 1e-7: above the relative floor, at the sqrt floor
+    z = np.array([1e-7 + 0j, 0.5 + 0.5j])
+    with pytest.raises(FrameDegenerateError):
+        build_phi_pair(catenoid, z[0])
+    with row_failures(len(z)) as failed:
+        build_phi_pair(catenoid, z)
+    assert failed.counts() == {"FrameDegenerateError": 1}
+    assert failed.rows(FrameDegenerateError).tolist() == [True, False]
 
 
 def test_bad_sign_rejected(catenoid):
@@ -485,6 +496,6 @@ def test_extraction_rejects_minimal_surface(catenoid):
 
 
 def test_extraction_rejects_constant_map():
-    const = Vec([Jet2(1.0), Jet2(0.0), Jet2(0.0), Jet2(0.0)])
+    const = Jet2.stack([Jet2(1.0), Jet2(0.0), Jet2(0.0), Jet2(0.0)])
     with pytest.raises(SingularSampleError):
         extract_minimal_pair(const)

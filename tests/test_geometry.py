@@ -24,7 +24,7 @@ from superconf.geometry import (
     shape_matrix,
     superconformality_test,
 )
-from superconf.jets import Jet2, Vec
+from superconf.jets import Jet2
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
 from test_jets import reparam_rot, transform
 
@@ -38,39 +38,43 @@ def V(v):
 
 
 def torus_r4(u, v, a=1.0, b=0.6):
-    return Vec([a * U(u).cos(), a * U(u).sin(), b * V(v).cos(), b * V(v).sin()])
+    return Jet2.stack([a * U(u).cos(), a * U(u).sin(), b * V(v).cos(),
+                       b * V(v).sin()])
 
 
 def sphere_r4(u, v, rho=1.0):
     cu, su = U(u).cos(), U(u).sin()
     cv, sv = V(v).cos(), V(v).sin()
-    return Vec([rho * cv * cu, rho * cv * su, rho * sv, Jet2.constant(0.0)])
+    return Jet2.stack([rho * cv * cu, rho * cv * su, rho * sv,
+                       Jet2.constant(0.0)])
 
 
 def catenoid_r4(u, v):
     cu, su = U(u).cos(), U(u).sin()
     ch = V(v).cosh()
-    return Vec([ch * cu, ch * su, V(v), Jet2.constant(0.0)])
+    return Jet2.stack([ch * cu, ch * su, V(v), Jet2.constant(0.0)])
 
 
 def clifford_s4(u, v, alpha=0.8, beta=0.6):
     # lies on the unit sphere centered at e5
-    return Vec([alpha * U(u).cos(), alpha * U(u).sin(),
-                beta * V(v).cos(), beta * V(v).sin(), Jet2.constant(1.0)])
+    return Jet2.stack([alpha * U(u).cos(), alpha * U(u).sin(),
+                       beta * V(v).cos(), beta * V(v).sin(),
+                       Jet2.constant(1.0)])
 
 
 def great_sphere_s4(u, v):
     cu, su = U(u).cos(), U(u).sin()
     cv, sv = V(v).cos(), V(v).sin()
-    return Vec([cv * cu, cv * su, sv, Jet2.constant(0.0), Jet2.constant(1.0)])
+    return Jet2.stack([cv * cu, cv * su, sv, Jet2.constant(0.0),
+                       Jet2.constant(1.0)])
 
 
 def flat_torus_h4(u, v, a=0.6, b=0.8):
     # spatial radii a, b force the time slot to sqrt(1 + a^2 + b^2);
     # the center convention puts the hyperboloid vertex at the origin
     t = np.sqrt(1.0 + a * a + b * b)
-    return Vec([a * U(u).cos(), a * U(u).sin(),
-                b * V(v).cos(), b * V(v).sin(), Jet2.constant(t - 1.0)])
+    return Jet2.stack([a * U(u).cos(), a * U(u).sin(),
+                       b * V(v).cos(), b * V(v).sin(), Jet2.constant(t - 1.0)])
 
 
 def quadratic_jet(lam, mu, flip=False):
@@ -81,7 +85,7 @@ def quadratic_jet(lam, mu, flip=False):
              Jet2(0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
              Jet2(0.0, 0.0, 0.0, lam, mu, lam),
              Jet2(0.0, 0.0, 0.0, s * mu, 0.0, -s * mu)]
-    return Vec(comps)
+    return Jet2.stack(comps)
 
 
 def q0_pair():
@@ -157,8 +161,8 @@ class TestCatenoid:
 def test_rank_deficient_sample_raises():
     # the row is marked irregular, and the frame it lacks raises with det
     w = U(0.1) + V(0.2)
-    fd = fundamental_data(Vec([w, 2.0 * w, Jet2.constant(1.0),
-                               Jet2.constant(2.0)]))
+    fd = fundamental_data(Jet2.stack([w, 2.0 * w, Jet2.constant(1.0),
+                                      Jet2.constant(2.0)]))
     assert not fd.regular[0]
     with pytest.raises(SingularSampleError) as exc:
         adapted_frame(fd)
@@ -171,8 +175,8 @@ def test_normal_frame_when_largest_projections_are_parallel():
     xu, xv = (0.0, 0.0, 1.0, 1.0), (-1.0, -1.0, -1.0, -1.0)
     seconds = ((0.3, -0.2, 0.5), (0.1, 0.4, -0.7), (-0.6, 0.2, 0.1),
                (0.25, -0.5, 0.3))
-    fd = fundamental_data(Vec([Jet2(0.0, xu[i], xv[i], *seconds[i])
-                               for i in range(4)]))
+    fd = fundamental_data(Jet2.stack([Jet2(0.0, xu[i], xv[i], *seconds[i])
+                                      for i in range(4)]))
     frame = np.column_stack([fd.Y1[0], fd.Y2[0], fd.n1[0], fd.n2[0]])
     assert np.all(np.isfinite(frame))
     assert np.allclose(frame.T @ frame, np.eye(4), atol=1e-12)
@@ -292,7 +296,7 @@ def sheared_torus(u, v):
     # non-orthogonal parametrization so F != 0 exercises the basis change
     uu = Jet2(u + 0.3 * v, 1.0, 0.3, 0.0, 0.0, 0.0)
     vv = Jet2.coordinate_v(v)
-    return Vec([uu.cos(), uu.sin(), 0.6 * vv.cos(), 0.6 * vv.sin()])
+    return Jet2.stack([uu.cos(), uu.sin(), 0.6 * vv.cos(), 0.6 * vv.sin()])
 
 
 def shape_matrix_coords(fd, nu):

@@ -123,11 +123,67 @@ def test_every_public_def_is_read_in_src():
     assert unread_defs(sources, exported_names()) == []
 
 
+def dataclass_fields(tree):
+    """(class name, field name) of every field of a module's @dataclass
+    classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    yield node.name, item.target.id
+
+
+def field_reads(tree):
+    """Names a module reads as an attribute or as a getattr string."""
+    reads = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            reads.add(n.attr)
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+              and n.func.id == "getattr" and len(n.args) >= 2
+              and isinstance(n.args[1], ast.Constant)):
+            reads.add(n.args[1].value)
+    return reads
+
+
+def unread_fields(sources, readers):
+    """The dataclass fields of sources that neither sources nor readers
+    read."""
+    trees = [ast.parse(source) for source in sources]
+    reads = set().union(*(field_reads(t) for t in trees),
+                        *(field_reads(ast.parse(r)) for r in readers))
+    return sorted(f"{cls}.{name}" for tree in trees
+                  for cls, name in dataclass_fields(tree)
+                  if name not in reads)
+
+
+def test_unread_field_scan():
+    sources = ["@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n"
+               "    z: int = 0\n    K = 1\n\n"
+               "@dataclass\nclass B:\n    w: int\n\n"
+               "class C:\n    v: int\n\n"
+               "def f(a):\n    a.y = 1\n    return A(x=1, y=2)\n"]
+    readers = ["def g(a, b):\n    return a.x + getattr(b, 'z')\n"]
+    assert unread_fields(sources, readers) == ["A.y", "B.w"]
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a package dataclass is read, as an attribute or a
+    getattr string, by a package module or a test; a field nothing reads is
+    dead data."""
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    readers = [p.read_text() for p in sorted(TESTS.glob("test_*.py"))]
+    assert unread_fields(sources, readers) == []
+
+
 # the names of the two-regime jet algebra, which must not come back
 REGIME_NAMES = {"_SCALARS", "_MATH", "_BATCH_MATH"}
 # isinstance(x, np.ndarray) tests a module may make: cli.py cleans values
-# for JSON, and jets.py may test a slot that holds a broadcast constant
-ARRAY_TESTS_ALLOWED = {"cli.py": None, "jets.py": 1}
+# for JSON
+ARRAY_TESTS_ALLOWED = {"cli.py": None}
 
 
 def regime_checks(source):

@@ -8,7 +8,6 @@ from superconf import (
     ComplexJet,
     DegenerateJetError,
     Jet2,
-    Vec,
     fd_crosscheck,
     seed_first_derivative_fields,
     seed_surface,
@@ -29,7 +28,7 @@ def row0(slots):
 
 
 def transform(vec, matrix):
-    """Apply a constant linear map to a Vec's component tuple, slot-wise."""
+    """Apply a constant linear map to a vector jet's components, slot-wise."""
     m = np.asarray(matrix, dtype=float)
     out = []
     for i in range(m.shape[0]):
@@ -39,15 +38,13 @@ def transform(vec, matrix):
             if coef != 0.0:
                 acc = acc + comp * float(coef)
         out.append(acc)
-    return Vec(out)
+    return Jet2.stack(out)
 
 
 def reparam_rot(x, c, s):
-    """Jet of the same function (every component of a Vec) precomposed with
-    the parameter rotation (w1, w2) -> (c w1 - s w2, s w1 + c w2) about the
-    base point."""
-    if isinstance(x, Vec):
-        return Vec([reparam_rot(a, c, s) for a in x])
+    """Jet of the same function (every component of a vector jet) precomposed
+    with the parameter rotation (w1, w2) -> (c w1 - s w2, s w1 + c w2) about
+    the base point."""
     du = c * x.du + s * x.dv
     dv = -s * x.du + c * x.dv
     duu = c * c * x.duu + 2 * c * s * x.duv + s * s * x.dvv
@@ -247,21 +244,22 @@ def test_catenoid_fields_match_closed_form():
     assert np.allclose(g_u.values(), [-ch * su, ch * cu, 0, 0], atol=1e-14)
     assert np.allclose(g_v.values(), [sh * cu, sh * su, 1, 0], atol=1e-14)
     # second derivatives of the g_u field come from the third complex order
-    assert np.allclose(g_u.duu(), [ch * su, -ch * cu, 0, 0], atol=1e-14)
+    assert np.allclose(g_u.second_partials()[0], [ch * su, -ch * cu, 0, 0],
+                       atol=1e-14)
 
 
 def test_vec_dot_norm_signature():
-    a = Vec([Jet2(1, 1, 0), Jet2(2), Jet2(0), Jet2(0), Jet2(3)])
+    a = Jet2.stack([Jet2(1, 1, 0), Jet2(2), Jet2(0), Jet2(0), Jet2(3)])
     lor = (1, 1, 1, 1, -1)
     d = a.dot(a, signature=lor)
     assert d.v == 1 + 4 - 9
-    e = Vec([Jet2(2, 1, 0), Jet2(0), Jet2(0), Jet2(0), Jet2(1)])
+    e = Jet2.stack([Jet2(2, 1, 0), Jet2(0), Jet2(0), Jet2(0), Jet2(1)])
     n = e.dot(e, signature=lor)
     assert n.v == 3.0
 
 
 def test_vec_transform():
-    a = Vec([Jet2(1, 2, 3), Jet2(4, 5, 6)])
+    a = Jet2.stack([Jet2(1, 2, 3), Jet2(4, 5, 6)])
     m = [[0.0, 1.0], [-1.0, 0.0], [2.0, 0.5]]
     out = transform(a, m)
     assert out[0].slots == (4, 5, 6, 0, 0, 0)
@@ -300,7 +298,7 @@ def test_reparam_rot_quadratic():
 def test_fd_crosscheck_polynomial():
     def surf(u, v):
         ju, jv = Jet2.coordinate_u(u), Jet2.coordinate_v(v)
-        return Vec([ju * ju * 2 + jv * ju, jv * jv - ju * 3])
+        return Jet2.stack([ju * ju * 2 + jv * ju, jv * jv - ju * 3])
 
     rep = fd_crosscheck(surf, (0.3, -0.2), step=1e-3)
     assert rep["max"] < 1e-9

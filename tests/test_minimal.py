@@ -5,7 +5,7 @@ import pytest
 
 from superconf.errors import DomainError, PreconditionError
 from superconf.expr import CurveExpr
-from superconf.jets import Vec, _im_part
+from superconf.jets import Jet2, _im_part
 from superconf.minimal import (
     Domain,
     HolomorphicCurve,
@@ -78,9 +78,11 @@ class TestSplit:
 
     def test_derivative_fields_match_position_jets(self):
         s = catenoid_pair().samples_at(complex(-0.6, 0.2))
-        np.testing.assert_allclose(s.g_u.values(), s.g.du(), atol=1e-15)
-        np.testing.assert_allclose(s.g_v.values(), s.g.dv(), atol=1e-15)
-        np.testing.assert_allclose(s.g_u.dv(), s.g_v.du(), atol=1e-15)
+        gu, gv = s.g.first_partials()
+        np.testing.assert_allclose(s.g_u.values(), gu, atol=1e-15)
+        np.testing.assert_allclose(s.g_v.values(), gv, atol=1e-15)
+        np.testing.assert_allclose(s.g_u.first_partials()[1],
+                                   s.g_v.first_partials()[0], atol=1e-15)
 
     def test_domain_violation(self):
         with pytest.raises(DomainError):
@@ -95,7 +97,8 @@ class TestSplit:
         np.testing.assert_allclose(
             (s1.h.values() - s0.h.values())[0], [0.0, 1.0, -2.0, 0.5],
             atol=1e-15)
-        np.testing.assert_allclose(s1.h.du(), s0.h.du(), atol=1e-15)
+        np.testing.assert_allclose(s1.h.first_partials()[0],
+                                   s0.h.first_partials()[0], atol=1e-15)
 
 
 class TestCertify:
@@ -136,8 +139,8 @@ class TestAssociatedFamily:
         s0 = pair.samples_at(z)
         for theta in (np.pi / 8, 3 * np.pi / 8):
             s = associated_family(pair, theta).samples_at(z)
-            assert Vec.dot(s.g_u, s.g_u).v == pytest.approx(
-                Vec.dot(s0.g_u, s0.g_u).v, rel=1e-12)
+            assert Jet2.dot(s.g_u, s.g_u).v == pytest.approx(
+                Jet2.dot(s0.g_u, s0.g_u).v, rel=1e-12)
 
     def test_family_member_still_isotropic(self):
         rep = certify(associated_family(catenoid_pair(), 0.37), nu=5, nv=5)

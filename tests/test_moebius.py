@@ -10,7 +10,7 @@ from superconf.errors import (DualitySingularError, FrameUndefinedError,
                               PreconditionError, ProjectionError,
                               QuadricSingularError)
 from superconf.geometry import _normal_parts, fundamental_data
-from superconf.jets import Vec, fail_rows
+from superconf.jets import Jet2, fail_rows
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair, certify
 from superconf.moebius import (INV_FLOOR, Inversion, J_AMB, Stereographic,
                                _check_denominator, _graph_fields,
@@ -79,8 +79,8 @@ def inversion_pair_of_holomorphic(curve, inv, z):
     if inv.signature != "euclidean" or inv.dim != 4:
         raise PreconditionError("pair inversion works in euclidean R4")
     pos, fu, fv = _graph_fields(curve, z)
-    d = pos - Vec.of_values(inv.center)
-    [dN] = _normal_parts([d], fu, fv, Vec.dot)
+    d = pos - Jet2.stack(inv.center)
+    [dN] = _normal_parts([d], fu, fv, Jet2.dot)
     [n2] = dN.dot(dN).v
     [scale] = d.dot(d).v + fu.dot(fu).v
     if n2 <= 1e-24 * max(scale, 1e-300):
@@ -147,7 +147,7 @@ def test_invert_vec_matches_points_and_chain_rule(catenoid, shifted_inversion):
         assert np.linalg.norm(
             image.values() - invert(smp.values(), shifted_inversion)) < 1e-12
         # jets transform by the differential of the point map
-        for w, got in ((smp.du(), image.du()), (smp.dv(), image.dv())):
+        for w, got in zip(smp.first_partials(), image.first_partials()):
             want = inversion_differential(smp.values(), w, shifted_inversion)
             assert np.linalg.norm(got - want) < 1e-10
 
@@ -184,7 +184,7 @@ def test_normal_transform_lorentzian():
         inv = Inversion(center=center, radius=1.0, signature="lorentzian")
         for (u, v) in ((0.7, 1.3), (2.1, 0.4)):
             smp = entry.surface(u, v)
-            Xu, Xv = smp.du(), smp.dv()
+            Xu, Xv = smp.first_partials()
             E = np.sum(sig * Xu * Xu)
             F = np.sum(sig * Xu * Xv)
             G = np.sum(sig * Xv * Xv)
@@ -200,7 +200,8 @@ def test_normal_transform_lorentzian():
 
 def test_normal_transform_rejects_bad_normals(catenoid, shifted_inversion):
     smp = build_phi_pair(catenoid, 1.0 + 1.0j)[0].phi
-    tangent = smp.du() / np.linalg.norm(smp.du())
+    Xu = smp.first_partials()[0]
+    tangent = Xu / np.linalg.norm(Xu)
     with pytest.raises(PreconditionError):
         normal_transform_check(smp, tangent, shifted_inversion)
     fd = fundamental_data(smp)
@@ -558,8 +559,8 @@ def test_superminimal_off_manifold_errors():
 
     def shifted(u, v):
         smp = entry.surface(u, v)
-        from superconf.jets import Jet2, Vec
-        return Vec([smp[0] + Jet2(0.1)] + list(smp.c[1:]))
+        from superconf.jets import Jet2
+        return Jet2.stack([smp[0] + Jet2(0.1)] + list(smp)[1:])
 
     with pytest.raises(ProjectionError):
         superminimal_test(shifted, entry.ambient, _grid(entry, 2, 2))

@@ -1,0 +1,99 @@
+"""Golden output digests: the files and reports of fixed runs, byte for byte.
+
+The SHA-256 digests were recorded on x86-64 with numpy 2.4.6.  A change to
+the algebra that moves any output bit, a signed zero included, shows here
+as a changed digest.
+"""
+
+import hashlib
+
+import pytest
+
+from superconf import cli
+
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+CONSTRUCT_FILES = {
+    ("catenoid-helicoid", "--grid", "9,9", "--sign", "both",
+     "--project", "stereo"): (0, {
+        "catenoid-helicoid-minus.csv":
+            "c89fe155f1d38f943cae4f20beb052b82b16071b18237cfe52c5267961e716a9",
+        "catenoid-helicoid-minus.mesh.json":
+            "70523b1b9123117cd45cce815ed6c9da9421688871f9cb90afc7715b66d86e93",
+        "catenoid-helicoid-minus.obj":
+            "df94999a59bcefcbb4b00b6c525dac0e8a12c090a19f1bc799ca88a2b26cdd69",
+        "catenoid-helicoid-plus.csv":
+            "29d7aed3a6049cbe1793a34b2d6f39815988282599baa571e4fc0955afbcce1c",
+        "catenoid-helicoid-plus.mesh.json":
+            "123e1f3c7f4b266f8844b599edde8889e7091dd95227cda28fa1af80707ec2db",
+        "catenoid-helicoid-plus.obj":
+            "9062e5f26f1c2d3107bd3698da45b9d85c888bfe09cf283095ae11cfb41a2a9d",
+        "catenoid-helicoid-summary.json":
+            "6ad3e0dd8976827513c20f02effb121a46d77466c6f5295e80298a3c7914df16",
+    }),
+    # its plus surface has no clear row, so the run exits 3
+    ("whitney", "--grid", "9,9", "--sign", "both"): (3, {
+        "whitney-minus.csv":
+            "908123450e49bbca6bfda1858187aebcb0280502db83f2ef7a01518124315169",
+        "whitney-minus.mesh.json":
+            "c7a211086240154c24764cb351a36db09794ff5a4856c5342d14e35660bfd159",
+        "whitney-plus.csv":
+            "e03f233134b663fd783da13345f196947e402b1f76e117e101d9fc3601ce2145",
+        "whitney-plus.mesh.json":
+            "c74c37a1e98fae07005212adf04665d49ff71a52166547dda6a15c4ce132aca0",
+        "whitney-summary.json":
+            "410f5f999d5419fd56315b169c2cd8f91661442fce210fdb98c9497c6bdaa27e",
+    }),
+    # its CSV holds -0.0 cells, whose sign the digest pins
+    ("enneper-r3", "--grid", "9,9", "--sign", "both",
+     "--project", "drop:3"): (0, {
+        "enneper-r3-minus.csv":
+            "cd59d73547f7ce62fd4f72defaf39c5650745441f57cc7be1aadf9d975218e11",
+        "enneper-r3-minus.mesh.json":
+            "f931d0c0c61abfedbdc3db7185b29e91ef852ab855f78842ffdad34bdc773fd5",
+        "enneper-r3-minus.obj":
+            "756bdbcfa8083e97184c359bf4be487318284f61b09961f208989f1bca68b5de",
+        "enneper-r3-plus.csv":
+            "474e8d3e7ddb5f96b129687bfc6b73261d4a08a496389ca405716cad605227c8",
+        "enneper-r3-plus.mesh.json":
+            "0969b704293985c54b7a467cd6ad8c3cf1104ea024f43ba608d4ce37f85e85cd",
+        "enneper-r3-plus.obj":
+            "756bdbcfa8083e97184c359bf4be487318284f61b09961f208989f1bca68b5de",
+        "enneper-r3-summary.json":
+            "0da0c0243f17f7e9727d6abd5a93687e24126683629434b88f872e91ec48c774",
+    }),
+}
+
+REPORTS = {
+    ("verify", "--curve", "whitney"):
+        (3, "75c48221c6345edb2cb35b9f8fe5e9d9b413fbe9bc59d71e813677283575f729"),
+    ("invert", "--curve", "catenoid-helicoid", "--center", "0,0,0,5"):
+        (0, "40d92f9abc1a254e5db1e5a615ed2f52fcad21f342a9c6dbc50ae6497fcefbc2"),
+    ("dual", "--curve", "whitney"):
+        (0, "036faac25e733ce57204d465a8ab3b76a8d05be430cc2d1e000d2c1ddeb430bc"),
+    ("quadric", "--curve", "veronese"):
+        (0, "fb3fa0dcdbcce790f9eb6c586b216d6a15deb2c4007fae0b9d5693fed0333664"),
+    ("project", "--entry", "veronese"):
+        (0, "c0418a4bea4e3344456c39997da3834306448714508db6a582e938a6f31a42cc"),
+    ("selftest",):
+        (3, "a1d611420a899f1ce0d3f7c8ef66ece4582391ab5c311fe12da70e90c03758b3"),
+}
+
+
+@pytest.mark.parametrize("argv", list(CONSTRUCT_FILES), ids=lambda a: a[0])
+def test_construct_files_match_golden_digests(argv, tmp_path, capsys):
+    curve, *rest = argv
+    code = cli.main(["construct", "--curve", curve, *rest,
+                     "--out", str(tmp_path)])
+    capsys.readouterr()
+    written = {p.name: sha(p.read_bytes()) for p in tmp_path.iterdir()}
+    assert (code, written) == CONSTRUCT_FILES[argv]
+
+
+@pytest.mark.parametrize("argv", list(REPORTS), ids=lambda a: a[0])
+def test_report_stdout_matches_golden_digest(argv, capsys):
+    code = cli.main(list(argv))
+    assert (code, sha(capsys.readouterr().out.encode())) == REPORTS[argv]
