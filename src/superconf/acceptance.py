@@ -232,8 +232,7 @@ def criterion_8a() -> CriterionResult:
     inv = Inversion(center=np.zeros(4), radius=1.0)
     grid = pair.domain.grid(12, 12, margin=0.02)
     plus, minus = build_phi_pair(pair, grid)
-    odd = np.flatnonzero((plus.flags.bitmask == 0)
-                         | (minus.flags.bitmask != 0))
+    odd = np.flatnonzero((plus.flags == 0) | (minus.flags != 0))
     if odd.size:
         return CriterionResult(
             "8a", "inverted graph equals the built surface", False,
@@ -304,7 +303,7 @@ def criterion_9a() -> CriterionResult:
 
 def criterion_9b() -> CriterionResult:
     """Pair metric vs the recorded display (known red: factor 4/3)."""
-    rep = catalog.certify_veronese(n_theta=10, n_phi=10)
+    rep = catalog.certify_veronese()
     passed = rep["metric_vs_expected"] < 1e-9
     return CriterionResult(
         "9b", "degree-2 pair metric vs recorded display", passed,
@@ -314,7 +313,7 @@ def criterion_9b() -> CriterionResult:
 
 def criterion_9b_companion() -> CriterionResult:
     """The 9b mismatch is exactly the squared prefactor 4/3."""
-    rep = catalog.certify_veronese(n_theta=10, n_phi=10)
+    rep = catalog.certify_veronese()
     passed = rep["metric_vs_expected_scaled"] < 1e-9
     return CriterionResult(
         "9b-companion", "metric equals 4/3 x recorded display", passed,

@@ -13,6 +13,7 @@ fetched.  Some entries carry closed-form reference evaluators under
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -89,49 +90,39 @@ def _whitney_graph_sample(pair_curve):
     return sample
 
 
-def _torus_surface(a=1.0, b=0.6):
-    def sample(u, v):
-        cu, su = Jet2.coordinate_u(u).cos(), Jet2.coordinate_u(u).sin()
-        cv, sv = Jet2.coordinate_v(v).cos(), Jet2.coordinate_v(v).sin()
-        return Jet2.stack([a * cu, a * su, b * cv, b * sv])
-    return sample
+def _angles(u, v):
+    """(cos u, sin u, cos v, sin v) as jets in the chart (u, v)."""
+    u, v = Jet2.coordinate_u(u), Jet2.coordinate_v(v)
+    return u.cos(), u.sin(), v.cos(), v.sin()
 
 
-def _sphere_surface(rho=1.0):
-    def sample(u, v):
-        cu, su = Jet2.coordinate_u(u).cos(), Jet2.coordinate_u(u).sin()
-        cv, sv = Jet2.coordinate_v(v).cos(), Jet2.coordinate_v(v).sin()
-        return Jet2.stack([rho * cv * cu, rho * cv * su, rho * sv,
-                           Jet2.constant(0.0)])
-    return sample
+def _torus_surface(u, v):
+    cu, su, cv, sv = _angles(u, v)
+    return Jet2.stack([cu, su, 0.6 * cv, 0.6 * sv])
 
 
-def _clifford_s4_surface(alpha=0.8, beta=0.6):
-    def sample(u, v):
-        cu, su = Jet2.coordinate_u(u).cos(), Jet2.coordinate_u(u).sin()
-        cv, sv = Jet2.coordinate_v(v).cos(), Jet2.coordinate_v(v).sin()
-        return Jet2.stack([alpha * cu, alpha * su, beta * cv, beta * sv,
-                           Jet2.constant(1.0)])
-    return sample
+def _sphere_surface(u, v):
+    cu, su, cv, sv = _angles(u, v)
+    return Jet2.stack([cv * cu, cv * su, sv, Jet2.constant(0.0)])
 
 
-def _great_sphere_s4_surface():
-    def sample(u, v):
-        cu, su = Jet2.coordinate_u(u).cos(), Jet2.coordinate_u(u).sin()
-        cv, sv = Jet2.coordinate_v(v).cos(), Jet2.coordinate_v(v).sin()
-        return Jet2.stack([cv * cu, cv * su, sv, Jet2.constant(0.0),
-                           Jet2.constant(1.0)])
-    return sample
+def _clifford_s4_surface(u, v):
+    cu, su, cv, sv = _angles(u, v)
+    return Jet2.stack([0.8 * cu, 0.8 * su, 0.6 * cv, 0.6 * sv,
+                       Jet2.constant(1.0)])
 
 
-def _h4_torus_surface(a=0.6, b=0.8):
-    t = np.sqrt(1.0 + a * a + b * b)
-    def sample(u, v):
-        cu, su = Jet2.coordinate_u(u).cos(), Jet2.coordinate_u(u).sin()
-        cv, sv = Jet2.coordinate_v(v).cos(), Jet2.coordinate_v(v).sin()
-        return Jet2.stack([a * cu, a * su, b * cv, b * sv,
-                           Jet2.constant(t - 1.0)])
-    return sample
+def _great_sphere_s4_surface(u, v):
+    cu, su, cv, sv = _angles(u, v)
+    return Jet2.stack([cv * cu, cv * su, sv, Jet2.constant(0.0),
+                       Jet2.constant(1.0)])
+
+
+def _h4_torus_surface(u, v):
+    cu, su, cv, sv = _angles(u, v)
+    t = np.sqrt(1.0 + 0.6 * 0.6 + 0.8 * 0.8)
+    return Jet2.stack([0.6 * cu, 0.6 * su, 0.8 * cv, 0.8 * sv,
+                       Jet2.constant(t - 1.0)])
 
 
 # Veronese-type superminimal sphere in S4: immersion in R5 coordinates and
@@ -221,11 +212,10 @@ class VeronesePair:
     def __init__(self, domain):
         self.domain = domain
 
-    def sample_g(self, z):
-        return veronese_g(np.real(z), np.imag(z))
-
-    def sample_h(self, z):
-        return veronese_h(np.real(z), np.imag(z))
+    def samples_at(self, z):
+        """The samples g and h at the points z, as attributes."""
+        u, v = np.real(z), np.imag(z)
+        return SimpleNamespace(g=veronese_g(u, v), h=veronese_h(u, v))
 
 
 _CAT_DOMAIN = Domain(-7.0, 7.0, -1.6, 1.6)
@@ -300,28 +290,28 @@ _BUILDERS = {
     "torus": lambda: CatalogEntry(
         name="torus", kind="surface",
         description="product torus in R4, non-superconformal control",
-        surface=_torus_surface(), domain=Domain(0.0, 2 * np.pi, 0.0, 2 * np.pi)),
+        surface=_torus_surface, domain=Domain(0.0, 2 * np.pi, 0.0, 2 * np.pi)),
     "sphere": lambda: CatalogEntry(
         name="sphere", kind="surface",
         description="round 2-sphere in R4, umbilic control",
-        surface=_sphere_surface(), domain=Domain(-3.1, 3.1, -1.2, 1.2)),
+        surface=_sphere_surface, domain=Domain(-3.1, 3.1, -1.2, 1.2)),
     "clifford-torus-s4": lambda: CatalogEntry(
         name="clifford-torus-s4", kind="space-form-immersion",
         description="flat torus in the unit S4, non-minimal control",
         ambient=Ambient("sphere", radius=1.0),
-        surface=_clifford_s4_surface(),
+        surface=_clifford_s4_surface,
         domain=Domain(0.0, 2 * np.pi, 0.0, 2 * np.pi)),
     "great-sphere-s4": lambda: CatalogEntry(
         name="great-sphere-s4", kind="space-form-immersion",
         description="totally geodesic 2-sphere in the unit S4",
         ambient=Ambient("sphere", radius=1.0),
-        surface=_great_sphere_s4_surface(),
+        surface=_great_sphere_s4_surface,
         domain=Domain(-3.1, 3.1, -1.2, 1.2)),
     "h4-flat-torus": lambda: CatalogEntry(
         name="h4-flat-torus", kind="space-form-immersion",
         description="flat torus in hyperbolic 4-space (Lorentzian model)",
         ambient=Ambient("hyperbolic", radius=1.0),
-        surface=_h4_torus_surface(),
+        surface=_h4_torus_surface,
         domain=Domain(0.0, 2 * np.pi, 0.0, 2 * np.pi)),
     "veronese": _build_veronese,
 }
@@ -343,7 +333,7 @@ def get(name):
         _CACHE[name] = _BUILDERS[name]()
     entry = _CACHE[name]
     if entry.kind == "minimal-pair" and name not in _CERTIFIED:
-        rep = certify(entry.pair, nu=7, nv=7, margin=0.05)
+        rep = certify(entry.pair, entry.domain.grid(7, 7, 0.05))
         if (rep["isotropy_max"] > _LOAD_TOL["isotropy_max"]
                 or rep["minimality_max"] > _LOAD_TOL["minimality_max"]
                 or rep["regularity_min"] < _LOAD_TOL["regularity_min"]):
@@ -361,12 +351,12 @@ def expected_eval(entry, key, *args):
     return entry.expected[key](*args)
 
 
-def certify_veronese(n_theta=9, n_phi=9):
-    """Metric-level certificate for the closed-form pair on its chart:
-    the two surfaces are isometric (E, F, G agree), the first is minimal in
-    R4, and both metrics match the closed-form display."""
+def certify_veronese():
+    """Metric-level certificate for the closed-form pair on a 10 x 10 grid of
+    its chart: the two surfaces are isometric (E, F, G agree), the first is
+    minimal in R4, and both metrics match the closed-form display."""
     entry = get("veronese")
-    us, vs = entry.domain.linspace(n_theta, n_phi, margin=0.02)
+    us, vs = entry.domain.linspace(10, 10, margin=0.02)
     u, v = np.repeat(us, len(vs)), np.tile(vs, len(us))
     g, h = veronese_g(u, v), veronese_h(u, v)
     Eg, Fg, Gg, Eh, Fh, Gh = (_blas_dot(x, y) for su, sv in (

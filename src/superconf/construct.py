@@ -4,9 +4,10 @@ Given a pair (g, h) the two surfaces are phi = g + Jhat(sign) h, where the
 bundle map acts as the complex structure J on the tangential part of h and as
 a +-90 degree rotation on its normal part.  The module computes full
 second-order jets of phi so the curvature machinery in `geometry` can run on
-the result, flags the points where the construction degenerates, checks the
-geometry the two surfaces share with g (dual_pair_report), and implements the
-inverse extraction of (g, h) from a superconformal sample.
+the result, flags the points where the construction degenerates (an int
+array of the FLAG_* bits, PhiSample.flags), checks the geometry the two
+surfaces share with g (dual_pair_report), and implements the inverse
+extraction of (g, h) from a superconformal sample.
 
 Sign convention, fixed once for the whole package: with W = g_u ^ g_v the
 tangent 2-form of the base surface, |W|^2 = EG - F^2, and * the Hodge star
@@ -29,10 +30,10 @@ import numpy as np
 
 from .errors import (FrameDegenerateError, FrameUndefinedError,
                      PreconditionError)
-from .geometry import (REGULARITY_FLOOR, FundamentalData, _blas_dot, _col,
-                       _largest, _normal_parts, _pypow, _rank_deficient,
-                       _sqrt0, adapted_frame, ellipse_descriptor,
-                       fundamental_data)
+from .geometry import (CIRCULAR_TOL, REGULARITY_FLOOR, FundamentalData,
+                       _blas_dot, _col, _largest, _normal_parts, _pypow,
+                       _rank_deficient, _sqrt0, adapted_frame,
+                       ellipse_descriptor, fundamental_data)
 from .jets import DIV_FLOOR, Jet2, fail_rows
 from .minimal import MinimalPair
 
@@ -42,12 +43,19 @@ SIGNS = ("+", "-")
 A_FLOOR = 1e-10
 # ||h|| below this means the frame does not exist at all
 R_FLOOR = 1e-10
-# threshold for the a_small regularity flag
+# threshold for the FLAG_A_SMALL bit
 A_SMALL = 0.05
 # below this the conformal-factor residual (a^2 in its denominator) is nan
 CONFORMAL_A_FLOOR = 1e-3
-# circularity threshold for the g_holomorphic_point flag
-G_CIRCULAR_TOL = 1e-8
+
+# the bits of a point's flags: a below A_SMALL, g's circular ellipse collapses
+# the surface, the surface is rank-deficient; the grid runs of export add the
+# point outside the domain and the point whose sampling failed
+FLAG_A_SMALL = 1
+FLAG_G_HOLOMORPHIC = 2
+FLAG_RANK_DEFICIENT = 4
+FLAG_OUT_OF_DOMAIN = 8
+FLAG_DEGENERATE_SAMPLE = 16
 
 
 def check_sign(sign):
@@ -92,44 +100,23 @@ class _FieldContext:
     r: Jet2
     ru: Jet2
     rv: Jet2
-    ng2: Jet2      # ||grad r||^2
     a: np.ndarray
-    inv_w: Jet2    # 1 / |W|
     turn_t: Jet2   # W h / |W|, the tangential half of Jhat h
     turn_n: Jet2   # *W h / |W|, the normal half of Jhat h
     fd_g: FundamentalData
     g_collapse: dict  # sign -> whether a circular ellipse of g collapses it
 
 
-@dataclass(frozen=True)
-class RegularityFlags:
-    a_small: np.ndarray
-    g_holomorphic_point: np.ndarray
-    rank_deficient: np.ndarray
-
-    FLAG_A_SMALL = 1
-    FLAG_G_HOLOMORPHIC = 2
-    FLAG_RANK_DEFICIENT = 4
-    FLAG_OUT_OF_DOMAIN = 8
-
-    @property
-    def bitmask(self):
-        """The flag bits, an int array over the batch."""
-        return (self.FLAG_A_SMALL * self.a_small
-                | self.FLAG_G_HOLOMORPHIC * self.g_holomorphic_point
-                | self.FLAG_RANK_DEFICIENT * self.rank_deficient)
-
-
 @dataclass
 class PhiSample:
     """One built surface over a batch of points: phi with full jets, the
     field context it was assembled from (ctx.a is the a-function) and its
-    regularity flags."""
+    regularity flags, an int array of FLAG_* bits over the batch."""
 
     sign: str
     phi: Jet2
     ctx: _FieldContext
-    flags: RegularityFlags
+    flags: np.ndarray
 
 
 def _assemble(s) -> _FieldContext:
@@ -167,9 +154,9 @@ def _assemble(s) -> _FieldContext:
     # g's curvature data gives the fallback xi and the g-holomorphic flag
     fd_g = fundamental_data(g)
     fail_rows((a <= A_FLOOR) & ~fd_g.regular, _rank_deficient(fd_g))
-    return _FieldContext(sample=s, E=E, F=F, G=G, r=r, ru=ru, rv=rv, ng2=ng2,
-                         a=a, inv_w=inv_w, turn_t=turn_t, turn_n=turn_n,
-                         fd_g=fd_g, g_collapse=_g_collapse(fd_g))
+    return _FieldContext(sample=s, E=E, F=F, G=G, r=r, ru=ru, rv=rv, a=a,
+                         turn_t=turn_t, turn_n=turn_n, fd_g=fd_g,
+                         g_collapse=_g_collapse(fd_g))
 
 
 def _vec_norm(x):
@@ -185,19 +172,17 @@ def _g_collapse(fd_g):
     collapses the corresponding phi.  Calibrated on the null-quadric
     trigonometric pair; for a point ellipse (K_N = 0) both signs degenerate;
     where g is singular neither does."""
-    circular = np.logical_and(
-        ellipse_descriptor(fd_g).is_circular(G_CIRCULAR_TOL), fd_g.regular)
+    circular = np.logical_and(ellipse_descriptor(fd_g).is_circular(),
+                              fd_g.regular)
     if not circular.any():
         return {"+": circular, "-": circular}
-    point = abs(fd_g.K_N) < G_CIRCULAR_TOL * np.maximum(1.0, abs(fd_g.K))
+    point = abs(fd_g.K_N) < CIRCULAR_TOL * np.maximum(1.0, abs(fd_g.K))
     positive = fd_g.K_N > 0.0
     return {"-": circular & (point | positive),
             "+": circular & (point | np.logical_not(positive))}
 
 
-def _flags(ctx: _FieldContext, sign, phi: Jet2) -> RegularityFlags:
-    a_small = ctx.a < A_SMALL
-    g_hol = ctx.g_collapse[sign]
+def _flags(ctx: _FieldContext, sign, phi: Jet2) -> np.ndarray:
     # rank floor relative to the pair's own length scale, not phi's: a
     # collapsed phi is pure roundoff and must not self-normalize into
     # looking like a (tiny) immersion
@@ -208,8 +193,9 @@ def _flags(ctx: _FieldContext, sign, phi: Jet2) -> RegularityFlags:
     scale = _largest(_vec_norm(pu), _vec_norm(pv), _vec_norm(gu),
                      _vec_norm(gv), 1e-150)
     rank_def = det1 <= REGULARITY_FLOOR * _pypow(scale, 4)
-    return RegularityFlags(a_small=a_small, g_holomorphic_point=g_hol,
-                           rank_deficient=rank_def)
+    return (FLAG_A_SMALL * (ctx.a < A_SMALL)
+            | FLAG_G_HOLOMORPHIC * ctx.g_collapse[sign]
+            | FLAG_RANK_DEFICIENT * rank_def)
 
 
 def build_phi_pair(pair: MinimalPair, z):
@@ -293,7 +279,8 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
     ctx = _assemble(s)
     built = [ps for ps in _phi_pair(ctx) if ps.sign in signs]
     for ps in built:
-        fail_rows(ps.flags.rank_deficient, lambda k, sign=ps.sign: (
+        rank_def = (ps.flags & FLAG_RANK_DEFICIENT) != 0
+        fail_rows(rank_def, lambda k, sign=ps.sign: (
             PreconditionError(f"constructed surface {sign} is rank-deficient "
                               f"at z={complex(s.z[k])}")))
     a, r = ctx.a, ctx.r.v
@@ -352,19 +339,20 @@ def translation_check(pair: MinimalPair, offset, points):
     return float(np.abs(shift - np.linalg.norm(offset)).max(initial=0.0))
 
 
-def reflection_pair_check(pair: MinimalPair, points, sample_tol=1e-9):
+def reflection_pair_check(pair: MinimalPair, points):
     """For a pair lying in the x4 = 0 hyperplane, the two built surfaces
     differ exactly by the reflection x4 -> -x4; returns the worst residual
     ||reflect(phi_plus) - phi_minus|| over the points.
 
-    Raises PreconditionError if the pair leaves the hyperplane."""
+    Raises PreconditionError if the pair leaves the hyperplane: if |x4| of
+    g or h exceeds 1e-9 times the sample scale at a point."""
     mirror = np.array([1.0, 1.0, 1.0, -1.0])
     z = np.asarray(points, dtype=complex)
     plus, minus = build_phi_pair(pair, z)
     g, h = plus.ctx.sample.g.values(), plus.ctx.sample.h.values()
     scale = _largest(_vec_norm(g), _vec_norm(h), 1.0)
     off = np.flatnonzero(np.maximum(abs(g[:, 3]), abs(h[:, 3]))
-                         > sample_tol * scale)
+                         > 1e-9 * scale)
     if off.size:
         raise PreconditionError(
             f"pair leaves the x4 = 0 hyperplane at z={complex(z[off[0]])}; "
@@ -382,17 +370,15 @@ class ExtractedPair:
     zeta_orientation: np.ndarray
 
 
-def extract_minimal_pair(surface, z=None) -> ExtractedPair:
-    """Recover (g, h) values, (n, 4), from a superconformal surface sample
-    over a batch of points.
+def extract_minimal_pair(sample: Jet2) -> ExtractedPair:
+    """Recover (g, h) values, (n, 4), from a superconformal surface sample,
+    a vector Jet2 over a batch of points.
 
-    `surface` is a vector Jet2 sample or a callable z -> one.  g is the
-    center of the curvature circle's sphere: phi + H/||H||^2; h is
+    g is the center of the curvature circle's sphere: phi + H/||H||^2; h is
     -zeta/||H|| with zeta the oriented second adapted normal.  The
     orientation sign that was used is part of the result, since a reference
     pair may differ from the recovered h by one global sign.  Failed rows
     are recorded as by adapted_frame."""
-    sample = surface(z) if callable(surface) else surface
     fd = fundamental_data(sample)
     fr = adapted_frame(fd)
     lam, mu = fr.lam, fr.mu

@@ -15,7 +15,8 @@ from itertools import chain
 
 import numpy as np
 
-from .construct import RegularityFlags, build_phi_pair, check_sign
+from .construct import (FLAG_DEGENERATE_SAMPLE, FLAG_OUT_OF_DOMAIN,
+                        FLAG_RANK_DEFICIENT, build_phi_pair, check_sign)
 from .errors import DomainError, PreconditionError
 from .geometry import fundamental_data, superconformality_test
 from .jets import row_failures
@@ -27,10 +28,6 @@ _STAT_NAMES = ("K", "KN_abs", "Hnorm", "mu", "res_orth", "res_len", "wintgen",
                "wintgen_rel", "a")
 _CSV_STATS = [_STAT_NAMES.index(k) for k in STAT_KEYS]
 
-FLAG_OUT_OF_DOMAIN = RegularityFlags.FLAG_OUT_OF_DOMAIN
-# sampling failed outright (h vanished, jets blew up); beyond the per-sample
-# regularity bits
-FLAG_DEGENERATE_SAMPLE = 16
 # grid points per array pass of sample_grid, and rows per chunk of text the
 # writers format; bounds the working set, while each pass pays a few
 # milliseconds of fixed numpy overhead
@@ -48,10 +45,11 @@ GridSample = namedtuple("GridSample", "u v position stats flags")
 class GridRows:
     """The rows of one sign of a grid run, held as columns: u, v (n,);
     position (n, 4), set where flags < FLAG_OUT_OF_DOMAIN; stats (n, 9) in
-    _STAT_NAMES order, set where has_stats; nan where unset.  flags is the
-    regularity bitmask with the out-of-domain and failed-sample bits; rows
-    with flags != 0 are written out but not aggregated.  Indexing and
-    iteration give GridSample rows, None for what a row lacks."""
+    _STAT_NAMES order, set where has_stats; nan where unset.  flags holds
+    the FLAG_* bits of construct, the out-of-domain and failed-sample ones
+    included; rows with flags != 0 are written out but not aggregated.
+    Indexing and iteration give GridSample rows, None for what a row
+    lacks."""
 
     def __init__(self, u, v):
         self.u, self.v = u, v
@@ -127,8 +125,7 @@ def _fill_rows(rows, at, ps, failed):
     phi = ps.phi
     fd = fundamental_data(phi)
     sc = superconformality_test(fd)
-    flags = ps.flags.bitmask | np.where(
-        fd.regular, 0, RegularityFlags.FLAG_RANK_DEFICIENT)
+    flags = ps.flags | np.where(fd.regular, 0, FLAG_RANK_DEFICIENT)
     position = phi.values()
     # a position past the float range has no values to write either
     flags = np.where(failed.rows() | ~np.isfinite(position).all(axis=1),

@@ -421,10 +421,6 @@ class CurveExpr:
     def parse(text):
         return CurveExpr(_Parser(text).parse_curve(), source=text)
 
-    @staticmethod
-    def from_components(components, declared_arity=4):
-        return CurveExpr(Curve(tuple(components), declared_arity=declared_arity))
-
     def to_text(self):
         return print_node(self.ast)
 

@@ -35,6 +35,8 @@ from .jets import Jet2, fail_rows
 
 REGULARITY_FLOOR = 1e-12
 FRAME_FLOOR = 1e-10
+CIRCULAR_TOL = 1e-8
+PATTERN_TOL = 1e-6
 
 
 # inner-product signature per ambient kind; shared, so made read-only
@@ -135,8 +137,8 @@ class EllipseDescriptor:
     res_len: np.ndarray
     mu: np.ndarray
 
-    def is_circular(self, tol=1e-8):
-        return np.maximum(abs(self.res_orth), abs(self.res_len)) < tol
+    def is_circular(self):
+        return np.maximum(abs(self.res_orth), abs(self.res_len)) < CIRCULAR_TOL
 
 
 @dataclass(frozen=True)
@@ -395,10 +397,11 @@ def ellipse_descriptor(fd):
         mu=0.5 * (semi_major + semi_minor))
 
 
-def superconformality_test(fd, tol=1e-8):
+def superconformality_test(fd):
     """Circularity residuals plus the curvature-equality defect
     |H|^2 + c - K - |K_N| (nonnegative in general, zero exactly at circular
-    points).  Entries are arrays over the rows of fd."""
+    points).  Entries are arrays over the rows of fd; is_superconformal
+    holds where both residuals are below CIRCULAR_TOL."""
     ed = ellipse_descriptor(fd)
     lam2 = _pypow(fd.lam, 2)
     defect = lam2 + fd.ambient.curvature - fd.K - abs(fd.K_N)
@@ -411,11 +414,11 @@ def superconformality_test(fd, tol=1e-8):
         "wintgen_defect": defect,
         "wintgen_defect_rel": rel,
         "mu": ed.mu,
-        "is_superconformal": ed.is_circular(tol),
+        "is_superconformal": ed.is_circular(),
     }
 
 
-def adapted_frame(fd, pattern_tol=1e-6):
+def adapted_frame(fd):
     """Rotate the tangent basis and pick the normal pair (eta, zeta) so the
     two shape operators take the coupled normal form
     [[lam, mu], [mu, lam]] and [[mu, 0], [0, -mu]] with lam = |H|, mu > 0.
@@ -426,7 +429,8 @@ def adapted_frame(fd, pattern_tol=1e-6):
     pattern.
 
     The rows without a frame, the irregular ones included, are recorded as
-    failed rows (jets.fail_rows).
+    failed rows (jets.fail_rows), as are the rows that miss the pattern by
+    more than PATTERN_TOL relative to max(lam, mu) (PreconditionError).
     """
     dot = fd.ambient.dot
     fail_rows(np.logical_not(fd.regular), _rank_deficient(fd))
@@ -470,7 +474,7 @@ def adapted_frame(fd, pattern_tol=1e-6):
     sffa_residual = _largest(np.abs(Ae - target_eta).max(axis=(-2, -1)),
                              np.abs(A_z - target_zeta).max(axis=(-2, -1)),
                              np.abs(off - a_z))
-    fail_rows(sffa_residual > pattern_tol * _largest(lam, mu),
+    fail_rows(sffa_residual > PATTERN_TOL * _largest(lam, mu),
               lambda k: PreconditionError(
                   f"sample is not superconformal: shape operators miss the "
                   f"normal-form pattern by {sffa_residual[k]:.3e}"))

@@ -156,12 +156,6 @@ class MinimalPair:
         g_u, g_v = seed_first_derivative_fields(jets)
         return SplitSample(z=z, g=g, h=h, g_u=g_u, g_v=g_v)
 
-    def sample_g(self, z):
-        return self.samples_at(z).g
-
-    def sample_h(self, z):
-        return self.samples_at(z).h
-
     def __repr__(self):
         return f"MinimalPair({self.curve!r})"
 
@@ -179,22 +173,15 @@ def associated_family(pair, theta):
     return MinimalPair(curve, pair.h_offset)
 
 
-def certify(pair, grid=None, nu=9, nv=9, margin=0.05):
-    """Numeric certificate that the pair is a regular conjugate minimal pair.
+def certify(pair, grid):
+    """Numeric certificate that the MinimalPair is a regular conjugate
+    minimal pair at the points of grid, an iterable of complex numbers.
 
     Returns max/min statistics over the grid:
       isotropy_max    |sum G_k'^2| relative to sum |G_k'|^2
       regularity_min  (E G - F^2) / scale^4 of the g surface
       minimality_max  |mean curvature vector| of the g surface
     """
-    if isinstance(pair, MinimalPair):
-        curve = pair.curve
-    elif isinstance(pair, HolomorphicCurve):
-        curve, pair = pair, MinimalPair(pair)
-    else:
-        raise TypeError("certify wants a MinimalPair or HolomorphicCurve")
-    if grid is None:
-        grid = curve.domain.grid(nu, nv, margin)
     z = np.array(list(grid), dtype=complex)
     if not z.size:
         raise PreconditionError("certification grid is empty")
@@ -208,7 +195,7 @@ def certify(pair, grid=None, nu=9, nv=9, margin=0.05):
 
     fd = geometry.fundamental_data(sample.g)
     fail_rows(~fd.regular, lambda k: SingularSampleError(
-        f"{curve.name} is singular at a certification point"))
+        f"{pair.name} is singular at a certification point"))
     reg = fd.det1 / geometry._pypow(np.maximum(fd.scale, 1e-150), 4)
     return {
         "isotropy_max": float(iso.max()),

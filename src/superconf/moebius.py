@@ -33,11 +33,10 @@ import numpy as np
 
 from .construct import (SIGNS, _vec_norm, build_phi_pair, extract_minimal_pair,
                         phi_value)
-from .errors import (DualitySingularError, FrameDegenerateError,
-                     FrameUndefinedError, InversionSingularError,
-                     NotNullCurveError, PreconditionError, ProjectionError,
-                     SingularSampleError)
-from .expr import Bin, CurveExpr, Pow, const_node
+from .errors import (DualitySingularError, FrameUndefinedError,
+                     InversionSingularError, NotNullCurveError,
+                     PreconditionError, ProjectionError, SingularSampleError)
+from .expr import Bin, Curve, CurveExpr, Pow, const_node
 from .geometry import (R4, Ambient, _blas_dot, _col, _coord_shape, _largest,
                        _normal_parts, ellipse_descriptor, fundamental_data)
 from .jets import (Jet2, _im_part, _re_part, fail_rows, graph_surface,
@@ -77,12 +76,15 @@ class Inversion:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if self.center.ndim != 1 or len(self.center) not in (4, 5):
             raise PreconditionError("inversion center must be a 4- or 5-vector")
-        if not np.isfinite(self.center).all():
-            raise PreconditionError("inversion center must be finite")
+        # Python floats, whose products overflow to inf without a warning
+        if not np.isfinite(sum(c * c for c in self.center.tolist())):
+            raise PreconditionError(
+                "inversion center must have a finite squared norm")
         if not self.radius > 0:
             raise PreconditionError("inversion radius must be positive")
-        if not np.isfinite(self.radius):
-            raise PreconditionError("inversion radius must be finite")
+        if not 0.0 < float(self.radius) * float(self.radius) < np.inf:
+            raise PreconditionError(
+                "inversion radius must have a finite positive square")
         if self.signature not in SIGNATURES:
             raise PreconditionError(
                 f"unknown signature {self.signature!r}; expected one of "
@@ -199,7 +201,7 @@ def normal_transform_check(sample, xi, inv):
             "max": _largest(res_unit, res_normal, res_shape)}
 
 
-def transformed_curve(curve, radius=1.0, center=None, name=None):
+def transformed_curve(curve, radius, center):
     """Holomorphic curve of an inverted pair: r^2 (G - c) / <<G - c, G - c>>.
 
     The composition is assembled on the expression tree, so the result is an
@@ -208,8 +210,6 @@ def transformed_curve(curve, radius=1.0, center=None, name=None):
     its imaginary part the conjugate one.  Points where the shifted curve
     meets the null quadric become poles of the result."""
     comps = curve.expr.ast.components
-    if center is None:
-        center = np.zeros(len(comps), dtype=complex)
     center = np.asarray(center, dtype=complex)
     if center.shape != (len(comps),):
         raise PreconditionError("center arity does not match the curve")
@@ -222,10 +222,9 @@ def transformed_curve(curve, radius=1.0, center=None, name=None):
         num = s if r2 == 1.0 else Bin("*", const_node(r2), s)
         return Bin("/", num, quad)
 
-    new = CurveExpr.from_components(
-        [component(s) for s in shifted],
-        declared_arity=curve.expr.ast.declared_arity)
-    return HolomorphicCurve(name or f"{curve.name}-inverted", new, curve.domain)
+    new = CurveExpr(Curve(tuple(component(s) for s in shifted),
+                          declared_arity=curve.expr.ast.declared_arity))
+    return HolomorphicCurve(f"{curve.name}-inverted", new, curve.domain)
 
 
 # -- duality of graph surfaces ------------------------------------------------
@@ -337,36 +336,37 @@ def pair_transform_check(pair, inv, points):
     the orientation of the image's adapted frame, so it is normalized by
     the recorded orientation first; the one remaining global sign is scored
     both ways and the better convention reported.  Pairs whose shifted
-    curve lies on the null quadric are rejected (the collapse picture
-    applies to them instead).  Skipped samples are counted by reason:
-    "flagged", or the class of the error the sample raises alone where h
-    vanishes, a sample is singular, or an image lies on the inversion's
-    singular set or has no adapted frame; any other error propagates."""
+    curve lies on the null quadric at the built samples are rejected (the
+    collapse picture applies to them instead).  Skipped samples are counted
+    by reason: "flagged", or the class of the error the sample raises
+    alone where the pair cannot be built there (as construct flags it) or
+    where an image lies on the inversion's singular set, is singular or has
+    no adapted frame; any other error of the images propagates."""
     if inv.signature != "euclidean" or inv.dim != 4:
         raise PreconditionError("pair transformation works in euclidean R4")
     z = np.array(list(points), dtype=complex)
     if not z.size:
         raise PreconditionError("no sample points given")
 
-    center_eff = inv.center.astype(complex) - 1j * pair.h_offset
-    w = pair.curve.eval(z) - center_eff
-    q, scale = _complex_square(w.real, w.imag)
-    if abs(q).max(initial=0.0) <= 1e-8 * scale.max(initial=1e-300):
-        raise PreconditionError(
-            f"curve of {pair.name} shifted by the center lies on the null "
-            "quadric; the quadratic inversion degenerates there")
-
     # only phi and its flags are kept, so the field context is freed before
     # the images are built
     with np.errstate(all="ignore"), row_failures(z.size) as failed:
-        built = [(ps.phi, ps.flags.bitmask) for ps in build_phi_pair(pair, z)]
-    failed.raise_unless((FrameDegenerateError, SingularSampleError))
+        built = [(ps.phi, ps.flags) for ps in build_phi_pair(pair, z)]
     skipped = Counter(failed.counts())
     ok = ~failed.rows()
-    tcurve = transformed_curve(pair.curve, inv.radius, center=center_eff)
-    route_two = np.zeros_like(w)
-    if ok.any():
-        route_two[ok] = tcurve.eval(z[ok])
+    if not ok.any():
+        raise PreconditionError("every sample point was degenerate")
+
+    center_eff = inv.center.astype(complex) - 1j * pair.h_offset
+    w = pair.curve.eval(z[ok]) - center_eff
+    q, scale = _complex_square(w.real, w.imag)
+    if abs(q).max() <= 1e-8 * scale.max():
+        raise PreconditionError(
+            f"curve of {pair.name} shifted by the center lies on the null "
+            "quadric; the quadratic inversion degenerates there")
+    tcurve = transformed_curve(pair.curve, inv.radius, center_eff)
+    route_two = np.zeros((z.size, 4), complex)
+    route_two[ok] = tcurve.eval(z[ok])
     g_curve, h_curve = inv.center + route_two.real, route_two.imag
     sup_g, d_plus, d_minus, used = 0.0, 0.0, 0.0, 0
     for phi, flags in built:
@@ -655,8 +655,8 @@ def quadric_classification(pair_like, points, immersion=None, ambient=None):
     Kinds: "non-constant"; "null" (identically zero, the collapse picture);
     "constant-real" (the pair belongs to a space form of radius
     sqrt(|k|) / 2, and the sign of k is kept in the report); and
-    "constant-complex".  pair_like needs sample_g / sample_h; closed-form
-    sample pairs qualify alongside split curves.
+    "constant-complex".  pair_like needs samples_at(z) with the samples g
+    and h; closed-form sample pairs qualify alongside split curves.
 
     For the constant-real kind a space-form immersion over the same chart
     may be supplied.  It is then run through the minimality-and-roundness
@@ -665,7 +665,8 @@ def quadric_classification(pair_like, points, immersion=None, ambient=None):
     z = np.array(list(points), dtype=complex)
     if not z.size:
         raise PreconditionError("no sample points given")
-    g, h = pair_like.sample_g(z), pair_like.sample_h(z)
+    sample = pair_like.samples_at(z)
+    g, h = sample.g, sample.h
     vals, scale = _complex_square(g.values(), h.values())
     scale = scale.max(initial=1.0)
     mean = complex(vals.mean())

@@ -40,7 +40,7 @@ def test_every_entry_loads_and_certifies():
 
 def test_catenoid_pair_certificate_values():
     entry = catalog.get("catenoid-helicoid")
-    rep = certify(entry.pair, nu=7, nv=7)
+    rep = certify(entry.pair, entry.domain.grid(7, 7, 0.05))
     assert rep["isotropy_max"] < 1e-13
     assert rep["minimality_max"] < 1e-12
     assert rep["regularity_min"] > 1e-3

@@ -93,7 +93,10 @@ def test_certify_singular_batch_prints_no_warnings():
     ["construct", "--project", "stereo:inf,0,0,1"],
     ["invert", "--center", "0,0,0,5", "--radius", "inf"],
     ["invert", "--center", "nan,0,0,5"],
-], ids=["pole-nan", "pole-inf", "radius-inf", "center-nan"])
+    ["invert", "--center", "0,0,0,5", "--radius", "1e160"],
+    ["invert", "--center", "0,0,0,1e200"],
+], ids=["pole-nan", "pole-inf", "radius-inf", "center-nan",
+        "radius-square-overflows", "center-norm-overflows"])
 def test_non_finite_numbers_are_usage_errors(argv, tmp_path, capsys):
     # rejected before any work: exit 2, no file, nothing on stderr
     out = tmp_path / "out"
@@ -305,6 +308,23 @@ def test_verify_flags_jet_floor_point(capsys):
     assert code == 0 and rep["ok"]
     assert rep["signs"]["plus"]["n_flagged"] == 1
     assert rep["signs"]["minus"]["n_flagged"] == 1
+
+
+@pytest.mark.parametrize("curve, domain, skipped", [
+    ("(1/(4*z), i/(4*z), z/4, i*z/4)", [],
+     {"EvaluationError": 1, "flagged": 24}),
+    (JET_FLOOR_CURVE, [], {"DegenerateJetError": 1}),
+    ("whitney", ["--domain=-1,1,-1,1"], {"DomainError": 1, "flagged": 24}),
+], ids=["pole", "jet-floor", "outside-domain"])
+def test_invert_counts_the_points_construct_flags(curve, domain, skipped,
+                                                  capsys):
+    # z = 0 is a grid point where the curve has a pole, the jets hit their
+    # floor, or whitney's domain excludes it: construct flags that point,
+    # and invert counts it by class instead of aborting
+    code, rep = run_json(capsys, "invert", "--curve", curve, *domain,
+                         "--grid", "5,5", "--center", "0,0,0,5")
+    assert code == 0 and rep["ok"]
+    assert rep["skipped"] == skipped
 
 
 def test_verify_counts_dual_sample_skips_by_class(capsys):

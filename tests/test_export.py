@@ -79,7 +79,7 @@ def point_rows(pair, u, v):
         return [(FLAG_DEGENERATE_SAMPLE, None, None)] * 2
     rows = []
     for ps in built:
-        [flags], stats = ps.flags.bitmask, None
+        [flags], stats = ps.flags, None
         fd = fundamental_data(ps.phi)
         if not fd.regular[0]:
             flags |= 4
@@ -142,7 +142,7 @@ def test_grid_rows_are_bit_identical_to_points_built_alone(name):
             continue
         assert not bad[k], (name, zk)
         for b, a in zip(batch, alone, strict=True):
-            assert b.flags.bitmask[k] == a.flags.bitmask[0], (name, zk)
+            assert b.flags[k] == a.flags[0], (name, zk)
             assert ([as_bits([slot[k] for slot in c.slots]) for c in b.phi]
                     == [as_bits([slot[0] for slot in c.slots])
                         for c in a.phi]), (name, zk)

@@ -275,7 +275,7 @@ class TestAdaptedFrame:
 class TestInvariance:
     def test_curvatures_under_ambient_and_parameter_rotation(self):
         pair = q0_pair()
-        base = pair.sample_g(complex(0.3, 0.2))
+        base = pair.samples_at(complex(0.3, 0.2)).g
         fd0 = fundamental_data(base)
         rng = np.random.default_rng(7)
         for _ in range(5):

@@ -103,20 +103,23 @@ class TestSplit:
 
 class TestCertify:
     def test_catenoid_certificate(self):
-        rep = certify(catenoid_pair())
+        pair = catenoid_pair()
+        rep = certify(pair, pair.domain.grid(9, 9, 0.05))
         assert rep["isotropy_max"] < 1e-14
         assert rep["minimality_max"] < 1e-12
         assert rep["regularity_min"] > 1e-3
 
     def test_flat_plane_certificate(self):
         dom = Domain(-1, 1, -1, 1)
-        rep = certify(HolomorphicCurve("line", "(z, i*z, 0, 0)", dom))
+        rep = certify(MinimalPair(HolomorphicCurve("line", "(z, i*z, 0, 0)",
+                                                   dom)), dom.grid(9, 9, 0.05))
         assert rep["isotropy_max"] < 1e-15
         assert rep["minimality_max"] < 1e-14
 
     def test_non_isotropic_curve_flagged(self):
         dom = Domain(-1, 1, -1, 1)
-        rep = certify(HolomorphicCurve("skew", "(z, 2*i*z, 0, 0)", dom))
+        rep = certify(MinimalPair(HolomorphicCurve("skew", "(z, 2*i*z, 0, 0)",
+                                                   dom)), dom.grid(9, 9, 0.05))
         assert rep["isotropy_max"] > 0.5
 
     def test_empty_grid_rejected(self):
@@ -143,7 +146,8 @@ class TestAssociatedFamily:
                 Jet2.dot(s0.g_u, s0.g_u).v, rel=1e-12)
 
     def test_family_member_still_isotropic(self):
-        rep = certify(associated_family(catenoid_pair(), 0.37), nu=5, nv=5)
+        member = associated_family(catenoid_pair(), 0.37)
+        rep = certify(member, member.domain.grid(5, 5, 0.05))
         assert rep["isotropy_max"] < 1e-13
         assert rep["minimality_max"] < 1e-12
 

@@ -254,7 +254,8 @@ def test_transformed_curve_matches_hand_composition(catenoid):
 
 
 def test_transformed_curve_is_involutive(catenoid):
-    back = transformed_curve(transformed_curve(catenoid.curve, 1.0), 1.0)
+    back = transformed_curve(
+        transformed_curve(catenoid.curve, 1.0, np.zeros(4)), 1.0, np.zeros(4))
     for z in GENERIC:
         assert np.max(np.abs(back.eval(z) - catenoid.curve.eval(z))) < 1e-12
 
@@ -264,8 +265,8 @@ def test_transformed_pairs_recertify():
     # quadratic inversion; q0-* entries sit on the quadric and are excluded
     for name in ("catenoid-helicoid", "enneper-r3"):
         pair = catalog.get(name).pair
-        tc = transformed_curve(pair.curve, 1.0)
-        rep = certify(MinimalPair(tc), nu=7, nv=7, margin=0.05)
+        tc = transformed_curve(pair.curve, 1.0, np.zeros(4))
+        rep = certify(MinimalPair(tc), tc.domain.grid(7, 7, 0.05))
         assert rep["isotropy_max"] < 1e-8
         assert rep["minimality_max"] < 1e-8
         assert rep["regularity_min"] > 1e-10
@@ -311,8 +312,8 @@ def test_inverted_pair_matches_catalog_closed_forms():
     inv = Inversion(center=np.zeros(4), radius=1.0)
     for z in (1.0 + 0j, 0.7 + 0.5j, -1.2 + 0.8j):
         g, h = inversion_pair_of_holomorphic(graph, inv, z)
-        assert np.linalg.norm(g - wpair.sample_g(z).values()) < 1e-12
-        assert np.linalg.norm(h - wpair.sample_h(z).values()) < 1e-12
+        assert np.linalg.norm(g - wpair.samples_at(z).g.values()) < 1e-12
+        assert np.linalg.norm(h - wpair.samples_at(z).h.values()) < 1e-12
 
 
 def test_inverted_pair_cross_route_extraction():
@@ -335,7 +336,7 @@ def test_inverted_graph_is_the_surviving_envelope():
     for z in (1.0 + 0j, 0.7 + 0.5j, -1.2 + 0.8j):
         image = invert(sample(z), inv).values()
         survivors = [ps for ps in build_phi_pair(wpair, z)
-                     if not ps.flags.bitmask]
+                     if not ps.flags]
         assert [ps.sign for ps in survivors] == ["-"]
         assert np.linalg.norm(survivors[0].phi.values() - image) < 1e-8
 

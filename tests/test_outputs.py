@@ -80,7 +80,21 @@ REPORTS = {
         (0, "c0418a4bea4e3344456c39997da3834306448714508db6a582e938a6f31a42cc"),
     ("selftest",):
         (3, "a1d611420a899f1ce0d3f7c8ef66ece4582391ab5c311fe12da70e90c03758b3"),
+    ("certify", "--curve", "enneper-r3"):
+        (0, "69d2468c9c6c18a4b553ce4d40cdd8add7945467db1c4f9d60a0e8092a9b991b"),
+    # the MinimalPair path; veronese above takes the closed-form one
+    ("quadric", "--curve", "catenoid-helicoid"):
+        (0, "be9553cf2b3a788cc3af5908a9e7e5378eeacd0cc18c1b4a606db920d652c405"),
+    ("project", "--entry", "h4-flat-torus"):
+        (3, "d07eabf734fca4f91c70c14b5ae72cf5b1b5872109dfafbb9932abb132deb324"),
 }
+
+
+def report_id(argv):
+    """The subcommand, and with it the curve or entry for every run of a
+    subcommand after its first."""
+    first = next(a for a in REPORTS if a[0] == argv[0])
+    return argv[0] if argv == first else f"{argv[0]}-{argv[2]}"
 
 
 @pytest.mark.parametrize("argv", list(CONSTRUCT_FILES), ids=lambda a: a[0])
@@ -93,7 +107,7 @@ def test_construct_files_match_golden_digests(argv, tmp_path, capsys):
     assert (code, written) == CONSTRUCT_FILES[argv]
 
 
-@pytest.mark.parametrize("argv", list(REPORTS), ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", list(REPORTS), ids=report_id)
 def test_report_stdout_matches_golden_digest(argv, capsys):
     code = cli.main(list(argv))
     assert (code, sha(capsys.readouterr().out.encode())) == REPORTS[argv]
