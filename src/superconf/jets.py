@@ -18,13 +18,14 @@ sample of a surface, is one Jet2 whose slots are (dim, n) arrays
 scalar jet broadcasts against it and one algebra serves both.  A batch
 rounds at each of its rows exactly as Python's complex, math and cmath
 would at that point, so a row's bits do not depend on the batch around it:
-complex values are _CArray, whose products and quotients follow CPython's,
-and where numpy's elementary functions round differently from math's and
-cmath's, those points are computed by the module's own function.  Where a
-floor or branch-cut check fails, the failed rows are recorded in the
-innermost row_failures() sink, which carries on with the harmless base
-value 1 in them; without a sink the check raises the error of its first
-failed row.
+complex values are _CArray, their real and imaginary parts held as two
+float arrays, on which products and quotients follow CPython's formulas; a
+complex array is built only for numpy's elementary functions, a failed
+check and readers, and where numpy's functions round differently from
+math's and cmath's, those points are computed by the module's own function.  Where a floor or branch-cut check fails, the
+failed rows are recorded in the innermost row_failures() sink, which
+carries on with the harmless base value 1 in them; without a sink the check
+raises the error of its first failed row.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import cmath
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import reduce
 from operator import add, attrgetter, neg, sub
 from types import SimpleNamespace
 
@@ -120,7 +120,7 @@ def _checked(bad, base, error):
     values = getattr(base, "z", base)
     fail_rows(bad, lambda k: error(np.ravel(values)[k].item()))
     out = np.where(bad, 1.0, values)
-    return _CArray(out) if np.iscomplexobj(out) else out
+    return _CArray.of(out) if np.iscomplexobj(out) else out
 
 
 def _division_floor(b):
@@ -128,25 +128,9 @@ def _division_floor(b):
 
 
 def _parts(x):
-    if isinstance(x, _CArray):
-        return x.z.real, x.z.imag
-    if isinstance(x, complex):
+    if isinstance(x, (_CArray, complex)):
         return x.real, x.imag
     return float(x), 0.0
-
-
-def _join(re, im):
-    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), complex)
-    out.real = re
-    out.imag = im
-    return _CArray(out)
-
-
-def _prod(a, b):
-    """CPython's _Py_c_prod; a number is the complex (x, 0)."""
-    ar, ai = _parts(a)
-    br, bi = _parts(b)
-    return _join(ar * br - ai * bi, ar * bi + ai * br)
 
 
 def _quot(a, b):
@@ -160,51 +144,76 @@ def _quot(a, b):
         denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
         re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
         im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
-    return _join(re, im)
+    return _CArray(re, im)
+
+
+def _powu(one, x, n):
+    """x ** n for an int n >= 0: CPython's c_powu, square-and-multiply from
+    one, less the last squaring, whose result it never reads."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
 
 
 class _CArray:
     """Complex values over a batch of points, with CPython's arithmetic.
 
+    The real and imaginary parts are two float arrays of one shape; z, the
+    complex array, is built for numpy's elementary functions and readers.
     numpy's complex product fuses multiply-adds and its quotient multiplies
     by a reciprocal, so on about half of all inputs they differ from
     Python's complex in the last bit; here products, quotients and integer
-    powers follow CPython's own formulas on the real and imaginary parts.
-    Sums, differences and negation are numpy's, which round the same."""
+    powers follow CPython's own formulas on the parts.  A number x in a sum
+    or difference is the complex (x, 0.0), as in Python's and numpy's."""
 
-    __slots__ = ("z",)
+    __slots__ = ("real", "imag")
     __array_ufunc__ = None     # ndarray operands defer to these methods
 
-    def __init__(self, z):
-        self.z = z
+    def __init__(self, real, imag):
+        self.real = real
+        self.imag = imag
+
+    @staticmethod
+    def of(z):
+        z = np.asarray(z, complex)
+        return _CArray(z.real, z.imag)
 
     @property
-    def real(self):
-        return self.z.real
-
-    @property
-    def imag(self):
-        return self.z.imag
+    def z(self):
+        out = np.empty(np.shape(self.real), complex)
+        out.real, out.imag = self.real, self.imag
+        return out
 
     def __repr__(self):
         return f"_CArray({self.z!r})"
 
     def __add__(self, other):
-        return _CArray(self.z + getattr(other, "z", other))
+        br, bi = _parts(other)
+        return _CArray(self.real + br, self.imag + bi)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _CArray(self.z - getattr(other, "z", other))
+        br, bi = _parts(other)
+        return _CArray(self.real - br, self.imag - bi)
 
     def __rsub__(self, other):
-        return _CArray(other - self.z)
+        br, bi = _parts(other)
+        return _CArray(br - self.real, bi - self.imag)
 
     def __neg__(self):
-        return _CArray(-self.z)
+        return _CArray(-self.real, -self.imag)
 
     def __mul__(self, other):
-        return _prod(self, other)
+        """CPython's _Py_c_prod; a number is the complex (x, 0)."""
+        ar, ai = self.real, self.imag
+        br, bi = _parts(other)
+        return _CArray(ar * br - ai * bi, ar * bi + ai * br)
 
     __rmul__ = __mul__
 
@@ -215,19 +224,12 @@ class _CArray:
         return _quot(other, self)
 
     def __pow__(self, n):
-        """CPython's c_powu: square-and-multiply from the complex 1."""
         if not isinstance(n, int) or n < 1:
             return NotImplemented
-        out, p = 1.0, self
-        while n:
-            if n & 1:
-                out = _prod(out, p)
-            p = _prod(p, p)
-            n >>= 1
-        return out
+        return _powu(1.0, self, n)
 
     def __abs__(self):
-        return np.hypot(self.z.real, self.z.imag)
+        return np.hypot(self.real, self.imag)
 
 
 def _pointwise(fn, dtype):
@@ -243,7 +245,7 @@ def _pointwise(fn, dtype):
         z = np.asarray(getattr(x, "z", x))
         out = np.array([safe(t) for t in z.ravel().tolist()],
                        dtype).reshape(z.shape)
-        return _CArray(out) if dtype is complex else out
+        return _CArray.of(out) if dtype is complex else out
 
     return apply
 
@@ -259,7 +261,7 @@ def _numpy_but(fn, exact, differs):
         pick = differs(z)
         if pick.any():
             out[pick] = exact(z[pick]).z
-        return _CArray(out)
+        return _CArray.of(out)
 
     return apply
 
@@ -337,14 +339,7 @@ class _Jet:
             return NotImplemented
         if n < 0:
             return self.constant(1) / self.__pow__(-n)
-        out = self.constant(1)
-        base, k = self, n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _powu(self.constant(1), self, n)
 
     def exp(self):
         e = self._ELEMENTARY.exp(self._base)
@@ -398,8 +393,7 @@ class ComplexJet(_Jet):
         # the algebra's own results need no coercion: complex, or _CArray
         if type(c0) is not complex and type(c0) is not _CArray:
             c0, c1, c2, c3 = (c if type(c) is _CArray
-                              else _CArray(np.asarray(c, complex))
-                              for c in (c0, c1, c2, c3))
+                              else _CArray.of(c) for c in (c0, c1, c2, c3))
         self.c0 = c0
         self.c1 = c1
         self.c2 = c2
@@ -416,13 +410,14 @@ class ComplexJet(_Jet):
     @staticmethod
     def variable(z):
         """The identity's jet at the points z; one point is a batch of one."""
-        return ComplexJet(_CArray(np.atleast_1d(np.asarray(z, complex))),
-                          1 + 0j, 0j, 0j)
+        return ComplexJet(_CArray.of(np.atleast_1d(z)), 1 + 0j, 0j, 0j)
 
     def batched(self, n):
         """This jet with every slot an array over n points."""
-        return ComplexJet(*(_CArray(np.full(n, getattr(c, "z", c), complex))
-                            for c in self.coeffs))
+        return ComplexJet(*(
+            c if np.shape(c.real) == (n,)
+            else _CArray(*(np.full(n, x, float) for x in _parts(c)))
+            for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, self._NUMBERS):
@@ -580,8 +575,12 @@ class Jet2(_Jet):
         component is (dim, 1)."""
         comps = [c if isinstance(c, Jet2) else Jet2.constant(c)
                  for c in components]
-        return Jet2(*(np.stack(np.broadcast_arrays(*xs)).reshape(len(xs), -1)
-                      for xs in zip(*(c.slots for c in comps))))
+        out = [np.empty((len(xs), max(getattr(x, "size", 1) for x in xs)))
+               for xs in zip(*(c.slots for c in comps))]
+        for i, c in enumerate(comps):
+            for slot, x in zip(out, c.slots):
+                slot[i] = x
+        return Jet2(*out)
 
     def __getitem__(self, i):
         """Component i of a vector jet."""
@@ -597,12 +596,13 @@ class Jet2(_Jet):
     def dot(self, other, signature=None):
         """The inner product of two vector jets, with a signature entry per
         component if given: the components' products summed in component
-        order, starting from 0.0."""
+        order, starting from 0.0 (numpy's order along the leading axis but
+        for one point of 8 or more components, which it sums pairwise)."""
         prod = (self * other).slots
         if signature is not None:
             sig = np.asarray(signature, float)[:, None]
             prod = [x * sig for x in prod]
-        return Jet2(*(reduce(add, x, 0.0) for x in prod))
+        return Jet2(*(np.add.reduce(x, 0, initial=0.0) for x in prod))
 
     def values(self):
         """The value slot of a vector jet as an (n, dim) C-contiguous array,

@@ -339,9 +339,10 @@ def pair_transform_check(pair, inv, points):
     curve lies on the null quadric at the built samples are rejected (the
     collapse picture applies to them instead).  Skipped samples are counted
     by reason: "flagged", or the class of the error the sample raises
-    alone where the pair cannot be built there (as construct flags it) or
-    where an image lies on the inversion's singular set, is singular or has
-    no adapted frame; any other error of the images propagates."""
+    alone where the pair cannot be built there (as construct flags it), the
+    transformed curve cannot be evaluated, or an image lies on the
+    inversion's singular set, is singular or has no adapted frame; any
+    other error of the images propagates."""
     if inv.signature != "euclidean" or inv.dim != 4:
         raise PreconditionError("pair transformation works in euclidean R4")
     z = np.array(list(points), dtype=complex)
@@ -366,7 +367,10 @@ def pair_transform_check(pair, inv, points):
             "quadric; the quadratic inversion degenerates there")
     tcurve = transformed_curve(pair.curve, inv.radius, center_eff)
     route_two = np.zeros((z.size, 4), complex)
-    route_two[ok] = tcurve.eval(z[ok])
+    with np.errstate(all="ignore"), row_failures(ok.sum()) as unevaluated:
+        route_two[ok] = tcurve.eval(z[ok])
+    skipped.update(unevaluated.counts())
+    ok[ok] = ~unevaluated.rows()
     g_curve, h_curve = inv.center + route_two.real, route_two.imag
     sup_g, d_plus, d_minus, used = 0.0, 0.0, 0.0, 0
     for phi, flags in built:

@@ -310,19 +310,24 @@ def test_verify_flags_jet_floor_point(capsys):
     assert rep["signs"]["minus"]["n_flagged"] == 1
 
 
-@pytest.mark.parametrize("curve, domain, skipped", [
-    ("(1/(4*z), i/(4*z), z/4, i*z/4)", [],
+@pytest.mark.parametrize("curve, domain, center, skipped", [
+    ("(1/(4*z), i/(4*z), z/4, i*z/4)", [], "0,0,0,5",
      {"EvaluationError": 1, "flagged": 24}),
-    (JET_FLOOR_CURVE, [], {"DegenerateJetError": 1}),
-    ("whitney", ["--domain=-1,1,-1,1"], {"DomainError": 1, "flagged": 24}),
-], ids=["pole", "jet-floor", "outside-domain"])
-def test_invert_counts_the_points_construct_flags(curve, domain, skipped,
-                                                  capsys):
+    (JET_FLOOR_CURVE, [], "0,0,0,5", {"DegenerateJetError": 1}),
+    ("whitney", ["--domain=-1,1,-1,1"], "0,0,0,5",
+     {"DomainError": 1, "flagged": 24}),
+    ("catenoid-helicoid", ["--domain=-1,1,-1,1"], "0,0,0,0",
+     {"EvaluationError": 2, "FrameDegenerateError": 1, "flagged": 12}),
+], ids=["pole", "jet-floor", "outside-domain", "transformed-pole"])
+def test_invert_counts_the_points_construct_flags(curve, domain, center,
+                                                  skipped, capsys):
     # z = 0 is a grid point where the curve has a pole, the jets hit their
     # floor, or whitney's domain excludes it: construct flags that point,
-    # and invert counts it by class instead of aborting
+    # and invert counts it by class instead of aborting; the same holds
+    # at z = -1 and z = 1, where <<G, G>> = 1 - z^2 of the catenoid pair
+    # vanishes and so the transformed curve about the origin has a pole
     code, rep = run_json(capsys, "invert", "--curve", curve, *domain,
-                         "--grid", "5,5", "--center", "0,0,0,5")
+                         "--grid", "5,5", "--center", center)
     assert code == 0 and rep["ok"]
     assert rep["skipped"] == skipped
 

@@ -1,5 +1,7 @@
 import cmath
 import math
+from functools import reduce
+from operator import add, mul, sub, truediv
 
 import numpy as np
 import pytest
@@ -114,7 +116,27 @@ def test_compose_against_hand_derivatives():
     assert max(abs(x - y) for x, y in zip(j.coeffs, expect)) < 1e-12
 
 
-def test_integer_pow():
+def squaring_pow(x, n, one):
+    """x ** n by the square-and-multiply loop from one that squares once
+    more than it uses; a negative n divides one by the power."""
+    if n < 0:
+        return one / squaring_pow(x, -n, one)
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
+
+
+def slot_bits(x):
+    """The bytes of every slot of a jet, or of a _CArray's values."""
+    slots = getattr(x, "coeffs", None) or getattr(x, "slots", None) or (x,)
+    return [np.asarray(getattr(c, "z", c)).tobytes() for c in slots]
+
+
+def test_integer_pow(monkeypatch):
     z0 = 1.3 - 0.2j
     j = ComplexJet.variable(z0) ** 3
     expect = (z0 ** 3, 3 * z0 ** 2, 6 * z0, 6)
@@ -122,6 +144,29 @@ def test_integer_pow():
     jm = ComplexJet.variable(z0) ** -2
     expect = (z0 ** -2, -2 * z0 ** -3, 6 * z0 ** -4, -24 * z0 ** -5)
     assert max(abs(x - y) for x, y in zip(jm.coeffs, expect)) < 1e-13
+
+    # bit for bit the loop that squares once more than it uses, on batches
+    rng = np.random.default_rng(19)
+    cx = cj(*(rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30))))
+    rx = Jet2(*rng.standard_normal((6, 30)))
+    ax = _CArray.of(random_complex(rng, 300))
+    cases = [(cx, ComplexJet.constant(1), range(-3, 10)),
+             (rx, Jet2.constant(1), range(-3, 10)),
+             (ax, 1.0, range(1, 10))]
+    with np.errstate(all="ignore"):
+        for x, one, powers in cases:
+            for n in powers:
+                assert slot_bits(x ** n) == slot_bits(squaring_pow(x, n, one))
+
+    # a square takes two products: the square, and 1 times it
+    for x in (cx, rx, ax):
+        calls, cls = [], type(x)
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(cls, name, lambda *args, fn=getattr(cls, name):
+                                calls.append(1) or fn(*args))
+        x ** 2
+        monkeypatch.undo()
+        assert len(calls) == 2, cls
 
 
 def test_jet2_mul_example():
@@ -257,9 +302,36 @@ def test_vec_dot_norm_signature():
     n = e.dot(e, signature=lor)
     assert n.v == 3.0
 
+    # bit for bit the products summed one component at a time from 0.0, on
+    # batches of one and of many, with -0.0 products among them
+    rng = np.random.default_rng(23)
+    for n, sig in ((1, None), (1, lor), (40, None), (40, lor)):
+        xs, ys = rng.standard_normal((2, 5, 6, n))
+        xs[rng.random(xs.shape) < 0.3] = -0.0
+        ys[rng.random(ys.shape) < 0.3] = -0.0
+        xs[:, 0], ys[:, 0] = -0.0, 1.0     # every value product is -0.0
+        x, y = (Jet2.stack([Jet2(*c) for c in s]) for s in (xs, ys))
+        prods = (x * y).slots
+        if sig is not None:
+            prods = [p * np.asarray(sig, float)[:, None] for p in prods]
+        want = Jet2(*(reduce(add, p, 0.0) for p in prods))
+        assert slot_bits(x.dot(y, signature=sig)) == slot_bits(want)
+
 
 def test_vec_transform():
     a = Jet2.stack([Jet2(1, 2, 3), Jet2(4, 5, 6)])
+    assert [x.shape for x in a.slots] == [(2, 1)] * 6
+    # a slot is (dim, 1) where every component is constant in it, and
+    # (dim, n) otherwise, with the values of the components broadcast
+    for n in (1, 7):
+        u, v = np.linspace(-1, 1, n), np.linspace(0, 2, n)
+        comps = [Jet2.coordinate_u(u), 2.5, Jet2.coordinate_v(v) * -1.0]
+        b = Jet2.stack(comps)
+        assert [x.shape for x in b.slots] == [(3, n)] + [(3, 1)] * 5
+        comps[1] = Jet2.constant(comps[1])
+        for got, xs in zip(b.slots, zip(*(c.slots for c in comps))):
+            want = np.stack(np.broadcast_arrays(*xs)).reshape(len(xs), -1)
+            assert got.tobytes() == want.tobytes()
     m = [[0.0, 1.0], [-1.0, 0.0], [2.0, 0.5]]
     out = transform(a, m)
     assert out[0].slots == (4, 5, 6, 0, 0, 0)
@@ -353,18 +425,29 @@ def random_complex(rng, n):
 def test_carray_arithmetic_rounds_as_python_complex():
     rng = np.random.default_rng(2026)
     a, b = random_complex(rng, 4000), random_complex(rng, 4000)
-    ops = {"*": (lambda x, y: x * y), "/": (lambda x, y: x / y)}
-    ops.update({f"**{n}": (lambda x, y, n=n: x ** n) for n in (2, 3, 5, 8)})
+    a[::2], b[1::2] = -a[::2], -b[1::2]     # zero parts of both signs
+    binary = {"+": add, "-": sub, "reflected -": lambda x, y: y - x,
+              "*": mul, "/": truediv}
+    unary = {"unary -": lambda x, y: -x}
+    unary.update({f"**{n}": (lambda x, y, n=n: x ** n) for n in (2, 3, 5, 8)})
+    # the other operand: the batch b, or one number of each kind
+    numbers = (3, 0, -2.5, 0.0, -0.0, complex(1.5, -0.0), complex(-0.0, 2.0),
+               complex(-0.0, -0.0))
+    cases = [(name, op, y) for name, op in binary.items()
+             for y in (b, *numbers)]
+    cases += [(name, op, b) for name, op in unary.items()]
     with np.errstate(all="ignore"):
-        for name, op in ops.items():
-            got = op(_CArray(a), _CArray(b)).z
-            for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        for name, op, y in cases:
+            batch = y is b
+            got = op(_CArray.of(a), _CArray.of(b) if batch else y).z
+            ys = b.tolist() if batch else [y] * a.size
+            for k, (x, yk) in enumerate(zip(a.tolist(), ys)):
                 try:
-                    want = op(x, y)
+                    want = op(x, yk)
                 except (OverflowError, ZeroDivisionError):
                     continue
-                assert bits(got[k]) == bits(want), (name, x, y)
-        got = abs(_CArray(a))
+                assert bits(got[k]) == bits(want), (name, x, yk)
+        got = abs(_CArray.of(a))
         assert [bits(g) for g in got] == [bits(abs(x)) for x in a.tolist()]
 
 
@@ -375,7 +458,7 @@ def test_batch_functions_round_as_math_and_cmath(name):
     rng = np.random.default_rng(7)
     z, x = random_complex(rng, 4000), random_parts(rng, 4000)
     with np.errstate(all="ignore"):
-        cases = ((getattr(_COMPLEX_BATCH_MATH, name)(_CArray(z)).z,
+        cases = ((getattr(_COMPLEX_BATCH_MATH, name)(_CArray.of(z)).z,
                   getattr(cmath, name), z.tolist()),
                  (getattr(_REAL_BATCH_MATH, name)(x),
                   getattr(math, name), x.tolist()))

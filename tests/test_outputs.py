@@ -6,6 +6,7 @@ as a changed digest.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -65,6 +66,46 @@ CONSTRUCT_FILES = {
         "enneper-r3-summary.json":
             "0da0c0243f17f7e9727d6abd5a93687e24126683629434b88f872e91ec48c774",
     }),
+    # inline curves through complex log, sqrt, exp, sinh and cosh
+    ("(cos(log(z + 3)), sin(log(z + 3)), -i*log(z + 3), 0)",
+     "--domain=-1,1,-1,1", "--grid", "9,9", "--sign", "both"): (0, {
+        "inline-minus.csv":
+            "ac83893144989b63a5d88d19c7156d5265a0b4423eb006357499c3707bddc543",
+        "inline-minus.mesh.json":
+            "8ef791b9f7389ce8afb9266ec7666620f1df845f18d6c7aa8f2bcd09785d8871",
+        "inline-plus.csv":
+            "7cae2e9635744088c31c5e5ae4f4c0b8f1a913d6269067fdb7fbf370ab45a136",
+        "inline-plus.mesh.json":
+            "cc883f18eb43842ed1360f2266f05fdfef5cbd91aa5842014626d1e1d7ddcdf8",
+        "inline-summary.json":
+            "013750a721a4c99196a864f03758215781af643249baf5c13222ec141e152243",
+    }),
+    ("(cosh(sqrt(z + 2)), -i*sinh(sqrt(z + 2)), sqrt(z + 2), 0)",
+     "--domain=-1,1,-1,1", "--grid", "9,9", "--sign", "both"): (0, {
+        "inline-minus.csv":
+            "59c6fc4735225fe4a605a96a2a81e76f4d847e498929ab934dea5de2bbbf7ec3",
+        "inline-minus.mesh.json":
+            "19202e7591e8e8db521b24477ce19df95e07add19a23648df027574c5aebb514",
+        "inline-plus.csv":
+            "3bc8a040b849450a644e062f029a536ddcb8c19de1012326dff69c5f4da3a64a",
+        "inline-plus.mesh.json":
+            "ae2919823ca88545c340c930078f514c98ba321f33dcb6f1af37912de0ec6344",
+        "inline-summary.json":
+            "6488750fe9c1a58d9bcd0287732cb208cb25183a3ccbc13bc07df4507f122dc5",
+    }),
+    ("(cosh(exp(z)/2), -i*sinh(exp(z)/2), exp(z)/2, 0)",
+     "--domain=-1,1,-1,1", "--grid", "9,9", "--sign", "both"): (0, {
+        "inline-minus.csv":
+            "3c03bdf504485aa0ecb20645c453fcdf64809225947278fdf01ffa7922a57a77",
+        "inline-minus.mesh.json":
+            "80e8d9d6ec9075d65f3f8a885cf568775e9dac4aa6f6740ba2c3da4a12251f55",
+        "inline-plus.csv":
+            "fb83a389173f2ca7430a3405030b1c0e8f6f5c13538c47562c52f1c89b8895ae",
+        "inline-plus.mesh.json":
+            "6644efb911bcce55e261da558bee7c528d6727fc782a9632930099f9d3df0a3e",
+        "inline-summary.json":
+            "2b9720b59436a6df776c84e1a090bec60e6a3a1c7ae02fa3dc77f00c8496c02e",
+    }),
 }
 
 REPORTS = {
@@ -90,6 +131,13 @@ REPORTS = {
 }
 
 
+def construct_id(argv):
+    """The catalog curve, or "inline-" and the function an inline curve
+    applies to z."""
+    inner = re.search(r"(\w+)\(z\b", argv[0])
+    return f"inline-{inner.group(1)}" if inner else argv[0]
+
+
 def report_id(argv):
     """The subcommand, and with it the curve or entry for every run of a
     subcommand after its first."""
@@ -97,7 +145,7 @@ def report_id(argv):
     return argv[0] if argv == first else f"{argv[0]}-{argv[2]}"
 
 
-@pytest.mark.parametrize("argv", list(CONSTRUCT_FILES), ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", list(CONSTRUCT_FILES), ids=construct_id)
 def test_construct_files_match_golden_digests(argv, tmp_path, capsys):
     curve, *rest = argv
     code = cli.main(["construct", "--curve", curve, *rest,
