@@ -83,7 +83,7 @@ def criterion_1() -> CriterionResult:
     sup = max(float(_vec_norm(values - want[label[sign]]).max())
               for sign, values in built.items())
     # the global label swap is part of the frozen convention
-    passed = sup < 1e-9 and swapped
+    passed = bool(sup < 1e-9 and swapped)
     return CriterionResult(
         "1", "catenoid/helicoid closed form on a 64x64 grid", passed,
         f"sup {sup:.3e} (tol 1e-9), labels swapped globally: "

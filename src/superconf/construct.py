@@ -31,9 +31,9 @@ import numpy as np
 from .errors import (FrameDegenerateError, FrameUndefinedError,
                      PreconditionError)
 from .geometry import (CIRCULAR_TOL, REGULARITY_FLOOR, FundamentalData,
-                       _blas_dot, _col, _largest, _normal_parts, _pypow,
-                       _rank_deficient, _sqrt0, adapted_frame,
-                       ellipse_descriptor, fundamental_data)
+                       _blas_dot, _col, _ellipse_axes, _is_circular, _largest,
+                       _normal_parts, _pypow, _rank_deficient, _sqrt0,
+                       adapted_frame, fundamental_data)
 from .jets import DIV_FLOOR, Jet2, fail_rows
 from .minimal import MinimalPair
 
@@ -67,25 +67,31 @@ def check_sign(sign):
 
 # index pairs (i, j), i < j, of the six components of a 2-form on R4
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_I, _J = (list(ix) for ix in zip(*_PAIRS))
+# *A for a 2-form A on _PAIRS: its components reversed, two of them negated
+_STAR = [5, 4, 3, 2, 1, 0]
+_STAR_SIGN = np.array([1.0, -1, 1, 1, -1, 1])[:, None]
+# the terms of A h: for each pair (i, j) in turn, +A_ij h_j in component i
+# and -A_ij h_i in component j; term k of component i is row 4 k + i
+_TERM_A = [0, 0, 1, 2, 1, 3, 3, 4, 2, 4, 5, 5]
+_TERM_H = [1, 0, 0, 0, 2, 2, 1, 1, 3, 3, 3, 2]
+_TERM_SIGN = np.array([1.0, -1, -1, -1, 1, 1, -1, -1, 1, 1, 1, -1])[:, None]
 
 
 def _act(form, h):
-    """(A h)_i = sum_j A_ij h_j for the 2-form A with components on _PAIRS."""
-    out = [0.0] * 4
-    for (i, j), w in zip(_PAIRS, form):
-        out[i] = out[i] + w * h[j]
-        out[j] = out[j] - w * h[i]
-    return out
+    """(A h)_i = sum_j A_ij h_j for the 2-form A, (6, n) on _PAIRS, and h,
+    (4, n): one product of all terms, each component summed from 0.0 in
+    _PAIRS order, so it rounds as written term by term (x * -1.0 is -x)."""
+    t = (form[_TERM_A] * h[_TERM_H]).scaled(_TERM_SIGN)
+    return 0.0 + t[0:4] + t[4:8] + t[8:12]
 
 
 def _jhat_parts(gu, gv, h):
     """(W h, *W h) for the tangent 2-form W = gu ^ gv of the base surface.
 
-    Jhat(s) h = (W h + s *W h) / |W|.  Entries may be batches of numbers or
-    Jet2; the results are lists of four entries of the same kind."""
-    W = [gu[i] * gv[j] - gu[j] * gv[i] for i, j in _PAIRS]
-    star = (W[5], -W[4], W[3], W[2], -W[1], W[0])
-    return _act(W, h), _act(star, h)
+    Jhat(s) h = (W h + s *W h) / |W|, for vector jets gu, gv and h."""
+    W = gu[_I] * gv[_J] - gu[_J] * gv[_I]
+    return _act(W, h), _act(W[_STAR].scaled(_STAR_SIGN), h)
 
 
 @dataclass
@@ -149,7 +155,7 @@ def _assemble(s) -> _FieldContext:
     a = _sqrt0(1.0 - ng2.v)
 
     inv_w = 1.0 / (E * G - F * F).sqrt()
-    turn_t, turn_n = (Jet2.stack(t) * inv_w for t in _jhat_parts(gu, gv, h))
+    turn_t, turn_n = (t * inv_w for t in _jhat_parts(gu, gv, h))
 
     # g's curvature data gives the fallback xi and the g-holomorphic flag
     fd_g = fundamental_data(g)
@@ -172,7 +178,7 @@ def _g_collapse(fd_g):
     collapses the corresponding phi.  Calibrated on the null-quadric
     trigonometric pair; for a point ellipse (K_N = 0) both signs degenerate;
     where g is singular neither does."""
-    circular = np.logical_and(ellipse_descriptor(fd_g).is_circular(),
+    circular = np.logical_and(_is_circular(*_ellipse_axes(fd_g)[2:]),
                               fd_g.regular)
     if not circular.any():
         return {"+": circular, "-": circular}
@@ -241,9 +247,12 @@ def phi_value(g_sample: Jet2, h_sample: Jet2, sign) -> np.ndarray:
     standard = _vec_norm(hu - ju) + _vec_norm(hv - jv)
     mirrored = _vec_norm(hu + ju) + _vec_norm(hv + jv)
     orient = _col(np.where(standard <= mirrored, 1.0, -1.0))
-    tw, nw = _jhat_parts(gu.T, gv.T, h_sample.values().T)
-    return g_sample.values() + (orient * np.array(tw).T
-                                + s * np.array(nw).T) / w
+    # as vector jets with vanishing derivatives, so that each value takes
+    # the operations it takes in _assemble
+    tw, nw = (t.values() for t in _jhat_parts(*(
+        Jet2(x.T, *[np.zeros((4, 1))] * 5)
+        for x in (gu, gv, h_sample.values()))))
+    return g_sample.values() + (orient * tw + s * nw) / w
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,13 @@ printing then reparsing reproduces the identical tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, mul, sub
 
 from .errors import DegenerateJetError, EvaluationError, ExpressionError
-from .jets import ComplexJet, fail_rows, row_failures
+from .jets import PAIRED, ComplexJet, fail_rows, row_failures
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
+_ARITHMETIC = {"+": add, "-": sub, "*": mul}
 
 
 @dataclass(frozen=True)
@@ -380,42 +382,43 @@ def _eval_msg(node, src, z, reason):
     return f"cannot evaluate '{_span_text(node, src)}' at z = {z}: {reason}"
 
 
-def eval_node(node, zjet, src, z):
-    if isinstance(node, Lit):
-        return ComplexJet.constant(complex(node.re, node.im))
-    if isinstance(node, Var):
-        return zjet
-    if isinstance(node, Neg):
-        return -eval_node(node.x, zjet, src, z)
-    if isinstance(node, Bin):
-        a = eval_node(node.a, zjet, src, z)
-        b = eval_node(node.b, zjet, src, z)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return _guard(node, src, z, lambda: a / b)
-    if isinstance(node, Pow):
-        base = eval_node(node.base, zjet, src, z)
-        return _guard(node, src, z, lambda: base ** node.exponent)
-    if isinstance(node, Call):
-        arg = eval_node(node.arg, zjet, src, z)
-        return _guard(node, src, z, lambda: getattr(arg, node.fn)())
-    raise TypeError(node)
+def _plan(ast):
+    """The index of every node, by id, equal for equal sub-expressions (keyed
+    by type, other fields by repr, so 0.0 and -0.0 differ, and the indices
+    of the parts), and the indices an evaluation asks for more than once."""
+    index, uses, at = {}, [], {}
+
+    def visit(node):
+        key, kids = [type(node)], []
+        for name, x in vars(node).items():
+            if isinstance(x, Node):
+                kids.append(visit(x))
+                key.append(kids[-1])
+            elif name != "span":
+                key.append(repr(x))
+        at[id(node)] = k = index.setdefault(tuple(key), len(index))
+        if k == len(uses):      # only the first occurrence asks for its parts
+            uses.append(0)
+            for c in kids:
+                uses[c] += 1
+        return k
+
+    for c in ast.components:
+        uses[visit(c)] += 1
+    return at, {k for k, n in enumerate(uses) if n > 1}
 
 
 class CurveExpr:
     """A parsed (or programmatically assembled) 4-component curve."""
 
-    __slots__ = ("ast", "source")
+    __slots__ = ("ast", "source", "_plan")
 
     def __init__(self, ast, source=None):
         if not isinstance(ast, Curve):
             raise TypeError("CurveExpr wants a Curve node")
         self.ast = ast
         self.source = source
+        self._plan = _plan(ast)
 
     @staticmethod
     def parse(text):
@@ -429,11 +432,42 @@ class CurveExpr:
         one point is a batch of one.
 
         The points where the curve has a pole or meets a branch cut are
-        recorded as failed rows of EvaluationError (see jets.fail_rows)."""
+        recorded as failed rows of EvaluationError (see jets.fail_rows),
+        named by the first occurrence of the failing sub-expression: equal
+        sub-expressions are computed once, in the order of the tree."""
         zj = ComplexJet.variable(z)
         z = zj.c0.z
-        return [eval_node(c, zj, self.source, z).batched(z.size)
-                for c in self.ast.components]
+        src = self.source
+        at, shared = self._plan
+        memo = {}
+
+        def ev(node):
+            k = at[id(node)]
+            if k in memo:
+                return memo[k]
+            if isinstance(node, Lit):
+                out = ComplexJet.constant(complex(node.re, node.im))
+            elif isinstance(node, Var):
+                out = zj
+            elif isinstance(node, Neg):
+                out = -ev(node.x)
+            elif isinstance(node, Bin):
+                a, b = ev(node.a), ev(node.b)
+                out = (_guard(node, src, z, lambda: a / b) if node.op == "/"
+                       else _ARITHMETIC[node.op](a, b))
+            elif isinstance(node, Pow):
+                base = ev(node.base)
+                out = _guard(node, src, z, lambda: base ** node.exponent)
+            else:
+                arg, fn = ev(node.arg), node.fn
+                out = _guard(node, src, z, lambda: (
+                    arg.paired(fn, memo, at[id(node.arg)]) if fn in PAIRED
+                    else getattr(arg, fn)()))
+            if k in shared:
+                memo[k] = out
+            return out
+
+        return [ev(c).batched(z.size) for c in self.ast.components]
 
     def __eq__(self, other):
         if not isinstance(other, CurveExpr):

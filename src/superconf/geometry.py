@@ -138,7 +138,11 @@ class EllipseDescriptor:
     mu: np.ndarray
 
     def is_circular(self):
-        return np.maximum(abs(self.res_orth), abs(self.res_len)) < CIRCULAR_TOL
+        return _is_circular(self.res_orth, self.res_len)
+
+
+def _is_circular(res_orth, res_len):
+    return np.maximum(abs(res_orth), abs(res_len)) < CIRCULAR_TOL
 
 
 @dataclass(frozen=True)
@@ -362,23 +366,12 @@ def _coord_shape(Xu, Xv, seconds, nu, dot):
                            _sym2(*(dot(w, nu) for w in seconds)))
 
 
-def ellipse_descriptor(fd):
-    """Semi-axes and circularity residuals of the curvature ellipse
-    theta -> H + cos(2 theta) (alpha11 - alpha22)/2 + sin(2 theta) alpha12.
-
-    Rows with non-finite data get nan semi-axes."""
+def _ellipse_axes(fd):
+    """The vectors d = (alpha11 - alpha22)/2 and m = alpha12 that span the
+    curvature ellipse, and its circularity residuals res_orth and res_len."""
     dot = fd.ambient.dot
     d = 0.5 * (fd.alpha11 - fd.alpha22)
     m = fd.alpha12
-    gen = np.array([dot(d, fd.n1), dot(m, fd.n1),
-                    dot(d, fd.n2), dot(m, fd.n2)]).T.reshape(-1, 2, 2)
-    try:
-        sv = np.linalg.svd(gen, compute_uv=False)
-    except np.linalg.LinAlgError:     # rows of a batch with non-finite data
-        finite = np.isfinite(gen).all(axis=(1, 2))
-        sv = np.linalg.svd(np.where(finite[:, None, None], gen, 0.0),
-                           compute_uv=False)
-        sv[~finite] = np.nan
     # the norms of d, m, alpha11, alpha22 and alpha12 in one pass
     five = np.array([d, m, fd.alpha11, fd.alpha22, fd.alpha12])
     norms = _sqrt0(dot(five, five))
@@ -390,6 +383,25 @@ def ellipse_descriptor(fd):
     M = np.where(point, 1.0, M)
     res_orth = np.where(point, 0.0, dot(m, 2.0 * d) / (M * M))
     res_len = np.where(point, 0.0, (len_d - len_m) / M)
+    return d, m, res_orth, res_len
+
+
+def ellipse_descriptor(fd):
+    """Semi-axes and circularity residuals of the curvature ellipse
+    theta -> H + cos(2 theta) (alpha11 - alpha22)/2 + sin(2 theta) alpha12.
+
+    Rows with non-finite data get nan semi-axes."""
+    dot = fd.ambient.dot
+    d, m, res_orth, res_len = _ellipse_axes(fd)
+    gen = np.array([dot(d, fd.n1), dot(m, fd.n1),
+                    dot(d, fd.n2), dot(m, fd.n2)]).T.reshape(-1, 2, 2)
+    try:
+        sv = np.linalg.svd(gen, compute_uv=False)
+    except np.linalg.LinAlgError:     # rows of a batch with non-finite data
+        finite = np.isfinite(gen).all(axis=(1, 2))
+        sv = np.linalg.svd(np.where(finite[:, None, None], gen, 0.0),
+                           compute_uv=False)
+        sv[~finite] = np.nan
     semi_major, semi_minor = sv.reshape(d.shape[:-1] + (2,)).T
     return EllipseDescriptor(
         center=fd.H, semi_major=semi_major, semi_minor=semi_minor,

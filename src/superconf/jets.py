@@ -288,6 +288,16 @@ _COMPLEX_BATCH_MATH = SimpleNamespace(
     cosh=_numpy_but(np.cosh, cmath.cosh, _near_overflow(np.real)))
 
 
+# the functions whose jets compose from a pair (s, c) of functions of the
+# base value, computed once per base (paired): the pair, and d0..d3 in s, c
+PAIRED = {
+    "sin": (("sin", "cos"), lambda s, c: (s, c, -s, -c)),
+    "cos": (("sin", "cos"), lambda s, c: (c, -s, -c, s)),
+    "sinh": (("sinh", "cosh"), lambda s, c: (s, c, s, c)),
+    "cosh": (("sinh", "cosh"), lambda s, c: (c, s, c, s)),
+}
+
+
 class _Jet:
     """What both jet kinds do the same way.
 
@@ -356,25 +366,26 @@ class _Jet:
         s = self._ELEMENTARY.sqrt(w)
         return self._compose(s, 0.5 / s, -0.25 / (w * s), 0.375 / (w * w * s))
 
+    def paired(self, fn, pairs, base):
+        """The jet of fn, a key of PAIRED; its pair of base values is kept in
+        the dict pairs under base, a name for this jet's base value."""
+        names, derivatives = PAIRED[fn]
+        if (names, base) not in pairs:
+            pairs[names, base] = tuple(getattr(self._ELEMENTARY, f)(self._base)
+                                       for f in names)
+        return self._compose(*derivatives(*pairs[names, base]))
+
     def sin(self):
-        m = self._ELEMENTARY
-        s, c = m.sin(self._base), m.cos(self._base)
-        return self._compose(s, c, -s, -c)
+        return self.paired("sin", {}, None)
 
     def cos(self):
-        m = self._ELEMENTARY
-        s, c = m.sin(self._base), m.cos(self._base)
-        return self._compose(c, -s, -c, s)
+        return self.paired("cos", {}, None)
 
     def sinh(self):
-        m = self._ELEMENTARY
-        s, c = m.sinh(self._base), m.cosh(self._base)
-        return self._compose(s, c, s, c)
+        return self.paired("sinh", {}, None)
 
     def cosh(self):
-        m = self._ELEMENTARY
-        s, c = m.sinh(self._base), m.cosh(self._base)
-        return self._compose(c, s, c, s)
+        return self.paired("cosh", {}, None)
 
 
 class ComplexJet(_Jet):
@@ -598,11 +609,15 @@ class Jet2(_Jet):
         component if given: the components' products summed in component
         order, starting from 0.0 (numpy's order along the leading axis but
         for one point of 8 or more components, which it sums pairwise)."""
-        prod = (self * other).slots
+        prod = self * other
         if signature is not None:
-            sig = np.asarray(signature, float)[:, None]
-            prod = [x * sig for x in prod]
-        return Jet2(*(np.add.reduce(x, 0, initial=0.0) for x in prod))
+            prod = prod.scaled(np.asarray(signature, float)[:, None])
+        return Jet2(*(np.add.reduce(x, 0, initial=0.0) for x in prod.slots))
+
+    def scaled(self, factors):
+        """The vector jet with each component times its row of factors, a
+        (dim, 1) array."""
+        return Jet2(*(x * factors for x in self.slots))
 
     def values(self):
         """The value slot of a vector jet as an (n, dim) C-contiguous array,

@@ -111,3 +111,4 @@ def test_run_all_covers_every_criterion(results):
                     "8b-companion", "9a", "9b", "9b-companion", "9c", "10",
                     "11", "12", "13"]
     assert all(r.detail for r in results)
+    assert all(type(r.passed) is bool for r in results)

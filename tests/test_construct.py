@@ -46,7 +46,7 @@ def construction_frame(pair, z):
         xi = -hN / _col(a_val * r.v)
     if np.any(fallback):
         xi = np.where(_col(fallback), ctx.fd_g.n1, xi)
-    xt, xn = _jhat_parts(gu_val.T, gv_val.T, xi.T)
+    xt, xn = scalar_jhat_parts(gu_val.T, gv_val.T, xi.T)
     # = Jhat(-) xi
     inv_w = 1.0 / (E * ctx.G - ctx.F * ctx.F).sqrt()
     delta_minus = (np.stack(xt, -1) - np.stack(xn, -1)) * _col(inv_w.v)
@@ -335,6 +335,84 @@ def test_phi_value_route_agrees_with_field_route(catenoid):
         for ps in build_phi_pair(catenoid, z):
             val = phi_value(s.g, s.h, ps.sign)
             assert np.abs(val - ps.phi.values()).max() < 1e-12
+
+
+# ----- Jhat as one vector-jet pass, against the scalar loop -----
+
+def scalar_act(form, h):
+    """Oracle: (A h)_i = sum_j A_ij h_j, term by term in _PAIRS order, one
+    component of A and of h at a time."""
+    out = [0.0] * 4
+    for (i, j), w in zip(construct._PAIRS, form):
+        out[i] = out[i] + w * h[j]
+        out[j] = out[j] - w * h[i]
+    return out
+
+
+def scalar_jhat_parts(gu, gv, h):
+    """Oracle: (W h, *W h) as lists of four components."""
+    W = [gu[i] * gv[j] - gu[j] * gv[i] for i, j in construct._PAIRS]
+    star = (W[5], -W[4], W[3], W[2], -W[1], W[0])
+    return scalar_act(W, h), scalar_act(star, h)
+
+
+def random_vector_jet(rng, n, integers):
+    """A 4-component vector Jet2 over n points with zeros of both signs and
+    about a third of its slots constant, (4, 1); small integers make the
+    sums cancel exactly."""
+    slots = []
+    for _ in range(6):
+        shape = (4, 1) if rng.random() < 1 / 3 else (4, n)
+        if integers:
+            x = rng.integers(-2, 3, shape).astype(float)
+        else:
+            x = rng.normal(size=shape) * np.exp(rng.uniform(-5, 5, shape))
+            x[rng.random(shape) < 0.2] = 0.0
+        slots.append(x * rng.choice([-1.0, 1.0], shape))
+    return Jet2(*slots)
+
+
+def slot_bytes(jet, n):
+    return [np.broadcast_to(x, (4, n)).tobytes() for x in jet.slots]
+
+
+def value_jet(x):
+    """x, (4, n), as a vector jet whose derivatives vanish."""
+    return Jet2(x, *[np.zeros((4, 1))] * 5)
+
+
+@pytest.mark.parametrize("integers", [False, True])
+def test_jhat_vector_pass_matches_the_scalar_loop(integers):
+    rng = np.random.default_rng(16 + integers)
+    n = 9
+    zeros = 0
+    for _ in range(40):
+        gu, gv, h = (random_vector_jet(rng, n, integers) for _ in range(3))
+        for got, want in zip(_jhat_parts(gu, gv, h),
+                             scalar_jhat_parts(gu, gv, h), strict=True):
+            want = Jet2.stack(want)
+            assert slot_bytes(got, n) == slot_bytes(want, n)
+            zeros += sum(np.count_nonzero(np.signbit(x) & (x == 0))
+                         for x in want.slots)
+        # the values alone, as phi_value passes them: vector jets whose
+        # derivatives vanish, against the scalar loop on float arrays
+        values = [np.broadcast_to(x.v, (4, n)) for x in (gu, gv, h)]
+        for got, want in zip(_jhat_parts(*map(value_jet, values)),
+                             scalar_jhat_parts(*values), strict=True):
+            assert got.v.tobytes() == np.array(want).tobytes()
+    assert zeros > 0
+
+
+def test_phi_value_matches_the_scalar_loop(catenoid, monkeypatch):
+    # phi_value before the vector pass: the scalar loop on the float arrays
+    rng = np.random.default_rng(5)
+    z = rng.uniform(0.2, 6.0, 40) + 1j * rng.uniform(-1.5, 1.5, 40)
+    s = catenoid.samples_at(z)
+    got = [phi_value(s.g, s.h, sign).tobytes() for sign in "+-"]
+    monkeypatch.setattr(construct, "_jhat_parts", lambda *jets: tuple(
+        value_jet(np.array(part))
+        for part in scalar_jhat_parts(*(j.v for j in jets))))
+    assert got == [phi_value(s.g, s.h, sign).tobytes() for sign in "+-"]
 
 
 # ----- regularity flags -----

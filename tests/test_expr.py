@@ -1,6 +1,9 @@
+import collections
+
+import numpy as np
 import pytest
 
-from superconf import EvaluationError, ExpressionError
+from superconf import EvaluationError, ExpressionError, jets
 from superconf.expr import (
     Bin,
     CurveExpr,
@@ -155,3 +158,32 @@ def test_programmatic_curve_round_trip():
     curve = CurveExpr(Curve(comps))
     text = curve.to_text()
     assert CurveExpr.parse(text).ast.components == comps
+
+
+@pytest.fixture
+def complex_math_calls(monkeypatch):
+    """A Counter of the calls of each complex elementary function."""
+    calls = collections.Counter()
+    table = jets._COMPLEX_BATCH_MATH
+    for name, fn in vars(table).copy().items():
+        def counting(x, name=name, fn=fn):
+            calls[name] += 1
+            return fn(x)
+        monkeypatch.setattr(table, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("text, counts", [
+    ("(cos(z), sin(z), -i*z, 0)", {"sin": 1, "cos": 1}),
+    ("(cos(log(z + 3)), sin(log(z + 3)), -i*log(z + 3), 0)",
+     {"log": 1, "sin": 1, "cos": 1}),
+    ("(sinh(2*z), cosh(2*z), 0, 0)", {"sinh": 1, "cosh": 1}),
+])
+def test_each_function_of_a_shared_base_is_called_once(complex_math_calls,
+                                                       text, counts):
+    curve = CurveExpr.parse(text)
+    z = np.linspace(-1, 1, 10) + 0.5j
+    for _ in range(3):
+        complex_math_calls.clear()
+        curve.eval_jets(z)
+        assert complex_math_calls == counts

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from superconf import catalog
+from superconf import associated_family, catalog, transformed_curve
 from superconf.acceptance import GOLDEN_EXPRESSIONS
 from superconf.errors import EvaluationError
-from superconf.expr import Bin, Call, CurveExpr, Lit, Neg, Pow, Var
-from superconf.jets import Jet2, row_failures
+from superconf.expr import (Bin, Call, Curve, CurveExpr, Lit, Neg, Pow, Var,
+                            _guard, const_node)
+from superconf.jets import ComplexJet, Jet2, row_failures
 
 Z, U, V = sp.symbols("z u v")
 REL_TOL = 1e-12
@@ -244,3 +245,133 @@ def test_jet2_batch_functions_are_pointwise(op):
     for k in range(slots.shape[1]):
         point = jet_fn(Jet2(*slots[:, k:k + 1])).slots
         assert [bits(b[k]) for b in batch] == [bits(p[0]) for p in point]
+
+
+# ----- the shared evaluator against the per-occurrence one -----
+
+def per_occurrence_node(node, zjet, src, z):
+    """Oracle: the evaluator that computes every occurrence of a
+    sub-expression anew, each sin, cos, sinh and cosh from both functions of
+    its base."""
+    if isinstance(node, Lit):
+        return ComplexJet.constant(complex(node.re, node.im))
+    if isinstance(node, Var):
+        return zjet
+    if isinstance(node, Neg):
+        return -per_occurrence_node(node.x, zjet, src, z)
+    if isinstance(node, Bin):
+        a = per_occurrence_node(node.a, zjet, src, z)
+        b = per_occurrence_node(node.b, zjet, src, z)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        return _guard(node, src, z, lambda: a / b)
+    if isinstance(node, Pow):
+        base = per_occurrence_node(node.base, zjet, src, z)
+        return _guard(node, src, z, lambda: base ** node.exponent)
+    if isinstance(node, Call):
+        arg = per_occurrence_node(node.arg, zjet, src, z)
+        return _guard(node, src, z, lambda: getattr(arg, node.fn)())
+    raise TypeError(node)
+
+
+def per_occurrence_jets(curve_expr, z):
+    zj = ComplexJet.variable(z)
+    z = zj.c0.z
+    return [per_occurrence_node(c, zj, curve_expr.source, z).batched(z.size)
+            for c in curve_expr.ast.components]
+
+
+def evaluated(evaluate, points):
+    """The bytes of every slot of every component over the points, evaluated
+    inside a sink, with the sink's counts and its first error."""
+    with row_failures(len(points)) as failed:
+        jets = evaluate(np.array(points, complex))
+    first = None
+    try:
+        failed.raise_unless()
+    except EvaluationError as e:
+        first = (str(e), e.reason, e.where, e.z)
+    slots = [(c.real.tobytes(), c.imag.tobytes())
+             for j in jets for c in j.coeffs]
+    return slots, failed.counts(), first
+
+
+def assert_shared_is_per_occurrence(curve_expr, points):
+    """The shared evaluator gives the oracle's bits in every slot, its
+    failure counts and its first error; returns the counts."""
+    got = evaluated(curve_expr.eval_jets, points)
+    want = evaluated(lambda z: per_occurrence_jets(curve_expr, z), points)
+    assert got == want
+    return got[1]
+
+
+# a failing sub-expression that occurs more than once, spelled differently
+# at its first occurrence, so the error must name that spelling
+REPEATED_FAILURES = (
+    "(1/ z + 1/z, sin(1/z)*cos(1/z), 0, 0)",
+    "(log( z )*log(z), sqrt(z)/sqrt(z), cosh(log(z)), sinh(log(z)))",
+    "(z^-2 - z^-2, (z - 1)^-1 + 1/(z - 1), 1/log(z + 2), log(z + 2))",
+)
+FAILURE_POINTS = [0j, 1 + 0j, -1 + 0j, -2 + 0j, -3 + 0j, 0.5 + 0.5j,
+                  -0.5 - 1e-14j, 2 - 1j]
+
+
+def test_shared_evaluator_is_per_occurrence_on_the_goldens():
+    curves = GOLDEN_EXPRESSIONS + COMPOSITE_CURVES
+    counts = [assert_shared_is_per_occurrence(CurveExpr.parse(text),
+                                              golden_points())
+              for text in curves]
+    # the five goldens with a pole at z = 0
+    assert sum(c.get("EvaluationError", 0) for c in counts) == 5
+
+
+def test_shared_evaluator_names_the_first_occurrence():
+    for text in REPEATED_FAILURES:
+        curve = CurveExpr.parse(text)
+        assert assert_shared_is_per_occurrence(curve, FAILURE_POINTS)
+    _, _, first = evaluated(CurveExpr.parse(REPEATED_FAILURES[0]).eval_jets,
+                            FAILURE_POINTS)
+    assert first[1:4] == ("pole", "1/ z", 0j)
+
+
+@pytest.mark.parametrize("name", PAIR_ENTRIES)
+def test_shared_evaluator_is_per_occurrence_on_catalog_curves(name):
+    curve = catalog.get(name).pair.curve
+    points = domain_points(curve.domain)
+    assert_shared_is_per_occurrence(curve.expr, points)
+    for theta in (0.3, np.pi / 8, 2.0):
+        family = associated_family(catalog.get(name).pair, theta)
+        assert_shared_is_per_occurrence(family.curve.expr, points)
+    for center in (np.zeros(4), (0.5, -1j, 0.25 + 2j, 0)):
+        inverted = transformed_curve(curve, 1.5, center)
+        assert_shared_is_per_occurrence(inverted.expr, points)
+
+
+def test_shared_evaluator_counts_the_transformed_poles():
+    # <<G, G>> = 1 - z^2 of the catenoid pair vanishes at z = +-1
+    curve = transformed_curve(catalog.get("catenoid-helicoid").pair.curve,
+                              1.0, np.zeros(4))
+    counts = assert_shared_is_per_occurrence(
+        curve.expr, [1 + 0j, 0.3 + 0.2j, -1 + 0j, 0.5j])
+    assert counts == {"EvaluationError": 2}
+
+
+def test_shared_evaluator_keeps_signed_zero_constants():
+    # 0.0 and -0.0 are equal as floats and as Lit nodes, but not as literals
+    # of a curve: -0.0 * z and 0.0 * z differ in the signs of their zeros
+    z = Var()
+    neg, pos = const_node(-0.0), const_node(0.0)
+    assert neg == pos
+    comps = (Bin("*", neg, z), Bin("*", pos, z), Bin("-", neg, pos),
+             Bin("+", Bin("*", pos, z), Bin("*", neg, z)))
+    curve = CurveExpr(Curve(comps))
+    points = [1 + 1j, 2 + 0.5j, -0.0 + 0j, 0.0 - 0.0j]
+    assert_shared_is_per_occurrence(curve, points)
+    jets = curve.eval_jets(np.array(points[:2]))
+    assert np.signbit(jets[0].c0.real).all()
+    assert not np.signbit(jets[1].c0.real).any()
+    assert np.signbit(jets[2].c0.real).all()
