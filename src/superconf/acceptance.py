@@ -11,7 +11,6 @@ mismatch.  See the test suite for the same checks run under pytest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -348,9 +347,9 @@ def criterion_10() -> CriterionResult:
                   for xi in (fd.n1, fd.n2))
 
     entry = catalog.get("h4-flat-torus")
-    lorentz = partial(Ambient("hyperbolic").dot, keepdims=True)
+    lorentz = Ambient("hyperbolic").dot
     smp = entry.sample(np.array([0.7, 2.1]), np.array([1.3, 0.4]))
-    [n] = _normal_parts([np.eye(5)[0]], *smp.first_partials(), lorentz)
+    [n] = _normal_parts([np.eye(5)[:, :1]], smp.du, smp.dv, lorentz)
     n = n / np.sqrt(lorentz(n, n))
     worst_l = max(float(normal_transform_check(smp, n, Inversion(
         center=center, radius=1.0, signature="lorentzian"))["max"].max())

@@ -90,10 +90,15 @@ def _whitney_graph_sample(pair_curve):
     return sample
 
 
+def _cos_sin(x):
+    """(cos x, sin x) of a jet, both from one pair of base values."""
+    pair = {}
+    return x.paired("cos", pair, None), x.paired("sin", pair, None)
+
+
 def _angles(u, v):
     """(cos u, sin u, cos v, sin v) as jets in the chart (u, v)."""
-    u, v = Jet2.coordinate_u(u), Jet2.coordinate_v(v)
-    return u.cos(), u.sin(), v.cos(), v.sin()
+    return (*_cos_sin(Jet2.coordinate_u(u)), *_cos_sin(Jet2.coordinate_v(v)))
 
 
 def _torus_surface(u, v):
@@ -130,8 +135,8 @@ def _h4_torus_surface(u, v):
 
 def _veronese_xyz(u, v):
     th, ph = Jet2.coordinate_u(u), Jet2.coordinate_v(v)
-    sp, cp = ph.sin(), ph.cos()
-    ct, st = th.cos(), th.sin()
+    cp, sp = _cos_sin(ph)
+    ct, st = _cos_sin(th)
     x = SQRT3 * sp * ct
     y = SQRT3 * sp * st
     z = SQRT3 * cp
@@ -153,8 +158,8 @@ def veronese_immersion(u, v):
 
 def _veronese_frames(u, v):
     th, ph = Jet2.coordinate_u(u), Jet2.coordinate_v(v)
-    s2t, c2t = (2.0 * th).sin(), (2.0 * th).cos()
-    ct, st = th.cos(), th.sin()
+    c2t, s2t = _cos_sin(2.0 * th)
+    ct, st = _cos_sin(th)
     zero = Jet2.constant(0.0)
     X1 = [s2t, zero, zero, c2t]
     X2 = [zero, ct, st, zero]
@@ -165,7 +170,7 @@ def _veronese_frames(u, v):
 
 def veronese_g(u, v):
     ph, X1, X2, _, _ = _veronese_frames(u, v)
-    sp, cp = ph.sin(), ph.cos()
+    cp, sp = _cos_sin(ph)
     f = 2.0 / (SQRT3 * sp * sp)
     w1 = 1.0 + cp * cp
     w2 = 2.0 * sp * cp
@@ -174,7 +179,7 @@ def veronese_g(u, v):
 
 def veronese_h(u, v):
     ph, _, _, X3, X4 = _veronese_frames(u, v)
-    sp, cp = ph.sin(), ph.cos()
+    cp, sp = _cos_sin(ph)
     f = 4.0 / (SQRT3 * sp * sp)
     return Jet2.stack([f * (cp * a - sp * b) for a, b in zip(X3, X4)])
 

@@ -32,7 +32,7 @@ from .errors import (FrameDegenerateError, FrameUndefinedError,
                      PreconditionError)
 from .geometry import (CIRCULAR_TOL, REGULARITY_FLOOR, FundamentalData,
                        _blas_dot, _col, _ellipse_axes, _is_circular, _largest,
-                       _normal_parts, _pypow, _rank_deficient, _sqrt0,
+                       _normal_parts, _pypow, _rank_deficient, _rows, _sqrt0,
                        adapted_frame, fundamental_data)
 from .jets import DIV_FLOOR, Jet2, fail_rows
 from .minimal import MinimalPair
@@ -239,20 +239,19 @@ def phi_value(g_sample: Jet2, h_sample: Jet2, sign) -> np.ndarray:
     fd = fundamental_data(g_sample)
     fail_rows(~fd.regular, _rank_deficient(fd))
     gu, gv = fd.Xu, fd.Xv
-    w = _col(np.sqrt(fd.det1))
+    w = np.sqrt(fd.det1)
     # W gu / |W| and W gv / |W|: the quarter turns of the coordinate fields
-    ju = (_col(fd.F) * gu - _col(fd.E) * gv) / w
-    jv = (_col(fd.G) * gu - _col(fd.F) * gv) / w
-    hu, hv = h_sample.first_partials()
-    standard = _vec_norm(hu - ju) + _vec_norm(hv - jv)
-    mirrored = _vec_norm(hu + ju) + _vec_norm(hv + jv)
-    orient = _col(np.where(standard <= mirrored, 1.0, -1.0))
+    ju = (fd.F * gu - fd.E * gv) / w
+    jv = (fd.G * gu - fd.F * gv) / w
+    hu, hv = h_sample.du, h_sample.dv
+    standard = _vec_norm(_rows(hu - ju)) + _vec_norm(_rows(hv - jv))
+    mirrored = _vec_norm(_rows(hu + ju)) + _vec_norm(_rows(hv + jv))
+    orient = np.where(standard <= mirrored, 1.0, -1.0)
     # as vector jets with vanishing derivatives, so that each value takes
     # the operations it takes in _assemble
-    tw, nw = (t.values() for t in _jhat_parts(*(
-        Jet2(x.T, *[np.zeros((4, 1))] * 5)
-        for x in (gu, gv, h_sample.values()))))
-    return g_sample.values() + (orient * tw + s * nw) / w
+    tw, nw = (t.v for t in _jhat_parts(*(
+        Jet2(x, *[np.zeros((4, 1))] * 5) for x in (gu, gv, h_sample.v))))
+    return _rows(g_sample.v + (orient * tw + s * nw) / w)
 
 
 @dataclass(frozen=True)
@@ -304,7 +303,7 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
         xi = -hN / _col(a * r)
     fallback = a <= A_FLOOR
     if np.any(fallback):
-        xi = np.where(_col(fallback), ctx.fd_g.n1, xi)
+        xi = np.where(_col(fallback), _rows(ctx.fd_g.n1), xi)
     zeta_c = _col(-grad_v) * gu + _col(grad_u) * gv + _col(a) * xi
     conformal_ok = a >= CONFORMAL_A_FLOOR
 
@@ -313,9 +312,9 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
         fd = fundamental_data(ps.phi)
         fr = adapted_frame(fd)
         mu[ps.sign] = fr.mu
-        lam2 = _blas_dot(fd.H, fd.H)
-        center[ps.sign] = _vec_norm(ps.phi.values() + fd.H / _col(lam2)
-                                    - g_val)
+        H = _rows(fd.H)
+        lam2 = _blas_dot(H, H)
+        center[ps.sign] = _vec_norm(ps.phi.values() + H / _col(lam2) - g_val)
         forms[ps.sign] = (fd.E, fd.F, fd.G)
         rho = _pypow(r * fr.mu / np.where(conformal_ok, a, 1.0), 2)
         conformal[ps.sign] = np.where(conformal_ok, _largest(
@@ -323,7 +322,7 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
             abs(ctx.G.v - rho * fd.G)), np.nan)[()]
         tangency[ps.sign] = _largest(
             *(abs(_blas_dot(zeta_c, w)) / _vec_norm(w)
-              for w in (fd.Xu, fd.Xv, fd.H)))
+              for w in (*ps.phi.first_partials(), H)))
     metric = None
     if len(built) == 2:
         m_plus, m_minus = _pypow(mu["+"], 2), _pypow(mu["-"], 2)
@@ -395,7 +394,7 @@ def extract_minimal_pair(sample: Jet2) -> ExtractedPair:
               lambda k: FrameUndefinedError(
                   f"extraction needs ||H|| and mu above floor, got "
                   f"{lam[k]:.3e}, {mu[k]:.3e}"))
-    g = sample.values() + fd.H / _col(lam * lam)
-    h = -fr.zeta_oriented / _col(lam)
+    g = _rows(fd.position + fd.H / (lam * lam))
+    h = _rows(-fr.zeta_oriented / lam)
     return ExtractedPair(g=g, h=h, lam=lam, mu=mu,
                          zeta_orientation=fr.ambient_det)

@@ -181,6 +181,11 @@ class _Parser:
         self.pos += 1
         return t
 
+    def end(self):
+        """The offset just past the last consumed token, the end of a span."""
+        t = self.toks[self.pos - 1]
+        return t.start + len(t.text)
+
     def fail(self, message, tok=None, expected=()):
         tok = tok or self.peek()
         raise ExpressionError(message, tok.line, tok.col, expected)
@@ -214,7 +219,7 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
             rhs = self.parse_term()
-            span = (node.span[0], rhs.span[1]) if node.span and rhs.span else None
+            span = (node.span[0], self.end()) if node.span and rhs.span else None
             node = Bin(op, node, rhs, span=span)
         return node
 
@@ -223,7 +228,7 @@ class _Parser:
         while self.peek().kind in ("*", "/"):
             op = self.advance().kind
             rhs = self.parse_unary()
-            span = (node.span[0], rhs.span[1]) if node.span and rhs.span else None
+            span = (node.span[0], self.end()) if node.span and rhs.span else None
             node = Bin(op, node, rhs, span=span)
         return node
 
@@ -231,7 +236,7 @@ class _Parser:
         if self.peek().kind == "-":
             t = self.advance()
             x = self.parse_unary()
-            span = (t.start, x.span[1]) if x.span else None
+            span = (t.start, self.end()) if x.span else None
             return Neg(x, span=span)
         return self.parse_power()
 
@@ -248,7 +253,7 @@ class _Parser:
                 self.fail("exponent must be an integer literal",
                           expected=("integer exponent",))
             self.advance()
-            span = (node.span[0], t.start + len(t.text)) if node.span else None
+            span = (node.span[0], self.end()) if node.span else None
             node = Pow(node, sign * int(t.value), span=span)
         return node
 

@@ -2,8 +2,11 @@
 
 Input is a vector Jet2 sample (jets.Jet2.stack) of 4 components (ambient
 R4) or 5 components with a space-form flag (round sphere in R5, hyperbolic
-space in L5 with the (+,+,+,+,-) product); its slots are read as (n, dim)
-arrays, one row per point of the batch.
+space in L5 with the (+,+,+,+,-) product).  The kernel computes on the
+sample's own (dim, n) slots, component axis first and batch axis last, and
+every vector field it returns has that layout.  An inner product sums the
+component rows of a product in order from 0.0, 0.0 + p[0] + p[1] + ...,
+which rounds as a sum along a trailing axis of fewer than 8 entries.
 Outputs: fundamental forms, curvature invariants, the ellipse of curvature,
 and the adapted tangent/normal frame in which both shape operators take their
 normal form.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -79,19 +82,21 @@ class Ambient:
             return -self.radius * np.eye(5)[4]
         return np.zeros(4)
 
-    def dot(self, a, b, keepdims=False):
-        """The inner product of two vectors, or of every row of two batches:
-        np.sum's own reduction along the component axis without its dispatch
-        (a @ b rounds otherwise); R4's all-ones signature is skipped."""
-        if self.kind != "r4":
-            a = _SIGNATURES[self.kind] * a
-        return np.add.reduce(a * b, axis=-1, keepdims=keepdims)
+    def dot(self, a, b):
+        """The inner product of two vectors, or of every column of two
+        batches whose leading axis is the component axis: the products
+        summed over that axis in component order from 0.0 (a @ b rounds
+        otherwise); R4's all-ones signature is skipped."""
+        if self.kind != "r4":    # the signature along the leading axis
+            a = (_SIGNATURES[self.kind] * a.T).T
+        return np.add.reduce(a * b, 0, initial=0.0)
 
     def on_manifold_residual(self, x):
-        """Zero when x lies on the space form; position-norm residual."""
+        """Zero where the points of x, a (dim, n) batch, lie on the space
+        form; position-norm residual."""
         if self.kind == "r4":
             return 0.0
-        d = np.asarray(x) - self.center_vec()
+        d = np.asarray(x) - self.center_vec()[:, None]
         q = self.dot(d, d)
         target = self.radius ** 2 if self.kind == "sphere" else -self.radius ** 2
         return abs(q - target)
@@ -164,8 +169,8 @@ def _normal_parts(ws, Xu, Xv, dot, gram=None):
     """Each w of ws minus its projection onto span{Xu, Xv} under the inner
     product dot; the Gram system is solved in closed form, so entries may be
     vector Jet2 (scaled vector first, as its components would be), or
-    batches with a dot that keeps the reduced axis.  gram, if given, is
-    (E, F, G, EG - F^2) of Xu, Xv already computed."""
+    arrays with a dot whose result broadcasts against them.  gram, if
+    given, is (E, F, G, EG - F^2) of Xu, Xv already computed."""
     if gram is None:
         E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
         gram = E, F, G, E * G - F * F
@@ -211,15 +216,21 @@ def _sqrt0(x):
 
 
 def _blas_dot(a, b):
-    """a @ b for every row of two (n, dim) batches of vectors: the BLAS dot
-    numpy uses for one pair, which rounds differently from a sum along the
-    component axis."""
+    """a @ b for every row of two (n, dim) C-contiguous batches of vectors:
+    the BLAS dot numpy uses for one pair, which rounds differently from a
+    sum along the component axis."""
     n = a.shape[-1]
     return np.matmul(a[:, None, :], b.reshape(-1, n, 1))[:, 0, 0]
 
 
+def _rows(x):
+    """A (dim, n) batch of vectors as C-contiguous (n, dim) rows, for
+    _blas_dot and for results given as rows."""
+    return np.ascontiguousarray(x.T)
+
+
 def _col(x):
-    """A batch of numbers as a column, to scale vectors by."""
+    """A batch of numbers as a column, to scale (n, dim) rows by."""
     return np.asarray(x)[..., None]
 
 
@@ -235,10 +246,11 @@ def fundamental_data(sample, ambient=R4):
     """First/second fundamental data, curvatures, and the deterministic normal
     frame of a surface sample.
 
-    Every field has the leading batch axis of the sample's jets; .regular
-    marks the rows whose first form is nondegenerate, and the other rows
-    hold meaningless values, computed without numpy's floating-point
-    warnings (_rank_deficient gives the error such a row stands for)."""
+    Every vector field is (dim, n), the layout of the sample's slots, and
+    every number field (n,); .regular marks the points whose first form is
+    nondegenerate, and the other points hold meaningless values, computed
+    without numpy's floating-point warnings (_rank_deficient gives the
+    error such a point stands for)."""
     if not isinstance(sample, Jet2) or np.ndim(sample.v) != 2:
         raise TypeError("fundamental_data wants a vector Jet2 sample")
     if len(sample.v) != ambient.dim:
@@ -246,30 +258,28 @@ def fundamental_data(sample, ambient=R4):
             f"sample has {len(sample.v)} components, ambient wants "
             f"{ambient.dim}")
     # a slot that is constant in every component broadcasts over the batch
-    x, Xu, Xv, Xuu, Xuv, Xvv = np.broadcast_arrays(
-        sample.values(), *sample.first_partials(), *sample.second_partials())
-    dot = partial(ambient.dot, keepdims=True)
+    x, Xu, Xv, Xuu, Xuv, Xvv = np.broadcast_arrays(*sample.slots)
+    dot = ambient.dot
     E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
     det1 = E * G - F * F
-    scale = np.abs(np.concatenate((Xu, Xv), axis=-1)).max(axis=-1)
-    singular = det1[:, 0] <= REGULARITY_FLOOR * _pypow(
-        np.maximum(scale, 1e-150), 4)
+    scale = np.abs(np.concatenate((Xu, Xv))).max(axis=0)
+    singular = det1 <= REGULARITY_FLOOR * _pypow(np.maximum(scale, 1e-150), 4)
 
     # the second partials and the ambient basis vectors, stacked on a
-    # second axis, (n, 3 + dim, dim), are projected in one pass
-    dim = ambient.dim
-    ws = np.empty((len(x), 3 + dim, dim))
-    ws[:, 0], ws[:, 1], ws[:, 2], ws[:, 3:] = Xuu, Xuv, Xvv, np.eye(dim)
+    # second axis, (dim, 3 + dim, n), are projected in one pass
+    dim, n = x.shape
+    ws = np.empty((dim, 3 + dim, n))
+    ws[:, 0], ws[:, 1], ws[:, 2] = Xuu, Xuv, Xvv
+    ws[:, 3:] = np.eye(dim)[..., None]
     [normal] = _normal_parts([ws], Xu[:, None], Xv[:, None], dot,
-                             [m[..., None] for m in (E, F, G, det1)])
+                             (E, F, G, det1))
     B, P = normal[:, :3], normal[:, 3:]
     radial = None
     if ambient.kind != "r4":
-        radial = (x - ambient.center_vec()) / ambient.radius
+        radial = (x - ambient.center_vec()[:, None]) / ambient.radius
         R = radial[:, None]
         s = 1.0 if ambient.kind == "sphere" else -1.0
-        EFG = np.concatenate((E, F, G), axis=1)[..., None]
-        B = B + s * EFG * R / ambient.radius
+        B = B + s * np.array((E, F, G)) * R / ambient.radius
     Buu, Buv, Bvv = B[:, 0], B[:, 1], B[:, 2]
 
     Y1 = Xu / np.sqrt(E)
@@ -285,56 +295,54 @@ def fundamental_data(sample, ambient=R4):
     lam = _sqrt0(dot(H, H))
     K = ambient.curvature + dot(alpha11, alpha22) - dot(alpha12, alpha12)
 
-    # deterministic normal frame from projected ambient basis vectors
+    # deterministic normal frame from projected ambient basis vectors, the
+    # columns of P
     if radial is not None:
         P = P - (dot(P, R) / dot(R, R)) * R
-    norms = _sqrt0(dot(P, P))[..., 0]
-    rows = np.arange(len(P))
+    norms = _sqrt0(dot(P, P))
+    at = np.arange(n)
     # stable: ties go to the lower index
-    order = np.argsort(-norms, axis=-1, kind="stable")
-    i1 = np.minimum(order[:, 0], order[:, 1])
-    n1 = P[rows, i1] / norms[rows, i1, None]
+    order = np.argsort(-norms, axis=0, kind="stable")
+    i1 = np.minimum(order[0], order[1])
+    n1 = P[:, i1, at] / norms[i1, at]
     # where the two largest projections are parallel, the next largest one
     # supplies the second normal; if none is independent, the last one does
     pending = None
     for j in range(1, dim):
-        k = np.maximum(order[:, 0], order[:, 1]) if j == 1 else order[:, j]
-        pk = P[rows, k]
+        k = np.maximum(order[0], order[1]) if j == 1 else order[j]
+        pk = P[:, k, at]
         p2 = pk - (dot(pk, n1) / dot(n1, n1)) * n1
         len2 = _sqrt0(dot(p2, p2))
-        found = len2[:, 0] > FRAME_FLOOR * norms[rows, k]
+        found = len2 > FRAME_FLOOR * norms[k, at]
         if j + 1 < dim and not found.all():
             # only rows that keep this candidate divide by its length
-            len2 = np.where(found[:, None], len2, 1.0)
+            len2 = np.where(found, len2, 1.0)
         if pending is None:
             n2, pending = p2 / len2, ~found
         else:
-            n2 = np.where(pending[:, None], p2 / len2, n2)
+            n2 = np.where(pending, p2 / len2, n2)
             pending = pending & ~found
         if not pending.any():
             break
+    # the (n, dim, dim) matrices whose columns are the frame's vectors
     cols = [Y1, Y2, n1, n2] + ([radial] if radial is not None else [])
-    frame = np.empty((len(x), dim, dim))
-    for j, col in enumerate(cols):
-        frame[:, :, j] = col
-    flip = np.linalg.det(frame) < 0
-    n2 = np.where(flip[:, None], -n2, n2)
+    flip = np.linalg.det(np.stack(cols).T) < 0
+    n2 = np.where(flip, -n2, n2)
 
-    # shape operators of n1 and n2: entries (alpha11, alpha12, alpha22) . n
-    alphas = np.concatenate((alpha11[:, None], alpha12[:, None],
-                             alpha22[:, None]), axis=1)[:, None]
-    c = dot(alphas, np.concatenate((n1[:, None, None], n2[:, None, None]),
-                                   axis=1))[..., 0]
-    A = c[..., [0, 1, 1, 2]].reshape(-1, 2, 2, 2)
+    # shape operators of n1 and n2, entries (alpha11, alpha12, alpha12,
+    # alpha22) . n, as (n, 2, 2, 2) C-contiguous matrices for the products
+    alphas = np.stack((alpha11, alpha12, alpha12, alpha22), axis=1)[:, None]
+    c = dot(alphas, np.stack((n1, n2), axis=1)[:, :, None])
+    A = np.ascontiguousarray(np.moveaxis(c, -1, 0)).reshape(-1, 2, 2, 2)
     A1, A2 = A[:, 0], A[:, 1]
     K_N = (A1 @ A2 - A2 @ A1)[:, 1, 0]
 
     return FundamentalData(
-        ambient=ambient, E=E[:, 0], F=F[:, 0], G=G[:, 0], det1=det1[:, 0],
+        ambient=ambient, E=E, F=F, G=G, det1=det1,
         scale=scale, Xu=Xu, Xv=Xv, Y1=Y1, Y2=Y2, n1=n1, n2=n2,
         Buu=Buu, Buv=Buv, Bvv=Bvv,
         alpha11=alpha11, alpha12=alpha12, alpha22=alpha22,
-        H=H, lam=lam[:, 0], K=K[:, 0], K_N=K_N, position=x,
+        H=H, lam=lam, K=K, K_N=K_N, position=x,
         regular=~singular)
 
 
@@ -354,9 +362,9 @@ def shape_matrix(fd, nu):
 
 
 def _coord_shape(Xu, Xv, seconds, nu, dot):
-    """Shape operator of the normal nu on the coordinate basis, per row,
-    from the first and the (uu, uv, vv) second partials under the inner
-    product dot, which reduces along the component axis."""
+    """Shape operator of the normal nu on the coordinate basis, per point,
+    from the first and the (uu, uv, vv) second partials, (dim, n) each,
+    under the inner product dot, which reduces along the component axis."""
     E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
     fail_rows(~(E * G - F * F > 1e-12 * np.maximum(abs(E * G), 1e-300)),
               lambda k: SingularSampleError(
@@ -373,7 +381,7 @@ def _ellipse_axes(fd):
     d = 0.5 * (fd.alpha11 - fd.alpha22)
     m = fd.alpha12
     # the norms of d, m, alpha11, alpha22 and alpha12 in one pass
-    five = np.array([d, m, fd.alpha11, fd.alpha22, fd.alpha12])
+    five = np.stack((d, m, fd.alpha11, fd.alpha22, fd.alpha12), axis=1)
     norms = _sqrt0(dot(five, five))
     len_d, len_m = 2.0 * norms[0], 2.0 * norms[1]
     amax = norms[2:].max(axis=0)
@@ -402,7 +410,7 @@ def ellipse_descriptor(fd):
         sv = np.linalg.svd(np.where(finite[:, None, None], gen, 0.0),
                            compute_uv=False)
         sv[~finite] = np.nan
-    semi_major, semi_minor = sv.reshape(d.shape[:-1] + (2,)).T
+    semi_major, semi_minor = sv.T
     return EllipseDescriptor(
         center=fd.H, semi_major=semi_major, semi_minor=semi_minor,
         res_orth=res_orth, res_len=res_len,
@@ -452,9 +460,9 @@ def adapted_frame(fd):
     lam = fd.lam
     fail_rows(lam <= floor, lambda k: FrameUndefinedError(
         f"adapted frame undefined at a minimal point (|H| = {lam[k]:.3e})"))
-    eta = fd.H / _col(lam)
+    eta = fd.H / lam
     c1, c2 = dot(eta, fd.n1), dot(eta, fd.n2)
-    zeta0 = -_col(c2) * fd.n1 + _col(c1) * fd.n2
+    zeta0 = -c2 * fd.n1 + c1 * fd.n2
 
     A_eta = shape_matrix(fd, eta)
     x = 0.5 * (A_eta[..., 0, 0] - A_eta[..., 1, 1])
@@ -471,13 +479,12 @@ def adapted_frame(fd):
     R = np.stack((np.stack((ct, -st), -1), np.stack((st, ct), -1)), -2)
     Rt = np.swapaxes(R, -1, -2)
     Ae = Rt @ A_eta @ R
-    ct, st = _col(ct), _col(st)
     Y1 = ct * fd.Y1 + st * fd.Y2
     Y2 = -st * fd.Y1 + ct * fd.Y2
 
     A_z0 = Rt @ shape_matrix(fd, zeta0) @ R
     flip = np.logical_not(A_z0[..., 0, 0] >= 0)
-    zeta = np.where(_col(flip), -zeta0, zeta0)
+    zeta = np.where(flip, -zeta0, zeta0)
     A_z = np.where(flip[..., None, None], -A_z0, A_z0)
 
     off, a_z = Ae[..., 0, 1], A_z[..., 0, 0]
@@ -494,9 +501,10 @@ def adapted_frame(fd):
     mu_adapted = 0.5 * (off + a_z)
     cols = [Y1, Y2, eta, zeta]
     if fd.ambient.kind != "r4":
-        cols.append((fd.position - fd.ambient.center_vec()) / fd.ambient.radius)
-    ambient_det = np.sign(np.linalg.det(np.stack(cols, axis=-1)))
+        cols.append((fd.position - fd.ambient.center_vec()[:, None])
+                    / fd.ambient.radius)
+    ambient_det = np.sign(np.linalg.det(np.stack(cols).T))
     return AdaptedFrame(
         Y1=Y1, Y2=Y2, eta=eta, zeta=zeta, lam=lam, mu=mu_adapted,
         A_eta=Ae, A_zeta=A_z, sffa_residual=sffa_residual,
-        ambient_det=ambient_det, zeta_oriented=_col(ambient_det) * zeta)
+        ambient_det=ambient_det, zeta_oriented=ambient_det * zeta)

@@ -620,20 +620,13 @@ class Jet2(_Jet):
         return Jet2(*(x * factors for x in self.slots))
 
     def values(self):
-        """The value slot of a vector jet as an (n, dim) C-contiguous array,
-        so that a reduction along the component axis sums in the same order
-        at every row."""
+        """The value slot of a vector jet as (n, dim) C-contiguous rows, the
+        layout of BLAS inputs and of results given per point."""
         return np.ascontiguousarray(self.v.T)
 
     def first_partials(self):
         """The du and dv slots of a vector jet, (n, dim) each, as values()."""
         return np.ascontiguousarray(self.du.T), np.ascontiguousarray(self.dv.T)
-
-    def second_partials(self):
-        """The duu, duv and dvv slots of a vector jet, (n, dim) each, as
-        values()."""
-        return tuple(np.ascontiguousarray(x.T)
-                     for x in (self.duu, self.duv, self.dvv))
 
 
 def _re_part(w0, w1, w2):

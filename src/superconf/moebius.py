@@ -38,7 +38,8 @@ from .errors import (DualitySingularError, FrameUndefinedError,
                      PreconditionError, ProjectionError, SingularSampleError)
 from .expr import Bin, Curve, CurveExpr, Pow, const_node
 from .geometry import (R4, Ambient, _blas_dot, _col, _coord_shape, _largest,
-                       _normal_parts, ellipse_descriptor, fundamental_data)
+                       _normal_parts, _rows, ellipse_descriptor,
+                       fundamental_data)
 from .jets import (Jet2, _im_part, _re_part, fail_rows, graph_surface,
                    row_failures)
 from .minimal import HolomorphicCurve
@@ -108,8 +109,10 @@ class Inversion:
         return 1.0 if self.signature == "euclidean" else -1.0
 
 
-def _check_denominator(q, d_values):
-    scale = np.sum(np.asarray(d_values) ** 2, axis=-1)
+def _check_denominator(q, d):
+    """Fail the points where q = <d, d>, d a (dim, n) batch, is at its
+    floor relative to the euclidean square of d."""
+    scale = R4.dot(d, d)
     fail_rows(abs(q) <= INV_FLOOR * np.maximum(scale, 1e-300),
               lambda k: InversionSingularError(
                   f"point lies on the singular set of the inversion "
@@ -117,9 +120,9 @@ def _check_denominator(q, d_values):
 
 
 def _dot(inv):
-    """The inner product of the inversion's signature along the component
-    axis: R4's, whose all-ones signature fits any dimension, or the
-    hyperbolic space's."""
+    """The inner product of the inversion's signature along the leading
+    component axis: R4's, whose all-ones signature fits any dimension, or
+    the hyperbolic space's."""
     return R4.dot if inv.signature == "euclidean" else _HYPERBOLIC.dot
 
 
@@ -146,18 +149,18 @@ def invert(x, inv):
         center = Jet2.stack(inv.center)
         d = x - center
         q = d.dot(d, signature=inv.sig())
-        _check_denominator(q.v, d.values())
+        _check_denominator(q.v, d.v)
         return center + d * ((inv.orientation * inv.radius ** 2) / q)
     x = _points(x, inv.dim, "point and inversion dimensions disagree")
     d = x - inv.center
-    q = _dot(inv)(d, d)
-    _check_denominator(q, d)
+    q = _dot(inv)(d.T, d.T)
+    _check_denominator(q, d.T)
     return inv.center + _col(inv.orientation * inv.radius ** 2 / q) * d
 
 
 def normal_transform_check(sample, xi, inv):
     """How a unit normal and its shape operator move through an inversion,
-    at every row of a sample, with xi (n, dim) the normals at the rows.
+    at every point of a sample, with xi (dim, n) the normals there.
 
     The reflected normal xi - 2 <xi, x - c> (x - c) / <x - c, x - c> must be
     a unit normal of the inverted sample ("unit", "normal" residuals), and
@@ -166,33 +169,33 @@ def normal_transform_check(sample, xi, inv):
     orientation ("shape" residual, max entry).  Returns the dict of the
     residuals per row, with their "max".  A row with a tangential or
     non-unit xi fails with PreconditionError (jets.fail_rows)."""
-    x = sample.values()
+    x = sample.v
     xi = np.asarray(xi, dtype=float)
     if len(sample.v) != inv.dim or xi.shape != x.shape:
         raise PreconditionError(
             "sample, normal, and inversion dimensions disagree")
     dot = _dot(inv)
 
-    Xu, Xv = sample.first_partials()
+    Xu, Xv = sample.du, sample.dv
     xx = dot(xi, xi)
     fail_rows(abs(xx - 1.0) > 1e-8, lambda k: PreconditionError(
         f"xi must be a unit spacelike vector; <xi, xi> = {xx[k]:.6f}"))
-    tang = np.maximum(abs(dot(xi, Xu)) / _vec_norm(Xu),
-                      abs(dot(xi, Xv)) / _vec_norm(Xv))
+    tang = np.maximum(abs(dot(xi, Xu)) / _vec_norm(_rows(Xu)),
+                      abs(dot(xi, Xv)) / _vec_norm(_rows(Xv)))
     fail_rows(tang > 1e-6, lambda k: PreconditionError(
         f"xi is not normal to the sample (tangential part {tang[k]:.3e})"))
 
-    d = x - inv.center
+    d = x - inv.center[:, None]
     q = dot(d, d)
     _check_denominator(q, d)
-    pxi = xi - _col(2.0 * dot(xi, d) / q) * d
+    pxi = xi - (2.0 * dot(xi, d) / q) * d
     image = invert(sample, inv)
-    iu, iv = image.first_partials()
+    iu, iv = image.du, image.dv
     res_unit = abs(dot(pxi, pxi) - 1.0)
-    res_normal = np.maximum(abs(dot(pxi, iu)) / _vec_norm(iu),
-                            abs(dot(pxi, iv)) / _vec_norm(iv))
-    A = _coord_shape(Xu, Xv, sample.second_partials(), xi, dot)
-    A_img = _coord_shape(iu, iv, image.second_partials(), pxi, dot)
+    res_normal = np.maximum(abs(dot(pxi, iu)) / _vec_norm(_rows(iu)),
+                            abs(dot(pxi, iv)) / _vec_norm(_rows(iv)))
+    A = _coord_shape(Xu, Xv, sample.slots[3:], xi, dot)
+    A_img = _coord_shape(iu, iv, image.slots[3:], pxi, dot)
     rhs = (q[:, None, None] * A
            + (2.0 * dot(d, xi))[:, None, None] * np.eye(2)) / (
         inv.orientation * inv.radius ** 2)
@@ -497,7 +500,8 @@ def degenerate_collapse_check(pair, points):
     fd = built[0].ctx.fd_g
     fail_rows(~fd.regular, lambda k: SingularSampleError(
         "g is singular at a sample point"))
-    [gN] = _normal_parts([built[0].ctx.sample.g.values()], fd.Xu, fd.Xv,
+    g = built[0].ctx.sample.g
+    [gN] = _normal_parts([g.values()], *g.first_partials(),
                          lambda a, b: _col(_blas_dot(a, b)))
     vals = {ps.sign: ps.phi.values() for ps in built}
     companion = {s: _vec_norm(v - 2.0 * gN).max(initial=0.0)
@@ -540,7 +544,7 @@ class Stereographic:
     def _check_on_manifold(self, P):
         amb = self.ambient
         d = P - amb.center_vec()
-        res = amb.on_manifold_residual(P)
+        res = amb.on_manifold_residual(P.T)
         fail_rows(res > 1e-9 * np.maximum(1.0, _blas_dot(d, d)),
                   lambda k: ProjectionError(
                       f"point is off the {self.space} space form "
@@ -608,7 +612,7 @@ def superminimal_test(surface, ambient, points, h_tol=1e-9, circ_tol=1e-8):
         raise PreconditionError("no sample points given")
     u, v = uv.T
     smp = surface(u, v)
-    res = ambient.on_manifold_residual(smp.values())
+    res = ambient.on_manifold_residual(smp.v)
     off = np.flatnonzero(res > 1e-9 * max(1.0, ambient.radius ** 2))
     if off.size:
         k = off[0]

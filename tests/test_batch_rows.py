@@ -53,6 +53,15 @@ def assert_row(batch, alone, k, where):
             where, got, want)
 
 
+def frame_rows(sample):
+    """The adapted frame of a sample with its (dim, n) vectors as (n, dim)
+    rows, so that axis 0 is the batch axis of every field."""
+    fr = adapted_frame(fundamental_data(sample))
+    return dataclasses.replace(fr, **{
+        f.name: getattr(fr, f.name).T for f in dataclasses.fields(fr)
+        if np.ndim(getattr(fr, f.name)) == 2})
+
+
 def assert_rows_match(run, batch_input, point_input, n, where):
     """run(batch_input) over n points inside a row_failures() sink against
     run(point_input(k)), the batch of one of row k, for every row k."""
@@ -101,7 +110,7 @@ def test_array_calls_match_point_calls_row_by_row(name):
                     (lambda x: invert(x, inv), "invert"),
                     (lambda x: extract_minimal_pair(invert(x, inv)),
                      "extract"),
-                    (lambda x: adapted_frame(fundamental_data(x)), "frame")):
+                    (frame_rows, "frame")):
                 failed = assert_rows_match(
                     run, ps.phi, lambda k: ps.phi.rows(slice(k, k + 1)),
                     z.size, f"{where} {ps.sign}")

@@ -1,7 +1,9 @@
+import collections
+
 import numpy as np
 import pytest
 
-from superconf import catalog
+from superconf import catalog, jets
 from superconf.errors import PreconditionError, UnknownEntryError
 from superconf.expr import CurveExpr
 from superconf.geometry import fundamental_data, superconformality_test
@@ -127,7 +129,7 @@ def test_space_form_entries_sit_on_their_manifolds():
         us, vs = entry.domain.linspace(4, 4, margin=0.05)
         for u in us:
             for v in vs:
-                x = entry.sample(u, v).values()
+                x = entry.sample(u, v).v
                 assert entry.ambient.on_manifold_residual(x) < 1e-12
 
 
@@ -187,3 +189,30 @@ def test_surface_entry_has_no_expression():
 def test_pair_entry_has_no_surface_sampler():
     with pytest.raises(PreconditionError):
         catalog.get("q0-line").sample(0.5, 0.5)
+
+
+@pytest.fixture
+def real_math_calls(monkeypatch):
+    """A Counter of the calls of each real elementary function."""
+    calls = collections.Counter()
+    table = jets._REAL_BATCH_MATH
+    for name, fn in vars(table).copy().items():
+        def counting(x, name=name, fn=fn):
+            calls[name] += 1
+            return fn(x)
+        monkeypatch.setattr(table, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("sampler, bases", [
+    (catalog.get("torus").surface, 2),
+    (catalog.get("h4-flat-torus").surface, 2),
+    (catalog.veronese_immersion, 2),
+    (catalog.veronese_g, 3),
+    (catalog.veronese_h, 3),
+])
+def test_each_sin_cos_pair_of_a_sampler_is_computed_once(real_math_calls,
+                                                         sampler, bases):
+    u, v = np.linspace(0.4, 2.0, 7), np.linspace(0.5, 2.5, 7)
+    sampler(u, v)
+    assert real_math_calls == {"sin": bases, "cos": bases}

@@ -45,7 +45,7 @@ def construction_frame(pair, z):
     with np.errstate(divide="ignore", invalid="ignore"):
         xi = -hN / _col(a_val * r.v)
     if np.any(fallback):
-        xi = np.where(_col(fallback), ctx.fd_g.n1, xi)
+        xi = np.where(_col(fallback), ctx.fd_g.n1.T, xi)
     xt, xn = scalar_jhat_parts(gu_val.T, gv_val.T, xi.T)
     # = Jhat(-) xi
     inv_w = 1.0 / (E * ctx.G - ctx.F * ctx.F).sqrt()
@@ -64,7 +64,7 @@ def construction_frame(pair, z):
     # a r B_xi = (r hess - S) J, entry by entry
     ar = a_val * r.v
     lhs = _sym2(*(ar * (_blas_dot(w, xi) * iE)
-                  for w in g.second_partials()))
+                  for w in (g.duu.T, g.duv.T, g.dvv.T)))
     rhs = (_sym2(*(r.v * (h * iE) for h in (huu, huv, hvv))) - S) @ _JMAT
     lhs_max, rhs_max = (np.abs(m).max(axis=(-2, -1)) for m in (lhs, rhs))
     bxi_scale = np.where(fallback, np.nan,
@@ -456,7 +456,7 @@ def test_nondegenerate_sign_equals_twice_normal_part():
     _, ps = build_phi_pair(pair, z)
     s = pair.samples_at(z)
     fd = fundamental_data(s.g)
-    [gval], [Xu], [Xv] = s.g.values(), fd.Xu, fd.Xv
+    [gval], [Xu], [Xv] = s.g.values(), fd.Xu.T, fd.Xv.T
     [E], [F], [G] = fd.E, fd.F, fd.G
     al, be = np.linalg.solve([[E, F], [F, G]], [gval @ Xu, gval @ Xv])
     gN = gval - al * Xu - be * Xv
@@ -516,7 +516,7 @@ def test_dual_pair_report_matches_the_decomposition_oracle(catenoid):
         for ps in build_phi_pair(catenoid, z):
             fd = fundamental_data(ps.phi)
             want = max(abs(zeta_c @ w) / np.linalg.norm(w)
-                       for [w] in (fd.Xu, fd.Xv, fd.H))
+                       for [w] in (fd.Xu.T, fd.Xv.T, fd.H.T))
             assert rep.tangency_residual[ps.sign] == pytest.approx(
                 want, rel=1e-12, abs=1e-300)
 

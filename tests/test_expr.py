@@ -121,6 +121,18 @@ def test_pole_error_names_subexpression():
     assert "1/z" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, where", [
+    ("(1/(z) + 1, 0)", "1/(z)"),
+    ("((z) + 1/(z - 0), 0)", "1/(z - 0)"),
+    ("(-(1/(z)), (z + 1)^-1)", "1/(z)"),
+])
+def test_error_span_ends_at_the_closing_parenthesis(text, where):
+    with pytest.raises(EvaluationError) as exc:
+        CurveExpr.parse(text).eval_jets(0j)
+    assert str(exc.value) == f"cannot evaluate '{where}' at z = 0j: pole"
+    assert (exc.value.where, exc.value.reason) == (where, "pole")
+
+
 def test_branch_cut_error():
     curve = CurveExpr.parse("(log(z), 0)")
     with pytest.raises(EvaluationError) as exc:

@@ -177,7 +177,8 @@ def test_normal_frame_when_largest_projections_are_parallel():
                (0.25, -0.5, 0.3))
     fd = fundamental_data(Jet2.stack([Jet2(0.0, xu[i], xv[i], *seconds[i])
                                       for i in range(4)]))
-    frame = np.column_stack([fd.Y1[0], fd.Y2[0], fd.n1[0], fd.n2[0]])
+    frame = np.column_stack([fd.Y1[:, 0], fd.Y2[:, 0], fd.n1[:, 0],
+                             fd.n2[:, 0]])
     assert np.all(np.isfinite(frame))
     assert np.allclose(frame.T @ frame, np.eye(4), atol=1e-12)
     assert np.linalg.det(frame) > 0.0
@@ -197,7 +198,7 @@ class TestSphereAmbient:
     def test_second_form_tangent_to_sphere(self):
         amb = Ambient("sphere", radius=1.0)
         fd = fundamental_data(clifford_s4(0.2, 0.9), amb)
-        radial = fd.position - amb.center_vec()
+        radial = fd.position - amb.center_vec()[:, None]
         for b in (fd.Buu, fd.Buv, fd.Bvv):
             assert abs(amb.dot(b, radial)) < 1e-12
 
@@ -225,7 +226,7 @@ class TestHyperbolicAmbient:
     def test_second_form_tangent_to_hyperboloid(self):
         amb = Ambient("hyperbolic", radius=1.0)
         fd = fundamental_data(flat_torus_h4(1.1, 0.4), amb)
-        radial = fd.position - amb.center_vec()
+        radial = fd.position - amb.center_vec()[:, None]
         for b in (fd.Buu, fd.Buv, fd.Bvv):
             assert abs(amb.dot(b, radial)) < 1e-12
         for nu in (fd.n1, fd.n2):
@@ -239,7 +240,7 @@ class TestAdaptedFrame:
         assert fr.mu == pytest.approx(0.35, rel=1e-12)
         assert fr.sffa_residual < 1e-12
         assert fr.ambient_det == 1.0
-        np.testing.assert_allclose(fr.eta[0], [0, 0, 1, 0], atol=1e-12)
+        np.testing.assert_allclose(fr.eta[:, 0], [0, 0, 1, 0], atol=1e-12)
         np.testing.assert_allclose(fr.A_zeta[0], [[0.35, 0], [0, -0.35]],
                                    atol=1e-12)
 
@@ -269,7 +270,8 @@ class TestAdaptedFrame:
             assert fr.lam == pytest.approx(0.8, rel=1e-9)
             assert fr.mu == pytest.approx(0.3, rel=1e-9)
             assert fr.sffa_residual < 1e-9
-            np.testing.assert_allclose(fr.eta[0], q @ [0, 0, 1, 0], atol=1e-9)
+            np.testing.assert_allclose(fr.eta[:, 0], q @ [0, 0, 1, 0],
+                                       atol=1e-9)
 
 
 class TestInvariance:

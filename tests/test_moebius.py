@@ -194,7 +194,7 @@ def test_normal_transform_lorentzian():
                 [np.sum(sig * seed * Xu), np.sum(sig * seed * Xv)])
             n = seed - a * Xu - b * Xv
             n = n / np.sqrt(np.sum(sig * n * n))
-            rep = normal_transform_check(smp, n, inv)
+            rep = normal_transform_check(smp, n.T, inv)
             assert rep["max"] < 1e-7
 
 
@@ -203,7 +203,7 @@ def test_normal_transform_rejects_bad_normals(catenoid, shifted_inversion):
     Xu = smp.first_partials()[0]
     tangent = Xu / np.linalg.norm(Xu)
     with pytest.raises(PreconditionError):
-        normal_transform_check(smp, tangent, shifted_inversion)
+        normal_transform_check(smp, tangent.T, shifted_inversion)
     fd = fundamental_data(smp)
     with pytest.raises(PreconditionError):
         normal_transform_check(smp, 2.0 * fd.n1, shifted_inversion)
@@ -495,7 +495,7 @@ def test_sphere_bridge_round_trip():
             x = rng.normal(size=4) * 3.0
             assert np.linalg.norm(st.to_R4(st.from_R4(x)) - x) < 1e-11
             P = st.from_R4(x)
-            assert st.ambient.on_manifold_residual(P) < 1e-11
+            assert st.ambient.on_manifold_residual(P.T) < 1e-11
 
 
 def test_hyperbolic_bridge_round_trip_and_ball():
