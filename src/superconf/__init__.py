@@ -24,7 +24,6 @@ from .errors import (
     NotNullCurveError,
     PreconditionError,
     ProjectionError,
-    QuadricSingularError,
     SingularSampleError,
     SuperconfError,
     UnknownEntryError,
@@ -63,7 +62,6 @@ from .construct import (
 )
 from .moebius import (
     Inversion,
-    Stereographic,
     degenerate_collapse_check,
     duality,
     invert,
@@ -98,9 +96,7 @@ __all__ = [
     "PhiSample",
     "PreconditionError",
     "ProjectionError",
-    "QuadricSingularError",
     "SingularSampleError",
-    "Stereographic",
     "SuperconfError",
     "UnknownEntryError",
     "adapted_frame",

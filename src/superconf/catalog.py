@@ -227,9 +227,6 @@ _CAT_DOMAIN = Domain(-7.0, 7.0, -1.6, 1.6)
 _WHI_DOMAIN = Domain(-2.2, 2.2, -2.2, 2.2, excluded=((0j, 0.3),))
 _VER_DOMAIN = Domain(0.3, 2.0 * np.pi - 0.3, 0.3, np.pi - 0.3)
 
-_LOAD_TOL = {"isotropy_max": 1e-8, "minimality_max": 1e-8,
-             "regularity_min": 1e-10}
-
 
 def _pair_entry(name, text, domain, description, expected=None, aux=None):
     pair = MinimalPair(HolomorphicCurve(name, text, domain))
@@ -339,9 +336,7 @@ def get(name):
     entry = _CACHE[name]
     if entry.kind == "minimal-pair" and name not in _CERTIFIED:
         rep = certify(entry.pair, entry.domain.grid(7, 7, 0.05))
-        if (rep["isotropy_max"] > _LOAD_TOL["isotropy_max"]
-                or rep["minimality_max"] > _LOAD_TOL["minimality_max"]
-                or rep["regularity_min"] < _LOAD_TOL["regularity_min"]):
+        if not rep["ok"]:
             raise PreconditionError(
                 f"catalog entry {name} failed load certification: {rep}")
         _CERTIFIED.add(name)

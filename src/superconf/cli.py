@@ -28,7 +28,7 @@ from .export import (canonical_json, drop_projector, sample_grid,
 from .construct import _vec_norm, dual_pair_report
 from .jets import row_failures
 from .minimal import Domain, HolomorphicCurve, MinimalPair, certify
-from .moebius import (Inversion, Stereographic, duality, pair_transform_check,
+from .moebius import (Inversion, duality, pair_transform_check,
                       quadric_classification, superminimal_test)
 
 EXIT_OK = 0
@@ -195,12 +195,9 @@ def cmd_catalog(args) -> int:
 def cmd_certify(args) -> int:
     pair, dom, stem = _resolve(args)
     nu, nv = _parse_grid(args.grid)
-    grid = dom.grid(nu, nv, margin=args.margin)
-    rep = certify(pair, grid=grid)
-    ok = (rep["isotropy_max"] < args.tol and rep["minimality_max"] < args.tol
-          and rep["regularity_min"] > args.regularity_floor)
-    _emit({"curve": stem, "ok": ok, **rep})
-    return EXIT_OK if ok else EXIT_NUMERIC
+    rep = certify(pair, grid=dom.grid(nu, nv, margin=0.05))
+    _emit({"curve": stem, **rep})
+    return EXIT_OK if rep["ok"] else EXIT_NUMERIC
 
 
 def cmd_construct(args) -> int:
@@ -247,9 +244,9 @@ def cmd_verify(args) -> int:
         agg = summarize(samples)
         report["signs"][SIGN_WORDS[sign]] = agg
         sign_ok = (agg["n_clear"] > 0
-                   and agg["max_res_orth"] < args.tol
-                   and agg["max_res_len"] < args.tol
-                   and agg["max_wintgen_rel"] < args.tol)
+                   and agg["max_res_orth"] < 1e-8
+                   and agg["max_res_len"] < 1e-8
+                   and agg["max_wintgen_rel"] < 1e-8)
         ok = ok and sign_ok
 
     grid = dom.grid(nu, nv)
@@ -277,7 +274,7 @@ def cmd_verify(args) -> int:
                     initial=0.0)) for r in found[key])
     n_dual = int(np.count_nonzero(used))
     report["dual_pair"] = {"n_points": n_dual, "skipped": skipped, **worst}
-    ok = ok and n_dual > 0 and all(v < args.dual_tol for v in worst.values()
+    ok = ok and n_dual > 0 and all(v < 1e-7 for v in worst.values()
                                    if v is not None)
     _emit({**report, "ok": ok})
     return EXIT_OK if ok else EXIT_NUMERIC
@@ -289,7 +286,7 @@ def cmd_invert(args) -> int:
     center = _parse_floats(args.center, 4, "--center")
     inv = Inversion(center=center, radius=args.radius)
     rep = pair_transform_check(pair, inv, dom.grid(nu, nv))
-    ok = rep.sup < args.tol
+    ok = rep.sup < 1e-5
     _emit({"curve": stem, "center": center, "radius": args.radius,
            "sup_g": rep.sup_g, "sup_h": rep.sup_h, "sup": rep.sup,
            "h_convention": rep.h_convention, "n_points": rep.n_points,
@@ -317,7 +314,7 @@ def cmd_dual(args) -> int:
     failed.raise_unless()
     worst = {key: float(getattr(rep, key).max())
              for key in ("antiholo", "involution", "conformality")}
-    ok = all(v < args.tol for v in worst.values())
+    ok = all(v < 1e-8 for v in worst.values())
     _emit({"curve": stem, "n_points": len(points), **worst,
            "value_at_first": rep.value[0], "ok": ok})
     return EXIT_OK if ok else EXIT_NUMERIC
@@ -330,8 +327,7 @@ _QUADRIC_LABELS = {"null": "Q_0", "non-constant": "not on any quadric",
 def cmd_quadric(args) -> int:
     pair, dom, stem = _resolve(args, closed_form=True)
     nu, nv = _parse_grid(args.grid)
-    points = dom.grid(nu, nv, margin=args.margin)
-    rep = quadric_classification(pair, points)
+    rep = quadric_classification(pair, dom.grid(nu, nv, margin=0.05))
     label = (f"Q_k with k = {rep.k:.12g}" if rep.kind == "constant-real"
              else _QUADRIC_LABELS[rep.kind])
     _emit({"curve": stem, "kind": rep.kind, "label": label,
@@ -346,16 +342,12 @@ def cmd_project(args) -> int:
         raise PreconditionError(
             f"entry {entry.name} is not a space-form immersion")
     nu, nv = _parse_grid(args.grid)
-    us, vs = entry.domain.linspace(nu, nv, margin=args.margin)
+    us, vs = entry.domain.linspace(nu, nv, margin=0.08)
     u, v = np.repeat(us, nv), np.tile(vs, nu)
-    rep = superminimal_test(entry.surface, entry.ambient,
-                            np.column_stack((u, v)),
-                            h_tol=args.h_tol, circ_tol=args.circ_tol)
-
-    space = "sphere" if entry.ambient.kind == "sphere" else "hyperbolic"
-    st = Stereographic(entry.ambient.radius, space)
+    amb = entry.ambient
+    rep = superminimal_test(entry.surface, amb, np.column_stack((u, v)))
     P = entry.sample(u, v).values()
-    round_trip = float(_vec_norm(st.from_R4(st.to_R4(P)) - P).max())
+    round_trip = float(_vec_norm(amb.from_R4(amb.to_R4(P)) - P).max())
     ok = rep.verdict.startswith("superminimal")
     _emit({"entry": entry.name, "verdict": rep.verdict,
            "max_mean_curvature": rep.max_mean_curvature,
@@ -402,9 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("certify",
                         help="certify a conjugate minimal pair on a grid")
     curve_opts(sp)
-    sp.add_argument("--margin", type=float, default=0.05)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--regularity-floor", type=float, default=1e-10)
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("construct",
@@ -420,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="superconformality and shared-geometry residuals")
     curve_opts(sp, grid="16,16")
     sp.add_argument("--sign", default="both")
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--dual-tol", type=float, default=1e-7)
     sp.add_argument("--dual-samples", type=int, default=16)
     sp.set_defaults(func=cmd_verify)
 
@@ -430,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     curve_opts(sp, grid="20,20")
     sp.add_argument("--center", required=True, help="c0,c1,c2,c3")
     sp.add_argument("--radius", type=float, default=1.0)
-    sp.add_argument("--tol", type=float, default=1e-5)
     sp.set_defaults(func=cmd_invert)
 
     sp = sub.add_parser("dual", help="duality-map checks for a graph curve")
@@ -438,22 +424,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--domain", help="u_min,u_max,v_min,v_max")
     sp.add_argument("--points", default="0.8,0.4;-1.1,0.9;1.6,-1.2",
                     help="re,im;re,im;...")
-    sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(func=cmd_dual)
 
     sp = sub.add_parser("quadric",
                         help="classify the quadric the curve lies on")
     curve_opts(sp)
-    sp.add_argument("--margin", type=float, default=0.05)
     sp.set_defaults(func=cmd_quadric)
 
     sp = sub.add_parser("project",
                         help="stereographic bridge and space-form minimality")
     sp.add_argument("--entry", required=True, help="space-form catalog entry")
     sp.add_argument("--grid", default="9,9", help="nu,nv")
-    sp.add_argument("--margin", type=float, default=0.08)
-    sp.add_argument("--h-tol", type=float, default=1e-9)
-    sp.add_argument("--circ-tol", type=float, default=1e-8)
     sp.set_defaults(func=cmd_project)
 
     sp = sub.add_parser("selftest", help="run the full acceptance suite")

@@ -84,10 +84,6 @@ class InversionSingularError(SuperconfError):
     """Inversion evaluated on its singular locus."""
 
 
-class QuadricSingularError(SuperconfError):
-    """Holomorphic inversion evaluated on the null quadric."""
-
-
 class DualitySingularError(SuperconfError):
     """Duality map evaluated where the position vector is tangent."""
 

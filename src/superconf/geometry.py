@@ -9,7 +9,8 @@ component rows of a product in order from 0.0, 0.0 + p[0] + p[1] + ...,
 which rounds as a sum along a trailing axis of fewer than 8 entries.
 Outputs: fundamental forms, curvature invariants, the ellipse of curvature,
 and the adapted tangent/normal frame in which both shape operators take their
-normal form.
+normal form.  A space form also carries its stereographic chart onto (part
+of) flat R4 (Ambient.to_R4, Ambient.from_R4).
 
 Conventions fixed here and relied on everywhere else:
   - the orthonormal tangent basis is Gram-Schmidt of (X_u, X_v) in that order;
@@ -32,6 +33,7 @@ import numpy as np
 from .errors import (
     FrameUndefinedError,
     PreconditionError,
+    ProjectionError,
     SingularSampleError,
 )
 from .jets import Jet2, fail_rows
@@ -40,6 +42,8 @@ REGULARITY_FLOOR = 1e-12
 FRAME_FLOOR = 1e-10
 CIRCULAR_TOL = 1e-8
 PATTERN_TOL = 1e-6
+# relative floor below which an inversion denominator counts as zero
+INV_FLOOR = 1e-13
 
 
 # inner-product signature per ambient kind; shared, so made read-only
@@ -47,12 +51,20 @@ _SIGNATURES = {"r4": np.ones(4), "sphere": np.ones(5),
                "hyperbolic": np.array([1.0, 1.0, 1.0, 1.0, -1.0])}
 for _sig in _SIGNATURES.values():
     _sig.flags.writeable = False
+_E5 = np.eye(5)[4]
 
 
 @dataclass(frozen=True)
 class Ambient:
     """Where the surface lives: flat R4, a round sphere in R5, or the
-    hyperbolic space inside Lorentzian R5."""
+    hyperbolic space inside Lorentzian R5.
+
+    The space forms map stereographically onto flat R4.  The round sphere
+    of radius r centered at r e5 maps by restricting the R5 inversion
+    centered at 2 r e5 with radius 2 r; the origin is a fixed point.  The
+    hyperbolic space (the sheet through the origin of the Lorentzian
+    hyperboloid centered at -r e5) maps along straight lines through
+    -2 r e5 onto the open ball of radius 2 r."""
 
     kind: str = "r4"
     radius: float = 1.0
@@ -60,7 +72,7 @@ class Ambient:
     def __post_init__(self):
         if self.kind not in _SIGNATURES:
             raise ValueError(f"unknown ambient kind {self.kind!r}")
-        if self.kind != "r4" and self.radius <= 0:
+        if self.kind != "r4" and not self.radius > 0:
             raise ValueError("space-form radius must be positive")
 
     @property
@@ -77,9 +89,9 @@ class Ambient:
 
     def center_vec(self):
         if self.kind == "sphere":
-            return self.radius * np.eye(5)[4]
+            return self.radius * _E5
         if self.kind == "hyperbolic":
-            return -self.radius * np.eye(5)[4]
+            return -self.radius * _E5
         return np.zeros(4)
 
     def dot(self, a, b):
@@ -100,6 +112,59 @@ class Ambient:
         q = self.dot(d, d)
         target = self.radius ** 2 if self.kind == "sphere" else -self.radius ** 2
         return abs(q - target)
+
+    def _chart(self, x, dim, what):
+        """x as an (n, dim) float array, one dim-vector as a batch of one,
+        for the stereographic chart, which flat R4 does not have."""
+        if self.kind == "r4":
+            raise PreconditionError("flat R4 has no stereographic chart")
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.ndim != 2 or x.shape[1] != dim:
+            raise PreconditionError(f"{what} are {dim}-vectors")
+        return x
+
+    def to_R4(self, P):
+        """R4 images, (n, 4), of the space-form points P, (n, 5) or one
+        5-vector as a batch of one; rows off the space form or without an
+        image fail with ProjectionError (jets.fail_rows)."""
+        P = self._chart(P, 5, "space-form points")
+        d = P - self.center_vec()
+        res = self.on_manifold_residual(P.T)
+        fail_rows(res > 1e-9 * np.maximum(1.0, _blas_dot(d, d)),
+                  lambda k: ProjectionError(
+                      f"point is off the {self.kind} space form "
+                      f"(residual {res[k]:.3e})"))
+        r = self.radius
+        if self.kind == "sphere":
+            c = 2.0 * r * _E5
+            d = P - c
+            q = _blas_dot(d, d)
+            fail_rows(q <= INV_FLOOR * max(1.0, r * r),
+                      lambda k: ProjectionError(
+                          "the point opposite the image plane has no image"))
+            return (c + _col(4.0 * r * r / q) * d)[:, :4]
+        den = P[:, 4] + 2.0 * r
+        fail_rows(den <= INV_FLOOR * max(1.0, r), lambda k: ProjectionError(
+            "point sits on the wrong sheet of the hyperboloid"))
+        return _col(2.0 * r / den) * P[:, :4]
+
+    def from_R4(self, x):
+        """Space-form points, (n, 5), of the R4 points x, (n, 4) or one
+        4-vector as a batch of one; rows outside the hyperbolic model fail
+        with ProjectionError (jets.fail_rows)."""
+        x = self._chart(x, 4, "flat points")
+        r = self.radius
+        if self.kind == "sphere":
+            c = 2.0 * r * _E5
+            d = np.concatenate((x, np.zeros((len(x), 1))), axis=1) - c
+            return c + _col(4.0 * r * r / _blas_dot(d, d)) * d
+        n2 = _blas_dot(x, x)
+        fail_rows(n2 >= 4.0 * r * r, lambda k: ProjectionError(
+            f"the hyperbolic model fills the open ball of radius "
+            f"{2.0 * r:g}; |x| = {np.sqrt(n2[k]):.6g} falls outside"))
+        s = 4.0 * r * r / (4.0 * r * r - n2)
+        return np.concatenate((_col(s) * x, _col(2.0 * r * (s - 1.0))),
+                              axis=1)
 
 
 R4 = Ambient("r4")

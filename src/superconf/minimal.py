@@ -181,6 +181,8 @@ def certify(pair, grid):
       isotropy_max    |sum G_k'^2| relative to sum |G_k'|^2
       regularity_min  (E G - F^2) / scale^4 of the g surface
       minimality_max  |mean curvature vector| of the g surface
+    and the verdict "ok": both maxima below 1e-8 and the minimum above
+    1e-10.
     """
     z = np.array(list(grid), dtype=complex)
     if not z.size:
@@ -197,9 +199,12 @@ def certify(pair, grid):
     fail_rows(~fd.regular, lambda k: SingularSampleError(
         f"{pair.name} is singular at a certification point"))
     reg = fd.det1 / geometry._pypow(np.maximum(fd.scale, 1e-150), 4)
-    return {
+    rep = {
         "isotropy_max": float(iso.max()),
         "regularity_min": float(reg.min()),
         "minimality_max": float(fd.lam.max()),
         "points": int(z.size),
     }
+    rep["ok"] = (rep["isotropy_max"] < 1e-8 and rep["minimality_max"] < 1e-8
+                 and rep["regularity_min"] > 1e-10)
+    return rep

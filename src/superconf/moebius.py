@@ -9,9 +9,8 @@ transformations of the ambient space:
     curves, which realizes the pointwise inversion on the level of
     conjugate pairs,
   * the normal-component dual f -> f^N / (2 ||f^N||^2) of graph surfaces,
-  * stereographic bridges identifying the round sphere and the hyperbolic
-    space with (part of) flat R4, plus a minimality-and-roundness test for
-    space-form immersions,
+  * a minimality-and-roundness test for space-form immersions, which
+    reach flat R4 through the stereographic charts of geometry.Ambient,
   * classification of the complex square <<G, G>> of a pair, which decides
     which of the transformation pictures applies.
 
@@ -37,15 +36,12 @@ from .errors import (DualitySingularError, FrameUndefinedError,
                      InversionSingularError, NotNullCurveError,
                      PreconditionError, ProjectionError, SingularSampleError)
 from .expr import Bin, Curve, CurveExpr, Pow, const_node
-from .geometry import (R4, Ambient, _blas_dot, _col, _coord_shape, _largest,
-                       _normal_parts, _rows, ellipse_descriptor,
-                       fundamental_data)
+from .geometry import (CIRCULAR_TOL, INV_FLOOR, R4, Ambient, _blas_dot, _col,
+                       _coord_shape, _largest, _normal_parts, _rows,
+                       ellipse_descriptor, fundamental_data)
 from .jets import (Jet2, _im_part, _re_part, fail_rows, graph_surface,
                    row_failures)
 from .minimal import HolomorphicCurve
-
-# relative floor below which an inversion denominator counts as zero
-INV_FLOOR = 1e-13
 
 SIGNATURES = ("euclidean", "lorentzian")
 
@@ -55,7 +51,6 @@ J_AMB = np.array([[0.0, -1.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, -1.0],
                   [0.0, 0.0, 1.0, 0.0]])
 
-_E5 = np.eye(5)[4]
 _HYPERBOLIC = Ambient("hyperbolic")
 
 
@@ -126,36 +121,20 @@ def _dot(inv):
     return R4.dot if inv.signature == "euclidean" else _HYPERBOLIC.dot
 
 
-def _points(x, dim, message):
-    """x as an (n, dim) float array, one dim-vector as a batch of one;
-    PreconditionError(message) for any other shape."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise PreconditionError(message)
-    return x
-
-
 def invert(x, inv):
-    """Image of points, (n, dim) or one dim-vector as a batch of one, or of
-    a surface sample (a vector Jet2) under the inversion.
+    """Image of a surface sample x (a vector Jet2) under the inversion.
 
     Samples are transported with their full second-order jets, so the
     image can be fed straight back into curvature computations.  The rows
     on the singular set are recorded in the innermost jets.row_failures()
     sink (without one, the first raises)."""
-    if isinstance(x, Jet2):
-        if len(x.v) != inv.dim:
-            raise PreconditionError("sample and inversion dimensions disagree")
-        center = Jet2.stack(inv.center)
-        d = x - center
-        q = d.dot(d, signature=inv.sig())
-        _check_denominator(q.v, d.v)
-        return center + d * ((inv.orientation * inv.radius ** 2) / q)
-    x = _points(x, inv.dim, "point and inversion dimensions disagree")
-    d = x - inv.center
-    q = _dot(inv)(d.T, d.T)
-    _check_denominator(q, d.T)
-    return inv.center + _col(inv.orientation * inv.radius ** 2 / q) * d
+    if len(x.v) != inv.dim:
+        raise PreconditionError("sample and inversion dimensions disagree")
+    center = Jet2.stack(inv.center)
+    d = x - center
+    q = d.dot(d, signature=inv.sig())
+    _check_denominator(q.v, d.v)
+    return center + d * ((inv.orientation * inv.radius ** 2) / q)
 
 
 def normal_transform_check(sample, xi, inv):
@@ -515,78 +494,7 @@ def degenerate_collapse_check(pair, points):
                           companion_residual=float(companion[other]))
 
 
-# -- stereographic bridges ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Stereographic:
-    """Stereographic bridge between a space form and flat R4.
-
-    The round sphere of radius r centered at r e5 maps by restricting the
-    R5 inversion centered at 2 r e5 with radius 2 r; the origin is a fixed
-    point.  The hyperbolic space (the sheet through the origin of the
-    Lorentzian hyperboloid centered at -r e5) maps along straight lines
-    through -2 r e5 onto the open ball of radius 2 r."""
-
-    radius: float = 1.0
-    space: str = "sphere"
-
-    def __post_init__(self):
-        if self.space not in ("sphere", "hyperbolic"):
-            raise PreconditionError(f"unknown space form {self.space!r}")
-        if not self.radius > 0:
-            raise PreconditionError("space-form radius must be positive")
-
-    @property
-    def ambient(self):
-        return Ambient(self.space, radius=self.radius)
-
-    def _check_on_manifold(self, P):
-        amb = self.ambient
-        d = P - amb.center_vec()
-        res = amb.on_manifold_residual(P.T)
-        fail_rows(res > 1e-9 * np.maximum(1.0, _blas_dot(d, d)),
-                  lambda k: ProjectionError(
-                      f"point is off the {self.space} space form "
-                      f"(residual {res[k]:.3e})"))
-
-    def to_R4(self, P):
-        """R4 images, (n, 4), of the space-form points P, (n, 5) or one
-        5-vector as a batch of one; rows without an image fail with
-        ProjectionError (jets.fail_rows)."""
-        P = _points(P, 5, "space-form points are 5-vectors")
-        self._check_on_manifold(P)
-        r = self.radius
-        if self.space == "sphere":
-            c = 2.0 * r * _E5
-            d = P - c
-            q = _blas_dot(d, d)
-            fail_rows(q <= INV_FLOOR * max(1.0, r * r),
-                      lambda k: ProjectionError(
-                          "the point opposite the image plane has no image"))
-            return (c + _col(4.0 * r * r / q) * d)[:, :4]
-        den = P[:, 4] + 2.0 * r
-        fail_rows(den <= INV_FLOOR * max(1.0, r), lambda k: ProjectionError(
-            "point sits on the wrong sheet of the hyperboloid"))
-        return _col(2.0 * r / den) * P[:, :4]
-
-    def from_R4(self, x):
-        """Space-form points, (n, 5), of the R4 points x, (n, 4) or one
-        4-vector as a batch of one; rows outside the hyperbolic model fail
-        with ProjectionError (jets.fail_rows)."""
-        x = _points(x, 4, "flat points are 4-vectors")
-        r = self.radius
-        if self.space == "sphere":
-            c = 2.0 * r * _E5
-            d = np.concatenate((x, np.zeros((len(x), 1))), axis=1) - c
-            return c + _col(4.0 * r * r / _blas_dot(d, d)) * d
-        n2 = _blas_dot(x, x)
-        fail_rows(n2 >= 4.0 * r * r, lambda k: ProjectionError(
-            f"the hyperbolic model fills the open ball of radius "
-            f"{2.0 * r:g}; |x| = {np.sqrt(n2[k]):.6g} falls outside"))
-        s = 4.0 * r * r / (4.0 * r * r - n2)
-        return np.concatenate((_col(s) * x, _col(2.0 * r * (s - 1.0))),
-                              axis=1)
+# -- space-form minimality ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -600,13 +508,15 @@ class SpaceFormReport:
     n_points: int
 
 
-def superminimal_test(surface, ambient, points, h_tol=1e-9, circ_tol=1e-8):
+def superminimal_test(surface, ambient, points):
     """Minimality plus curvature-circle roundness for a space-form immersion.
 
     surface maps (u, v) to a 5-component vector Jet2 whose values must lie
-    on the space form; off-manifold samples raise ProjectionError.  Totally
-    umbilic immersions carry a point circle at every sample; they pass
-    vacuously and the verdict says so."""
+    on the space form; off-manifold samples raise ProjectionError.  The
+    immersion is minimal where |H| <= 1e-9 at every sample, and round where
+    the circularity residuals are at most CIRCULAR_TOL.  Totally umbilic
+    immersions carry a point circle at every sample; they pass vacuously
+    and the verdict says so."""
     uv = np.array(list(points), dtype=float).reshape(-1, 2)
     if not uv.size:
         raise PreconditionError("no sample points given")
@@ -627,10 +537,10 @@ def superminimal_test(surface, ambient, points, h_tol=1e-9, circ_tol=1e-8):
     worst_circ = float(np.maximum(abs(ed.res_orth), abs(ed.res_len)).max())
     mus = ed.mu.tolist()
     degenerate = max(mus) <= 1e-9 * (1.0 + worst_H)
-    minimal = worst_H <= h_tol
+    minimal = worst_H <= 1e-9
     if minimal and degenerate:
         verdict = "superminimal-degenerate"
-    elif minimal and worst_circ <= circ_tol:
+    elif minimal and worst_circ <= CIRCULAR_TOL:
         verdict = "superminimal"
     elif minimal:
         verdict = "minimal-not-superminimal"
@@ -693,9 +603,8 @@ def quadric_classification(pair_like, points, immersion=None, ambient=None):
     if immersion is not None:
         amb = ambient if ambient is not None else Ambient("sphere",
                                                           radius=radius)
-        bridge = Stereographic(radius=amb.radius, space=amb.kind)
         form = superminimal_test(immersion, amb, zip(z.real, z.imag))
-        proj = bridge.to_R4(immersion(z.real, z.imag).values())
+        proj = amb.to_R4(immersion(z.real, z.imag).values())
         sup = {s: float(_vec_norm(phi_value(g, h, s) - proj).max())
                for s in SIGNS}
         best = "+" if sup["+"] <= sup["-"] else "-"

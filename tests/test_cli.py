@@ -9,9 +9,10 @@ import warnings
 
 import pytest
 
-from superconf import cli
+from superconf import catalog, cli
 from superconf.errors import PreconditionError
 from superconf.export import canonical_json
+from superconf.minimal import Domain
 
 
 def run(capsys, *argv):
@@ -70,6 +71,22 @@ def test_closed_form_pair_is_a_usage_error(command, tmp_path, capsys):
     assert rep["error"]["type"] == "PreconditionError"
     assert "veronese" in rep["error"]["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_load_certification_and_certify_give_one_verdict(monkeypatch,
+                                                        capsys):
+    # a regular pair that is not isotropic: G' = (1, 2i, 0, 0)
+    text, domain = "(z, 2*i*z, 0, 0)", Domain(-1.0, 1.0, -1.0, 1.0)
+    monkeypatch.setitem(catalog._BUILDERS, "skew", lambda: catalog._pair_entry(
+        "skew", text, domain, "non-isotropic control"))
+    monkeypatch.setattr(catalog, "_CACHE", dict(catalog._CACHE))
+    with pytest.raises(PreconditionError, match="failed load certification"):
+        catalog.get("skew")
+    assert "skew" not in catalog._CERTIFIED
+    code, rep = run_json(capsys, "certify", "--curve", text,
+                         "--domain=-1,1,-1,1")
+    assert code == 3 and rep["ok"] is False
+    assert rep["isotropy_max"] > 0.5
 
 
 def test_certify_singular_batch_prints_no_warnings():

@@ -1,11 +1,16 @@
-"""Every name a package module imports is used in that module, and every
-public function the package defines is used."""
+"""Every name a package module imports is used in that module, every
+public function the package defines is used, and every command-line option
+is passed by a test or a README example."""
 
+import argparse
 import ast
 import collections
 import pathlib
+import re
 
 import pytest
+
+from superconf import cli
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "superconf"
 # __init__ imports names only to re-export them
@@ -324,3 +329,68 @@ def test_one_regime(path):
     allowed = ARRAY_TESTS_ALLOWED.get(path.name, 0)
     if allowed is not None:
         assert len(lines) <= allowed, lines
+
+
+README = TESTS.parent / "README.md"
+# command-line options that no test or README example passes, each with its
+# reason
+UNPASSED_OPTIONS_ALLOWED = set()
+
+
+def parser_options(parser):
+    """'subcommand --flag' of every option of each subcommand of an argparse
+    parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for command, sub in action.choices.items():
+                for a in sub._actions:
+                    if (a.option_strings
+                            and not isinstance(a, argparse._HelpAction)):
+                        yield f"{command} {a.option_strings[-1]}"
+
+
+def passed_flags(test_sources, readme):
+    """The flags the tests' string literals and the README's code blocks
+    pass, bare or as '--flag=value'."""
+    words = {n.value for source in test_sources
+             for n in ast.walk(ast.parse(source))
+             if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    blocks = re.findall(r"^```.*?^```", readme, re.M | re.S)
+    words |= {w for block in blocks for w in block.split()}
+    return {w.split("=", 1)[0] for w in words if w.startswith("--")}
+
+
+def unpassed_options(parser, test_sources, readme):
+    """The options of parser whose flag nothing passes.
+
+    Flags are matched alone, so a flag that two subcommands share counts as
+    passed for both when either is passed."""
+    flags = passed_flags(test_sources, readme)
+    return sorted(o for o in parser_options(parser)
+                  if o.split()[1] not in flags)
+
+
+def test_unpassed_option_scan():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    a = sub.add_parser("a")
+    a.add_argument("--x")
+    a.add_argument("-y", "--yy")
+    a.add_argument("pos")
+    b = sub.add_parser("b")
+    b.add_argument("--x")
+    b.add_argument("--z")
+    b.add_argument("--w")
+    tests = ['run("a", "--x", f"--w={v}")\n', '"--yyy"\n# "--z"\n']
+    readme = "Pass `--yy` or\n```\ntool b --z 1\n```\n"
+    assert unpassed_options(parser, tests, readme) == ["a --yy"]
+
+
+def test_every_cli_option_is_passed():
+    """Each option of the command line is passed by some test or README
+    example, or allowed above (and an allowed one is still unpassed); an
+    option nothing sets is a constant."""
+    sources = [p.read_text() for p in sorted(TESTS.glob("test_*.py"))]
+    assert unpassed_options(cli.build_parser(), sources,
+                            README.read_text()) == sorted(
+        UNPASSED_OPTIONS_ALLOWED)

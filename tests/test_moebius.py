@@ -8,15 +8,15 @@ from superconf.construct import build_phi_pair, extract_minimal_pair
 from superconf.errors import (DualitySingularError, FrameUndefinedError,
                               InversionSingularError, NotNullCurveError,
                               PreconditionError, ProjectionError,
-                              QuadricSingularError)
-from superconf.geometry import _normal_parts, fundamental_data
+                              SuperconfError)
+from superconf.geometry import (INV_FLOOR, Ambient, _normal_parts,
+                                fundamental_data)
 from superconf.jets import Jet2, fail_rows
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair, certify
-from superconf.moebius import (INV_FLOOR, Inversion, J_AMB, Stereographic,
-                               _check_denominator, _graph_fields,
-                               degenerate_collapse_check, duality, invert,
-                               normal_transform_check, pair_transform_check,
-                               quadric_classification,
+from superconf.moebius import (Inversion, J_AMB, _check_denominator,
+                               _graph_fields, degenerate_collapse_check,
+                               duality, invert, normal_transform_check,
+                               pair_transform_check, quadric_classification,
                                recover_complex_structure, superminimal_test,
                                transformed_curve)
 
@@ -36,6 +36,21 @@ def shifted_inversion():
 # -- closed-form oracles ------------------------------------------------------
 
 
+def invert_points(x, inv):
+    """invert on plain points, (n, dim) or one dim-vector as a batch of
+    one, through their constant jets; (n, dim) rows."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return invert(Jet2.stack([Jet2(c) for c in x.T]), inv).values()
+
+
+def inversion_point(x, inv):
+    """The inversion of one point in closed form:
+    c + s r^2 (x - c) / <x - c, x - c>, s the signature orientation."""
+    d = np.asarray(x, dtype=float) - inv.center
+    q = float(np.sum(inv.sig() * d * d))
+    return inv.center + inv.orientation * (inv.radius ** 2 / q) * d
+
+
 def inversion_differential(x, w, inv):
     """Tangent vector w at x pushed forward through the inversion.
 
@@ -51,6 +66,10 @@ def inversion_differential(x, w, inv):
     return inv.orientation * (inv.radius ** 2 / q) * refl
 
 
+class NullQuadricError(SuperconfError):
+    """holomorphic_inversion evaluated on the null quadric."""
+
+
 def holomorphic_inversion(Z, radius=1.0):
     """radius^2 Z / <<Z, Z>> with the complex-bilinear square downstairs.
 
@@ -60,7 +79,7 @@ def holomorphic_inversion(Z, radius=1.0):
     k = complex(np.sum(Z * Z))
     scale = float(np.sum(np.abs(Z) ** 2))
     if abs(k) <= INV_FLOOR * max(scale, 1e-300):
-        raise QuadricSingularError(
+        raise NullQuadricError(
             f"<<Z, Z>> = {k:.3e} vanishes; the quadratic inversion is "
             "undefined on the null quadric")
     return (radius ** 2) * Z / k
@@ -114,10 +133,11 @@ def test_invert_is_involutive_and_fixes_the_sphere():
     inv = Inversion(center=(0.5, -1.0, 2.0, 0.0), radius=1.7)
     for _ in range(20):
         x = rng.normal(size=4) * 3.0
-        assert np.linalg.norm(invert(invert(x, inv), inv) - x) < 1e-12
+        assert np.linalg.norm(
+            invert_points(invert_points(x, inv), inv) - x) < 1e-12
     d = rng.normal(size=4)
     on_sphere = inv.center + inv.radius * d / np.linalg.norm(d)
-    assert np.linalg.norm(invert(on_sphere, inv) - on_sphere) < 1e-12
+    assert np.linalg.norm(invert_points(on_sphere, inv) - on_sphere) < 1e-12
 
 
 def test_invert_lorentzian_involutive():
@@ -128,24 +148,26 @@ def test_invert_lorentzian_involutive():
         q = x[:4] @ x[:4] - x[4] ** 2
         if abs(q) < 0.3:
             continue
-        assert np.linalg.norm(invert(invert(x, inv), inv) - x) < 1e-10
+        assert np.linalg.norm(
+            invert_points(invert_points(x, inv), inv) - x) < 1e-10
 
 
 def test_invert_singular_at_center_and_cone():
     inv = Inversion(center=np.zeros(4), radius=1.0)
     with pytest.raises(InversionSingularError):
-        invert(np.zeros(4), inv)
+        invert_points(np.zeros(4), inv)
     linv = Inversion(center=np.zeros(5), radius=1.0, signature="lorentzian")
     with pytest.raises(InversionSingularError):
-        invert(np.array([1.0, 0.0, 0.0, 0.0, 1.0]), linv)
+        invert_points(np.array([1.0, 0.0, 0.0, 0.0, 1.0]), linv)
 
 
 def test_invert_vec_matches_points_and_chain_rule(catenoid, shifted_inversion):
     for z in GENERIC:
         smp = build_phi_pair(catenoid, z)[0].phi
         image = invert(smp, shifted_inversion)
+        [x] = smp.values()
         assert np.linalg.norm(
-            image.values() - invert(smp.values(), shifted_inversion)) < 1e-12
+            image.values() - inversion_point(x, shifted_inversion)) < 1e-12
         # jets transform by the differential of the point map
         for w, got in zip(smp.first_partials(), image.first_partials()):
             want = inversion_differential(smp.values(), w, shifted_inversion)
@@ -233,7 +255,7 @@ def test_holomorphic_inversion_maps_quadric_levels(catenoid):
 
 
 def test_holomorphic_inversion_rejects_null_vectors():
-    with pytest.raises(QuadricSingularError):
+    with pytest.raises(NullQuadricError):
         holomorphic_inversion(np.array([1.0, 1.0j, 0.0, 0.0]))
 
 
@@ -479,7 +501,7 @@ def test_degenerate_collapse_plane():
 
 
 def test_sphere_bridge_known_points():
-    st = Stereographic(1.0, "sphere")
+    st = Ambient("sphere", 1.0)
     assert st.to_R4(np.array([1.0, 0, 0, 0, 1.0]))[0] == pytest.approx(
         np.array([2.0, 0, 0, 0]), abs=1e-12)
     assert st.to_R4(np.zeros(5))[0] == pytest.approx(np.zeros(4), abs=1e-12)
@@ -490,17 +512,17 @@ def test_sphere_bridge_known_points():
 def test_sphere_bridge_round_trip():
     rng = np.random.default_rng(7)
     for radius in (1.0, 2.5):
-        st = Stereographic(radius, "sphere")
+        st = Ambient("sphere", radius)
         for _ in range(25):
             x = rng.normal(size=4) * 3.0
             assert np.linalg.norm(st.to_R4(st.from_R4(x)) - x) < 1e-11
             P = st.from_R4(x)
-            assert st.ambient.on_manifold_residual(P.T) < 1e-11
+            assert st.on_manifold_residual(P.T) < 1e-11
 
 
 def test_hyperbolic_bridge_round_trip_and_ball():
     rng = np.random.default_rng(9)
-    st = Stereographic(1.0, "hyperbolic")
+    st = Ambient("hyperbolic", 1.0)
     [P] = st.from_R4(np.array([1.99, 0.0, 0.0, 0.0]))
     q = P[:4] @ P[:4] - (P[4] + 1.0) ** 2
     assert abs(q + 1.0) < 1e-10
@@ -513,15 +535,27 @@ def test_hyperbolic_bridge_round_trip_and_ball():
 
 
 def test_bridge_rejects_bad_points():
-    st = Stereographic(1.0, "sphere")
+    st = Ambient("sphere", 1.0)
     with pytest.raises(ProjectionError):
         st.to_R4(np.array([0.5, 0, 0, 0, 1.0]))   # off the sphere
     with pytest.raises(ProjectionError):
         st.to_R4(np.array([0.0, 0, 0, 0, 2.0]))   # opposite pole
-    hy = Stereographic(1.0, "hyperbolic")
+    hy = Ambient("hyperbolic", 1.0)
     lower = np.array([0.5, 0.0, 0.0, 0.0, -1.0 - np.sqrt(1.25)])
     with pytest.raises(ProjectionError):
         hy.to_R4(lower)                            # wrong sheet
+
+
+def test_flat_space_has_no_stereographic_chart():
+    with pytest.raises(PreconditionError):
+        Ambient("r4").to_R4(np.zeros(5))
+    with pytest.raises(PreconditionError):
+        Ambient("r4").from_R4(np.zeros(4))
+    # the chart takes 5-vectors to 4-vectors
+    with pytest.raises(PreconditionError):
+        Ambient("sphere").to_R4(np.zeros(4))
+    with pytest.raises(PreconditionError):
+        Ambient("hyperbolic").from_R4(np.zeros(5))
 
 
 # -- space-form minimality ----------------------------------------------------
