@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
-from .construct import (SIGNS, _vec_norm, build_phi_pair, dual_pair_report,
+from .construct import (SIGNS, build_phi_pair, dual_pair_report,
                         reflection_pair_check, translation_check)
 from .errors import ExpressionError
 from .expr import parse_curve, print_node
 from .export import (canonical_json, csv_text, mesh_text, obj_text,
                      sample_grid, stereo_projector, summarize)
-from .geometry import (Ambient, _normal_parts, fundamental_data,
+from .geometry import (Ambient, _normal_parts, _vec_norm, fundamental_data,
                        superconformality_test)
 from .jets import fd_crosscheck
 from .minimal import (Domain, HolomorphicCurve, MinimalPair,
@@ -71,11 +71,11 @@ def criterion_1() -> CriterionResult:
     pair = entry.pair
     grid = _cat_grid()
 
-    built = {ps.sign: ps.phi.values() for ps in build_phi_pair(pair, grid)}
+    built = {ps.sign: ps.phi.v for ps in build_phi_pair(pair, grid)}
     want = {s: catalog.expected_eval(entry, "phi", s, grid.real, grid.imag)
             for s in SIGNS}
-    swapped = (np.linalg.norm(built["+"][0] - want["+"][0])
-               > np.linalg.norm(built["-"][0] - want["+"][0]))
+    swapped = (np.linalg.norm(built["+"][:, 0] - want["+"][:, 0])
+               > np.linalg.norm(built["-"][:, 0] - want["+"][:, 0]))
     label = {"+": "-", "-": "+"} if swapped else {"+": "+", "-": "-"}
 
     sup = max(float(_vec_norm(values - want[label[sign]]).max())
@@ -158,11 +158,10 @@ def criterion_5() -> CriterionResult:
     grid = tc.domain.grid(12, 12, margin=0.02)
     rep = certify(tpair, grid=grid)
     s = tpair.samples_at(grid)
-    gu, gv = s.g_u.values(), s.g_v.values()
+    gu, gv = s.g_u.v, s.g_v.v
     scale = np.maximum(np.maximum(_vec_norm(gu), _vec_norm(gv)), 1e-300)
-    hu, hv = s.h.first_partials()
-    conj = max((_vec_norm(hu + gv) / scale).max(),
-               (_vec_norm(hv - gu) / scale).max())
+    conj = max((_vec_norm(s.h.du + gv) / scale).max(),
+               (_vec_norm(s.h.dv - gu) / scale).max())
     passed = (rep["isotropy_max"] < 1e-8 and conj < 1e-8
               and rep["minimality_max"] < 1e-8)
     return CriterionResult(
@@ -187,7 +186,7 @@ def criterion_6() -> CriterionResult:
         for key in worst:
             worst[key] = max(worst[key], float(getattr(rep, key).max()))
     graph = catalog.get("whitney").aux["graph_curve"]
-    value = duality(graph, 1.0 + 0j).value[0]
+    value = duality(graph, 1.0 + 0j).value[:, 0]
     value_err = float(np.max(np.abs(value - np.array([0.25, 0.0, 0.25, 0.0]))))
     passed = (worst["antiholo"] < 1e-8 and worst["involution"] < 1e-9
               and worst["conformality"] < 1e-8 and value_err < 1e-12)
@@ -235,8 +234,8 @@ def criterion_8a() -> CriterionResult:
         return CriterionResult(
             "8a", "inverted graph equals the built surface", False,
             f"unexpected surviving signs at {grid[odd[0]]}")
-    image = invert(sample(grid), inv).values()
-    sup = float(_vec_norm(minus.phi.values() - image).max())
+    image = invert(sample(grid), inv).v
+    sup = float(_vec_norm(minus.phi.v - image).max())
     passed = sup < 1e-8
     return CriterionResult(
         "8a", "inverted graph equals the built surface", passed,
@@ -245,11 +244,11 @@ def criterion_8a() -> CriterionResult:
 
 def _whitney_display_pair():
     """(X, Y) on criterion 8b's grid: X the inversion of the Whitney graph,
-    Y the recorded compact-sphere display, one row per point."""
+    Y the recorded compact-sphere display, (4, n) each."""
     entry = catalog.get("whitney")
     inv = Inversion(center=np.zeros(4), radius=1.0)
     grid = entry.pair.domain.grid(12, 12, margin=0.02)
-    X = invert(entry.aux["graph_sample"](grid), inv).values()
+    X = invert(entry.aux["graph_sample"](grid), inv).v
     return X, catalog.expected_eval(entry, "display", grid)
 
 
@@ -261,7 +260,7 @@ def criterion_8b() -> CriterionResult:
     the recorded identification fails at any tolerance.
     """
     X, Y = _whitney_display_pair()
-    sup = float(np.max(np.linalg.norm(X - Y, axis=1)))
+    sup = float(np.max(np.linalg.norm(X - Y, axis=0)))
     passed = sup < 1e-8
     return CriterionResult(
         "8b", "inverted graph vs compact-sphere display", passed,
@@ -269,7 +268,7 @@ def criterion_8b() -> CriterionResult:
         "an orthogonal image of the inverted graph (companion check)")
 
 
-# the orthogonal map Q of criterion 8b-companion: display = sqrt(2) X Q^T
+# the orthogonal map Q of criterion 8b-companion: display = sqrt(2) Q X
 WHITNEY_DISPLAY_MAP = np.array([[1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, -1],
                                 [0, 1, 0, 1]]) / np.sqrt(2.0)
 
@@ -277,7 +276,7 @@ WHITNEY_DISPLAY_MAP = np.array([[1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, -1],
 def criterion_8b_companion() -> CriterionResult:
     """The 8b mismatch is exactly the similarity sqrt(2) Q."""
     X, Y = _whitney_display_pair()
-    err = float(np.abs(Y - np.sqrt(2.0) * X @ WHITNEY_DISPLAY_MAP.T).max())
+    err = float(np.abs(Y - WHITNEY_DISPLAY_MAP @ (np.sqrt(2.0) * X)).max())
     passed = err < 1e-12
     return CriterionResult(
         "8b-companion", "display equals sqrt(2) x Q x inverted graph",
@@ -288,8 +287,8 @@ def criterion_9a() -> CriterionResult:
     """The degree-2 sphere is superminimal in the round 4-sphere."""
     entry = catalog.get("veronese")
     us, vs = entry.domain.linspace(10, 10, margin=0.05)
-    rep = superminimal_test(entry.surface, entry.ambient,
-                            [(u, v) for u in us for v in vs])
+    rep = superminimal_test(entry.sample(np.repeat(us, 10), np.tile(vs, 10)),
+                            entry.ambient)
     passed = rep.verdict == "superminimal"
     return CriterionResult(
         "9a", "degree-2 sphere superminimality", passed,
@@ -361,8 +360,8 @@ def criterion_10() -> CriterionResult:
         ball.append(d / np.linalg.norm(d) * 1.9 * rng.random())
     round_trip = max(
         float(_vec_norm(amb.to_R4(amb.from_R4(x)) - x).max())
-        for amb, x in ((Ambient("sphere"), np.array(flat)),
-                       (Ambient("hyperbolic"), np.array(ball))))
+        for amb, x in ((Ambient("sphere"), np.stack(flat, axis=1)),
+                       (Ambient("hyperbolic"), np.stack(ball, axis=1))))
 
     passed = worst_e < 1e-7 and worst_l < 1e-7 and round_trip < 1e-11
     return CriterionResult(

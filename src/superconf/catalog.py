@@ -7,7 +7,8 @@ Three entry kinds:
 
 Minimal-pair entries are certified numerically the first time they are
 fetched.  Some entries carry closed-form reference evaluators under
-`expected`; those are the values independent checks compare against.
+`expected`, the values independent checks compare against; their vectors
+are (4, n) batches over the points, the layout of the jets' slots.
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ class CatalogEntry:
 
 def _catenoid_expected_phi(sign, u, v):
     """Closed-form reference for the constructed surfaces of the
-    catenoid/helicoid pair, (n, 4) over the points (u, v) (sign is the label
+    catenoid/helicoid pair, (4, n) over the points (u, v) (sign is the label
     of one member of the dual pair; the build labels may match this up to
     one global swap)."""
     s = 1.0 if sign == "+" else -1.0
     u, v = np.atleast_1d(u, v)
     ch = np.cosh(v)
-    return np.column_stack((
+    return np.stack((
         (np.cos(u) + u * np.sin(u)) / ch,
         (np.sin(u) - u * np.cos(u)) / ch,
         (v * ch - np.sinh(v)) / ch,
@@ -65,7 +66,7 @@ def _catenoid_expected_phi(sign, u, v):
 
 
 def _whitney_display(z):
-    """Classical compact Whitney-sphere parameterization, (n, 4) over the
+    """Classical compact Whitney-sphere parameterization, (4, n) over the
     points z, under the chart C -> S^2 by stereographic projection from the
     north pole: w(x, y, Z) = (x(1 + iZ), y(1 + iZ)) / (1 + Z^2), read into
     R4 as (Re w1, Im w1, Re w2, Im w2).  Written in real arithmetic that
@@ -80,7 +81,7 @@ def _whitney_display(z):
     # (1 + iZ) / (1 + Z^2), by CPython's complex quotient
     q = 1.0 + Z * Z
     fr, fi = 1.0 / q, Z / q
-    return np.column_stack((x * fr, x * fi, y * fr, y * fi))
+    return np.stack((x * fr, x * fi, y * fr, y * fi))
 
 
 def _whitney_graph_sample(pair_curve):
@@ -360,8 +361,7 @@ def certify_veronese():
     u, v = np.repeat(us, len(vs)), np.tile(vs, len(us))
     g, h = veronese_g(u, v), veronese_h(u, v)
     Eg, Fg, Gg, Eh, Fh, Gh = (_blas_dot(x, y) for su, sv in (
-        g.first_partials(), h.first_partials()) for x, y in (
-        (su, su), (su, sv), (sv, sv)))
+        (g.du, g.dv), (h.du, h.dv)) for x, y in ((su, su), (su, sv), (sv, sv)))
     scale = np.maximum(Eg, Gg)
 
     def worst(E, F, G):

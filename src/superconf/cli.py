@@ -25,7 +25,8 @@ from .errors import (DomainError, ExpressionError, PreconditionError,
 from .export import (canonical_json, drop_projector, sample_grid,
                      stereo_projector, summarize, write_csv, write_json,
                      write_obj)
-from .construct import _vec_norm, dual_pair_report
+from .construct import dual_pair_report
+from .geometry import _vec_norm
 from .jets import row_failures
 from .minimal import Domain, HolomorphicCurve, MinimalPair, certify
 from .moebius import (Inversion, duality, pair_transform_check,
@@ -316,7 +317,7 @@ def cmd_dual(args) -> int:
              for key in ("antiholo", "involution", "conformality")}
     ok = all(v < 1e-8 for v in worst.values())
     _emit({"curve": stem, "n_points": len(points), **worst,
-           "value_at_first": rep.value[0], "ok": ok})
+           "value_at_first": rep.value[:, 0], "ok": ok})
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
@@ -345,8 +346,9 @@ def cmd_project(args) -> int:
     us, vs = entry.domain.linspace(nu, nv, margin=0.08)
     u, v = np.repeat(us, nv), np.tile(vs, nu)
     amb = entry.ambient
-    rep = superminimal_test(entry.surface, amb, np.column_stack((u, v)))
-    P = entry.sample(u, v).values()
+    sample = entry.sample(u, v)
+    rep = superminimal_test(sample, amb)
+    P = sample.v
     round_trip = float(_vec_norm(amb.from_R4(amb.to_R4(P)) - P).max())
     ok = rep.verdict.startswith("superminimal")
     _emit({"entry": entry.name, "verdict": rep.verdict,

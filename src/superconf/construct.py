@@ -7,7 +7,8 @@ second-order jets of phi so the curvature machinery in `geometry` can run on
 the result, flags the points where the construction degenerates (an int
 array of the FLAG_* bits, PhiSample.flags), checks the geometry the two
 surfaces share with g (dual_pair_report), and implements the inverse
-extraction of (g, h) from a superconformal sample.
+extraction of (g, h) from a superconformal sample.  Vectors in and out are
+(4, n) batches, the layout of the jets' slots.
 
 Sign convention, fixed once for the whole package: with W = g_u ^ g_v the
 tangent 2-form of the base surface, |W|^2 = EG - F^2, and * the Hodge star
@@ -31,9 +32,9 @@ import numpy as np
 from .errors import (FrameDegenerateError, FrameUndefinedError,
                      PreconditionError)
 from .geometry import (CIRCULAR_TOL, REGULARITY_FLOOR, FundamentalData,
-                       _blas_dot, _col, _ellipse_axes, _is_circular, _largest,
-                       _normal_parts, _pypow, _rank_deficient, _rows, _sqrt0,
-                       adapted_frame, fundamental_data)
+                       _blas_dot, _ellipse_axes, _is_circular, _largest,
+                       _normal_parts, _pypow, _rank_deficient, _sqrt0,
+                       _vec_norm, adapted_frame, fundamental_data)
 from .jets import DIV_FLOOR, Jet2, fail_rows
 from .minimal import MinimalPair
 
@@ -139,7 +140,7 @@ def _assemble(s) -> _FieldContext:
     F = gu.dot(gv)
     G = gv.dot(gv)
 
-    scale = _largest(_vec_norm(h.values()), _vec_norm(g.values()), 1.0)
+    scale = _largest(_vec_norm(h.v), _vec_norm(g.v), 1.0)
     r2 = h.dot(h)
     fail_rows(r2.v <= np.maximum(_pypow(R_FLOOR * scale, 2), DIV_FLOOR),
               lambda k: FrameDegenerateError(
@@ -165,11 +166,6 @@ def _assemble(s) -> _FieldContext:
                          g_collapse=_g_collapse(fd_g))
 
 
-def _vec_norm(x):
-    """np.linalg.norm of every vector of x, rounded as np.linalg.norm."""
-    return np.sqrt(_blas_dot(x, x))
-
-
 def _g_collapse(fd_g):
     """Which construction sign degenerates when g has a circular ellipse.
 
@@ -192,12 +188,11 @@ def _flags(ctx: _FieldContext, sign, phi: Jet2) -> np.ndarray:
     # rank floor relative to the pair's own length scale, not phi's: a
     # collapsed phi is pure roundoff and must not self-normalize into
     # looking like a (tiny) immersion
-    pu, pv = phi.first_partials()
+    pu, pv = phi.du, phi.dv
     E, F, G = _blas_dot(pu, pu), _blas_dot(pu, pv), _blas_dot(pv, pv)
     det1 = E * G - F * F
-    gu, gv = ctx.sample.g_u.values(), ctx.sample.g_v.values()
-    scale = _largest(_vec_norm(pu), _vec_norm(pv), _vec_norm(gu),
-                     _vec_norm(gv), 1e-150)
+    scale = _largest(np.sqrt(E), np.sqrt(G), _vec_norm(ctx.sample.g_u.v),
+                     _vec_norm(ctx.sample.g_v.v), 1e-150)
     rank_def = det1 <= REGULARITY_FLOOR * _pypow(scale, 4)
     return (FLAG_A_SMALL * (ctx.a < A_SMALL)
             | FLAG_G_HOLOMORPHIC * ctx.g_collapse[sign]
@@ -226,7 +221,7 @@ def _phi_pair(ctx: _FieldContext):
 
 
 def phi_value(g_sample: Jet2, h_sample: Jet2, sign) -> np.ndarray:
-    """Value of phi, (n, 4), from plain 2-jet samples of g and h.
+    """Value of phi, (4, n), from plain 2-jet samples of g and h.
 
     For pairs given by closed-form samplers rather than holomorphic curves;
     no derivative fields are required because only the value is produced.
@@ -244,14 +239,14 @@ def phi_value(g_sample: Jet2, h_sample: Jet2, sign) -> np.ndarray:
     ju = (fd.F * gu - fd.E * gv) / w
     jv = (fd.G * gu - fd.F * gv) / w
     hu, hv = h_sample.du, h_sample.dv
-    standard = _vec_norm(_rows(hu - ju)) + _vec_norm(_rows(hv - jv))
-    mirrored = _vec_norm(_rows(hu + ju)) + _vec_norm(_rows(hv + jv))
+    standard = _vec_norm(hu - ju) + _vec_norm(hv - jv)
+    mirrored = _vec_norm(hu + ju) + _vec_norm(hv + jv)
     orient = np.where(standard <= mirrored, 1.0, -1.0)
     # as vector jets with vanishing derivatives, so that each value takes
     # the operations it takes in _assemble
     tw, nw = (t.v for t in _jhat_parts(*(
         Jet2(x, *[np.zeros((4, 1))] * 5) for x in (gu, gv, h_sample.v))))
-    return _rows(g_sample.v + (orient * tw + s * nw) / w)
+    return g_sample.v + (orient * tw + s * nw) / w
 
 
 @dataclass(frozen=True)
@@ -292,19 +287,18 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
             PreconditionError(f"constructed surface {sign} is rank-deficient "
                               f"at z={complex(s.z[k])}")))
     a, r = ctx.a, ctx.r.v
-    g_val, gu, gv = s.g.values(), s.g_u.values(), s.g_v.values()
+    g_val, gu, gv = s.g.v, s.g_u.v, s.g_v.v
     # the coefficients (p, q) of grad r are (ru, rv) / E, and those of
     # Z = -J grad r are (-q, p)
     grad_u, grad_v = ((d / ctx.E).v for d in (ctx.ru, ctx.rv))
     # xi = -h^N / (a r), or g's first normal where a is at its floor
-    [hN] = _normal_parts([s.h.values()], gu, gv,
-                         lambda x, y: _col(_blas_dot(x, y)))
+    [hN] = _normal_parts([s.h.v], gu, gv, _blas_dot)
     with np.errstate(divide="ignore", invalid="ignore"):
-        xi = -hN / _col(a * r)
+        xi = -hN / (a * r)
     fallback = a <= A_FLOOR
     if np.any(fallback):
-        xi = np.where(_col(fallback), _rows(ctx.fd_g.n1), xi)
-    zeta_c = _col(-grad_v) * gu + _col(grad_u) * gv + _col(a) * xi
+        xi = np.where(fallback, ctx.fd_g.n1, xi)
+    zeta_c = -grad_v * gu + grad_u * gv + a * xi
     conformal_ok = a >= CONFORMAL_A_FLOOR
 
     mu, center, conformal, tangency, forms = {}, {}, {}, {}, {}
@@ -312,9 +306,9 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
         fd = fundamental_data(ps.phi)
         fr = adapted_frame(fd)
         mu[ps.sign] = fr.mu
-        H = _rows(fd.H)
+        H = fd.H
         lam2 = _blas_dot(H, H)
-        center[ps.sign] = _vec_norm(ps.phi.values() + H / _col(lam2) - g_val)
+        center[ps.sign] = _vec_norm(ps.phi.v + H / lam2 - g_val)
         forms[ps.sign] = (fd.E, fd.F, fd.G)
         rho = _pypow(r * fr.mu / np.where(conformal_ok, a, 1.0), 2)
         conformal[ps.sign] = np.where(conformal_ok, _largest(
@@ -322,7 +316,7 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
             abs(ctx.G.v - rho * fd.G)), np.nan)[()]
         tangency[ps.sign] = _largest(
             *(abs(_blas_dot(zeta_c, w)) / _vec_norm(w)
-              for w in (*ps.phi.first_partials(), H)))
+              for w in (ps.phi.du, ps.phi.dv, H)))
     metric = None
     if len(built) == 2:
         m_plus, m_minus = _pypow(mu["+"], 2), _pypow(mu["-"], 2)
@@ -342,7 +336,7 @@ def translation_check(pair: MinimalPair, offset, points):
     offset = np.asarray(offset, dtype=float)
     z = np.asarray(points, dtype=complex)
     moved = build_phi_pair(pair.translated(offset), z)
-    shift = np.concatenate([_vec_norm(m.phi.values() - b.phi.values())
+    shift = np.concatenate([_vec_norm(m.phi.v - b.phi.v)
                             for b, m in zip(build_phi_pair(pair, z), moved)])
     return float(np.abs(shift - np.linalg.norm(offset)).max(initial=0.0))
 
@@ -354,19 +348,17 @@ def reflection_pair_check(pair: MinimalPair, points):
 
     Raises PreconditionError if the pair leaves the hyperplane: if |x4| of
     g or h exceeds 1e-9 times the sample scale at a point."""
-    mirror = np.array([1.0, 1.0, 1.0, -1.0])
+    mirror = np.array([1.0, 1.0, 1.0, -1.0])[:, None]
     z = np.asarray(points, dtype=complex)
     plus, minus = build_phi_pair(pair, z)
-    g, h = plus.ctx.sample.g.values(), plus.ctx.sample.h.values()
+    g, h = plus.ctx.sample.g.v, plus.ctx.sample.h.v
     scale = _largest(_vec_norm(g), _vec_norm(h), 1.0)
-    off = np.flatnonzero(np.maximum(abs(g[:, 3]), abs(h[:, 3]))
-                         > 1e-9 * scale)
+    off = np.flatnonzero(np.maximum(abs(g[3]), abs(h[3])) > 1e-9 * scale)
     if off.size:
         raise PreconditionError(
             f"pair leaves the x4 = 0 hyperplane at z={complex(z[off[0]])}; "
             "reflection symmetry only applies to pairs in R3")
-    return float(np.abs(mirror * plus.phi.values()
-                        - minus.phi.values()).max(initial=0.0))
+    return float(np.abs(mirror * plus.phi.v - minus.phi.v).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -379,7 +371,7 @@ class ExtractedPair:
 
 
 def extract_minimal_pair(sample: Jet2) -> ExtractedPair:
-    """Recover (g, h) values, (n, 4), from a superconformal surface sample,
+    """Recover (g, h) values, (4, n), from a superconformal surface sample,
     a vector Jet2 over a batch of points.
 
     g is the center of the curvature circle's sphere: phi + H/||H||^2; h is
@@ -394,7 +386,7 @@ def extract_minimal_pair(sample: Jet2) -> ExtractedPair:
               lambda k: FrameUndefinedError(
                   f"extraction needs ||H|| and mu above floor, got "
                   f"{lam[k]:.3e}, {mu[k]:.3e}"))
-    g = _rows(fd.position + fd.H / (lam * lam))
-    h = _rows(-fr.zeta_oriented / lam)
+    g = fd.position + fd.H / (lam * lam)
+    h = -fr.zeta_oriented / lam
     return ExtractedPair(g=g, h=h, lam=lam, mu=mu,
                          zeta_orientation=fr.ambient_det)

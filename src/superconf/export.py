@@ -17,7 +17,7 @@ import numpy as np
 
 from .construct import (FLAG_DEGENERATE_SAMPLE, FLAG_OUT_OF_DOMAIN,
                         FLAG_RANK_DEFICIENT, build_phi_pair, check_sign)
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError
 from .geometry import fundamental_data, superconformality_test
 from .jets import row_failures
 
@@ -130,7 +130,6 @@ def _fill_rows(rows, at, ps, failed):
     # a position past the float range has no values to write either
     flags = np.where(failed.rows() | ~np.isfinite(position).all(axis=1),
                      FLAG_DEGENERATE_SAMPLE, flags)
-    flags = np.where(failed.rows(DomainError), FLAG_OUT_OF_DOMAIN, flags)
     placed = flags < FLAG_OUT_OF_DOMAIN
     stated = placed & fd.regular
     rows.flags[at] = flags

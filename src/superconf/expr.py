@@ -18,11 +18,14 @@ then * /, then + -):
 
 Every node carries its source span so evaluation failures can name the
 offending subexpression.  Spans and positions are excluded from node equality;
-printing then reparsing reproduces the identical tree.
+printing then reparsing reproduces the identical tree.  Numbers are ASCII
+digits and finite; the tree and the parser's nesting of parentheses, calls
+and minus signs are at most MAX_DEPTH deep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import add, mul, sub
 
@@ -30,6 +33,11 @@ from .errors import DegenerateJetError, EvaluationError, ExpressionError
 from .jets import PAIRED, ComplexJet, fail_rows, row_failures
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
+# evaluating, printing and comparing a tree recurse once per level, and the
+# parser five times per nested parenthesis: a bound well inside Python's
+# default recursion limit of 1000
+MAX_DEPTH = 100
+_DIGITS = frozenset("0123456789")
 _ARITHMETIC = {"+": add, "-": sub, "*": mul}
 
 
@@ -123,24 +131,27 @@ def _tokenize(text):
             i += 1
             col += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and text[i + 1:i + 2] in _DIGITS):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k] in _DIGITS:
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
-            lex = text[i:j]
-            toks.append(_Token(_TOK_NUM, lex, float(lex), i, line, col))
+            lex, value = text[i:j], float(text[i:j])
+            if not math.isfinite(value):
+                raise ExpressionError(f"number {lex} is not finite", line, col,
+                                      expected=("finite number",))
+            toks.append(_Token(_TOK_NUM, lex, value, i, line, col))
             col += j - i
             i = j
             continue
@@ -172,6 +183,26 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
+        self.depth = {}      # id(node) -> its tree's depth, if above 1
+
+    def build(self, tok, cls, *fields, span):
+        """The inner node cls(*fields, span=span), failing at tok where
+        that makes the tree more than MAX_DEPTH levels deep."""
+        depth = 1 + max(self.depth.get(id(f), 1) for f in fields
+                        if isinstance(f, Node))
+        if depth > MAX_DEPTH:
+            self.fail(f"expression nests deeper than {MAX_DEPTH} levels", tok)
+        out = cls(*fields, span=span)
+        self.depth[id(out)] = depth
+        return out
+
+    def enter(self, tok):
+        """Go one level of nesting deeper at tok, failing past MAX_DEPTH;
+        the caller steps back out when it is done."""
+        if self.nesting == MAX_DEPTH:
+            self.fail(f"expression nests deeper than {MAX_DEPTH} levels", tok)
+        self.nesting += 1
 
     def peek(self):
         return self.toks[self.pos]
@@ -217,33 +248,35 @@ class _Parser:
     def parse_expr(self):
         node = self.parse_term()
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
+            op = self.advance()
             rhs = self.parse_term()
             span = (node.span[0], self.end()) if node.span and rhs.span else None
-            node = Bin(op, node, rhs, span=span)
+            node = self.build(op, Bin, op.kind, node, rhs, span=span)
         return node
 
     def parse_term(self):
         node = self.parse_unary()
         while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
+            op = self.advance()
             rhs = self.parse_unary()
             span = (node.span[0], self.end()) if node.span and rhs.span else None
-            node = Bin(op, node, rhs, span=span)
+            node = self.build(op, Bin, op.kind, node, rhs, span=span)
         return node
 
     def parse_unary(self):
         if self.peek().kind == "-":
             t = self.advance()
+            self.enter(t)
             x = self.parse_unary()
+            self.nesting -= 1
             span = (t.start, self.end()) if x.span else None
-            return Neg(x, span=span)
+            return self.build(t, Neg, x, span=span)
         return self.parse_power()
 
     def parse_power(self):
         node = self.parse_atom()
         while self.peek().kind == "^":
-            self.advance()
+            caret = self.advance()
             sign = 1
             if self.peek().kind == "-":
                 self.advance()
@@ -254,7 +287,7 @@ class _Parser:
                           expected=("integer exponent",))
             self.advance()
             span = (node.span[0], self.end()) if node.span else None
-            node = Pow(node, sign * int(t.value), span=span)
+            node = self.build(caret, Pow, node, sign * int(t.value), span=span)
         return node
 
     def parse_atom(self):
@@ -272,14 +305,19 @@ class _Parser:
             if t.value in FUNCTIONS:
                 self.advance()
                 self.expect("(", "'('")
+                self.enter(t)
                 arg = self.parse_expr()
+                self.nesting -= 1
                 close = self.expect(")", "')'")
-                return Call(t.value, arg, span=(t.start, close.start + 1))
+                return self.build(t, Call, t.value, arg,
+                                 span=(t.start, close.start + 1))
             self.fail(f"unknown identifier {t.value!r}", tok=t,
                       expected=_ATOM_EXPECTED)
         if t.kind == "(":
             self.advance()
+            self.enter(t)
             node = self.parse_expr()
+            self.nesting -= 1
             self.expect(")", "')'")
             return node
         self.fail("expected expression", tok=t, expected=_ATOM_EXPECTED)

@@ -6,9 +6,11 @@ space in L5 with the (+,+,+,+,-) product).  The kernel computes on the
 sample's own (dim, n) slots, component axis first and batch axis last, and
 every vector field it returns has that layout.  An inner product sums the
 component rows of a product in order from 0.0, 0.0 + p[0] + p[1] + ...,
-which rounds as a sum along a trailing axis of fewer than 8 entries.
-Outputs: fundamental forms, curvature invariants, the ellipse of curvature,
-and the adapted tangent/normal frame in which both shape operators take their
+which rounds as a sum along a trailing axis of fewer than 8 entries;
+_blas_dot and _vec_norm, which round as BLAS does, take (dim, n) batches
+too and make the (n, dim) rows of their BLAS call themselves.  Outputs:
+fundamental forms, curvature invariants, the ellipse of curvature, and the
+adapted tangent/normal frame in which both shape operators take their
 normal form.  A space form also carries its stereographic chart onto (part
 of) flat R4 (Ambient.to_R4, Ambient.from_R4).
 
@@ -114,57 +116,57 @@ class Ambient:
         return abs(q - target)
 
     def _chart(self, x, dim, what):
-        """x as an (n, dim) float array, one dim-vector as a batch of one,
+        """x as a (dim, n) float array, one dim-vector as a batch of one,
         for the stereographic chart, which flat R4 does not have."""
         if self.kind == "r4":
             raise PreconditionError("flat R4 has no stereographic chart")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.ndim != 2 or x.shape[1] != dim:
+        x = np.asarray(x, dtype=float)
+        x = x[:, None] if x.ndim == 1 else x
+        if x.ndim != 2 or len(x) != dim:
             raise PreconditionError(f"{what} are {dim}-vectors")
         return x
 
     def to_R4(self, P):
-        """R4 images, (n, 4), of the space-form points P, (n, 5) or one
-        5-vector as a batch of one; rows off the space form or without an
+        """R4 images, (4, n), of the space-form points P, (5, n) or one
+        5-vector as a batch of one; points off the space form or without an
         image fail with ProjectionError (jets.fail_rows)."""
         P = self._chart(P, 5, "space-form points")
-        d = P - self.center_vec()
-        res = self.on_manifold_residual(P.T)
+        d = P - self.center_vec()[:, None]
+        res = self.on_manifold_residual(P)
         fail_rows(res > 1e-9 * np.maximum(1.0, _blas_dot(d, d)),
                   lambda k: ProjectionError(
                       f"point is off the {self.kind} space form "
                       f"(residual {res[k]:.3e})"))
         r = self.radius
         if self.kind == "sphere":
-            c = 2.0 * r * _E5
+            c = 2.0 * r * _E5[:, None]
             d = P - c
             q = _blas_dot(d, d)
             fail_rows(q <= INV_FLOOR * max(1.0, r * r),
                       lambda k: ProjectionError(
                           "the point opposite the image plane has no image"))
-            return (c + _col(4.0 * r * r / q) * d)[:, :4]
-        den = P[:, 4] + 2.0 * r
+            return (c + 4.0 * r * r / q * d)[:4]
+        den = P[4] + 2.0 * r
         fail_rows(den <= INV_FLOOR * max(1.0, r), lambda k: ProjectionError(
             "point sits on the wrong sheet of the hyperboloid"))
-        return _col(2.0 * r / den) * P[:, :4]
+        return 2.0 * r / den * P[:4]
 
     def from_R4(self, x):
-        """Space-form points, (n, 5), of the R4 points x, (n, 4) or one
-        4-vector as a batch of one; rows outside the hyperbolic model fail
+        """Space-form points, (5, n), of the R4 points x, (4, n) or one
+        4-vector as a batch of one; points outside the hyperbolic model fail
         with ProjectionError (jets.fail_rows)."""
         x = self._chart(x, 4, "flat points")
         r = self.radius
         if self.kind == "sphere":
-            c = 2.0 * r * _E5
-            d = np.concatenate((x, np.zeros((len(x), 1))), axis=1) - c
-            return c + _col(4.0 * r * r / _blas_dot(d, d)) * d
+            c = 2.0 * r * _E5[:, None]
+            d = np.concatenate((x, np.zeros((1, x.shape[1])))) - c
+            return c + 4.0 * r * r / _blas_dot(d, d) * d
         n2 = _blas_dot(x, x)
         fail_rows(n2 >= 4.0 * r * r, lambda k: ProjectionError(
             f"the hyperbolic model fills the open ball of radius "
             f"{2.0 * r:g}; |x| = {np.sqrt(n2[k]):.6g} falls outside"))
         s = 4.0 * r * r / (4.0 * r * r - n2)
-        return np.concatenate((_col(s) * x, _col(2.0 * r * (s - 1.0))),
-                              axis=1)
+        return np.concatenate((s * x, [2.0 * r * (s - 1.0)]))
 
 
 R4 = Ambient("r4")
@@ -281,22 +283,25 @@ def _sqrt0(x):
 
 
 def _blas_dot(a, b):
-    """a @ b for every row of two (n, dim) C-contiguous batches of vectors:
-    the BLAS dot numpy uses for one pair, which rounds differently from a
-    sum along the component axis."""
-    n = a.shape[-1]
-    return np.matmul(a[:, None, :], b.reshape(-1, n, 1))[:, 0, 0]
+    """The inner product of every column of two (dim, n) batches of
+    vectors, either one a broadcast (dim, 1) constant: the BLAS dot numpy
+    makes for one pair of vectors, on their C-contiguous (n, dim) rows, which
+    rounds differently from a sum along the component axis."""
+    rows_a = _rows(a)
+    rows_b = rows_a if b is a else _rows(b)
+    return np.matmul(rows_a[:, None, :], rows_b[:, :, None])[:, 0, 0]
+
+
+def _vec_norm(x):
+    """np.linalg.norm of every column of a (dim, n) batch, rounded as
+    np.linalg.norm rounds one vector."""
+    return np.sqrt(_blas_dot(x, x))
 
 
 def _rows(x):
-    """A (dim, n) batch of vectors as C-contiguous (n, dim) rows, for
-    _blas_dot and for results given as rows."""
+    """A (dim, n) batch of vectors as C-contiguous (n, dim) rows, the
+    layout of _blas_dot's BLAS call."""
     return np.ascontiguousarray(x.T)
-
-
-def _col(x):
-    """A batch of numbers as a column, to scale (n, dim) rows by."""
-    return np.asarray(x)[..., None]
 
 
 def _rank_deficient(fd):

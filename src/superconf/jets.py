@@ -620,13 +620,9 @@ class Jet2(_Jet):
         return Jet2(*(x * factors for x in self.slots))
 
     def values(self):
-        """The value slot of a vector jet as (n, dim) C-contiguous rows, the
-        layout of BLAS inputs and of results given per point."""
+        """The value slot of a vector jet as (n, dim) C-contiguous rows, one
+        point per row, the layout the writers format."""
         return np.ascontiguousarray(self.v.T)
-
-    def first_partials(self):
-        """The du and dv slots of a vector jet, (n, dim) each, as values()."""
-        return np.ascontiguousarray(self.du.T), np.ascontiguousarray(self.dv.T)
 
 
 def _re_part(w0, w1, w2):

@@ -88,8 +88,8 @@ class HolomorphicCurve:
         return self.expr.eval_jets(z)
 
     def eval(self, z):
-        """Component values, (n, 4) over the n points z."""
-        return np.stack([j.c0.z for j in self.eval_jets(z)], axis=-1)
+        """Component values, (4, n) over the n points z."""
+        return np.stack([j.c0.z for j in self.eval_jets(z)])
 
     def __repr__(self):
         return f"HolomorphicCurve({self.name!r}, {self.to_text()!r})"
@@ -190,9 +190,10 @@ def certify(pair, grid):
 
     sample = pair.samples_at(z)
     # G' = g_u + i h_u = g_u - i g_v
-    d = sample.g_u.values() - 1j * sample.g_v.values()
-    herm = np.sum(np.abs(d) ** 2, axis=-1)
-    iso = np.sum(d * d, axis=-1)
+    d = sample.g_u.v - 1j * sample.g_v.v
+    herm = np.sum(np.abs(d) ** 2, axis=0)
+    sq = d * d    # summed as numpy sums a row of four complex numbers
+    iso = (sq[0] + sq[1]) + (sq[2] + sq[3])
     iso = np.hypot(iso.real, iso.imag) / np.maximum(herm, 1e-300)
 
     fd = geometry.fundamental_data(sample.g)

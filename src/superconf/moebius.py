@@ -19,7 +19,9 @@ Conventions.  The ambient complex structure on R4 pairs coordinates as
 x1 y1 + ... + x4 y4 - x5 y5, and the Lorentzian inversion carries a minus
 sign on the radius-squared factor.  The conjugate member of a transformed
 pair is only determined up to one global sign; checks that compare against
-closed forms score both conventions and report the winner.
+closed forms score both conventions and report the winner.  Vectors,
+curve values (HolomorphicCurve.eval) among them, are (dim, n) batches, the
+jets' layout.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ from functools import reduce
 
 import numpy as np
 
-from .construct import (SIGNS, _vec_norm, build_phi_pair, extract_minimal_pair,
-                        phi_value)
+from .construct import SIGNS, build_phi_pair, extract_minimal_pair, phi_value
 from .errors import (DualitySingularError, FrameUndefinedError,
                      InversionSingularError, NotNullCurveError,
                      PreconditionError, ProjectionError, SingularSampleError)
 from .expr import Bin, Curve, CurveExpr, Pow, const_node
-from .geometry import (CIRCULAR_TOL, INV_FLOOR, R4, Ambient, _blas_dot, _col,
-                       _coord_shape, _largest, _normal_parts, _rows,
+from .geometry import (CIRCULAR_TOL, INV_FLOOR, R4, Ambient, _blas_dot,
+                       _coord_shape, _largest, _normal_parts, _vec_norm,
                        ellipse_descriptor, fundamental_data)
 from .jets import (Jet2, _im_part, _re_part, fail_rows, graph_surface,
                    row_failures)
@@ -159,8 +160,8 @@ def normal_transform_check(sample, xi, inv):
     xx = dot(xi, xi)
     fail_rows(abs(xx - 1.0) > 1e-8, lambda k: PreconditionError(
         f"xi must be a unit spacelike vector; <xi, xi> = {xx[k]:.6f}"))
-    tang = np.maximum(abs(dot(xi, Xu)) / _vec_norm(_rows(Xu)),
-                      abs(dot(xi, Xv)) / _vec_norm(_rows(Xv)))
+    tang = np.maximum(abs(dot(xi, Xu)) / _vec_norm(Xu),
+                      abs(dot(xi, Xv)) / _vec_norm(Xv))
     fail_rows(tang > 1e-6, lambda k: PreconditionError(
         f"xi is not normal to the sample (tangential part {tang[k]:.3e})"))
 
@@ -171,8 +172,8 @@ def normal_transform_check(sample, xi, inv):
     image = invert(sample, inv)
     iu, iv = image.du, image.dv
     res_unit = abs(dot(pxi, pxi) - 1.0)
-    res_normal = np.maximum(abs(dot(pxi, iu)) / _vec_norm(_rows(iu)),
-                            abs(dot(pxi, iv)) / _vec_norm(_rows(iv)))
+    res_normal = np.maximum(abs(dot(pxi, iu)) / _vec_norm(iu),
+                            abs(dot(pxi, iv)) / _vec_norm(iv))
     A = _coord_shape(Xu, Xv, sample.slots[3:], xi, dot)
     A_img = _coord_shape(iu, iv, image.slots[3:], pxi, dot)
     rhs = (q[:, None, None] * A
@@ -258,25 +259,24 @@ def duality(curve, z):
                   f"position vector of {curve.name} is tangential at "
                   f"z = {complex(z[k])}; the dual is undefined"))
     fstar = fN * (0.5 / n2)
-    Fu, Fv = fstar.first_partials()
-    sc = _largest(_vec_norm(Fu), _vec_norm(Fv), 1e-300)
-    # J_AMB's entries are 0 and +-1, so these products are exact
-    r1 = Fv + Fu @ J_AMB.T
-    r2 = -Fu + Fv @ J_AMB.T
-    antiholo = np.maximum(np.abs(r1).max(axis=1), np.abs(r2).max(axis=1)) / sc
+    Fu, Fv = fstar.du, fstar.dv
     E, F, G = _blas_dot(Fu, Fu), _blas_dot(Fu, Fv), _blas_dot(Fv, Fv)
+    sc = _largest(np.sqrt(E), np.sqrt(G), 1e-300)
+    # J_AMB's entries are 0 and +-1, so these products are exact
+    r1 = Fv + J_AMB @ Fu
+    r2 = -Fu + J_AMB @ Fv
+    antiholo = np.maximum(np.abs(r1).max(axis=0), np.abs(r2).max(axis=0)) / sc
     conformality = (np.maximum(abs(E - G), 2.0 * abs(F))
                     / _largest(E, G, 1e-300))
-    value = fstar.values()
-    [FN] = _normal_parts([value], Fu, Fv,
-                         lambda a, b: _col(_blas_dot(a, b)))
+    value = fstar.v
+    [FN] = _normal_parts([value], Fu, Fv, _blas_dot)
     nn = _blas_dot(FN, FN)
     fail_rows(nn <= 1e-24 * np.maximum(_blas_dot(value, value), 1e-300),
               lambda k: DualitySingularError(
                   f"dual of {curve.name} is itself tangential at "
                   f"z = {complex(z[k])}"))
-    second = FN / _col(2.0 * nn)
-    involution = _vec_norm(second - pos.values())
+    second = FN / (2.0 * nn)
+    involution = _vec_norm(second - pos.v)
     return DualityReport(z=z, value=value, antiholo=antiholo,
                          involution=involution, conformality=conformality)
 
@@ -341,19 +341,19 @@ def pair_transform_check(pair, inv, points):
         raise PreconditionError("every sample point was degenerate")
 
     center_eff = inv.center.astype(complex) - 1j * pair.h_offset
-    w = pair.curve.eval(z[ok]) - center_eff
+    w = pair.curve.eval(z[ok]) - center_eff[:, None]
     q, scale = _complex_square(w.real, w.imag)
     if abs(q).max() <= 1e-8 * scale.max():
         raise PreconditionError(
             f"curve of {pair.name} shifted by the center lies on the null "
             "quadric; the quadratic inversion degenerates there")
     tcurve = transformed_curve(pair.curve, inv.radius, center_eff)
-    route_two = np.zeros((z.size, 4), complex)
+    route_two = np.zeros((4, z.size), complex)
     with np.errstate(all="ignore"), row_failures(ok.sum()) as unevaluated:
-        route_two[ok] = tcurve.eval(z[ok])
+        route_two[:, ok] = tcurve.eval(z[ok])
     skipped.update(unevaluated.counts())
     ok[ok] = ~unevaluated.rows()
-    g_curve, h_curve = inv.center + route_two.real, route_two.imag
+    g_curve, h_curve = inv.center[:, None] + route_two.real, route_two.imag
     sup_g, d_plus, d_minus, used = 0.0, 0.0, 0.0, 0
     for phi, flags in built:
         flagged = ok & (flags != 0)
@@ -369,10 +369,11 @@ def pair_transform_check(pair, inv, points):
         good = ~bad.rows()
         rows = rows[good]
         used += rows.size
-        h_ext = _col(ext.zeta_orientation[good]) * ext.h[good]
-        sup_g = _vec_norm(ext.g[good] - g_curve[rows]).max(initial=sup_g)
-        d_plus = _vec_norm(h_ext - h_curve[rows]).max(initial=d_plus)
-        d_minus = _vec_norm(h_ext + h_curve[rows]).max(initial=d_minus)
+        h_ext = ext.zeta_orientation[good] * ext.h[:, good]
+        sup_g = _vec_norm(ext.g[:, good] - g_curve[:, rows]).max(
+            initial=sup_g)
+        d_plus = _vec_norm(h_ext - h_curve[:, rows]).max(initial=d_plus)
+        d_minus = _vec_norm(h_ext + h_curve[:, rows]).max(initial=d_minus)
     if used == 0:
         raise PreconditionError("every sample point was degenerate")
     if d_minus <= d_plus:
@@ -414,8 +415,7 @@ def recover_complex_structure(pair, points):
     if not z.size:
         raise PreconditionError("no sample points given")
     s = pair.samples_at(z)
-    g, h = s.g.values(), s.h.values()
-    gu, gv = s.g_u.values(), s.g_v.values()
+    g, h, gu, gv = s.g.v, s.h.v, s.g_u.v, s.g_v.v
     q, scale = _complex_square(g, h)
     qmax = abs(q).max(initial=0.0)
     if qmax > 1e-8 * scale.max(initial=1.0):
@@ -424,9 +424,9 @@ def recover_complex_structure(pair, points):
             f"(max |<<G, G>>| = {qmax:.3e}); no constant complex structure "
             "pairs g with h")
 
-    # three equations J x = y per point, in point order
-    X = np.stack((g, gu, gv), axis=1).reshape(-1, 4)
-    Y = np.stack((h, -gv, gu), axis=1).reshape(-1, 4)
+    # three equations J x = y per point, in point order: the design's rows
+    X = np.stack((g, gu, gv), axis=1).T.reshape(-1, 4)
+    Y = np.stack((h, -gv, gu), axis=1).T.reshape(-1, 4)
     A = np.zeros((len(X), 4, 16))
     for i in range(4):
         A[:, i, 4 * i:4 * i + 4] = X
@@ -446,8 +446,8 @@ def recover_complex_structure(pair, points):
             w2 = -w2
         J = J + np.outer(w2, w1) - np.outer(w1, w2)
 
-    xscale = max(np.sqrt(_blas_dot(X, X).max()), 1e-300)
-    misfits = _vec_norm(np.matmul(J, X[..., None])[..., 0] - Y) / xscale
+    xscale = max(np.sqrt(_blas_dot(X.T, X.T).max()), 1e-300)
+    misfits = _vec_norm((np.matmul(J, X[..., None])[..., 0] - Y).T) / xscale
     return ComplexStructureReport(
         matrix=J,
         rank=rank,
@@ -480,15 +480,15 @@ def degenerate_collapse_check(pair, points):
     fail_rows(~fd.regular, lambda k: SingularSampleError(
         "g is singular at a sample point"))
     g = built[0].ctx.sample.g
-    [gN] = _normal_parts([g.values()], *g.first_partials(),
-                         lambda a, b: _col(_blas_dot(a, b)))
-    vals = {ps.sign: ps.phi.values() for ps in built}
+    [gN] = _normal_parts([g.v], g.du, g.dv, _blas_dot)
+    vals = {ps.sign: ps.phi.v for ps in built}
     companion = {s: _vec_norm(v - 2.0 * gN).max(initial=0.0)
                  for s, v in vals.items()}
-    variation = {s: _vec_norm(v - v[0]).max() for s, v in vals.items()}
+    variation = {s: _vec_norm(v - v[:, :1]).max() for s, v in vals.items()}
     collapsed = "+" if variation["+"] <= variation["-"] else "-"
     other = "-" if collapsed == "+" else "+"
-    center = np.mean(vals[collapsed], axis=0)
+    # the points summed one after another, as np.mean sums rows
+    center = np.add.accumulate(vals[collapsed], axis=1)[:, -1] / len(z)
     return CollapseReport(collapsed_sign=collapsed, center=center,
                           variation=float(variation[collapsed]),
                           companion_residual=float(companion[other]))
@@ -508,28 +508,25 @@ class SpaceFormReport:
     n_points: int
 
 
-def superminimal_test(surface, ambient, points):
+def superminimal_test(sample, ambient):
     """Minimality plus curvature-circle roundness for a space-form immersion.
 
-    surface maps (u, v) to a 5-component vector Jet2 whose values must lie
-    on the space form; off-manifold samples raise ProjectionError.  The
-    immersion is minimal where |H| <= 1e-9 at every sample, and round where
-    the circularity residuals are at most CIRCULAR_TOL.  Totally umbilic
-    immersions carry a point circle at every sample; they pass vacuously
-    and the verdict says so."""
-    uv = np.array(list(points), dtype=float).reshape(-1, 2)
-    if not uv.size:
+    sample is the immersion's 5-component vector Jet2 over a batch of
+    points, whose values must lie on the space form; an off-manifold point
+    raises ProjectionError.  The immersion is minimal where |H| <= 1e-9 at
+    every point, and round where the circularity residuals are at most
+    CIRCULAR_TOL.  Totally umbilic immersions carry a point circle at every
+    point; they pass vacuously and the verdict says so."""
+    if not np.size(sample.v):
         raise PreconditionError("no sample points given")
-    u, v = uv.T
-    smp = surface(u, v)
-    res = ambient.on_manifold_residual(smp.v)
+    res = ambient.on_manifold_residual(sample.v)
     off = np.flatnonzero(res > 1e-9 * max(1.0, ambient.radius ** 2))
     if off.size:
         k = off[0]
         raise ProjectionError(
-            f"sample at ({u[k]:g}, {v[k]:g}) is off the {ambient.kind} "
-            f"space form (residual {res[k]:.3e})")
-    fd = fundamental_data(smp, ambient)
+            f"sample point {k} is off the {ambient.kind} space form "
+            f"(residual {res[k]:.3e})")
+    fd = fundamental_data(sample, ambient)
     fail_rows(~fd.regular, lambda k: SingularSampleError(
         "rank-deficient sample"))
     ed = ellipse_descriptor(fd)
@@ -585,7 +582,7 @@ def quadric_classification(pair_like, points, immersion=None, ambient=None):
         raise PreconditionError("no sample points given")
     sample = pair_like.samples_at(z)
     g, h = sample.g, sample.h
-    vals, scale = _complex_square(g.values(), h.values())
+    vals, scale = _complex_square(g.v, h.v)
     scale = scale.max(initial=1.0)
     mean = complex(vals.mean())
     dev = float(np.max(np.abs(vals - mean)))
@@ -603,8 +600,9 @@ def quadric_classification(pair_like, points, immersion=None, ambient=None):
     if immersion is not None:
         amb = ambient if ambient is not None else Ambient("sphere",
                                                           radius=radius)
-        form = superminimal_test(immersion, amb, zip(z.real, z.imag))
-        proj = amb.to_R4(immersion(z.real, z.imag).values())
+        smp = immersion(z.real, z.imag)
+        form = superminimal_test(smp, amb)
+        proj = amb.to_R4(smp.v)
         sup = {s: float(_vec_norm(phi_value(g, h, s) - proj).max())
                for s in SIGNS}
         best = "+" if sup["+"] <= sup["-"] else "-"

@@ -53,13 +53,12 @@ def assert_row(batch, alone, k, where):
             where, got, want)
 
 
-def frame_rows(sample):
-    """The adapted frame of a sample with its (dim, n) vectors as (n, dim)
-    rows, so that axis 0 is the batch axis of every field."""
-    fr = adapted_frame(fundamental_data(sample))
-    return dataclasses.replace(fr, **{
-        f.name: getattr(fr, f.name).T for f in dataclasses.fields(fr)
-        if np.ndim(getattr(fr, f.name)) == 2})
+def as_rows(result):
+    """A dataclass result with its (dim, n) vectors as (n, dim) rows, so
+    that axis 0 is the batch axis of every field."""
+    return dataclasses.replace(result, **{
+        f.name: getattr(result, f.name).T for f in dataclasses.fields(result)
+        if np.ndim(getattr(result, f.name)) == 2})
 
 
 def assert_rows_match(run, batch_input, point_input, n, where):
@@ -108,9 +107,10 @@ def test_array_calls_match_point_calls_row_by_row(name):
         for ps in built:
             for run, where in (
                     (lambda x: invert(x, inv), "invert"),
-                    (lambda x: extract_minimal_pair(invert(x, inv)),
+                    (lambda x: as_rows(extract_minimal_pair(invert(x, inv))),
                      "extract"),
-                    (frame_rows, "frame")):
+                    (lambda x: as_rows(adapted_frame(fundamental_data(x))),
+                     "frame")):
                 failed = assert_rows_match(
                     run, ps.phi, lambda k: ps.phi.rows(slice(k, k + 1)),
                     z.size, f"{where} {ps.sign}")

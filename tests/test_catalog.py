@@ -50,14 +50,14 @@ def test_catenoid_pair_certificate_values():
 
 def test_catenoid_expected_phi_values():
     entry = catalog.get("catenoid-helicoid")
-    [p] = catalog.expected_eval(entry, "phi", "+", 0.0, 0.0)
+    [p] = catalog.expected_eval(entry, "phi", "+", 0.0, 0.0).T
     assert np.allclose(p, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
-    [p] = catalog.expected_eval(entry, "phi", "+", 0.0, 1.0)
+    [p] = catalog.expected_eval(entry, "phi", "+", 0.0, 1.0).T
     assert np.allclose(p, [0.648054, 0.0, 0.238406, 0.0], atol=5e-7)
-    [p] = catalog.expected_eval(entry, "phi", "+", np.pi / 2, 0.0)
+    [p] = catalog.expected_eval(entry, "phi", "+", np.pi / 2, 0.0).T
     assert np.allclose(p, [np.pi / 2, 1.0, 0.0, 0.0], atol=1e-15)
-    [minus] = catalog.expected_eval(entry, "phi", "-", 1.0, 1.0)
-    [plus] = catalog.expected_eval(entry, "phi", "+", 1.0, 1.0)
+    [minus] = catalog.expected_eval(entry, "phi", "-", 1.0, 1.0).T
+    [plus] = catalog.expected_eval(entry, "phi", "+", 1.0, 1.0).T
     assert np.allclose(minus[:3], plus[:3])
     assert minus[3] == -plus[3] != 0.0
 
@@ -71,7 +71,7 @@ def test_missing_expected_evaluator_raises():
 def test_whitney_display_basepoints():
     entry = catalog.get("whitney")
     # z = 1 maps to the equator point (1, 0, 0) and then to (1, 0, 0, 0)
-    d = catalog.expected_eval(entry, "display", 1.0 + 0.0j)
+    [d] = catalog.expected_eval(entry, "display", 1.0 + 0.0j).T
     assert np.allclose(d, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
     # poles x = y = 0 collapse to the double point at the origin
     d = catalog.expected_eval(entry, "display", 1e-8 + 0.0j)
@@ -83,9 +83,8 @@ def test_whitney_graph_sample():
     s = entry.aux["graph_sample"](1.0 + 0.0j)
     assert np.allclose(s.values(), [1.0, 0.0, 1.0, 0.0], atol=1e-15)
     # graph of (z, 1/z): derivative of the second slot at z=1 is -1
-    su, sv = s.first_partials()
-    assert np.allclose(su, [1.0, 0.0, -1.0, 0.0], atol=1e-15)
-    assert np.allclose(sv, [0.0, 1.0, 0.0, -1.0], atol=1e-15)
+    assert np.allclose(s.du[:, 0], [1.0, 0.0, -1.0, 0.0], atol=1e-15)
+    assert np.allclose(s.dv[:, 0], [0.0, 1.0, 0.0, -1.0], atol=1e-15)
 
 
 def test_whitney_pair_matches_graph_normal_component():
@@ -157,7 +156,7 @@ def test_veronese_pair_normal_projection_route():
     e5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
     for (u, v) in ((0.7, 1.1), (1.9, 2.0), (4.1, 0.6)):
         f = catalog.veronese_immersion(u, v)
-        [fval], [fu], [fv] = f.values(), *f.first_partials()
+        [fval], [fu], [fv] = f.values(), f.du.T, f.dv.T
         P = fval - 2.0 * e5
         gram = np.array([[fu @ fu, fu @ fv], [fv @ fu, fv @ fv]])
         al, be = np.linalg.solve(gram, [P @ fu, P @ fv])

@@ -13,6 +13,7 @@ from superconf import catalog, cli
 from superconf.errors import PreconditionError
 from superconf.export import canonical_json
 from superconf.minimal import Domain
+from test_expr import BAD_NUMBERS, DEEP
 
 
 def run(capsys, *argv):
@@ -447,6 +448,30 @@ def test_expression_error_exit(capsys):
     assert code == 2
     assert rep["error"]["type"] == "ExpressionError"
     assert "column 5" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("text", [t for t, _, _ in BAD_NUMBERS]
+                         + [t for t, _ in DEEP.values()],
+                         ids=["superscript", "arabic-digit", "infinite-exponent",
+                              "infinite-number", *DEEP])
+def test_bad_numbers_and_deep_expressions_are_usage_errors(text, capsys):
+    code = cli.main(["certify", "--curve", text])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"]["type"] == "ExpressionError"
+
+
+@pytest.mark.parametrize("deep", [
+    lambda k: "(cos(z), sin(z), -i*z, 0" + " + 0" * (k - 1) + ")",
+    lambda k: "(cos(z), sin(z), -i*z, " + "(" * k + "0" + ")" * k + ")"],
+    ids=["tree", "parentheses"])
+def test_expression_depth_bound(deep, capsys):
+    from superconf.expr import MAX_DEPTH
+
+    code, rep = run_json(capsys, "certify", "--curve", deep(MAX_DEPTH))
+    assert code == 0 and rep["ok"]
+    code, rep = run_json(capsys, "certify", "--curve", deep(MAX_DEPTH + 1))
+    assert code == 2 and rep["error"]["type"] == "ExpressionError"
 
 
 def test_selftest_report_format(capsys, monkeypatch):

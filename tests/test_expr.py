@@ -61,6 +61,22 @@ MALFORMED = [
     ("(z + , 0)", 1, 6),
     ("(z, 0) extra", 1, 8),
 ]
+# numbers are ASCII digits and finite
+BAD_NUMBERS = [
+    ("(z^\u00b2, 0)", 1, 4),
+    ("(\u0663*z, 0)", 1, 2),
+    ("(z^1e400, 0)", 1, 4),
+    ("(1e999*z, i*1e999*z, 0, 0)", 1, 2),
+]
+MALFORMED += BAD_NUMBERS
+# past MAX_DEPTH, each fails at the token that crosses it: the 101st
+# parenthesis or minus sign, the operator that makes the tree 101 deep
+DEEP = {
+    "parentheses": ("(" + "(" * 300 + "z" + ")" * 300 + ", 0)", 102),
+    "minus-signs": ("(" + "-" * 1200 + "z, 0)", 102),
+    "sum": ("(" + " + ".join(["z"] * 3000) + ", 0)", 400),
+    "powers": ("(z" + "^2" * 2000 + ", 0)", 201),
+}
 
 
 @pytest.mark.parametrize("text,line,col", MALFORMED)
@@ -69,6 +85,14 @@ def test_malformed_positions(text, line, col):
         parse_curve(text)
     assert exc.value.line == line
     assert exc.value.col == col
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_deep_expression_positions(name):
+    text, col = DEEP[name]
+    with pytest.raises(ExpressionError) as exc:
+        parse_curve(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
 
 
 def test_unexpected_character():

@@ -15,8 +15,8 @@ from superconf.construct import build_phi_pair
 from superconf.errors import PreconditionError
 from superconf.geometry import (
     CIRCULAR_TOL, FRAME_FLOOR, PATTERN_TOL, R4, REGULARITY_FLOOR, Ambient,
-    _largest, _normal_parts, _pypow, _rank_deficient, _sqrt0, _sym2,
-    adapted_frame, ellipse_descriptor, fundamental_data,
+    _blas_dot, _largest, _normal_parts, _pypow, _rank_deficient, _sqrt0,
+    _sym2, _vec_norm, adapted_frame, ellipse_descriptor, fundamental_data,
     superconformality_test)
 from superconf.jets import Jet2, fail_rows, row_failures
 from test_geometry import clifford_s4, flat_torus_h4, great_sphere_s4
@@ -364,7 +364,7 @@ def test_kernel_is_the_oracle_on_the_stereographic_lifts():
         for ambient in (Ambient("sphere", 2.0), Ambient("hyperbolic", 5.0)):
             lift = stereographic_lift(ps.phi, ambient)
             np.testing.assert_allclose(
-                lift.values(), ambient.from_R4(ps.phi.values()), rtol=1e-12)
+                lift.v, ambient.from_R4(ps.phi.v), rtol=1e-12)
             assert np.all(ambient.on_manifold_residual(lift.v) < 1e-9)
             check_sample(lift, ambient, f"{ps.sign} {ambient.kind}")
 
@@ -456,3 +456,35 @@ def test_fundamental_data_checks_its_input_before_broadcasting():
         fundamental_data(Slots(*[np.zeros((5, 3))] * 6))
     with pytest.raises(PreconditionError, match="4 components"):
         fundamental_data(Slots(*[np.zeros((4, 3))] * 6), Ambient("sphere"))
+
+
+# ----- the BLAS dots: (dim, n) batches against the row versions -----
+
+def rows_blas_dot(a, b):
+    """_blas_dot as it stood: a @ b for every row of two (n, dim)
+    C-contiguous batches of vectors."""
+    n = a.shape[-1]
+    return np.matmul(a[:, None, :], b.reshape(-1, n, 1))[:, 0, 0]
+
+
+def rows_vec_norm(x):
+    return np.sqrt(rows_blas_dot(x, x))
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_blas_dot_and_vec_norm_are_the_row_versions(dim):
+    rng = np.random.default_rng(40 + dim)
+    n = 257
+    a, b = rng.standard_normal((2, dim, n)) * 10.0 ** rng.integers(
+        -150, 150, (2, dim, n))
+    a[:, 3::11] = -0.0
+    b[:, 5::13] = -0.0
+    a[1, 4::17], b[dim - 1, 6::19] = np.nan, -np.nan
+    a[0, 7::23], b[2, 8::29] = np.inf, -np.inf
+    one = b[:, 9:10]         # a broadcast (dim, 1) constant
+    with np.errstate(all="ignore"):
+        for x, y in ((a, b), (a, a), (a, one), (one, b), (one, one)):
+            xs, ys = (_values(v) for v in np.broadcast_arrays(x, y))
+            assert bits(_blas_dot(x, y)) == bits(rows_blas_dot(xs, ys))
+        for x in (a, b, one):
+            assert bits(_vec_norm(x)) == bits(rows_vec_norm(_values(x)))

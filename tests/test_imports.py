@@ -331,6 +331,72 @@ def test_one_regime(path):
         assert len(lines) <= allowed, lines
 
 
+def row_conversions(source):
+    """('ascontiguousarray' or 'values', where) of each call of
+    ascontiguousarray and of a .values() method in source, where the
+    qualified name of the def it sits in, or '<module>'."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>"
+                      else f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                if called_name(child.func) == "ascontiguousarray":
+                    found.append(("ascontiguousarray", where))
+                elif (isinstance(child.func, ast.Attribute)
+                      and child.func.attr == "values" and not child.args):
+                    found.append(("values", where))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_row_conversion_scan():
+    source = ("import numpy as np\nx = d.values()\n"
+              "class A:\n    def f(self, y):\n"
+              "        return np.ascontiguousarray(y.values())\n"
+              "def g(v):\n    return v.values(1) + values()\n")
+    assert row_conversions(source) == [
+        ("values", "<module>"), ("ascontiguousarray", "A.f"),
+        ("values", "A.f")]
+
+
+# (n, dim) rows are made in geometry._rows, for the BLAS dots, and in
+# Jet2.values, for the writers, which alone call it (in export); other
+# conversions and .values() calls, each with its reason
+ROW_CONVERSIONS_ALLOWED = {
+    # the shape operators as (n, 2, 2, 2) matrices for the BLAS products
+    # that K_N's pinned bits come from
+    "geometry.fundamental_data ascontiguousarray",
+    # dicts' values
+    "acceptance.criterion_2 values",
+    "acceptance.criterion_3 values",
+    "cli.cmd_dual values",
+    "cli.cmd_verify values",
+    "geometry.<module> values",
+    "moebius.PairTransformReport.n_skipped values",
+}
+
+
+def test_rows_are_made_in_one_place():
+    """np.ascontiguousarray is called in geometry._rows and Jet2.values
+    only, and .values() in export only, or where allowed above (and an
+    allowed use is still there)."""
+    found = set()
+    for path in MODULES:
+        for kind, where in row_conversions(path.read_text()):
+            at = f"{path.stem}.{where}"
+            if not (kind == "ascontiguousarray"
+                    and at in ("geometry._rows", "jets.Jet2.values")
+                    or kind == "values" and path.stem == "export"):
+                found.add(f"{at} {kind}")
+    assert sorted(found) == sorted(ROW_CONVERSIONS_ALLOWED)
+
+
 README = TESTS.parent / "README.md"
 # command-line options that no test or README example passes, each with its
 # reason

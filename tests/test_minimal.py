@@ -78,11 +78,9 @@ class TestSplit:
 
     def test_derivative_fields_match_position_jets(self):
         s = catenoid_pair().samples_at(complex(-0.6, 0.2))
-        gu, gv = s.g.first_partials()
-        np.testing.assert_allclose(s.g_u.values(), gu, atol=1e-15)
-        np.testing.assert_allclose(s.g_v.values(), gv, atol=1e-15)
-        np.testing.assert_allclose(s.g_u.first_partials()[1],
-                                   s.g_v.first_partials()[0], atol=1e-15)
+        np.testing.assert_allclose(s.g_u.v, s.g.du, atol=1e-15)
+        np.testing.assert_allclose(s.g_v.v, s.g.dv, atol=1e-15)
+        np.testing.assert_allclose(s.g_u.dv, s.g_v.du, atol=1e-15)
 
     def test_domain_violation(self):
         with pytest.raises(DomainError):
@@ -97,8 +95,7 @@ class TestSplit:
         np.testing.assert_allclose(
             (s1.h.values() - s0.h.values())[0], [0.0, 1.0, -2.0, 0.5],
             atol=1e-15)
-        np.testing.assert_allclose(s1.h.first_partials()[0],
-                                   s0.h.first_partials()[0], atol=1e-15)
+        np.testing.assert_allclose(s1.h.du, s0.h.du, atol=1e-15)
 
 
 class TestCertify:
@@ -161,5 +158,5 @@ def test_programmatic_expression_accepted():
     expr = CurveExpr.parse("(z, i*z, 0, 0)")
     c = HolomorphicCurve("prog", expr, Domain(-1, 1, -1, 1))
     np.testing.assert_allclose(
-        c.eval(0.5 + 0.5j)[0],
+        c.eval(0.5 + 0.5j)[:, 0],
         [0.5 + 0.5j, -0.5 + 0.5j, 0, 0], atol=1e-15)

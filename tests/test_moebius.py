@@ -169,7 +169,7 @@ def test_invert_vec_matches_points_and_chain_rule(catenoid, shifted_inversion):
         assert np.linalg.norm(
             image.values() - inversion_point(x, shifted_inversion)) < 1e-12
         # jets transform by the differential of the point map
-        for w, got in zip(smp.first_partials(), image.first_partials()):
+        for w, got in ((smp.du.T, image.du.T), (smp.dv.T, image.dv.T)):
             want = inversion_differential(smp.values(), w, shifted_inversion)
             assert np.linalg.norm(got - want) < 1e-10
 
@@ -206,7 +206,7 @@ def test_normal_transform_lorentzian():
         inv = Inversion(center=center, radius=1.0, signature="lorentzian")
         for (u, v) in ((0.7, 1.3), (2.1, 0.4)):
             smp = entry.surface(u, v)
-            Xu, Xv = smp.first_partials()
+            Xu, Xv = smp.du.T, smp.dv.T
             E = np.sum(sig * Xu * Xu)
             F = np.sum(sig * Xu * Xv)
             G = np.sum(sig * Xv * Xv)
@@ -222,7 +222,7 @@ def test_normal_transform_lorentzian():
 
 def test_normal_transform_rejects_bad_normals(catenoid, shifted_inversion):
     smp = build_phi_pair(catenoid, 1.0 + 1.0j)[0].phi
-    Xu = smp.first_partials()[0]
+    Xu = smp.du.T
     tangent = Xu / np.linalg.norm(Xu)
     with pytest.raises(PreconditionError):
         normal_transform_check(smp, tangent.T, shifted_inversion)
@@ -268,11 +268,11 @@ def test_transformed_curve_matches_hand_composition(catenoid):
         catenoid.domain)
     for z in GENERIC:
         assert np.max(np.abs(tc.eval(z) - fixture.eval(z))) < 1e-14
-    # over an array of points: one row of values per point
-    rows = tc.eval(np.array(GENERIC))
-    assert rows.shape == (len(GENERIC), 4) and rows.dtype == complex
-    for row, z in zip(rows, GENERIC):
-        assert np.array_equal(row, tc.eval(z)[0])
+    # over an array of points: one column of values per point
+    cols = tc.eval(np.array(GENERIC))
+    assert cols.shape == (4, len(GENERIC)) and cols.dtype == complex
+    for col, z in zip(cols.T, GENERIC):
+        assert np.array_equal(col, tc.eval(z)[:, 0])
 
 
 def test_transformed_curve_is_involutive(catenoid):
@@ -300,8 +300,8 @@ def test_transformed_pairs_recertify():
 def test_duality_closed_form_value():
     graph = catalog.get("whitney").aux["graph_curve"]
     rep = duality(graph, 1.0 + 0j)
-    assert rep.value[0] == pytest.approx(np.array([0.25, 0.0, 0.25, 0.0]),
-                                      abs=1e-12)
+    assert rep.value[:, 0] == pytest.approx(
+        np.array([0.25, 0.0, 0.25, 0.0]), abs=1e-12)
 
 
 def test_duality_residuals_on_three_curves():
@@ -345,8 +345,9 @@ def test_inverted_pair_cross_route_extraction():
     for z in (1.0 + 0j, 0.7 + 0.5j):
         g, h = inversion_pair_of_holomorphic(graph, inv, z)
         ext = extract_minimal_pair(invert(sample(z), inv))
-        assert np.linalg.norm(ext.g - g) < 1e-6
-        assert min(np.linalg.norm(ext.h - h), np.linalg.norm(ext.h + h)) < 1e-6
+        [ext_g], [ext_h] = ext.g.T, ext.h.T
+        assert np.linalg.norm(ext_g - g) < 1e-6
+        assert min(np.linalg.norm(ext_h - h), np.linalg.norm(ext_h + h)) < 1e-6
 
 
 def test_inverted_graph_is_the_surviving_envelope():
@@ -502,11 +503,12 @@ def test_degenerate_collapse_plane():
 
 def test_sphere_bridge_known_points():
     st = Ambient("sphere", 1.0)
-    assert st.to_R4(np.array([1.0, 0, 0, 0, 1.0]))[0] == pytest.approx(
+    assert st.to_R4(np.array([1.0, 0, 0, 0, 1.0]))[:, 0] == pytest.approx(
         np.array([2.0, 0, 0, 0]), abs=1e-12)
-    assert st.to_R4(np.zeros(5))[0] == pytest.approx(np.zeros(4), abs=1e-12)
-    assert st.from_R4(np.zeros(4))[0] == pytest.approx(np.zeros(5),
-                                                      abs=1e-12)
+    assert st.to_R4(np.zeros(5))[:, 0] == pytest.approx(np.zeros(4),
+                                                        abs=1e-12)
+    assert st.from_R4(np.zeros(4))[:, 0] == pytest.approx(np.zeros(5),
+                                                          abs=1e-12)
 
 
 def test_sphere_bridge_round_trip():
@@ -515,21 +517,21 @@ def test_sphere_bridge_round_trip():
         st = Ambient("sphere", radius)
         for _ in range(25):
             x = rng.normal(size=4) * 3.0
-            assert np.linalg.norm(st.to_R4(st.from_R4(x)) - x) < 1e-11
+            assert np.linalg.norm(st.to_R4(st.from_R4(x))[:, 0] - x) < 1e-11
             P = st.from_R4(x)
-            assert st.on_manifold_residual(P.T) < 1e-11
+            assert st.on_manifold_residual(P) < 1e-11
 
 
 def test_hyperbolic_bridge_round_trip_and_ball():
     rng = np.random.default_rng(9)
     st = Ambient("hyperbolic", 1.0)
-    [P] = st.from_R4(np.array([1.99, 0.0, 0.0, 0.0]))
+    [P] = st.from_R4(np.array([1.99, 0.0, 0.0, 0.0])).T
     q = P[:4] @ P[:4] - (P[4] + 1.0) ** 2
     assert abs(q + 1.0) < 1e-10
     for _ in range(25):
         d = rng.normal(size=4)
         x = d / np.linalg.norm(d) * 1.95 * rng.random()
-        assert np.linalg.norm(st.to_R4(st.from_R4(x)) - x) < 1e-11
+        assert np.linalg.norm(st.to_R4(st.from_R4(x))[:, 0] - x) < 1e-11
     with pytest.raises(ProjectionError):
         st.from_R4(np.array([2.0, 0.0, 0.0, 0.2]))
 
@@ -562,13 +564,14 @@ def test_flat_space_has_no_stereographic_chart():
 
 
 def _grid(entry, nu=6, nv=6, margin=0.08):
+    """The (u, v) arrays of a nu x nv grid of the entry's chart."""
     us, vs = entry.domain.linspace(nu, nv, margin)
-    return [(u, v) for u in us for v in vs]
+    return np.repeat(us, nv), np.tile(vs, nu)
 
 
 def test_superminimal_veronese():
     entry = catalog.get("veronese")
-    rep = superminimal_test(entry.surface, entry.ambient, _grid(entry))
+    rep = superminimal_test(entry.sample(*_grid(entry)), entry.ambient)
     assert rep.verdict == "superminimal"
     assert rep.max_mean_curvature < 1e-9
     assert rep.max_circularity < 1e-8
@@ -577,14 +580,14 @@ def test_superminimal_veronese():
 
 def test_superminimal_degenerate_great_sphere():
     entry = catalog.get("great-sphere-s4")
-    rep = superminimal_test(entry.surface, entry.ambient, _grid(entry))
+    rep = superminimal_test(entry.sample(*_grid(entry)), entry.ambient)
     assert rep.verdict == "superminimal-degenerate"
     assert rep.degenerate
 
 
 def test_superminimal_rejects_torus():
     entry = catalog.get("clifford-torus-s4")
-    rep = superminimal_test(entry.surface, entry.ambient, _grid(entry))
+    rep = superminimal_test(entry.sample(*_grid(entry)), entry.ambient)
     assert rep.verdict == "not-minimal"
     assert rep.max_mean_curvature == pytest.approx(7.0 / 24.0, abs=1e-9)
 
@@ -598,7 +601,7 @@ def test_superminimal_off_manifold_errors():
         return Jet2.stack([smp[0] + Jet2(0.1)] + list(smp)[1:])
 
     with pytest.raises(ProjectionError):
-        superminimal_test(shifted, entry.ambient, _grid(entry, 2, 2))
+        superminimal_test(shifted(*_grid(entry, 2, 2)), entry.ambient)
 
 
 # -- quadric classification ---------------------------------------------------
