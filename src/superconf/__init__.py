@@ -49,7 +49,6 @@ from .geometry import (
     adapted_frame,
     ellipse_descriptor,
     fundamental_data,
-    superconformality_test,
 )
 from .construct import (
     PhiSample,
@@ -121,7 +120,6 @@ __all__ = [
     "seed_surface",
     "split_im",
     "split_re",
-    "superconformality_test",
     "superminimal_test",
     "transformed_curve",
     "translation_check",

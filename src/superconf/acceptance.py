@@ -21,8 +21,8 @@ from .errors import ExpressionError
 from .expr import parse_curve, print_node
 from .export import (canonical_json, csv_text, mesh_text, obj_text,
                      sample_grid, stereo_projector, summarize)
-from .geometry import (Ambient, _normal_parts, _vec_norm, fundamental_data,
-                       superconformality_test)
+from .geometry import (Ambient, _normal_parts, _vec_norm,
+                       ellipse_descriptor, fundamental_data)
 from .jets import fd_crosscheck
 from .minimal import (Domain, HolomorphicCurve, MinimalPair,
                       associated_family, certify)
@@ -105,8 +105,8 @@ def criterion_2() -> CriterionResult:
     torus = catalog.get("torus")
     us, vs = torus.domain.linspace(12, 12, margin=0.02)
     control = torus.sample(np.repeat(us, len(vs)), np.tile(vs, len(us)))
-    min_defect = float(superconformality_test(fundamental_data(control))[
-        "wintgen_defect"].min())
+    min_defect = float(ellipse_descriptor(fundamental_data(control))
+                       .wintgen_defect.min())
 
     passed = worst < 1e-8 and min_defect > 0.1
     return CriterionResult(

@@ -5,9 +5,9 @@ grid construction with file output, superconformality and dual-pair
 verification, inversion and duality checks, quadric classification,
 space-form projection tests, and the bundled self-test suite.
 
-Reports are single-line canonical JSON on stdout.  Exit codes: 0 ok,
-2 usage/precondition error, 3 a check failed or the run degenerated,
-4 file I/O error.
+Reports are single-line canonical JSON on stdout, and no command prints
+numpy warnings.  Exit codes: 0 ok, 2 usage/precondition error, 3 a check
+failed or the run degenerated, 4 file I/O error.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def cmd_verify(args) -> int:
     worst = {"center": 0.0, "conformal": 0.0, "tangency": 0.0,
              "metric": 0.0 if len(signs) == 2 else None}
     try:
-        with np.errstate(all="ignore"), row_failures(z.size) as failed:
+        with row_failures(z.size) as failed:
             rep = dual_pair_report(pair, z, signs)
         skipped = failed.counts()   # exception class name -> points
         used = ~failed.rows()
@@ -310,7 +310,7 @@ def cmd_dual(args) -> int:
         stem = entry.name
     points = np.array(_parse_points(args.points))
     # the first failed point raises its own error
-    with np.errstate(all="ignore"), row_failures(points.size) as failed:
+    with row_failures(points.size) as failed:
         rep = duality(curve, points)
     failed.raise_unless()
     worst = {key: float(getattr(rep, key).max())
@@ -448,7 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a nan or an overflow shows in the report or as an error
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ExpressionError, DomainError, UnknownEntryError,
             PreconditionError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})

@@ -31,10 +31,10 @@ import numpy as np
 
 from .errors import (FrameDegenerateError, FrameUndefinedError,
                      PreconditionError)
-from .geometry import (CIRCULAR_TOL, REGULARITY_FLOOR, FundamentalData,
-                       _blas_dot, _ellipse_axes, _is_circular, _largest,
-                       _normal_parts, _pypow, _rank_deficient, _sqrt0,
-                       _vec_norm, adapted_frame, fundamental_data)
+from .geometry import (CIRCULAR_TOL, R4, REGULARITY_FLOOR, FundamentalData,
+                       _blas_dot, _ellipse_axes, _largest, _normal_parts,
+                       _pypow, _rank_deficient, _sqrt0, _vec_norm,
+                       adapted_frame, fundamental_data)
 from .jets import DIV_FLOOR, Jet2, fail_rows
 from .minimal import MinimalPair
 
@@ -174,8 +174,9 @@ def _g_collapse(fd_g):
     collapses the corresponding phi.  Calibrated on the null-quadric
     trigonometric pair; for a point ellipse (K_N = 0) both signs degenerate;
     where g is singular neither does."""
-    circular = np.logical_and(_is_circular(*_ellipse_axes(fd_g)[2:]),
-                              fd_g.regular)
+    res_orth, res_len = _ellipse_axes(fd_g)[2:]
+    circular = ((np.maximum(abs(res_orth), abs(res_len)) < CIRCULAR_TOL)
+                & fd_g.regular)
     if not circular.any():
         return {"+": circular, "-": circular}
     point = abs(fd_g.K_N) < CIRCULAR_TOL * np.maximum(1.0, abs(fd_g.K))
@@ -187,9 +188,10 @@ def _g_collapse(fd_g):
 def _flags(ctx: _FieldContext, sign, phi: Jet2) -> np.ndarray:
     # rank floor relative to the pair's own length scale, not phi's: a
     # collapsed phi is pure roundoff and must not self-normalize into
-    # looking like a (tiny) immersion
+    # looking like a (tiny) immersion.  E, F, G round as in fundamental_data
+    # and scale >= its scale, so each row it calls irregular is flagged here
     pu, pv = phi.du, phi.dv
-    E, F, G = _blas_dot(pu, pu), _blas_dot(pu, pv), _blas_dot(pv, pv)
+    E, F, G = R4.dot(pu, pu), R4.dot(pu, pv), R4.dot(pv, pv)
     det1 = E * G - F * F
     scale = _largest(np.sqrt(E), np.sqrt(G), _vec_norm(ctx.sample.g_u.v),
                      _vec_norm(ctx.sample.g_v.v), 1e-150)

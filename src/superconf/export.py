@@ -16,9 +16,9 @@ from itertools import chain
 import numpy as np
 
 from .construct import (FLAG_DEGENERATE_SAMPLE, FLAG_OUT_OF_DOMAIN,
-                        FLAG_RANK_DEFICIENT, build_phi_pair, check_sign)
+                        build_phi_pair, check_sign)
 from .errors import PreconditionError
-from .geometry import fundamental_data, superconformality_test
+from .geometry import ellipse_descriptor, fundamental_data
 from .jets import row_failures
 
 CSV_HEADER = "u,v,x0,x1,x2,x3,K,KN_abs,Hnorm,mu,res_orth,res_len,wintgen,a,flags"
@@ -124,20 +124,19 @@ def _fill_rows(rows, at, ps, failed):
     points inside the domain, from their built surface ps."""
     phi = ps.phi
     fd = fundamental_data(phi)
-    sc = superconformality_test(fd)
-    flags = ps.flags | np.where(fd.regular, 0, FLAG_RANK_DEFICIENT)
+    ed = ellipse_descriptor(fd)
     position = phi.values()
     # a position past the float range has no values to write either
     flags = np.where(failed.rows() | ~np.isfinite(position).all(axis=1),
-                     FLAG_DEGENERATE_SAMPLE, flags)
+                     FLAG_DEGENERATE_SAMPLE, ps.flags)
     placed = flags < FLAG_OUT_OF_DOMAIN
     stated = placed & fd.regular
     rows.flags[at] = flags
     rows.position[at[placed]] = position[placed]
     rows.has_stats[at] = stated
     rows.stats[at[stated]] = np.column_stack((
-        fd.K, abs(fd.K_N), fd.lam, sc["mu"], sc["res_orth"], sc["res_len"],
-        sc["wintgen_defect"], sc["wintgen_defect_rel"], ps.ctx.a))[stated]
+        fd.K, abs(fd.K_N), fd.lam, ed.mu, ed.res_orth, ed.res_len,
+        ed.wintgen_defect, ed.wintgen_defect_rel, ps.ctx.a))[stated]
 
 
 def summarize(samples) -> dict:

@@ -512,14 +512,6 @@ class CurveExpr:
 
         return [ev(c).batched(z.size) for c in self.ast.components]
 
-    def __eq__(self, other):
-        if not isinstance(other, CurveExpr):
-            return NotImplemented
-        return self.ast == other.ast
-
-    def __hash__(self):
-        return hash(self.ast)
-
     def __repr__(self):
         return f"CurveExpr({self.to_text()!r})"
 

@@ -9,10 +9,11 @@ component rows of a product in order from 0.0, 0.0 + p[0] + p[1] + ...,
 which rounds as a sum along a trailing axis of fewer than 8 entries;
 _blas_dot and _vec_norm, which round as BLAS does, take (dim, n) batches
 too and make the (n, dim) rows of their BLAS call themselves.  Outputs:
-fundamental forms, curvature invariants, the ellipse of curvature, and the
-adapted tangent/normal frame in which both shape operators take their
-normal form.  A space form also carries its stereographic chart onto (part
-of) flat R4 (Ambient.to_R4, Ambient.from_R4).
+fundamental forms, curvature invariants, the ellipse of curvature with
+its circularity residuals and Wintgen defect (one record), and the adapted
+tangent/normal frame in which both shape operators take their normal
+form.  A space form also carries its stereographic chart onto (part of)
+flat R4 (Ambient.to_R4, Ambient.from_R4).
 
 Conventions fixed here and relied on everywhere else:
   - the orthonormal tangent basis is Gram-Schmidt of (X_u, X_v) in that order;
@@ -208,13 +209,8 @@ class EllipseDescriptor:
     res_orth: np.ndarray
     res_len: np.ndarray
     mu: np.ndarray
-
-    def is_circular(self):
-        return _is_circular(self.res_orth, self.res_len)
-
-
-def _is_circular(res_orth, res_len):
-    return np.maximum(abs(res_orth), abs(res_len)) < CIRCULAR_TOL
+    wintgen_defect: np.ndarray
+    wintgen_defect_rel: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -466,7 +462,11 @@ def _ellipse_axes(fd):
 
 def ellipse_descriptor(fd):
     """Semi-axes and circularity residuals of the curvature ellipse
-    theta -> H + cos(2 theta) (alpha11 - alpha22)/2 + sin(2 theta) alpha12.
+    theta -> H + cos(2 theta) (alpha11 - alpha22)/2 + sin(2 theta) alpha12,
+    and the Wintgen defect |H|^2 + c - K - |K_N| (nonnegative in general,
+    zero exactly at circular points) with its ratio to |H|^2 (inf where
+    H = 0).  The ellipse is a circle where both residuals are below
+    CIRCULAR_TOL.
 
     Rows with non-finite data get nan semi-axes."""
     dot = fd.ambient.dot
@@ -481,31 +481,16 @@ def ellipse_descriptor(fd):
                            compute_uv=False)
         sv[~finite] = np.nan
     semi_major, semi_minor = sv.T
-    return EllipseDescriptor(
-        center=fd.H, semi_major=semi_major, semi_minor=semi_minor,
-        res_orth=res_orth, res_len=res_len,
-        mu=0.5 * (semi_major + semi_minor))
-
-
-def superconformality_test(fd):
-    """Circularity residuals plus the curvature-equality defect
-    |H|^2 + c - K - |K_N| (nonnegative in general, zero exactly at circular
-    points).  Entries are arrays over the rows of fd; is_superconformal
-    holds where both residuals are below CIRCULAR_TOL."""
-    ed = ellipse_descriptor(fd)
     lam2 = _pypow(fd.lam, 2)
     defect = lam2 + fd.ambient.curvature - fd.K - abs(fd.K_N)
     positive = fd.lam > 0
     rel = np.where(positive, defect / np.where(positive, lam2, 1.0),
                    float("inf"))
-    return {
-        "res_orth": ed.res_orth,
-        "res_len": ed.res_len,
-        "wintgen_defect": defect,
-        "wintgen_defect_rel": rel,
-        "mu": ed.mu,
-        "is_superconformal": ed.is_circular(),
-    }
+    return EllipseDescriptor(
+        center=fd.H, semi_major=semi_major, semi_minor=semi_minor,
+        res_orth=res_orth, res_len=res_len,
+        mu=0.5 * (semi_major + semi_minor),
+        wintgen_defect=defect, wintgen_defect_rel=rel)
 
 
 def adapted_frame(fd):

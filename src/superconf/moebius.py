@@ -33,9 +33,10 @@ from functools import reduce
 import numpy as np
 
 from .construct import SIGNS, build_phi_pair, extract_minimal_pair, phi_value
-from .errors import (DualitySingularError, FrameUndefinedError,
-                     InversionSingularError, NotNullCurveError,
-                     PreconditionError, ProjectionError, SingularSampleError)
+from .errors import (DualitySingularError, EvaluationError,
+                     FrameUndefinedError, InversionSingularError,
+                     NotNullCurveError, PreconditionError, ProjectionError,
+                     SingularSampleError)
 from .expr import Bin, Curve, CurveExpr, Pow, const_node
 from .geometry import (CIRCULAR_TOL, INV_FLOOR, R4, Ambient, _blas_dot,
                        _coord_shape, _largest, _normal_parts, _vec_norm,
@@ -576,13 +577,21 @@ def quadric_classification(pair_like, points, immersion=None, ambient=None):
     For the constant-real kind a space-form immersion over the same chart
     may be supplied.  It is then run through the minimality-and-roundness
     test, and the surfaces constructed from the pair are compared against
-    the stereographic image of the immersion (best of the two signs)."""
+    the stereographic image of the immersion (best of the two signs).  Where
+    <<G, G>> overflows, EvaluationError names the point."""
     z = np.array(list(points), dtype=complex)
     if not z.size:
         raise PreconditionError("no sample points given")
     sample = pair_like.samples_at(z)
     g, h = sample.g, sample.h
     vals, scale = _complex_square(g.v, h.v)
+    # nan or overflow would fall through every comparison below; 4 times the
+    # scales' sum bounds the sums and differences of the squares
+    bad = ~(np.isfinite(vals) & np.isfinite(scale))
+    if bad.any() or not np.isfinite(4.0 * scale.sum()):
+        at = complex(z[np.argmax(bad if bad.any() else scale)])
+        raise EvaluationError(f"<<G, G>> overflows at z={at}",
+                              reason="overflow", z=at)
     scale = scale.max(initial=1.0)
     mean = complex(vals.mean())
     dev = float(np.max(np.abs(vals - mean)))

@@ -6,7 +6,8 @@ import pytest
 from superconf import catalog, jets
 from superconf.errors import PreconditionError, UnknownEntryError
 from superconf.expr import CurveExpr
-from superconf.geometry import fundamental_data, superconformality_test
+from superconf.geometry import (CIRCULAR_TOL, adapted_frame,
+                                ellipse_descriptor, fundamental_data)
 from superconf.minimal import certify
 
 
@@ -100,9 +101,25 @@ def test_whitney_pair_matches_graph_normal_component():
 def test_torus_control_is_not_superconformal():
     entry = catalog.get("torus")
     fd = fundamental_data(entry.sample(0.7, 1.3))
-    rep = superconformality_test(fd)
-    assert rep["wintgen_defect"] > 0.1
-    assert not rep["is_superconformal"]
+    ed = ellipse_descriptor(fd)
+    assert ed.wintgen_defect > 0.1
+    assert max(abs(ed.res_orth), abs(ed.res_len)) >= CIRCULAR_TOL
+
+
+def test_sphere_control_is_umbilic():
+    # the round unit sphere: its curvature ellipse is the point H at every
+    # point, so the Wintgen defect vanishes and no adapted frame exists
+    entry = catalog.get("sphere")
+    us, vs = entry.domain.linspace(7, 7, margin=0.02)
+    fd = fundamental_data(entry.sample(np.repeat(us, 7), np.tile(vs, 7)))
+    assert fd.regular.all()
+    ed = ellipse_descriptor(fd)
+    assert (ed.semi_major <= 1e-10).all() and (ed.semi_minor <= 1e-10).all()
+    assert not ed.res_orth.any() and not ed.res_len.any()
+    assert np.abs(ed.wintgen_defect).max() < 1e-12
+    with jets.row_failures(fd.E.size) as failed:
+        adapted_frame(fd)
+    assert failed.counts() == {"FrameUndefinedError": fd.E.size}
 
 
 def test_q0_trig_perturbed_quadric_value_varies():

@@ -90,20 +90,53 @@ def test_load_certification_and_certify_give_one_verdict(monkeypatch,
     assert rep["isotropy_max"] > 0.5
 
 
+def run_process(*argv):
+    """The CLI run as its own process, stdout and stderr captured."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "superconf.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_certify_singular_batch_prints_no_warnings():
     # every row of the batch is singular; the command fails cleanly, with
     # nothing on stderr
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "superconf.cli", "certify", "--curve",
-         "(z, 0)", "--grid", "3,3"], capture_output=True, text=True, env=env,
-        timeout=60)
+    proc = run_process("certify", "--curve", "(z, 0)", "--grid", "3,3")
     assert proc.returncode == 3
     assert proc.stderr == ""
     assert json.loads(proc.stdout) == {"error": {
         "message": "inline is singular at a certification point",
         "type": "SingularSampleError"}}
+
+
+# curves whose values or squares overflow over the default domain
+OVERFLOWING = ["(exp(800*z), i*exp(800*z), 0, 0)",
+               "(cosh(800*z), i*cosh(800*z), 0, 0)",
+               "(1e300*z, i*1e300*z, 0, 0)", "(z^99999999999999999999, 0)"]
+
+
+@pytest.mark.parametrize("curve", OVERFLOWING)
+@pytest.mark.parametrize("argv", [["certify"], ["quadric"],
+                                  ["invert", "--center", "0,0,0,5"]],
+                         ids=["certify", "quadric", "invert"])
+def test_overflowing_curves_print_no_warnings(argv, curve):
+    proc = run_process(*argv, "--curve", curve, "--grid", "3,3")
+    assert proc.stderr == ""
+    assert proc.returncode in (2, 3)
+    json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("curve", ["(1e160*z, i*1e160*z, 0, 0)",
+                                   "(exp(800*z), i*exp(800*z), 0, 0)",
+                                   "(1e154*z, 0, 0, 0)"],
+                         ids=["squares-overflow", "values-overflow",
+                              "mean-overflows"])
+def test_quadric_rejects_overflowing_curves(capsys, curve):
+    # a nan <<G, G>> used to fall through to "Q_k with k = nan", exit 0
+    code, rep = run_json(capsys, "quadric", "--curve", curve, "--grid", "3,3")
+    assert code == 3
+    assert rep["error"]["type"] == "EvaluationError"
+    assert rep["error"]["message"].startswith("<<G, G>> overflows at z=")
 
 
 @pytest.mark.parametrize("argv", [

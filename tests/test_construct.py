@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,8 +13,9 @@ from superconf.construct import (A_FLOOR, FLAG_A_SMALL, FLAG_G_HOLOMORPHIC,
 from superconf.errors import (FrameDegenerateError, FrameUndefinedError,
                               PreconditionError, SingularSampleError)
 from superconf.geometry import (_blas_dot, _normal_parts, _sqrt0, _sym2,
-                                fundamental_data, superconformality_test)
+                                ellipse_descriptor, fundamental_data)
 from superconf.jets import Jet2, fd_crosscheck, row_failures
+from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
 from test_cli import count_calls
 
 _JMAT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -276,10 +278,10 @@ def test_phi_superconformal_on_catalog_pairs():
                 for ps in samples:
                     if ps.flags != 0:
                         continue
-                    rep = superconformality_test(fundamental_data(ps.phi))
-                    assert abs(rep["res_orth"]) < 1e-10, (name, z, ps.sign)
-                    assert abs(rep["res_len"]) < 1e-10, (name, z, ps.sign)
-                    assert abs(rep["wintgen_defect_rel"]) < 1e-10
+                    ed = ellipse_descriptor(fundamental_data(ps.phi))
+                    assert abs(ed.res_orth) < 1e-10, (name, z, ps.sign)
+                    assert abs(ed.res_len) < 1e-10, (name, z, ps.sign)
+                    assert abs(ed.wintgen_defect_rel) < 1e-10
 
 
 def test_two_routes_agree(catenoid, perturbed):
@@ -458,6 +460,38 @@ def test_flags_plane_pair_both_signs_degenerate():
     for ps in build_phi_pair(pair, 0.5 + 0.4j):
         assert ps.flags & FLAG_G_HOLOMORPHIC
         assert ps.flags & FLAG_RANK_DEFICIENT
+
+
+# pairs whose built surfaces degenerate, wholly or in part, and curves scaled
+# far from unit size
+SCALED = ("(1e-80*z, 1e-80*i*z, 0, 0)", "(1e120*z, 1e120*i*z, 0, 0)",
+          "(1e-80*cos(z), 1e-80*sin(z), -1e-80*i*z, 0)",
+          "(1e120*sin(z), 1e120*i*sin(z), 1e120*cos(z), 1e120*i*cos(z))")
+RANK_FIXTURES = {
+    **{name: catalog.get(name).pair
+       for name in ("whitney", "q0-line", "q0-trig", "catenoid-helicoid")},
+    **{text: MinimalPair(HolomorphicCurve(
+        "scaled", text, Domain(-1.0, 1.0, -1.0, 1.0))) for text in SCALED},
+}
+
+
+def test_irregular_phi_is_flagged_rank_deficient():
+    """Every row fundamental_data(phi) calls irregular carries the rank
+    flag, for both signs: flags and fundamental data read one rounding of
+    phi's first form."""
+    irregular = 0
+    for (name, pair), jitter in itertools.product(RANK_FIXTURES.items(),
+                                                  (0.0, 1e-9)):
+        z = pair.domain.grid(12, 12)
+        z = z + jitter * np.random.default_rng(7).uniform(-1, 1, z.size)
+        z = z[pair.domain.contains(z)]
+        with np.errstate(all="ignore"), row_failures(z.size):
+            for ps in build_phi_pair(pair, z):
+                bad = ~fundamental_data(ps.phi).regular
+                assert (ps.flags[bad] & FLAG_RANK_DEFICIENT).all(), name
+                irregular += np.count_nonzero(bad)
+    # the collapsed q0-line surfaces alone give hundreds
+    assert irregular > 100
 
 
 def test_nondegenerate_sign_equals_twice_normal_part():

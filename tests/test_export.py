@@ -19,7 +19,7 @@ from superconf.export import (_STAT_NAMES, BLOCK_POINTS, CSV_HEADER,
                               drop_projector, mesh_text, obj_text,
                               sample_grid, stereo_projector, summarize,
                               write_csv, write_obj)
-from superconf.geometry import fundamental_data, superconformality_test
+from superconf.geometry import ellipse_descriptor, fundamental_data
 from superconf.jets import row_failures
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
 
@@ -84,12 +84,12 @@ def point_rows(pair, u, v):
         if not fd.regular[0]:
             flags |= 4
         else:
-            sc = superconformality_test(fd)
+            ed = ellipse_descriptor(fd)
             stats = {"K": fd.K, "KN_abs": abs(fd.K_N), "Hnorm": fd.lam,
-                     "mu": sc["mu"], "res_orth": sc["res_orth"],
-                     "res_len": sc["res_len"],
-                     "wintgen": sc["wintgen_defect"],
-                     "wintgen_rel": sc["wintgen_defect_rel"],
+                     "mu": ed.mu, "res_orth": ed.res_orth,
+                     "res_len": ed.res_len,
+                     "wintgen": ed.wintgen_defect,
+                     "wintgen_rel": ed.wintgen_defect_rel,
                      "a": ps.ctx.a}
             stats = {key: value[0] for key, value in stats.items()}
         rows.append((flags, ps.phi.values()[0], stats))

@@ -16,8 +16,7 @@ from superconf.errors import PreconditionError
 from superconf.geometry import (
     CIRCULAR_TOL, FRAME_FLOOR, PATTERN_TOL, R4, REGULARITY_FLOOR, Ambient,
     _blas_dot, _largest, _normal_parts, _pypow, _rank_deficient, _sqrt0,
-    _sym2, _vec_norm, adapted_frame, ellipse_descriptor, fundamental_data,
-    superconformality_test)
+    _sym2, _vec_norm, adapted_frame, ellipse_descriptor, fundamental_data)
 from superconf.jets import Jet2, fail_rows, row_failures
 from test_geometry import clifford_s4, flat_torus_h4, great_sphere_s4
 
@@ -279,16 +278,19 @@ def fields(obj):
 
 @np.errstate(all="ignore")
 def check_sample(sample, ambient=R4, where=""):
-    """The kernel against the oracle on one sample: fundamental data,
-    ellipse, superconformality test, and the adapted frame with its failed
-    rows."""
+    """The kernel against the oracle on one sample: fundamental data, the
+    ellipse record (the oracle's ellipse and superconformality test in one),
+    and the adapted frame with its failed rows."""
     fd = fundamental_data(sample, ambient)
     ofd = oracle_fundamental_data(sample, ambient)
     assert_same_bits(fields(fd), fields(ofd), f"{where} fd")
-    assert_same_bits(fields(ellipse_descriptor(fd)),
-                     oracle_ellipse_descriptor(ofd), f"{where} ellipse")
-    assert_same_bits(superconformality_test(fd),
-                     oracle_superconformality_test(ofd), f"{where} test")
+    ed = fields(ellipse_descriptor(fd))
+    test = oracle_superconformality_test(ofd)
+    circular = test.pop("is_superconformal")
+    assert_same_bits(ed, {**oracle_ellipse_descriptor(ofd), **test},
+                     f"{where} ellipse")
+    assert bits(np.maximum(abs(ed["res_orth"]), abs(ed["res_len"]))
+                < CIRCULAR_TOL) == bits(circular), where
     n = len(fd.E)
     with row_failures(n) as failed:
         fr = adapted_frame(fd)
