@@ -6,9 +6,10 @@ import pytest
 from superconf import catalog, jets
 from superconf.errors import PreconditionError, UnknownEntryError
 from superconf.expr import CurveExpr
-from superconf.geometry import (CIRCULAR_TOL, adapted_frame,
-                                ellipse_descriptor, fundamental_data)
+from superconf.geometry import (adapted_frame, ellipse_descriptor,
+                                fundamental_data)
 from superconf.minimal import certify
+from test_geometry import circular
 
 
 ALL_NAMES = [
@@ -103,7 +104,7 @@ def test_torus_control_is_not_superconformal():
     fd = fundamental_data(entry.sample(0.7, 1.3))
     ed = ellipse_descriptor(fd)
     assert ed.wintgen_defect > 0.1
-    assert max(abs(ed.res_orth), abs(ed.res_len)) >= CIRCULAR_TOL
+    assert not circular(ed)
 
 
 def test_sphere_control_is_umbilic():
