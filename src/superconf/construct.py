@@ -31,10 +31,11 @@ import numpy as np
 
 from .errors import (FrameDegenerateError, FrameUndefinedError,
                      PreconditionError)
-from .geometry import (CIRCULAR_TOL, R4, REGULARITY_FLOOR, FundamentalData,
-                       _blas_dot, _ellipse_axes, _largest, _normal_parts,
-                       _pypow, _rank_deficient, _sqrt0, _vec_norm,
-                       adapted_frame, fundamental_data)
+from .geometry import (_I, _J, _STAR, _STAR_SIGN, CIRCULAR_TOL, R4,
+                       REGULARITY_FLOOR, FundamentalData, _blas_dot,
+                       _ellipse_axes, _largest, _normal_parts, _pypow,
+                       _rank_deficient, _sqrt0, _vec_norm, adapted_frame,
+                       fundamental_data)
 from .jets import DIV_FLOOR, Jet2, fail_rows
 from .minimal import MinimalPair
 
@@ -66,12 +67,6 @@ def check_sign(sign):
     return 1.0 if sign == "+" else -1.0
 
 
-# index pairs (i, j), i < j, of the six components of a 2-form on R4
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_I, _J = (list(ix) for ix in zip(*_PAIRS))
-# *A for a 2-form A on _PAIRS: its components reversed, two of them negated
-_STAR = [5, 4, 3, 2, 1, 0]
-_STAR_SIGN = np.array([1.0, -1, 1, 1, -1, 1])[:, None]
 # the terms of A h: for each pair (i, j) in turn, +A_ij h_j in component i
 # and -A_ij h_i in component j; term k of component i is row 4 k + i
 _TERM_A = [0, 0, 1, 2, 1, 3, 3, 4, 2, 4, 5, 5]
@@ -80,9 +75,9 @@ _TERM_SIGN = np.array([1.0, -1, -1, -1, 1, 1, -1, -1, 1, 1, 1, -1])[:, None]
 
 
 def _act(form, h):
-    """(A h)_i = sum_j A_ij h_j for the 2-form A, (6, n) on _PAIRS, and h,
-    (4, n): one product of all terms, each component summed from 0.0 in
-    _PAIRS order, so it rounds as written term by term (x * -1.0 is -x)."""
+    """(A h)_i = sum_j A_ij h_j for the 2-form A, (6, n) on geometry._PAIRS,
+    and h, (4, n): one product of all terms, each component summed from 0.0
+    in _PAIRS order, so it rounds as written term by term (x * -1.0 is -x)."""
     t = (form[_TERM_A] * h[_TERM_H]).scaled(_TERM_SIGN)
     return 0.0 + t[0:4] + t[4:8] + t[8:12]
 

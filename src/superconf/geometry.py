@@ -27,7 +27,6 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -248,24 +247,12 @@ def _normal_parts(ws, Xu, Xv, dot, gram=None):
     return out
 
 
+@np.errstate(over="ignore")
 def _pypow(x, n):
-    """x ** n entry by entry over an array, as Python computes it for a
-    float (C pow): numpy's power differs in the last bit on about 0.1% of
-    squares.  Where the power overflows, inf, as C pow gives; Python
-    raises there."""
-    flat = x.ravel().tolist()
-    try:
-        out = [t ** n for t in flat]
-    except OverflowError:
-        out = [_pow_or_inf(t, n) for t in flat]
-    return np.array(out).reshape(x.shape)
-
-
-def _pow_or_inf(t, n):
-    try:
-        return t ** n
-    except OverflowError:
-        return math.copysign(math.inf, t) if n % 2 else math.inf
+    """x ** n over an array as Python computes it for a float: C pow, which
+    np.float_power calls (np.power differs in the last bit on about 0.1% of
+    squares), and inf where the power overflows, where Python raises."""
+    return np.float_power(x, float(n))
 
 
 def _largest(*xs):
@@ -298,6 +285,31 @@ def _rows(x):
     """A (dim, n) batch of vectors as C-contiguous (n, dim) rows, the
     layout of _blas_dot's BLAS call."""
     return np.ascontiguousarray(x.T)
+
+
+# index pairs (i, j), i < j, of the six components of a 2-form on R4
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_I, _J = (list(ix) for ix in zip(*_PAIRS))
+# *A for a 2-form A on _PAIRS: its components reversed, two of them negated
+_STAR = [5, 4, 3, 2, 1, 0]
+_STAR_SIGN = np.array([1.0, -1, 1, 1, -1, 1])[:, None]
+# column m: the rows of R5 but m, the minor of e_m in det[a, b, c, d, e]
+_MINORS = np.array([[i for i in range(5) if i != m] for m in range(5)]).T
+_MINOR_SIGN = np.array([1.0, -1, 1, -1, 1])[:, None]
+
+
+def _orientation(a, b, c, d, ambient=R4, x=None):
+    """det[a, b, c, d] per column of four (4, n) batches of vectors, <a^b,
+    *(c^d)> on the signed pair table; in a space form det[a, b, c, d, e] of
+    (5, n) ones with e the unit radial vector at the points x, expanded
+    along e into such minors.  Its sign orients an orthonormal frame."""
+    if ambient.kind != "r4":
+        e = (x - ambient.center_vec()[:, None]) / ambient.radius
+        m = _orientation(*(v[_MINORS].reshape(4, -1) for v in (a, b, c, d)))
+        return np.add.reduce(m.reshape(5, -1) * _MINOR_SIGN * e, 0)
+    ab = a[_I] * b[_J] - a[_J] * b[_I]
+    cd = c[_I] * d[_J] - c[_J] * d[_I]
+    return np.add.reduce(ab * cd[_STAR] * _STAR_SIGN, 0)
 
 
 def _rank_deficient(fd):
@@ -340,10 +352,8 @@ def fundamental_data(sample, ambient=R4):
     [normal] = _normal_parts([ws], Xu[:, None], Xv[:, None], dot,
                              (E, F, G, det1))
     B, P = normal[:, :3], normal[:, 3:]
-    radial = None
     if ambient.kind != "r4":
-        radial = (x - ambient.center_vec()[:, None]) / ambient.radius
-        R = radial[:, None]
+        R = ((x - ambient.center_vec()[:, None]) / ambient.radius)[:, None]
         s = 1.0 if ambient.kind == "sphere" else -1.0
         B = B + s * np.array((E, F, G)) * R / ambient.radius
     Buu, Buv, Bvv = B[:, 0], B[:, 1], B[:, 2]
@@ -363,7 +373,7 @@ def fundamental_data(sample, ambient=R4):
 
     # deterministic normal frame from projected ambient basis vectors, the
     # columns of P
-    if radial is not None:
+    if ambient.kind != "r4":
         P = P - (dot(P, R) / dot(R, R)) * R
     norms = _sqrt0(dot(P, P))
     at = np.arange(n)
@@ -390,9 +400,7 @@ def fundamental_data(sample, ambient=R4):
             pending = pending & ~found
         if not pending.any():
             break
-    # the (n, dim, dim) matrices whose columns are the frame's vectors
-    cols = [Y1, Y2, n1, n2] + ([radial] if radial is not None else [])
-    flip = np.linalg.det(np.stack(cols).T) < 0
+    flip = _orientation(Y1, Y2, n1, n2, ambient, x) < 0
     n2 = np.where(flip, -n2, n2)
 
     # shape operators of n1 and n2, entries (alpha11, alpha12, alpha12,
@@ -432,12 +440,15 @@ def _coord_shape(Xu, Xv, seconds, nu, dot):
     from the first and the (uu, uv, vv) second partials, (dim, n) each,
     under the inner product dot, which reduces along the component axis."""
     E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
-    fail_rows(~(E * G - F * F > 1e-12 * np.maximum(abs(E * G), 1e-300)),
+    det1 = E * G - F * F
+    fail_rows(~(det1 > 1e-12 * np.maximum(abs(E * G), 1e-300)),
               lambda k: SingularSampleError(
                   "sample is not a spacelike immersion; induced metric "
                   "degenerates"))
-    return np.linalg.solve(_sym2(E, F, G),
-                           _sym2(*(dot(w, nu) for w in seconds)))
+    p, q, r = (dot(w, nu) for w in seconds)
+    # [[E, F], [F, G]]^-1 [[p, q], [q, r]] by Cramer's rule, built transposed
+    return (np.array([[G * p - F * q, E * q - F * p],
+                      [G * q - F * r, E * r - F * q]]) / det1).T
 
 
 def _ellipse_axes(fd):
@@ -471,16 +482,12 @@ def ellipse_descriptor(fd):
     Rows with non-finite data get nan semi-axes."""
     dot = fd.ambient.dot
     d, m, res_orth, res_len = _ellipse_axes(fd)
-    gen = np.array([dot(d, fd.n1), dot(m, fd.n1),
-                    dot(d, fd.n2), dot(m, fd.n2)]).T.reshape(-1, 2, 2)
-    try:
-        sv = np.linalg.svd(gen, compute_uv=False)
-    except np.linalg.LinAlgError:     # rows of a batch with non-finite data
-        finite = np.isfinite(gen).all(axis=(1, 2))
-        sv = np.linalg.svd(np.where(finite[:, None, None], gen, 0.0),
-                           compute_uv=False)
-        sv[~finite] = np.nan
-    semi_major, semi_minor = sv.T
+    # singular values of [[d.n1, m.n1], [d.n2, m.n2]], stable near a circle
+    gen = a, b, c, e = (dot(d, fd.n1), dot(m, fd.n1),
+                        dot(d, fd.n2), dot(m, fd.n2))
+    s, t = np.hypot(a + e, c - b), np.hypot(a - e, b + c)
+    semi_major, semi_minor = 0.5 * np.where(np.isfinite(gen).all(axis=0),
+                                            (s + t, abs(s - t)), np.nan)
     lam2 = _pypow(fd.lam, 2)
     defect = lam2 + fd.ambient.curvature - fd.K - abs(fd.K_N)
     positive = fd.lam > 0
@@ -554,11 +561,8 @@ def adapted_frame(fd):
                   f"normal-form pattern by {sffa_residual[k]:.3e}"))
 
     mu_adapted = 0.5 * (off + a_z)
-    cols = [Y1, Y2, eta, zeta]
-    if fd.ambient.kind != "r4":
-        cols.append((fd.position - fd.ambient.center_vec()[:, None])
-                    / fd.ambient.radius)
-    ambient_det = np.sign(np.linalg.det(np.stack(cols).T))
+    ambient_det = np.sign(_orientation(Y1, Y2, eta, zeta, fd.ambient,
+                                       fd.position))
     return AdaptedFrame(
         Y1=Y1, Y2=Y2, eta=eta, zeta=zeta, lam=lam, mu=mu_adapted,
         A_eta=Ae, A_zeta=A_z, sffa_residual=sffa_residual,

@@ -12,8 +12,8 @@ from superconf.construct import (A_FLOOR, FLAG_A_SMALL, FLAG_G_HOLOMORPHIC,
                                  reflection_pair_check, translation_check)
 from superconf.errors import (FrameDegenerateError, FrameUndefinedError,
                               PreconditionError, SingularSampleError)
-from superconf.geometry import (_blas_dot, _normal_parts, _sqrt0, _sym2,
-                                ellipse_descriptor, fundamental_data)
+from superconf.geometry import (_PAIRS, _blas_dot, _normal_parts, _sqrt0,
+                                _sym2, ellipse_descriptor, fundamental_data)
 from superconf.jets import Jet2, fd_crosscheck, row_failures
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
 from test_cli import count_calls
@@ -355,7 +355,7 @@ def scalar_act(form, h):
     """Oracle: (A h)_i = sum_j A_ij h_j, term by term in _PAIRS order, one
     component of A and of h at a time."""
     out = [0.0] * 4
-    for (i, j), w in zip(construct._PAIRS, form):
+    for (i, j), w in zip(_PAIRS, form):
         out[i] = out[i] + w * h[j]
         out[j] = out[j] - w * h[i]
     return out
@@ -363,7 +363,7 @@ def scalar_act(form, h):
 
 def scalar_jhat_parts(gu, gv, h):
     """Oracle: (W h, *W h) as lists of four components."""
-    W = [gu[i] * gv[j] - gu[j] * gv[i] for i, j in construct._PAIRS]
+    W = [gu[i] * gv[j] - gu[j] * gv[i] for i, j in _PAIRS]
     star = (W[5], -W[4], W[3], W[2], -W[1], W[0])
     return scalar_act(W, h), scalar_act(star, h)
 

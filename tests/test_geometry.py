@@ -24,7 +24,7 @@ from superconf.geometry import (
     _pypow,
     shape_matrix,
 )
-from superconf.jets import Jet2
+from superconf.jets import Jet2, row_failures
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
 from test_jets import reparam_rot, transform
 
@@ -324,6 +324,23 @@ def test_shape_matrix_bases_agree():
         [a_co] = shape_matrix_coords(fd, nu)
         np.testing.assert_allclose(M @ a_co @ np.linalg.inv(M), a_on,
                                    atol=1e-10)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def test_coord_shape_records_a_singular_row_and_solves_the_rest():
+    # row 1 has Xu = Xv = 0: its failure is recorded in the sink, and the
+    # batch still gives row 0's shape operator
+    Xu = np.array([[2.0, 0.0], [0, 0], [0, 0], [0, 0]])
+    Xv = np.array([[1.0, 0.0], [1, 0], [0, 0], [0, 0]])
+    nu = np.array([[0.0, 0.0], [0, 0], [1, 1], [0, 0]])
+    seconds = [np.full((4, 2), k) for k in (1.0, 2.0, 3.0)]
+    with row_failures(2) as failed:
+        A = _coord_shape(Xu, Xv, seconds, nu, R4.dot)
+    assert failed.rows(SingularSampleError).tolist() == [False, True]
+    E, F, G = 4.0, 2.0, 2.0
+    np.testing.assert_allclose(
+        A[0], np.linalg.solve([[E, F], [F, G]], [[1.0, 2.0], [2.0, 3.0]]),
+        rtol=1e-15)
 
 
 def test_pypow_is_python_pow_and_inf_past_the_float_range():

@@ -2,11 +2,22 @@
 
 The oracle below is that kernel as it stood: every slot copied into an
 (n, dim) transpose and every inner product a reduction over the trailing
-component axis.  The kernel must give its bits in every field, signed
-zeros, nan and inf included, on every kind of input it meets."""
+component axis, with the frame's orientation from LAPACK's det.  The kernel
+must give its bits, signed zeros, nan and inf included, on every kind of
+input it meets, in every field but these:
+  - the ellipse's semi_major, semi_minor and mu, which the kernel takes in
+    closed form: they are held to SV_BOUND (4e-16 of the larger semi-axis)
+    against 40-digit mpmath singular values of the oracle's generator
+    matrices, and are nan exactly where those have a non-finite entry;
+  - the fields the normal frame's orientation signs (n2 and K_N), compared
+    bit for bit on the regular rows only: on a rank-deficient frame the
+    kernel's 2-form rule and LAPACK's det may disagree on the sign."""
 
+import dataclasses
+import math
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +26,7 @@ from superconf.construct import build_phi_pair
 from superconf.errors import PreconditionError
 from superconf.geometry import (
     CIRCULAR_TOL, FRAME_FLOOR, PATTERN_TOL, R4, REGULARITY_FLOOR, Ambient,
+    FundamentalData,
     _blas_dot, _largest, _normal_parts, _pypow, _rank_deficient, _sqrt0,
     _sym2, _vec_norm, adapted_frame, ellipse_descriptor, fundamental_data)
 from superconf.jets import Jet2, fail_rows, row_failures
@@ -156,39 +168,29 @@ def oracle_ellipse_axes(fd):
 
 
 def oracle_ellipse_descriptor(fd):
+    """The ellipse record without its semi-axes and mu, and the 2x2
+    generator matrices, (n, 2, 2), whose singular values they are."""
     dot = partial(rows_dot, fd.ambient)
     d, m, res_orth, res_len = oracle_ellipse_axes(fd)
     gen = np.array([dot(d, fd.n1), dot(m, fd.n1),
                     dot(d, fd.n2), dot(m, fd.n2)]).T.reshape(-1, 2, 2)
-    try:
-        sv = np.linalg.svd(gen, compute_uv=False)
-    except np.linalg.LinAlgError:
-        finite = np.isfinite(gen).all(axis=(1, 2))
-        sv = np.linalg.svd(np.where(finite[:, None, None], gen, 0.0),
-                           compute_uv=False)
-        sv[~finite] = np.nan
-    semi_major, semi_minor = sv.reshape(d.shape[:-1] + (2,)).T
-    return dict(center=fd.H, semi_major=semi_major, semi_minor=semi_minor,
-                res_orth=res_orth, res_len=res_len,
-                mu=0.5 * (semi_major + semi_minor))
+    return dict(center=fd.H, res_orth=res_orth, res_len=res_len), gen
 
 
 def oracle_superconformality_test(fd):
-    ed = oracle_ellipse_descriptor(fd)
+    ed, gen = oracle_ellipse_descriptor(fd)
     lam2 = _pypow(fd.lam, 2)
     defect = lam2 + fd.ambient.curvature - fd.K - abs(fd.K_N)
     positive = fd.lam > 0
     rel = np.where(positive, defect / np.where(positive, lam2, 1.0),
                    float("inf"))
     return {
-        "res_orth": ed["res_orth"],
-        "res_len": ed["res_len"],
+        **ed,
         "wintgen_defect": defect,
         "wintgen_defect_rel": rel,
-        "mu": ed["mu"],
         "is_superconformal": np.maximum(abs(ed["res_orth"]),
                                         abs(ed["res_len"])) < CIRCULAR_TOL,
-    }
+    }, gen
 
 
 def oracle_adapted_frame(fd):
@@ -261,19 +263,86 @@ def bits(x):
     return x.dtype, x.shape, x.tobytes()
 
 
-def assert_same_bits(got, want, where):
+# the fields the orientation of the normal frame signs: the kernel's 2-form
+# contraction and the oracle's LAPACK det may give a rank-deficient frame
+# opposite signs, and no output reads an irregular row
+ORIENTED = ("n2", "K_N")
+
+
+def assert_same_bits(got, want, where, regular=None):
     """Every field of got, read in the oracle's layout, has the bytes of
-    the oracle's field of that name."""
+    the oracle's field of that name; the ORIENTED fields only on the
+    regular rows, if given."""
     assert got.keys() == want.keys(), where
     for name, w in want.items():
         if name == "ambient":
             continue
-        assert bits(as_rows(got[name])) == bits(w), (where, name)
+        g = as_rows(got[name])
+        if regular is not None and name in ORIENTED:
+            g, w = g[regular], w[regular]
+        assert bits(g) == bits(w), (where, name)
 
 
 def fields(obj):
     """The fields of a kernel or oracle result by name."""
     return dict(vars(obj)) if not isinstance(obj, dict) else obj
+
+
+# ----- the ellipse's semi-axes against a 40-digit referee -----
+
+REFEREE_DPS = 40
+# |kernel - referee| <= SV_BOUND * the referee's larger singular value, for
+# both semi-axes and mu, about 1.8 ulps of the semi-major axis.  The closed
+# form reaches 3.1e-16 on the oracle's samples, and LAPACK's svd
+# (np.linalg.svd) 4.9e-16 on referee_matrices, so it would fail the bound
+SV_BOUND = 4e-16
+REFEREED = ("semi_major", "semi_minor", "mu")
+
+
+def referee_singular_values(gen):
+    """(larger, smaller) singular values of every 2x2 matrix of gen, (n, 2,
+    2), as mpf at REFEREE_DPS digits; None for a matrix with a non-finite
+    entry.  For [[a, b], [c, d]] they are (s +- t)/2 with s = |(a + d,
+    c - b)| and t = |(a - d, b + c)|, an identity that the referee test
+    holds against mpmath's own SVD."""
+    out = []
+    with mpmath.workdps(REFEREE_DPS):
+        for row in np.asarray(gen, dtype=float).reshape(-1, 4).tolist():
+            if not all(map(math.isfinite, row)):
+                out.append(None)
+                continue
+            a, b, c, d = map(mpmath.mpf, row)
+            s, t = mpmath.hypot(a + d, c - b), mpmath.hypot(a - d, b + c)
+            out.append(((s + t) / 2, abs(s - t) / 2))
+    return out
+
+
+def referee_errors(ed, gen):
+    """The largest error of the semi-axes and mu of ed against the referee
+    singular values of gen, in units of the larger one (0 where both are
+    0), and the rows where the referee has none."""
+    worst, non_finite = 0.0, []
+    with mpmath.workdps(REFEREE_DPS):
+        for k, ref in enumerate(referee_singular_values(gen)):
+            if ref is None:
+                non_finite.append(k)
+                continue
+            big, small = ref
+            got = [mpmath.mpf(float(ed[name][k])) for name in REFEREED]
+            err = max(abs(got[0] - big), abs(got[1] - small),
+                      abs(got[2] - (big + small) / 2))
+            worst = max(worst, float(err / big) if big else float(err))
+    return worst, non_finite
+
+
+def assert_near_referee(ed, gen, where):
+    """The semi-axes and mu of ed within SV_BOUND of the referee, and nan
+    exactly on the rows with non-finite generators."""
+    worst, non_finite = referee_errors(ed, gen)
+    assert worst <= SV_BOUND, (where, worst)
+    for name in REFEREED:
+        assert np.flatnonzero(np.isnan(ed[name])).tolist() == non_finite, (
+            where, name)
 
 
 @np.errstate(all="ignore")
@@ -283,12 +352,13 @@ def check_sample(sample, ambient=R4, where=""):
     and the adapted frame with its failed rows."""
     fd = fundamental_data(sample, ambient)
     ofd = oracle_fundamental_data(sample, ambient)
-    assert_same_bits(fields(fd), fields(ofd), f"{where} fd")
+    assert_same_bits(fields(fd), fields(ofd), f"{where} fd", ofd.regular)
     ed = fields(ellipse_descriptor(fd))
-    test = oracle_superconformality_test(ofd)
+    test, gen = oracle_superconformality_test(ofd)
     circular = test.pop("is_superconformal")
-    assert_same_bits(ed, {**oracle_ellipse_descriptor(ofd), **test},
-                     f"{where} ellipse")
+    assert_near_referee(ed, gen, where)
+    assert_same_bits({k: v for k, v in ed.items() if k not in REFEREED},
+                     test, f"{where} ellipse")
     assert bits(np.maximum(abs(ed["res_orth"]), abs(ed["res_len"]))
                 < CIRCULAR_TOL) == bits(circular), where
     n = len(fd.E)
@@ -408,6 +478,88 @@ def test_kernel_is_the_oracle_on_constant_slots(n):
                    Jet2(*(x[:, :1] for x in (v, du, dv, duu, duv, dvv)))):
         assert any(np.shape(x)[1] == 1 for x in sample.slots)
         check_sample(sample, where=f"constant slots {n}")
+
+
+# ----- the semi-axes on chosen matrices -----
+
+def ellipse_of(gen):
+    """ellipse_descriptor's record for FundamentalData whose ellipse
+    generators d, m on (n1, n2) are the 2x2 matrices gen, (n, 2, 2), [[d.n1,
+    m.n1], [d.n2, m.n2]]: alpha11 = -alpha22 = (d.n1, d.n2, 0, 0), alpha12 =
+    (m.n1, m.n2, 0, 0) and (n1, n2) = (e1, e2), so every product is exact."""
+    n = len(gen)
+    zero = np.zeros(n)
+    d = np.array([gen[:, 0, 0], gen[:, 1, 0], zero, zero])
+    m = np.array([gen[:, 0, 1], gen[:, 1, 1], zero, zero])
+    e1, e2 = (np.repeat(np.eye(4)[:, k:k + 1], n, axis=1) for k in (0, 1))
+    blank = dict.fromkeys(f.name for f in dataclasses.fields(FundamentalData))
+    fd = FundamentalData(**{
+        **blank, "ambient": R4, "alpha11": d, "alpha22": -d, "alpha12": m,
+        "n1": e1, "n2": e2, "H": np.zeros((4, n)), "lam": zero, "K": zero,
+        "K_N": zero})
+    return fields(ellipse_descriptor(fd))
+
+
+def referee_matrices(n=300):
+    """n near-circular generator matrices, a scalar times a rotation plus
+    1e-13 relative noise (the superconformal case, where the two semi-axes
+    nearly agree), then n random ones, with scales over six decades."""
+    rng = np.random.default_rng(21)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.stack((np.stack((c, -s), -1), np.stack((s, c), -1)), -2)
+    near = rot + 1e-13 * rng.standard_normal((n, 2, 2))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (2 * n, 1, 1))
+    return np.concatenate((near, rng.standard_normal((n, 2, 2)))) * scale
+
+
+def test_referee_is_mpmath_svd():
+    gen = referee_matrices()
+    with mpmath.workdps(REFEREE_DPS):
+        for m, (big, small) in zip(gen, referee_singular_values(gen)):
+            sv = sorted(mpmath.svd_r(mpmath.matrix(m.tolist()),
+                                     compute_uv=False))
+            assert abs(sv[1] - big) <= mpmath.mpf(10) ** -36 * big
+            assert abs(sv[0] - small) <= mpmath.mpf(10) ** -36 * big
+
+
+def test_semi_axes_and_mu_within_the_referee_bound():
+    gen = referee_matrices()
+    ed = ellipse_of(gen)
+    for part in (slice(0, 300), slice(300, None)):   # near-circular, random
+        worst, non_finite = referee_errors(
+            {k: ed[k][part] for k in REFEREED}, gen[part])
+        assert worst <= SV_BOUND and non_finite == []
+    # near a circle the semi-axes agree to the noise, which the closed form
+    # resolves: their difference is 1e-13 relative, not rounding
+    near = slice(0, 300)
+    spread = (ed["semi_major"] - ed["semi_minor"])[near] / ed["mu"][near]
+    assert np.all(spread > 0) and np.all(spread < 1e-12)
+
+
+@np.errstate(invalid="ignore")     # inf * 0 in the products
+def test_non_finite_generators_give_nan_semi_axes():
+    gen = np.tile(referee_matrices(4)[:1], (7, 1, 1))
+    for k, (i, j, x) in enumerate([(0, 0, np.nan), (0, 1, np.inf),
+                                   (1, 0, -np.inf), (1, 1, np.nan),
+                                   (0, 0, np.inf)]):
+        gen[k + 1, i, j] = x
+    gen[6, 1, 1] = -np.inf        # two infinities in one matrix
+    ed = ellipse_of(gen)
+    for name in REFEREED:
+        assert np.isfinite(ed[name][0])
+        assert np.all(np.isnan(ed[name][1:])), name
+
+
+def test_each_row_is_its_batch_of_one():
+    gen = referee_matrices()
+    gen[::97, 0, 1] = np.nan
+    batch = ellipse_of(gen)
+    for k in range(len(gen)):
+        one = ellipse_of(gen[k:k + 1])
+        for name, x in one.items():
+            assert bits(as_rows(x)) == bits(as_rows(batch[name])[k:k + 1]), (
+                k, name)
 
 
 # ----- the inner product -----

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
-public function the package defines is used, and every command-line option
-is passed by a test or a README example."""
+public function the package defines is used, every command-line option
+is passed by a test or a README example, and the geometry kernel makes no
+LAPACK call."""
 
 import argparse
 import ast
@@ -395,6 +396,52 @@ def test_rows_are_made_in_one_place():
                     or kind == "values" and path.stem == "export"):
                 found.add(f"{at} {kind}")
     assert sorted(found) == sorted(ROW_CONVERSIONS_ALLOWED)
+
+
+def linalg_uses(source):
+    """The lines of source that call a numpy.linalg function through the
+    module (np.linalg.f(...), linalg.f(...)) or import from it."""
+    lines = []
+    for n in ast.walk(ast.parse(source)):
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and called_name(n.func.value) == "linalg"
+                or isinstance(n, ast.ImportFrom)
+                and (n.module or "").startswith("numpy.linalg")):
+            lines.append(n.lineno)
+    return sorted(lines)
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+         ast.DictComp, ast.GeneratorExp)
+
+
+def loops_in(source, name):
+    """The kinds of the loops and comprehensions in the def name of
+    source."""
+    [fn] = [n for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.FunctionDef) and n.name == name]
+    return sorted(type(n).__name__ for n in ast.walk(fn)
+                  if isinstance(n, LOOPS))
+
+
+def test_kernel_scans():
+    source = ("import numpy as np\nfrom numpy.linalg import det\n"
+              "def f(x):\n    return [t for t in np.linalg.svd(x)]\n"
+              "def g(x):\n    while x:\n"
+              "        x = np.linalg.norm(x) + x.dot(x)\n")
+    assert linalg_uses(source) == [2, 4, 7]
+    assert loops_in(source, "f") == ["ListComp"]
+    assert loops_in(source, "g") == ["While"]
+
+
+def test_geometry_kernel_makes_no_lapack_call():
+    """geometry.py calls no numpy.linalg function: the ellipse's semi-axes,
+    the frame orientation and the coordinate shape operator are closed
+    forms, not one LAPACK dispatch per matrix; and _pypow is one numpy
+    call, with no Python loop over the entries."""
+    source = (SRC / "geometry.py").read_text()
+    assert linalg_uses(source) == []
+    assert loops_in(source, "_pypow") == []
 
 
 README = TESTS.parent / "README.md"

@@ -21,28 +21,28 @@ CONSTRUCT_FILES = {
     ("catenoid-helicoid", "--grid", "9,9", "--sign", "both",
      "--project", "stereo"): (0, {
         "catenoid-helicoid-minus.csv":
-            "c89fe155f1d38f943cae4f20beb052b82b16071b18237cfe52c5267961e716a9",
+            "3a6d708a90feb2c602c28a3bc436b3480f9ff02fdec299a74070904781be3494",
         "catenoid-helicoid-minus.mesh.json":
             "70523b1b9123117cd45cce815ed6c9da9421688871f9cb90afc7715b66d86e93",
         "catenoid-helicoid-minus.obj":
             "df94999a59bcefcbb4b00b6c525dac0e8a12c090a19f1bc799ca88a2b26cdd69",
         "catenoid-helicoid-plus.csv":
-            "29d7aed3a6049cbe1793a34b2d6f39815988282599baa571e4fc0955afbcce1c",
+            "96342c8f75c972901d2f622904cf0e5d1304a87550f4898e988c74909e1fd77f",
         "catenoid-helicoid-plus.mesh.json":
             "123e1f3c7f4b266f8844b599edde8889e7091dd95227cda28fa1af80707ec2db",
         "catenoid-helicoid-plus.obj":
             "9062e5f26f1c2d3107bd3698da45b9d85c888bfe09cf283095ae11cfb41a2a9d",
         "catenoid-helicoid-summary.json":
-            "6ad3e0dd8976827513c20f02effb121a46d77466c6f5295e80298a3c7914df16",
+            "5adabbb80f863f60f93d3cc2ffb46ddd3e3b05db69edf9de5b74cb3e9bdce578",
     }),
     # its plus surface has no clear row, so the run exits 3
     ("whitney", "--grid", "9,9", "--sign", "both"): (3, {
         "whitney-minus.csv":
-            "908123450e49bbca6bfda1858187aebcb0280502db83f2ef7a01518124315169",
+            "053e2f9bf6e8a5e66a39427a4dda784a73efd0bcba03dbbae91c2579ba811980",
         "whitney-minus.mesh.json":
             "c7a211086240154c24764cb351a36db09794ff5a4856c5342d14e35660bfd159",
         "whitney-plus.csv":
-            "e03f233134b663fd783da13345f196947e402b1f76e117e101d9fc3601ce2145",
+            "8db1aa21341f79cd31ed5b6a8a0a04c988758e3fb2107db3221f152520f8998e",
         "whitney-plus.mesh.json":
             "c74c37a1e98fae07005212adf04665d49ff71a52166547dda6a15c4ce132aca0",
         "whitney-summary.json":
@@ -52,13 +52,13 @@ CONSTRUCT_FILES = {
     ("enneper-r3", "--grid", "9,9", "--sign", "both",
      "--project", "drop:3"): (0, {
         "enneper-r3-minus.csv":
-            "cd59d73547f7ce62fd4f72defaf39c5650745441f57cc7be1aadf9d975218e11",
+            "9ea162a02c222926e2599cd6d38f694b1fdfd18c44db153ea75e7fd47f3ed5f4",
         "enneper-r3-minus.mesh.json":
             "f931d0c0c61abfedbdc3db7185b29e91ef852ab855f78842ffdad34bdc773fd5",
         "enneper-r3-minus.obj":
             "756bdbcfa8083e97184c359bf4be487318284f61b09961f208989f1bca68b5de",
         "enneper-r3-plus.csv":
-            "474e8d3e7ddb5f96b129687bfc6b73261d4a08a496389ca405716cad605227c8",
+            "ffec35d29b38ecb4c424a830da287d345927a9e1c46916a62beca62d6ad93957",
         "enneper-r3-plus.mesh.json":
             "0969b704293985c54b7a467cd6ad8c3cf1104ea024f43ba608d4ce37f85e85cd",
         "enneper-r3-plus.obj":
@@ -70,24 +70,24 @@ CONSTRUCT_FILES = {
     ("(cos(log(z + 3)), sin(log(z + 3)), -i*log(z + 3), 0)",
      "--domain=-1,1,-1,1", "--grid", "9,9", "--sign", "both"): (0, {
         "inline-minus.csv":
-            "ac83893144989b63a5d88d19c7156d5265a0b4423eb006357499c3707bddc543",
+            "d4c2f7746ec42be0cef83cc85bcf9c9d07f9362fe33a7d2d7fe203d59efb3a89",
         "inline-minus.mesh.json":
             "8ef791b9f7389ce8afb9266ec7666620f1df845f18d6c7aa8f2bcd09785d8871",
         "inline-plus.csv":
-            "7cae2e9635744088c31c5e5ae4f4c0b8f1a913d6269067fdb7fbf370ab45a136",
+            "70d0f02eadbc4f7c46a7189a0c112afc479fbee94bf37491c132391c29232b7d",
         "inline-plus.mesh.json":
             "cc883f18eb43842ed1360f2266f05fdfef5cbd91aa5842014626d1e1d7ddcdf8",
         "inline-summary.json":
-            "013750a721a4c99196a864f03758215781af643249baf5c13222ec141e152243",
+            "e0e3e48876747fb783e6a7cfd53e8aa13a91c63278c27eb42a2c4c71ac64afc0",
     }),
     ("(cosh(sqrt(z + 2)), -i*sinh(sqrt(z + 2)), sqrt(z + 2), 0)",
      "--domain=-1,1,-1,1", "--grid", "9,9", "--sign", "both"): (0, {
         "inline-minus.csv":
-            "59c6fc4735225fe4a605a96a2a81e76f4d847e498929ab934dea5de2bbbf7ec3",
+            "8b9b59fe73a74b8b1a49e4ece43178c0abb12559093ce707996def2fc0dbc39d",
         "inline-minus.mesh.json":
             "19202e7591e8e8db521b24477ce19df95e07add19a23648df027574c5aebb514",
         "inline-plus.csv":
-            "3bc8a040b849450a644e062f029a536ddcb8c19de1012326dff69c5f4da3a64a",
+            "13eeb2e4dc8922e27abaf4988c926a898fd1e3334e8244bd427d2d6a2112ab00",
         "inline-plus.mesh.json":
             "ae2919823ca88545c340c930078f514c98ba321f33dcb6f1af37912de0ec6344",
         "inline-summary.json":
@@ -96,21 +96,21 @@ CONSTRUCT_FILES = {
     ("(cosh(exp(z)/2), -i*sinh(exp(z)/2), exp(z)/2, 0)",
      "--domain=-1,1,-1,1", "--grid", "9,9", "--sign", "both"): (0, {
         "inline-minus.csv":
-            "3c03bdf504485aa0ecb20645c453fcdf64809225947278fdf01ffa7922a57a77",
+            "8a51db8e47ec588deda7fd1c2b8f586128164af89b787dd5eb62178e28941217",
         "inline-minus.mesh.json":
             "80e8d9d6ec9075d65f3f8a885cf568775e9dac4aa6f6740ba2c3da4a12251f55",
         "inline-plus.csv":
-            "fb83a389173f2ca7430a3405030b1c0e8f6f5c13538c47562c52f1c89b8895ae",
+            "712651a20c0cc8b8f86678dac632cc48ea6e08340703fe38ff9436580ee188fd",
         "inline-plus.mesh.json":
             "6644efb911bcce55e261da558bee7c528d6727fc782a9632930099f9d3df0a3e",
         "inline-summary.json":
-            "2b9720b59436a6df776c84e1a090bec60e6a3a1c7ae02fa3dc77f00c8496c02e",
+            "95e64bbfb0ec1e63f00eebf7649776e3548c081515b5d9b85bc0b8bf1588bd07",
     }),
 }
 
 REPORTS = {
     ("verify", "--curve", "whitney"):
-        (3, "75c48221c6345edb2cb35b9f8fe5e9d9b413fbe9bc59d71e813677283575f729"),
+        (3, "687cb01eaa34c25dbfbb77fc1136f02e115bec03a871e5f32029541cd82625b2"),
     ("invert", "--curve", "catenoid-helicoid", "--center", "0,0,0,5"):
         (0, "40d92f9abc1a254e5db1e5a615ed2f52fcad21f342a9c6dbc50ae6497fcefbc2"),
     ("dual", "--curve", "whitney"):
@@ -118,9 +118,9 @@ REPORTS = {
     ("quadric", "--curve", "veronese"):
         (0, "fb3fa0dcdbcce790f9eb6c586b216d6a15deb2c4007fae0b9d5693fed0333664"),
     ("project", "--entry", "veronese"):
-        (0, "c0418a4bea4e3344456c39997da3834306448714508db6a582e938a6f31a42cc"),
+        (0, "044d831d97a7f6fd61160c08f903b26f8b3b7e2d48c668438ea11108c693b3ab"),
     ("selftest",):
-        (3, "a1d611420a899f1ce0d3f7c8ef66ece4582391ab5c311fe12da70e90c03758b3"),
+        (3, "4184f0cfc827c02ce8ef99dca1b064a09488486fda329f6784de3fa6d81cf06d"),
     ("certify", "--curve", "enneper-r3"):
         (0, "69d2468c9c6c18a4b553ce4d40cdd8add7945467db1c4f9d60a0e8092a9b991b"),
     # the MinimalPair path; veronese above takes the closed-form one
