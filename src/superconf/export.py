@@ -1,14 +1,17 @@
 """Grid runs and file output: diagnostics CSV, 4d meshes, projected OBJ.
 
 The JSON mesh keeps all four coordinates and is the authoritative container;
-OBJ is a lossy 3d projection for viewers and says so in its header.  All
-writers format floats by repr, which is the shortest decimal that round-trips,
-so identical runs produce byte-identical files, and write their text one
-block of rows at a time.
+OBJ is a lossy 3d projection for viewers and says so in its header.  Every
+float is written as repr writes it, the shortest decimal that round-trips,
+so identical runs produce byte-identical files.  The writers make that text
+one block of rows at a time in array passes: Schubfach's shortest digits
+for all the block's floats at once, each number laid out in a fixed-width
+byte cell, and the block's text its cells' bytes with the padding dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import namedtuple
 from itertools import chain
@@ -167,46 +170,275 @@ def summarize(samples) -> dict:
     return out
 
 
-def _groups(strings, k):
-    """Consecutive k-tuples of an iterable."""
-    it = iter(strings)
-    return zip(*[it] * k)
+# Text is assembled as bytes.  Every number of a block becomes one cell of
+# _CELL bytes, NUL where it holds no character: two lead bytes, the sign,
+# the "0." and up to three zeros of a positional number below 0.1, 18 bytes
+# of digits and point, the exponent, and last a separator.  A block's text
+# is its cells' bytes with the NULs dropped.
+_CELL = 32
+_INT_CELL = 24      # an integer's cell: a float's first 24 bytes
+_K_MIN = -324       # the least k = floor(log10(2^q)) over the doubles
+# floats per pass: a pass holds about 250 bytes a float, and larger passes
+# measured slower
+_RUN = 2048
+_NAN, _INF = (int.from_bytes(w, "little") for w in (b"nan", b"inf"))
+
+
+@functools.cache
+def _U(value):
+    """value as a 0-d uint64 array, which numpy's operators take faster
+    than a scalar."""
+    return np.array(value, np.uint64)
+
+
+_Tables = namedtuple("_Tables", "kh g digits pow10 layout body zeros exp")
+
+
+@functools.cache
+def _tables():
+    """The formatter's tables, built exactly from Python ints on first use.
+
+    kh: Schubfach's k - _K_MIN and h at 2 be + i, for biased exponent be
+    and i = 1 where the spacing below is irregular; g: the 63-bit limbs of
+    g = floor(10^-k 2^-r) + 1 in [2^125, 2^126) for each k; digits: ASCII
+    of 0000..9999; layout: at 18 (E + 330) + nd, for nd significant digits
+    and exponent E, the body index 19 pt + L (point at body byte pt, 18 for
+    none; L bytes kept), "0.000" bytes << 9 and 1 << 12 for an exponent;
+    body: the masks, at 19 pt + L, of the digits before and after the point
+    and of the point; zeros and exp: the "0.000" and "e+dd(d)" words.
+    """
+    q = np.arange(4096) // 2 - 1075
+    k = (q * 661971961083 - np.arange(4096) % 2 * 274743187321) >> 41
+    kh = np.array([k - _K_MIN, q + ((-k * 913124641741) >> 38) + 2],
+                  np.uint16)
+    g = []
+    for e in range(-_K_MIN, -k.max() - 1, -1):      # 10^e = 10^-k
+        p = 10 ** abs(e)
+        g.append((p << 126 >> p.bit_length() if e >= 0
+                  else (1 << p.bit_length() + 125) // p) + 1)
+    n = np.arange(10000, dtype=np.uint32)
+    digits = (n // 1000 | n // 100 % 10 << 8 | n // 10 % 10 << 16
+              | n % 10 << 24) + 0x30303030
+    # repr's layout: positional for -4 <= E < 16, with ".0" after an
+    # integral value; else d.ddd and the exponent, with no point for one
+    # digit
+    E, nd = np.ix_(np.arange(-330, 331, dtype=np.int16),
+                   np.arange(18, dtype=np.int16))
+    sci = (E < -4) | (E > 15)
+    small = ~sci & (E < 0)
+    pt = np.where(small, 18, np.where(sci, 1, E + 1))
+    L = np.where(sci, np.where(nd > 1, nd + 1, 1),
+                 np.where(small, nd, np.maximum(nd + 1, E + 3)))
+    j, at, keep = np.arange(24), np.arange(19)[:, None, None], np.arange(19)
+    kept = j < keep[:, None]
+    body = np.stack([(j < at) & kept, (j > at) & kept, (j == at) & kept])
+    body = (body * np.array([255, 255, 46], np.uint8)[:, None, None, None]
+            ).reshape(3, 361, 3, 8).view("<u8")[..., 0]
+
+    def words(texts, at):
+        return np.array([int.from_bytes(b"\0" * at + t, "little")
+                         for t in texts], np.uint64)
+
+    return _Tables(
+        kh, np.array([[x >> 63 for x in g], [x & (1 << 63) - 1 for x in g]],
+                     np.uint64),
+        digits.astype(np.uint64),
+        np.array([10 ** j for j in range(18)], np.uint64),
+        (19 * pt + L | np.where(small, 1 - E, 0) << 9
+         | sci * np.int16(1 << 12)).astype(np.uint16).ravel(),
+        body.transpose(0, 2, 1).copy(),
+        words([b"0.000"[:z] for z in range(6)], 3),
+        words([b"e%+03d" % e for e in range(-330, 331)], 2))
+
+
+def _mul(a, b):
+    """The (high, low) words of a b for a < 2^63, b < 2^60, from 32-bit
+    halves whose partial sums do not overflow."""
+    ah, al = a >> _U(32), a & _U(0xFFFFFFFF)
+    bh, bl = b >> _U(32), b & _U(0xFFFFFFFF)
+    return (ah * bh + (al * bh + ah * bl + (al * bl >> _U(32)) >> _U(32)),
+            a * b)
+
+
+def _scaled(bits):
+    """Schubfach's (vbl, vb, vbr) and k for the normal doubles of bits: the
+    double and the ends of its rounding interval times 4 10^-k, rounded to
+    odd.  They are g c / 2^127 for g = g1 2^63 + g0 and c = cp = cb 2^h
+    (cb = 4 c), cl = cp - 2^sl (cb - 2, or cb - 1 where the spacing below
+    is irregular) and cr = cp + 2^sr (cb + 2); a cl and a cr follow from the
+    128-bit products a cp of the limbs a of g."""
+    tables = _tables()
+    be, t = bits >> _U(52) & _U(0x7FF), bits & _U((1 << 52) - 1)
+    irregular = (t == _U(0)) & (be > _U(1))
+    k, h = tables.kh.take((be << _U(1)) | irregular, axis=1)
+    a = tables.g.take(k, axis=1)
+    cp = (t | _U(1 << 52)) << (h + 2)
+    sl, sr = h + 1 - irregular, h + 1
+    hi, lo = _mul(a, cp)
+    lol, lor = lo - (a << sl), lo + (a << sr)
+    y1, x1 = np.array([hi - (a >> (_U(64) - sl)) - (lol > lo), hi,
+                       hi + (a >> (_U(64) - sr)) + (lor < lo)]).swapaxes(0, 1)
+    z = (np.array([lol[0], lo[0], lor[0]]) >> _U(1)) + x1
+    return ((y1 + (z >> _U(63))) | np.minimum(z << _U(1), _U(1)),
+            k.view(np.int16) + _K_MIN)
+
+
+def _schubfach(bits):
+    """(f, k): f 10^k is the shortest decimal that rounds to the normal
+    double of bits, and of those the nearest to it; 10^15 < f < 10^17.
+    Giulietti, The Schubfach way to render doubles (2020), figures 7 to 9."""
+    (vbl, vb, vbr), k = _scaled(bits)
+    # the interval is closed where c is even
+    lo, hi = vbl + (bits & _U(1)), vbr - (bits & _U(1))
+    s = vb >> _U(2)
+    sp = s // _U(10) * _U(10)
+    s4, sp4 = s << _U(2), sp << _U(2)
+    upin, wpin = lo <= sp4, sp4 + _U(40) <= hi
+    uin, win = lo <= s4, s4 + _U(4) <= hi
+    # of s and s + 1, the nearer, and the even one on a tie
+    up = (vb & _U(3)) + (s & _U(1)) > _U(2)
+    return (np.where(upin != wpin, sp + _U(10) * wpin,
+                     s + np.where(uin != win, win, up)), k)
+
+
+def _digit_words(f):
+    """The 17 ASCII digits of f < 10^17, zeros first, as the rows of three
+    words."""
+    a = f // _U(10 ** 16)
+    f = f - a * _U(10 ** 16)
+    hi = f // _U(10 ** 8)
+    f -= hi * _U(10 ** 8)
+    h4, l4 = hi // _U(10000), f // _U(10000)
+    hi -= h4 * _U(10000)
+    f -= l4 * _U(10000)
+    d = _tables().digits.take([h4, hi, l4, f])
+    return np.array([(a + _U(48)) | (d[0] << _U(8)) | (d[1] << _U(40)),
+                     (d[1] >> _U(24)) | (d[2] << _U(8)) | (d[3] << _U(40)),
+                     d[3] >> _U(24)])
+
+
+def _cells(x):
+    """repr's text of each float of x, from its shortest round-trip digits,
+    as cells of shape x.shape + (_CELL,)."""
+    x = np.asarray(x, np.float64)
+    bits = x.ravel().view(np.uint64)
+    out = np.empty((bits.size, _CELL), np.uint8)
+    for lo in range(0, bits.size, _RUN):
+        _emit(bits[lo:lo + _RUN], out[lo:lo + _RUN])
+    return out.reshape(x.shape + (_CELL,))
+
+
+def _emit(bits, out):
+    """Write the cells of the floats of bits to the rows of out."""
+    tables = _tables()
+    f, k = _schubfach(bits)
+    exponent = bits >> _U(52) & _U(0x7FF)
+    zero, big = exponent == _U(0), f >= _U(10 ** 16)
+    w = _digit_words(np.where(zero, _U(0), np.where(big, f, f * _U(10))))
+    E = np.where(zero, 0, k + 15 + big)
+    # the significant digits: those up to the last byte not '0'
+    t = w ^ _U(0x3030303030303030)
+    used = (np.frexp(t.astype(np.float64))[1] + 7) // 8
+    code = tables.layout.take((E + 330) * 18 + np.where(
+        w[2] != _U(48), 17,
+        np.where(t[1] != _U(0), 8 + used[1], np.maximum(used[0], 1))))
+    special = exponent == _U(0x7FF)
+    nan = special & (bits << _U(12) != _U(0))
+    if special.any():           # written "nan" or "inf", three bytes kept
+        w[0, special] = np.where(nan[special], _U(_NAN), _U(_INF))
+        code[special] = 19 * 18 + 3
+    words = out.view("<u8")
+    words[:, 0] = tables.zeros.take(code >> 9 & 7) | (
+        ((bits >> _U(63)) & ~nan) << _U(16)) * _U(ord("-"))
+    body = code & 511
+    shifted = w << _U(8)            # each digit one byte later
+    shifted[1:] |= w[:-1] >> _U(56)
+    shifted &= tables.body[1].take(body, axis=1)
+    w &= tables.body[0].take(body, axis=1)
+    w |= shifted
+    w |= tables.body[2].take(body, axis=1)
+    w[2] |= tables.exp.take(E + 330) * (code >> 12)
+    words[:, 1:] = w.T
+    sub = zero & (bits << _U(1) != _U(0))
+    if sub.any():
+        out[sub, 2:31] = _subnormal_cells(bits[sub].view(np.float64))
+
+
+def _subnormal_cells(x):
+    """Bytes 2..30 of the cells of subnormal floats, through repr one by
+    one; no catalog run writes one."""
+    return np.array([repr(v).encode() for v in x.tolist()],
+                    "S29").view(np.uint8).reshape(-1, 29)
+
+
+def _int_cells(i):
+    """The decimal text of each integer 0 <= i < 10^15 of i, as cells of
+    shape i.shape + (_INT_CELL,)."""
+    i = np.asarray(i)
+    f = i.ravel().astype(np.uint64)
+    tables = _tables()
+    n = np.maximum(tables.pow10.searchsorted(f, side="right"), 1)
+    out = np.zeros((f.size, 3), "<u8")
+    out[:, 1:] = (_digit_words(f * tables.pow10.take(17 - n))[:2]
+                  & tables.body[0, :2].take(19 * 18 + n, axis=1)).T
+    return out.view(np.uint8).reshape(i.shape + (_INT_CELL,))
+
+
+def _lines(cells, lead, seps):
+    """Frame (rows, k, _CELL) cells as lines: lead (up to two bytes) before
+    each row's first cell and seps[j] after its cell j."""
+    cells[:, 0, :len(lead)] = np.frombuffer(lead, np.uint8)
+    cells[:, :, -1] = np.frombuffer(seps, np.uint8)
+    return cells
+
+
+def _text(cells):
+    """The bytes of cells, NULs dropped."""
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _items(cells, lo):
+    """The text of a block of JSON array items framed ',[' ... ']'; the
+    array's first item, at lo == 0, has no comma."""
+    if lo == 0:
+        cells[0, 0, 0] = 0
+    return _text(cells)
+
+
+# a null mesh vertex: its first cell written ',null', the others empty
+_NULL_VERTEX = np.zeros((4, _CELL), np.uint8)
+_NULL_VERTEX[0, :5] = np.frombuffer(b",null", np.uint8)
 
 
 def _csv_mesh_chunks(samples, nu, nv):
     """The diagnostics CSV and the 4d mesh JSON of one grid as (csv, mesh)
-    pairs of text chunks, one block of rows or quads at a time.
+    pairs of byte chunks, one block of rows or quads at a time.
 
-    Every float goes through repr once: u and v once per grid axis, the mesh
-    vertices are the CSV's x0..x3 cells.  The mesh is canonical_json's text
-    of its dict, keys in sorted order; callers check that its vertices are
-    finite.
+    Every number is formatted once, and the mesh vertices are the CSV's
+    x0..x3 cells.  The mesh is canonical_json's text of its dict, keys in
+    sorted order; callers check that its vertices are finite.
     """
     placed = samples.flags < FLAG_OUT_OF_DOMAIN
     quads = _quads(placed, nu, nv)
-    yield (CSV_HEADER + "\n",
-           f'{{"kind":"grid-mesh-r4","nu":{nu},"nv":{nv},"quads":[')
+    yield (CSV_HEADER.encode() + b"\n",
+           b'{"kind":"grid-mesh-r4","nu":%d,"nv":%d,"quads":[' % (nu, nv))
     for lo in _block_starts(len(quads)):
-        yield "", ("," if lo else "") + ",".join(
-            f"[{a},{b},{c},{d}]"
-            for a, b, c, d in quads[lo:lo + BLOCK_POINTS].tolist())
-    yield "", '],"vertices":['
-    us = list(map(repr, samples.u[::nv].tolist()))
-    vs = list(map(repr, samples.v[:nv].tolist()))
+        yield b"", _items(_lines(_int_cells(quads[lo:lo + BLOCK_POINTS]),
+                                 b",[", b",,,]"), lo)
+    yield b"", b'],"vertices":['
     for lo in _block_starts(len(samples)):
-        hi = lo + BLOCK_POINTS
-        xs = list(map(",".join, _groups(
-            map(repr, samples.position[lo:hi].ravel().tolist()), 4)))
-        stats = map(",".join, _groups(map(repr, samples.stats[
-            lo:hi, _CSV_STATS].ravel().tolist()), len(_CSV_STATS)))
-        csv = "".join(
-            f"{us[k // nv]},{vs[k % nv]},{x},{st},{bits}\n"
-            for k, x, st, bits in zip(range(lo, hi), xs, stats,
-                                      samples.flags[lo:hi].tolist()))
-        mesh = ",".join(f"[{x}]" if ok else "null"
-                        for x, ok in zip(xs, placed[lo:hi].tolist()))
-        yield csv, ("," if lo else "") + mesh
-    yield "", "]}\n"
+        hi = min(lo + BLOCK_POINTS, len(samples))
+        cells = np.empty((hi - lo, 15, _CELL), np.uint8)
+        cells[:, :14] = _cells(np.column_stack((
+            samples.u[lo:hi], samples.v[lo:hi], samples.position[lo:hi],
+            samples.stats[lo:hi, _CSV_STATS])))
+        cells[:, 14, :_INT_CELL] = _int_cells(samples.flags[lo:hi])
+        cells[:, 14, _INT_CELL:] = 0
+        csv = _text(_lines(cells, b"", b",,,,,,,,,,,,,,\n"))
+        vertices = _lines(cells[:, 2:6].copy(), b",[", b",,,]")
+        vertices[~placed[lo:hi]] = _NULL_VERTEX
+        yield csv, _items(vertices, lo)
+    yield b"", b"]}\n"
 
 
 def _check_vertices(samples):
@@ -218,14 +450,16 @@ def _check_vertices(samples):
 
 
 def csv_text(samples, nu, nv) -> str:
-    return "".join(c for c, _ in _csv_mesh_chunks(samples, nu, nv))
+    return b"".join(c for c, _ in _csv_mesh_chunks(samples, nu, nv)).decode(
+        "ascii")
 
 
 def mesh_text(samples, nu, nv) -> str:
     """4d mesh container: vertex list (null where sampling failed) plus quads
     whose four corners all exist, wound consistently; canonical JSON."""
     _check_vertices(samples)
-    return "".join(m for _, m in _csv_mesh_chunks(samples, nu, nv))
+    return b"".join(m for _, m in _csv_mesh_chunks(samples, nu, nv)).decode(
+        "ascii")
 
 
 def write_csv(samples, nu, nv, path, mesh_path) -> None:
@@ -234,8 +468,7 @@ def write_csv(samples, nu, nv, path, mesh_path) -> None:
     _check_vertices(samples)
     chunks = _csv_mesh_chunks(samples, nu, nv)
     first = next(chunks)        # checks the grid shape before a file opens
-    with (open(path, "w", newline="\n") as fc,
-          open(mesh_path, "w", newline="\n") as fm):
+    with open(path, "wb") as fc, open(mesh_path, "wb") as fm:
         for c, m in chain([first], chunks):
             fc.write(c)
             fm.write(m)
@@ -335,21 +568,22 @@ def _obj_chunks(samples, nu, nv, projector, note):
     faces = _quads(ok, nu, nv) + 1
     yield ("# lossy 3d projection of a 4d grid surface"
            + (f" ({note})" if note else "")
-           + f"\n# grid {nu} x {nv}, row-major, u varying slowest\n")
+           + f"\n# grid {nu} x {nv}, row-major, u varying slowest\n").encode()
     for lo in _block_starts(len(y)):
-        yield "".join(f"v {a} {b} {c}\n" for a, b, c in _groups(
-            map(repr, y[lo:lo + BLOCK_POINTS].ravel().tolist()), 3))
+        yield _text(_lines(_cells(y[lo:lo + BLOCK_POINTS]), b"v ", b"  \n"))
     for lo in _block_starts(len(faces)):
-        yield "".join(f"f {a} {b} {c}\nf {a} {c} {d}\n"
-                      for a, b, c, d in faces[lo:lo + BLOCK_POINTS].tolist())
+        # each quad's corners a b c d make the lines f a b c and f a c d
+        corners = _int_cells(faces[lo:lo + BLOCK_POINTS])
+        yield _text(_lines(corners[:, [0, 1, 2, 0, 2, 3]].reshape(
+            -1, 3, _INT_CELL), b"f ", b"  \n"))
 
 
 def obj_text(samples, nu, nv, projector, note="") -> str:
-    return "".join(_obj_chunks(samples, nu, nv, projector, note))
+    return b"".join(_obj_chunks(samples, nu, nv, projector, note)).decode()
 
 
 def write_obj(samples, nu, nv, path, projector, note="") -> None:
     chunks = _obj_chunks(samples, nu, nv, projector, note)
     first = next(chunks)        # projects and checks before the file opens
-    with open(path, "w", newline="\n") as f:
+    with open(path, "wb") as f:
         f.writelines(chain([first], chunks))

@@ -471,6 +471,7 @@ def _ellipse_axes(fd):
     return d, m, res_orth, res_len
 
 
+@np.errstate(invalid="ignore")
 def ellipse_descriptor(fd):
     """Semi-axes and circularity residuals of the curvature ellipse
     theta -> H + cos(2 theta) (alpha11 - alpha22)/2 + sin(2 theta) alpha12,

@@ -1,7 +1,11 @@
 """Grid sampling, CSV/JSON/OBJ writers, byte determinism of the output."""
 
 import json
+import math
+import re
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +17,11 @@ from superconf.errors import (BranchCutError, DegenerateJetError,
                               PreconditionError, SingularSampleError,
                               SuperconfError)
 from superconf.acceptance import _clear_worst
-from superconf.export import (_STAT_NAMES, BLOCK_POINTS, CSV_HEADER,
-                              FLAG_DEGENERATE_SAMPLE, FLAG_OUT_OF_DOMAIN,
-                              GridRows, canonical_json, csv_text,
+from superconf.export import (_CSV_STATS, _K_MIN, _STAT_NAMES, BLOCK_POINTS,
+                              CSV_HEADER, FLAG_DEGENERATE_SAMPLE,
+                              FLAG_OUT_OF_DOMAIN, GridRows, _block_starts,
+                              _cells, _int_cells, _lines, _quads, _tables,
+                              _text, canonical_json, csv_text,
                               drop_projector, mesh_text, obj_text,
                               sample_grid, stereo_projector, summarize,
                               write_csv, write_obj)
@@ -559,3 +565,166 @@ def test_reducers_keep_the_builtin_max_nan_semantics(nan_at, tmp_path):
     with pytest.raises(ValueError):
         write_csv(rows, 3, 2, tmp_path / "g.csv", tmp_path / "g.mesh.json")
     assert not any(tmp_path.iterdir())
+
+
+# The repr-based writers that the array formatter replaced, kept as the
+# reference whose text it must match byte for byte.
+
+def _groups(strings, k):
+    """Consecutive k-tuples of an iterable."""
+    it = iter(strings)
+    return zip(*[it] * k)
+
+
+def reference_csv_mesh_chunks(samples, nu, nv):
+    placed = samples.flags < FLAG_OUT_OF_DOMAIN
+    quads = _quads(placed, nu, nv)
+    yield (CSV_HEADER + "\n",
+           f'{{"kind":"grid-mesh-r4","nu":{nu},"nv":{nv},"quads":[')
+    for lo in _block_starts(len(quads)):
+        yield "", ("," if lo else "") + ",".join(
+            f"[{a},{b},{c},{d}]"
+            for a, b, c, d in quads[lo:lo + BLOCK_POINTS].tolist())
+    yield "", '],"vertices":['
+    us = list(map(repr, samples.u[::nv].tolist()))
+    vs = list(map(repr, samples.v[:nv].tolist()))
+    for lo in _block_starts(len(samples)):
+        hi = lo + BLOCK_POINTS
+        xs = list(map(",".join, _groups(
+            map(repr, samples.position[lo:hi].ravel().tolist()), 4)))
+        stats = map(",".join, _groups(map(repr, samples.stats[
+            lo:hi, _CSV_STATS].ravel().tolist()), len(_CSV_STATS)))
+        csv = "".join(
+            f"{us[k // nv]},{vs[k % nv]},{x},{st},{bits}\n"
+            for k, x, st, bits in zip(range(lo, hi), xs, stats,
+                                      samples.flags[lo:hi].tolist()))
+        mesh = ",".join(f"[{x}]" if ok else "null"
+                        for x, ok in zip(xs, placed[lo:hi].tolist()))
+        yield csv, ("," if lo else "") + mesh
+    yield "", "]}\n"
+
+
+def reference_obj_chunks(samples, nu, nv, projector, note):
+    placed = samples.flags < FLAG_OUT_OF_DOMAIN
+    y = np.full((len(samples), 3), np.nan)
+    ok = np.zeros(len(samples), bool)
+    y[placed], ok[placed] = projector(samples.position[placed])
+    y[~ok] = np.nan
+    faces = _quads(ok, nu, nv) + 1
+    yield ("# lossy 3d projection of a 4d grid surface"
+           + (f" ({note})" if note else "")
+           + f"\n# grid {nu} x {nv}, row-major, u varying slowest\n")
+    for lo in _block_starts(len(y)):
+        yield "".join(f"v {a} {b} {c}\n" for a, b, c in _groups(
+            map(repr, y[lo:lo + BLOCK_POINTS].ravel().tolist()), 3))
+    for lo in _block_starts(len(faces)):
+        yield "".join(f"f {a} {b} {c}\nf {a} {c} {d}\n"
+                      for a, b, c, d in faces[lo:lo + BLOCK_POINTS].tolist())
+
+
+def assert_writers_match_repr_writers(rows, nu, nv, projector, note=""):
+    csv, mesh = zip(*reference_csv_mesh_chunks(rows, nu, nv))
+    assert csv_text(rows, nu, nv) == "".join(csv)
+    placed = rows.flags < FLAG_OUT_OF_DOMAIN
+    if np.isfinite(rows.position[placed]).all():
+        assert mesh_text(rows, nu, nv) == "".join(mesh)
+    assert (obj_text(rows, nu, nv, projector, note) == "".join(
+        reference_obj_chunks(rows, nu, nv, projector, note)))
+
+
+# a curve whose exp(z^3) overflows over part of the square: those points are
+# flagged 16, with no position
+EXP_CUBE_PAIR = MinimalPair(HolomorphicCurve(
+    "exp-cube", "(exp(z^3), i*exp(z^3), z, 0)", Domain(-6.0, 6.0, -6.0, 6.0)))
+
+
+@pytest.mark.parametrize("name, nu, nv, shows", [
+    # two blocks of rows, the second of one row
+    ("catenoid-helicoid", 27, 19,
+     lambda rows, csv, obj: len(rows) > BLOCK_POINTS),
+    # plus flagged 6 with nan stats, both signs flagged 8 with nan cells;
+    # whitney's own grids have no flag-16 row, which exp-cube has
+    ("whitney", 9, 7, lambda rows, csv, obj: set(rows.flags.tolist()) & {6, 8}
+     and ",nan," in csv),
+    # the stereographic projection writes -0.0 cells
+    ("enneper-r3", 9, 7,
+     lambda rows, csv, obj: re.search(r"(?<= )-0\.0(?=[ \n])", obj)),
+    ("exp-cube", 13, 13,
+     lambda rows, csv, obj: FLAG_DEGENERATE_SAMPLE in rows.flags.tolist()),
+], ids=["catenoid-helicoid", "whitney", "enneper-r3", "exp-cube"])
+def test_writers_match_the_repr_writers(name, nu, nv, shows):
+    pair = EXP_CUBE_PAIR if name == "exp-cube" else catalog.get(name).pair
+    for rows in sample_grid(pair, pair.domain, nu, nv, ("+", "-")):
+        assert shows(rows, csv_text(rows, nu, nv),
+                     obj_text(rows, nu, nv, stereo_projector()))
+        for proj, _, note in PROJECTIONS:
+            assert_writers_match_repr_writers(rows, nu, nv, proj, note)
+
+
+def test_writers_match_the_repr_writers_on_the_stereo_horizon(catenoid):
+    [rows] = sample_grid(catenoid, catenoid.domain, 5, 4, ("+",))
+    pole = stereo_projector(rows.position[6].tolist())
+    assert "\nv nan nan nan\n" in obj_text(rows, 5, 4, pole)
+    assert_writers_match_repr_writers(rows, 5, 4, pole, "pole")
+
+
+def formatter_lines(x):
+    """The array formatter's text of the floats x, one a line."""
+    return _text(_lines(_cells(np.reshape(x, (-1, 1))), b"", b"\n"))
+
+
+def assert_formatter_is_repr(x):
+    got = formatter_lines(x)
+    want = "\n".join(map(repr, np.asarray(x).tolist())).encode() + b"\n"
+    if got != want:
+        pairs = zip(got.split(b"\n"), want.split(b"\n"))
+        raise AssertionError(next((g, w) for g, w in pairs if g != w))
+
+
+EDGE_FLOATS = np.array(
+    [0.0, np.nan, np.inf, 5e-324, np.nextafter(sys.float_info.min, 0.0),
+     sys.float_info.min, sys.float_info.max,
+     1e-4, 1e-5, 1e16, 9999999999999998.0]
+    + [2.0 ** e for e in range(-1074, 1024)]
+    + [float(f"1e{e}") for e in range(-323, 309)])
+
+
+def test_formatter_writes_the_bytes_of_repr():
+    rng = np.random.default_rng(22)
+    # every bit pattern is as likely: all exponents, signs, nan payloads
+    assert_formatter_is_repr(rng.integers(
+        0, 2 ** 64, 10 ** 6, dtype=np.uint64).view(np.float64))
+    edges = np.concatenate((EDGE_FLOATS, -EDGE_FLOATS))
+    assert_formatter_is_repr(edges)
+    with np.errstate(over="ignore"):    # past the largest float
+        assert_formatter_is_repr(np.concatenate((
+            np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf))))
+    assert_formatter_is_repr(np.concatenate((
+        np.arange(10 ** 5), rng.integers(0, 2 ** 53, 10 ** 5, endpoint=True),
+        [2 ** 53])).astype(float))
+
+
+def test_int_formatter_writes_decimal_integers():
+    rng = np.random.default_rng(7)
+    ints = np.concatenate((np.arange(10 ** 5),
+                           rng.integers(0, 10 ** 15, 10 ** 4)))
+    text = _text(_lines(_int_cells(ints[:, None]), b"", b"\n"))
+    assert text == "".join(f"{i}\n" for i in ints.tolist()).encode()
+
+
+def test_formatter_tables_are_exact():
+    """Schubfach's k, h and g from the multiply-shift logarithms and the
+    table of g, against exact rational arithmetic."""
+    tables = _tables()
+    for index in range(2 * 1, 2 * 2047):
+        q, irregular = index // 2 - 1075, index % 2
+        k = int(tables.kh[0, index]) + _K_MIN
+        x = Fraction(2) ** q * (Fraction(3, 4) if irregular else 1)
+        assert Fraction(10) ** k <= x < Fraction(10) ** (k + 1)
+        # h = q + floor(log2(10^-k)) + 2
+        lg = int(tables.kh[1, index]) - q - 2
+        power = Fraction(10) ** -k
+        assert Fraction(2) ** lg <= power < Fraction(2) ** (lg + 1)
+        g1, g0 = (int(limb) for limb in tables.g[:, k - _K_MIN])
+        assert ((g1 << 63) + g0
+                == math.floor(power * Fraction(2) ** (125 - lg)) + 1)

@@ -537,7 +537,6 @@ def test_semi_axes_and_mu_within_the_referee_bound():
     assert np.all(spread > 0) and np.all(spread < 1e-12)
 
 
-@np.errstate(invalid="ignore")     # inf * 0 in the products
 def test_non_finite_generators_give_nan_semi_axes():
     gen = np.tile(referee_matrices(4)[:1], (7, 1, 1))
     for k, (i, j, x) in enumerate([(0, 0, np.nan), (0, 1, np.inf),

@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, every
 public function the package defines is used, every command-line option
-is passed by a test or a README example, and the geometry kernel makes no
-LAPACK call."""
+is passed by a test or a README example, the geometry kernel makes no
+LAPACK call, and the writers format numbers in array passes."""
 
 import argparse
 import ast
@@ -442,6 +442,54 @@ def test_geometry_kernel_makes_no_lapack_call():
     source = (SRC / "geometry.py").read_text()
     assert linalg_uses(source) == []
     assert loops_in(source, "_pypow") == []
+
+
+def cell_loops(source, names):
+    """(def, kind) of each loop, comprehension and repr call in the defs of
+    source named in names; a for loop over _block_starts(...) or over
+    range(..., _RUN), one pass per block of rows or per run of floats, is
+    not one."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in names):
+            continue
+        for n in ast.walk(fn):
+            if isinstance(n, ast.For) and isinstance(n.iter, ast.Call) and (
+                    called_name(n.iter.func) == "_block_starts"
+                    or called_name(n.iter.func) == "range"
+                    and called_name(n.iter.args[-1]) == "_RUN"):
+                continue
+            if isinstance(n, LOOPS):
+                found.append((fn.name, type(n).__name__))
+            elif isinstance(n, ast.Call) and called_name(n.func) == "repr":
+                found.append((fn.name, "repr"))
+    return sorted(found)
+
+
+def test_cell_loop_scan():
+    source = ("def f(x):\n    for lo in _block_starts(9):\n        g(lo)\n"
+              "    for lo in range(0, 9, _RUN):\n        g(lo)\n"
+              "    return [repr(v) for v in x]\n"
+              "def g(x):\n    for lo in range(9):\n        repr(lo)\n"
+              "def h(x):\n    return repr(x)\n")
+    assert cell_loops(source, {"f", "g"}) == [
+        ("f", "ListComp"), ("f", "repr"), ("g", "For"), ("g", "repr")]
+
+
+# the writers' chunk functions and the formatter they call
+WRITER_DEFS = {"_csv_mesh_chunks", "_obj_chunks", "_cells", "_emit",
+               "_schubfach", "_scaled", "_mul", "_digit_words", "_int_cells",
+               "_subnormal_cells", "_lines", "_text", "_items"}
+# the subnormal fallback, which formats through repr one float at a time
+CELL_LOOPS_ALLOWED = [("_subnormal_cells", "ListComp"),
+                      ("_subnormal_cells", "repr")]
+
+
+def test_writers_format_in_array_passes():
+    """The writers loop over blocks of rows and the formatter over runs of
+    floats, never over cells, and call repr only for subnormal floats."""
+    assert (cell_loops((SRC / "export.py").read_text(), WRITER_DEFS)
+            == CELL_LOOPS_ALLOWED)
 
 
 README = TESTS.parent / "README.md"
