@@ -19,8 +19,8 @@ from .construct import (SIGNS, build_phi_pair, dual_pair_report,
                         reflection_pair_check, translation_check)
 from .errors import ExpressionError
 from .expr import parse_curve, print_node
-from .export import (canonical_json, csv_text, mesh_text, obj_text,
-                     sample_grid, stereo_projector, summarize)
+from .export import (canonical_json, grid_text, obj_text, sample_grid,
+                     stereo_projector, summarize)
 from .geometry import (Ambient, _normal_parts, _vec_norm,
                        ellipse_descriptor, fundamental_data)
 from .jets import fd_crosscheck
@@ -458,8 +458,7 @@ def criterion_13() -> CriterionResult:
     [seq] = sample_grid(pair, pair.domain, 5, 5, ("+",))
     [par] = sample_grid(pair, pair.domain, 5, 5, ("+",))
     stereo = stereo_projector()
-    deterministic = (csv_text(seq, 5, 5) == csv_text(par, 5, 5)
-                     and mesh_text(seq, 5, 5) == mesh_text(par, 5, 5)
+    deterministic = (grid_text(seq, 5, 5) == grid_text(par, 5, 5)
                      and obj_text(seq, 5, 5, stereo)
                      == obj_text(par, 5, 5, stereo)
                      and canonical_json(summarize(seq))

@@ -445,8 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         # a nan or an overflow shows in the report or as an error
         with np.errstate(all="ignore"):

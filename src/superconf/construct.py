@@ -29,26 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FrameDegenerateError, FrameUndefinedError,
-                     PreconditionError)
-from .geometry import (_I, _J, _STAR, _STAR_SIGN, CIRCULAR_TOL, R4,
+from .errors import FrameDegenerateError, PreconditionError
+from .geometry import (_I, _J, _STAR, _STAR_SIGN, A_SMALL, CIRCULAR_TOL,
+                       CONFORMAL_A_FLOOR, DIV_FLOOR, FRAME_FLOOR, R4,
                        REGULARITY_FLOOR, FundamentalData, _blas_dot,
                        _ellipse_axes, _largest, _normal_parts, _pypow,
                        _rank_deficient, _sqrt0, _vec_norm, adapted_frame,
-                       fundamental_data)
-from .jets import DIV_FLOOR, Jet2, fail_rows
+                       fundamental_data, unit_scale)
+from .jets import Jet2, fail_rows
 from .minimal import MinimalPair
 
 SIGNS = ("+", "-")
-
-# a-values below this use the fallback normal basis instead of h^N
-A_FLOOR = 1e-10
-# ||h|| below this means the frame does not exist at all
-R_FLOOR = 1e-10
-# threshold for the FLAG_A_SMALL bit
-A_SMALL = 0.05
-# below this the conformal-factor residual (a^2 in its denominator) is nan
-CONFORMAL_A_FLOOR = 1e-3
 
 # the bits of a point's flags: a below A_SMALL, g's circular ellipse collapses
 # the surface, the surface is rank-deficient; the grid runs of export add the
@@ -96,6 +87,7 @@ class _FieldContext:
     computed once for both signs."""
 
     sample: object
+    unit: np.ndarray   # the pair's length scale, geometry.unit_scale
     E: Jet2
     F: Jet2
     G: Jet2
@@ -122,31 +114,32 @@ class PhiSample:
 
 
 def _assemble(s) -> _FieldContext:
-    """The field context of a split sample.
+    """The field context of a split sample, computed in the pair's units
+    (the jets divided by unit, geometry.unit_scale of |g_u| and |g_v|, and
+    scaled back on the way out), so every jet floor meets ratios.
 
     The rows fail (jets.fail_rows) with FrameDegenerateError where h
-    vanishes (||h||^2 at its relative floor or at the sqrt floor DIV_FLOOR),
+    vanishes (||h||^2 in the pair's units at the sqrt floor DIV_FLOOR),
     DegenerateJetError at another jet floor, and SingularSampleError where a
     is at its floor and g is singular (g's normal frame would have to stand
     in for h's)."""
-    g, h = s.g, s.h
-    gu, gv = s.g_u, s.g_v
+    unit = unit_scale(_vec_norm(s.g_u.v), _vec_norm(s.g_v.v))
+    h, gu, gv = (x.scaled(1.0 / unit) for x in (s.h, s.g_u, s.g_v))
     E = gu.dot(gu)
     F = gu.dot(gv)
     G = gv.dot(gv)
 
-    scale = _largest(_vec_norm(h.v), _vec_norm(g.v), 1.0)
     r2 = h.dot(h)
-    fail_rows(r2.v <= np.maximum(_pypow(R_FLOOR * scale, 2), DIV_FLOOR),
-              lambda k: FrameDegenerateError(
-                  f"h vanishes at z={complex(s.z[k])}: "
-                  f"||h|| = {np.sqrt(max(r2.v[k], 0.0)):.3e}"))
+    fail_rows(r2.v <= DIV_FLOOR, lambda k: FrameDegenerateError(
+        f"h vanishes at z={complex(s.z[k])}: "
+        f"||h|| = {unit[k] * np.sqrt(max(r2.v[k], 0.0)):.3e}"))
     r = r2.sqrt()
 
-    # d||h|| = <h_u, h>/||h||; routing through the conjugate fields keeps
-    # full second-order jets for the gradient coefficients
-    ru = s.h_u.dot(h) / r
-    rv = s.h_v.dot(h) / r
+    # d||h|| = <h_u, h>/||h|| with h_u = -g_v and h_v = g_u; routing
+    # through the conjugate fields keeps full second-order jets for the
+    # gradient coefficients
+    ru = (-gv).dot(h) / r
+    rv = gu.dot(h) / r
     ng2 = (ru * ru + rv * rv) / E
     a = _sqrt0(1.0 - ng2.v)
 
@@ -154,10 +147,13 @@ def _assemble(s) -> _FieldContext:
     turn_t, turn_n = (t * inv_w for t in _jhat_parts(gu, gv, h))
 
     # g's curvature data gives the fallback xi and the g-holomorphic flag
-    fd_g = fundamental_data(g)
-    fail_rows((a <= A_FLOOR) & ~fd_g.regular, _rank_deficient(fd_g))
-    return _FieldContext(sample=s, E=E, F=F, G=G, r=r, ru=ru, rv=rv, a=a,
-                         turn_t=turn_t, turn_n=turn_n, fd_g=fd_g,
+    fd_g = fundamental_data(s.g)
+    fail_rows((a <= FRAME_FLOOR) & ~fd_g.regular, _rank_deficient(fd_g))
+    E, F, G = (x.scaled(unit * unit) for x in (E, F, G))
+    r, ru, rv, turn_t, turn_n = (x.scaled(unit)
+                                 for x in (r, ru, rv, turn_t, turn_n))
+    return _FieldContext(sample=s, unit=unit, E=E, F=F, G=G, r=r, ru=ru,
+                         rv=rv, a=a, turn_t=turn_t, turn_n=turn_n, fd_g=fd_g,
                          g_collapse=_g_collapse(fd_g))
 
 
@@ -167,14 +163,14 @@ def _g_collapse(fd_g):
     The rotation Jhat(s) that matches the orientation of g's curvature
     circle (the sign of its normal curvature in the deterministic frame)
     collapses the corresponding phi.  Calibrated on the null-quadric
-    trigonometric pair; for a point ellipse (K_N = 0) both signs degenerate;
-    where g is singular neither does."""
+    trigonometric pair; for a point ellipse (K_N = 0 in g's units) both
+    signs degenerate; where g is singular neither does."""
     res_orth, res_len = _ellipse_axes(fd_g)[2:]
     circular = ((np.maximum(abs(res_orth), abs(res_len)) < CIRCULAR_TOL)
                 & fd_g.regular)
     if not circular.any():
         return {"+": circular, "-": circular}
-    point = abs(fd_g.K_N) < CIRCULAR_TOL * np.maximum(1.0, abs(fd_g.K))
+    point = abs(fd_g.K_N) * _pypow(unit_scale(fd_g.scale), 2) < CIRCULAR_TOL
     positive = fd_g.K_N > 0.0
     return {"-": circular & (point | positive),
             "+": circular & (point | np.logical_not(positive))}
@@ -189,7 +185,7 @@ def _flags(ctx: _FieldContext, sign, phi: Jet2) -> np.ndarray:
     E, F, G = R4.dot(pu, pu), R4.dot(pu, pv), R4.dot(pv, pv)
     det1 = E * G - F * F
     scale = _largest(np.sqrt(E), np.sqrt(G), _vec_norm(ctx.sample.g_u.v),
-                     _vec_norm(ctx.sample.g_v.v), 1e-150)
+                     _vec_norm(ctx.sample.g_v.v))
     rank_def = det1 <= REGULARITY_FLOOR * _pypow(scale, 4)
     return (FLAG_A_SMALL * (ctx.a < A_SMALL)
             | FLAG_G_HOLOMORPHIC * ctx.g_collapse[sign]
@@ -268,9 +264,10 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
     g equals (r mu / a)^2 times each surface's metric; the two surfaces'
     metrics agree after scaling by their mu^2 (None unless both signs are
     asked for); the vector g_* Z + a xi is orthogonal to each surface's
-    tangent plane and to its mean curvature.  The conformal-factor entries
-    are nan where a is below a small floor (the factor has a^2 in the
-    denominator and degenerates with it); the floor is far below the
+    tangent plane and to its mean curvature.  Each residual is a ratio: the
+    first two are in the pair's units (ctx.unit).  The conformal-factor
+    entries are nan where a is below a small floor (the factor has a^2 in
+    the denominator and degenerates with it); the floor is far below the
     a_small flag threshold, so flagged-but-sane samples still get a finite
     entry.  A rank-deficient surface fails its row with PreconditionError."""
     for sign in signs:
@@ -286,13 +283,13 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
     a, r = ctx.a, ctx.r.v
     g_val, gu, gv = s.g.v, s.g_u.v, s.g_v.v
     # the coefficients (p, q) of grad r are (ru, rv) / E, and those of
-    # Z = -J grad r are (-q, p)
-    grad_u, grad_v = ((d / ctx.E).v for d in (ctx.ru, ctx.rv))
-    # xi = -h^N / (a r), or g's first normal where a is at its floor
+    # Z = -J grad r are (-q, p); xi = -h^N / (a r), or g's first normal
+    # where a is at its floor
     [hN] = _normal_parts([s.h.v], gu, gv, _blas_dot)
     with np.errstate(divide="ignore", invalid="ignore"):
+        grad_u, grad_v = ctx.ru.v / ctx.E.v, ctx.rv.v / ctx.E.v
         xi = -hN / (a * r)
-    fallback = a <= A_FLOOR
+    fallback = a <= FRAME_FLOOR
     if np.any(fallback):
         xi = np.where(fallback, ctx.fd_g.n1, xi)
     zeta_c = -grad_v * gu + grad_u * gv + a * xi
@@ -305,12 +302,12 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
         mu[ps.sign] = fr.mu
         H = fd.H
         lam2 = _blas_dot(H, H)
-        center[ps.sign] = _vec_norm(ps.phi.v + H / lam2 - g_val)
+        center[ps.sign] = _vec_norm(ps.phi.v + H / lam2 - g_val) / ctx.unit
         forms[ps.sign] = (fd.E, fd.F, fd.G)
         rho = _pypow(r * fr.mu / np.where(conformal_ok, a, 1.0), 2)
         conformal[ps.sign] = np.where(conformal_ok, _largest(
             abs(ctx.E.v - rho * fd.E), abs(ctx.F.v - rho * fd.F),
-            abs(ctx.G.v - rho * fd.G)), np.nan)[()]
+            abs(ctx.G.v - rho * fd.G)) / _pypow(ctx.unit, 2), np.nan)[()]
         tangency[ps.sign] = _largest(
             *(abs(_blas_dot(zeta_c, w)) / _vec_norm(w)
               for w in (ps.phi.du, ps.phi.dv, H)))
@@ -344,13 +341,13 @@ def reflection_pair_check(pair: MinimalPair, points):
     ||reflect(phi_plus) - phi_minus|| over the points.
 
     Raises PreconditionError if the pair leaves the hyperplane: if |x4| of
-    g or h exceeds 1e-9 times the sample scale at a point."""
+    g or h exceeds 1e-9 in the pair's units at a point."""
     mirror = np.array([1.0, 1.0, 1.0, -1.0])[:, None]
     z = np.asarray(points, dtype=complex)
     plus, minus = build_phi_pair(pair, z)
     g, h = plus.ctx.sample.g.v, plus.ctx.sample.h.v
-    scale = _largest(_vec_norm(g), _vec_norm(h), 1.0)
-    off = np.flatnonzero(np.maximum(abs(g[3]), abs(h[3])) > 1e-9 * scale)
+    off = np.flatnonzero(np.maximum(abs(g[3]), abs(h[3]))
+                         > 1e-9 * plus.ctx.unit)
     if off.size:
         raise PreconditionError(
             f"pair leaves the x4 = 0 hyperplane at z={complex(z[off[0]])}; "
@@ -375,14 +372,11 @@ def extract_minimal_pair(sample: Jet2) -> ExtractedPair:
     -zeta/||H|| with zeta the oriented second adapted normal.  The
     orientation sign that was used is part of the result, since a reference
     pair may differ from the recovered h by one global sign.  Failed rows
-    are recorded as by adapted_frame."""
+    are recorded as by adapted_frame, whose floors on ||H|| and mu are
+    the extraction's."""
     fd = fundamental_data(sample)
     fr = adapted_frame(fd)
     lam, mu = fr.lam, fr.mu
-    fail_rows((lam <= R_FLOOR) | (mu <= R_FLOOR),
-              lambda k: FrameUndefinedError(
-                  f"extraction needs ||H|| and mu above floor, got "
-                  f"{lam[k]:.3e}, {mu[k]:.3e}"))
     g = fd.position + fd.H / (lam * lam)
     h = -fr.zeta_oriented / lam
     return ExtractedPair(g=g, h=h, lam=lam, mu=mu,

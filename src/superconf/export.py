@@ -414,9 +414,11 @@ def _csv_mesh_chunks(samples, nu, nv):
     """The diagnostics CSV and the 4d mesh JSON of one grid as (csv, mesh)
     pairs of byte chunks, one block of rows or quads at a time.
 
-    Every number is formatted once, and the mesh vertices are the CSV's
-    x0..x3 cells.  The mesh is canonical_json's text of its dict, keys in
-    sorted order; callers check that its vertices are finite.
+    Every number is formatted once, and the mesh vertices (null where
+    sampling failed) are the CSV's x0..x3 cells; its quads are those whose
+    four corners all exist, wound consistently.  The mesh is canonical_json's
+    text of its dict, keys in sorted order; callers check that its vertices
+    are finite.
     """
     placed = samples.flags < FLAG_OUT_OF_DOMAIN
     quads = _quads(placed, nu, nv)
@@ -449,17 +451,12 @@ def _check_vertices(samples):
         raise ValueError("Out of range float values are not JSON compliant")
 
 
-def csv_text(samples, nu, nv) -> str:
-    return b"".join(c for c, _ in _csv_mesh_chunks(samples, nu, nv)).decode(
-        "ascii")
-
-
-def mesh_text(samples, nu, nv) -> str:
-    """4d mesh container: vertex list (null where sampling failed) plus quads
-    whose four corners all exist, wound consistently; canonical JSON."""
+def grid_text(samples, nu, nv):
+    """The (csv, mesh) text write_csv writes, from one pass; a placed row
+    whose position is not finite fails it with ValueError."""
     _check_vertices(samples)
-    return b"".join(m for _, m in _csv_mesh_chunks(samples, nu, nv)).decode(
-        "ascii")
+    csv, mesh = zip(*_csv_mesh_chunks(samples, nu, nv))
+    return b"".join(csv).decode("ascii"), b"".join(mesh).decode("ascii")
 
 
 def write_csv(samples, nu, nv, path, mesh_path) -> None:

@@ -38,14 +38,18 @@ from .errors import (
     ProjectionError,
     SingularSampleError,
 )
-from .jets import Jet2, fail_rows
+from .jets import DIV_FLOOR, Jet2, fail_rows
 
-REGULARITY_FLOOR = 1e-12
-FRAME_FLOOR = 1e-10
-CIRCULAR_TOL = 1e-8
-PATTERN_TOL = 1e-6
-# relative floor below which an inversion denominator counts as zero
-INV_FLOOR = 1e-13
+# The scale rule: a quantity of length dimension d meets a floor in its
+# point's units, times 2^(-k d) for unit_scale's 2^k, which is exact, so no
+# verdict depends on the curve's units.  Each constant bounds a ratio:
+REGULARITY_FLOOR = 1e-12   # EG - F^2 against scale^4
+FRAME_FLOOR = 1e-10        # a frame vector against its projection; |H|, mu, a
+CIRCULAR_TOL = 1e-8        # circularity residuals; K_N of a point ellipse
+PATTERN_TOL = 1e-6         # the normal-form residual against max(|H|, mu)
+A_SMALL = 0.05             # a, for the FLAG_A_SMALL bit
+CONFORMAL_A_FLOOR = 1e-3   # a, below which the conformal residual is nan
+# and jets.DIV_FLOOR: an inversion's denominator against its square scale
 
 
 # inner-product signature per ambient kind; shared, so made read-only
@@ -133,7 +137,7 @@ class Ambient:
         P = self._chart(P, 5, "space-form points")
         d = P - self.center_vec()[:, None]
         res = self.on_manifold_residual(P)
-        fail_rows(res > 1e-9 * np.maximum(1.0, _blas_dot(d, d)),
+        fail_rows(res > 1e-9 * _blas_dot(d, d),
                   lambda k: ProjectionError(
                       f"point is off the {self.kind} space form "
                       f"(residual {res[k]:.3e})"))
@@ -142,12 +146,12 @@ class Ambient:
             c = 2.0 * r * _E5[:, None]
             d = P - c
             q = _blas_dot(d, d)
-            fail_rows(q <= INV_FLOOR * max(1.0, r * r),
+            fail_rows(q <= DIV_FLOOR * r * r,
                       lambda k: ProjectionError(
                           "the point opposite the image plane has no image"))
             return (c + 4.0 * r * r / q * d)[:4]
         den = P[4] + 2.0 * r
-        fail_rows(den <= INV_FLOOR * max(1.0, r), lambda k: ProjectionError(
+        fail_rows(den <= DIV_FLOOR * r, lambda k: ProjectionError(
             "point sits on the wrong sheet of the hyperboloid"))
         return 2.0 * r / den * P[:4]
 
@@ -260,6 +264,13 @@ def _largest(*xs):
     return reduce(np.maximum, xs)
 
 
+def unit_scale(*lengths):
+    """The scale rule's unit: per point, 2^k with k the binary exponent of
+    the largest of the lengths, (n,) arrays, which puts it in [1/2, 1) in
+    that unit; 1 where it is 0 or not finite."""
+    return np.ldexp(1.0, np.frexp(_largest(*lengths))[1])
+
+
 def _sqrt0(x):
     """sqrt(max(x, 0)) over an array of squared norms."""
     return np.sqrt(np.maximum(x, 0.0))
@@ -341,7 +352,7 @@ def fundamental_data(sample, ambient=R4):
     E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
     det1 = E * G - F * F
     scale = np.abs(np.concatenate((Xu, Xv))).max(axis=0)
-    singular = det1 <= REGULARITY_FLOOR * _pypow(np.maximum(scale, 1e-150), 4)
+    singular = det1 <= REGULARITY_FLOOR * _pypow(scale, 4)
 
     # the second partials and the ambient basis vectors, stacked on a
     # second axis, (dim, 3 + dim, n), are projected in one pass
@@ -441,7 +452,7 @@ def _coord_shape(Xu, Xv, seconds, nu, dot):
     under the inner product dot, which reduces along the component axis."""
     E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
     det1 = E * G - F * F
-    fail_rows(~(det1 > 1e-12 * np.maximum(abs(E * G), 1e-300)),
+    fail_rows(~(det1 > REGULARITY_FLOOR * abs(E * G)),
               lambda k: SingularSampleError(
                   "sample is not a spacelike immersion; induced metric "
                   "degenerates"))
@@ -457,14 +468,12 @@ def _ellipse_axes(fd):
     dot = fd.ambient.dot
     d = 0.5 * (fd.alpha11 - fd.alpha22)
     m = fd.alpha12
-    # the norms of d, m, alpha11, alpha22 and alpha12 in one pass
-    five = np.stack((d, m, fd.alpha11, fd.alpha22, fd.alpha12), axis=1)
-    norms = _sqrt0(dot(five, five))
-    len_d, len_m = 2.0 * norms[0], 2.0 * norms[1]
-    amax = norms[2:].max(axis=0)
+    # the norms of d and m in one pass
+    two = np.stack((d, m), axis=1)
+    len_d, len_m = 2.0 * _sqrt0(dot(two, two))
     M = np.maximum(len_d, len_m)
-    # point ellipse: circular by convention
-    point = M <= 1e-9 * (1.0 + amax)
+    # point ellipse, in the sample's units: circular by convention
+    point = M * unit_scale(fd.scale) <= 1e-9
     M = np.where(point, 1.0, M)
     res_orth = np.where(point, 0.0, dot(m, 2.0 * d) / (M * M))
     res_len = np.where(point, 0.0, (len_d - len_m) / M)
@@ -514,12 +523,11 @@ def adapted_frame(fd):
     The rows without a frame, the irregular ones included, are recorded as
     failed rows (jets.fail_rows), as are the rows that miss the pattern by
     more than PATTERN_TOL relative to max(lam, mu) (PreconditionError).
+    lam and mu are undefined at FRAME_FLOOR in the sample's units.
     """
     dot = fd.ambient.dot
     fail_rows(np.logical_not(fd.regular), _rank_deficient(fd))
-    amax = _largest(*(_sqrt0(dot(a, a))
-                      for a in (fd.alpha11, fd.alpha22, fd.alpha12)), 1e-300)
-    floor = FRAME_FLOOR * _largest(amax, 1.0)
+    floor = FRAME_FLOOR / unit_scale(fd.scale)
     lam = fd.lam
     fail_rows(lam <= floor, lambda k: FrameUndefinedError(
         f"adapted frame undefined at a minimal point (|H| = {lam[k]:.3e})"))

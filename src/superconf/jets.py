@@ -41,6 +41,9 @@ import numpy as np
 
 from .errors import BranchCutError, DegenerateJetError
 
+# a divisor or sqrt argument at or below it counts as zero.  Absolute: curve
+# evaluation sees the dimensionless z-plane, where G -> lambda G adds no
+# division; callers with lengths (construct._assemble) use their units first
 DIV_FLOOR = 1e-13
 
 

@@ -102,7 +102,7 @@ class SplitSample:
 
     g, h hold position jets; g_u, g_v hold full jets of the first-derivative
     fields (their own derivatives use third holomorphic order).  h's
-    derivative fields come for free from conjugacy.
+    derivative fields come for free from conjugacy: h_u = -g_v, h_v = g_u.
     """
 
     z: np.ndarray
@@ -110,14 +110,6 @@ class SplitSample:
     h: Jet2
     g_u: Jet2
     g_v: Jet2
-
-    @property
-    def h_u(self):
-        return -self.g_v
-
-    @property
-    def h_v(self):
-        return self.g_u
 
 
 class MinimalPair:
@@ -180,7 +172,8 @@ def certify(pair, grid):
     Returns max/min statistics over the grid:
       isotropy_max    |sum G_k'^2| relative to sum |G_k'|^2
       regularity_min  (E G - F^2) / scale^4 of the g surface
-      minimality_max  |mean curvature vector| of the g surface
+      minimality_max  |mean curvature vector| of the g surface in its units
+                      (geometry.unit_scale of the scale)
     and the verdict "ok": both maxima below 1e-8 and the minimum above
     1e-10.
     """
@@ -194,16 +187,17 @@ def certify(pair, grid):
     herm = np.sum(np.abs(d) ** 2, axis=0)
     sq = d * d    # summed as numpy sums a row of four complex numbers
     iso = (sq[0] + sq[1]) + (sq[2] + sq[3])
-    iso = np.hypot(iso.real, iso.imag) / np.maximum(herm, 1e-300)
+    iso = np.hypot(iso.real, iso.imag) / np.where(herm > 0, herm, 1.0)
 
     fd = geometry.fundamental_data(sample.g)
     fail_rows(~fd.regular, lambda k: SingularSampleError(
         f"{pair.name} is singular at a certification point"))
-    reg = fd.det1 / geometry._pypow(np.maximum(fd.scale, 1e-150), 4)
+    reg = fd.det1 / geometry._pypow(fd.scale, 4)
     rep = {
         "isotropy_max": float(iso.max()),
         "regularity_min": float(reg.min()),
-        "minimality_max": float(fd.lam.max()),
+        "minimality_max": float((fd.lam * geometry.unit_scale(fd.scale))
+                                .max()),
         "points": int(z.size),
     }
     rep["ok"] = (rep["isotropy_max"] < 1e-8 and rep["minimality_max"] < 1e-8

@@ -38,7 +38,7 @@ from .errors import (DualitySingularError, EvaluationError,
                      NotNullCurveError, PreconditionError, ProjectionError,
                      SingularSampleError)
 from .expr import Bin, Curve, CurveExpr, Pow, const_node
-from .geometry import (CIRCULAR_TOL, INV_FLOOR, R4, Ambient, _blas_dot,
+from .geometry import (CIRCULAR_TOL, DIV_FLOOR, R4, Ambient, _blas_dot,
                        _coord_shape, _largest, _normal_parts, _vec_norm,
                        ellipse_descriptor, fundamental_data)
 from .jets import (Jet2, _im_part, _re_part, fail_rows, graph_surface,
@@ -110,7 +110,7 @@ def _check_denominator(q, d):
     """Fail the points where q = <d, d>, d a (dim, n) batch, is at its
     floor relative to the euclidean square of d."""
     scale = R4.dot(d, d)
-    fail_rows(abs(q) <= INV_FLOOR * np.maximum(scale, 1e-300),
+    fail_rows(abs(q) <= DIV_FLOOR * scale,
               lambda k: InversionSingularError(
                   f"point lies on the singular set of the inversion "
                   f"(<x - c, x - c> = {q[k]:.3e})"))
@@ -255,7 +255,7 @@ def duality(curve, z):
     [fN] = _normal_parts([pos], fu, fv, Jet2.dot)
     n2 = fN.dot(fN)
     scale = pos.dot(pos).v + fu.dot(fu).v
-    fail_rows(n2.v <= 1e-24 * np.maximum(scale, 1e-300),
+    fail_rows(n2.v <= 1e-24 * scale,
               lambda k: DualitySingularError(
                   f"position vector of {curve.name} is tangential at "
                   f"z = {complex(z[k])}; the dual is undefined"))
@@ -272,7 +272,7 @@ def duality(curve, z):
     value = fstar.v
     [FN] = _normal_parts([value], Fu, Fv, _blas_dot)
     nn = _blas_dot(FN, FN)
-    fail_rows(nn <= 1e-24 * np.maximum(_blas_dot(value, value), 1e-300),
+    fail_rows(nn <= 1e-24 * _blas_dot(value, value),
               lambda k: DualitySingularError(
                   f"dual of {curve.name} is itself tangential at "
                   f"z = {complex(z[k])}"))
@@ -419,7 +419,7 @@ def recover_complex_structure(pair, points):
     g, h, gu, gv = s.g.v, s.h.v, s.g_u.v, s.g_v.v
     q, scale = _complex_square(g, h)
     qmax = abs(q).max(initial=0.0)
-    if qmax > 1e-8 * scale.max(initial=1.0):
+    if qmax > 1e-8 * scale.max():
         raise NotNullCurveError(
             f"curve of {pair.name} leaves the null quadric "
             f"(max |<<G, G>>| = {qmax:.3e}); no constant complex structure "
@@ -436,7 +436,7 @@ def recover_complex_structure(pair, points):
 
     data = np.concatenate((X, Y))
     sv = np.linalg.svd(data, compute_uv=False)
-    rank = int(np.sum(sv > 1e-9 * max(sv[0], 1e-300)))
+    rank = int(np.sum(sv > 1e-9 * sv[0]))
     if rank == 2:
         _, _, vt = np.linalg.svd(data)
         w1, w2 = vt[2], vt[3]
@@ -514,14 +514,16 @@ def superminimal_test(sample, ambient):
 
     sample is the immersion's 5-component vector Jet2 over a batch of
     points, whose values must lie on the space form; an off-manifold point
-    raises ProjectionError.  The immersion is minimal where |H| <= 1e-9 at
-    every point, and round where the circularity residuals are at most
-    CIRCULAR_TOL.  Totally umbilic immersions carry a point circle at every
-    point; they pass vacuously and the verdict says so."""
+    raises ProjectionError.  The immersion is minimal where r |H| <= 1e-9
+    at every point, r the space form's radius, and round where the
+    circularity residuals are at most CIRCULAR_TOL.  Totally umbilic
+    immersions carry a point circle at every point (r mu <= 1e-9); they
+    pass vacuously and the verdict says so."""
     if not np.size(sample.v):
         raise PreconditionError("no sample points given")
     res = ambient.on_manifold_residual(sample.v)
-    off = np.flatnonzero(res > 1e-9 * max(1.0, ambient.radius ** 2))
+    r = ambient.radius
+    off = np.flatnonzero(res > 1e-9 * r * r)
     if off.size:
         k = off[0]
         raise ProjectionError(
@@ -534,8 +536,8 @@ def superminimal_test(sample, ambient):
     worst_H = float(fd.lam.max())
     worst_circ = float(np.maximum(abs(ed.res_orth), abs(ed.res_len)).max())
     mus = ed.mu.tolist()
-    degenerate = max(mus) <= 1e-9 * (1.0 + worst_H)
-    minimal = worst_H <= 1e-9
+    degenerate = r * max(mus) <= 1e-9
+    minimal = r * worst_H <= 1e-9
     if minimal and degenerate:
         verdict = "superminimal-degenerate"
     elif minimal and worst_circ <= CIRCULAR_TOL:
@@ -592,14 +594,14 @@ def quadric_classification(pair_like, points, immersion=None, ambient=None):
         at = complex(z[np.argmax(bad if bad.any() else scale)])
         raise EvaluationError(f"<<G, G>> overflows at z={at}",
                               reason="overflow", z=at)
-    scale = scale.max(initial=1.0)
+    scale = scale.max()
     mean = complex(vals.mean())
     dev = float(np.max(np.abs(vals - mean)))
-    if dev > 1e-8 * (1.0 + abs(mean)):
+    if dev > 1e-8 * scale:
         return QuadricClassification("non-constant", mean, dev)
     if abs(mean) <= 1e-8 * scale:
         return QuadricClassification("null", mean, dev)
-    if abs(mean.imag) > 1e-8 * (1.0 + abs(mean)):
+    if abs(mean.imag) > 1e-8 * scale:
         return QuadricClassification("constant-complex", mean, dev)
 
     k = float(mean.real)
@@ -619,7 +621,7 @@ def quadric_classification(pair_like, points, immersion=None, ambient=None):
                  "surface_residual": sup[best],
                  "surface_sign": best,
                  "radius_matches": abs(amb.radius - radius)
-                 <= 1e-8 * (1.0 + radius)}
+                 <= 1e-8 * radius}
     return QuadricClassification("constant-real", mean, dev, k=k,
                                  radius=radius, sign=sign,
                                  cross_validation=cross)

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from superconf import catalog, construct
-from superconf.construct import (A_FLOOR, FLAG_A_SMALL, FLAG_G_HOLOMORPHIC,
+from superconf.construct import (FLAG_A_SMALL, FLAG_G_HOLOMORPHIC,
                                  FLAG_RANK_DEFICIENT, _assemble, _jhat_parts,
                                  build_phi_pair, check_sign, dual_pair_report,
                                  extract_minimal_pair, phi_value,
                                  reflection_pair_check, translation_check)
 from superconf.errors import (FrameDegenerateError, FrameUndefinedError,
                               PreconditionError, SingularSampleError)
-from superconf.geometry import (_PAIRS, _blas_dot, _normal_parts, _sqrt0,
+from superconf.geometry import (_PAIRS, FRAME_FLOOR, _blas_dot, _normal_parts,
+                                _sqrt0,
                                 _sym2, ellipse_descriptor, fundamental_data)
 from superconf.jets import Jet2, fd_crosscheck, row_failures
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
@@ -51,7 +52,7 @@ def construction_frame(pair, z):
     Z_amb = _col(-grad_v.v) * gu_val + _col(grad_u.v) * gv_val
     Tvec = np.stack((r.v * grad_v.v, -r.v * grad_u.v), -1)
 
-    fallback = a_val <= A_FLOOR
+    fallback = a_val <= FRAME_FLOOR
     [hN] = _normal_parts([s.h.values()], gu_val, gv_val,
                          lambda a, b: _col(_row_dot(a, b)))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -21,8 +21,8 @@ from superconf.export import (_CSV_STATS, _K_MIN, _STAT_NAMES, BLOCK_POINTS,
                               CSV_HEADER, FLAG_DEGENERATE_SAMPLE,
                               FLAG_OUT_OF_DOMAIN, GridRows, _block_starts,
                               _cells, _int_cells, _lines, _quads, _tables,
-                              _text, canonical_json, csv_text,
-                              drop_projector, mesh_text, obj_text,
+                              _text, canonical_json, drop_projector,
+                              grid_text, obj_text,
                               sample_grid, stereo_projector, summarize,
                               write_csv, write_obj)
 from superconf.geometry import ellipse_descriptor, fundamental_data
@@ -175,7 +175,7 @@ def test_summarize_skips_flagged_rows():
 def test_csv_shape_and_round_trip():
     pair = holed_pair()
     [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
-    text = csv_text(samples, 3, 3)
+    text, _ = grid_text(samples, 3, 3)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) == 10                       # header + 9 data rows
@@ -193,7 +193,8 @@ def test_csv_shape_and_round_trip():
 def test_csv_nan_rows_for_flagged_points():
     pair = holed_pair()
     [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
-    row = csv_text(samples, 3, 3).strip().split("\n")[1]   # (0.3, 0.3) is first
+    csv, _ = grid_text(samples, 3, 3)
+    row = csv.strip().split("\n")[1]                      # (0.3, 0.3) is first
     cells = row.split(",")
     assert cells[0] == "0.3" and cells[-1] == "8"
     assert all(c == "nan" for c in cells[2:14])
@@ -202,7 +203,7 @@ def test_csv_nan_rows_for_flagged_points():
 def test_mesh_quads_skip_missing_corners():
     pair = holed_pair()
     [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
-    mesh = json.loads(mesh_text(samples, 3, 3))
+    mesh = json.loads(grid_text(samples, 3, 3)[1])
     assert mesh["vertices"][0] is None
     assert len([v for v in mesh["vertices"] if v is not None]) == 8
     # of the 4 quads only the one at the excluded corner is dropped
@@ -277,8 +278,7 @@ def test_stereo_rows_are_bit_identical_to_one_vector_projections(pole):
 def test_two_runs_of_one_grid_write_the_same_bytes(catenoid):
     [seq] = sample_grid(catenoid, catenoid.domain, 5, 4, ("+",))
     [par] = sample_grid(catenoid, catenoid.domain, 5, 4, ("+",))
-    assert csv_text(par, 5, 4) == csv_text(seq, 5, 4)
-    assert mesh_text(par, 5, 4) == mesh_text(seq, 5, 4)
+    assert grid_text(par, 5, 4) == grid_text(seq, 5, 4)
     assert canonical_json(summarize(par)) == canonical_json(summarize(seq))
 
 
@@ -286,8 +286,7 @@ def test_write_csv_and_obj_files(tmp_path, catenoid):
     [samples] = sample_grid(catenoid, catenoid.domain, 2, 2, ("+",))
     cpath, mpath = tmp_path / "g.csv", tmp_path / "g.mesh.json"
     write_csv(samples, 2, 2, cpath, mpath)
-    assert cpath.read_text() == csv_text(samples, 2, 2)
-    assert mpath.read_text() == mesh_text(samples, 2, 2)
+    assert (cpath.read_text(), mpath.read_text()) == grid_text(samples, 2, 2)
     opath = tmp_path / "g.obj"
     write_obj(samples, 2, 2, opath, stereo_projector(), "stereo")
     assert opath.read_text().startswith("# lossy 3d projection")
@@ -420,14 +419,13 @@ PROJECTIONS = [
 
 def assert_writers_match_reference(rows, nu, nv):
     listed = list(rows)
-    assert csv_text(rows, nu, nv) == reference_csv_text(listed)
     try:
         mesh = canonical_json(reference_mesh_dict(listed, nu, nv))
     except ValueError:          # JSON has no nan: both refuse the rows
         with pytest.raises(ValueError):
-            mesh_text(rows, nu, nv)
+            grid_text(rows, nu, nv)
     else:
-        assert mesh_text(rows, nu, nv) == mesh
+        assert grid_text(rows, nu, nv) == (reference_csv_text(listed), mesh)
     assert repr(summarize(rows)) == repr(reference_summarize(listed))
     for proj, ref, note in PROJECTIONS:
         assert (obj_text(rows, nu, nv, proj, note)
@@ -624,10 +622,12 @@ def reference_obj_chunks(samples, nu, nv, projector, note):
 
 def assert_writers_match_repr_writers(rows, nu, nv, projector, note=""):
     csv, mesh = zip(*reference_csv_mesh_chunks(rows, nu, nv))
-    assert csv_text(rows, nu, nv) == "".join(csv)
     placed = rows.flags < FLAG_OUT_OF_DOMAIN
     if np.isfinite(rows.position[placed]).all():
-        assert mesh_text(rows, nu, nv) == "".join(mesh)
+        assert grid_text(rows, nu, nv) == ("".join(csv), "".join(mesh))
+    else:
+        with pytest.raises(ValueError):
+            grid_text(rows, nu, nv)
     assert (obj_text(rows, nu, nv, projector, note) == "".join(
         reference_obj_chunks(rows, nu, nv, projector, note)))
 
@@ -655,7 +655,7 @@ EXP_CUBE_PAIR = MinimalPair(HolomorphicCurve(
 def test_writers_match_the_repr_writers(name, nu, nv, shows):
     pair = EXP_CUBE_PAIR if name == "exp-cube" else catalog.get(name).pair
     for rows in sample_grid(pair, pair.domain, nu, nv, ("+", "-")):
-        assert shows(rows, csv_text(rows, nu, nv),
+        assert shows(rows, grid_text(rows, nu, nv)[0],
                      obj_text(rows, nu, nv, stereo_projector()))
         for proj, _, note in PROJECTIONS:
             assert_writers_match_repr_writers(rows, nu, nv, proj, note)

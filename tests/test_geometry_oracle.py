@@ -1,8 +1,9 @@
 """The (dim, n) geometry kernel against the (n, dim) kernel it replaced.
 
-The oracle below is that kernel as it stood: every slot copied into an
-(n, dim) transpose and every inner product a reduction over the trailing
-component axis, with the frame's orientation from LAPACK's det.  The kernel
+The oracle below is that kernel as it stood, with the floors of the
+scale rule: every slot copied into an (n, dim) transpose and every inner
+product a reduction over the trailing component axis, with the frame's
+orientation from LAPACK's det.  The kernel
 must give its bits, signed zeros, nan and inf included, on every kind of
 input it meets, in every field but these:
   - the ellipse's semi_major, semi_minor and mu, which the kernel takes in
@@ -28,7 +29,8 @@ from superconf.geometry import (
     CIRCULAR_TOL, FRAME_FLOOR, PATTERN_TOL, R4, REGULARITY_FLOOR, Ambient,
     FundamentalData,
     _blas_dot, _largest, _normal_parts, _pypow, _rank_deficient, _sqrt0,
-    _sym2, _vec_norm, adapted_frame, ellipse_descriptor, fundamental_data)
+    _sym2, _vec_norm, adapted_frame, ellipse_descriptor, fundamental_data,
+    unit_scale)
 from superconf.jets import Jet2, fail_rows, row_failures
 from test_geometry import clifford_s4, flat_torus_h4, great_sphere_s4
 
@@ -155,12 +157,9 @@ def oracle_ellipse_axes(fd):
     dot = partial(rows_dot, fd.ambient)
     d = 0.5 * (fd.alpha11 - fd.alpha22)
     m = fd.alpha12
-    five = np.array([d, m, fd.alpha11, fd.alpha22, fd.alpha12])
-    norms = _sqrt0(dot(five, five))
-    len_d, len_m = 2.0 * norms[0], 2.0 * norms[1]
-    amax = norms[2:].max(axis=0)
+    len_d, len_m = 2.0 * _sqrt0(dot(np.array([d, m]), np.array([d, m])))
     M = np.maximum(len_d, len_m)
-    point = M <= 1e-9 * (1.0 + amax)
+    point = M * unit_scale(fd.scale) <= 1e-9
     M = np.where(point, 1.0, M)
     res_orth = np.where(point, 0.0, dot(m, 2.0 * d) / (M * M))
     res_len = np.where(point, 0.0, (len_d - len_m) / M)
@@ -196,9 +195,7 @@ def oracle_superconformality_test(fd):
 def oracle_adapted_frame(fd):
     dot = partial(rows_dot, fd.ambient)
     fail_rows(np.logical_not(fd.regular), _rank_deficient(fd))
-    amax = _largest(*(_sqrt0(dot(a, a))
-                      for a in (fd.alpha11, fd.alpha22, fd.alpha12)), 1e-300)
-    floor = FRAME_FLOOR * _largest(amax, 1.0)
+    floor = FRAME_FLOOR / unit_scale(fd.scale)
     lam = fd.lam
     fail_rows(lam <= floor, lambda k: PreconditionError("minimal point"))
     eta = fd.H / _col(lam)
@@ -496,7 +493,7 @@ def ellipse_of(gen):
     fd = FundamentalData(**{
         **blank, "ambient": R4, "alpha11": d, "alpha22": -d, "alpha12": m,
         "n1": e1, "n2": e2, "H": np.zeros((4, n)), "lam": zero, "K": zero,
-        "K_N": zero})
+        "K_N": zero, "scale": np.ones(n)})
     return fields(ellipse_descriptor(fd))
 
 

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 public function the package defines is used, every command-line option
 is passed by a test or a README example, the geometry kernel makes no
-LAPACK call, and the writers format numbers in array passes."""
+LAPACK call, the writers format numbers in array passes, and geometry owns
+the one scale rule."""
 
 import argparse
 import ast
@@ -490,6 +491,76 @@ def test_writers_format_in_array_passes():
     floats, never over cells, and call repr only for subnormal floats."""
     assert (cell_loops((SRC / "export.py").read_text(), WRITER_DEFS)
             == CELL_LOOPS_ALLOWED)
+
+
+def floor_constants(source):
+    """The upper-case module-level names source binds to a float literal:
+    its floors, tolerances and thresholds."""
+    return [t.id for node in ast.parse(source).body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is float
+            for t in node.targets
+            if isinstance(t, ast.Name) and t.id.isupper()]
+
+
+def _is_one(node):
+    return (isinstance(node, ast.Constant) and type(node.value) is float
+            and node.value == 1.0)
+
+
+def scale_mixes(source):
+    """The lines of source where 1.0 joins a scale: an argument 1.0 of
+    max, maximum, fmax or _largest, an initial=1.0, or a sum with 1.0
+    inside a comparison."""
+    lines = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call) and (
+                called_name(n.func) in {"max", "maximum", "fmax", "_largest"}
+                and any(map(_is_one, n.args))
+                or any(k.arg == "initial" and _is_one(k.value)
+                       for k in n.keywords)):
+            lines.add(n.lineno)
+        elif isinstance(n, ast.Compare):
+            lines.update(b.lineno for b in ast.walk(n)
+                         if isinstance(b, ast.BinOp)
+                         and isinstance(b.op, ast.Add)
+                         and (_is_one(b.left) or _is_one(b.right)))
+    return sorted(lines)
+
+
+def test_scale_rule_scans():
+    source = ("X_TOL = 1e-8\nN = 2\nY_FLOOR = 3\nW = 0.5\n"
+              "class A:\n    B_TOL = 1e-3\n"
+              "if dev > 1e-8 * (1.0 + abs(mean)):\n    pass\n"
+              "floor = 1e-10 * _largest(amax, 1.0)\n"
+              "ok = x <= 1e-9 * np.maximum(1.0, r)\n"
+              "s = y.max(initial=1.0)\n"
+              "t = x + 1.0 > y\n"
+              "bad = abs(xx - 1.0) > 1e-8\n"
+              "q = a / np.where(p, b, 1.0)\n"
+              "d = 1.0 + r2\n"
+              "n = max(1, k) + max(r, 2.0)\n")
+    assert floor_constants(source) == ["X_TOL", "W"]
+    assert scale_mixes(source) == [7, 9, 10, 11, 12]
+
+
+# the one floor defined outside geometry: the jets' pole guard, absolute
+# because the jets of curve evaluation see the dimensionless z-plane
+FLOORS_ALLOWED = {"jets": ["DIV_FLOOR"]}
+
+
+def test_one_scale_rule():
+    """geometry owns the scale rule: the floor and tolerance constants are
+    defined there (the pole guard above aside), seven in all, and no
+    comparison outside acceptance's recorded criteria mixes 1.0 into a
+    dimensional scale, so that no verdict depends on the curve's units."""
+    defined = {p.stem: floor_constants(p.read_text()) for p in MODULES}
+    assert {m: names for m, names in defined.items()
+            if names and m != "geometry"} == FLOORS_ALLOWED
+    assert sum(map(len, defined.values())) <= 7
+    assert {p.stem: scale_mixes(p.read_text()) for p in MODULES
+            if p.stem != "acceptance" and scale_mixes(p.read_text())} == {}
 
 
 README = TESTS.parent / "README.md"

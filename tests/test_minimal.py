@@ -64,16 +64,16 @@ class TestSplit:
 
     def test_conjugacy_is_slot_exact(self):
         # h = Im F, so h_u = Im F' and h_v = Im(i F'), each split from the
-        # window of F', F'' and F''' in the curve's own jets
+        # window of F', F'' and F''' in the curve's own jets: -g_v and g_u
         pair = catenoid_pair()
         z = complex(0.3, 0.8)
         s = pair.samples_at(z)
         jets = pair.curve.eval_jets(z)
         h_u = [_im_part(j.c1, j.c2, j.c3) for j in jets]
         h_v = [_im_part(1j * j.c1, 1j * j.c2, 1j * j.c3) for j in jets]
-        for a, b in zip(s.h_u, h_u, strict=True):
+        for a, b in zip(-s.g_v, h_u, strict=True):
             assert a.slots == b.slots
-        for a, b in zip(s.h_v, h_v, strict=True):
+        for a, b in zip(s.g_u, h_v, strict=True):
             assert a.slots == b.slots
 
     def test_derivative_fields_match_position_jets(self):

@@ -9,7 +9,7 @@ from superconf.errors import (DualitySingularError, FrameUndefinedError,
                               InversionSingularError, NotNullCurveError,
                               PreconditionError, ProjectionError,
                               SuperconfError)
-from superconf.geometry import (INV_FLOOR, Ambient, _normal_parts,
+from superconf.geometry import (DIV_FLOOR, Ambient, _normal_parts,
                                 fundamental_data)
 from superconf.jets import Jet2, fail_rows
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair, certify
@@ -78,7 +78,7 @@ def holomorphic_inversion(Z, radius=1.0):
     Z = np.asarray(Z, dtype=complex)
     k = complex(np.sum(Z * Z))
     scale = float(np.sum(np.abs(Z) ** 2))
-    if abs(k) <= INV_FLOOR * max(scale, 1e-300):
+    if abs(k) <= DIV_FLOOR * max(scale, 1e-300):
         raise NullQuadricError(
             f"<<Z, Z>> = {k:.3e} vanishes; the quadratic inversion is "
             "undefined on the null quadric")

@@ -120,9 +120,9 @@ REPORTS = {
     ("project", "--entry", "veronese"):
         (0, "044d831d97a7f6fd61160c08f903b26f8b3b7e2d48c668438ea11108c693b3ab"),
     ("selftest",):
-        (3, "4184f0cfc827c02ce8ef99dca1b064a09488486fda329f6784de3fa6d81cf06d"),
+        (3, "d117f892cdc996f13ee0c05d721e679e743b8c9aaa7748d9cfe5318d4e254e4b"),
     ("certify", "--curve", "enneper-r3"):
-        (0, "69d2468c9c6c18a4b553ce4d40cdd8add7945467db1c4f9d60a0e8092a9b991b"),
+        (0, "8f9113c2e39c5b0b7c8cea55480a7f07cfc1d6fa1fb5a688c22591ee03e152bd"),
     # the MinimalPair path; veronese above takes the closed-form one
     ("quadric", "--curve", "catenoid-helicoid"):
         (0, "be9553cf2b3a788cc3af5908a9e7e5378eeacd0cc18c1b4a606db920d652c405"),
