@@ -48,13 +48,6 @@ def _cat_grid():
     return Domain(u0, u1, v0, v1).grid(nu, nv)
 
 
-def _inset(dom, margin):
-    """dom with its rectangle shrunk as dom.linspace(..., margin) shrinks it,
-    so that sample_grid covers the points of dom.grid(..., margin)."""
-    (u0, u1), (v0, v1) = dom.linspace(2, 2, margin)
-    return Domain(u0, u1, v0, v1, dom.excluded)
-
-
 def _clear_worst(rows):
     """(worst residual, count) over the unflagged rows of sample_grid runs."""
     worst = []
@@ -94,7 +87,7 @@ def criterion_2() -> CriterionResult:
     counts = {}
     for name in ("catenoid-helicoid", "whitney", "q0-trig-perturbed"):
         pair = catalog.get(name).pair
-        rows = sample_grid(pair, _inset(pair.domain, 0.02), 16, 16, SIGNS)
+        rows = sample_grid(pair, pair.domain.lattice(16, 16, 0.02), SIGNS)
         pair_worst, counts[name] = _clear_worst(rows)
         worst = max(worst, pair_worst)
         if counts[name] == 0:
@@ -103,8 +96,8 @@ def criterion_2() -> CriterionResult:
                 f"no unflagged samples for {name}")
 
     torus = catalog.get("torus")
-    us, vs = torus.domain.linspace(12, 12, margin=0.02)
-    control = torus.sample(np.repeat(us, len(vs)), np.tile(vs, len(us)))
+    z = torus.domain.lattice(12, 12, margin=0.02)
+    control = torus.sample(z.real.ravel(), z.imag.ravel())
     min_defect = float(ellipse_descriptor(fundamental_data(control))
                        .wintgen_defect.min())
 
@@ -286,8 +279,8 @@ def criterion_8b_companion() -> CriterionResult:
 def criterion_9a() -> CriterionResult:
     """The degree-2 sphere is superminimal in the round 4-sphere."""
     entry = catalog.get("veronese")
-    us, vs = entry.domain.linspace(10, 10, margin=0.05)
-    rep = superminimal_test(entry.sample(np.repeat(us, 10), np.tile(vs, 10)),
+    z = entry.domain.lattice(10, 10, margin=0.05)
+    rep = superminimal_test(entry.sample(z.real.ravel(), z.imag.ravel()),
                             entry.ambient)
     passed = rep.verdict == "superminimal"
     return CriterionResult(
@@ -390,11 +383,11 @@ def criterion_12() -> CriterionResult:
     """Every member of the associated family builds superconformal
     surfaces."""
     pair = catalog.get("catenoid-helicoid").pair
-    dom = Domain(0.2, 2.0 * np.pi - 0.2, -1.5, 1.5)
+    lattice = Domain(0.2, 2.0 * np.pi - 0.2, -1.5, 1.5).lattice(8, 8)
     worst, n_clear = 0.0, 0
     for k in range(8):
         fam = associated_family(pair, k * np.pi / 8.0)
-        fam_worst, n = _clear_worst(sample_grid(fam, dom, 8, 8, SIGNS))
+        fam_worst, n = _clear_worst(sample_grid(fam, lattice, SIGNS))
         worst, n_clear = max(worst, fam_worst), n_clear + n
     passed = worst < 1e-8 and n_clear > 0
     return CriterionResult(
@@ -455,14 +448,14 @@ def criterion_13() -> CriterionResult:
         (torus.surface, ((0.7, 1.9), (3.0, 4.0))),
         (veronese.surface, ((1.0, 1.2), (2.5, 0.8)))))
 
-    [seq] = sample_grid(pair, pair.domain, 5, 5, ("+",))
-    [par] = sample_grid(pair, pair.domain, 5, 5, ("+",))
+    lattice = pair.domain.lattice(5, 5)
+    [first] = sample_grid(pair, lattice, ("+",))
+    [second] = sample_grid(pair, lattice, ("+",))
     stereo = stereo_projector()
-    deterministic = (grid_text(seq, 5, 5) == grid_text(par, 5, 5)
-                     and obj_text(seq, 5, 5, stereo)
-                     == obj_text(par, 5, 5, stereo)
-                     and canonical_json(summarize(seq))
-                     == canonical_json(summarize(par)))
+    deterministic = (grid_text(first) == grid_text(second)
+                     and obj_text(first, stereo) == obj_text(second, stereo)
+                     and canonical_json(summarize(first))
+                     == canonical_json(summarize(second)))
 
     parser_ok = True
     for text in GOLDEN_EXPRESSIONS:

@@ -319,8 +319,7 @@ _BUILDERS = {
     "veronese": _build_veronese,
 }
 
-_CACHE = {}
-_CERTIFIED = set()
+_CACHE = {}     # name -> entry, built and, for a minimal pair, certified
 
 
 def names():
@@ -328,20 +327,21 @@ def names():
 
 
 def get(name):
-    """Fetch a catalog entry; minimal pairs are certified on first fetch."""
+    """Fetch a catalog entry, built on first fetch; a minimal pair is cached
+    only once it passes load certification, so a failing one raises
+    PreconditionError on every fetch."""
     if name not in _BUILDERS:
         known = ", ".join(names())
         raise UnknownEntryError(f"unknown catalog entry {name!r} (known: {known})")
     if name not in _CACHE:
-        _CACHE[name] = _BUILDERS[name]()
-    entry = _CACHE[name]
-    if entry.kind == "minimal-pair" and name not in _CERTIFIED:
-        rep = certify(entry.pair, entry.domain.grid(7, 7, 0.05))
-        if not rep["ok"]:
-            raise PreconditionError(
-                f"catalog entry {name} failed load certification: {rep}")
-        _CERTIFIED.add(name)
-    return entry
+        entry = _BUILDERS[name]()
+        if entry.kind == "minimal-pair":
+            rep = certify(entry.pair, entry.domain.grid(7, 7, 0.05))
+            if not rep["ok"]:
+                raise PreconditionError(
+                    f"catalog entry {name} failed load certification: {rep}")
+        _CACHE[name] = entry
+    return _CACHE[name]
 
 
 def expected_eval(entry, key, *args):
@@ -357,8 +357,8 @@ def certify_veronese():
     its chart: the two surfaces are isometric (E, F, G agree), the first is
     minimal in R4, and both metrics match the closed-form display."""
     entry = get("veronese")
-    us, vs = entry.domain.linspace(10, 10, margin=0.02)
-    u, v = np.repeat(us, len(vs)), np.tile(vs, len(us))
+    z = entry.domain.lattice(10, 10, margin=0.02)
+    u, v = z.real.ravel(), z.imag.ravel()
     g, h = veronese_g(u, v), veronese_h(u, v)
     Eg, Fg, Gg, Eh, Fh, Gh = (_blas_dot(x, y) for su, sv in (
         (g.du, g.dv), (h.du, h.dv)) for x, y in ((su, su), (su, sv), (sv, sv)))

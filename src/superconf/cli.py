@@ -213,17 +213,17 @@ def cmd_construct(args) -> int:
                "signs": {}}
     files = []
     ok = True
-    for sign, samples in zip(signs, sample_grid(pair, dom, nu, nv, signs)):
+    for sign, samples in zip(signs, sample_grid(pair, dom.lattice(nu, nv),
+                                                signs)):
         word = SIGN_WORDS[sign]
         agg = summarize(samples)
         summary["signs"][word] = agg
         ok = ok and agg["n_clear"] > 0
         base = os.path.join(args.out, f"{stem}-{word}")
-        write_csv(samples, nu, nv, base + ".csv", base + ".mesh.json")
+        write_csv(samples, base + ".csv", base + ".mesh.json")
         files.extend([base + ".csv", base + ".mesh.json"])
         if projector is not None:
-            write_obj(samples, nu, nv, base + ".obj", projector[0],
-                      projector[1])
+            write_obj(samples, base + ".obj", projector[0], projector[1])
             files.append(base + ".obj")
     spath = os.path.join(args.out, f"{stem}-summary.json")
     write_json(_clean(summary), spath)
@@ -241,7 +241,8 @@ def cmd_verify(args) -> int:
 
     report = {"curve": stem, "grid": [nu, nv], "signs": {}}
     ok = True
-    for sign, samples in zip(signs, sample_grid(pair, dom, nu, nv, signs)):
+    lattice = dom.lattice(nu, nv)
+    for sign, samples in zip(signs, sample_grid(pair, lattice, signs)):
         agg = summarize(samples)
         report["signs"][SIGN_WORDS[sign]] = agg
         sign_ok = (agg["n_clear"] > 0
@@ -250,8 +251,8 @@ def cmd_verify(args) -> int:
                    and agg["max_wintgen_rel"] < 1e-8)
         ok = ok and sign_ok
 
-    grid = dom.grid(nu, nv)
-    grid = grid[pair.domain.contains(grid)]
+    grid = lattice.ravel()
+    grid = grid[dom.contains(grid) & pair.domain.contains(grid)]
     stride = max(1, len(grid) // args.dual_samples)
     z = grid[::stride]
     # the two surfaces' metric relation needs both signs
@@ -343,10 +344,9 @@ def cmd_project(args) -> int:
         raise PreconditionError(
             f"entry {entry.name} is not a space-form immersion")
     nu, nv = _parse_grid(args.grid)
-    us, vs = entry.domain.linspace(nu, nv, margin=0.08)
-    u, v = np.repeat(us, nv), np.tile(vs, nu)
+    z = entry.domain.lattice(nu, nv, margin=0.08)
     amb = entry.ambient
-    sample = entry.sample(u, v)
+    sample = entry.sample(z.real.ravel(), z.imag.ravel())
     rep = superminimal_test(sample, amb)
     P = sample.v
     round_trip = float(_vec_norm(amb.from_R4(amb.to_R4(P)) - P).max())

@@ -199,11 +199,7 @@ def build_phi_pair(pair: MinimalPair, z):
     The rows where the construction fails are recorded in the innermost
     jets.row_failures() sink (without one, the first raises), like the jets
     it is built from."""
-    return _phi_pair(_assemble(pair.samples_at(z)))
-
-
-def _phi_pair(ctx: _FieldContext):
-    """Both surfaces of one field context, with their flags."""
+    ctx = _assemble(pair.samples_at(z))
     base = ctx.sample.g + ctx.turn_t
     out = []
     for sign in SIGNS:
@@ -272,9 +268,10 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
     entry.  A rank-deficient surface fails its row with PreconditionError."""
     for sign in signs:
         check_sign(sign)
-    s = pair.samples_at(z)
-    ctx = _assemble(s)
-    built = [ps for ps in _phi_pair(ctx) if ps.sign in signs]
+    both = build_phi_pair(pair, z)
+    ctx = both[0].ctx
+    s = ctx.sample
+    built = [ps for ps in both if ps.sign in signs]
     for ps in built:
         rank_def = (ps.flags & FLAG_RANK_DEFICIENT) != 0
         fail_rows(rank_def, lambda k, sign=ps.sign: (

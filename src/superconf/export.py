@@ -46,20 +46,22 @@ GridSample = namedtuple("GridSample", "u v position stats flags")
 
 
 class GridRows:
-    """The rows of one sign of a grid run, held as columns: u, v (n,);
-    position (n, 4), set where flags < FLAG_OUT_OF_DOMAIN; stats (n, 9) in
-    _STAT_NAMES order, set where has_stats; nan where unset.  flags holds
-    the FLAG_* bits of construct, the out-of-domain and failed-sample ones
-    included; rows with flags != 0 are written out but not aggregated.
-    Indexing and iteration give GridSample rows, None for what a row
-    lacks."""
+    """The rows of one sign of a grid run over a complex (nu, nv) lattice
+    (minimal.Domain.lattice), held as columns in its raveled order: shape
+    (nu, nv); u, v (n,); position (n, 4), set where flags <
+    FLAG_OUT_OF_DOMAIN; stats (n, 9) in _STAT_NAMES order, set where
+    has_stats; nan where unset.  flags holds the FLAG_* bits of construct,
+    the out-of-domain and failed-sample ones included; rows with flags != 0
+    are written out but not aggregated.  Indexing and iteration give
+    GridSample rows, None for what a row lacks."""
 
-    def __init__(self, u, v):
-        self.u, self.v = u, v
-        self.position = np.full((u.size, 4), np.nan)
-        self.stats = np.full((u.size, len(_STAT_NAMES)), np.nan)
-        self.has_stats = np.zeros(u.size, bool)
-        self.flags = np.full(u.size, FLAG_OUT_OF_DOMAIN)
+    def __init__(self, lattice):
+        self.shape = lattice.shape
+        self.u, self.v = lattice.real.ravel(), lattice.imag.ravel()
+        self.position = np.full((lattice.size, 4), np.nan)
+        self.stats = np.full((lattice.size, len(_STAT_NAMES)), np.nan)
+        self.has_stats = np.zeros(lattice.size, bool)
+        self.flags = np.full(lattice.size, FLAG_OUT_OF_DOMAIN)
 
     def __len__(self):
         return self.u.size
@@ -86,9 +88,10 @@ class GridRows:
             for lo in _block_starts(len(self)))
 
 
-def sample_grid(pair, domain, nu, nv, signs):
-    """Sample the surfaces of the given signs over an inclusive nu x nv grid;
-    one GridRows per sign, in the order of signs.
+def sample_grid(pair, lattice, signs):
+    """Sample the surfaces of the given signs over a complex (nu, nv)
+    lattice (minimal.Domain.lattice); one GridRows per sign, in the order of
+    signs.
 
     Rows come back in row-major order, u varying slowest.  Points outside the
     pair's domain and points where the construction fails become flagged rows
@@ -96,15 +99,12 @@ def sample_grid(pair, domain, nu, nv, signs):
     BLOCK_POINTS points, each pass evaluating the curve once for all signs;
     every row is bit-identical to the same point built alone.
     """
-    if nu < 2 or nv < 2:
+    if min(lattice.shape) < 2:
         raise PreconditionError("grid needs at least 2 points per axis")
     for sign in signs:
         check_sign(sign)
-    us, vs = domain.linspace(nu, nv)
-    u, v = np.repeat(us, nv), np.tile(vs, nu)
-    z = np.empty(u.size, complex)
-    z.real, z.imag = u, v
-    rows = [GridRows(u, v) for _ in signs]
+    z = lattice.ravel()
+    rows = [GridRows(lattice) for _ in signs]
     index = np.arange(z.size)
     for start in _block_starts(z.size):
         _sample_block(pair, signs, rows, z, index[start:start + BLOCK_POINTS])
@@ -410,7 +410,7 @@ _NULL_VERTEX = np.zeros((4, _CELL), np.uint8)
 _NULL_VERTEX[0, :5] = np.frombuffer(b",null", np.uint8)
 
 
-def _csv_mesh_chunks(samples, nu, nv):
+def _csv_mesh_chunks(samples):
     """The diagnostics CSV and the 4d mesh JSON of one grid as (csv, mesh)
     pairs of byte chunks, one block of rows or quads at a time.
 
@@ -421,9 +421,9 @@ def _csv_mesh_chunks(samples, nu, nv):
     are finite.
     """
     placed = samples.flags < FLAG_OUT_OF_DOMAIN
-    quads = _quads(placed, nu, nv)
+    quads = _quads(placed.reshape(samples.shape))
     yield (CSV_HEADER.encode() + b"\n",
-           b'{"kind":"grid-mesh-r4","nu":%d,"nv":%d,"quads":[' % (nu, nv))
+           b'{"kind":"grid-mesh-r4","nu":%d,"nv":%d,"quads":[' % samples.shape)
     for lo in _block_starts(len(quads)):
         yield b"", _items(_lines(_int_cells(quads[lo:lo + BLOCK_POINTS]),
                                  b",[", b",,,]"), lo)
@@ -451,22 +451,20 @@ def _check_vertices(samples):
         raise ValueError("Out of range float values are not JSON compliant")
 
 
-def grid_text(samples, nu, nv):
+def grid_text(samples):
     """The (csv, mesh) text write_csv writes, from one pass; a placed row
     whose position is not finite fails it with ValueError."""
     _check_vertices(samples)
-    csv, mesh = zip(*_csv_mesh_chunks(samples, nu, nv))
+    csv, mesh = zip(*_csv_mesh_chunks(samples))
     return b"".join(csv).decode("ascii"), b"".join(mesh).decode("ascii")
 
 
-def write_csv(samples, nu, nv, path, mesh_path) -> None:
+def write_csv(samples, path, mesh_path) -> None:
     """Write the diagnostics CSV to path and the mesh JSON to mesh_path,
     block by block, from the same formatted cells."""
     _check_vertices(samples)
-    chunks = _csv_mesh_chunks(samples, nu, nv)
-    first = next(chunks)        # checks the grid shape before a file opens
     with open(path, "wb") as fc, open(mesh_path, "wb") as fm:
-        for c, m in chain([first], chunks):
+        for c, m in _csv_mesh_chunks(samples):
             fc.write(c)
             fm.write(m)
 
@@ -485,12 +483,10 @@ def write_json(obj, path) -> None:
         f.write(canonical_json(obj))
 
 
-def _quads(valid, nu, nv):
-    """Row-major (q, 4) corners of the quads whose four corners are valid."""
-    if nu * nv != valid.size:
-        raise PreconditionError(
-            f"grid shape {nu}x{nv} does not match {valid.size} samples")
-    m = valid.reshape(nu, nv)
+def _quads(m):
+    """Row-major (q, 4) corners, as raveled indices, of the quads of the
+    (nu, nv) mask m whose four corners are set."""
+    nv = m.shape[1]
     iu, iv = np.nonzero(m[:-1, :-1] & m[1:, :-1] & m[1:, 1:] & m[:-1, 1:])
     a = iu * nv + iv
     return np.column_stack((a, a + nv, a + nv + 1, a + 1))
@@ -548,7 +544,7 @@ def stereo_projector(pole=(0.0, 0.0, 0.0, 1.0)):
     return project
 
 
-def _obj_chunks(samples, nu, nv, projector, note):
+def _obj_chunks(samples, projector, note):
     """Triangulated OBJ of the projected grid, one block of vertex or face
     lines at a time.
 
@@ -562,10 +558,11 @@ def _obj_chunks(samples, nu, nv, projector, note):
     ok = np.zeros(len(samples), bool)
     y[placed], ok[placed] = projector(samples.position[placed])
     y[~ok] = np.nan
-    faces = _quads(ok, nu, nv) + 1
+    faces = _quads(ok.reshape(samples.shape)) + 1
     yield ("# lossy 3d projection of a 4d grid surface"
            + (f" ({note})" if note else "")
-           + f"\n# grid {nu} x {nv}, row-major, u varying slowest\n").encode()
+           + "\n# grid %d x %d, row-major, u varying slowest\n"
+           % samples.shape).encode()
     for lo in _block_starts(len(y)):
         yield _text(_lines(_cells(y[lo:lo + BLOCK_POINTS]), b"v ", b"  \n"))
     for lo in _block_starts(len(faces)):
@@ -575,12 +572,12 @@ def _obj_chunks(samples, nu, nv, projector, note):
             -1, 3, _INT_CELL), b"f ", b"  \n"))
 
 
-def obj_text(samples, nu, nv, projector, note="") -> str:
-    return b"".join(_obj_chunks(samples, nu, nv, projector, note)).decode()
+def obj_text(samples, projector, note="") -> str:
+    return b"".join(_obj_chunks(samples, projector, note)).decode()
 
 
-def write_obj(samples, nu, nv, path, projector, note="") -> None:
-    chunks = _obj_chunks(samples, nu, nv, projector, note)
-    first = next(chunks)        # projects and checks before the file opens
+def write_obj(samples, path, projector, note="") -> None:
+    chunks = _obj_chunks(samples, projector, note)
+    first = next(chunks)        # projects before the file opens
     with open(path, "wb") as f:
         f.writelines(chain([first], chunks))

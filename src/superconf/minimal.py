@@ -44,18 +44,20 @@ class Domain:
             inside = inside & (abs(z - complex(center)) > radius)
         return inside
 
-    def linspace(self, nu, nv, margin=0.0):
+    def lattice(self, nu, nv, margin=0.0):
+        """The inclusive nu x nv lattice of the rectangle, inset by margin
+        times its width and height at each end, as a complex (nu, nv) array:
+        u varies along the first axis, so slowest once raveled."""
         du = margin * (self.u_max - self.u_min)
         dv = margin * (self.v_max - self.v_min)
-        return (np.linspace(self.u_min + du, self.u_max - du, nu),
-                np.linspace(self.v_min + dv, self.v_max - dv, nv))
+        z = np.empty((nu, nv), complex)
+        z.real = np.linspace(self.u_min + du, self.u_max - du, nu)[:, None]
+        z.imag = np.linspace(self.v_min + dv, self.v_max - dv, nv)
+        return z
 
     def grid(self, nu, nv, margin=0.0):
-        """Contained grid points as a complex array, u varying slowest."""
-        us, vs = self.linspace(nu, nv, margin)
-        z = np.empty((nu, nv), complex)
-        z.real, z.imag = us[:, None], vs
-        z = z.ravel()
+        """The contained points of the lattice, raveled."""
+        z = self.lattice(nu, nv, margin).ravel()
         return z[self.contains(z)]
 
 

@@ -87,8 +87,7 @@ def test_array_calls_match_point_calls_row_by_row(name):
     # odd counts put grid points on the axes: h vanishes at the catenoid's
     # origin, a vanishes on its v = 0 line, the Whitney grid reaches into
     # its excluded disc, and the jet-floor pair divides by E = 0 at 0
-    us, vs = pair.domain.linspace(7, 5)
-    z = np.array([complex(u, v) for u in us for v in vs])
+    z = pair.domain.lattice(7, 5).ravel()
     failures = {}
     for run, where in ((lambda x: dual_pair_report(pair, x), "dual"),
                        (lambda x: dual_pair_report(pair, x, ("-",)),

@@ -111,8 +111,8 @@ def test_sphere_control_is_umbilic():
     # the round unit sphere: its curvature ellipse is the point H at every
     # point, so the Wintgen defect vanishes and no adapted frame exists
     entry = catalog.get("sphere")
-    us, vs = entry.domain.linspace(7, 7, margin=0.02)
-    fd = fundamental_data(entry.sample(np.repeat(us, 7), np.tile(vs, 7)))
+    z = entry.domain.lattice(7, 7, margin=0.02)
+    fd = fundamental_data(entry.sample(z.real.ravel(), z.imag.ravel()))
     assert fd.regular.all()
     ed = ellipse_descriptor(fd)
     assert (ed.semi_major <= 1e-10).all() and (ed.semi_minor <= 1e-10).all()
@@ -143,11 +143,9 @@ def test_space_form_entries_sit_on_their_manifolds():
     for name in ("clifford-torus-s4", "great-sphere-s4", "h4-flat-torus",
                  "veronese"):
         entry = catalog.get(name)
-        us, vs = entry.domain.linspace(4, 4, margin=0.05)
-        for u in us:
-            for v in vs:
-                x = entry.sample(u, v).v
-                assert entry.ambient.on_manifold_residual(x) < 1e-12
+        for z in entry.domain.lattice(4, 4, margin=0.05).ravel().tolist():
+            x = entry.sample(z.real, z.imag).v
+            assert entry.ambient.on_manifold_residual(x) < 1e-12
 
 
 def test_veronese_g_at_equator():

@@ -83,7 +83,7 @@ def test_load_certification_and_certify_give_one_verdict(monkeypatch,
     monkeypatch.setattr(catalog, "_CACHE", dict(catalog._CACHE))
     with pytest.raises(PreconditionError, match="failed load certification"):
         catalog.get("skew")
-    assert "skew" not in catalog._CERTIFIED
+    assert "skew" not in catalog._CACHE
     code, rep = run_json(capsys, "certify", "--curve", text,
                          "--domain=-1,1,-1,1")
     assert code == 3 and rep["ok"] is False
@@ -351,6 +351,27 @@ def test_overflowing_curve_gives_flagged_rows(tmp_path, capsys, domain):
     code, rep = run_json(capsys, "verify", "--curve", OVERFLOW_CURVE,
                          f"--domain={domain}", "--grid", "9,9")
     assert code in (0, 3) and rep["signs"]["plus"]["n_clear"] > 0
+
+
+def test_construct_on_a_lattice_outside_the_domain(tmp_path, capsys):
+    # whitney's pair domain misses the whole lattice: every row is flagged
+    # out of domain, with nothing sampled, and the run exits 3
+    code, rep = run_json(capsys, "construct", "--curve", "whitney",
+                         "--domain=5,6,5,6", "--grid", "3,3", "--project",
+                         "stereo", "--out", str(tmp_path))
+    assert code == 3 and rep["ok"] is False
+    for word in ("plus", "minus"):
+        assert rep["signs"][word]["n_clear"] == 0
+        rows = (tmp_path / f"whitney-{word}.csv").read_text().splitlines()
+        assert len(rows) == 10
+        for row in rows[1:]:
+            cells = row.split(",")
+            assert cells[-1] == "8" and set(cells[2:14]) == {"nan"}
+        mesh = json.loads((tmp_path / f"whitney-{word}.mesh.json").read_text())
+        assert mesh["quads"] == [] and mesh["vertices"] == [None] * 9
+        obj = (tmp_path / f"whitney-{word}.obj").read_text().splitlines()
+        assert obj.count("v nan nan nan") == 9
+        assert not any(line.startswith("f ") for line in obj)
 
 
 def test_verify_flags_jet_floor_point(capsys):

@@ -266,23 +266,18 @@ def test_phi_value_on_a_zero_line(catenoid):
 def test_phi_superconformal_on_catalog_pairs():
     for name in ("catenoid-helicoid", "whitney", "q0-trig-perturbed"):
         pair = catalog.get(name).pair
-        us, vs = pair.curve.domain.linspace(5, 5, margin=0.1)
-        for u in us:
-            for v in vs:
-                z = complex(u, v)
-                if not pair.curve.domain.contains(z):
+        for z in pair.curve.domain.grid(5, 5, margin=0.1).tolist():
+            try:
+                samples = build_phi_pair(pair, z)
+            except FrameDegenerateError:
+                continue
+            for ps in samples:
+                if ps.flags != 0:
                     continue
-                try:
-                    samples = build_phi_pair(pair, z)
-                except FrameDegenerateError:
-                    continue
-                for ps in samples:
-                    if ps.flags != 0:
-                        continue
-                    ed = ellipse_descriptor(fundamental_data(ps.phi))
-                    assert abs(ed.res_orth) < 1e-10, (name, z, ps.sign)
-                    assert abs(ed.res_len) < 1e-10, (name, z, ps.sign)
-                    assert abs(ed.wintgen_defect_rel) < 1e-10
+                ed = ellipse_descriptor(fundamental_data(ps.phi))
+                assert abs(ed.res_orth) < 1e-10, (name, z, ps.sign)
+                assert abs(ed.res_len) < 1e-10, (name, z, ps.sign)
+                assert abs(ed.wintgen_defect_rel) < 1e-10
 
 
 def test_two_routes_agree(catenoid, perturbed):

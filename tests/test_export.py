@@ -43,7 +43,7 @@ def holed_pair():
 
 
 def test_sample_grid_row_major(catenoid):
-    [samples] = sample_grid(catenoid, catenoid.domain, 4, 4, ("+",))
+    [samples] = sample_grid(catenoid, catenoid.domain.lattice(4, 4), ("+",))
     assert len(samples) == 16
     us = [s.u for s in samples]
     vs = [s.v for s in samples]
@@ -57,7 +57,7 @@ def test_sample_grid_row_major(catenoid):
 
 def test_sample_grid_flags_domain_and_degenerate_points():
     pair = holed_pair()
-    [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
+    [samples] = sample_grid(pair, pair.domain.lattice(3, 3), ("+",))
     by_uv = {(s.u, s.v): s for s in samples}
     corner = by_uv[(0.3, 0.3)]
     assert corner.flags == FLAG_OUT_OF_DOMAIN     # inside the excluded disc
@@ -66,7 +66,7 @@ def test_sample_grid_flags_domain_and_degenerate_points():
     # h vanishes at the origin of this curve; the frame cannot be built there
     dom = Domain(-1.0, 1.0, -1.0, 1.0)
     pair2 = MinimalPair(HolomorphicCurve("cat", "(cos(z), sin(z), -i*z, 0)", dom))
-    [samples2] = sample_grid(pair2, dom, 3, 3, ("+",))
+    [samples2] = sample_grid(pair2, dom.lattice(3, 3), ("+",))
     center = {(s.u, s.v): s for s in samples2}[(0.0, 0.0)]
     assert center.flags == FLAG_DEGENERATE_SAMPLE
     assert center.position is None
@@ -117,7 +117,7 @@ JET_FLOOR_PAIR = MinimalPair(HolomorphicCurve(
 def test_grid_rows_are_bit_identical_to_points_built_alone(name):
     pair = {"holed": holed_pair(), "jet-floor": JET_FLOOR_PAIR}.get(name)
     pair = pair or catalog.get(name).pair
-    grid = sample_grid(pair, pair.domain, 7, 5, ("+", "-"))
+    grid = sample_grid(pair, pair.domain.lattice(7, 5), ("+", "-"))
     flags_seen = set()
     for k, (plus, minus) in enumerate(zip(*grid)):
         for row, (flags, position, stats) in zip(
@@ -156,14 +156,14 @@ def test_grid_rows_are_bit_identical_to_points_built_alone(name):
 
 def test_sample_grid_validation(catenoid):
     with pytest.raises(PreconditionError):
-        sample_grid(catenoid, catenoid.domain, 1, 3, ("+",))
+        sample_grid(catenoid, catenoid.domain.lattice(1, 3), ("+",))
     with pytest.raises(PreconditionError):
-        sample_grid(catenoid, catenoid.domain, 3, 3, ("+", "plus"))
+        sample_grid(catenoid, catenoid.domain.lattice(3, 3), ("+", "plus"))
 
 
 def test_summarize_skips_flagged_rows():
     pair = holed_pair()
-    [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
+    [samples] = sample_grid(pair, pair.domain.lattice(3, 3), ("+",))
     agg = summarize(samples)
     assert agg["n_points"] == 9
     assert agg["n_flagged"] == 1
@@ -174,8 +174,8 @@ def test_summarize_skips_flagged_rows():
 
 def test_csv_shape_and_round_trip():
     pair = holed_pair()
-    [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
-    text, _ = grid_text(samples, 3, 3)
+    [samples] = sample_grid(pair, pair.domain.lattice(3, 3), ("+",))
+    text, _ = grid_text(samples)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) == 10                       # header + 9 data rows
@@ -192,8 +192,8 @@ def test_csv_shape_and_round_trip():
 
 def test_csv_nan_rows_for_flagged_points():
     pair = holed_pair()
-    [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
-    csv, _ = grid_text(samples, 3, 3)
+    [samples] = sample_grid(pair, pair.domain.lattice(3, 3), ("+",))
+    csv, _ = grid_text(samples)
     row = csv.strip().split("\n")[1]                      # (0.3, 0.3) is first
     cells = row.split(",")
     assert cells[0] == "0.3" and cells[-1] == "8"
@@ -202,8 +202,8 @@ def test_csv_nan_rows_for_flagged_points():
 
 def test_mesh_quads_skip_missing_corners():
     pair = holed_pair()
-    [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
-    mesh = json.loads(grid_text(samples, 3, 3)[1])
+    [samples] = sample_grid(pair, pair.domain.lattice(3, 3), ("+",))
+    mesh = json.loads(grid_text(samples)[1])
     assert mesh["vertices"][0] is None
     assert len([v for v in mesh["vertices"] if v is not None]) == 8
     # of the 4 quads only the one at the excluded corner is dropped
@@ -212,9 +212,9 @@ def test_mesh_quads_skip_missing_corners():
 
 
 def test_mesh_json_round_trips_bit_exactly(tmp_path, catenoid):
-    [samples] = sample_grid(catenoid, catenoid.domain, 3, 3, ("+",))
+    [samples] = sample_grid(catenoid, catenoid.domain.lattice(3, 3), ("+",))
     path = tmp_path / "m.json"
-    write_csv(samples, 3, 3, tmp_path / "m.csv", path)
+    write_csv(samples, tmp_path / "m.csv", path)
     text = path.read_text()
     with open(path) as f:
         loaded = json.load(f)
@@ -223,8 +223,8 @@ def test_mesh_json_round_trips_bit_exactly(tmp_path, catenoid):
 
 
 def test_obj_two_by_two(catenoid):
-    [samples] = sample_grid(catenoid, catenoid.domain, 2, 2, ("+",))
-    text = obj_text(samples, 2, 2, drop_projector(3), "drop coordinate 3")
+    [samples] = sample_grid(catenoid, catenoid.domain.lattice(2, 2), ("+",))
+    text = obj_text(samples, drop_projector(3), "drop coordinate 3")
     lines = text.strip().split("\n")
     verts = [l for l in lines if l.startswith("v ")]
     faces = [l for l in lines if l.startswith("f ")]
@@ -235,8 +235,8 @@ def test_obj_two_by_two(catenoid):
 
 def test_obj_drops_faces_at_bad_vertices():
     pair = holed_pair()
-    [samples] = sample_grid(pair, pair.domain, 3, 3, ("+",))
-    text = obj_text(samples, 3, 3, drop_projector(0))
+    [samples] = sample_grid(pair, pair.domain.lattice(3, 3), ("+",))
+    text = obj_text(samples, drop_projector(0))
     lines = text.strip().split("\n")
     assert sum(l.startswith("v ") for l in lines) == 9
     assert "v nan nan nan" in lines
@@ -276,22 +276,23 @@ def test_stereo_rows_are_bit_identical_to_one_vector_projections(pole):
 
 
 def test_two_runs_of_one_grid_write_the_same_bytes(catenoid):
-    [seq] = sample_grid(catenoid, catenoid.domain, 5, 4, ("+",))
-    [par] = sample_grid(catenoid, catenoid.domain, 5, 4, ("+",))
-    assert grid_text(par, 5, 4) == grid_text(seq, 5, 4)
-    assert canonical_json(summarize(par)) == canonical_json(summarize(seq))
+    lattice = catenoid.domain.lattice(5, 4)
+    [first] = sample_grid(catenoid, lattice, ("+",))
+    [second] = sample_grid(catenoid, lattice, ("+",))
+    assert grid_text(first) == grid_text(second)
+    assert (canonical_json(summarize(first))
+            == canonical_json(summarize(second)))
 
 
 def test_write_csv_and_obj_files(tmp_path, catenoid):
-    [samples] = sample_grid(catenoid, catenoid.domain, 2, 2, ("+",))
+    [samples] = sample_grid(catenoid, catenoid.domain.lattice(2, 2), ("+",))
     cpath, mpath = tmp_path / "g.csv", tmp_path / "g.mesh.json"
-    write_csv(samples, 2, 2, cpath, mpath)
-    assert (cpath.read_text(), mpath.read_text()) == grid_text(samples, 2, 2)
+    write_csv(samples, cpath, mpath)
+    assert (cpath.read_text(), mpath.read_text()) == grid_text(samples)
     opath = tmp_path / "g.obj"
-    write_obj(samples, 2, 2, opath, stereo_projector(), "stereo")
+    write_obj(samples, opath, stereo_projector(), "stereo")
     assert opath.read_text().startswith("# lossy 3d projection")
-    assert opath.read_text() == obj_text(samples, 2, 2, stereo_projector(),
-                                         "stereo")
+    assert opath.read_text() == obj_text(samples, stereo_projector(), "stereo")
 
 
 # The per-row writers, projectors and reducers that the columnar ones
@@ -423,12 +424,12 @@ def assert_writers_match_reference(rows, nu, nv):
         mesh = canonical_json(reference_mesh_dict(listed, nu, nv))
     except ValueError:          # JSON has no nan: both refuse the rows
         with pytest.raises(ValueError):
-            grid_text(rows, nu, nv)
+            grid_text(rows)
     else:
-        assert grid_text(rows, nu, nv) == (reference_csv_text(listed), mesh)
+        assert grid_text(rows) == (reference_csv_text(listed), mesh)
     assert repr(summarize(rows)) == repr(reference_summarize(listed))
     for proj, ref, note in PROJECTIONS:
-        assert (obj_text(rows, nu, nv, proj, note)
+        assert (obj_text(rows, proj, note)
                 == reference_obj_text(listed, nu, nv, ref, note)), note
 
 
@@ -438,7 +439,7 @@ def assert_writers_match_reference(rows, nu, nv):
 def test_writers_match_the_per_row_reference(name):
     pair = {"holed": holed_pair(), "jet-floor": JET_FLOOR_PAIR}.get(name)
     pair = pair or catalog.get(name).pair
-    for rows in sample_grid(pair, pair.domain, 9, 7, ("+", "-")):
+    for rows in sample_grid(pair, pair.domain.lattice(9, 7), ("+", "-")):
         assert_writers_match_reference(rows, 9, 7)
         assert (canonical_json(summarize(rows))
                 == canonical_json(reference_summarize(list(rows))))
@@ -453,7 +454,7 @@ BLOCK_EDGE_GRIDS = [(9, 7), (16, 32), (27, 19), (25, 41)]
 def test_writers_match_the_per_row_reference_at_block_edges(nu, nv):
     assert nu * nv < BLOCK_POINTS or nu * nv % BLOCK_POINTS in (0, 1)
     pair = catalog.get("whitney").pair
-    plus, minus = sample_grid(pair, pair.domain, nu, nv, ("+", "-"))
+    plus, minus = sample_grid(pair, pair.domain.lattice(nu, nv), ("+", "-"))
     # whitney's plus surface is flagged everywhere, with positions but no
     # stats; both signs have out-of-domain rows around the excluded disc
     assert set(plus.flags.tolist()) == {6, FLAG_OUT_OF_DOMAIN}
@@ -473,7 +474,8 @@ def test_construct_files_match_the_per_row_reference(tmp_path, capsys, sign):
     signs = {"plus": ("+",), "both": ("+", "-")}[sign]
     pair = catalog.get("whitney").pair
     names = {"whitney-summary.json"}
-    for s, rows in zip(signs, sample_grid(pair, pair.domain, nu, nv, signs)):
+    lattice = pair.domain.lattice(nu, nv)
+    for s, rows in zip(signs, sample_grid(pair, lattice, signs)):
         listed = list(rows)
         stem = f"whitney-{cli.SIGN_WORDS[s]}"
         names |= {stem + ".csv", stem + ".mesh.json", stem + ".obj"}
@@ -493,8 +495,8 @@ def test_writers_hold_one_block_of_text(tmp_path):
     # the mesh and at 7.1 MB for the OBJ
     nu = nv = 128
     rng = np.random.default_rng(5)
-    rows = GridRows(np.repeat(rng.standard_normal(nu), nv),
-                    np.tile(rng.standard_normal(nv), nu))
+    rows = GridRows(rng.standard_normal(nu)[:, None]
+                    + 1j * rng.standard_normal(nv))
     rows.flags[:] = rng.choice([0, 0, 0, 4, FLAG_OUT_OF_DOMAIN], nu * nv)
     placed = rows.flags < FLAG_OUT_OF_DOMAIN
     rows.position[placed] = rng.standard_normal((placed.sum(), 4))
@@ -502,10 +504,8 @@ def test_writers_hold_one_block_of_text(tmp_path):
     rows.stats[rows.has_stats] = rng.standard_normal(
         (rows.has_stats.sum(), len(_STAT_NAMES)))
     writers = [
-        lambda: write_csv(rows, nu, nv, tmp_path / "g.csv",
-                          tmp_path / "g.mesh.json"),
-        lambda: write_obj(rows, nu, nv, tmp_path / "g.obj",
-                          stereo_projector())]
+        lambda: write_csv(rows, tmp_path / "g.csv", tmp_path / "g.mesh.json"),
+        lambda: write_obj(rows, tmp_path / "g.obj", stereo_projector())]
     tracemalloc.start()
     try:
         for write in writers:
@@ -520,10 +520,10 @@ def test_writers_hold_one_block_of_text(tmp_path):
 
 
 def test_obj_pole_at_a_vertex_drops_its_faces(catenoid):
-    [rows] = sample_grid(catenoid, catenoid.domain, 5, 4, ("+",))
+    [rows] = sample_grid(catenoid, catenoid.domain.lattice(5, 4), ("+",))
     k = 6                                   # interior: 4 quads touch it
     pole = rows.position[k].tolist()
-    text = obj_text(rows, 5, 4, stereo_projector(pole))
+    text = obj_text(rows, stereo_projector(pole))
     assert text == reference_obj_text(list(rows), 5, 4, reference_stereo(pole))
     lines = text.split("\n")
     assert lines[2 + k] == "v nan nan nan"
@@ -536,7 +536,7 @@ def hand_rows(nan_at):
     """A 3 x 2 grid of made-up clear rows but the last, with a nan res_orth
     in row nan_at and a nan position in row 1."""
     rng = np.random.default_rng(3)
-    rows = GridRows(np.repeat([0.0, 0.5, 1.0], 2), np.tile([0.0, 1.0], 3))
+    rows = GridRows(Domain(0.0, 1.0, 0.0, 1.0).lattice(3, 2))
     rows.flags[:] = [0, 0, 0, 0, 0, 1]
     rows.position[:] = rng.standard_normal((6, 4))
     rows.position[1, 2] = np.nan
@@ -559,9 +559,9 @@ def test_reducers_keep_the_builtin_max_nan_semantics(nan_at, tmp_path):
     # a nan position is written as it is to the CSV and the OBJ, where its
     # faces stay; the mesh JSON refuses it before a file is opened
     assert_writers_match_reference(rows, 3, 2)
-    assert obj_text(rows, 3, 2, stereo_projector()).count("\nf ") == 4
+    assert obj_text(rows, stereo_projector()).count("\nf ") == 4
     with pytest.raises(ValueError):
-        write_csv(rows, 3, 2, tmp_path / "g.csv", tmp_path / "g.mesh.json")
+        write_csv(rows, tmp_path / "g.csv", tmp_path / "g.mesh.json")
     assert not any(tmp_path.iterdir())
 
 
@@ -576,7 +576,7 @@ def _groups(strings, k):
 
 def reference_csv_mesh_chunks(samples, nu, nv):
     placed = samples.flags < FLAG_OUT_OF_DOMAIN
-    quads = _quads(placed, nu, nv)
+    quads = _quads(placed.reshape(nu, nv))
     yield (CSV_HEADER + "\n",
            f'{{"kind":"grid-mesh-r4","nu":{nu},"nv":{nv},"quads":[')
     for lo in _block_starts(len(quads)):
@@ -608,7 +608,7 @@ def reference_obj_chunks(samples, nu, nv, projector, note):
     ok = np.zeros(len(samples), bool)
     y[placed], ok[placed] = projector(samples.position[placed])
     y[~ok] = np.nan
-    faces = _quads(ok, nu, nv) + 1
+    faces = _quads(ok.reshape(nu, nv)) + 1
     yield ("# lossy 3d projection of a 4d grid surface"
            + (f" ({note})" if note else "")
            + f"\n# grid {nu} x {nv}, row-major, u varying slowest\n")
@@ -624,11 +624,11 @@ def assert_writers_match_repr_writers(rows, nu, nv, projector, note=""):
     csv, mesh = zip(*reference_csv_mesh_chunks(rows, nu, nv))
     placed = rows.flags < FLAG_OUT_OF_DOMAIN
     if np.isfinite(rows.position[placed]).all():
-        assert grid_text(rows, nu, nv) == ("".join(csv), "".join(mesh))
+        assert grid_text(rows) == ("".join(csv), "".join(mesh))
     else:
         with pytest.raises(ValueError):
-            grid_text(rows, nu, nv)
-    assert (obj_text(rows, nu, nv, projector, note) == "".join(
+            grid_text(rows)
+    assert (obj_text(rows, projector, note) == "".join(
         reference_obj_chunks(rows, nu, nv, projector, note)))
 
 
@@ -654,17 +654,17 @@ EXP_CUBE_PAIR = MinimalPair(HolomorphicCurve(
 ], ids=["catenoid-helicoid", "whitney", "enneper-r3", "exp-cube"])
 def test_writers_match_the_repr_writers(name, nu, nv, shows):
     pair = EXP_CUBE_PAIR if name == "exp-cube" else catalog.get(name).pair
-    for rows in sample_grid(pair, pair.domain, nu, nv, ("+", "-")):
-        assert shows(rows, grid_text(rows, nu, nv)[0],
-                     obj_text(rows, nu, nv, stereo_projector()))
+    for rows in sample_grid(pair, pair.domain.lattice(nu, nv), ("+", "-")):
+        assert shows(rows, grid_text(rows)[0],
+                     obj_text(rows, stereo_projector()))
         for proj, _, note in PROJECTIONS:
             assert_writers_match_repr_writers(rows, nu, nv, proj, note)
 
 
 def test_writers_match_the_repr_writers_on_the_stereo_horizon(catenoid):
-    [rows] = sample_grid(catenoid, catenoid.domain, 5, 4, ("+",))
+    [rows] = sample_grid(catenoid, catenoid.domain.lattice(5, 4), ("+",))
     pole = stereo_projector(rows.position[6].tolist())
-    assert "\nv nan nan nan\n" in obj_text(rows, 5, 4, pole)
+    assert "\nv nan nan nan\n" in obj_text(rows, pole)
     assert_writers_match_repr_writers(rows, 5, 4, pole, "pole")
 
 

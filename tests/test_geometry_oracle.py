@@ -374,8 +374,7 @@ CURVE_PAIRS = [name for name in catalog.names()
 @pytest.mark.parametrize("name", CURVE_PAIRS)
 def test_kernel_is_the_oracle_on_every_catalog_pair(name):
     pair = catalog.get(name).pair
-    us, vs = pair.domain.linspace(23, 23)
-    z = np.array([complex(u, v) for u in us for v in vs])
+    z = pair.domain.lattice(23, 23).ravel()
     with np.errstate(all="ignore"), row_failures(z.size):
         s = pair.samples_at(z)
         built = build_phi_pair(pair, z)
@@ -386,8 +385,8 @@ def test_kernel_is_the_oracle_on_every_catalog_pair(name):
 
 def test_kernel_is_the_oracle_on_the_closed_form_pair():
     entry = catalog.get("veronese")
-    us, vs = entry.domain.linspace(23, 23, margin=0.02)
-    s = entry.aux["pair"].samples_at(np.add.outer(us, 1j * vs).ravel())
+    s = entry.aux["pair"].samples_at(
+        entry.domain.lattice(23, 23, margin=0.02).ravel())
     check_sample(s.g, where="veronese g")
     check_sample(s.h, where="veronese h")
 
@@ -401,8 +400,8 @@ def test_kernel_is_the_oracle_on_the_space_forms():
         check_sample(surface(u, v), ambient, surface.__name__)
     for name in ("veronese", "h4-flat-torus"):
         entry = catalog.get(name)
-        us, vs = entry.domain.linspace(23, 23, margin=0.02)
-        check_sample(entry.sample(np.repeat(us, 23), np.tile(vs, 23)),
+        z = entry.domain.lattice(23, 23, margin=0.02)
+        check_sample(entry.sample(z.real.ravel(), z.imag.ravel()),
                      entry.ambient, name)
 
 
@@ -425,8 +424,7 @@ def stereographic_lift(phi, ambient):
 
 def test_kernel_is_the_oracle_on_the_stereographic_lifts():
     pair = catalog.get("catenoid-helicoid").pair
-    us, vs = pair.domain.linspace(9, 9)
-    z = np.array([complex(u, v) for u in us for v in vs])
+    z = pair.domain.lattice(9, 9).ravel()
     with np.errstate(all="ignore"), row_failures(z.size):
         built = build_phi_pair(pair, z)
     for ps in built:

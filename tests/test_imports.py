@@ -563,6 +563,39 @@ def test_one_scale_rule():
             if p.stem != "acceptance" and scale_mixes(p.read_text())} == {}
 
 
+LAYOUTS = {"linspace", "repeat", "tile", "meshgrid"}
+
+
+def layout_calls(source):
+    """The sorted names of the calls in source of a numpy function of
+    LAYOUTS, as np.name, numpy.name or a bare imported name; an array's
+    .repeat method is not one."""
+    return sorted(called_name(n.func) for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call)
+                  and called_name(n.func) in LAYOUTS
+                  and (isinstance(n.func, ast.Name)
+                       or isinstance(n.func.value, ast.Name)
+                       and n.func.value.id in ("np", "numpy")))
+
+
+def test_layout_call_scan():
+    source = ("import numpy as np\nx = np.linspace(0, 1, 3)\n"
+              "def f(a):\n    return np.tile(np.repeat(a, 2), 3)\n"
+              "y = a.repeat(2) + meshgrid(a, a) + numpy.linspace(0, 1)\n"
+              "z = np.linalg.norm(a) + b.tile.repeat(1)\n")
+    assert layout_calls(source) == ["linspace", "linspace", "meshgrid",
+                                    "repeat", "tile"]
+
+
+def test_one_lattice():
+    """minimal.Domain.lattice lays out every parameter grid: its two
+    np.linspace calls are the package's only ones, and no module repeats,
+    tiles or meshes a grid's axes."""
+    found = {p.stem: layout_calls(p.read_text()) for p in MODULES}
+    assert {m: calls for m, calls in found.items() if calls} == {
+        "minimal": ["linspace", "linspace"]}
+
+
 README = TESTS.parent / "README.md"
 # command-line options that no test or README example passes, each with its
 # reason

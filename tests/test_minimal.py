@@ -34,6 +34,12 @@ class TestDomain:
         assert not d.contains(0.2 + 0.1j)
         assert d.contains(0.3 + 0.2j)
 
+    def test_lattice_is_inset_with_u_varying_slowest(self):
+        z = Domain(0, 4, -2, 2, excluded=((0j, 9.0),)).lattice(3, 2, 0.25)
+        assert z.shape == (3, 2)
+        assert z.ravel().tolist() == [1 - 1j, 1 + 1j, 2 - 1j, 2 + 1j,
+                                      3 - 1j, 3 + 1j]
+
     def test_grid_skips_exclusions(self):
         d = Domain(-1, 1, -1, 1, excluded=((0j, 0.25),))
         pts = d.grid(5, 5)

@@ -565,8 +565,8 @@ def test_flat_space_has_no_stereographic_chart():
 
 def _grid(entry, nu=6, nv=6, margin=0.08):
     """The (u, v) arrays of a nu x nv grid of the entry's chart."""
-    us, vs = entry.domain.linspace(nu, nv, margin)
-    return np.repeat(us, nv), np.tile(vs, nu)
+    z = entry.domain.lattice(nu, nv, margin)
+    return z.real.ravel(), z.imag.ravel()
 
 
 def test_superminimal_veronese():
@@ -625,8 +625,7 @@ def test_quadric_kinds(catenoid):
 def test_quadric_veronese_with_cross_validation():
     entry = catalog.get("veronese")
     pair = entry.aux["pair"]
-    us, vs = entry.domain.linspace(6, 6, margin=0.08)
-    points = [complex(u, v) for u in us for v in vs]
+    points = entry.domain.lattice(6, 6, margin=0.08).ravel()
     rep = quadric_classification(pair, points, immersion=entry.surface,
                                  ambient=entry.ambient)
     assert rep.kind == "constant-real"
