@@ -84,6 +84,8 @@ def _parse_domain(text) -> Domain:
     a, b, c, d = _parse_floats(text, 4, "--domain")
     if not (a < b and c < d):
         raise PreconditionError("--domain rectangle is degenerate")
+    if not (math.isfinite(b - a) and math.isfinite(d - c)):
+        raise PreconditionError(f"--domain width overflows: {text!r}")
     return Domain(a, b, c, d)
 
 

@@ -36,7 +36,7 @@ from .geometry import (_I, _J, _STAR, _STAR_SIGN, A_SMALL, CIRCULAR_TOL,
                        _ellipse_axes, _largest, _normal_parts, _pypow,
                        _rank_deficient, _sqrt0, _vec_norm, adapted_frame,
                        fundamental_data, unit_scale)
-from .jets import Jet2, fail_rows
+from .jets import Jet2, _checked, _division_floor, fail_rows
 from .minimal import MinimalPair
 
 SIGNS = ("+", "-")
@@ -60,8 +60,8 @@ def check_sign(sign):
 
 # the terms of A h: for each pair (i, j) in turn, +A_ij h_j in component i
 # and -A_ij h_i in component j; term k of component i is row 4 k + i
-_TERM_A = [0, 0, 1, 2, 1, 3, 3, 4, 2, 4, 5, 5]
-_TERM_H = [1, 0, 0, 0, 2, 2, 1, 1, 3, 3, 3, 2]
+_TERM_A = np.array([0, 0, 1, 2, 1, 3, 3, 4, 2, 4, 5, 5], np.intp)
+_TERM_H = np.array([1, 0, 0, 0, 2, 2, 1, 1, 3, 3, 3, 2], np.intp)
 _TERM_SIGN = np.array([1.0, -1, -1, -1, 1, 1, -1, -1, 1, 1, 1, -1])[:, None]
 
 
@@ -83,17 +83,19 @@ def _jhat_parts(gu, gv, h):
 
 @dataclass
 class _FieldContext:
-    """Everything phi assembly needs, with full jets over a batch of points,
-    computed once for both signs."""
+    """Everything phi assembly needs over a batch of points, computed once
+    for both signs: the first form of g and r = ||h|| with its gradient
+    coefficients as values, the halves of Jhat h as full jets."""
 
     sample: object
+    norms: tuple       # (|g_u|, |g_v|), rounded as _vec_norm
     unit: np.ndarray   # the pair's length scale, geometry.unit_scale
-    E: Jet2
-    F: Jet2
-    G: Jet2
-    r: Jet2
-    ru: Jet2
-    rv: Jet2
+    E: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    r: np.ndarray
+    ru: np.ndarray
+    rv: np.ndarray
     a: np.ndarray
     turn_t: Jet2   # W h / |W|, the tangential half of Jhat h
     turn_n: Jet2   # *W h / |W|, the normal half of Jhat h
@@ -115,33 +117,38 @@ class PhiSample:
 
 def _assemble(s) -> _FieldContext:
     """The field context of a split sample, computed in the pair's units
-    (the jets divided by unit, geometry.unit_scale of |g_u| and |g_v|, and
-    scaled back on the way out), so every jet floor meets ratios.
+    (h, g_u and g_v divided by unit, geometry.unit_scale of |g_u| and |g_v|,
+    and every result scaled back on the way out), so every floor meets
+    ratios.  E, F and G are jets here only because 1/|W| and Jhat h need
+    their derivatives; r, r_u, r_v and |grad r|^2 are values with the bits
+    of the jets' value slots (R4.dot sums as Jet2.dot does).
 
     The rows fail (jets.fail_rows) with FrameDegenerateError where h
     vanishes (||h||^2 in the pair's units at the sqrt floor DIV_FLOOR),
-    DegenerateJetError at another jet floor, and SingularSampleError where a
-    is at its floor and g is singular (g's normal frame would have to stand
-    in for h's)."""
-    unit = unit_scale(_vec_norm(s.g_u.v), _vec_norm(s.g_v.v))
+    DegenerateJetError at the E division floor and at the sqrt(EG - F^2)
+    floor, and SingularSampleError where a is at its floor and g is singular
+    (g's normal frame would have to stand in for h's); a failed row goes on
+    with the base value 1, as in the jets' own checks."""
+    norms = _vec_norm(s.g_u.v), _vec_norm(s.g_v.v)
+    unit = unit_scale(*norms)
     h, gu, gv = (x.scaled(1.0 / unit) for x in (s.h, s.g_u, s.g_v))
     E = gu.dot(gu)
     F = gu.dot(gv)
     G = gv.dot(gv)
 
-    r2 = h.dot(h)
-    fail_rows(r2.v <= DIV_FLOOR, lambda k: FrameDegenerateError(
+    r2 = R4.dot(h.v, h.v)
+    h_zero = r2 <= DIV_FLOOR
+    fail_rows(h_zero, lambda k: FrameDegenerateError(
         f"h vanishes at z={complex(s.z[k])}: "
-        f"||h|| = {unit[k] * np.sqrt(max(r2.v[k], 0.0)):.3e}"))
-    r = r2.sqrt()
+        f"||h|| = {unit[k] * np.sqrt(max(r2[k], 0.0)):.3e}"))
+    r = np.sqrt(np.where(h_zero, 1.0, r2))
 
-    # d||h|| = <h_u, h>/||h|| with h_u = -g_v and h_v = g_u; routing
-    # through the conjugate fields keeps full second-order jets for the
-    # gradient coefficients
-    ru = (-gv).dot(h) / r
-    rv = gu.dot(h) / r
-    ng2 = (ru * ru + rv * rv) / E
-    a = _sqrt0(1.0 - ng2.v)
+    # d||h|| = <h_u, h>/||h|| with h_u = -g_v and h_v = g_u
+    ru = R4.dot(-gv.v, h.v) / r
+    rv = R4.dot(gu.v, h.v) / r
+    # |grad r|^2 = (ru^2 + rv^2) / E, E checked as a Jet2 divisor is
+    Ev = _checked(abs(E.v) <= DIV_FLOOR, E.v, _division_floor)
+    a = _sqrt0(1.0 - (ru * ru + rv * rv) / Ev)
 
     inv_w = 1.0 / (E * G - F * F).sqrt()
     turn_t, turn_n = (t * inv_w for t in _jhat_parts(gu, gv, h))
@@ -149,12 +156,12 @@ def _assemble(s) -> _FieldContext:
     # g's curvature data gives the fallback xi and the g-holomorphic flag
     fd_g = fundamental_data(s.g)
     fail_rows((a <= FRAME_FLOOR) & ~fd_g.regular, _rank_deficient(fd_g))
-    E, F, G = (x.scaled(unit * unit) for x in (E, F, G))
-    r, ru, rv, turn_t, turn_n = (x.scaled(unit)
-                                 for x in (r, ru, rv, turn_t, turn_n))
-    return _FieldContext(sample=s, unit=unit, E=E, F=F, G=G, r=r, ru=ru,
-                         rv=rv, a=a, turn_t=turn_t, turn_n=turn_n, fd_g=fd_g,
-                         g_collapse=_g_collapse(fd_g))
+    unit2 = unit * unit
+    return _FieldContext(
+        sample=s, norms=norms, unit=unit, E=E.v * unit2, F=F.v * unit2,
+        G=G.v * unit2, r=r * unit, ru=ru * unit, rv=rv * unit, a=a,
+        turn_t=turn_t.scaled(unit), turn_n=turn_n.scaled(unit), fd_g=fd_g,
+        g_collapse=_g_collapse(fd_g))
 
 
 def _g_collapse(fd_g):
@@ -184,8 +191,7 @@ def _flags(ctx: _FieldContext, sign, phi: Jet2) -> np.ndarray:
     pu, pv = phi.du, phi.dv
     E, F, G = R4.dot(pu, pu), R4.dot(pu, pv), R4.dot(pv, pv)
     det1 = E * G - F * F
-    scale = _largest(np.sqrt(E), np.sqrt(G), _vec_norm(ctx.sample.g_u.v),
-                     _vec_norm(ctx.sample.g_v.v))
+    scale = _largest(np.sqrt(E), np.sqrt(G), *ctx.norms)
     rank_def = det1 <= REGULARITY_FLOOR * _pypow(scale, 4)
     return (FLAG_A_SMALL * (ctx.a < A_SMALL)
             | FLAG_G_HOLOMORPHIC * ctx.g_collapse[sign]
@@ -277,14 +283,14 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
         fail_rows(rank_def, lambda k, sign=ps.sign: (
             PreconditionError(f"constructed surface {sign} is rank-deficient "
                               f"at z={complex(s.z[k])}")))
-    a, r = ctx.a, ctx.r.v
+    a, r = ctx.a, ctx.r
     g_val, gu, gv = s.g.v, s.g_u.v, s.g_v.v
     # the coefficients (p, q) of grad r are (ru, rv) / E, and those of
     # Z = -J grad r are (-q, p); xi = -h^N / (a r), or g's first normal
     # where a is at its floor
     [hN] = _normal_parts([s.h.v], gu, gv, _blas_dot)
     with np.errstate(divide="ignore", invalid="ignore"):
-        grad_u, grad_v = ctx.ru.v / ctx.E.v, ctx.rv.v / ctx.E.v
+        grad_u, grad_v = ctx.ru / ctx.E, ctx.rv / ctx.E
         xi = -hN / (a * r)
     fallback = a <= FRAME_FLOOR
     if np.any(fallback):
@@ -303,8 +309,8 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
         forms[ps.sign] = (fd.E, fd.F, fd.G)
         rho = _pypow(r * fr.mu / np.where(conformal_ok, a, 1.0), 2)
         conformal[ps.sign] = np.where(conformal_ok, _largest(
-            abs(ctx.E.v - rho * fd.E), abs(ctx.F.v - rho * fd.F),
-            abs(ctx.G.v - rho * fd.G)) / _pypow(ctx.unit, 2), np.nan)[()]
+            abs(ctx.E - rho * fd.E), abs(ctx.F - rho * fd.F),
+            abs(ctx.G - rho * fd.G)) / _pypow(ctx.unit, 2), np.nan)[()]
         tangency[ps.sign] = _largest(
             *(abs(_blas_dot(zeta_c, w)) / _vec_norm(w)
               for w in (ps.phi.du, ps.phi.dv, H)))

@@ -300,9 +300,9 @@ def _rows(x):
 
 # index pairs (i, j), i < j, of the six components of a 2-form on R4
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_I, _J = (list(ix) for ix in zip(*_PAIRS))
+_I, _J = (np.array(ix, np.intp) for ix in zip(*_PAIRS))
 # *A for a 2-form A on _PAIRS: its components reversed, two of them negated
-_STAR = [5, 4, 3, 2, 1, 0]
+_STAR = np.array([5, 4, 3, 2, 1, 0], np.intp)
 _STAR_SIGN = np.array([1.0, -1, 1, 1, -1, 1])[:, None]
 # column m: the rows of R5 but m, the minor of e_m in det[a, b, c, d, e]
 _MINORS = np.array([[i for i in range(5) if i != m] for m in range(5)]).T

@@ -35,6 +35,11 @@ class Domain:
     def __post_init__(self):
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError("domain rectangle is empty")
+        # a width that overflows (a bound that is not finite included)
+        # would make the lattice's inset 0 * inf
+        if not np.isfinite([self.u_max - self.u_min,
+                            self.v_max - self.v_min]).all():
+            raise ValueError("domain rectangle is not of finite width")
 
     def contains(self, z):
         """Whether z lies in the domain; a mask for an array of points."""

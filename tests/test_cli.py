@@ -441,6 +441,21 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["construct", "certify", "verify"])
+def test_domain_whose_width_overflows_is_a_usage_error(command, tmp_path,
+                                                      monkeypatch, capsys):
+    # 1e308 - (-1e308) is inf: the lattice would be nan
+    monkeypatch.chdir(tmp_path)
+    extra = ["--out", str(tmp_path / "out")] if command == "construct" else []
+    code, rep = run_json(capsys, command, "--curve", "catenoid-helicoid",
+                         "--domain=-1e308,1e308,-1,1", "--grid", "3,3",
+                         *extra)
+    assert code == 2
+    assert rep["error"]["type"] == "PreconditionError"
+    assert "--domain" in rep["error"]["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_rejects_too_few_dual_samples(capsys):
     for n in ("0", "-3"):
         code, rep = run_json(capsys, "verify", "--curve", "catenoid-helicoid",

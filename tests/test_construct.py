@@ -10,12 +10,15 @@ from superconf.construct import (FLAG_A_SMALL, FLAG_G_HOLOMORPHIC,
                                  build_phi_pair, check_sign, dual_pair_report,
                                  extract_minimal_pair, phi_value,
                                  reflection_pair_check, translation_check)
-from superconf.errors import (FrameDegenerateError, FrameUndefinedError,
-                              PreconditionError, SingularSampleError)
+from superconf.errors import (DegenerateJetError, FrameDegenerateError,
+                              FrameUndefinedError, PreconditionError,
+                              SingularSampleError)
 from superconf.geometry import (_PAIRS, FRAME_FLOOR, _blas_dot, _normal_parts,
-                                _sqrt0,
-                                _sym2, ellipse_descriptor, fundamental_data)
-from superconf.jets import Jet2, fd_crosscheck, row_failures
+                                _rank_deficient, _sqrt0, _sym2, _vec_norm,
+                                ellipse_descriptor, fundamental_data,
+                                unit_scale)
+from superconf.jets import (DIV_FLOOR, Jet2, fail_rows, fd_crosscheck,
+                            row_failures)
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
 from test_cli import count_calls
 
@@ -32,6 +35,16 @@ def _row_dot(a, b):
     return _blas_dot(a.T, b.T)
 
 
+def field_jets(s):
+    """Oracle: the full jets of g's first form E, F, G, of r = ||h|| and of
+    its gradient coefficients r_u = <h_u, h>/r, r_v = <h_v, h>/r (h_u = -g_v,
+    h_v = g_u) of a split sample, in its own units."""
+    gu, gv, h = s.g_u, s.g_v, s.h
+    r = h.dot(h).sqrt()
+    return SimpleNamespace(E=gu.dot(gu), F=gu.dot(gv), G=gv.dot(gv), r=r,
+                           ru=(-gv).dot(h) / r, rv=gu.dot(h) / r)
+
+
 def construction_frame(pair, z):
     """Oracle: the frame quantities of the decomposition
     h = -r (g_* grad r + a xi) at z, one point or a 1-d array of points.
@@ -41,11 +54,12 @@ def construction_frame(pair, z):
     a r B_xi = (r Hess r - S) J, is nan there."""
     s = pair.samples_at(z)
     ctx = _assemble(s)
-    g, r, E = s.g, ctx.r, ctx.E
+    jets = field_jets(ctx.sample)
+    g, r, E = s.g, jets.r, jets.E
     gu_val, gv_val = s.g_u.values(), s.g_v.values()
 
-    grad_u = ctx.ru / E
-    grad_v = ctx.rv / E
+    grad_u = jets.ru / E
+    grad_v = jets.rv / E
     a_val = ctx.a
 
     # J(p du + q dv) = (q, -p) in coefficients, so Z = -J grad r = (-q, p)
@@ -61,7 +75,7 @@ def construction_frame(pair, z):
         xi = np.where(_col(fallback), ctx.fd_g.n1.T, xi)
     xt, xn = scalar_jhat_parts(gu_val.T, gv_val.T, xi.T)
     # = Jhat(-) xi
-    inv_w = 1.0 / (E * ctx.G - ctx.F * ctx.F).sqrt()
+    inv_w = 1.0 / (E * jets.G - jets.F * jets.F).sqrt()
     delta_minus = (np.stack(xt, -1) - np.stack(xn, -1)) * _col(inv_w.v)
 
     # Hessian of r w.r.t. the conformal metric E(du^2 + dv^2), expressed in
@@ -85,12 +99,12 @@ def construction_frame(pair, z):
     bxi_res = np.where(fallback, np.nan,
                        np.abs(lhs - rhs).max(axis=(-2, -1)))[()]
 
-    ng2 = (ctx.ru * ctx.ru + ctx.rv * ctx.rv) / E
+    ng2 = (jets.ru * jets.ru + jets.rv * jets.rv) / E
     return SimpleNamespace(
         z=s.z, r=r, grad_r=(grad_u, grad_v), norm_grad_r=_sqrt0(ng2.v),
         a=a_val, Z_ambient=Z_amb, Tvec=Tvec, xi=xi, xi_fallback=fallback,
         delta_plus=-delta_minus, delta_minus=delta_minus,
-        bxi_residual=bxi_res, bxi_scale=bxi_scale, ctx=ctx)
+        bxi_residual=bxi_res, bxi_scale=bxi_scale, ctx=ctx, jets=jets)
 
 
 def phi_route_direct(frame, sign):
@@ -137,14 +151,14 @@ def test_catenoid_frame_closed_forms(catenoid):
 
 def test_gradient_jets_consistent(catenoid):
     fr = construction_frame(catenoid, 1.3 + 0.7j)
-    E = fr.ctx.E
+    E = fr.jets.E
     # the gradient coefficients times E are the raw partials of r
     assert fr.grad_r[0].v * E.v == pytest.approx(fr.r.du, abs=1e-12)
     assert fr.grad_r[1].v * E.v == pytest.approx(fr.r.dv, abs=1e-12)
     # the conjugate-field route carries its own derivatives
-    assert fr.ctx.ru.v == pytest.approx(fr.r.du, abs=1e-12)
-    assert fr.ctx.ru.du == pytest.approx(fr.r.duu, abs=1e-10)
-    assert fr.ctx.rv.dv == pytest.approx(fr.r.dvv, abs=1e-10)
+    assert fr.jets.ru.v == pytest.approx(fr.r.du, abs=1e-12)
+    assert fr.jets.ru.du == pytest.approx(fr.r.duu, abs=1e-10)
+    assert fr.jets.rv.dv == pytest.approx(fr.r.dvv, abs=1e-10)
 
 
 def test_gradient_bound_never_exceeded():
@@ -214,6 +228,61 @@ def test_a_zero_line_uses_fallback_frame(catenoid):
     assert fr.norm_grad_r == pytest.approx(1.0, abs=1e-12)
     assert fr.xi_fallback
     assert np.isnan(fr.bxi_residual)
+
+
+def jet_route_values(s):
+    """Oracle: the field context's values as the value slots of full jets:
+    every quantity a Jet2 in the pair's units, with the floor checks of
+    _assemble in its order, scaled back by unit."""
+    unit = unit_scale(_vec_norm(s.g_u.v), _vec_norm(s.g_v.v))
+    h, gu, gv = (x.scaled(1.0 / unit) for x in (s.h, s.g_u, s.g_v))
+    E, F, G = gu.dot(gu), gu.dot(gv), gv.dot(gv)
+    r2 = h.dot(h)
+    fail_rows(r2.v <= DIV_FLOOR, lambda k: FrameDegenerateError("h = 0"))
+    r = r2.sqrt()
+    ru = (-gv).dot(h) / r
+    rv = gu.dot(h) / r
+    a = _sqrt0(1.0 - ((ru * ru + rv * rv) / E).v)
+    1.0 / (E * G - F * F).sqrt()    # the sqrt(EG - F^2) floor, in its place
+    fd_g = fundamental_data(s.g)
+    fail_rows((a <= FRAME_FLOOR) & ~fd_g.regular, _rank_deficient(fd_g))
+    out = {k: x.v * (unit * unit) for k, x in zip("EFG", (E, F, G))}
+    out.update({k: x.v * unit
+                for k, x in zip(("r", "ru", "rv"), (r, ru, rv))})
+    return dict(out, a=a, unit=unit)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_field_values_are_the_jets_value_slots(seed):
+    # random vector jets, each row at its own scale; row 0 has h = 0, row 1
+    # has E below the division floor in the pair's units and row 2 has
+    # a = 0 on a singular g, so each error class fails a row
+    rng = np.random.default_rng(seed)
+    n = 48
+    scale = 2.0 ** rng.integers(-30, 30, n) * rng.uniform(0.5, 2.0, n)
+    g, h, gu, gv = (Jet2(*(rng.normal(size=(4, n)) * scale
+                           for _ in range(6))) for _ in range(4))
+    h.v[:, 0] = 0.0
+    gu.v[:, 1] = gv.v[:, 1] * 1e-7
+    gu.v[:, 2] = 0.5 * gv.v[[1, 0, 3, 2], 2] * [-1.0, 1.0, -1.0, 1.0]
+    h.v[:, 2] = -gv.v[:, 2]
+    g.dv[:, 2] = 3.0 * g.du[:, 2]
+    s = SimpleNamespace(z=np.arange(n) * 1j, g=g, h=h, g_u=gu, g_v=gv)
+    # g's curvature data on the singular row is meaningless, nan included
+    with np.errstate(all="ignore"):
+        with row_failures(n) as failed:
+            ctx = _assemble(s)
+        with row_failures(n) as want_failed:
+            want = jet_route_values(s)
+    for name, value in want.items():
+        assert getattr(ctx, name).tobytes() == value.tobytes(), name
+    assert failed.counts() == want_failed.counts()
+    for cls in (FrameDegenerateError, DegenerateJetError,
+                SingularSampleError):
+        assert failed.rows(cls).tolist() == want_failed.rows(cls).tolist()
+        assert failed.rows(cls)[:3].tolist() == [
+            cls is FrameDegenerateError, cls is DegenerateJetError,
+            cls is SingularSampleError]
 
 
 def test_h_zero_is_frame_degenerate(catenoid):

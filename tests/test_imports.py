@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
 public function the package defines is used, every command-line option
 is passed by a test or a README example, the geometry kernel makes no
-LAPACK call, the writers format numbers in array passes, and geometry owns
-the one scale rule."""
+LAPACK call, the 2-form index tables are integer arrays, the writers format
+numbers in array passes, and geometry owns the one scale rule."""
 
 import argparse
 import ast
@@ -10,6 +10,7 @@ import collections
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from superconf import cli
@@ -443,6 +444,15 @@ def test_geometry_kernel_makes_no_lapack_call():
     source = (SRC / "geometry.py").read_text()
     assert linalg_uses(source) == []
     assert loops_in(source, "_pypow") == []
+
+
+def test_index_tables_are_integer_arrays():
+    """The 2-form index tables of geometry and construct are intp arrays:
+    numpy converts a list index anew on every fancy index."""
+    from superconf import construct, geometry
+    for table in (geometry._I, geometry._J, geometry._STAR,
+                  construct._TERM_A, construct._TERM_H):
+        assert isinstance(table, np.ndarray) and table.dtype == np.intp
 
 
 def cell_loops(source, names):

@@ -50,6 +50,14 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain(1, 1, 0, 2)
 
+    @pytest.mark.parametrize("bounds", [
+        (-1e308, 1e308, -1, 1), (-1, 1, -1e308, 1e308),
+        (0, float("inf"), 0, 1), (float("-inf"), 0, 0, 1)])
+    def test_unbounded_width_rejected(self, bounds):
+        # the lattice's inset would be 0 * inf, a nan lattice
+        with pytest.raises(ValueError, match="finite width"):
+            Domain(*bounds)
+
 
 class TestSplit:
     def test_catenoid_and_helicoid_values(self):
