@@ -21,7 +21,7 @@ from .errors import ExpressionError
 from .expr import parse_curve, print_node
 from .export import (canonical_json, grid_text, obj_text, sample_grid,
                      stereo_projector, summarize)
-from .geometry import (Ambient, _normal_parts, _vec_norm,
+from .geometry import (Ambient, _matvec, _normal_parts, _vec_norm,
                        ellipse_descriptor, fundamental_data)
 from .jets import fd_crosscheck
 from .minimal import (Domain, HolomorphicCurve, MinimalPair,
@@ -67,8 +67,8 @@ def criterion_1() -> CriterionResult:
     built = {ps.sign: ps.phi.v for ps in build_phi_pair(pair, grid)}
     want = {s: catalog.expected_eval(entry, "phi", s, grid.real, grid.imag)
             for s in SIGNS}
-    swapped = (np.linalg.norm(built["+"][:, 0] - want["+"][:, 0])
-               > np.linalg.norm(built["-"][:, 0] - want["+"][:, 0]))
+    swapped = (_vec_norm(built["+"][:, 0] - want["+"][:, 0])
+               > _vec_norm(built["-"][:, 0] - want["+"][:, 0]))
     label = {"+": "-", "-": "+"} if swapped else {"+": "+", "-": "-"}
 
     sup = max(float(_vec_norm(values - want[label[sign]]).max())
@@ -253,7 +253,7 @@ def criterion_8b() -> CriterionResult:
     the recorded identification fails at any tolerance.
     """
     X, Y = _whitney_display_pair()
-    sup = float(np.max(np.linalg.norm(X - Y, axis=0)))
+    sup = float(_vec_norm(X - Y).max())
     passed = sup < 1e-8
     return CriterionResult(
         "8b", "inverted graph vs compact-sphere display", passed,
@@ -269,7 +269,8 @@ WHITNEY_DISPLAY_MAP = np.array([[1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, -1],
 def criterion_8b_companion() -> CriterionResult:
     """The 8b mismatch is exactly the similarity sqrt(2) Q."""
     X, Y = _whitney_display_pair()
-    err = float(np.abs(Y - WHITNEY_DISPLAY_MAP @ (np.sqrt(2.0) * X)).max())
+    err = float(np.abs(
+        Y - _matvec(WHITNEY_DISPLAY_MAP, np.sqrt(2.0) * X)).max())
     passed = err < 1e-12
     return CriterionResult(
         "8b-companion", "display equals sqrt(2) x Q x inverted graph",
@@ -350,7 +351,7 @@ def criterion_10() -> CriterionResult:
     for _ in range(30):
         flat.append(rng.normal(size=4) * 2.5)
         d = rng.normal(size=4)
-        ball.append(d / np.linalg.norm(d) * 1.9 * rng.random())
+        ball.append(d / _vec_norm(d) * 1.9 * rng.random())
     round_trip = max(
         float(_vec_norm(amb.to_R4(amb.from_R4(x)) - x).max())
         for amb, x in ((Ambient("sphere"), np.stack(flat, axis=1)),

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import PreconditionError, SingularSampleError, UnknownEntryError
-from .geometry import Ambient, R4, _blas_dot, _pypow, fundamental_data
+from .geometry import Ambient, R4, _gram, _pypow, fundamental_data
 from .jets import Jet2, fail_rows, graph_surface
 from .minimal import Domain, HolomorphicCurve, MinimalPair, certify
 
@@ -360,8 +360,8 @@ def certify_veronese():
     z = entry.domain.lattice(10, 10, margin=0.02)
     u, v = z.real.ravel(), z.imag.ravel()
     g, h = veronese_g(u, v), veronese_h(u, v)
-    Eg, Fg, Gg, Eh, Fh, Gh = (_blas_dot(x, y) for su, sv in (
-        (g.du, g.dv), (h.du, h.dv)) for x, y in ((su, su), (su, sv), (sv, sv)))
+    (Eg, Fg, Gg, _), (Eh, Fh, Gh, _) = (_gram(s.du, s.dv, R4.dot)
+                                        for s in (g, h))
     scale = np.maximum(Eg, Gg)
 
     def worst(E, F, G):

@@ -32,11 +32,10 @@ import numpy as np
 from .errors import FrameDegenerateError, PreconditionError
 from .geometry import (_I, _J, _STAR, _STAR_SIGN, A_SMALL, CIRCULAR_TOL,
                        CONFORMAL_A_FLOOR, DIV_FLOOR, FRAME_FLOOR, R4,
-                       REGULARITY_FLOOR, FundamentalData, _blas_dot,
-                       _ellipse_axes, _largest, _normal_parts, _pypow,
-                       _rank_deficient, _sqrt0, _vec_norm, adapted_frame,
-                       fundamental_data, unit_scale)
-from .jets import Jet2, _checked, _division_floor, fail_rows
+                       REGULARITY_FLOOR, FundamentalData, _ellipse_axes, _gram,
+                       _largest, _normal_parts, _pypow, _rank_deficient,
+                       _vec_norm, adapted_frame, fundamental_data, unit_scale)
+from .jets import Jet2, _division_floor, fail_rows
 from .minimal import MinimalPair
 
 SIGNS = ("+", "-")
@@ -84,8 +83,8 @@ def _jhat_parts(gu, gv, h):
 @dataclass
 class _FieldContext:
     """Everything phi assembly needs over a batch of points, computed once
-    for both signs: the first form of g and r = ||h|| with its gradient
-    coefficients as values, the halves of Jhat h as full jets."""
+    for both signs: the first form of g, r = ||h||, its gradient
+    coefficients and h^N as values, the halves of Jhat h as full jets."""
 
     sample: object
     norms: tuple       # (|g_u|, |g_v|), rounded as _vec_norm
@@ -96,7 +95,8 @@ class _FieldContext:
     r: np.ndarray
     ru: np.ndarray
     rv: np.ndarray
-    a: np.ndarray
+    hN: np.ndarray     # h minus its projection onto g's tangent plane
+    a: np.ndarray      # |h^N| / r
     turn_t: Jet2   # W h / |W|, the tangential half of Jhat h
     turn_n: Jet2   # *W h / |W|, the normal half of Jhat h
     fd_g: FundamentalData
@@ -120,15 +120,16 @@ def _assemble(s) -> _FieldContext:
     (h, g_u and g_v divided by unit, geometry.unit_scale of |g_u| and |g_v|,
     and every result scaled back on the way out), so every floor meets
     ratios.  E, F and G are jets here only because 1/|W| and Jhat h need
-    their derivatives; r, r_u, r_v and |grad r|^2 are values with the bits
-    of the jets' value slots (R4.dot sums as Jet2.dot does).
+    their derivatives; r, r_u, r_v and h^N are values with the bits of the
+    jets' value slots (R4.dot sums as Jet2.dot does), and a = |h^N| / r
+    keeps its digits where h is nearly tangent.
 
     The rows fail (jets.fail_rows) with FrameDegenerateError where h
     vanishes (||h||^2 in the pair's units at the sqrt floor DIV_FLOOR),
-    DegenerateJetError at the E division floor and at the sqrt(EG - F^2)
-    floor, and SingularSampleError where a is at its floor and g is singular
-    (g's normal frame would have to stand in for h's); a failed row goes on
-    with the base value 1, as in the jets' own checks."""
+    DegenerateJetError at the E division floor of grad r and at the
+    sqrt(EG - F^2) floor, and SingularSampleError where a is at its floor
+    and g is singular (g's normal frame would have to stand in for h's); a
+    failed row goes on with the base value 1, as in the jets' own checks."""
     norms = _vec_norm(s.g_u.v), _vec_norm(s.g_v.v)
     unit = unit_scale(*norms)
     h, gu, gv = (x.scaled(1.0 / unit) for x in (s.h, s.g_u, s.g_v))
@@ -143,15 +144,18 @@ def _assemble(s) -> _FieldContext:
         f"||h|| = {unit[k] * np.sqrt(max(r2[k], 0.0)):.3e}"))
     r = np.sqrt(np.where(h_zero, 1.0, r2))
 
-    # d||h|| = <h_u, h>/||h|| with h_u = -g_v and h_v = g_u
+    # d||h|| = <h_u, h>/||h|| with h_u = -g_v and h_v = g_u; grad r is
+    # (ru, rv) / E, E checked as a Jet2 divisor is
     ru = R4.dot(-gv.v, h.v) / r
     rv = R4.dot(gu.v, h.v) / r
-    # |grad r|^2 = (ru^2 + rv^2) / E, E checked as a Jet2 divisor is
-    Ev = _checked(abs(E.v) <= DIV_FLOOR, E.v, _division_floor)
-    a = _sqrt0(1.0 - (ru * ru + rv * rv) / Ev)
+    fail_rows(abs(E.v) <= DIV_FLOOR, lambda k: _division_floor(E.v[k]))
 
-    inv_w = 1.0 / (E * G - F * F).sqrt()
+    W2 = E * G - F * F
+    inv_w = 1.0 / W2.sqrt()
     turn_t, turn_n = (t * inv_w for t in _jhat_parts(gu, gv, h))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        [hN] = _normal_parts([h.v], gu.v, gv.v, R4.dot, (E.v, F.v, G.v, W2.v))
+    a = _vec_norm(hN) / r
 
     # g's curvature data gives the fallback xi and the g-holomorphic flag
     fd_g = fundamental_data(s.g)
@@ -159,9 +163,9 @@ def _assemble(s) -> _FieldContext:
     unit2 = unit * unit
     return _FieldContext(
         sample=s, norms=norms, unit=unit, E=E.v * unit2, F=F.v * unit2,
-        G=G.v * unit2, r=r * unit, ru=ru * unit, rv=rv * unit, a=a,
-        turn_t=turn_t.scaled(unit), turn_n=turn_n.scaled(unit), fd_g=fd_g,
-        g_collapse=_g_collapse(fd_g))
+        G=G.v * unit2, r=r * unit, ru=ru * unit, rv=rv * unit,
+        hN=hN * unit, a=a, turn_t=turn_t.scaled(unit),
+        turn_n=turn_n.scaled(unit), fd_g=fd_g, g_collapse=_g_collapse(fd_g))
 
 
 def _g_collapse(fd_g):
@@ -189,8 +193,7 @@ def _flags(ctx: _FieldContext, sign, phi: Jet2) -> np.ndarray:
     # looking like a (tiny) immersion.  E, F, G round as in fundamental_data
     # and scale >= its scale, so each row it calls irregular is flagged here
     pu, pv = phi.du, phi.dv
-    E, F, G = R4.dot(pu, pu), R4.dot(pu, pv), R4.dot(pv, pv)
-    det1 = E * G - F * F
+    E, F, G, det1 = _gram(pu, pv, R4.dot)
     scale = _largest(np.sqrt(E), np.sqrt(G), *ctx.norms)
     rank_def = det1 <= REGULARITY_FLOOR * _pypow(scale, 4)
     return (FLAG_A_SMALL * (ctx.a < A_SMALL)
@@ -288,10 +291,9 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
     # the coefficients (p, q) of grad r are (ru, rv) / E, and those of
     # Z = -J grad r are (-q, p); xi = -h^N / (a r), or g's first normal
     # where a is at its floor
-    [hN] = _normal_parts([s.h.v], gu, gv, _blas_dot)
     with np.errstate(divide="ignore", invalid="ignore"):
         grad_u, grad_v = ctx.ru / ctx.E, ctx.rv / ctx.E
-        xi = -hN / (a * r)
+        xi = -ctx.hN / (a * r)
     fallback = a <= FRAME_FLOOR
     if np.any(fallback):
         xi = np.where(fallback, ctx.fd_g.n1, xi)
@@ -304,7 +306,7 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
         fr = adapted_frame(fd)
         mu[ps.sign] = fr.mu
         H = fd.H
-        lam2 = _blas_dot(H, H)
+        lam2 = R4.dot(H, H)
         center[ps.sign] = _vec_norm(ps.phi.v + H / lam2 - g_val) / ctx.unit
         forms[ps.sign] = (fd.E, fd.F, fd.G)
         rho = _pypow(r * fr.mu / np.where(conformal_ok, a, 1.0), 2)
@@ -312,7 +314,7 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
             abs(ctx.E - rho * fd.E), abs(ctx.F - rho * fd.F),
             abs(ctx.G - rho * fd.G)) / _pypow(ctx.unit, 2), np.nan)[()]
         tangency[ps.sign] = _largest(
-            *(abs(_blas_dot(zeta_c, w)) / _vec_norm(w)
+            *(abs(R4.dot(zeta_c, w)) / _vec_norm(w)
               for w in (ps.phi.du, ps.phi.dv, H)))
     metric = None
     if len(built) == 2:
@@ -335,7 +337,7 @@ def translation_check(pair: MinimalPair, offset, points):
     moved = build_phi_pair(pair.translated(offset), z)
     shift = np.concatenate([_vec_norm(m.phi.v - b.phi.v)
                             for b, m in zip(build_phi_pair(pair, z), moved)])
-    return float(np.abs(shift - np.linalg.norm(offset)).max(initial=0.0))
+    return float(np.abs(shift - _vec_norm(offset)).max(initial=0.0))
 
 
 def reflection_pair_check(pair: MinimalPair, points):

@@ -21,7 +21,8 @@ import numpy as np
 from .construct import (FLAG_DEGENERATE_SAMPLE, FLAG_OUT_OF_DOMAIN,
                         build_phi_pair, check_sign)
 from .errors import PreconditionError
-from .geometry import ellipse_descriptor, fundamental_data
+from .geometry import (R4, _matvec, _vec_norm, ellipse_descriptor,
+                       fundamental_data)
 from .jets import row_failures
 
 CSV_HEADER = "u,v,x0,x1,x2,x3,K,KN_abs,Hnorm,mu,res_orth,res_len,wintgen,a,flags"
@@ -518,27 +519,25 @@ def stereo_projector(pole=(0.0, 0.0, 0.0, 1.0)):
         raise PreconditionError("pole must be a 4-vector")
     if not np.isfinite(p).all():
         raise PreconditionError("pole must be finite")
-    R = float(np.linalg.norm(p))
+    R = float(_vec_norm(p))
     if R <= 0.0:
         raise PreconditionError("pole must be nonzero")
     axis = p / R
     basis = []
     for e in np.eye(4):
-        w = e - (e @ axis) * axis
+        w = e - R4.dot(e, axis) * axis
         for b in basis:
-            w = w - (w @ b) * b
-        nw = np.linalg.norm(w)
+            w = w - R4.dot(w, b) * b
+        nw = _vec_norm(w)
         if nw > 1e-12:
             basis.append(w / nw)
     B = np.array(basis[:3])
 
     def project(x):
-        # stacked matmul sums each row as the one-vector x @ axis and B @ x
-        # do, bit for bit; X @ axis and X @ B.T do not
-        den = R - np.matmul(x[:, None, :], axis[:, None])[:, 0, 0]
+        den = R - R4.dot(x.T, axis[:, None])
         ok = ~(abs(den) <= 1e-12 * np.fmax(R, np.abs(x).max(axis=1)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            y = (R / den)[:, None] * np.matmul(B, x[:, :, None])[:, :, 0]
+            y = (R / den)[:, None] * _matvec(B, x.T).T
         return y, ok
 
     return project

@@ -6,9 +6,9 @@ space in L5 with the (+,+,+,+,-) product).  The kernel computes on the
 sample's own (dim, n) slots, component axis first and batch axis last, and
 every vector field it returns has that layout.  An inner product sums the
 component rows of a product in order from 0.0, 0.0 + p[0] + p[1] + ...,
-which rounds as a sum along a trailing axis of fewer than 8 entries;
-_blas_dot and _vec_norm, which round as BLAS does, take (dim, n) batches
-too and make the (n, dim) rows of their BLAS call themselves.  Outputs:
+which rounds as a sum along a trailing axis of fewer than 8 entries.
+That is the package's one inner product: no product goes through BLAS, so
+no bit depends on which BLAS kernel the machine runs.  Outputs:
 fundamental forms, curvature invariants, the ellipse of curvature with
 its circularity residuals and Wintgen defect (one record), and the adapted
 tangent/normal frame in which both shape operators take their normal
@@ -137,7 +137,7 @@ class Ambient:
         P = self._chart(P, 5, "space-form points")
         d = P - self.center_vec()[:, None]
         res = self.on_manifold_residual(P)
-        fail_rows(res > 1e-9 * _blas_dot(d, d),
+        fail_rows(res > 1e-9 * R4.dot(d, d),
                   lambda k: ProjectionError(
                       f"point is off the {self.kind} space form "
                       f"(residual {res[k]:.3e})"))
@@ -145,7 +145,7 @@ class Ambient:
         if self.kind == "sphere":
             c = 2.0 * r * _E5[:, None]
             d = P - c
-            q = _blas_dot(d, d)
+            q = R4.dot(d, d)
             fail_rows(q <= DIV_FLOOR * r * r,
                       lambda k: ProjectionError(
                           "the point opposite the image plane has no image"))
@@ -164,8 +164,8 @@ class Ambient:
         if self.kind == "sphere":
             c = 2.0 * r * _E5[:, None]
             d = np.concatenate((x, np.zeros((1, x.shape[1])))) - c
-            return c + 4.0 * r * r / _blas_dot(d, d) * d
-        n2 = _blas_dot(x, x)
+            return c + 4.0 * r * r / R4.dot(d, d) * d
+        n2 = R4.dot(x, x)
         fail_rows(n2 >= 4.0 * r * r, lambda k: ProjectionError(
             f"the hyperbolic model fills the open ball of radius "
             f"{2.0 * r:g}; |x| = {np.sqrt(n2[k]):.6g} falls outside"))
@@ -231,22 +231,30 @@ class AdaptedFrame:
     zeta_oriented: np.ndarray
 
 
+def _gram(Xu, Xv, dot):
+    """(E, F, G, EG - F^2) of Xu, Xv under the inner product dot."""
+    E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
+    return E, F, G, E * G - F * F
+
+
+def _gram_solve(rhs_u, rhs_v, gram):
+    """The coefficients (a, b) with [[E, F], [F, G]] (a, b) = (rhs_u,
+    rhs_v), gram being (E, F, G, EG - F^2), by Cramer's rule."""
+    E, F, G, det1 = gram
+    return (rhs_u * G - rhs_v * F) / det1, (rhs_v * E - rhs_u * F) / det1
+
+
 def _normal_parts(ws, Xu, Xv, dot, gram=None):
     """Each w of ws minus its projection onto span{Xu, Xv} under the inner
     product dot; the Gram system is solved in closed form, so entries may be
     vector Jet2 (scaled vector first, as its components would be), or
     arrays with a dot whose result broadcasts against them.  gram, if
-    given, is (E, F, G, EG - F^2) of Xu, Xv already computed."""
+    given, is _gram of Xu, Xv already computed."""
     if gram is None:
-        E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
-        gram = E, F, G, E * G - F * F
-    E, F, G, det1 = gram
+        gram = _gram(Xu, Xv, dot)
     out = []
     for w in ws:
-        rhs_u = dot(w, Xu)
-        rhs_v = dot(w, Xv)
-        a = (rhs_u * G - rhs_v * F) / det1
-        b = (rhs_v * E - rhs_u * F) / det1
+        a, b = _gram_solve(dot(w, Xu), dot(w, Xv), gram)
         out.append(w - (Xu * a + Xv * b))
     return out
 
@@ -276,26 +284,16 @@ def _sqrt0(x):
     return np.sqrt(np.maximum(x, 0.0))
 
 
-def _blas_dot(a, b):
-    """The inner product of every column of two (dim, n) batches of
-    vectors, either one a broadcast (dim, 1) constant: the BLAS dot numpy
-    makes for one pair of vectors, on their C-contiguous (n, dim) rows, which
-    rounds differently from a sum along the component axis."""
-    rows_a = _rows(a)
-    rows_b = rows_a if b is a else _rows(b)
-    return np.matmul(rows_a[:, None, :], rows_b[:, :, None])[:, 0, 0]
-
-
 def _vec_norm(x):
-    """np.linalg.norm of every column of a (dim, n) batch, rounded as
-    np.linalg.norm rounds one vector."""
-    return np.sqrt(_blas_dot(x, x))
+    """The Euclidean norm of every column of a (dim, n) batch, or of one
+    vector: the square root of R4.dot's component sum."""
+    return np.sqrt(R4.dot(x, x))
 
 
-def _rows(x):
-    """A (dim, n) batch of vectors as C-contiguous (n, dim) rows, the
-    layout of _blas_dot's BLAS call."""
-    return np.ascontiguousarray(x.T)
+def _matvec(M, x):
+    """M x for a matrix M, (m, dim), and every column of x, (dim, n), each
+    entry the component sum of R4.dot."""
+    return R4.dot(M.T[:, :, None], x[:, None])
 
 
 # index pairs (i, j), i < j, of the six components of a 2-form on R4
@@ -349,8 +347,7 @@ def fundamental_data(sample, ambient=R4):
     # a slot that is constant in every component broadcasts over the batch
     x, Xu, Xv, Xuu, Xuv, Xvv = np.broadcast_arrays(*sample.slots)
     dot = ambient.dot
-    E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
-    det1 = E * G - F * F
+    gram = E, F, G, det1 = _gram(Xu, Xv, dot)
     scale = np.abs(np.concatenate((Xu, Xv))).max(axis=0)
     singular = det1 <= REGULARITY_FLOOR * _pypow(scale, 4)
 
@@ -360,8 +357,7 @@ def fundamental_data(sample, ambient=R4):
     ws = np.empty((dim, 3 + dim, n))
     ws[:, 0], ws[:, 1], ws[:, 2] = Xuu, Xuv, Xvv
     ws[:, 3:] = np.eye(dim)[..., None]
-    [normal] = _normal_parts([ws], Xu[:, None], Xv[:, None], dot,
-                             (E, F, G, det1))
+    [normal] = _normal_parts([ws], Xu[:, None], Xv[:, None], dot, gram)
     B, P = normal[:, :3], normal[:, 3:]
     if ambient.kind != "r4":
         R = ((x - ambient.center_vec()[:, None]) / ambient.radius)[:, None]
@@ -414,13 +410,12 @@ def fundamental_data(sample, ambient=R4):
     flip = _orientation(Y1, Y2, n1, n2, ambient, x) < 0
     n2 = np.where(flip, -n2, n2)
 
-    # shape operators of n1 and n2, entries (alpha11, alpha12, alpha12,
-    # alpha22) . n, as (n, 2, 2, 2) C-contiguous matrices for the products
-    alphas = np.stack((alpha11, alpha12, alpha12, alpha22), axis=1)[:, None]
-    c = dot(alphas, np.stack((n1, n2), axis=1)[:, :, None])
-    A = np.ascontiguousarray(np.moveaxis(c, -1, 0)).reshape(-1, 2, 2, 2)
-    A1, A2 = A[:, 0], A[:, 1]
-    K_N = (A1 @ A2 - A2 @ A1)[:, 1, 0]
+    # the commutator entry [A_n1, A_n2]_21 of the two shape operators,
+    # <alpha12, n1> <alpha11 - alpha22, n2> - <alpha12, n2> <alpha11 -
+    # alpha22, n1>, its four products in one pass
+    c = dot(np.stack((alpha12, alpha11 - alpha22), axis=1)[:, :, None],
+            np.stack((n1, n2), axis=1)[:, None])
+    K_N = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
 
     return FundamentalData(
         ambient=ambient, E=E, F=F, G=G, det1=det1,
@@ -438,6 +433,12 @@ def _sym2(a, b, c):
     return np.stack((np.stack((a, b), -1), np.stack((b, c), -1)), -2)
 
 
+def _mat2(A, B):
+    """The products A B of two batches of 2x2 matrices, (..., 2, 2) each,
+    entry (i, j) the terms 0.0 + A_i0 B_0j + A_i1 B_1j in that order."""
+    return 0.0 + A[..., :, :1] * B[..., :1, :] + A[..., :, 1:] * B[..., 1:, :]
+
+
 def shape_matrix(fd, nu):
     """Shape operator of the normal direction nu on the orthonormal tangent
     basis, as a symmetric 2x2 matrix per row."""
@@ -450,16 +451,14 @@ def _coord_shape(Xu, Xv, seconds, nu, dot):
     """Shape operator of the normal nu on the coordinate basis, per point,
     from the first and the (uu, uv, vv) second partials, (dim, n) each,
     under the inner product dot, which reduces along the component axis."""
-    E, F, G = dot(Xu, Xu), dot(Xu, Xv), dot(Xv, Xv)
-    det1 = E * G - F * F
+    gram = E, F, G, det1 = _gram(Xu, Xv, dot)
     fail_rows(~(det1 > REGULARITY_FLOOR * abs(E * G)),
               lambda k: SingularSampleError(
                   "sample is not a spacelike immersion; induced metric "
                   "degenerates"))
     p, q, r = (dot(w, nu) for w in seconds)
-    # [[E, F], [F, G]]^-1 [[p, q], [q, r]] by Cramer's rule, built transposed
-    return (np.array([[G * p - F * q, E * q - F * p],
-                      [G * q - F * r, E * r - F * q]]) / det1).T
+    # [[E, F], [F, G]]^-1 [[p, q], [q, r]], one column per solve, transposed
+    return np.array([_gram_solve(p, q, gram), _gram_solve(q, r, gram)]).T
 
 
 def _ellipse_axes(fd):
@@ -549,11 +548,11 @@ def adapted_frame(fd):
     ct, st = np.cos(t), np.sin(t)
     R = np.stack((np.stack((ct, -st), -1), np.stack((st, ct), -1)), -2)
     Rt = np.swapaxes(R, -1, -2)
-    Ae = Rt @ A_eta @ R
+    Ae = _mat2(_mat2(Rt, A_eta), R)
     Y1 = ct * fd.Y1 + st * fd.Y2
     Y2 = -st * fd.Y1 + ct * fd.Y2
 
-    A_z0 = Rt @ shape_matrix(fd, zeta0) @ R
+    A_z0 = _mat2(_mat2(Rt, shape_matrix(fd, zeta0)), R)
     flip = np.logical_not(A_z0[..., 0, 0] >= 0)
     zeta = np.where(flip, -zeta0, zeta0)
     A_z = np.where(flip[..., None, None], -A_z0, A_z0)

@@ -38,8 +38,8 @@ from .errors import (DualitySingularError, EvaluationError,
                      NotNullCurveError, PreconditionError, ProjectionError,
                      SingularSampleError)
 from .expr import Bin, Curve, CurveExpr, Pow, const_node
-from .geometry import (CIRCULAR_TOL, DIV_FLOOR, R4, Ambient, _blas_dot,
-                       _coord_shape, _largest, _normal_parts, _vec_norm,
+from .geometry import (CIRCULAR_TOL, DIV_FLOOR, R4, Ambient, _coord_shape,
+                       _gram, _largest, _normal_parts, _vec_norm,
                        ellipse_descriptor, fundamental_data)
 from .jets import (Jet2, _im_part, _re_part, fail_rows, graph_surface,
                    row_failures)
@@ -47,11 +47,10 @@ from .minimal import HolomorphicCurve
 
 SIGNATURES = ("euclidean", "lorentzian")
 
-# multiplication by i on R4 = C2 with coordinates paired (x1+ix2, x3+ix4)
-J_AMB = np.array([[0.0, -1.0, 0.0, 0.0],
-                  [1.0, 0.0, 0.0, 0.0],
-                  [0.0, 0.0, 0.0, -1.0],
-                  [0.0, 0.0, 1.0, 0.0]])
+# multiplication by i on R4 = C2 with coordinates paired (x1+ix2, x3+ix4):
+# (J x)_k = _J_SIGN_k x_(_J_INDEX_k), an exact signed permutation
+_J_INDEX = np.array([1, 0, 3, 2], np.intp)
+_J_SIGN = np.array([-1.0, 1, -1, 1])[:, None]
 
 _HYPERBOLIC = Ambient("hyperbolic")
 
@@ -261,18 +260,17 @@ def duality(curve, z):
                   f"z = {complex(z[k])}; the dual is undefined"))
     fstar = fN * (0.5 / n2)
     Fu, Fv = fstar.du, fstar.dv
-    E, F, G = _blas_dot(Fu, Fu), _blas_dot(Fu, Fv), _blas_dot(Fv, Fv)
+    gram = E, F, G, _ = _gram(Fu, Fv, R4.dot)
     sc = _largest(np.sqrt(E), np.sqrt(G), 1e-300)
-    # J_AMB's entries are 0 and +-1, so these products are exact
-    r1 = Fv + J_AMB @ Fu
-    r2 = -Fu + J_AMB @ Fv
+    r1 = Fv + _J_SIGN * Fu[_J_INDEX]
+    r2 = -Fu + _J_SIGN * Fv[_J_INDEX]
     antiholo = np.maximum(np.abs(r1).max(axis=0), np.abs(r2).max(axis=0)) / sc
     conformality = (np.maximum(abs(E - G), 2.0 * abs(F))
                     / _largest(E, G, 1e-300))
     value = fstar.v
-    [FN] = _normal_parts([value], Fu, Fv, _blas_dot)
-    nn = _blas_dot(FN, FN)
-    fail_rows(nn <= 1e-24 * _blas_dot(value, value),
+    [FN] = _normal_parts([value], Fu, Fv, R4.dot, gram)
+    nn = R4.dot(FN, FN)
+    fail_rows(nn <= 1e-24 * R4.dot(value, value),
               lambda k: DualitySingularError(
                   f"dual of {curve.name} is itself tangential at "
                   f"z = {complex(z[k])}"))
@@ -288,8 +286,8 @@ def duality(curve, z):
 def _complex_square(g, h):
     """<<G, G>> = |g|^2 - |h|^2 + 2i <g, h> of G = g + i h at every point,
     and its scale |g|^2 + |h|^2 there."""
-    gg, hh = _blas_dot(g, g), _blas_dot(h, h)
-    return (gg - hh) + 2j * _blas_dot(g, h), gg + hh
+    gg, hh = R4.dot(g, g), R4.dot(h, h)
+    return (gg - hh) + 2j * R4.dot(g, h), gg + hh
 
 
 @dataclass(frozen=True)
@@ -447,7 +445,7 @@ def recover_complex_structure(pair, points):
             w2 = -w2
         J = J + np.outer(w2, w1) - np.outer(w1, w2)
 
-    xscale = max(np.sqrt(_blas_dot(X.T, X.T).max()), 1e-300)
+    xscale = max(_vec_norm(X.T).max(), 1e-300)
     misfits = _vec_norm((np.matmul(J, X[..., None])[..., 0] - Y).T) / xscale
     return ComplexStructureReport(
         matrix=J,
@@ -481,7 +479,7 @@ def degenerate_collapse_check(pair, points):
     fail_rows(~fd.regular, lambda k: SingularSampleError(
         "g is singular at a sample point"))
     g = built[0].ctx.sample.g
-    [gN] = _normal_parts([g.v], g.du, g.dv, _blas_dot)
+    [gN] = _normal_parts([g.v], g.du, g.dv, R4.dot)
     vals = {ps.sign: ps.phi.v for ps in built}
     companion = {s: _vec_norm(v - 2.0 * gN).max(initial=0.0)
                  for s, v in vals.items()}

@@ -13,7 +13,7 @@ from superconf.construct import (FLAG_A_SMALL, FLAG_G_HOLOMORPHIC,
 from superconf.errors import (DegenerateJetError, FrameDegenerateError,
                               FrameUndefinedError, PreconditionError,
                               SingularSampleError)
-from superconf.geometry import (_PAIRS, FRAME_FLOOR, _blas_dot, _normal_parts,
+from superconf.geometry import (_PAIRS, FRAME_FLOOR, R4, _normal_parts,
                                 _rank_deficient, _sqrt0, _sym2, _vec_norm,
                                 ellipse_descriptor, fundamental_data,
                                 unit_scale)
@@ -31,8 +31,8 @@ def _col(x):
 
 
 def _row_dot(a, b):
-    """_blas_dot of two batches given as (n, dim) rows."""
-    return _blas_dot(a.T, b.T)
+    """R4.dot of two batches given as (n, dim) rows."""
+    return R4.dot(a.T, b.T)
 
 
 def field_jets(s):
@@ -242,14 +242,22 @@ def jet_route_values(s):
     r = r2.sqrt()
     ru = (-gv).dot(h) / r
     rv = gu.dot(h) / r
-    a = _sqrt0(1.0 - ((ru * ru + rv * rv) / E).v)
-    1.0 / (E * G - F * F).sqrt()    # the sqrt(EG - F^2) floor, in its place
+    1.0 / E                         # the E division floor, in its place
+    W2 = E * G - F * F
+    1.0 / W2.sqrt()                 # the sqrt(EG - F^2) floor, in its place
+    # h^N from the value slots, its Gram coefficients by Cramer's rule
+    hu, hv = gu.dot(h).v, gv.dot(h).v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cu = (hu * G.v - hv * F.v) / W2.v
+        cv = (hv * E.v - hu * F.v) / W2.v
+    hN = h.v - (gu.v * cu + gv.v * cv)
+    a = np.sqrt(R4.dot(hN, hN)) / r.v
     fd_g = fundamental_data(s.g)
     fail_rows((a <= FRAME_FLOOR) & ~fd_g.regular, _rank_deficient(fd_g))
     out = {k: x.v * (unit * unit) for k, x in zip("EFG", (E, F, G))}
     out.update({k: x.v * unit
                 for k, x in zip(("r", "ru", "rv"), (r, ru, rv))})
-    return dict(out, a=a, unit=unit)
+    return dict(out, hN=hN * unit, a=a, unit=unit)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -624,7 +632,7 @@ def test_dual_pair_report_matches_the_decomposition_oracle(catenoid):
         [zeta_c] = fr.Z_ambient + _col(fr.a) * fr.xi
         for ps in build_phi_pair(catenoid, z):
             fd = fundamental_data(ps.phi)
-            want = max(abs(zeta_c @ w) / np.linalg.norm(w)
+            want = max(abs(R4.dot(zeta_c, w)) / _vec_norm(w)
                        for [w] in (fd.Xu.T, fd.Xv.T, fd.H.T))
             assert rep.tangency_residual[ps.sign] == pytest.approx(
                 want, rel=1e-12, abs=1e-300)

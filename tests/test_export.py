@@ -361,27 +361,35 @@ def reference_mesh_dict(samples, nu, nv):
             "vertices": vertices, "quads": quads}
 
 
+def left_fold_dot(a, b):
+    """The inner product of two vectors as Python floats, 0.0 + a0 b0 +
+    a1 b1 + ... in component order."""
+    total = 0.0
+    for x, y in zip(*(np.asarray(v, float).tolist() for v in (a, b))):
+        total = total + x * y
+    return total
+
+
 def reference_stereo(pole):
     """One vertex at a time; None on the horizon."""
     p = np.asarray(pole, dtype=float)
-    R = float(np.linalg.norm(p))
+    R = math.sqrt(left_fold_dot(p, p))
     axis = p / R
     basis = []
     for e in np.eye(4):
-        w = e - (e @ axis) * axis
+        w = e - left_fold_dot(e, axis) * axis
         for b in basis:
-            w = w - (w @ b) * b
-        nw = np.linalg.norm(w)
+            w = w - left_fold_dot(w, b) * b
+        nw = math.sqrt(left_fold_dot(w, w))
         if nw > 1e-12:
             basis.append(w / nw)
-    B = np.array(basis[:3])
 
     def project(x):
         x = np.asarray(x, dtype=float)
-        den = R - x @ axis
+        den = R - left_fold_dot(x, axis)
         if abs(den) <= 1e-12 * max(R, float(np.abs(x).max())):
             return None
-        return (R / den) * (B @ x)
+        return (R / den) * np.array([left_fold_dot(b, x) for b in basis[:3]])
 
     return project
 

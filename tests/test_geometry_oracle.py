@@ -3,7 +3,10 @@
 The oracle below is that kernel as it stood, with the floors of the
 scale rule: every slot copied into an (n, dim) transpose and every inner
 product a reduction over the trailing component axis, with the frame's
-orientation from LAPACK's det.  The kernel
+orientation from LAPACK's det.  Its sums follow the kernel's one rounding
+rule: K_N is the commutator entry written as its two products of inner
+products, and the adapted frame's rotations are 2x2 products written term
+by term, so no field depends on the BLAS kernel.  The kernel
 must give its bits, signed zeros, nan and inf included, on every kind of
 input it meets, in every field but these:
   - the ellipse's semi_major, semi_minor and mu, which the kernel takes in
@@ -28,9 +31,8 @@ from superconf.errors import PreconditionError
 from superconf.geometry import (
     CIRCULAR_TOL, FRAME_FLOOR, PATTERN_TOL, R4, REGULARITY_FLOOR, Ambient,
     FundamentalData,
-    _blas_dot, _largest, _normal_parts, _pypow, _rank_deficient, _sqrt0,
-    _sym2, _vec_norm, adapted_frame, ellipse_descriptor, fundamental_data,
-    unit_scale)
+    _largest, _normal_parts, _pypow, _rank_deficient, _sqrt0, _sym2,
+    adapted_frame, ellipse_descriptor, fundamental_data, unit_scale)
 from superconf.jets import Jet2, fail_rows, row_failures
 from test_geometry import clifford_s4, flat_torus_h4, great_sphere_s4
 
@@ -130,13 +132,11 @@ def oracle_fundamental_data(sample, ambient=R4):
     flip = np.linalg.det(frame) < 0
     n2 = np.where(flip[:, None], -n2, n2)
 
-    alphas = np.concatenate((alpha11[:, None], alpha12[:, None],
-                             alpha22[:, None]), axis=1)[:, None]
-    c = dot(alphas, np.concatenate((n1[:, None, None], n2[:, None, None]),
-                                   axis=1))[..., 0]
-    A = c[..., [0, 1, 1, 2]].reshape(-1, 2, 2, 2)
-    A1, A2 = A[:, 0], A[:, 1]
-    K_N = (A1 @ A2 - A2 @ A1)[:, 1, 0]
+    # [A_n1, A_n2]_21 = c1 (b2 - d2) - c2 (b1 - d1) for the shape operators
+    # A_nk = [[bk, ck], [ck, dk]] of n1 and n2
+    diff = alpha11 - alpha22
+    K_N = (dot(alpha12, n1) * dot(diff, n2)
+           - dot(alpha12, n2) * dot(diff, n1))[:, 0]
 
     return RowsData(
         ambient=ambient, E=E[:, 0], F=F[:, 0], G=G[:, 0], det1=det1[:, 0],
@@ -192,6 +192,17 @@ def oracle_superconformality_test(fd):
     }, gen
 
 
+def mat2(A, B):
+    """A @ B over a batch of 2x2 matrices, each entry summed from 0.0 in
+    the order of the inner index."""
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape))
+    for i in range(2):
+        for j in range(2):
+            out[..., i, j] = (0.0 + A[..., i, 0] * B[..., 0, j]
+                              + A[..., i, 1] * B[..., 1, j])
+    return out
+
+
 def oracle_adapted_frame(fd):
     dot = partial(rows_dot, fd.ambient)
     fail_rows(np.logical_not(fd.regular), _rank_deficient(fd))
@@ -212,12 +223,12 @@ def oracle_adapted_frame(fd):
     ct, st = np.cos(t), np.sin(t)
     R = np.stack((np.stack((ct, -st), -1), np.stack((st, ct), -1)), -2)
     Rt = np.swapaxes(R, -1, -2)
-    Ae = Rt @ A_eta @ R
+    Ae = mat2(mat2(Rt, A_eta), R)
     ct, st = _col(ct), _col(st)
     Y1 = ct * fd.Y1 + st * fd.Y2
     Y2 = -st * fd.Y1 + ct * fd.Y2
 
-    A_z0 = Rt @ oracle_shape_matrix(fd, zeta0) @ R
+    A_z0 = mat2(mat2(Rt, oracle_shape_matrix(fd, zeta0)), R)
     flip = np.logical_not(A_z0[..., 0, 0] >= 0)
     zeta = np.where(_col(flip), -zeta0, zeta0)
     A_z = np.where(flip[..., None, None], -A_z0, A_z0)
@@ -604,35 +615,3 @@ def test_fundamental_data_checks_its_input_before_broadcasting():
         fundamental_data(Slots(*[np.zeros((5, 3))] * 6))
     with pytest.raises(PreconditionError, match="4 components"):
         fundamental_data(Slots(*[np.zeros((4, 3))] * 6), Ambient("sphere"))
-
-
-# ----- the BLAS dots: (dim, n) batches against the row versions -----
-
-def rows_blas_dot(a, b):
-    """_blas_dot as it stood: a @ b for every row of two (n, dim)
-    C-contiguous batches of vectors."""
-    n = a.shape[-1]
-    return np.matmul(a[:, None, :], b.reshape(-1, n, 1))[:, 0, 0]
-
-
-def rows_vec_norm(x):
-    return np.sqrt(rows_blas_dot(x, x))
-
-
-@pytest.mark.parametrize("dim", [4, 5])
-def test_blas_dot_and_vec_norm_are_the_row_versions(dim):
-    rng = np.random.default_rng(40 + dim)
-    n = 257
-    a, b = rng.standard_normal((2, dim, n)) * 10.0 ** rng.integers(
-        -150, 150, (2, dim, n))
-    a[:, 3::11] = -0.0
-    b[:, 5::13] = -0.0
-    a[1, 4::17], b[dim - 1, 6::19] = np.nan, -np.nan
-    a[0, 7::23], b[2, 8::29] = np.inf, -np.inf
-    one = b[:, 9:10]         # a broadcast (dim, 1) constant
-    with np.errstate(all="ignore"):
-        for x, y in ((a, b), (a, a), (a, one), (one, b), (one, one)):
-            xs, ys = (_values(v) for v in np.broadcast_arrays(x, y))
-            assert bits(_blas_dot(x, y)) == bits(rows_blas_dot(xs, ys))
-        for x in (a, b, one):
-            assert bits(_vec_norm(x)) == bits(rows_vec_norm(_values(x)))

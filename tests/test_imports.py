@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every
 public function the package defines is used, every command-line option
 is passed by a test or a README example, the geometry kernel makes no
-LAPACK call, the 2-form index tables are integer arrays, the writers format
-numbers in array passes, and geometry owns the one scale rule."""
+LAPACK call, no product goes through BLAS, the 2-form index tables are
+integer arrays, the writers format numbers in array passes, and geometry
+owns the one scale rule."""
 
 import argparse
 import ast
@@ -368,13 +369,10 @@ def test_row_conversion_scan():
         ("values", "A.f")]
 
 
-# (n, dim) rows are made in geometry._rows, for the BLAS dots, and in
-# Jet2.values, for the writers, which alone call it (in export); other
-# conversions and .values() calls, each with its reason
+# (n, dim) rows are made in Jet2.values, for the writers, which alone call
+# it (in export); other conversions and .values() calls, each with its
+# reason
 ROW_CONVERSIONS_ALLOWED = {
-    # the shape operators as (n, 2, 2, 2) matrices for the BLAS products
-    # that K_N's pinned bits come from
-    "geometry.fundamental_data ascontiguousarray",
     # dicts' values
     "acceptance.criterion_2 values",
     "acceptance.criterion_3 values",
@@ -386,15 +384,14 @@ ROW_CONVERSIONS_ALLOWED = {
 
 
 def test_rows_are_made_in_one_place():
-    """np.ascontiguousarray is called in geometry._rows and Jet2.values
-    only, and .values() in export only, or where allowed above (and an
-    allowed use is still there)."""
+    """np.ascontiguousarray is called in Jet2.values only, and .values() in
+    export only, or where allowed above (and an allowed use is still
+    there)."""
     found = set()
     for path in MODULES:
         for kind, where in row_conversions(path.read_text()):
             at = f"{path.stem}.{where}"
-            if not (kind == "ascontiguousarray"
-                    and at in ("geometry._rows", "jets.Jet2.values")
+            if not (kind == "ascontiguousarray" and at == "jets.Jet2.values"
                     or kind == "values" and path.stem == "export"):
                 found.add(f"{at} {kind}")
     assert sorted(found) == sorted(ROW_CONVERSIONS_ALLOWED)
@@ -411,6 +408,69 @@ def linalg_uses(source):
                 and (n.module or "").startswith("numpy.linalg")):
             lines.append(n.lineno)
     return sorted(lines)
+
+
+# numpy's products and norms that BLAS computes, in an order its run-time
+# kernel picks
+BLAS_CALLS = {"matmul", "dot", "inner", "einsum"}
+
+
+def blas_products(source):
+    """(what, where) of each @ and each np.matmul, np.dot, np.inner,
+    np.einsum or np.linalg.norm call in source (numpy spelled np or numpy),
+    where the qualified name of the def it sits in, or '<module>'."""
+    found = []
+
+    def numpy_call(func):
+        if not isinstance(func, ast.Attribute):
+            return None
+        owner = func.value
+        if isinstance(owner, ast.Name) and owner.id in ("np", "numpy"):
+            return func.attr if func.attr in BLAS_CALLS else None
+        if (func.attr == "norm" and isinstance(owner, ast.Attribute)
+                and owner.attr == "linalg"
+                and isinstance(owner.value, ast.Name)
+                and owner.value.id in ("np", "numpy")):
+            return "linalg.norm"
+        return None
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>"
+                      else f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.BinOp) and isinstance(child.op,
+                                                           ast.MatMult):
+                found.append(("@", where))
+            elif isinstance(child, ast.Call) and numpy_call(child.func):
+                found.append((numpy_call(child.func), where))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_blas_product_scan():
+    source = ("import numpy as np\nx = a @ b\n"
+              "def f(y):\n    return np.linalg.norm(y) + numpy.dot(y, y)\n"
+              "class A:\n    def g(self, m):\n"
+              "        return np.matmul(m, m) + np.einsum('ij', m)\n"
+              "z = R4.dot(a, b) + np.inner(a, b) + x.dot(x) + norm(x)\n")
+    assert blas_products(source) == [
+        ("@", "<module>"), ("linalg.norm", "f"), ("dot", "f"),
+        ("matmul", "A.g"), ("einsum", "A.g"), ("inner", "<module>")]
+
+
+def test_no_product_goes_through_blas():
+    """Every inner product and matrix product is a component-order
+    elementwise sum (geometry.Ambient.dot and written-out terms), so no
+    output bit depends on the BLAS kernel; only
+    moebius.recover_complex_structure, whose least-squares fit is LAPACK's,
+    multiplies through BLAS."""
+    found = {f"{path.stem}.{where}" for path in MODULES
+             for _, where in blas_products(path.read_text())}
+    assert found == {"moebius.recover_complex_structure"}
 
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
@@ -447,11 +507,12 @@ def test_geometry_kernel_makes_no_lapack_call():
 
 
 def test_index_tables_are_integer_arrays():
-    """The 2-form index tables of geometry and construct are intp arrays:
-    numpy converts a list index anew on every fancy index."""
-    from superconf import construct, geometry
+    """The 2-form index tables of geometry and construct, and moebius's
+    complex-structure table, are intp arrays: numpy converts a list index
+    anew on every fancy index."""
+    from superconf import construct, geometry, moebius
     for table in (geometry._I, geometry._J, geometry._STAR,
-                  construct._TERM_A, construct._TERM_H):
+                  construct._TERM_A, construct._TERM_H, moebius._J_INDEX):
         assert isinstance(table, np.ndarray) and table.dtype == np.intp
 
 

@@ -13,14 +13,20 @@ from superconf.geometry import (DIV_FLOOR, Ambient, _normal_parts,
                                 fundamental_data)
 from superconf.jets import Jet2, fail_rows
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair, certify
-from superconf.moebius import (Inversion, J_AMB, _check_denominator,
-                               _graph_fields, degenerate_collapse_check,
+from superconf.moebius import (_J_INDEX, _J_SIGN, Inversion,
+                               _check_denominator, _graph_fields,
+                               degenerate_collapse_check,
                                duality, invert, normal_transform_check,
                                pair_transform_check, quadric_classification,
                                recover_complex_structure, superminimal_test,
                                transformed_curve)
 
 GENERIC = [1.0 + 1.0j, 2.0 - 0.5j, 4.0 + 0.8j]
+# multiplication by i on R4 = C2 with coordinates paired (x1+ix2, x3+ix4)
+J_AMB = np.array([[0.0, -1.0, 0.0, 0.0],
+                  [1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, -1.0],
+                  [0.0, 0.0, 1.0, 0.0]])
 
 
 @pytest.fixture(scope="module")
@@ -439,6 +445,11 @@ def test_pair_transform_rejects_null_quadric_pairs():
 
 
 # -- complex structure recovery -----------------------------------------------
+
+
+def test_complex_structure_table_is_the_matrix():
+    # duality applies J as a signed permutation of the components
+    assert np.array_equal(_J_SIGN * np.eye(4)[_J_INDEX], J_AMB)
 
 
 def test_recover_structure_plane_pair():

@@ -10,6 +10,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 
 from superconf.geometry import _pypow
 
@@ -52,6 +53,33 @@ def test_mean_over_point_rows_sums_in_order():
     # numpy's pairwise sum along a contiguous axis rounds apart, so the pin
     # tells the orders apart
     assert apart > 0
+
+
+@pytest.mark.parametrize("n", [1, 7, 4096])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_component_sum_is_the_left_fold(d, n):
+    """np.add.reduce(p, 0, initial=0.0) over a C-contiguous (d, n) array of
+    products is Python's left fold 0.0 + p[0] + p[1] + ... per column, bit
+    for bit: geometry.Ambient.dot and Jet2.dot, the package's one inner
+    product, and so every `construct`, `verify`, `dual`, `quadric`,
+    `project`, `certify` and `selftest` digest rest on it.  A row of -0.0
+    products sums to +0.0."""
+    rng = np.random.default_rng(30 + d + n)
+    p = rng.standard_normal((d, n)) * 10.0 ** rng.integers(-30, 31, (d, n))
+    p[:, ::5] = -0.0
+    assert p.flags.c_contiguous
+    got = np.add.reduce(p, 0, initial=0.0)
+    fold = [0.0] * n
+    for row in p.tolist():
+        fold = [total + x for total, x in zip(fold, row)]
+    assert same_bits(got, np.array(fold))
+    assert not np.signbit(got[::5]).any()
+    if d > 2 and n > 1000:
+        # the pin tells the orders apart: the reverse fold rounds elsewhere
+        reverse = [0.0] * n
+        for row in p.tolist()[::-1]:
+            reverse = [total + x for total, x in zip(reverse, row)]
+        assert not same_bits(got, np.array(reverse))
 
 
 def test_float_power_is_python_pow():

@@ -93,13 +93,11 @@ def test_a_power_of_ten_keeps_every_verdict(k, unscaled, tmp_path):
     for word, cols in columns.items():
         base = unscaled[1][word]
         assert cols["flags"] == base["flags"], word
-        # the ratios are at most of order one, so 1e-12 is relative to 1;
-        # a = sqrt(1 - |grad r|^2) is held by its square, since the sqrt
-        # turns a rounding of 1 - |grad r|^2 at a = 0 into sqrt(eps)
-        for name, power in zip(RATIOS, (1, 1, 2)):
+        # the ratios are at most of order one, so 1e-12 is relative to 1
+        for name in RATIOS:
             for got, want in zip(cols[name], base[name], strict=True):
-                assert (got == want == "nan" or abs(
-                    float(got) ** power - float(want) ** power) <= 1e-12), name
+                assert (got == want == "nan"
+                        or abs(float(got) - float(want)) <= 1e-12), name
 
 
 def test_a_scaled_null_line_is_null():
