@@ -20,16 +20,16 @@ from .construct import (SIGNS, build_phi_pair, dual_pair_report,
 from .errors import ExpressionError
 from .expr import parse_curve, print_node
 from .export import (canonical_json, grid_text, obj_text, sample_grid,
-                     stereo_projector, summarize)
+                     sample_grids, stereo_projector, summarize)
 from .geometry import (Ambient, _matvec, _normal_parts, _vec_norm,
                        ellipse_descriptor, fundamental_data)
 from .jets import fd_crosscheck
 from .minimal import (Domain, HolomorphicCurve, MinimalPair,
-                      associated_family, certify)
+                      associated_family, certify_sample)
 from .moebius import (Inversion, degenerate_collapse_check, duality, invert,
                       normal_transform_check, pair_transform_check,
-                      quadric_classification, recover_complex_structure,
-                      superminimal_test, transformed_curve)
+                      quadric_classification, superminimal_test,
+                      transformed_curve)
 
 CAT_GRID_U = (0.2, 2.0 * np.pi - 0.2, 64)
 CAT_GRID_V = (-1.5, 1.5, 64)
@@ -85,9 +85,11 @@ def criterion_2() -> CriterionResult:
     """Both constructed surfaces are superconformal; product torus is not."""
     worst = 0.0
     counts = {}
-    for name in ("catenoid-helicoid", "whitney", "q0-trig-perturbed"):
-        pair = catalog.get(name).pair
-        rows = sample_grid(pair, pair.domain.lattice(16, 16, 0.02), SIGNS)
+    names = ("catenoid-helicoid", "whitney", "q0-trig-perturbed")
+    pairs = [catalog.get(name).pair for name in names]
+    grids = sample_grids(
+        [(pair, pair.domain.lattice(16, 16, 0.02)) for pair in pairs], SIGNS)
+    for name, rows in zip(names, grids):
         pair_worst, counts[name] = _clear_worst(rows)
         worst = max(worst, pair_worst)
         if counts[name] == 0:
@@ -148,9 +150,8 @@ def criterion_5() -> CriterionResult:
     pair = catalog.get("catenoid-helicoid").pair
     tc = transformed_curve(pair.curve, 1.0, center=(0, 0, 0, 5j))
     tpair = MinimalPair(tc)
-    grid = tc.domain.grid(12, 12, margin=0.02)
-    rep = certify(tpair, grid=grid)
-    s = tpair.samples_at(grid)
+    s = tpair.samples_at(tc.domain.grid(12, 12, margin=0.02))
+    rep = certify_sample(tpair, s)
     gu, gv = s.g_u.v, s.g_v.v
     scale = np.maximum(np.maximum(_vec_norm(gu), _vec_norm(gv)), 1e-300)
     conj = max((_vec_norm(s.h.du + gv) / scale).max(),
@@ -198,9 +199,9 @@ def criterion_7() -> CriterionResult:
     passed = True
     for name in ("q0-line", "q0-trig"):
         pair = catalog.get(name).pair
-        points = pair.domain.grid(6, 6, margin=0.05)
-        rec = recover_complex_structure(pair, points)
-        col = degenerate_collapse_check(pair, points)
+        col = degenerate_collapse_check(pair,
+                                        pair.domain.grid(6, 6, margin=0.05))
+        rec = col.structure
         res = max(rec.square_residual, rec.orthogonality_residual,
                   rec.fit_residual, rec.constancy_residual)
         passed = passed and res < 1e-9 and col.variation < 1e-9 \
@@ -386,9 +387,9 @@ def criterion_12() -> CriterionResult:
     pair = catalog.get("catenoid-helicoid").pair
     lattice = Domain(0.2, 2.0 * np.pi - 0.2, -1.5, 1.5).lattice(8, 8)
     worst, n_clear = 0.0, 0
-    for k in range(8):
-        fam = associated_family(pair, k * np.pi / 8.0)
-        fam_worst, n = _clear_worst(sample_grid(fam, lattice, SIGNS))
+    for rows in sample_grids([(associated_family(pair, k * np.pi / 8.0),
+                               lattice) for k in range(8)], SIGNS):
+        fam_worst, n = _clear_worst(rows)
         worst, n_clear = max(worst, fam_worst), n_clear + n
     passed = worst < 1e-8 and n_clear > 0
     return CriterionResult(

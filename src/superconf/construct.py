@@ -36,7 +36,7 @@ from .geometry import (_I, _J, _STAR, _STAR_SIGN, A_SMALL, CIRCULAR_TOL,
                        _largest, _normal_parts, _pypow, _rank_deficient,
                        _vec_norm, adapted_frame, fundamental_data, unit_scale)
 from .jets import Jet2, _division_floor, fail_rows
-from .minimal import MinimalPair
+from .minimal import MinimalPair, SplitSample
 
 SIGNS = ("+", "-")
 
@@ -202,13 +202,21 @@ def _flags(ctx: _FieldContext, sign, phi: Jet2) -> np.ndarray:
 
 
 def build_phi_pair(pair: MinimalPair, z):
-    """Both surfaces attached to the pair, with full jets, in the order of
-    SIGNS, over the points z; one point is a batch of one.
+    """Both surfaces attached to the pair over the points z (one point is a
+    batch of one): phi_pair of the pair's sample there."""
+    return phi_pair(pair.samples_at(z))
+
+
+def phi_pair(sample: SplitSample):
+    """Both surfaces of the conjugate pair, with full jets, in the order of
+    SIGNS, over the points of its split sample, which may join the samples
+    of several pairs (SplitSample.join): every row is the same point's
+    built alone.
 
     The rows where the construction fails are recorded in the innermost
     jets.row_failures() sink (without one, the first raises), like the jets
     it is built from."""
-    ctx = _assemble(pair.samples_at(z))
+    ctx = _assemble(sample)
     base = ctx.sample.g + ctx.turn_t
     out = []
     for sign in SIGNS:

@@ -14,16 +14,17 @@ from __future__ import annotations
 import functools
 import json
 from collections import namedtuple
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .construct import (FLAG_DEGENERATE_SAMPLE, FLAG_OUT_OF_DOMAIN,
-                        build_phi_pair, check_sign)
+                        check_sign, phi_pair)
 from .errors import PreconditionError
 from .geometry import (R4, _matvec, _vec_norm, ellipse_descriptor,
                        fundamental_data)
 from .jets import row_failures
+from .minimal import SplitSample
 
 CSV_HEADER = "u,v,x0,x1,x2,x3,K,KN_abs,Hnorm,mu,res_orth,res_len,wintgen,a,flags"
 STAT_KEYS = ("K", "KN_abs", "Hnorm", "mu", "res_orth", "res_len", "wintgen", "a")
@@ -32,7 +33,7 @@ _STAT_NAMES = ("K", "KN_abs", "Hnorm", "mu", "res_orth", "res_len", "wintgen",
                "wintgen_rel", "a")
 _CSV_STATS = [_STAT_NAMES.index(k) for k in STAT_KEYS]
 
-# grid points per array pass of sample_grid, and rows per chunk of text the
+# grid points per array pass of sample_grids, and rows per chunk of text the
 # writers format; bounds the working set, while each pass pays a few
 # milliseconds of fixed numpy overhead
 BLOCK_POINTS = 512
@@ -92,55 +93,99 @@ class GridRows:
 def sample_grid(pair, lattice, signs):
     """Sample the surfaces of the given signs over a complex (nu, nv)
     lattice (minimal.Domain.lattice); one GridRows per sign, in the order of
-    signs.
+    signs.  The one job of sample_grids."""
+    return sample_grids([(pair, lattice)], signs)[0]
 
-    Rows come back in row-major order, u varying slowest.  Points outside the
-    pair's domain and points where the construction fails become flagged rows
-    rather than errors.  The grid is built in array passes over blocks of
-    BLOCK_POINTS points, each pass evaluating the curve once for all signs;
-    every row is bit-identical to the same point built alone.
+
+def sample_grids(jobs, signs):
+    """Sample the surfaces of the given signs for each job, a (pair,
+    lattice) with the lattice as in sample_grid; per job, one GridRows per
+    sign, in the order of signs.
+
+    Rows come back in row-major order, u varying slowest.  Points outside a
+    pair's domain and points where the construction fails become flagged
+    rows rather than errors.  The jobs' points are walked in order, in
+    blocks of at most BLOCK_POINTS points that may span several jobs: each
+    job's part of a block is evaluated and split once for all signs, and
+    the block's joined sample is assembled and filled in one pass.  Every
+    row is bit-identical to the same point built alone.
     """
-    if min(lattice.shape) < 2:
-        raise PreconditionError("grid needs at least 2 points per axis")
+    for _, lattice in jobs:
+        if min(lattice.shape) < 2:
+            raise PreconditionError("grid needs at least 2 points per axis")
     for sign in signs:
         check_sign(sign)
-    z = lattice.ravel()
-    rows = [GridRows(lattice) for _ in signs]
-    index = np.arange(z.size)
-    for start in _block_starts(z.size):
-        _sample_block(pair, signs, rows, z, index[start:start + BLOCK_POINTS])
+    rows = [[GridRows(lattice) for _ in signs] for _, lattice in jobs]
+    points = [(pair, lattice.ravel()) for pair, lattice in jobs]
+    for block in _job_blocks([z.size for _, z in points]):
+        _sample_block(points, rows, signs, block)
     return rows
 
 
-def _sample_block(pair, signs, rows, z, block):
-    """Fill the rows of every sign at the grid points z[block]."""
-    at = block[pair.domain.contains(z[block])]
-    if not at.size:
-        return
-    with np.errstate(all="ignore"), row_failures(at.size) as failed:
-        built = {ps.sign: ps for ps in build_phi_pair(pair, z[at])}
-        for sign, sign_rows in zip(signs, rows):
-            _fill_rows(sign_rows, at, built[sign], failed)
+def _job_blocks(sizes):
+    """The walk through the points of jobs of the given sizes, in order, in
+    blocks of at most BLOCK_POINTS points: each block a list of (job, lo,
+    hi), the job's points lo..hi - 1 that it holds."""
+    ends = list(accumulate(sizes))
+    starts = [0] + ends[:-1]
+    for lo in _block_starts(sum(sizes)):
+        hi = lo + BLOCK_POINTS
+        yield [(job, max(lo, a) - a, min(hi, b) - a)
+               for job, (a, b) in enumerate(zip(starts, ends))
+               if max(lo, a) < min(hi, b)]
 
 
-def _fill_rows(rows, at, ps, failed):
-    """Flags, positions and stats of one sign at the rows at, a block's
-    points inside the domain, from their built surface ps."""
+def _sample_block(points, rows, signs, block):
+    """Fill the rows of every sign at the points of a block, each job's
+    points inside its pair's domain sampled under its own row_failures()
+    sink, then joined for one construction pass."""
+    parts, part_failures, targets = [], [], []
+    with np.errstate(all="ignore"):
+        for job, lo, hi in block:
+            pair, z = points[job]
+            at = np.arange(lo, hi)
+            at = at[pair.domain.contains(z[at])]
+            if at.size:
+                with row_failures(at.size) as sampled:
+                    parts.append(pair.samples_at(z[at]))
+                part_failures.append(sampled.rows())
+                targets.append((rows[job], at))
+        if not parts:
+            return
+        sample = SplitSample.join(parts)
+        del parts
+        with row_failures(sample.z.size) as built_failures:
+            built = {ps.sign: ps for ps in phi_pair(sample)}
+        failed = np.concatenate(part_failures) | built_failures.rows()
+        for k, sign in enumerate(signs):
+            _fill_rows([(job_rows[k], at) for job_rows, at in targets],
+                       built[sign], failed)
+
+
+def _fill_rows(targets, ps, failed):
+    """Flags, positions and stats of one sign from its built surface ps
+    over a block's joined sample; targets are the (GridRows, rows) of the
+    sample's points in turn, the points inside the domain of each job."""
     phi = ps.phi
     fd = fundamental_data(phi)
     ed = ellipse_descriptor(fd)
     position = phi.values()
     # a position past the float range has no values to write either
-    flags = np.where(failed.rows() | ~np.isfinite(position).all(axis=1),
+    flags = np.where(failed | ~np.isfinite(position).all(axis=1),
                      FLAG_DEGENERATE_SAMPLE, ps.flags)
     placed = flags < FLAG_OUT_OF_DOMAIN
     stated = placed & fd.regular
-    rows.flags[at] = flags
-    rows.position[at[placed]] = position[placed]
-    rows.has_stats[at] = stated
-    rows.stats[at[stated]] = np.column_stack((
+    stats = np.column_stack((
         fd.K, abs(fd.K_N), fd.lam, ed.mu, ed.res_orth, ed.res_len,
-        ed.wintgen_defect, ed.wintgen_defect_rel, ps.ctx.a))[stated]
+        ed.wintgen_defect, ed.wintgen_defect_rel, ps.ctx.a))
+    lo = 0
+    for rows, at in targets:
+        part = slice(lo, lo + at.size)
+        lo += at.size
+        rows.flags[at] = flags[part]
+        rows.position[at[placed[part]]] = position[part][placed[part]]
+        rows.has_stats[at] = stated[part]
+        rows.stats[at[stated[part]]] = stats[part][stated[part]]
 
 
 def summarize(samples) -> dict:

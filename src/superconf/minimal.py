@@ -118,6 +118,18 @@ class SplitSample:
     g_u: Jet2
     g_v: Jet2
 
+    @staticmethod
+    def join(samples):
+        """One sample over the points of samples in turn, each slot
+        concatenated along the points; a single sample comes back as is,
+        with no copy."""
+        if len(samples) == 1:
+            return samples[0]
+        return SplitSample(np.concatenate([s.z for s in samples]), *(
+            Jet2(*(np.concatenate(xs, axis=1) for xs in zip(*(
+                getattr(s, field).slots for s in samples))))
+            for field in ("g", "h", "g_u", "g_v")))
+
 
 class MinimalPair:
     """Conjugate minimal pair split off a holomorphic curve.
@@ -174,9 +186,18 @@ def associated_family(pair, theta):
 
 def certify(pair, grid):
     """Numeric certificate that the MinimalPair is a regular conjugate
-    minimal pair at the points of grid, an iterable of complex numbers.
+    minimal pair at the points of grid, an iterable of complex numbers;
+    certify_sample over the pair's sample there."""
+    z = np.array(list(grid), dtype=complex)
+    if not z.size:
+        raise PreconditionError("certification grid is empty")
+    return certify_sample(pair, pair.samples_at(z))
 
-    Returns max/min statistics over the grid:
+
+def certify_sample(pair, sample):
+    """The certificate of the pair at the points of its SplitSample.
+
+    Returns max/min statistics over the points:
       isotropy_max    |sum G_k'^2| relative to sum |G_k'|^2
       regularity_min  (E G - F^2) / scale^4 of the g surface
       minimality_max  |mean curvature vector| of the g surface in its units
@@ -184,11 +205,6 @@ def certify(pair, grid):
     and the verdict "ok": both maxima below 1e-8 and the minimum above
     1e-10.
     """
-    z = np.array(list(grid), dtype=complex)
-    if not z.size:
-        raise PreconditionError("certification grid is empty")
-
-    sample = pair.samples_at(z)
     # G' = g_u + i h_u = g_u - i g_v
     d = sample.g_u.v - 1j * sample.g_v.v
     herm = np.sum(np.abs(d) ** 2, axis=0)
@@ -205,7 +221,7 @@ def certify(pair, grid):
         "regularity_min": float(reg.min()),
         "minimality_max": float((fd.lam * geometry.unit_scale(fd.scale))
                                 .max()),
-        "points": int(z.size),
+        "points": int(sample.z.size),
     }
     rep["ok"] = (rep["isotropy_max"] < 1e-8 and rep["minimality_max"] < 1e-8
                  and rep["regularity_min"] > 1e-10)

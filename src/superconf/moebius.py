@@ -32,7 +32,8 @@ from functools import reduce
 
 import numpy as np
 
-from .construct import SIGNS, build_phi_pair, extract_minimal_pair, phi_value
+from .construct import (SIGNS, build_phi_pair, extract_minimal_pair, phi_pair,
+                        phi_value)
 from .errors import (DualitySingularError, EvaluationError,
                      FrameUndefinedError, InversionSingularError,
                      NotNullCurveError, PreconditionError, ProjectionError,
@@ -410,10 +411,21 @@ def recover_complex_structure(pair, points):
     fit_residual is the root-mean-square equation misfit; the constancy
     residual is the worst single-point misfit, certifying that one constant
     matrix serves the whole grid."""
+    return _complex_structure(pair, _sample(pair, points))
+
+
+def _sample(pair, points):
+    """The pair's SplitSample at the points, an iterable of complex
+    numbers; PreconditionError if there are none."""
     z = np.array(list(points), dtype=complex)
     if not z.size:
         raise PreconditionError("no sample points given")
-    s = pair.samples_at(z)
+    return pair.samples_at(z)
+
+
+def _complex_structure(pair, s):
+    """recover_complex_structure at the points of the pair's SplitSample
+    s."""
     g, h, gu, gv = s.g.v, s.h.v, s.g_u.v, s.g_v.v
     q, scale = _complex_square(g, h)
     qmax = abs(q).max(initial=0.0)
@@ -462,6 +474,7 @@ class CollapseReport:
     center: np.ndarray
     variation: float
     companion_residual: float
+    structure: ComplexStructureReport
 
 
 def degenerate_collapse_check(pair, points):
@@ -470,15 +483,17 @@ def degenerate_collapse_check(pair, points):
 
     Requires the constant complex structure to exist (same precondition as
     recover_complex_structure).  Reports which sign collapsed, the constant
-    value with its variation across the grid, and the worst distance of the
-    companion surface from 2 g^N."""
-    z = np.array(list(points), dtype=complex)
-    recover_complex_structure(pair, z)
-    built = build_phi_pair(pair, z)
+    value with its variation across the grid, the worst distance of the
+    companion surface from 2 g^N, and the structure as
+    recover_complex_structure reports it, all from one sample of the
+    pair."""
+    sample = _sample(pair, points)
+    structure = _complex_structure(pair, sample)
+    built = phi_pair(sample)
     fd = built[0].ctx.fd_g
     fail_rows(~fd.regular, lambda k: SingularSampleError(
         "g is singular at a sample point"))
-    g = built[0].ctx.sample.g
+    g = sample.g
     [gN] = _normal_parts([g.v], g.du, g.dv, R4.dot)
     vals = {ps.sign: ps.phi.v for ps in built}
     companion = {s: _vec_norm(v - 2.0 * gN).max(initial=0.0)
@@ -487,10 +502,11 @@ def degenerate_collapse_check(pair, points):
     collapsed = "+" if variation["+"] <= variation["-"] else "-"
     other = "-" if collapsed == "+" else "+"
     # the points summed one after another, as np.mean sums rows
-    center = np.add.accumulate(vals[collapsed], axis=1)[:, -1] / len(z)
+    center = np.add.accumulate(vals[collapsed], axis=1)[:, -1] / sample.z.size
     return CollapseReport(collapsed_sign=collapsed, center=center,
                           variation=float(variation[collapsed]),
-                          companion_residual=float(companion[other]))
+                          companion_residual=float(companion[other]),
+                          structure=structure)
 
 
 # -- space-form minimality ----------------------------------------------------

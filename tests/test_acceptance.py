@@ -8,9 +8,13 @@ measured geometry by a documented amount; they are asserted at face value
 and fail, with the companion checks pinning the discrepancy.
 """
 
+import numpy as np
 import pytest
 
-from superconf import acceptance
+from superconf import acceptance, catalog, construct
+from superconf.expr import CurveExpr
+from superconf.minimal import MinimalPair
+from test_cli import count_calls
 
 
 @pytest.fixture(scope="session")
@@ -112,3 +116,33 @@ def test_run_all_covers_every_criterion(results):
                     "11", "12", "13"]
     assert all(r.detail for r in results)
     assert all(type(r.passed) is bool for r in results)
+
+
+# the calls a criterion makes, counted on the call; the entries it reads
+# are loaded (and load-certified) before counting
+def test_associated_family_is_one_construction_pass(monkeypatch):
+    # the eight members' samples are joined into one 512-point pass
+    catalog.get("catenoid-helicoid")
+    contexts = count_calls(monkeypatch, construct, "_assemble")
+    assert acceptance.criterion_12().passed
+    assert [s.z.size for (s,) in contexts] == [512]
+
+
+def test_collapse_check_samples_and_fits_each_pair_once(monkeypatch):
+    # degenerate_collapse_check recovers the structure from the sample it
+    # builds the surfaces from, and criterion 7 reads it off the report
+    for name in ("q0-line", "q0-trig"):
+        catalog.get(name)
+    samples = count_calls(monkeypatch, MinimalPair, "samples_at")
+    fits = count_calls(monkeypatch, np.linalg, "lstsq")
+    assert acceptance.criterion_7().passed
+    assert [pair.name for pair, _ in samples] == ["q0-line", "q0-trig"]
+    assert len(fits) == 2
+
+
+def test_transformed_curve_is_evaluated_once(monkeypatch):
+    # certify_sample and the conjugacy check read one sample
+    catalog.get("catenoid-helicoid")
+    evals = count_calls(monkeypatch, CurveExpr, "eval_jets")
+    assert acceptance.criterion_5().passed
+    assert len(evals) == 1

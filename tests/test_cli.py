@@ -269,9 +269,9 @@ def count_calls(monkeypatch, owner, name):
     calls = []
     real = getattr(owner, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
     return calls

@@ -10,8 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from superconf import catalog, cli
-from superconf.construct import build_phi_pair
+from superconf import catalog, cli, export
+from superconf.construct import SIGNS, build_phi_pair
 from superconf.errors import (BranchCutError, DegenerateJetError,
                               EvaluationError, FrameDegenerateError,
                               PreconditionError, SingularSampleError,
@@ -22,9 +22,9 @@ from superconf.export import (_CSV_STATS, _K_MIN, _STAT_NAMES, BLOCK_POINTS,
                               FLAG_OUT_OF_DOMAIN, GridRows, _block_starts,
                               _cells, _int_cells, _lines, _quads, _tables,
                               _text, canonical_json, drop_projector,
-                              grid_text, obj_text,
-                              sample_grid, stereo_projector, summarize,
-                              write_csv, write_obj)
+                              grid_text, obj_text, sample_grid, sample_grids,
+                              stereo_projector, summarize, write_csv,
+                              write_obj)
 from superconf.geometry import ellipse_descriptor, fundamental_data
 from superconf.jets import row_failures
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
@@ -152,6 +152,43 @@ def test_grid_rows_are_bit_identical_to_points_built_alone(name):
             assert ([as_bits([slot[k] for slot in c.slots]) for c in b.phi]
                     == [as_bits([slot[0] for slot in c.slots])
                         for c in a.phi]), (name, zk)
+
+
+POLE_PAIR = MinimalPair(HolomorphicCurve(
+    "pole", "(1/(4*z), i/(4*z), z/4, i*z/4)", Domain(-1.0, 1.0, -1.0, 1.0)))
+
+
+def test_sample_grids_rows_are_each_jobs_own(monkeypatch):
+    # blocks of 16 points cut through the jobs of 35, 35, 9, 9 and 35
+    # points; every job's rows are those of its own sample_grid run, bit
+    # for bit
+    jobs = [(pair, pair.domain.lattice(*shape)) for pair, shape in (
+        (catalog.get("catenoid-helicoid").pair, (7, 5)), (holed_pair(), (7, 5)),
+        (POLE_PAIR, (3, 3)), (JET_FLOOR_PAIR, (3, 3)),
+        (catalog.get("whitney").pair, (7, 5)))]
+    alone = [sample_grid(pair, lattice, SIGNS) for pair, lattice in jobs]
+    monkeypatch.setattr(export, "BLOCK_POINTS", 16)
+    joint = sample_grids(jobs, SIGNS)
+    assert len(joint) == len(jobs)
+    for want, got in zip(alone, joint, strict=True):
+        for w, g in zip(want, got, strict=True):
+            assert g.shape == w.shape
+            assert g.flags.tolist() == w.flags.tolist()
+            assert g.has_stats.tolist() == w.has_stats.tolist()
+            assert as_bits(g.position) == as_bits(w.position)
+            assert as_bits(g.stats) == as_bits(w.stats)
+
+    # the pole pair fails its sampling, and the jet-floor pair its
+    # construction, at their lattices' centers, points 74 and 83 of the
+    # walk; their blocks, points 64-79 and 80-95, also hold the holed
+    # pair's last six rows and whitney's first eight, which keep their own
+    # flags
+    for rows in joint[2] + joint[3]:
+        assert rows.flags[4] == FLAG_DEGENERATE_SAMPLE
+    for rows in joint[1]:
+        assert (rows.flags[29:] == 0).all() and rows.has_stats[29:].all()
+    for rows in joint[4]:
+        assert not (rows.flags[:8] & FLAG_DEGENERATE_SAMPLE).any()
 
 
 def test_sample_grid_validation(catenoid):

@@ -2,8 +2,9 @@
 public function the package defines is used, every command-line option
 is passed by a test or a README example, the geometry kernel makes no
 LAPACK call, no product goes through BLAS, the 2-form index tables are
-integer arrays, the writers format numbers in array passes, and geometry
-owns the one scale rule."""
+integer arrays, the writers format numbers in array passes, geometry
+owns the one scale rule, and the self-test builds no grid per loop
+pass."""
 
 import argparse
 import ast
@@ -465,12 +466,12 @@ def test_blas_product_scan():
 def test_no_product_goes_through_blas():
     """Every inner product and matrix product is a component-order
     elementwise sum (geometry.Ambient.dot and written-out terms), so no
-    output bit depends on the BLAS kernel; only
-    moebius.recover_complex_structure, whose least-squares fit is LAPACK's,
-    multiplies through BLAS."""
+    output bit depends on the BLAS kernel; only moebius._complex_structure,
+    the fit of recover_complex_structure and degenerate_collapse_check,
+    whose least squares are LAPACK's, multiplies through BLAS."""
     found = {f"{path.stem}.{where}" for path in MODULES
              for _, where in blas_products(path.read_text())}
-    assert found == {"moebius.recover_complex_structure"}
+    assert found == {"moebius._complex_structure"}
 
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
@@ -665,6 +666,54 @@ def test_one_lattice():
     found = {p.stem: layout_calls(p.read_text()) for p in MODULES}
     assert {m: calls for m, calls in found.items() if calls} == {
         "minimal": ["linspace", "linspace"]}
+
+
+GRID_BUILDERS = {"sample_grid", "build_phi_pair"}
+
+
+def loop_calls(source, names):
+    """The sorted (def, name) of the calls of a function in names that a
+    top-level def of source makes once per pass of a loop: in the body of a
+    for or while loop or in a comprehension's element, not in what a loop
+    iterates over."""
+    found = set()
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for loop in ast.walk(fn):
+            if isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+                repeated = loop.body
+            elif isinstance(loop, (ast.ListComp, ast.SetComp,
+                                   ast.GeneratorExp)):
+                repeated = [loop.elt]
+            elif isinstance(loop, ast.DictComp):
+                repeated = [loop.key, loop.value]
+            else:
+                continue
+            found |= {(fn.name, called_name(n.func)) for part in repeated
+                      for n in ast.walk(part) if isinstance(n, ast.Call)
+                      and called_name(n.func) in names}
+    return sorted(found)
+
+
+def test_loop_call_scan():
+    source = ("def f(p):\n    for z in sample_grid(p):\n        g(z)\n"
+              "    while p:\n        p = [build_phi_pair(q) for q in p]\n"
+              "def g(p):\n    for q in p:\n        h(q)\n"
+              "    return export.sample_grid(p)\n"
+              "def h(p):\n    return {build_phi_pair(q): 1 for q in p}\n"
+              "for q in p:\n    sample_grid(q)\n")
+    assert loop_calls(source, GRID_BUILDERS) == [("f", "build_phi_pair"),
+                                                 ("h", "build_phi_pair")]
+
+
+def test_selftest_builds_no_grid_per_loop_pass():
+    """The acceptance criteria take the pairs or family members they sample
+    together through one export.sample_grids call, so no criterion calls
+    sample_grid or build_phi_pair once per pass of a loop; criterion 13's
+    two determinism runs are written out one after the other."""
+    source = (SRC / "acceptance.py").read_text()
+    assert loop_calls(source, GRID_BUILDERS) == []
 
 
 README = TESTS.parent / "README.md"

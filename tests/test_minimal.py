@@ -10,6 +10,7 @@ from superconf.minimal import (
     Domain,
     HolomorphicCurve,
     MinimalPair,
+    SplitSample,
     associated_family,
     certify,
 )
@@ -110,6 +111,29 @@ class TestSplit:
             (s1.h.values() - s0.h.values())[0], [0.0, 1.0, -2.0, 0.5],
             atol=1e-15)
         np.testing.assert_allclose(s1.h.du, s0.h.du, atol=1e-15)
+
+
+class TestJoin:
+    def test_one_sample_is_its_own_join(self):
+        s = catenoid_pair().samples_at([0.4 + 0.6j, -1.0 + 0.2j])
+        assert SplitSample.join([s]) is s
+
+    def test_joined_rows_are_each_samples_bits(self):
+        # two curves, the second with a translated h
+        plane = MinimalPair(HolomorphicCurve(
+            "plane", "(z, i*z, 0, 0)", CAT_DOM)).translated([1.0, -2.0, 0, 3])
+        parts = [catenoid_pair().samples_at([0.4 + 0.6j, -1.0 + 0.2j, 1.5j]),
+                 plane.samples_at([0.1 - 0.3j, 1.2 + 1.0j])]
+        joined = SplitSample.join(parts)
+        assert joined.z.tolist() == parts[0].z.tolist() + parts[1].z.tolist()
+        for field in ("g", "h", "g_u", "g_v"):
+            slots = [getattr(s, field).slots for s in parts]
+            for k, slot in enumerate(getattr(joined, field).slots):
+                assert slot.shape == (4, 5)
+                for rows, part in ((slot[:, :3], slots[0][k]),
+                                   (slot[:, 3:], slots[1][k])):
+                    assert (rows.view(np.uint64).tolist()
+                            == part.view(np.uint64).tolist()), (field, k)
 
 
 class TestCertify:
