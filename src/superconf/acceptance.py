@@ -19,8 +19,8 @@ from .construct import (SIGNS, build_phi_pair, dual_pair_report,
                         reflection_pair_check, translation_check)
 from .errors import ExpressionError
 from .expr import parse_curve, print_node
-from .export import (canonical_json, grid_text, obj_text, sample_grid,
-                     sample_grids, stereo_projector, summarize)
+from .export import (_first_extreme, canonical_json, grid_text, obj_text,
+                     sample_grid, sample_grids, stereo_projector, summarize)
 from .geometry import (Ambient, _matvec, _normal_parts, _vec_norm,
                        ellipse_descriptor, fundamental_data)
 from .jets import fd_crosscheck
@@ -49,13 +49,21 @@ def _cat_grid():
 
 
 def _clear_worst(rows):
-    """(worst residual, count) over the unflagged rows of sample_grid runs."""
+    """(worst residual, count) over the unflagged rows of sample_grid runs:
+    the builtin max over the rows in order of each row's max(|res_orth|,
+    |res_len|, wintgen_rel), 0.0 for no rows."""
     worst = []
     for sign_rows in rows:
-        clear = sign_rows.clear_floats
-        worst += map(max, map(abs, clear("res_orth")),
-                     map(abs, clear("res_len")), clear("wintgen_rel"))
-    return max(worst, default=0.0), len(worst)
+        a, b, c = (sign_rows.clear_stat(name)
+                   for name in ("res_orth", "res_len", "wintgen_rel"))
+        a, b = abs(a), abs(b)
+        # max(a, b, c) takes b only if b > a, then c only if c > that
+        ab = np.where(b > a, b, a)
+        worst.append(np.where(c > ab, c, ab))
+    worst = np.concatenate(worst)
+    if not worst.size:
+        return 0.0, 0
+    return _first_extreme(worst, np.fmax), worst.size
 
 
 def criterion_1() -> CriterionResult:

@@ -80,14 +80,9 @@ class GridRows:
         """Mask of the unflagged rows, the ones aggregated."""
         return (self.flags == 0) & self.has_stats
 
-    def clear_floats(self, name):
-        """The floats of stat name over the unflagged rows, in row order,
-        made into Python floats one block of rows at a time."""
-        clear = self.clear()
-        column = self.stats[:, _STAT_NAMES.index(name)]
-        return chain.from_iterable(
-            column[lo:lo + BLOCK_POINTS][clear[lo:lo + BLOCK_POINTS]].tolist()
-            for lo in _block_starts(len(self)))
+    def clear_stat(self, name):
+        """The values of stat name over the unflagged rows, in row order."""
+        return self.stats[self.clear(), _STAT_NAMES.index(name)]
 
 
 def sample_grid(pair, lattice, signs):
@@ -188,13 +183,22 @@ def _fill_rows(targets, ps, failed):
         rows.stats[at[stated[part]]] = stats[part][stated[part]]
 
 
+def _first_extreme(x, reduce):
+    """The builtin max (reduce np.fmax) or min (np.fmin) of the floats of
+    x, a nonempty 1-d array, in order, as a Python float: nan where x[0] is
+    nan, otherwise the first entry equal to the reduction, which skips nan,
+    so of tied zeros the first one."""
+    if np.isnan(x[0]):
+        return float(x[0])
+    return float(x[np.argmax(x == reduce.reduce(x))])
+
+
 def summarize(samples) -> dict:
     """Aggregate residuals over the unflagged rows of a grid run.
 
-    The extremes are the builtin max and min over the rows in order, so a
-    nan among them counts only where it comes first.
+    The extremes are the builtin max and min over the rows in order
+    (_first_extreme), so a nan among them counts only where it comes first.
     """
-    clear = samples.clear_floats
     n_clear = int(samples.clear().sum())
     out = {
         "n_points": len(samples),
@@ -206,13 +210,16 @@ def summarize(samples) -> dict:
                    max_wintgen_rel=None, mu_min=None, mu_max=None,
                    Hnorm_max=None)
         return out
-    out["max_res_orth"] = max(map(abs, clear("res_orth")))
-    out["max_res_len"] = max(map(abs, clear("res_len")))
-    out["max_wintgen"] = max(map(abs, clear("wintgen")))
-    out["max_wintgen_rel"] = max(map(abs, clear("wintgen_rel")))
-    out["mu_min"] = min(clear("mu"))
-    out["mu_max"] = max(clear("mu"))
-    out["Hnorm_max"] = max(clear("Hnorm"))
+    stat = samples.clear_stat
+    out["max_res_orth"] = _first_extreme(abs(stat("res_orth")), np.fmax)
+    out["max_res_len"] = _first_extreme(abs(stat("res_len")), np.fmax)
+    out["max_wintgen"] = _first_extreme(abs(stat("wintgen")), np.fmax)
+    out["max_wintgen_rel"] = _first_extreme(abs(stat("wintgen_rel")),
+                                            np.fmax)
+    mu = stat("mu")
+    out["mu_min"] = _first_extreme(mu, np.fmin)
+    out["mu_max"] = _first_extreme(mu, np.fmax)
+    out["Hnorm_max"] = _first_extreme(stat("Hnorm"), np.fmax)
     return out
 
 

@@ -176,6 +176,21 @@ class Ambient:
 R4 = Ambient("r4")
 
 
+class _FrameField:
+    """A field of the normal frame, n1, n2 or K_N, on a FundamentalData:
+    computed with the other two by _normal_frame on first read and kept in
+    the record's own dict, which later reads find first."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, fd, owner=None):
+        if fd is None:
+            return self
+        vars(fd).update(zip(("n1", "n2", "K_N"), _normal_frame(fd)))
+        return vars(fd)[self.name]
+
+
 @dataclass(frozen=True)
 class FundamentalData:
     ambient: Ambient
@@ -188,8 +203,6 @@ class FundamentalData:
     Xv: np.ndarray
     Y1: np.ndarray
     Y2: np.ndarray
-    n1: np.ndarray
-    n2: np.ndarray
     Buu: np.ndarray
     Buv: np.ndarray
     Bvv: np.ndarray
@@ -199,9 +212,11 @@ class FundamentalData:
     H: np.ndarray
     lam: np.ndarray
     K: np.ndarray
-    K_N: np.ndarray
     position: np.ndarray = field(repr=False, default=None)
     regular: np.ndarray = None
+    n1 = _FrameField()
+    n2 = _FrameField()
+    K_N = _FrameField()
 
 
 @dataclass(frozen=True)
@@ -307,13 +322,18 @@ _MINORS = np.array([[i for i in range(5) if i != m] for m in range(5)]).T
 _MINOR_SIGN = np.array([1.0, -1, 1, -1, 1])[:, None]
 
 
+def _radial(ambient, x):
+    """The unit radial vectors of a space form at the points x, (dim, n)."""
+    return (x - ambient.center_vec()[:, None]) / ambient.radius
+
+
 def _orientation(a, b, c, d, ambient=R4, x=None):
     """det[a, b, c, d] per column of four (4, n) batches of vectors, <a^b,
     *(c^d)> on the signed pair table; in a space form det[a, b, c, d, e] of
     (5, n) ones with e the unit radial vector at the points x, expanded
     along e into such minors.  Its sign orients an orthonormal frame."""
     if ambient.kind != "r4":
-        e = (x - ambient.center_vec()[:, None]) / ambient.radius
+        e = _radial(ambient, x)
         m = _orientation(*(v[_MINORS].reshape(4, -1) for v in (a, b, c, d)))
         return np.add.reduce(m.reshape(5, -1) * _MINOR_SIGN * e, 0)
     ab = a[_I] * b[_J] - a[_J] * b[_I]
@@ -330,8 +350,9 @@ def _rank_deficient(fd):
 
 @np.errstate(divide="ignore", invalid="ignore")
 def fundamental_data(sample, ambient=R4):
-    """First/second fundamental data, curvatures, and the deterministic normal
-    frame of a surface sample.
+    """First/second fundamental data and curvatures of a surface sample,
+    and its deterministic normal frame (n1, n2) with the normal curvature
+    K_N in it, which are computed on first read (_normal_frame).
 
     Every vector field is (dim, n), the layout of the sample's slots, and
     every number field (n,); .regular marks the points whose first form is
@@ -351,16 +372,12 @@ def fundamental_data(sample, ambient=R4):
     scale = np.abs(np.concatenate((Xu, Xv))).max(axis=0)
     singular = det1 <= REGULARITY_FLOOR * _pypow(scale, 4)
 
-    # the second partials and the ambient basis vectors, stacked on a
-    # second axis, (dim, 3 + dim, n), are projected in one pass
-    dim, n = x.shape
-    ws = np.empty((dim, 3 + dim, n))
-    ws[:, 0], ws[:, 1], ws[:, 2] = Xuu, Xuv, Xvv
-    ws[:, 3:] = np.eye(dim)[..., None]
-    [normal] = _normal_parts([ws], Xu[:, None], Xv[:, None], dot, gram)
-    B, P = normal[:, :3], normal[:, 3:]
+    # the second partials, stacked on a second axis, (dim, 3, n), are
+    # projected in one pass
+    [B] = _normal_parts([np.stack((Xuu, Xuv, Xvv), axis=1)], Xu[:, None],
+                        Xv[:, None], dot, gram)
     if ambient.kind != "r4":
-        R = ((x - ambient.center_vec()[:, None]) / ambient.radius)[:, None]
+        R = _radial(ambient, x)[:, None]
         s = 1.0 if ambient.kind == "sphere" else -1.0
         B = B + s * np.array((E, F, G)) * R / ambient.radius
     Buu, Buv, Bvv = B[:, 0], B[:, 1], B[:, 2]
@@ -378,9 +395,29 @@ def fundamental_data(sample, ambient=R4):
     lam = _sqrt0(dot(H, H))
     K = ambient.curvature + dot(alpha11, alpha22) - dot(alpha12, alpha12)
 
-    # deterministic normal frame from projected ambient basis vectors, the
-    # columns of P
+    return FundamentalData(
+        ambient=ambient, E=E, F=F, G=G, det1=det1,
+        scale=scale, Xu=Xu, Xv=Xv, Y1=Y1, Y2=Y2,
+        Buu=Buu, Buv=Buv, Bvv=Bvv,
+        alpha11=alpha11, alpha12=alpha12, alpha22=alpha22,
+        H=H, lam=lam, K=K, position=x, regular=~singular)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _normal_frame(fd):
+    """(n1, n2, K_N) of the fundamental data fd: the deterministic normal
+    frame from the ambient basis vectors projected onto the normal space,
+    and the normal curvature in it."""
+    ambient, x = fd.ambient, fd.position
+    dot = ambient.dot
+    dim, n = x.shape
+    # the ambient basis vectors on a second axis, (dim, dim, n), projected
+    # in one pass: the columns of P
+    basis = np.broadcast_to(np.eye(dim)[..., None], (dim, dim, n))
+    [P] = _normal_parts([basis], fd.Xu[:, None], fd.Xv[:, None], dot,
+                        (fd.E, fd.F, fd.G, fd.det1))
     if ambient.kind != "r4":
+        R = _radial(ambient, x)[:, None]
         P = P - (dot(P, R) / dot(R, R)) * R
     norms = _sqrt0(dot(P, P))
     at = np.arange(n)
@@ -407,23 +444,15 @@ def fundamental_data(sample, ambient=R4):
             pending = pending & ~found
         if not pending.any():
             break
-    flip = _orientation(Y1, Y2, n1, n2, ambient, x) < 0
+    flip = _orientation(fd.Y1, fd.Y2, n1, n2, ambient, x) < 0
     n2 = np.where(flip, -n2, n2)
 
     # the commutator entry [A_n1, A_n2]_21 of the two shape operators,
     # <alpha12, n1> <alpha11 - alpha22, n2> - <alpha12, n2> <alpha11 -
     # alpha22, n1>, its four products in one pass
-    c = dot(np.stack((alpha12, alpha11 - alpha22), axis=1)[:, :, None],
-            np.stack((n1, n2), axis=1)[:, None])
-    K_N = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
-
-    return FundamentalData(
-        ambient=ambient, E=E, F=F, G=G, det1=det1,
-        scale=scale, Xu=Xu, Xv=Xv, Y1=Y1, Y2=Y2, n1=n1, n2=n2,
-        Buu=Buu, Buv=Buv, Bvv=Bvv,
-        alpha11=alpha11, alpha12=alpha12, alpha22=alpha22,
-        H=H, lam=lam, K=K, K_N=K_N, position=x,
-        regular=~singular)
+    c = dot(np.stack((fd.alpha12, fd.alpha11 - fd.alpha22),
+                     axis=1)[:, :, None], np.stack((n1, n2), axis=1)[:, None])
+    return n1, n2, c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
 
 
 def _sym2(a, b, c):

@@ -4,22 +4,24 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from superconf import catalog, construct
+from superconf import catalog, construct, geometry
 from superconf.construct import (FLAG_A_SMALL, FLAG_G_HOLOMORPHIC,
-                                 FLAG_RANK_DEFICIENT, _assemble, _jhat_parts,
-                                 build_phi_pair, check_sign, dual_pair_report,
-                                 extract_minimal_pair, phi_value,
-                                 reflection_pair_check, translation_check)
+                                 FLAG_RANK_DEFICIENT, SIGNS, _assemble,
+                                 _jhat_parts, build_phi_pair, check_sign,
+                                 dual_pair_report, extract_minimal_pair,
+                                 phi_value, reflection_pair_check,
+                                 translation_check)
 from superconf.errors import (DegenerateJetError, FrameDegenerateError,
                               FrameUndefinedError, PreconditionError,
                               SingularSampleError)
+from superconf.export import sample_grid
 from superconf.geometry import (_PAIRS, FRAME_FLOOR, R4, _normal_parts,
                                 _rank_deficient, _sqrt0, _sym2, _vec_norm,
                                 ellipse_descriptor, fundamental_data,
                                 unit_scale)
 from superconf.jets import (DIV_FLOOR, Jet2, fail_rows, fd_crosscheck,
                             row_failures)
-from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
+from superconf.minimal import Domain, HolomorphicCurve, MinimalPair, certify
 from test_cli import count_calls
 
 _JMAT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -689,3 +691,44 @@ def test_extraction_rejects_constant_map():
     const = Jet2.stack([Jet2(1.0), Jet2(0.0), Jet2(0.0), Jet2(0.0)])
     with pytest.raises(SingularSampleError):
         extract_minimal_pair(const)
+
+
+# ----- what the construction pass computes -----
+
+def made_records(monkeypatch, owner):
+    """Record every FundamentalData that owner.fundamental_data returns."""
+    made = []
+    real = owner.fundamental_data
+
+    def recording(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(owner, "fundamental_data", recording)
+    return made
+
+
+def test_normal_frame_is_computed_only_where_read(monkeypatch, catenoid):
+    # a 32x32 grid is two blocks; each sign's surface reads its frame for
+    # the K_N column and the ellipse, once per block, and g's is unread
+    # where no row of g's ellipse is a circle, as on the catenoid
+    frames = count_calls(monkeypatch, geometry, "_normal_frame")
+    g_data = made_records(monkeypatch, construct)
+    sample_grid(catenoid, catenoid.domain.lattice(32, 32), SIGNS)
+    assert len(g_data) == 2
+    assert [fd.position.shape[1] for (fd,) in frames] == [512] * 4
+    assert not any(fd is g for (fd,) in frames for g in g_data)
+    frames.clear()
+    assert certify(catenoid, catenoid.domain.grid(8, 8))["ok"]
+    assert frames == []
+
+
+def test_circular_ellipse_of_g_reads_its_frame(monkeypatch):
+    # the collapse check reads K_N in g's frame where g's ellipse is a circle
+    pair = catalog.get("q0-trig").pair
+    frames = count_calls(monkeypatch, geometry, "_normal_frame")
+    g_data = made_records(monkeypatch, construct)
+    ps = build_phi_pair(pair, pair.domain.lattice(3, 3, 0.1).ravel())
+    assert ps[0].ctx.g_collapse["+"].all()
+    [g] = g_data
+    assert [fd is g for (fd,) in frames] == [True]

@@ -610,6 +610,68 @@ def test_reducers_keep_the_builtin_max_nan_semantics(nan_at, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+NAN, INF = float("nan"), float("inf")
+# clear-row sequences of one stat column: a nan first and a nan later, tied
+# zeros in either order (the first one wins, so -0.0 can be a maximum or a
+# minimum; numpy's own reductions pick another tie from 16 entries on), and
+# infinities
+EXTREME_CASES = [
+    [NAN, 1.0, -2.0, 3.0, 0.5],
+    [1.0, -2.0, NAN, 3.0, 0.5],
+    [2.0, NAN, NAN, NAN, NAN],
+    [-0.0, 0.0, -1.0, -0.0, -2.0],
+    [0.0, -0.0, -1.0, -3.0, -0.0],
+    [-0.0, 0.0, 1.0, 2.0, 0.0],
+    [0.0, -0.0, 1.0, -0.0, 2.0],
+    [0.0] + [-0.0] * 19,
+    [-0.0] + [0.0] * 19,
+    [-INF, 1.0, INF, -INF, INF],
+    [INF, NAN, -INF, 1.0, 0.0],
+]
+
+
+def stat_rows(name, values):
+    """Made-up rows over a (len(values) + 1) x 1 grid, all clear but the
+    last, with the given values of stat name in the clear rows and inf in
+    the flagged one."""
+    rng = np.random.default_rng(5)
+    rows = GridRows(Domain(0.0, 1.0, 0.0, 1.0).lattice(len(values) + 1, 1))
+    rows.flags[:] = 0
+    rows.flags[-1] = 1
+    rows.position[:] = rng.standard_normal((len(rows), 4))
+    rows.stats[:] = rng.standard_normal((len(rows), len(_STAT_NAMES)))
+    rows.stats[:, _STAT_NAMES.index(name)] = values + [INF]
+    rows.has_stats[:] = True
+    return rows
+
+
+@pytest.mark.parametrize("name", ["res_orth", "res_len", "wintgen",
+                                  "wintgen_rel", "mu", "Hnorm"])
+def test_reducers_keep_the_builtin_rule_on_ties_infinities_and_nan(name):
+    # the companion of the test above, over every stat that summarize or
+    # _clear_worst reads: each case in turn fills the clear rows of one column
+    for values in EXTREME_CASES:
+        rows = stat_rows(name, values)
+        where = (name, values)
+        assert repr(summarize(rows)) == repr(
+            reference_summarize(list(rows))), where
+        assert repr(_clear_worst([rows, rows])) == repr(
+            reference_clear_worst([list(rows)] * 2)), where
+    if name == "wintgen_rel":
+        # a row's max(0.0, 0.0, -0.0) is its first 0.0
+        rows = stat_rows(name, [-0.0] * 5)
+        rows.stats[:, [_STAT_NAMES.index("res_orth"),
+                       _STAT_NAMES.index("res_len")]] = 0.0
+        assert repr(_clear_worst([rows])) == repr(
+            reference_clear_worst([list(rows)])) == "(0.0, 5)"
+    if name in ("mu", "Hnorm"):
+        maximum = summarize(stat_rows(name, EXTREME_CASES[3]))[f"{name}_max"]
+        assert repr(maximum) == "-0.0"
+    if name == "mu":
+        assert repr(summarize(stat_rows(name, EXTREME_CASES[5]))["mu_min"]
+                    ) == "-0.0"
+
+
 # The repr-based writers that the array formatter replaced, kept as the
 # reference whose text it must match byte for byte.
 

@@ -292,7 +292,10 @@ def assert_same_bits(got, want, where, regular=None):
 
 
 def fields(obj):
-    """The fields of a kernel or oracle result by name."""
+    """The fields of a kernel or oracle result by name; a FundamentalData's
+    normal frame (n1, n2, K_N) among them, which its first read computes."""
+    if isinstance(obj, FundamentalData):
+        obj.K_N
     return dict(vars(obj)) if not isinstance(obj, dict) else obj
 
 
@@ -501,8 +504,9 @@ def ellipse_of(gen):
     blank = dict.fromkeys(f.name for f in dataclasses.fields(FundamentalData))
     fd = FundamentalData(**{
         **blank, "ambient": R4, "alpha11": d, "alpha22": -d, "alpha12": m,
-        "n1": e1, "n2": e2, "H": np.zeros((4, n)), "lam": zero, "K": zero,
-        "K_N": zero, "scale": np.ones(n)})
+        "H": np.zeros((4, n)), "lam": zero, "K": zero, "scale": np.ones(n)})
+    # the given frame, found where a computed one would be kept
+    vars(fd).update(n1=e1, n2=e2, K_N=zero)
     return fields(ellipse_descriptor(fd))
 
 

@@ -716,6 +716,43 @@ def test_selftest_builds_no_grid_per_loop_pass():
     assert loop_calls(source, GRID_BUILDERS) == []
 
 
+# builtin reducers and iterators that would walk a grid's rows as floats
+ROW_PYTHON = {"max", "min", "map"}
+
+
+def row_python_calls(source, names):
+    """The sorted (def, call) of the per-row Python in the top-level defs
+    of source named in names: a call of a builtin of ROW_PYTHON by its bare
+    name, or of a .tolist() method."""
+    return sorted({(fn.name, called_name(n.func))
+                   for fn in ast.parse(source).body
+                   if isinstance(fn, ast.FunctionDef) and fn.name in names
+                   for n in ast.walk(fn) if isinstance(n, ast.Call)
+                   and (isinstance(n.func, ast.Name) and n.func.id in ROW_PYTHON
+                        or isinstance(n.func, ast.Attribute)
+                        and n.func.attr == "tolist")})
+
+
+def test_row_python_call_scan():
+    source = ("def f(rows):\n    return max(map(abs, rows.tolist()))\n"
+              "def g(x):\n    return min(x), np.max(x), x.max()\n"
+              "def h(x):\n    return max(x)\n")
+    assert row_python_calls(source, {"f", "g"}) == [
+        ("f", "map"), ("f", "max"), ("f", "tolist"), ("g", "min")]
+
+
+def test_grid_summaries_are_array_passes():
+    """summarize and _clear_worst reduce a grid's stats columns in array
+    passes (export._first_extreme keeps the builtin max/min rule), so
+    neither goes back to Python floats one row at a time."""
+    for module, name in (("export", "summarize"),
+                         ("acceptance", "_clear_worst")):
+        source = (SRC / f"{module}.py").read_text()
+        assert name in {getattr(n, "name", None)
+                        for n in ast.parse(source).body}
+        assert row_python_calls(source, {name}) == [], name
+
+
 README = TESTS.parent / "README.md"
 # command-line options that no test or README example passes, each with its
 # reason
