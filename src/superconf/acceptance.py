@@ -21,7 +21,7 @@ from .errors import ExpressionError
 from .expr import parse_curve, print_node
 from .export import (_first_extreme, canonical_json, grid_text, obj_text,
                      sample_grid, sample_grids, stereo_projector, summarize)
-from .geometry import (Ambient, _matvec, _normal_parts, _vec_norm,
+from .geometry import (Ambient, _matvec, _normal_part, _vec_norm,
                        ellipse_descriptor, fundamental_data)
 from .jets import fd_crosscheck
 from .minimal import (Domain, HolomorphicCurve, MinimalPair,
@@ -348,7 +348,7 @@ def criterion_10() -> CriterionResult:
     entry = catalog.get("h4-flat-torus")
     lorentz = Ambient("hyperbolic").dot
     smp = entry.sample(np.array([0.7, 2.1]), np.array([1.3, 0.4]))
-    [n] = _normal_parts([np.eye(5)[:, :1]], smp.du, smp.dv, lorentz)
+    n = _normal_part(np.eye(5)[:, :1], smp.du, smp.dv, lorentz)
     n = n / np.sqrt(lorentz(n, n))
     worst_l = max(float(normal_transform_check(smp, n, Inversion(
         center=center, radius=1.0, signature="lorentzian"))["max"].max())

@@ -33,10 +33,10 @@ from .errors import FrameDegenerateError, PreconditionError
 from .geometry import (_I, _J, _STAR, _STAR_SIGN, A_SMALL, CIRCULAR_TOL,
                        CONFORMAL_A_FLOOR, DIV_FLOOR, FRAME_FLOOR, R4,
                        REGULARITY_FLOOR, FundamentalData, _ellipse_axes, _gram,
-                       _largest, _normal_parts, _pypow, _rank_deficient,
+                       _largest, _normal_part, _pypow, _rank_deficient,
                        _vec_norm, adapted_frame, fundamental_data, unit_scale)
 from .jets import Jet2, _division_floor, fail_rows
-from .minimal import MinimalPair, SplitSample
+from .minimal import MinimalPair, SplitSample, point_set
 
 SIGNS = ("+", "-")
 
@@ -133,9 +133,7 @@ def _assemble(s) -> _FieldContext:
     norms = _vec_norm(s.g_u.v), _vec_norm(s.g_v.v)
     unit = unit_scale(*norms)
     h, gu, gv = (x.scaled(1.0 / unit) for x in (s.h, s.g_u, s.g_v))
-    E = gu.dot(gu)
-    F = gu.dot(gv)
-    G = gv.dot(gv)
+    E, F, G, W2 = _gram(gu, gv, Jet2.dot)
 
     r2 = R4.dot(h.v, h.v)
     h_zero = r2 <= DIV_FLOOR
@@ -150,11 +148,10 @@ def _assemble(s) -> _FieldContext:
     rv = R4.dot(gu.v, h.v) / r
     fail_rows(abs(E.v) <= DIV_FLOOR, lambda k: _division_floor(E.v[k]))
 
-    W2 = E * G - F * F
     inv_w = 1.0 / W2.sqrt()
     turn_t, turn_n = (t * inv_w for t in _jhat_parts(gu, gv, h))
     with np.errstate(divide="ignore", invalid="ignore"):
-        [hN] = _normal_parts([h.v], gu.v, gv.v, R4.dot, (E.v, F.v, G.v, W2.v))
+        hN = _normal_part(h.v, gu.v, gv.v, R4.dot, (E.v, F.v, G.v, W2.v))
     a = _vec_norm(hN) / r
 
     # g's curvature data gives the fallback xi and the g-holomorphic flag
@@ -267,6 +264,7 @@ class DualPairReport:
     metric_relation_residual: np.ndarray | None
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
     """Shared-geometry checks for the surfaces of the given signs built at
     the points z, one entry per point in every residual (failed rows are
@@ -282,7 +280,9 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
     entries are nan where a is below a small floor (the factor has a^2 in
     the denominator and degenerates with it); the floor is far below the
     a_small flag threshold, so flagged-but-sane samples still get a finite
-    entry.  A rank-deficient surface fails its row with PreconditionError."""
+    entry.  A rank-deficient surface fails its row with PreconditionError;
+    a failed row's entries are meaningless, and computed without numpy's
+    floating-point warnings."""
     for sign in signs:
         check_sign(sign)
     both = build_phi_pair(pair, z)
@@ -299,9 +299,8 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
     # the coefficients (p, q) of grad r are (ru, rv) / E, and those of
     # Z = -J grad r are (-q, p); xi = -h^N / (a r), or g's first normal
     # where a is at its floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grad_u, grad_v = ctx.ru / ctx.E, ctx.rv / ctx.E
-        xi = -ctx.hN / (a * r)
+    grad_u, grad_v = ctx.ru / ctx.E, ctx.rv / ctx.E
+    xi = -ctx.hN / (a * r)
     fallback = a <= FRAME_FLOOR
     if np.any(fallback):
         xi = np.where(fallback, ctx.fd_g.n1, xi)
@@ -341,7 +340,7 @@ def translation_check(pair: MinimalPair, offset, points):
     Translating h rigidly translates each built surface by a rotated copy
     of the offset, so the displacement norm is exactly the offset norm."""
     offset = np.asarray(offset, dtype=float)
-    z = np.asarray(points, dtype=complex)
+    z = point_set(points)
     moved = build_phi_pair(pair.translated(offset), z)
     shift = np.concatenate([_vec_norm(m.phi.v - b.phi.v)
                             for b, m in zip(build_phi_pair(pair, z), moved)])
@@ -356,7 +355,7 @@ def reflection_pair_check(pair: MinimalPair, points):
     Raises PreconditionError if the pair leaves the hyperplane: if |x4| of
     g or h exceeds 1e-9 in the pair's units at a point."""
     mirror = np.array([1.0, 1.0, 1.0, -1.0])[:, None]
-    z = np.asarray(points, dtype=complex)
+    z = point_set(points)
     plus, minus = build_phi_pair(pair, z)
     g, h = plus.ctx.sample.g.v, plus.ctx.sample.h.v
     off = np.flatnonzero(np.maximum(abs(g[3]), abs(h[3]))

@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass, field
 from operator import add, mul, sub
 
-from .errors import DegenerateJetError, EvaluationError, ExpressionError
+from .errors import (DegenerateJetError, EvaluationError, ExpressionError,
+                     PreconditionError)
 from .jets import PAIRED, ComplexJet, fail_rows, row_failures
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
@@ -428,14 +429,19 @@ def _eval_msg(node, src, z, reason):
 def _plan(ast):
     """The index of every node, by id, equal for equal sub-expressions (keyed
     by type, other fields by repr, so 0.0 and -0.0 differ, and the indices
-    of the parts), and the indices an evaluation asks for more than once."""
+    of the parts), and the indices an evaluation asks for more than once.
+    A tree more than MAX_DEPTH levels deep, which would print to text the
+    parser rejects, raises PreconditionError."""
     index, uses, at = {}, [], {}
 
-    def visit(node):
+    def visit(node, depth):
+        if depth > MAX_DEPTH:
+            raise PreconditionError(
+                f"expression nests deeper than {MAX_DEPTH} levels")
         key, kids = [type(node)], []
         for name, x in vars(node).items():
             if isinstance(x, Node):
-                kids.append(visit(x))
+                kids.append(visit(x, depth + 1))
                 key.append(kids[-1])
             elif name != "span":
                 key.append(repr(x))
@@ -447,7 +453,7 @@ def _plan(ast):
         return k
 
     for c in ast.components:
-        uses[visit(c)] += 1
+        uses[visit(c, 1)] += 1
     return at, {k for k, n in enumerate(uses) if n > 1}
 
 

@@ -119,6 +119,18 @@ class Ambient:
         target = self.radius ** 2 if self.kind == "sphere" else -self.radius ** 2
         return abs(q - target)
 
+    def check_on(self, x):
+        """Record the points of x, a (dim, n) batch, that are off the space
+        form as failed rows of ProjectionError (jets.fail_rows): those whose
+        residual exceeds 1e-9 of their squared euclidean distance from the
+        center, which bounds what rounding leaves in a norm that far out."""
+        res = self.on_manifold_residual(x)
+        d = x - self.center_vec()[:, None]
+        fail_rows(res > 1e-9 * R4.dot(d, d),
+                  lambda k: ProjectionError(
+                      f"point is off the {self.kind} space form "
+                      f"(residual {res[k]:.3e})"))
+
     def _chart(self, x, dim, what):
         """x as a (dim, n) float array, one dim-vector as a batch of one,
         for the stereographic chart, which flat R4 does not have."""
@@ -135,12 +147,7 @@ class Ambient:
         5-vector as a batch of one; points off the space form or without an
         image fail with ProjectionError (jets.fail_rows)."""
         P = self._chart(P, 5, "space-form points")
-        d = P - self.center_vec()[:, None]
-        res = self.on_manifold_residual(P)
-        fail_rows(res > 1e-9 * R4.dot(d, d),
-                  lambda k: ProjectionError(
-                      f"point is off the {self.kind} space form "
-                      f"(residual {res[k]:.3e})"))
+        self.check_on(P)
         r = self.radius
         if self.kind == "sphere":
             c = 2.0 * r * _E5[:, None]
@@ -259,19 +266,16 @@ def _gram_solve(rhs_u, rhs_v, gram):
     return (rhs_u * G - rhs_v * F) / det1, (rhs_v * E - rhs_u * F) / det1
 
 
-def _normal_parts(ws, Xu, Xv, dot, gram=None):
-    """Each w of ws minus its projection onto span{Xu, Xv} under the inner
-    product dot; the Gram system is solved in closed form, so entries may be
-    vector Jet2 (scaled vector first, as its components would be), or
-    arrays with a dot whose result broadcasts against them.  gram, if
-    given, is _gram of Xu, Xv already computed."""
+def _normal_part(w, Xu, Xv, dot, gram=None):
+    """w minus its projection onto span{Xu, Xv} under the inner product
+    dot; the Gram system is solved in closed form, so w may be a vector
+    Jet2 (scaled vector first, as its components would be), or an array
+    with a dot whose result broadcasts against it.  gram, if given, is
+    _gram of Xu, Xv already computed."""
     if gram is None:
         gram = _gram(Xu, Xv, dot)
-    out = []
-    for w in ws:
-        a, b = _gram_solve(dot(w, Xu), dot(w, Xv), gram)
-        out.append(w - (Xu * a + Xv * b))
-    return out
+    a, b = _gram_solve(dot(w, Xu), dot(w, Xv), gram)
+    return w - (Xu * a + Xv * b)
 
 
 @np.errstate(over="ignore")
@@ -374,8 +378,8 @@ def fundamental_data(sample, ambient=R4):
 
     # the second partials, stacked on a second axis, (dim, 3, n), are
     # projected in one pass
-    [B] = _normal_parts([np.stack((Xuu, Xuv, Xvv), axis=1)], Xu[:, None],
-                        Xv[:, None], dot, gram)
+    B = _normal_part(np.stack((Xuu, Xuv, Xvv), axis=1), Xu[:, None],
+                     Xv[:, None], dot, gram)
     if ambient.kind != "r4":
         R = _radial(ambient, x)[:, None]
         s = 1.0 if ambient.kind == "sphere" else -1.0
@@ -414,8 +418,8 @@ def _normal_frame(fd):
     # the ambient basis vectors on a second axis, (dim, dim, n), projected
     # in one pass: the columns of P
     basis = np.broadcast_to(np.eye(dim)[..., None], (dim, dim, n))
-    [P] = _normal_parts([basis], fd.Xu[:, None], fd.Xv[:, None], dot,
-                        (fd.E, fd.F, fd.G, fd.det1))
+    P = _normal_part(basis, fd.Xu[:, None], fd.Xv[:, None], dot,
+                     (fd.E, fd.F, fd.G, fd.det1))
     if ambient.kind != "r4":
         R = _radial(ambient, x)[:, None]
         P = P - (dot(P, R) / dot(R, R)) * R

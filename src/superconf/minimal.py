@@ -184,14 +184,21 @@ def associated_family(pair, theta):
     return MinimalPair(curve, pair.h_offset)
 
 
+def point_set(points):
+    """The points a check is made at, one complex number, a sequence or an
+    array of them, as a new 1-d complex array; PreconditionError if there
+    are none."""
+    z = np.array(points, dtype=complex).ravel()
+    if not z.size:
+        raise PreconditionError("no sample points given")
+    return z
+
+
 def certify(pair, grid):
     """Numeric certificate that the MinimalPair is a regular conjugate
-    minimal pair at the points of grid, an iterable of complex numbers;
-    certify_sample over the pair's sample there."""
-    z = np.array(list(grid), dtype=complex)
-    if not z.size:
-        raise PreconditionError("certification grid is empty")
-    return certify_sample(pair, pair.samples_at(z))
+    minimal pair at the points of grid (point_set); certify_sample over the
+    pair's sample there."""
+    return certify_sample(pair, pair.samples_at(point_set(grid)))
 
 
 def certify_sample(pair, sample):

@@ -36,15 +36,14 @@ from .construct import (SIGNS, build_phi_pair, extract_minimal_pair, phi_pair,
                         phi_value)
 from .errors import (DualitySingularError, EvaluationError,
                      FrameUndefinedError, InversionSingularError,
-                     NotNullCurveError, PreconditionError, ProjectionError,
-                     SingularSampleError)
+                     NotNullCurveError, PreconditionError, SingularSampleError)
 from .expr import Bin, Curve, CurveExpr, Pow, const_node
 from .geometry import (CIRCULAR_TOL, DIV_FLOOR, R4, Ambient, _coord_shape,
-                       _gram, _largest, _normal_parts, _vec_norm,
+                       _gram, _largest, _normal_part, _vec_norm,
                        ellipse_descriptor, fundamental_data)
 from .jets import (Jet2, _im_part, _re_part, fail_rows, graph_surface,
                    row_failures)
-from .minimal import HolomorphicCurve
+from .minimal import HolomorphicCurve, point_set
 
 SIGNATURES = ("euclidean", "lorentzian")
 
@@ -250,9 +249,9 @@ def duality(curve, z):
     its induced metric is conformal.  Undefined where the position vector
     is tangential: those rows fail with DualitySingularError
     (jets.fail_rows)."""
-    z = np.atleast_1d(np.asarray(z, complex))
+    z = point_set(z)
     pos, fu, fv = _graph_fields(curve, z)
-    [fN] = _normal_parts([pos], fu, fv, Jet2.dot)
+    fN = _normal_part(pos, fu, fv, Jet2.dot)
     n2 = fN.dot(fN)
     scale = pos.dot(pos).v + fu.dot(fu).v
     fail_rows(n2.v <= 1e-24 * scale,
@@ -269,7 +268,7 @@ def duality(curve, z):
     conformality = (np.maximum(abs(E - G), 2.0 * abs(F))
                     / _largest(E, G, 1e-300))
     value = fstar.v
-    [FN] = _normal_parts([value], Fu, Fv, R4.dot, gram)
+    FN = _normal_part(value, Fu, Fv, R4.dot, gram)
     nn = R4.dot(FN, FN)
     fail_rows(nn <= 1e-24 * R4.dot(value, value),
               lambda k: DualitySingularError(
@@ -327,9 +326,7 @@ def pair_transform_check(pair, inv, points):
     other error of the images propagates."""
     if inv.signature != "euclidean" or inv.dim != 4:
         raise PreconditionError("pair transformation works in euclidean R4")
-    z = np.array(list(points), dtype=complex)
-    if not z.size:
-        raise PreconditionError("no sample points given")
+    z = point_set(points)
 
     # only phi and its flags are kept, so the field context is freed before
     # the images are built
@@ -411,16 +408,7 @@ def recover_complex_structure(pair, points):
     fit_residual is the root-mean-square equation misfit; the constancy
     residual is the worst single-point misfit, certifying that one constant
     matrix serves the whole grid."""
-    return _complex_structure(pair, _sample(pair, points))
-
-
-def _sample(pair, points):
-    """The pair's SplitSample at the points, an iterable of complex
-    numbers; PreconditionError if there are none."""
-    z = np.array(list(points), dtype=complex)
-    if not z.size:
-        raise PreconditionError("no sample points given")
-    return pair.samples_at(z)
+    return _complex_structure(pair, pair.samples_at(point_set(points)))
 
 
 def _complex_structure(pair, s):
@@ -487,14 +475,14 @@ def degenerate_collapse_check(pair, points):
     companion surface from 2 g^N, and the structure as
     recover_complex_structure reports it, all from one sample of the
     pair."""
-    sample = _sample(pair, points)
+    sample = pair.samples_at(point_set(points))
     structure = _complex_structure(pair, sample)
     built = phi_pair(sample)
     fd = built[0].ctx.fd_g
     fail_rows(~fd.regular, lambda k: SingularSampleError(
         "g is singular at a sample point"))
     g = sample.g
-    [gN] = _normal_parts([g.v], g.du, g.dv, R4.dot)
+    gN = _normal_part(g.v, g.du, g.dv, R4.dot)
     vals = {ps.sign: ps.phi.v for ps in built}
     companion = {s: _vec_norm(v - 2.0 * gN).max(initial=0.0)
                  for s, v in vals.items()}
@@ -527,23 +515,17 @@ def superminimal_test(sample, ambient):
     """Minimality plus curvature-circle roundness for a space-form immersion.
 
     sample is the immersion's 5-component vector Jet2 over a batch of
-    points, whose values must lie on the space form; an off-manifold point
-    raises ProjectionError.  The immersion is minimal where r |H| <= 1e-9
-    at every point, r the space form's radius, and round where the
-    circularity residuals are at most CIRCULAR_TOL.  Totally umbilic
-    immersions carry a point circle at every point (r mu <= 1e-9); they
-    pass vacuously and the verdict says so."""
+    points, whose values must lie on the space form: a point off it is a
+    failed row of ProjectionError (Ambient.check_on).  The immersion is
+    minimal where r |H| <= 1e-9 at every point, r the space form's radius,
+    and round where the circularity residuals are at most CIRCULAR_TOL.
+    Totally umbilic immersions carry a point circle at every point
+    (r mu <= 1e-9); they pass vacuously and the verdict says so."""
     if not np.size(sample.v):
         raise PreconditionError("no sample points given")
-    res = ambient.on_manifold_residual(sample.v)
     r = ambient.radius
-    off = np.flatnonzero(res > 1e-9 * r * r)
-    if off.size:
-        k = off[0]
-        raise ProjectionError(
-            f"sample point {k} is off the {ambient.kind} space form "
-            f"(residual {res[k]:.3e})")
     fd = fundamental_data(sample, ambient)
+    ambient.check_on(sample.v)
     fail_rows(~fd.regular, lambda k: SingularSampleError(
         "rank-deficient sample"))
     ed = ellipse_descriptor(fd)
@@ -595,9 +577,7 @@ def quadric_classification(pair_like, points, immersion=None, ambient=None):
     test, and the surfaces constructed from the pair are compared against
     the stereographic image of the immersion (best of the two signs).  Where
     <<G, G>> overflows, EvaluationError names the point."""
-    z = np.array(list(points), dtype=complex)
-    if not z.size:
-        raise PreconditionError("no sample points given")
+    z = point_set(points)
     sample = pair_like.samples_at(z)
     g, h = sample.g, sample.h
     vals, scale = _complex_square(g.v, h.v)

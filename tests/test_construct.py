@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from superconf.errors import (DegenerateJetError, FrameDegenerateError,
                               FrameUndefinedError, PreconditionError,
                               SingularSampleError)
 from superconf.export import sample_grid
-from superconf.geometry import (_PAIRS, FRAME_FLOOR, R4, _normal_parts,
+from superconf.geometry import (_PAIRS, FRAME_FLOOR, R4, _normal_part,
                                 _rank_deficient, _sqrt0, _sym2, _vec_norm,
                                 ellipse_descriptor, fundamental_data,
                                 unit_scale)
@@ -69,8 +70,8 @@ def construction_frame(pair, z):
     Tvec = np.stack((r.v * grad_v.v, -r.v * grad_u.v), -1)
 
     fallback = a_val <= FRAME_FLOOR
-    [hN] = _normal_parts([s.h.values()], gu_val, gv_val,
-                         lambda a, b: _col(_row_dot(a, b)))
+    hN = _normal_part(s.h.values(), gu_val, gv_val,
+                      lambda a, b: _col(_row_dot(a, b)))
     with np.errstate(divide="ignore", invalid="ignore"):
         xi = -hN / _col(a_val * r.v)
     if np.any(fallback):
@@ -606,6 +607,23 @@ def test_dual_pair_report_rejects_collapsed_sign():
     pair = catalog.get("q0-trig").pair
     with pytest.raises(PreconditionError):
         dual_pair_report(pair, 0.4 + 0.3j)
+
+
+@pytest.mark.parametrize("name", ["whitney", "q0-line"])
+def test_dual_pair_report_fails_rank_deficient_rows_without_warning(name):
+    # verify's 16 dual points of its default 16 x 16 grid, where a built
+    # surface is rank-deficient: the tangency residual would divide by
+    # |phi_u| = 0 there
+    entry = catalog.get(name)
+    grid = entry.domain.grid(16, 16)
+    z = grid[::len(grid) // 16]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with row_failures(z.size) as failed:
+            dual_pair_report(entry.pair, z)
+    n_failed = int(np.count_nonzero(failed.rows()))
+    assert n_failed > 0
+    assert failed.counts() == {"PreconditionError": n_failed}
 
 
 def test_translation_moves_phi_by_offset_norm(catenoid, perturbed):

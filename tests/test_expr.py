@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from superconf import EvaluationError, ExpressionError, jets
+from superconf.errors import PreconditionError
 from superconf.expr import (
+    MAX_DEPTH,
     Bin,
     CurveExpr,
     Lit,
     Neg,
+    Node,
     Pow,
     Var,
     const_node,
     parse_curve,
     print_node,
 )
+from superconf.minimal import (Domain, HolomorphicCurve, MinimalPair,
+                               associated_family, certify)
+from superconf.moebius import transformed_curve
 
 ROUNDTRIP = [
     "(cos(z), sin(z), -i*z, 0)",
@@ -93,6 +99,40 @@ def test_deep_expression_positions(name):
     with pytest.raises(ExpressionError) as exc:
         parse_curve(text)
     assert (exc.value.line, exc.value.col) == (1, col)
+
+
+def _padded_catenoid(terms):
+    """The catenoid with terms '+ 0' terms in its last component."""
+    return HolomorphicCurve("padded", "(cos(z), sin(z), -i*z, 0"
+                            + " + 0" * terms + ")", Domain(-2, 2, -1.5, 1.5))
+
+
+def _depth(node):
+    return 1 + max((_depth(x) for x in vars(node).values()
+                    if isinstance(x, Node)), default=0)
+
+
+# each function that wraps a curve's tree, with the padding that puts
+# its result at MAX_DEPTH
+WRAPPERS = {
+    "transformed_curve": (lambda c: transformed_curve(c, 1.0, (0, 0, 0, 5j)),
+                          95),
+    "associated_family": (lambda c: associated_family(
+        MinimalPair(c), 0.3).curve, 98),
+}
+
+
+@pytest.mark.parametrize("name", WRAPPERS)
+def test_built_curves_reparse(name):
+    build, at_bound = WRAPPERS[name]
+    # certify accepts the padded curve, whose text the parser takes
+    deepest = _padded_catenoid(99)
+    assert certify(MinimalPair(deepest), deepest.domain.grid(3, 3))["ok"]
+    with pytest.raises(PreconditionError, match="deeper than 100 levels"):
+        build(deepest)
+    built = build(_padded_catenoid(at_bound)).expr
+    assert max(map(_depth, built.ast.components)) == MAX_DEPTH
+    assert CurveExpr.parse(built.to_text()).ast == built.ast
 
 
 def test_unexpected_character():

@@ -31,7 +31,7 @@ from superconf.errors import PreconditionError
 from superconf.geometry import (
     CIRCULAR_TOL, FRAME_FLOOR, PATTERN_TOL, R4, REGULARITY_FLOOR, Ambient,
     FundamentalData,
-    _largest, _normal_parts, _pypow, _rank_deficient, _sqrt0, _sym2,
+    _largest, _normal_part, _pypow, _rank_deficient, _sqrt0, _sym2,
     adapted_frame, ellipse_descriptor, fundamental_data, unit_scale)
 from superconf.jets import Jet2, fail_rows, row_failures
 from test_geometry import clifford_s4, flat_torus_h4, great_sphere_s4
@@ -77,8 +77,8 @@ def oracle_fundamental_data(sample, ambient=R4):
     dim = ambient.dim
     ws = np.empty((len(x), 3 + dim, dim))
     ws[:, 0], ws[:, 1], ws[:, 2], ws[:, 3:] = Xuu, Xuv, Xvv, np.eye(dim)
-    [normal] = _normal_parts([ws], Xu[:, None], Xv[:, None], dot,
-                             [m[..., None] for m in (E, F, G, det1)])
+    normal = _normal_part(ws, Xu[:, None], Xv[:, None], dot,
+                          [m[..., None] for m in (E, F, G, det1)])
     B, P = normal[:, :3], normal[:, 3:]
     radial = None
     if ambient.kind != "r4":

@@ -3,8 +3,8 @@ public function the package defines is used, every command-line option
 is passed by a test or a README example, the geometry kernel makes no
 LAPACK call, no product goes through BLAS, the 2-form index tables are
 integer arrays, the writers format numbers in array passes, geometry
-owns the one scale rule, and the self-test builds no grid per loop
-pass."""
+owns the one scale rule and space-form membership, minimal decides every
+check's point set, and the self-test builds no grid per loop pass."""
 
 import argparse
 import ast
@@ -666,6 +666,77 @@ def test_one_lattice():
     found = {p.stem: layout_calls(p.read_text()) for p in MODULES}
     assert {m: calls for m, calls in found.items() if calls} == {
         "minimal": ["linspace", "linspace"]}
+
+
+def calls_of(source, name):
+    """The number of calls in source of a function or method called name."""
+    return sum(isinstance(n, ast.Call) and called_name(n.func) == name
+               for n in ast.walk(ast.parse(source)))
+
+
+def complex_conversions(source):
+    """The qualified name of the def, or '<module>', of each call in source
+    of np.array or np.asarray that converts to complex, by the positional
+    dtype complex or dtype=complex."""
+    found = []
+
+    def converts(call):
+        dtypes = call.args[1:2] + [k.value for k in call.keywords
+                                   if k.arg == "dtype"]
+        return (called_name(call.func) in ("array", "asarray")
+                and called_name(getattr(call.func, "value", None)) == "np"
+                and any(getattr(d, "id", None) == "complex" for d in dtypes))
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>"
+                      else f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and converts(child):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_membership_and_conversion_scans():
+    source = ("import numpy as np\nx.on_manifold_residual(p)\n"
+              "def f(z):\n    return np.array(list(z), dtype=complex)\n"
+              "class A:\n    def g(self, z):\n"
+              "        return np.asarray(z, complex) + np.asarray(z, float)\n"
+              "y = np.empty(3, complex) + np.array(z)\n"
+              "w = on_manifold_residual\n")
+    assert calls_of(source, "on_manifold_residual") == 1
+    assert complex_conversions(source) == ["f", "A.g"]
+
+
+# complex conversions outside minimal that take no point set, each with its
+# reason
+COMPLEX_CONVERSIONS_ALLOWED = {
+    # a jet's value slot, split into its real and imaginary parts
+    "jets._CArray.of",
+    # the inversion center, a complex 4-vector
+    "moebius.transformed_curve",
+}
+
+
+def test_one_membership_rule():
+    """Ambient.check_on decides space-form membership: no module but
+    geometry calls on_manifold_residual."""
+    assert {p.stem for p in MODULES
+            if calls_of(p.read_text(), "on_manifold_residual")} == {
+        "geometry"}
+
+
+def test_one_point_set_rule():
+    """minimal.point_set decides a check's point set: no module but
+    minimal turns points into a complex array, but where allowed above
+    (and an allowed one is still there)."""
+    assert {f"{p.stem}.{where}" for p in MODULES if p.stem != "minimal"
+            for where in complex_conversions(p.read_text())} == (
+        COMPLEX_CONVERSIONS_ALLOWED)
 
 
 GRID_BUILDERS = {"sample_grid", "build_phi_pair"}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from superconf.construct import reflection_pair_check, translation_check
 from superconf.errors import DomainError, PreconditionError
 from superconf.expr import CurveExpr
 from superconf.jets import Jet2, _im_part
@@ -13,6 +14,15 @@ from superconf.minimal import (
     SplitSample,
     associated_family,
     certify,
+    point_set,
+)
+from superconf.moebius import (
+    Inversion,
+    degenerate_collapse_check,
+    duality,
+    pair_transform_check,
+    quadric_classification,
+    recover_complex_structure,
 )
 
 CAT_DOM = Domain(-2.0, 2.0, -1.5, 1.5)
@@ -185,6 +195,36 @@ class TestAssociatedFamily:
         rep = certify(member, member.domain.grid(5, 5, 0.05))
         assert rep["isotropy_max"] < 1e-13
         assert rep["minimality_max"] < 1e-12
+
+
+class TestPointSet:
+    def test_a_point_a_sequence_and_an_array_are_one_dimensional(self):
+        for points, n in ((0.5 + 1j, 1), ([1, 2j, 3.0], 3),
+                          (CAT_DOM.lattice(3, 4), 12)):
+            z = point_set(points)
+            assert z.dtype == complex and z.shape == (n,)
+        np.testing.assert_array_equal(point_set((1, 2j)), [1, 2j])
+
+    @pytest.mark.parametrize("check", [
+        lambda pair, z: certify(pair, z),
+        lambda pair, z: translation_check(pair, (0.3, 0.0, 0.0, 0.0), z),
+        lambda pair, z: reflection_pair_check(pair, z),
+        lambda pair, z: pair_transform_check(
+            pair, Inversion(center=(0.0, 0.0, 0.0, 5.0)), z),
+        lambda pair, z: recover_complex_structure(pair, z),
+        lambda pair, z: degenerate_collapse_check(pair, z),
+        lambda pair, z: quadric_classification(pair, z),
+        lambda pair, z: duality(HolomorphicCurve(
+            "graph", "(z, z^2)", CAT_DOM), z),
+    ], ids=["certify", "translation_check", "reflection_pair_check",
+            "pair_transform_check", "recover_complex_structure",
+            "degenerate_collapse_check", "quadric_classification",
+            "duality"])
+    @pytest.mark.parametrize("empty", [[], np.array([], complex)],
+                             ids=["list", "array"])
+    def test_every_check_refuses_an_empty_point_set(self, check, empty):
+        with pytest.raises(PreconditionError, match="no sample points"):
+            check(catenoid_pair(), empty)
 
 
 def test_curve_text_round_trip():

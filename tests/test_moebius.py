@@ -9,9 +9,9 @@ from superconf.errors import (DualitySingularError, FrameUndefinedError,
                               InversionSingularError, NotNullCurveError,
                               PreconditionError, ProjectionError,
                               SuperconfError)
-from superconf.geometry import (DIV_FLOOR, Ambient, _normal_parts,
+from superconf.geometry import (DIV_FLOOR, Ambient, _normal_part,
                                 fundamental_data)
-from superconf.jets import Jet2, fail_rows
+from superconf.jets import Jet2, fail_rows, row_failures
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair, certify
 from superconf.moebius import (_J_INDEX, _J_SIGN, Inversion,
                                _check_denominator, _graph_fields,
@@ -105,7 +105,7 @@ def inversion_pair_of_holomorphic(curve, inv, z):
         raise PreconditionError("pair inversion works in euclidean R4")
     pos, fu, fv = _graph_fields(curve, z)
     d = pos - Jet2.stack(inv.center)
-    [dN] = _normal_parts([d], fu, fv, Jet2.dot)
+    dN = _normal_part(d, fu, fv, Jet2.dot)
     [n2] = dN.dot(dN).v
     [scale] = d.dot(d).v + fu.dot(fu).v
     if n2 <= 1e-24 * max(scale, 1e-300):
@@ -601,6 +601,29 @@ def test_superminimal_rejects_torus():
     rep = superminimal_test(entry.sample(*_grid(entry)), entry.ambient)
     assert rep.verdict == "not-minimal"
     assert rep.max_mean_curvature == pytest.approx(7.0 / 24.0, abs=1e-9)
+
+
+def test_far_out_hyperbolic_points_are_on_the_space_form():
+    # the flat torus (s cos u, s sin u, s cos v, s sin v, sqrt(1 + 2 s^2) - 1)
+    # in H4 of radius 1: the Lorentz norm of a point at |x| = s loses about
+    # eps s^2 to rounding, which the per-point rule allows for
+    s = 1e4
+    hy = Ambient("hyperbolic", 1.0)
+    u, v = (Jet2.coordinate_u(np.linspace(0.1, 6.0, 5)),
+            Jet2.coordinate_v(np.linspace(0.3, 5.0, 5)))
+    torus = Jet2.stack([s * u.cos(), s * u.sin(), s * v.cos(), s * v.sin(),
+                        Jet2.constant(np.sqrt(1.0 + 2.0 * s * s) - 1.0)])
+    rep = superminimal_test(torus, hy)
+    assert rep.verdict == "not-minimal"
+    assert rep.max_mean_curvature == pytest.approx(1.0, rel=1e-6)
+    assert np.isfinite(hy.to_R4(torus.v)).all()
+    # random points as far out, on the sheet through the origin
+    d = np.random.default_rng(3).normal(size=(4, 50))
+    x = s * d / np.sqrt((d * d).sum(axis=0))
+    points = np.concatenate((x, [np.sqrt(1.0 + (x * x).sum(axis=0)) - 1.0]))
+    with row_failures(50) as failed:
+        hy.check_on(points)
+    assert not failed.rows().any()
 
 
 def test_superminimal_off_manifold_errors():
