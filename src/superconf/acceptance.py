@@ -19,7 +19,7 @@ from .construct import (SIGNS, build_phi_pair, dual_pair_report,
                         reflection_pair_check, translation_check)
 from .errors import ExpressionError
 from .expr import parse_curve, print_node
-from .export import (_first_extreme, canonical_json, grid_text, obj_text,
+from .export import (canonical_json, grid_text, obj_text,
                      sample_grid, sample_grids, stereo_projector, summarize)
 from .geometry import (Ambient, _matvec, _normal_part, _vec_norm,
                        ellipse_descriptor, fundamental_data)
@@ -48,22 +48,16 @@ def _cat_grid():
     return Domain(u0, u1, v0, v1).grid(nu, nv)
 
 
-def _clear_worst(rows):
+def _grid_worst(grids):
     """(worst residual, count) over the unflagged rows of sample_grid runs:
-    the builtin max over the rows in order of each row's max(|res_orth|,
-    |res_len|, wintgen_rel), 0.0 for no rows."""
-    worst = []
-    for sign_rows in rows:
-        a, b, c = (sign_rows.clear_stat(name)
-                   for name in ("res_orth", "res_len", "wintgen_rel"))
-        a, b = abs(a), abs(b)
-        # max(a, b, c) takes b only if b > a, then c only if c > that
-        ab = np.where(b > a, b, a)
-        worst.append(np.where(c > ab, c, ab))
-    worst = np.concatenate(worst)
-    if not worst.size:
-        return 0.0, 0
-    return _first_extreme(worst, np.fmax), worst.size
+    the largest max_res_orth, max_res_len and max_wintgen_rel of their
+    summaries, the residuals verify holds to its tolerance, nan if one is
+    nan, and 0.0 for no rows."""
+    aggs = [agg for agg in (summarize(rows) for rows in grids)
+            if agg["n_clear"]]
+    worst = np.max([agg[k] for agg in aggs for k in (
+        "max_res_orth", "max_res_len", "max_wintgen_rel")], initial=0.0)
+    return float(worst), sum(agg["n_clear"] for agg in aggs)
 
 
 def criterion_1() -> CriterionResult:
@@ -91,16 +85,13 @@ def criterion_1() -> CriterionResult:
 
 def criterion_2() -> CriterionResult:
     """Both constructed surfaces are superconformal; product torus is not."""
-    worst = 0.0
-    counts = {}
     names = ("catenoid-helicoid", "whitney", "q0-trig-perturbed")
     pairs = [catalog.get(name).pair for name in names]
     grids = sample_grids(
         [(pair, pair.domain.lattice(16, 16, 0.02)) for pair in pairs], SIGNS)
-    for name, rows in zip(names, grids):
-        pair_worst, counts[name] = _clear_worst(rows)
-        worst = max(worst, pair_worst)
-        if counts[name] == 0:
+    worst, n_clear = _grid_worst([rows for job in grids for rows in job])
+    for name, job in zip(names, grids):
+        if not any(rows.clear().any() for rows in job):
             return CriterionResult(
                 "2", "superconformality of the constructed surfaces", False,
                 f"no unflagged samples for {name}")
@@ -115,7 +106,7 @@ def criterion_2() -> CriterionResult:
     return CriterionResult(
         "2", "superconformality of the constructed surfaces", passed,
         f"worst residual {worst:.3e} (tol 1e-8) over "
-        f"{sum(counts.values())} samples; torus control min defect "
+        f"{n_clear} samples; torus control min defect "
         f"{min_defect:.3f} (> 0.1)")
 
 
@@ -394,11 +385,9 @@ def criterion_12() -> CriterionResult:
     surfaces."""
     pair = catalog.get("catenoid-helicoid").pair
     lattice = Domain(0.2, 2.0 * np.pi - 0.2, -1.5, 1.5).lattice(8, 8)
-    worst, n_clear = 0.0, 0
-    for rows in sample_grids([(associated_family(pair, k * np.pi / 8.0),
-                               lattice) for k in range(8)], SIGNS):
-        fam_worst, n = _clear_worst(rows)
-        worst, n_clear = max(worst, fam_worst), n_clear + n
+    grids = sample_grids([(associated_family(pair, k * np.pi / 8.0), lattice)
+                          for k in range(8)], SIGNS)
+    worst, n_clear = _grid_worst([rows for job in grids for rows in job])
     passed = worst < 1e-8 and n_clear > 0
     return CriterionResult(
         "12", "associated family stays superconformal", passed,

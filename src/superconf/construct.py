@@ -67,17 +67,20 @@ _TERM_SIGN = np.array([1.0, -1, -1, -1, 1, 1, -1, -1, 1, 1, 1, -1])[:, None]
 def _act(form, h):
     """(A h)_i = sum_j A_ij h_j for the 2-form A, (6, n) on geometry._PAIRS,
     and h, (4, n): one product of all terms, each component summed from 0.0
-    in _PAIRS order, so it rounds as written term by term (x * -1.0 is -x)."""
-    t = (form[_TERM_A] * h[_TERM_H]).scaled(_TERM_SIGN)
+    in _PAIRS order, so it rounds as written term by term (x * -1.0 is -x).
+    form and h are both float batches or both vector jets."""
+    t = form[_TERM_A] * h[_TERM_H] * _TERM_SIGN
     return 0.0 + t[0:4] + t[4:8] + t[8:12]
 
 
 def _jhat_parts(gu, gv, h):
     """(W h, *W h) for the tangent 2-form W = gu ^ gv of the base surface.
 
-    Jhat(s) h = (W h + s *W h) / |W|, for vector jets gu, gv and h."""
+    Jhat(s) h = (W h + s *W h) / |W|, for gu, gv and h all (4, n) float
+    batches or all vector jets, whose value slots then hold the floats'
+    bits."""
     W = gu[_I] * gv[_J] - gu[_J] * gv[_I]
-    return _act(W, h), _act(W[_STAR].scaled(_STAR_SIGN), h)
+    return _act(W, h), _act(W[_STAR] * _STAR_SIGN, h)
 
 
 @dataclass
@@ -120,9 +123,10 @@ def _assemble(s) -> _FieldContext:
     (h, g_u and g_v divided by unit, geometry.unit_scale of |g_u| and |g_v|,
     and every result scaled back on the way out), so every floor meets
     ratios.  E, F and G are jets here only because 1/|W| and Jhat h need
-    their derivatives; r, r_u, r_v and h^N are values with the bits of the
-    jets' value slots (R4.dot sums as Jet2.dot does), and a = |h^N| / r
-    keeps its digits where h is nearly tangent.
+    their derivatives; r, r_u, r_v and h^N are values, R4.dot of the jets'
+    value slots, so they hold the bits of the value slots of the same
+    products taken on the jets, and a = |h^N| / r keeps its digits where h
+    is nearly tangent.
 
     The rows fail (jets.fail_rows) with FrameDegenerateError where h
     vanishes (||h||^2 in the pair's units at the sqrt floor DIV_FLOOR),
@@ -132,8 +136,8 @@ def _assemble(s) -> _FieldContext:
     failed row goes on with the base value 1, as in the jets' own checks."""
     norms = _vec_norm(s.g_u.v), _vec_norm(s.g_v.v)
     unit = unit_scale(*norms)
-    h, gu, gv = (x.scaled(1.0 / unit) for x in (s.h, s.g_u, s.g_v))
-    E, F, G, W2 = _gram(gu, gv, Jet2.dot)
+    h, gu, gv = (x * (1.0 / unit) for x in (s.h, s.g_u, s.g_v))
+    E, F, G, W2 = _gram(gu, gv, R4.dot)
 
     r2 = R4.dot(h.v, h.v)
     h_zero = r2 <= DIV_FLOOR
@@ -161,8 +165,8 @@ def _assemble(s) -> _FieldContext:
     return _FieldContext(
         sample=s, norms=norms, unit=unit, E=E.v * unit2, F=F.v * unit2,
         G=G.v * unit2, r=r * unit, ru=ru * unit, rv=rv * unit,
-        hN=hN * unit, a=a, turn_t=turn_t.scaled(unit),
-        turn_n=turn_n.scaled(unit), fd_g=fd_g, g_collapse=_g_collapse(fd_g))
+        hN=hN * unit, a=a, turn_t=turn_t * unit,
+        turn_n=turn_n * unit, fd_g=fd_g, g_collapse=_g_collapse(fd_g))
 
 
 def _g_collapse(fd_g):
@@ -245,10 +249,8 @@ def phi_value(g_sample: Jet2, h_sample: Jet2, sign) -> np.ndarray:
     standard = _vec_norm(hu - ju) + _vec_norm(hv - jv)
     mirrored = _vec_norm(hu + ju) + _vec_norm(hv + jv)
     orient = np.where(standard <= mirrored, 1.0, -1.0)
-    # as vector jets with vanishing derivatives, so that each value takes
-    # the operations it takes in _assemble
-    tw, nw = (t.v for t in _jhat_parts(*(
-        Jet2(x, *[np.zeros((4, 1))] * 5) for x in (gu, gv, h_sample.v))))
+    # each value takes the operations it takes in _assemble
+    tw, nw = _jhat_parts(gu, gv, h_sample.v)
     return g_sample.v + (orient * tw + s * nw) / w
 
 

@@ -50,7 +50,7 @@ GridSample = namedtuple("GridSample", "u v position stats flags")
 class GridRows:
     """The rows of one sign of a grid run over a complex (nu, nv) lattice
     (minimal.Domain.lattice), held as columns in its raveled order: shape
-    (nu, nv); u, v (n,); position (n, 4), set where flags <
+    (nu, nv); u, v (n,); position (4, n), set where flags <
     FLAG_OUT_OF_DOMAIN; stats (n, 9) in _STAT_NAMES order, set where
     has_stats; nan where unset.  flags holds the FLAG_* bits of construct,
     the out-of-domain and failed-sample ones included; rows with flags != 0
@@ -60,7 +60,7 @@ class GridRows:
     def __init__(self, lattice):
         self.shape = lattice.shape
         self.u, self.v = lattice.real.ravel(), lattice.imag.ravel()
-        self.position = np.full((lattice.size, 4), np.nan)
+        self.position = np.full((4, lattice.size), np.nan)
         self.stats = np.full((lattice.size, len(_STAT_NAMES)), np.nan)
         self.has_stats = np.zeros(lattice.size, bool)
         self.flags = np.full(lattice.size, FLAG_OUT_OF_DOMAIN)
@@ -73,7 +73,8 @@ class GridRows:
         stats = (dict(zip(_STAT_NAMES, self.stats[k].tolist()))
                  if self.has_stats[k] else None)
         return GridSample(float(self.u[k]), float(self.v[k]),
-                          self.position[k].copy() if flags < FLAG_OUT_OF_DOMAIN
+                          self.position[:, k].copy()
+                          if flags < FLAG_OUT_OF_DOMAIN
                           else None, stats, flags)
 
     def clear(self):
@@ -164,9 +165,9 @@ def _fill_rows(targets, ps, failed):
     phi = ps.phi
     fd = fundamental_data(phi)
     ed = ellipse_descriptor(fd)
-    position = phi.values()
+    position = phi.v
     # a position past the float range has no values to write either
-    flags = np.where(failed | ~np.isfinite(position).all(axis=1),
+    flags = np.where(failed | ~np.isfinite(position).all(axis=0),
                      FLAG_DEGENERATE_SAMPLE, ps.flags)
     placed = flags < FLAG_OUT_OF_DOMAIN
     stated = placed & fd.regular
@@ -178,7 +179,8 @@ def _fill_rows(targets, ps, failed):
         part = slice(lo, lo + at.size)
         lo += at.size
         rows.flags[at] = flags[part]
-        rows.position[at[placed[part]]] = position[part][placed[part]]
+        keep = placed[part]
+        rows.position[:, at[keep]] = position[:, part][:, keep]
         rows.has_stats[at] = stated[part]
         rows.stats[at[stated[part]]] = stats[part][stated[part]]
 
@@ -484,8 +486,9 @@ def _csv_mesh_chunks(samples):
     for lo in _block_starts(len(samples)):
         hi = min(lo + BLOCK_POINTS, len(samples))
         cells = np.empty((hi - lo, 15, _CELL), np.uint8)
+        # the block's rows, one point per row, are laid out here
         cells[:, :14] = _cells(np.column_stack((
-            samples.u[lo:hi], samples.v[lo:hi], samples.position[lo:hi],
+            samples.u[lo:hi], samples.v[lo:hi], samples.position[:, lo:hi].T,
             samples.stats[lo:hi, _CSV_STATS])))
         cells[:, 14, :_INT_CELL] = _int_cells(samples.flags[lo:hi])
         cells[:, 14, _INT_CELL:] = 0
@@ -500,7 +503,7 @@ def _check_vertices(samples):
     """JSON has no nan or inf: refuse a placed row whose position is not
     finite, as canonical_json would."""
     placed = samples.flags < FLAG_OUT_OF_DOMAIN
-    if not np.isfinite(samples.position[placed]).all():
+    if not np.isfinite(samples.position[:, placed]).all():
         raise ValueError("Out of range float values are not JSON compliant")
 
 
@@ -552,7 +555,7 @@ def drop_projector(k: int):
     keep = [i for i in range(4) if i != k]
 
     def project(x):
-        return x[:, keep], np.ones(len(x), bool)
+        return x[keep], np.ones(x.shape[1], bool)
 
     return project
 
@@ -563,8 +566,8 @@ def stereo_projector(pole=(0.0, 0.0, 0.0, 1.0)):
     The pole's direction is the axis, its length the projection height R:
     x maps to R/(R - <x, p>) times the component of x orthogonal to the unit
     axis p, written in a deterministic basis of the orthogonal complement.
-    It maps (n, 4) rows to (Y, ok), ok False on the horizon <x, p> = R.  The
-    default pole reduces to (x0, x1, x2) * R/(R - x3).
+    It maps a (4, n) batch to (Y, ok), Y (3, n) and ok False on the horizon
+    <x, p> = R.  The default pole reduces to (x0, x1, x2) * R/(R - x3).
     """
     p = np.asarray(pole, dtype=float)
     if p.shape != (4,):
@@ -586,10 +589,10 @@ def stereo_projector(pole=(0.0, 0.0, 0.0, 1.0)):
     B = np.array(basis[:3])
 
     def project(x):
-        den = R - R4.dot(x.T, axis[:, None])
-        ok = ~(abs(den) <= 1e-12 * np.fmax(R, np.abs(x).max(axis=1)))
+        den = R - R4.dot(x, axis[:, None])
+        ok = ~(abs(den) <= 1e-12 * np.fmax(R, np.abs(x).max(axis=0)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            y = (R / den)[:, None] * _matvec(B, x.T).T
+            y = (R / den) * _matvec(B, x)
         return y, ok
 
     return project
@@ -605,17 +608,19 @@ def _obj_chunks(samples, projector, note):
     with matching winding.
     """
     placed = samples.flags < FLAG_OUT_OF_DOMAIN
-    y = np.full((len(samples), 3), np.nan)
+    y = np.full((3, len(samples)), np.nan)
     ok = np.zeros(len(samples), bool)
-    y[placed], ok[placed] = projector(samples.position[placed])
-    y[~ok] = np.nan
+    y[:, placed], ok[placed] = projector(samples.position[:, placed])
+    y[:, ~ok] = np.nan
     faces = _quads(ok.reshape(samples.shape)) + 1
     yield ("# lossy 3d projection of a 4d grid surface"
            + (f" ({note})" if note else "")
            + "\n# grid %d x %d, row-major, u varying slowest\n"
            % samples.shape).encode()
-    for lo in _block_starts(len(y)):
-        yield _text(_lines(_cells(y[lo:lo + BLOCK_POINTS]), b"v ", b"  \n"))
+    for lo in _block_starts(len(samples)):
+        # the block's vertices, one per row, are laid out here
+        yield _text(_lines(_cells(y[:, lo:lo + BLOCK_POINTS].T), b"v ",
+                           b"  \n"))
     for lo in _block_starts(len(faces)):
         # each quad's corners a b c d make the lines f a b c and f a c d
         corners = _int_cells(faces[lo:lo + BLOCK_POINTS])

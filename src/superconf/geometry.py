@@ -7,8 +7,9 @@ sample's own (dim, n) slots, component axis first and batch axis last, and
 every vector field it returns has that layout.  An inner product sums the
 component rows of a product in order from 0.0, 0.0 + p[0] + p[1] + ...,
 which rounds as a sum along a trailing axis of fewer than 8 entries.
-That is the package's one inner product: no product goes through BLAS, so
-no bit depends on which BLAS kernel the machine runs.  Outputs:
+That is Ambient.dot, the package's one inner product, for float batches
+and vector jets alike: no product goes through BLAS, so no bit depends on
+which BLAS kernel the machine runs.  Outputs:
 fundamental forms, curvature invariants, the ellipse of curvature with
 its circularity residuals and Wintgen defect (one record), and the adapted
 tangent/normal frame in which both shape operators take their normal
@@ -101,13 +102,20 @@ class Ambient:
         return np.zeros(4)
 
     def dot(self, a, b):
-        """The inner product of two vectors, or of every column of two
-        batches whose leading axis is the component axis: the products
-        summed over that axis in component order from 0.0 (a @ b rounds
-        otherwise); R4's all-ones signature is skipped."""
+        """The inner product of two vectors, of every column of two batches
+        whose leading axis is the component axis, or of two vector Jet2s,
+        slot by slot: the product, each component times its signature
+        entry (R4's all-ones one is skipped), summed over that axis in
+        component order from 0.0 (a @ b rounds otherwise)."""
+        p = a * b
+        if isinstance(p, Jet2):
+            return Jet2(*map(self._component_sum, p.slots))
+        return self._component_sum(p)
+
+    def _component_sum(self, p):
         if self.kind != "r4":    # the signature along the leading axis
-            a = (_SIGNATURES[self.kind] * a.T).T
-        return np.add.reduce(a * b, 0, initial=0.0)
+            p = (_SIGNATURES[self.kind] * p.T).T
+        return np.add.reduce(p, 0, initial=0.0)
 
     def on_manifold_residual(self, x):
         """Zero where the points of x, a (dim, n) batch, lie on the space

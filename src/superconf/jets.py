@@ -495,6 +495,7 @@ class Jet2(_Jet):
     _all = slots = property(attrgetter(*__slots__))
     _NUMBERS = (int, float)
     _ELEMENTARY = _REAL_BATCH_MATH
+    __array_ufunc__ = None     # ndarray operands defer to these methods
 
     def __init__(self, v, du=0.0, dv=0.0, duu=0.0, duv=0.0, dvv=0.0):
         # the algebra's own results need no coercion: float, or float arrays
@@ -527,11 +528,10 @@ class Jet2(_Jet):
         return Jet2(np.atleast_1d(np.asarray(v, float)), 0.0, 1.0)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet2(self.v * other, self.du * other, self.dv * other,
-                        self.duu * other, self.duv * other, self.dvv * other)
         if not isinstance(other, Jet2):
-            return NotImplemented
+            # a number, or an array of factors that broadcasts against
+            # every slot: each slot times it
+            return Jet2(*(x * other for x in self.slots))
         a, b = self, other
         return Jet2(
             a.v * b.v,
@@ -580,7 +580,8 @@ class Jet2(_Jet):
 
     # a vector jet: every slot a (dim, n) array, one row per component; a
     # vector times a scalar jet, in that order, rounds as each component
-    # times it
+    # times it, and times a (dim, 1) array each component takes its factor;
+    # its inner products are geometry.Ambient.dot's
 
     @staticmethod
     def stack(components):
@@ -606,26 +607,6 @@ class Jet2(_Jet):
         n = max(x.shape[1] for x in self.slots)
         return Jet2(*(np.broadcast_to(x, (len(x), n))[:, index]
                       for x in self.slots))
-
-    def dot(self, other, signature=None):
-        """The inner product of two vector jets, with a signature entry per
-        component if given: the components' products summed in component
-        order, starting from 0.0 (numpy's order along the leading axis but
-        for one point of 8 or more components, which it sums pairwise)."""
-        prod = self * other
-        if signature is not None:
-            prod = prod.scaled(np.asarray(signature, float)[:, None])
-        return Jet2(*(np.add.reduce(x, 0, initial=0.0) for x in prod.slots))
-
-    def scaled(self, factors):
-        """The vector jet with each component times its row of factors, a
-        (dim, 1) array."""
-        return Jet2(*(x * factors for x in self.slots))
-
-    def values(self):
-        """The value slot of a vector jet as (n, dim) C-contiguous rows, one
-        point per row, the layout the writers format."""
-        return np.ascontiguousarray(self.v.T)
 
 
 def _re_part(w0, w1, w2):

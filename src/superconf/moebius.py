@@ -52,8 +52,6 @@ SIGNATURES = ("euclidean", "lorentzian")
 _J_INDEX = np.array([1, 0, 3, 2], np.intp)
 _J_SIGN = np.array([-1.0, 1, -1, 1])[:, None]
 
-_HYPERBOLIC = Ambient("hyperbolic")
-
 
 @dataclass(frozen=True)
 class Inversion:
@@ -93,11 +91,12 @@ class Inversion:
     def dim(self):
         return len(self.center)
 
-    def sig(self):
-        s = np.ones(self.dim)
-        if self.signature == "lorentzian":
-            s[-1] = -1.0
-        return s
+    @property
+    def metric(self):
+        """The Ambient whose inner product the inversion takes: R4's, whose
+        all-ones signature fits any dimension, or the hyperbolic space's
+        (+,+,+,+,-)."""
+        return R4 if self.signature == "euclidean" else Ambient("hyperbolic")
 
     @property
     def orientation(self):
@@ -115,13 +114,6 @@ def _check_denominator(q, d):
                   f"(<x - c, x - c> = {q[k]:.3e})"))
 
 
-def _dot(inv):
-    """The inner product of the inversion's signature along the leading
-    component axis: R4's, whose all-ones signature fits any dimension, or
-    the hyperbolic space's."""
-    return R4.dot if inv.signature == "euclidean" else _HYPERBOLIC.dot
-
-
 def invert(x, inv):
     """Image of a surface sample x (a vector Jet2) under the inversion.
 
@@ -133,7 +125,7 @@ def invert(x, inv):
         raise PreconditionError("sample and inversion dimensions disagree")
     center = Jet2.stack(inv.center)
     d = x - center
-    q = d.dot(d, signature=inv.sig())
+    q = inv.metric.dot(d, d)
     _check_denominator(q.v, d.v)
     return center + d * ((inv.orientation * inv.radius ** 2) / q)
 
@@ -154,7 +146,7 @@ def normal_transform_check(sample, xi, inv):
     if len(sample.v) != inv.dim or xi.shape != x.shape:
         raise PreconditionError(
             "sample, normal, and inversion dimensions disagree")
-    dot = _dot(inv)
+    dot = inv.metric.dot
 
     Xu, Xv = sample.du, sample.dv
     xx = dot(xi, xi)
@@ -251,9 +243,9 @@ def duality(curve, z):
     (jets.fail_rows)."""
     z = point_set(z)
     pos, fu, fv = _graph_fields(curve, z)
-    fN = _normal_part(pos, fu, fv, Jet2.dot)
-    n2 = fN.dot(fN)
-    scale = pos.dot(pos).v + fu.dot(fu).v
+    fN = _normal_part(pos, fu, fv, R4.dot)
+    n2 = R4.dot(fN, fN)
+    scale = R4.dot(pos.v, pos.v) + R4.dot(fu.v, fu.v)
     fail_rows(n2.v <= 1e-24 * scale,
               lambda k: DualitySingularError(
                   f"position vector of {curve.name} is tangential at "
@@ -432,11 +424,10 @@ def _complex_structure(pair, s):
     m, *_ = np.linalg.lstsq(A.reshape(-1, 16), Y.reshape(-1), rcond=None)
     J = m.reshape(4, 4)
 
-    data = np.concatenate((X, Y))
-    sv = np.linalg.svd(data, compute_uv=False)
+    # the thin SVD: the full one's U alone holds (6n)^2 doubles
+    _, sv, vt = np.linalg.svd(np.concatenate((X, Y)), full_matrices=False)
     rank = int(np.sum(sv > 1e-9 * sv[0]))
     if rank == 2:
-        _, _, vt = np.linalg.svd(data)
         w1, w2 = vt[2], vt[3]
         # sign-normalize so the completion does not depend on SVD phase
         if w1[np.argmax(np.abs(w1))] < 0:
@@ -520,18 +511,29 @@ def superminimal_test(sample, ambient):
     minimal where r |H| <= 1e-9 at every point, r the space form's radius,
     and round where the circularity residuals are at most CIRCULAR_TOL.
     Totally umbilic immersions carry a point circle at every point
-    (r mu <= 1e-9); they pass vacuously and the verdict says so."""
+    (r mu <= 1e-9); they pass vacuously and the verdict says so.  The
+    report and its verdict cover the rows that did not fail; inside a
+    jets.row_failures() sink the failed ones are recorded there, and
+    PreconditionError is raised if no row is left."""
     if not np.size(sample.v):
         raise PreconditionError("no sample points given")
     r = ambient.radius
     fd = fundamental_data(sample, ambient)
-    ambient.check_on(sample.v)
-    fail_rows(~fd.regular, lambda k: SingularSampleError(
-        "rank-deficient sample"))
+    with row_failures(fd.lam.size) as failed:
+        ambient.check_on(sample.v)
+        fail_rows(~fd.regular, lambda k: SingularSampleError(
+            "rank-deficient sample"))
+    # passed on to the enclosing sink, or the first raised without one
+    for _, bad, error in failed.checks:
+        fail_rows(bad, error)
+    ok = ~failed.rows()
+    if not ok.any():
+        raise PreconditionError("every sample point failed")
     ed = ellipse_descriptor(fd)
-    worst_H = float(fd.lam.max())
-    worst_circ = float(np.maximum(abs(ed.res_orth), abs(ed.res_len)).max())
-    mus = ed.mu.tolist()
+    worst_H = float(fd.lam[ok].max())
+    worst_circ = float(np.maximum(abs(ed.res_orth), abs(ed.res_len))[ok]
+                       .max())
+    mus = ed.mu[ok].tolist()
     degenerate = r * max(mus) <= 1e-9
     minimal = r * worst_H <= 1e-9
     if minimal and degenerate:

@@ -11,9 +11,10 @@ and fail, with the companion checks pinning the discrepancy.
 import numpy as np
 import pytest
 
-from superconf import acceptance, catalog, construct
+from superconf import acceptance, catalog, construct, export
+from superconf.construct import FLAG_RANK_DEFICIENT
 from superconf.expr import CurveExpr
-from superconf.minimal import MinimalPair
+from superconf.minimal import Domain, MinimalPair
 from test_cli import count_calls
 
 
@@ -146,3 +147,23 @@ def test_transformed_curve_is_evaluated_once(monkeypatch):
     evals = count_calls(monkeypatch, CurveExpr, "eval_jets")
     assert acceptance.criterion_5().passed
     assert len(evals) == 1
+
+
+def test_criteria_2_and_12_hold_the_unsigned_wintgen_ratio(monkeypatch):
+    # one clear row whose Wintgen ratio is -1e-6 and whose circularity
+    # residuals vanish: verify and the benchmark gate read |wintgen_rel|, a
+    # residual 100 times the 1e-8 tolerance, and so do the two criteria
+    rows = export.GridRows(Domain(0.0, 1.0, 0.0, 1.0).lattice(2, 1))
+    rows.flags[:] = [0, FLAG_RANK_DEFICIENT]
+    rows.position[:] = 0.0
+    rows.stats[0] = 0.0
+    rows.stats[0, export._STAT_NAMES.index("wintgen_rel")] = -1e-6
+    rows.has_stats[0] = True
+    monkeypatch.setattr(acceptance, "sample_grids", lambda jobs, signs: [
+        [rows for _ in signs] for _ in jobs])
+    for criterion, n_clear in ((acceptance.criterion_2, 6),
+                               (acceptance.criterion_12, 16)):
+        r = criterion()
+        assert not r.passed
+        assert r.detail.startswith(
+            f"worst residual 1.000e-06 (tol 1e-8) over {n_clear} samples")

@@ -100,7 +100,7 @@ def test_array_calls_match_point_calls_row_by_row(name):
         built = build_phi_pair(pair, z)
     ok = np.flatnonzero(~built_rows.rows())
     # an inversion centered on one of the built points is singular there
-    center = built[1].phi.values()[ok[len(ok) // 2]]
+    center = built[1].phi.v.T[ok[len(ok) // 2]]
     for inv in (Inversion(center=(0.0, 0.0, 0.0, 5.0)),
                 Inversion(center=center, radius=0.5)):
         for ps in built:

@@ -83,7 +83,7 @@ def test_whitney_display_basepoints():
 def test_whitney_graph_sample():
     entry = catalog.get("whitney")
     s = entry.aux["graph_sample"](1.0 + 0.0j)
-    assert np.allclose(s.values(), [1.0, 0.0, 1.0, 0.0], atol=1e-15)
+    assert np.allclose(s.v.T, [1.0, 0.0, 1.0, 0.0], atol=1e-15)
     # graph of (z, 1/z): derivative of the second slot at z=1 is -1
     assert np.allclose(s.du[:, 0], [1.0, 0.0, -1.0, 0.0], atol=1e-15)
     assert np.allclose(s.dv[:, 0], [0.0, 1.0, 0.0, -1.0], atol=1e-15)
@@ -95,8 +95,8 @@ def test_whitney_pair_matches_graph_normal_component():
     # h = (0, 1/4, 0, 1/4)
     entry = catalog.get("whitney")
     s = entry.pair.samples_at(1.0 + 0.0j)
-    assert np.allclose(s.g.values(), [0.25, 0.0, 0.25, 0.0], atol=1e-15)
-    assert np.allclose(s.h.values(), [0.0, 0.25, 0.0, 0.25], atol=1e-15)
+    assert np.allclose(s.g.v.T, [0.25, 0.0, 0.25, 0.0], atol=1e-15)
+    assert np.allclose(s.h.v.T, [0.0, 0.25, 0.0, 0.25], atol=1e-15)
 
 
 def test_torus_control_is_not_superconformal():
@@ -150,7 +150,7 @@ def test_space_form_entries_sit_on_their_manifolds():
 
 def test_veronese_g_at_equator():
     g = catalog.veronese_g(0.0, np.pi / 2)
-    assert np.allclose(g.values(), [0.0, 0.0, 0.0, 2.0 / np.sqrt(3.0)],
+    assert np.allclose(g.v.T, [0.0, 0.0, 0.0, 2.0 / np.sqrt(3.0)],
                        atol=1e-15)
 
 
@@ -172,7 +172,7 @@ def test_veronese_pair_normal_projection_route():
     e5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
     for (u, v) in ((0.7, 1.1), (1.9, 2.0), (4.1, 0.6)):
         f = catalog.veronese_immersion(u, v)
-        [fval], [fu], [fv] = f.values(), f.du.T, f.dv.T
+        [fval], [fu], [fv] = f.v.T, f.du.T, f.dv.T
         P = fval - 2.0 * e5
         gram = np.array([[fu @ fu, fu @ fv], [fv @ fu, fv @ fv]])
         al, be = np.linalg.solve(gram, [P @ fu, P @ fv])
@@ -181,7 +181,7 @@ def test_veronese_pair_normal_projection_route():
         PN -= (PN @ rad) * rad
         n2 = PN @ PN
         g5 = 2.0 * e5 + 2.0 * PN / n2
-        [g] = catalog.veronese_g(u, v).values()
+        [g] = catalog.veronese_g(u, v).v.T
         assert np.allclose(g5, np.append(g, 0.0), atol=1e-12)
 
 

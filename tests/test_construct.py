@@ -38,14 +38,27 @@ def _row_dot(a, b):
     return R4.dot(a.T, b.T)
 
 
+def jet_dot(a, b):
+    """The euclidean inner product of two vector jets, written out here so
+    the oracles do not lean on geometry.Ambient.dot: the components'
+    products summed in component order from 0.0, slot by slot."""
+    return Jet2(*(np.add.reduce(x, 0, initial=0.0) for x in (a * b).slots))
+
+
+def jet_scaled(j, factors):
+    """The jet with every slot times factors, written out here."""
+    return Jet2(*(x * factors for x in j.slots))
+
+
 def field_jets(s):
     """Oracle: the full jets of g's first form E, F, G, of r = ||h|| and of
     its gradient coefficients r_u = <h_u, h>/r, r_v = <h_v, h>/r (h_u = -g_v,
     h_v = g_u) of a split sample, in its own units."""
     gu, gv, h = s.g_u, s.g_v, s.h
-    r = h.dot(h).sqrt()
-    return SimpleNamespace(E=gu.dot(gu), F=gu.dot(gv), G=gv.dot(gv), r=r,
-                           ru=(-gv).dot(h) / r, rv=gu.dot(h) / r)
+    r = jet_dot(h, h).sqrt()
+    return SimpleNamespace(E=jet_dot(gu, gu), F=jet_dot(gu, gv),
+                           G=jet_dot(gv, gv), r=r, ru=jet_dot(-gv, h) / r,
+                           rv=jet_dot(gu, h) / r)
 
 
 def construction_frame(pair, z):
@@ -59,7 +72,7 @@ def construction_frame(pair, z):
     ctx = _assemble(s)
     jets = field_jets(ctx.sample)
     g, r, E = s.g, jets.r, jets.E
-    gu_val, gv_val = s.g_u.values(), s.g_v.values()
+    gu_val, gv_val = s.g_u.v.T, s.g_v.v.T
 
     grad_u = jets.ru / E
     grad_v = jets.rv / E
@@ -70,7 +83,7 @@ def construction_frame(pair, z):
     Tvec = np.stack((r.v * grad_v.v, -r.v * grad_u.v), -1)
 
     fallback = a_val <= FRAME_FLOOR
-    hN = _normal_part(s.h.values(), gu_val, gv_val,
+    hN = _normal_part(s.h.v.T, gu_val, gv_val,
                       lambda a, b: _col(_row_dot(a, b)))
     with np.errstate(divide="ignore", invalid="ignore"):
         xi = -hN / _col(a_val * r.v)
@@ -115,9 +128,9 @@ def phi_route_direct(frame, sign):
     delta; agrees with the field route wherever a is away from zero."""
     s = check_sign(sign)
     smp = frame.ctx.sample
-    grad_amb = (frame.grad_r[0].v * smp.g_u.values()
-                + frame.grad_r[1].v * smp.g_v.values())
-    return (smp.g.values() - frame.r.v * grad_amb
+    grad_amb = (frame.grad_r[0].v * smp.g_u.v.T
+                + frame.grad_r[1].v * smp.g_v.v.T)
+    return (smp.g.v.T - frame.r.v * grad_amb
             + s * frame.a * frame.r.v * frame.delta_minus)
 
 
@@ -182,18 +195,18 @@ def test_h_decomposition_identity(catenoid):
     for z in GENERIC:
         fr = construction_frame(catenoid, z)
         s = fr.ctx.sample
-        gu, gv = s.g_u.values(), s.g_v.values()
+        gu, gv = s.g_u.v.T, s.g_v.v.T
         jgrad = fr.grad_r[1].v * gu - fr.grad_r[0].v * gv
         h_rebuilt = fr.r.v * jgrad - fr.a * fr.r.v * fr.xi
-        assert np.linalg.norm(h_rebuilt - s.h.values()) < 1e-9 * fr.r.v
+        assert np.linalg.norm(h_rebuilt - s.h.v.T) < 1e-9 * fr.r.v
         zeta_c = fr.Z_ambient + fr.a * fr.xi
-        assert np.allclose(zeta_c, -s.h.values() / fr.r.v, atol=1e-12)
+        assert np.allclose(zeta_c, -s.h.v.T / fr.r.v, atol=1e-12)
 
 
 def test_tangential_coefficients_match_Tvec(catenoid):
     fr = construction_frame(catenoid, 1.7 - 0.9j)
     s = fr.ctx.sample
-    [gu], [gv], [h] = s.g_u.values(), s.g_v.values(), s.h.values()
+    [gu], [gv], [h] = s.g_u.v.T, s.g_v.v.T, s.h.v.T
     h1, h2 = np.linalg.solve([[gu @ gu, gu @ gv], [gu @ gv, gv @ gv]],
                              [h @ gu, h @ gv])
     [(t1, t2)] = fr.Tvec
@@ -209,7 +222,7 @@ def test_frame_normals_unit_and_orthogonal(catenoid):
     assert xi @ delta_minus == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(delta_plus, -delta_minus)
     s = fr.ctx.sample
-    [gu], [gv] = s.g_u.values(), s.g_v.values()
+    [gu], [gv] = s.g_u.v.T, s.g_v.v.T
     for n in (xi, delta_minus):
         assert abs(n @ gu) < 1e-12
         assert abs(n @ gv) < 1e-12
@@ -238,18 +251,18 @@ def jet_route_values(s):
     every quantity a Jet2 in the pair's units, with the floor checks of
     _assemble in its order, scaled back by unit."""
     unit = unit_scale(_vec_norm(s.g_u.v), _vec_norm(s.g_v.v))
-    h, gu, gv = (x.scaled(1.0 / unit) for x in (s.h, s.g_u, s.g_v))
-    E, F, G = gu.dot(gu), gu.dot(gv), gv.dot(gv)
-    r2 = h.dot(h)
+    h, gu, gv = (jet_scaled(x, 1.0 / unit) for x in (s.h, s.g_u, s.g_v))
+    E, F, G = jet_dot(gu, gu), jet_dot(gu, gv), jet_dot(gv, gv)
+    r2 = jet_dot(h, h)
     fail_rows(r2.v <= DIV_FLOOR, lambda k: FrameDegenerateError("h = 0"))
     r = r2.sqrt()
-    ru = (-gv).dot(h) / r
-    rv = gu.dot(h) / r
+    ru = jet_dot(-gv, h) / r
+    rv = jet_dot(gu, h) / r
     1.0 / E                         # the E division floor, in its place
     W2 = E * G - F * F
     1.0 / W2.sqrt()                 # the sqrt(EG - F^2) floor, in its place
     # h^N from the value slots, its Gram coefficients by Cramer's rule
-    hu, hv = gu.dot(h).v, gv.dot(h).v
+    hu, hv = jet_dot(gu, h).v, jet_dot(gv, h).v
     with np.errstate(divide="ignore", invalid="ignore"):
         cu = (hu * G.v - hv * F.v) / W2.v
         cv = (hv * E.v - hu * F.v) / W2.v
@@ -340,7 +353,7 @@ def test_phi_value_on_a_zero_line(catenoid):
     ps, _ = build_phi_pair(catenoid, 1.0j)
     expect = np.array([1.0 / np.cosh(1.0), 0.0,
                        np.exp(-1.0) / np.cosh(1.0), 0.0])
-    assert np.abs(ps.phi.values() - expect).max() < 1e-14
+    assert np.abs(ps.phi.v.T - expect).max() < 1e-14
 
 
 def test_phi_superconformal_on_catalog_pairs():
@@ -368,7 +381,7 @@ def test_two_routes_agree(catenoid, perturbed):
                 continue
             for ps in build_phi_pair(pair, z):
                 direct = phi_route_direct(frame, ps.sign)
-                assert np.abs(direct - ps.phi.values()).max() < 1e-10
+                assert np.abs(direct - ps.phi.v.T).max() < 1e-10
 
 
 def test_phi_jets_match_finite_differences(catenoid):
@@ -464,11 +477,6 @@ def slot_bytes(jet, n):
     return [np.broadcast_to(x, (4, n)).tobytes() for x in jet.slots]
 
 
-def value_jet(x):
-    """x, (4, n), as a vector jet whose derivatives vanish."""
-    return Jet2(x, *[np.zeros((4, 1))] * 5)
-
-
 @pytest.mark.parametrize("integers", [False, True])
 def test_jhat_vector_pass_matches_the_scalar_loop(integers):
     rng = np.random.default_rng(16 + integers)
@@ -482,12 +490,16 @@ def test_jhat_vector_pass_matches_the_scalar_loop(integers):
             assert slot_bytes(got, n) == slot_bytes(want, n)
             zeros += sum(np.count_nonzero(np.signbit(x) & (x == 0))
                          for x in want.slots)
-        # the values alone, as phi_value passes them: vector jets whose
-        # derivatives vanish, against the scalar loop on float arrays
+        # the values alone, as phi_value passes them: float batches, whose
+        # results are the jets' value slots and the scalar loop's floats
         values = [np.broadcast_to(x.v, (4, n)) for x in (gu, gv, h)]
-        for got, want in zip(_jhat_parts(*map(value_jet, values)),
-                             scalar_jhat_parts(*values), strict=True):
-            assert got.v.tobytes() == np.array(want).tobytes()
+        for got, jet, want in zip(_jhat_parts(*values),
+                                  _jhat_parts(gu, gv, h),
+                                  scalar_jhat_parts(*values), strict=True):
+            assert got.shape == (4, n)
+            assert (got.tobytes()
+                    == np.broadcast_to(jet.v, (4, n)).tobytes()
+                    == np.array(want).tobytes())
     assert zeros > 0
 
 
@@ -497,9 +509,8 @@ def test_phi_value_matches_the_scalar_loop(catenoid, monkeypatch):
     z = rng.uniform(0.2, 6.0, 40) + 1j * rng.uniform(-1.5, 1.5, 40)
     s = catenoid.samples_at(z)
     got = [phi_value(s.g, s.h, sign).tobytes() for sign in "+-"]
-    monkeypatch.setattr(construct, "_jhat_parts", lambda *jets: tuple(
-        value_jet(np.array(part))
-        for part in scalar_jhat_parts(*(j.v for j in jets))))
+    monkeypatch.setattr(construct, "_jhat_parts", lambda *values: tuple(
+        np.array(part) for part in scalar_jhat_parts(*values)))
     assert got == [phi_value(s.g, s.h, sign).tobytes() for sign in "+-"]
 
 
@@ -528,7 +539,7 @@ def test_flags_holomorphic_pair_one_sign_degenerates():
     assert not minus.flags & FLAG_RANK_DEFICIENT
     # the collapsed sign is constant: compare two far-apart points
     other, _ = build_phi_pair(pair, -0.8 - 0.6j)
-    assert np.abs(plus.phi.values() - other.phi.values()).max() < 1e-12
+    assert np.abs(plus.phi.v.T - other.phi.v.T).max() < 1e-12
 
 
 def test_flags_plane_pair_both_signs_degenerate():
@@ -576,11 +587,11 @@ def test_nondegenerate_sign_equals_twice_normal_part():
     _, ps = build_phi_pair(pair, z)
     s = pair.samples_at(z)
     fd = fundamental_data(s.g)
-    [gval], [Xu], [Xv] = s.g.values(), fd.Xu.T, fd.Xv.T
+    [gval], [Xu], [Xv] = s.g.v.T, fd.Xu.T, fd.Xv.T
     [E], [F], [G] = fd.E, fd.F, fd.G
     al, be = np.linalg.solve([[E, F], [F, G]], [gval @ Xu, gval @ Xv])
     gN = gval - al * Xu - be * Xv
-    assert np.abs(ps.phi.values() - 2.0 * gN).max() < 1e-12
+    assert np.abs(ps.phi.v.T - 2.0 * gN).max() < 1e-12
 
 
 # ----- dual pair report -----

@@ -16,7 +16,7 @@ from superconf.errors import (BranchCutError, DegenerateJetError,
                               EvaluationError, FrameDegenerateError,
                               PreconditionError, SingularSampleError,
                               SuperconfError)
-from superconf.acceptance import _clear_worst
+from superconf.acceptance import _grid_worst
 from superconf.export import (_CSV_STATS, _K_MIN, _STAT_NAMES, BLOCK_POINTS,
                               CSV_HEADER, FLAG_DEGENERATE_SAMPLE,
                               FLAG_OUT_OF_DOMAIN, GridRows, _block_starts,
@@ -52,7 +52,7 @@ def test_sample_grid_row_major(catenoid):
     assert all(s.flags == 0 for s in samples)
     for s in samples:
         ps, _ = build_phi_pair(catenoid, complex(s.u, s.v))
-        assert np.array_equal(s.position, ps.phi.values()[0])
+        assert np.array_equal(s.position, ps.phi.v.T[0])
 
 
 def test_sample_grid_flags_domain_and_degenerate_points():
@@ -98,7 +98,7 @@ def point_rows(pair, u, v):
                      "wintgen_rel": ed.wintgen_defect_rel,
                      "a": ps.ctx.a}
             stats = {key: value[0] for key, value in stats.items()}
-        rows.append((flags, ps.phi.values()[0], stats))
+        rows.append((flags, ps.phi.v.T[0], stats))
     return rows
 
 
@@ -283,33 +283,34 @@ def test_obj_drops_faces_at_bad_vertices():
 def test_projectors():
     with pytest.raises(PreconditionError):
         drop_projector(4)
-    y, ok = drop_projector(1)(np.array([[1.0, 2.0, 3.0, 4.0]]))
-    assert np.array_equal(y, [[1.0, 3.0, 4.0]]) and ok.tolist() == [True]
+    # the projectors take and return column batches: (4, n) to (3, n)
+    y, ok = drop_projector(1)(np.array([[1.0, 2.0, 3.0, 4.0]]).T)
+    assert np.array_equal(y, [[1.0], [3.0], [4.0]]) and ok.tolist() == [True]
 
     proj = stereo_projector()
     y, ok = proj(np.array([[1.0, 2.0, 3.0, 0.5], [0.0, 0.0, 0.0, 1.0],
-                           [np.nan, 0.0, 0.0, 0.0]]))
-    assert np.allclose(y[0], [2.0, 4.0, 6.0])
+                           [np.nan, 0.0, 0.0, 0.0]]).T)
+    assert np.allclose(y[:, 0], [2.0, 4.0, 6.0])
     # the horizon point fails; a nan point is no horizon point and passes
     assert ok.tolist() == [True, False, True]
     # doubling the pole length rescales the chart, not the axis
     far = stereo_projector((0.0, 0.0, 0.0, 2.0))
-    y, ok = far(np.array([[1.0, 0.0, 0.0, 0.0]]))
-    assert np.allclose(y, [[1.0, 0.0, 0.0]]) and ok.tolist() == [True]
+    y, ok = far(np.array([[1.0, 0.0, 0.0, 0.0]]).T)
+    assert np.allclose(y, [[1.0], [0.0], [0.0]]) and ok.tolist() == [True]
     with pytest.raises(PreconditionError):
         stereo_projector((0.0, 0.0, 0.0, 0.0))
-    assert proj(np.empty((0, 4)))[0].shape == (0, 3)
+    assert proj(np.empty((4, 0)))[0].shape == (3, 0)
 
 
 @pytest.mark.parametrize("pole", [(0.0, 0.0, 0.0, 1.0), (0.3, 0.1, -0.2, 1.7)])
 def test_stereo_rows_are_bit_identical_to_one_vector_projections(pole):
     rng = np.random.default_rng(7)
     x = rng.standard_normal((4000, 4)) * 10.0 ** rng.uniform(-3, 3, (4000, 1))
-    y, ok = stereo_projector(pole)(x)
+    y, ok = stereo_projector(pole)(x.T)
     ref = reference_stereo(pole)
     assert ok.all()
     for k, xk in enumerate(x):
-        assert as_bits(y[k]) == as_bits(ref(xk)), (pole, k)
+        assert as_bits(y[:, k]) == as_bits(ref(xk)), (pole, k)
 
 
 def test_two_runs_of_one_grid_write_the_same_bytes(catenoid):
@@ -355,11 +356,18 @@ def reference_summarize(samples):
     return out
 
 
-def reference_clear_worst(rows):
-    stats = [r.stats for sign_rows in rows for r in sign_rows if r.flags == 0]
-    worst = max((max(abs(st["res_orth"]), abs(st["res_len"]),
-                     st["wintgen_rel"]) for st in stats), default=0.0)
-    return worst, len(stats)
+def reference_grid_worst(grids):
+    """verify's residual rule on the per-row summaries: the largest
+    max_res_orth, max_res_len and max_wintgen_rel of the grids with clear
+    rows, nan if one is nan, 0.0 for none."""
+    aggs = [reference_summarize(list(rows)) for rows in grids]
+    aggs = [agg for agg in aggs if agg["n_clear"]]
+    worst = 0.0
+    for agg in aggs:
+        for key in ("max_res_orth", "max_res_len", "max_wintgen_rel"):
+            if not worst > agg[key] and not math.isnan(worst):
+                worst = agg[key]
+    return worst, sum(agg["n_clear"] for agg in aggs)
 
 
 def _cell(x):
@@ -463,6 +471,20 @@ PROJECTIONS = [
 ]
 
 
+@pytest.mark.parametrize("proj, ref, note", PROJECTIONS,
+                         ids=[note for _, _, note in PROJECTIONS])
+def test_projectors_map_columns_as_the_reference_maps_points(proj, ref, note):
+    # a (4, n) batch of columns in, (3, n) columns and an (n,) mask out,
+    # every column the bits of the one-vector reference
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((4, 300)) * 10.0 ** rng.uniform(-3, 3, 300)
+    x[:, :3] = -0.0
+    y, ok = proj(x)
+    assert y.shape == (3, 300) and ok.shape == (300,) and ok.all()
+    for k in range(300):
+        assert as_bits(y[:, k]) == as_bits(ref(x[:, k])), (note, k)
+
+
 def assert_writers_match_reference(rows, nu, nv):
     listed = list(rows)
     try:
@@ -544,7 +566,7 @@ def test_writers_hold_one_block_of_text(tmp_path):
                     + 1j * rng.standard_normal(nv))
     rows.flags[:] = rng.choice([0, 0, 0, 4, FLAG_OUT_OF_DOMAIN], nu * nv)
     placed = rows.flags < FLAG_OUT_OF_DOMAIN
-    rows.position[placed] = rng.standard_normal((placed.sum(), 4))
+    rows.position[:, placed] = rng.standard_normal((4, placed.sum()))
     rows.has_stats[:] = rows.flags == 0
     rows.stats[rows.has_stats] = rng.standard_normal(
         (rows.has_stats.sum(), len(_STAT_NAMES)))
@@ -567,7 +589,7 @@ def test_writers_hold_one_block_of_text(tmp_path):
 def test_obj_pole_at_a_vertex_drops_its_faces(catenoid):
     [rows] = sample_grid(catenoid, catenoid.domain.lattice(5, 4), ("+",))
     k = 6                                   # interior: 4 quads touch it
-    pole = rows.position[k].tolist()
+    pole = rows.position[:, k].tolist()
     text = obj_text(rows, stereo_projector(pole))
     assert text == reference_obj_text(list(rows), 5, 4, reference_stereo(pole))
     lines = text.split("\n")
@@ -583,8 +605,8 @@ def hand_rows(nan_at):
     rng = np.random.default_rng(3)
     rows = GridRows(Domain(0.0, 1.0, 0.0, 1.0).lattice(3, 2))
     rows.flags[:] = [0, 0, 0, 0, 0, 1]
-    rows.position[:] = rng.standard_normal((6, 4))
-    rows.position[1, 2] = np.nan
+    rows.position[:] = rng.standard_normal((6, 4)).T
+    rows.position[2, 1] = np.nan
     rows.stats[:] = rng.standard_normal((6, len(_STAT_NAMES)))
     rows.has_stats[:] = True
     rows.stats[nan_at, _STAT_NAMES.index("res_orth")] = np.nan
@@ -598,8 +620,8 @@ def test_reducers_keep_the_builtin_max_nan_semantics(nan_at, tmp_path):
     agg = summarize(rows)
     assert repr(agg) == repr(reference_summarize(list(rows)))
     assert np.isnan(agg["max_res_orth"]) == (nan_at == 0)
-    worst = _clear_worst([rows, rows])
-    assert repr(worst) == repr(reference_clear_worst([list(rows)] * 2))
+    worst = _grid_worst([rows, rows])
+    assert repr(worst) == repr(reference_grid_worst([rows, rows]))
     assert np.isnan(worst[0]) == (nan_at == 0) and worst[1] == 10
     # a nan position is written as it is to the CSV and the OBJ, where its
     # faces stay; the mesh JSON refuses it before a file is opened
@@ -638,7 +660,7 @@ def stat_rows(name, values):
     rows = GridRows(Domain(0.0, 1.0, 0.0, 1.0).lattice(len(values) + 1, 1))
     rows.flags[:] = 0
     rows.flags[-1] = 1
-    rows.position[:] = rng.standard_normal((len(rows), 4))
+    rows.position[:] = rng.standard_normal((len(rows), 4)).T
     rows.stats[:] = rng.standard_normal((len(rows), len(_STAT_NAMES)))
     rows.stats[:, _STAT_NAMES.index(name)] = values + [INF]
     rows.has_stats[:] = True
@@ -649,21 +671,22 @@ def stat_rows(name, values):
                                   "wintgen_rel", "mu", "Hnorm"])
 def test_reducers_keep_the_builtin_rule_on_ties_infinities_and_nan(name):
     # the companion of the test above, over every stat that summarize or
-    # _clear_worst reads: each case in turn fills the clear rows of one column
+    # _grid_worst reads: each case in turn fills the clear rows of one column
     for values in EXTREME_CASES:
         rows = stat_rows(name, values)
         where = (name, values)
         assert repr(summarize(rows)) == repr(
             reference_summarize(list(rows))), where
-        assert repr(_clear_worst([rows, rows])) == repr(
-            reference_clear_worst([list(rows)] * 2)), where
+        assert repr(_grid_worst([rows, rows])) == repr(
+            reference_grid_worst([rows, rows])), where
     if name == "wintgen_rel":
-        # a row's max(0.0, 0.0, -0.0) is its first 0.0
-        rows = stat_rows(name, [-0.0] * 5)
-        rows.stats[:, [_STAT_NAMES.index("res_orth"),
-                       _STAT_NAMES.index("res_len")]] = 0.0
-        assert repr(_clear_worst([rows])) == repr(
-            reference_clear_worst([list(rows)])) == "(0.0, 5)"
+        # the ratio counts unsigned: -0.0 is 0.0, and -1e-6 is 1e-6
+        for value, want in ((-0.0, "(0.0, 5)"), (-1e-6, "(1e-06, 5)")):
+            rows = stat_rows(name, [value] * 5)
+            rows.stats[:, [_STAT_NAMES.index("res_orth"),
+                           _STAT_NAMES.index("res_len")]] = 0.0
+            assert repr(_grid_worst([rows])) == repr(
+                reference_grid_worst([rows])) == want
     if name in ("mu", "Hnorm"):
         maximum = summarize(stat_rows(name, EXTREME_CASES[3]))[f"{name}_max"]
         assert repr(maximum) == "-0.0"
@@ -696,7 +719,7 @@ def reference_csv_mesh_chunks(samples, nu, nv):
     for lo in _block_starts(len(samples)):
         hi = lo + BLOCK_POINTS
         xs = list(map(",".join, _groups(
-            map(repr, samples.position[lo:hi].ravel().tolist()), 4)))
+            map(repr, samples.position[:, lo:hi].T.ravel().tolist()), 4)))
         stats = map(",".join, _groups(map(repr, samples.stats[
             lo:hi, _CSV_STATS].ravel().tolist()), len(_CSV_STATS)))
         csv = "".join(
@@ -711,10 +734,11 @@ def reference_csv_mesh_chunks(samples, nu, nv):
 
 def reference_obj_chunks(samples, nu, nv, projector, note):
     placed = samples.flags < FLAG_OUT_OF_DOMAIN
-    y = np.full((len(samples), 3), np.nan)
+    y = np.full((3, len(samples)), np.nan)
     ok = np.zeros(len(samples), bool)
-    y[placed], ok[placed] = projector(samples.position[placed])
-    y[~ok] = np.nan
+    y[:, placed], ok[placed] = projector(samples.position[:, placed])
+    y[:, ~ok] = np.nan
+    y = y.T
     faces = _quads(ok.reshape(nu, nv)) + 1
     yield ("# lossy 3d projection of a 4d grid surface"
            + (f" ({note})" if note else "")
@@ -730,7 +754,7 @@ def reference_obj_chunks(samples, nu, nv, projector, note):
 def assert_writers_match_repr_writers(rows, nu, nv, projector, note=""):
     csv, mesh = zip(*reference_csv_mesh_chunks(rows, nu, nv))
     placed = rows.flags < FLAG_OUT_OF_DOMAIN
-    if np.isfinite(rows.position[placed]).all():
+    if np.isfinite(rows.position[:, placed]).all():
         assert grid_text(rows) == ("".join(csv), "".join(mesh))
     else:
         with pytest.raises(ValueError):
@@ -770,7 +794,7 @@ def test_writers_match_the_repr_writers(name, nu, nv, shows):
 
 def test_writers_match_the_repr_writers_on_the_stereo_horizon(catenoid):
     [rows] = sample_grid(catenoid, catenoid.domain.lattice(5, 4), ("+",))
-    pole = stereo_projector(rows.position[6].tolist())
+    pole = stereo_projector(rows.position[:, 6].tolist())
     assert "\nv nan nan nan\n" in obj_text(rows, pole)
     assert_writers_match_repr_writers(rows, 5, 4, pole, "pole")
 

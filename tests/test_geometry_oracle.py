@@ -419,6 +419,13 @@ def test_kernel_is_the_oracle_on_the_space_forms():
                      entry.ambient, name)
 
 
+def jet_dot(a, b):
+    """The euclidean inner product of two vector jets, written out here so
+    the lift does not lean on Ambient.dot: the components' products summed
+    in component order from 0.0, slot by slot."""
+    return Jet2(*(np.add.reduce(x, 0, initial=0.0) for x in (a * b).slots))
+
+
 def stereographic_lift(phi, ambient):
     """The space-form sample over a flat one, in vector-jet arithmetic with
     Ambient.from_R4's conventions: X = c + 4 r^2 d / |d|^2, d = (phi, 0) -
@@ -429,8 +436,8 @@ def stereographic_lift(phi, ambient):
     if ambient.kind == "sphere":
         d = Jet2.stack(comps + [-2.0 * r])
         c = Jet2.stack([0.0, 0.0, 0.0, 0.0, 2.0 * r])
-        return c + d * ((4.0 * r * r) / d.dot(d))
-    n2 = phi.dot(phi)
+        return c + d * ((4.0 * r * r) / jet_dot(d, d))
+    n2 = jet_dot(phi, phi)
     den = (n2 - 4.0 * r * r) * -1.0
     return Jet2.stack([x * (4.0 * r * r) / den for x in comps]
                       + [(n2 + 4.0 * r * r) * r / den - r])

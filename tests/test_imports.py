@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 public function the package defines is used, every command-line option
 is passed by a test or a README example, the geometry kernel makes no
-LAPACK call, no product goes through BLAS, the 2-form index tables are
+LAPACK call, no product goes through BLAS, geometry owns the one inner
+product, rows are laid out only in the writers, the 2-form index tables are
 integer arrays, the writers format numbers in array passes, geometry
 owns the one scale rule and space-form membership, minimal decides every
 check's point set, and the self-test builds no grid per loop pass."""
@@ -370,12 +371,9 @@ def test_row_conversion_scan():
         ("values", "A.f")]
 
 
-# (n, dim) rows are made in Jet2.values, for the writers, which alone call
-# it (in export); other conversions and .values() calls, each with its
-# reason
+# the .values() calls of dicts, each where; (n, dim) rows are laid out only
+# where the writers make a block's cells, by np.column_stack and a transpose
 ROW_CONVERSIONS_ALLOWED = {
-    # dicts' values
-    "acceptance.criterion_2 values",
     "acceptance.criterion_3 values",
     "cli.cmd_dual values",
     "cli.cmd_verify values",
@@ -385,17 +383,80 @@ ROW_CONVERSIONS_ALLOWED = {
 
 
 def test_rows_are_made_in_one_place():
-    """np.ascontiguousarray is called in Jet2.values only, and .values() in
-    export only, or where allowed above (and an allowed use is still
-    there)."""
-    found = set()
-    for path in MODULES:
-        for kind, where in row_conversions(path.read_text()):
-            at = f"{path.stem}.{where}"
-            if not (kind == "ascontiguousarray" and at == "jets.Jet2.values"
-                    or kind == "values" and path.stem == "export"):
-                found.add(f"{at} {kind}")
+    """No module calls np.ascontiguousarray, and .values() is called only on
+    the dicts allowed above (and an allowed use is still there): no vector
+    or jet is turned into (n, dim) rows outside the writers' cell layout."""
+    found = {f"{path.stem}.{where} {kind}" for path in MODULES
+             for kind, where in row_conversions(path.read_text())}
     assert sorted(found) == sorted(ROW_CONVERSIONS_ALLOWED)
+
+
+# a name for an inner product's signature: sig, signature(s), any case, with
+# a prefix ending in _
+SIGNATURE_NAME = re.compile(r"(?:^|_)(?:sig|signatures?)$", re.I)
+
+
+def metric_uses(source):
+    """The sorted (kind, what) of each place source holds or applies an
+    inner-product signature: ('table', name) of a SIGNATURE_NAME name bound
+    to a value that holds a number, ('factor', name) of one read in a
+    product, ('def', name) and ('param', name) of a def or a parameter of
+    such a name, and ('dot', line) of each .dot(...) call that passes more
+    than two arguments or a keyword."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, (ast.Assign, ast.AnnAssign)) and n.value is not None:
+            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+            numbers = any(isinstance(c, ast.Constant) and type(c.value)
+                          in (int, float) for c in ast.walk(n.value))
+            found |= {("table", t.id) for t in targets
+                      if isinstance(t, ast.Name) and numbers
+                      and SIGNATURE_NAME.search(t.id)}
+        elif isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult):
+            found |= {("factor", x.id) for side in (n.left, n.right)
+                      for x in ast.walk(side) if isinstance(x, ast.Name)
+                      and SIGNATURE_NAME.search(x.id)}
+        elif isinstance(n, ast.FunctionDef):
+            if SIGNATURE_NAME.search(n.name):
+                found.add(("def", n.name))
+            found |= {("param", a.arg) for a in ast.walk(n.args)
+                      if isinstance(a, ast.arg)
+                      and SIGNATURE_NAME.search(a.arg)}
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and n.func.attr == "dot" and (len(n.args) > 2 or n.keywords)):
+            found.add(("dot", n.lineno))
+    return sorted(found)
+
+
+def test_metric_scan():
+    source = ("import numpy as np\n"
+              "_SIGNATURES = {'r4': np.ones(4)}\n"
+              "SIGNATURES = ('euclidean', 'lorentzian')\n"
+              "_TERM_SIGN = np.array([1.0, -1.0])[:, None]\n"
+              "class A:\n"
+              "    sig: np.ndarray = np.array([1, 1])\n"
+              "    def sig_of(self):\n        return SIGNATURES\n"
+              "    def sig(self, signature=None):\n"
+              "        return (_SIGNATURES['r4'] * x.T).T * _TERM_SIGN\n"
+              "y = R4.dot(a, b) + a.dot(b, signature=s) + a.dot(b, c, s)\n"
+              "z = np.dot(a, b, out) + a.dot(b)\n")
+    assert metric_uses(source) == [
+        ("def", "sig"), ("dot", 11), ("dot", 12), ("factor", "_SIGNATURES"),
+        ("param", "signature"), ("table", "_SIGNATURES"), ("table", "sig")]
+
+
+def test_one_metric():
+    """geometry.Ambient.dot is the one inner product: no module but geometry
+    holds or applies a signature table, no .dot(...) call passes a
+    signature, and Jet2 has no inner product, scaling or row method of its
+    own (a vector jet times an array of factors is the one scaling)."""
+    from superconf.jets import Jet2
+    assert {p.stem: metric_uses(p.read_text()) for p in MODULES
+            if p.stem != "geometry" and metric_uses(p.read_text())} == {}
+    assert [kind for kind, _ in metric_uses((SRC / "geometry.py").read_text())
+            if kind == "dot"] == []
+    assert [name for name in ("dot", "scaled", "values")
+            if hasattr(Jet2, name)] == []
 
 
 def linalg_uses(source):
@@ -813,11 +874,12 @@ def test_row_python_call_scan():
 
 
 def test_grid_summaries_are_array_passes():
-    """summarize and _clear_worst reduce a grid's stats columns in array
-    passes (export._first_extreme keeps the builtin max/min rule), so
-    neither goes back to Python floats one row at a time."""
+    """summarize reduces a grid's stats columns in array passes
+    (export._first_extreme keeps the builtin max/min rule), and
+    acceptance._grid_worst reads its summaries, so neither goes back to
+    Python floats one row at a time."""
     for module, name in (("export", "summarize"),
-                         ("acceptance", "_clear_worst")):
+                         ("acceptance", "_grid_worst")):
         source = (SRC / f"{module}.py").read_text()
         assert name in {getattr(n, "name", None)
                         for n in ast.parse(source).body}

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from functools import reduce
 from operator import add, mul, sub, truediv
@@ -15,6 +16,7 @@ from superconf import (
     seed_surface,
 )
 from superconf.errors import BranchCutError
+from superconf.geometry import R4, Ambient
 from superconf.jets import (_COMPLEX_BATCH_MATH, _REAL_BATCH_MATH, _CArray,
                             _im_part)
 
@@ -246,10 +248,10 @@ def test_catenoid_seed_values_at_origin():
     jets = catenoid_jets(0j)
     g, h = seed_surface(jets)
     g_u, g_v = seed_first_derivative_fields(jets)
-    assert np.allclose(g.values(), [1, 0, 0, 0], atol=1e-15)
-    assert np.allclose(h.values(), [0, 0, 0, 0], atol=1e-15)
-    assert np.allclose(g_u.values(), [0, 1, 0, 0], atol=1e-15)
-    assert np.allclose(g_v.values(), [0, 0, 1, 0], atol=1e-15)
+    assert np.allclose(g.v.T, [1, 0, 0, 0], atol=1e-15)
+    assert np.allclose(h.v.T, [0, 0, 0, 0], atol=1e-15)
+    assert np.allclose(g_u.v.T, [0, 1, 0, 0], atol=1e-15)
+    assert np.allclose(g_v.v.T, [0, 0, 1, 0], atol=1e-15)
 
 
 def test_cauchy_riemann_exact():
@@ -284,27 +286,29 @@ def test_catenoid_fields_match_closed_form():
     g, h = seed_surface(jets)
     g_u, g_v = seed_first_derivative_fields(jets)
     ch, sh, cu, su = (math.cosh(v0), math.sinh(v0), math.cos(u0), math.sin(u0))
-    assert np.allclose(g.values(), [ch * cu, ch * su, v0, 0], atol=1e-14)
-    assert np.allclose(h.values(), [-sh * su, sh * cu, -u0, 0], atol=1e-14)
-    assert np.allclose(g_u.values(), [-ch * su, ch * cu, 0, 0], atol=1e-14)
-    assert np.allclose(g_v.values(), [sh * cu, sh * su, 1, 0], atol=1e-14)
+    assert np.allclose(g.v.T, [ch * cu, ch * su, v0, 0], atol=1e-14)
+    assert np.allclose(h.v.T, [-sh * su, sh * cu, -u0, 0], atol=1e-14)
+    assert np.allclose(g_u.v.T, [-ch * su, ch * cu, 0, 0], atol=1e-14)
+    assert np.allclose(g_v.v.T, [sh * cu, sh * su, 1, 0], atol=1e-14)
     # second derivatives of the g_u field come from the third complex order
     assert np.allclose(g_u.duu[:, 0], [ch * su, -ch * cu, 0, 0], atol=1e-14)
 
 
 def test_vec_dot_norm_signature():
+    # the vector jets' inner product is geometry.Ambient.dot's
+    lorentz = Ambient("hyperbolic")
     a = Jet2.stack([Jet2(1, 1, 0), Jet2(2), Jet2(0), Jet2(0), Jet2(3)])
-    lor = (1, 1, 1, 1, -1)
-    d = a.dot(a, signature=lor)
+    d = lorentz.dot(a, a)
     assert d.v == 1 + 4 - 9
     e = Jet2.stack([Jet2(2, 1, 0), Jet2(0), Jet2(0), Jet2(0), Jet2(1)])
-    n = e.dot(e, signature=lor)
+    n = lorentz.dot(e, e)
     assert n.v == 3.0
 
     # bit for bit the products summed one component at a time from 0.0, on
     # batches of one and of many, with -0.0 products among them
     rng = np.random.default_rng(23)
-    for n, sig in ((1, None), (1, lor), (40, None), (40, lor)):
+    for n, (ambient, sig) in itertools.product(
+            (1, 40), ((R4, None), (lorentz, (1, 1, 1, 1, -1)))):
         xs, ys = rng.standard_normal((2, 5, 6, n))
         xs[rng.random(xs.shape) < 0.3] = -0.0
         ys[rng.random(ys.shape) < 0.3] = -0.0
@@ -314,7 +318,21 @@ def test_vec_dot_norm_signature():
         if sig is not None:
             prods = [p * np.asarray(sig, float)[:, None] for p in prods]
         want = Jet2(*(reduce(add, p, 0.0) for p in prods))
-        assert slot_bits(x.dot(y, signature=sig)) == slot_bits(want)
+        assert slot_bits(ambient.dot(x, y)) == slot_bits(want)
+        # and the value slot is the inner product of the values
+        assert (ambient.dot(x.v, y.v).tobytes()
+                == ambient.dot(x, y).v.tobytes())
+
+
+def test_array_factors_scale_every_slot_in_either_order():
+    # a (dim, 1) column scales each component, an (n,) array each point;
+    # numpy defers to the jet, so the factor may come first
+    rng = np.random.default_rng(4)
+    x = Jet2(*rng.standard_normal((6, 3, 5)))
+    for f in (rng.standard_normal((3, 1)), rng.standard_normal(5), -2.5):
+        for got in (x * f, f * x):
+            assert type(got) is Jet2
+            assert slot_bits(got) == [(s * f).tobytes() for s in x.slots]
 
 
 def test_vec_transform():

@@ -6,7 +6,8 @@ import pytest
 from superconf.construct import reflection_pair_check, translation_check
 from superconf.errors import DomainError, PreconditionError
 from superconf.expr import CurveExpr
-from superconf.jets import Jet2, _im_part
+from superconf.geometry import R4
+from superconf.jets import _im_part
 from superconf.minimal import (
     Domain,
     HolomorphicCurve,
@@ -75,17 +76,18 @@ class TestSplit:
         s = catenoid_pair().samples_at(complex(0.7, -0.4))
         u, v = 0.7, -0.4
         np.testing.assert_allclose(
-            s.g.values()[0],
+            s.g.v.T[0],
             [np.cos(u) * np.cosh(v), np.sin(u) * np.cosh(v), v, 0.0],
             atol=1e-15)
         np.testing.assert_allclose(
-            s.h.values()[0],
+            s.h.v.T[0],
             [-np.sin(u) * np.sinh(v), np.cos(u) * np.sinh(v), -u, 0.0],
             atol=1e-15)
 
     def test_conjugate_norm_at_1_1(self):
         s = catenoid_pair().samples_at(complex(1.0, 1.0))
-        assert s.h.dot(s.h).sqrt().v == pytest.approx(np.cosh(1.0), rel=1e-14)
+        assert R4.dot(s.h, s.h).sqrt().v == pytest.approx(np.cosh(1.0),
+                                                          rel=1e-14)
 
     def test_conjugacy_is_slot_exact(self):
         # h = Im F, so h_u = Im F' and h_v = Im(i F'), each split from the
@@ -116,9 +118,9 @@ class TestSplit:
         moved = pair.translated([0.0, 1.0, -2.0, 0.5])
         z = complex(0.4, 0.6)
         s0, s1 = pair.samples_at(z), moved.samples_at(z)
-        np.testing.assert_allclose(s1.g.values(), s0.g.values(), atol=1e-15)
+        np.testing.assert_allclose(s1.g.v.T, s0.g.v.T, atol=1e-15)
         np.testing.assert_allclose(
-            (s1.h.values() - s0.h.values())[0], [0.0, 1.0, -2.0, 0.5],
+            (s1.h.v.T - s0.h.v.T)[0], [0.0, 1.0, -2.0, 0.5],
             atol=1e-15)
         np.testing.assert_allclose(s1.h.du, s0.h.du, atol=1e-15)
 
@@ -178,8 +180,8 @@ class TestAssociatedFamily:
         rot = associated_family(pair, np.pi / 2)
         z = complex(0.5, -0.3)
         s0, s1 = pair.samples_at(z), rot.samples_at(z)
-        np.testing.assert_allclose(s1.g.values(), s0.h.values(), atol=1e-12)
-        np.testing.assert_allclose(s1.h.values(), -s0.g.values(), atol=1e-12)
+        np.testing.assert_allclose(s1.g.v.T, s0.h.v.T, atol=1e-12)
+        np.testing.assert_allclose(s1.h.v.T, -s0.g.v.T, atol=1e-12)
 
     def test_metric_is_preserved(self):
         pair = catenoid_pair()
@@ -187,8 +189,8 @@ class TestAssociatedFamily:
         s0 = pair.samples_at(z)
         for theta in (np.pi / 8, 3 * np.pi / 8):
             s = associated_family(pair, theta).samples_at(z)
-            assert Jet2.dot(s.g_u, s.g_u).v == pytest.approx(
-                Jet2.dot(s0.g_u, s0.g_u).v, rel=1e-12)
+            assert R4.dot(s.g_u, s.g_u).v == pytest.approx(
+                R4.dot(s0.g_u, s0.g_u).v, rel=1e-12)
 
     def test_family_member_still_isotropic(self):
         member = associated_family(catenoid_pair(), 0.37)
