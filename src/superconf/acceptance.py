@@ -19,8 +19,8 @@ from .construct import (SIGNS, build_phi_pair, dual_pair_report,
                         reflection_pair_check, translation_check)
 from .errors import ExpressionError
 from .expr import parse_curve, print_node
-from .export import (canonical_json, grid_text, obj_text,
-                     sample_grid, sample_grids, stereo_projector, summarize)
+from .export import (canonical_json, grid_texts, sample_grid, sample_grids,
+                     stereo_projector, summarize)
 from .geometry import (Ambient, _matvec, _normal_part, _vec_norm,
                        ellipse_descriptor, fundamental_data)
 from .jets import fd_crosscheck
@@ -451,8 +451,8 @@ def criterion_13() -> CriterionResult:
     [first] = sample_grid(pair, lattice, ("+",))
     [second] = sample_grid(pair, lattice, ("+",))
     stereo = stereo_projector()
-    deterministic = (grid_text(first) == grid_text(second)
-                     and obj_text(first, stereo) == obj_text(second, stereo)
+    deterministic = (grid_texts([first], stereo, "stereo")
+                     == grid_texts([second], stereo, "stereo")
                      and canonical_json(summarize(first))
                      == canonical_json(summarize(second)))
 

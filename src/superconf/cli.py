@@ -23,8 +23,7 @@ from . import catalog
 from .errors import (DomainError, ExpressionError, PreconditionError,
                      SuperconfError, UnknownEntryError)
 from .export import (canonical_json, drop_projector, sample_grid,
-                     stereo_projector, summarize, write_csv, write_json,
-                     write_obj)
+                     stereo_projector, summarize, write_grids, write_json)
 from .construct import dual_pair_report
 from .geometry import _vec_norm
 from .jets import row_failures
@@ -213,20 +212,15 @@ def cmd_construct(args) -> int:
     summary = {"curve": stem, "grid": [nu, nv],
                "domain": [dom.u_min, dom.u_max, dom.v_min, dom.v_max],
                "signs": {}}
-    files = []
     ok = True
-    for sign, samples in zip(signs, sample_grid(pair, dom.lattice(nu, nv),
-                                                signs)):
-        word = SIGN_WORDS[sign]
+    rows = sample_grid(pair, dom.lattice(nu, nv), signs)
+    for sign, samples in zip(signs, rows):
         agg = summarize(samples)
-        summary["signs"][word] = agg
+        summary["signs"][SIGN_WORDS[sign]] = agg
         ok = ok and agg["n_clear"] > 0
-        base = os.path.join(args.out, f"{stem}-{word}")
-        write_csv(samples, base + ".csv", base + ".mesh.json")
-        files.extend([base + ".csv", base + ".mesh.json"])
-        if projector is not None:
-            write_obj(samples, base + ".obj", projector[0], projector[1])
-            files.append(base + ".obj")
+    files = write_grids(
+        rows, [os.path.join(args.out, f"{stem}-{SIGN_WORDS[sign]}")
+               for sign in signs], *(projector or (None, None)))
     spath = os.path.join(args.out, f"{stem}-summary.json")
     write_json(_clean(summary), spath)
     files.append(spath)

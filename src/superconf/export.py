@@ -3,10 +3,11 @@
 The JSON mesh keeps all four coordinates and is the authoritative container;
 OBJ is a lossy 3d projection for viewers and says so in its header.  Every
 float is written as repr writes it, the shortest decimal that round-trips,
-so identical runs produce byte-identical files.  The writers make that text
-one block of rows at a time in array passes: Schubfach's shortest digits
-for all the block's floats at once, each number laid out in a fixed-width
-byte cell, and the block's text its cells' bytes with the padding dropped.
+so identical runs produce byte-identical files.  One writer, write_grids,
+streams every file of a grid run, all signs together, one block of rows at
+a time in array passes: Schubfach's shortest digits for all the block's
+floats of every sign at once, each number laid out in a fixed-width byte
+cell, and each file's text its cells' bytes with the padding dropped.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 from collections import namedtuple
+from contextlib import ExitStack
 from itertools import accumulate, chain
 
 import numpy as np
@@ -50,7 +52,7 @@ GridSample = namedtuple("GridSample", "u v position stats flags")
 class GridRows:
     """The rows of one sign of a grid run over a complex (nu, nv) lattice
     (minimal.Domain.lattice), held as columns in its raveled order: shape
-    (nu, nv); u, v (n,); position (4, n), set where flags <
+    (nu, nv); u, v (n,), its axes repeated; position (4, n), set where flags <
     FLAG_OUT_OF_DOMAIN; stats (n, 9) in _STAT_NAMES order, set where
     has_stats; nan where unset.  flags holds the FLAG_* bits of construct,
     the out-of-domain and failed-sample ones included; rows with flags != 0
@@ -432,10 +434,13 @@ def _int_cells(i):
     i = np.asarray(i)
     f = i.ravel().astype(np.uint64)
     tables = _tables()
-    n = np.maximum(tables.pow10.searchsorted(f, side="right"), 1)
     out = np.zeros((f.size, 3), "<u8")
-    out[:, 1:] = (_digit_words(f * tables.pow10.take(17 - n))[:2]
-                  & tables.body[0, :2].take(19 * 18 + n, axis=1)).T
+    for lo in range(0, f.size, _RUN):
+        run = f[lo:lo + _RUN]
+        n = np.maximum(tables.pow10.searchsorted(run, side="right"), 1)
+        out[lo:lo + _RUN, 1:] = (
+            _digit_words(run * tables.pow10.take(17 - n))[:2]
+            & tables.body[0, :2].take(19 * 18 + n, axis=1)).T
     return out.view(np.uint8).reshape(i.shape + (_INT_CELL,))
 
 
@@ -453,9 +458,9 @@ def _text(cells):
 
 
 def _items(cells, lo):
-    """The text of a block of JSON array items framed ',[' ... ']'; the
-    array's first item, at lo == 0, has no comma."""
-    if lo == 0:
+    """The text of a block of framed cells; the first row of a JSON array,
+    at lo == 0, drops the comma that leads it."""
+    if lo == 0 and cells[0, 0, 0] == ord(","):
         cells[0, 0, 0] = 0
     return _text(cells)
 
@@ -463,66 +468,6 @@ def _items(cells, lo):
 # a null mesh vertex: its first cell written ',null', the others empty
 _NULL_VERTEX = np.zeros((4, _CELL), np.uint8)
 _NULL_VERTEX[0, :5] = np.frombuffer(b",null", np.uint8)
-
-
-def _csv_mesh_chunks(samples):
-    """The diagnostics CSV and the 4d mesh JSON of one grid as (csv, mesh)
-    pairs of byte chunks, one block of rows or quads at a time.
-
-    Every number is formatted once, and the mesh vertices (null where
-    sampling failed) are the CSV's x0..x3 cells; its quads are those whose
-    four corners all exist, wound consistently.  The mesh is canonical_json's
-    text of its dict, keys in sorted order; callers check that its vertices
-    are finite.
-    """
-    placed = samples.flags < FLAG_OUT_OF_DOMAIN
-    quads = _quads(placed.reshape(samples.shape))
-    yield (CSV_HEADER.encode() + b"\n",
-           b'{"kind":"grid-mesh-r4","nu":%d,"nv":%d,"quads":[' % samples.shape)
-    for lo in _block_starts(len(quads)):
-        yield b"", _items(_lines(_int_cells(quads[lo:lo + BLOCK_POINTS]),
-                                 b",[", b",,,]"), lo)
-    yield b"", b'],"vertices":['
-    for lo in _block_starts(len(samples)):
-        hi = min(lo + BLOCK_POINTS, len(samples))
-        cells = np.empty((hi - lo, 15, _CELL), np.uint8)
-        # the block's rows, one point per row, are laid out here
-        cells[:, :14] = _cells(np.column_stack((
-            samples.u[lo:hi], samples.v[lo:hi], samples.position[:, lo:hi].T,
-            samples.stats[lo:hi, _CSV_STATS])))
-        cells[:, 14, :_INT_CELL] = _int_cells(samples.flags[lo:hi])
-        cells[:, 14, _INT_CELL:] = 0
-        csv = _text(_lines(cells, b"", b",,,,,,,,,,,,,,\n"))
-        vertices = _lines(cells[:, 2:6].copy(), b",[", b",,,]")
-        vertices[~placed[lo:hi]] = _NULL_VERTEX
-        yield csv, _items(vertices, lo)
-    yield b"", b"]}\n"
-
-
-def _check_vertices(samples):
-    """JSON has no nan or inf: refuse a placed row whose position is not
-    finite, as canonical_json would."""
-    placed = samples.flags < FLAG_OUT_OF_DOMAIN
-    if not np.isfinite(samples.position[:, placed]).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-
-
-def grid_text(samples):
-    """The (csv, mesh) text write_csv writes, from one pass; a placed row
-    whose position is not finite fails it with ValueError."""
-    _check_vertices(samples)
-    csv, mesh = zip(*_csv_mesh_chunks(samples))
-    return b"".join(csv).decode("ascii"), b"".join(mesh).decode("ascii")
-
-
-def write_csv(samples, path, mesh_path) -> None:
-    """Write the diagnostics CSV to path and the mesh JSON to mesh_path,
-    block by block, from the same formatted cells."""
-    _check_vertices(samples)
-    with open(path, "wb") as fc, open(mesh_path, "wb") as fm:
-        for c, m in _csv_mesh_chunks(samples):
-            fc.write(c)
-            fm.write(m)
 
 
 def canonical_json(obj) -> str:
@@ -598,42 +543,137 @@ def stereo_projector(pole=(0.0, 0.0, 0.0, 1.0)):
     return project
 
 
-def _obj_chunks(samples, projector, note):
-    """Triangulated OBJ of the projected grid, one block of vertex or face
-    lines at a time.
+# the files of each sign of a grid run: the diagnostics CSV, the 4d mesh
+# JSON and, with a projector, the OBJ
+_SUFFIXES = (".csv", ".mesh.json", ".obj")
 
-    Every grid point contributes a vertex line (nan coordinates where the
-    sample or the projection failed) so face indices stay grid-addressable;
-    faces touching a bad vertex are dropped.  Quads split into two triangles
-    with matching winding.
+
+def write_grids(rows, bases, projector, note) -> list:
+    """Write the files of one grid run, rows the GridRows of its signs over
+    one lattice, to each sign's base path in bases plus _SUFFIXES, block by
+    block from _grid_chunks, checked and projected before a file opens; the
+    paths written, in order."""
+    paths = [base + suffix for base in bases
+             for suffix in _SUFFIXES[:2 + (projector is not None)]]
+    chunks = _grid_chunks(rows, projector, note)
+    first = next(chunks)
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for f, chunk in chain([first], chunks):
+            files[f].write(chunk)
+    return paths
+
+
+def grid_texts(rows, projector, note) -> list:
+    """The text of each file write_grids writes for rows, in its order."""
+    texts = {}
+    for f, chunk in _grid_chunks(rows, projector, note):
+        texts.setdefault(f, []).append(chunk)
+    return [b"".join(texts[f]).decode("ascii") for f in sorted(texts)]
+
+
+def _grid_chunks(rows, projector, note):
+    """The text of the files of one grid run, rows the GridRows of its signs
+    over one lattice, as (file, bytes) chunks in each file's order: file
+    m s + j is rows[s]'s file of suffix _SUFFIXES[j], of the m files a sign
+    has.  Every check runs before the first chunk: a placed row whose
+    position is not finite fails with ValueError, as canonical_json would.
+
+    A block's floats, of every sign, are formatted in one _cells pass; the
+    u and v cells are the lattice's axes' (rows.u[::nv], rows.v[:nv]), the
+    flags and corners from one table of integer cells.  The mesh vertices
+    (null where sampling failed) are the CSV's x0..x3 cells, its quads those
+    whose four corners all exist, wound consistently.  Every grid point has
+    an OBJ vertex line, nan where the sample or the projection failed, so
+    face indices stay grid-addressable; the OBJ splits each quad of
+    projected corners into two triangles with matching winding.
     """
-    placed = samples.flags < FLAG_OUT_OF_DOMAIN
-    y = np.full((3, len(samples)), np.nan)
-    ok = np.zeros(len(samples), bool)
-    y[:, placed], ok[placed] = projector(samples.position[:, placed])
+    m = 2 + (projector is not None)
+    nu, nv = rows[0].shape
+    n = nu * nv
+    for r in rows:
+        if not np.isfinite(r.position[:, r.flags < FLAG_OUT_OF_DOMAIN]).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+    obj = [_obj_vertices(r, projector) for r in rows]
+    # the flags reach FLAG_DEGENERATE_SAMPLE, which may pass n
+    table = _int_cells(np.arange(max(n, *(int(r.flags.max())
+                                          for r in rows)) + 1))
+    axes = _cells(np.concatenate((rows[0].u[::nv], rows[0].v[:nv])))
+    for s, r in enumerate(rows):
+        yield m * s, CSV_HEADER.encode() + b"\n"
+        yield (m * s + 1,
+               b'{"kind":"grid-mesh-r4","nu":%d,"nv":%d,"quads":[' % (nu, nv))
+        quads = _quads((r.flags < FLAG_OUT_OF_DOMAIN).reshape(nu, nv))
+        for text in _corner_chunks(quads, table, b",[", b",,,]"):
+            yield m * s + 1, text
+        yield m * s + 1, b'],"vertices":['
+        if projector is not None:
+            yield m * s + 2, ("# lossy 3d projection of a 4d grid surface%s\n"
+                              "# grid %d x %d, row-major, u varying slowest\n"
+                              % (f" ({note})" if note else "", nu, nv)).encode()
+    for lo in _block_starts(n):
+        cells = _cells(np.stack([_block_floats(r, y, lo)
+                                 for r, (y, _) in zip(rows, obj)]))
+        for s, r in enumerate(rows):
+            for j, text in enumerate(_block_text(cells[s], r, axes, table, lo)):
+                yield m * s + j, text
+    for s, (_, ok) in enumerate(obj):
+        yield m * s + 1, b"]}\n"
+        if projector is not None:
+            # each quad's corners a b c d make the lines f a b c and f a c d
+            faces = (_quads(ok.reshape(nu, nv)) + 1)[:, [0, 1, 2, 0, 2, 3]]
+            for text in _corner_chunks(faces.reshape(-1, 3), table, b"f ",
+                                       b"  \n"):
+                yield m * s + 2, text
+
+
+def _obj_vertices(rows, projector):
+    """The OBJ vertices of rows, (3, n) and nan where the sample or the
+    projection failed, and the mask of the projected rows; (0, n) and None
+    without a projector."""
+    if projector is None:
+        return np.empty((0, len(rows))), None
+    ok = rows.flags < FLAG_OUT_OF_DOMAIN        # placed, then projected
+    y = np.full((3, len(rows)), np.nan)
+    y[:, ok], ok[ok] = projector(rows.position[:, ok])
     y[:, ~ok] = np.nan
-    faces = _quads(ok.reshape(samples.shape)) + 1
-    yield ("# lossy 3d projection of a 4d grid surface"
-           + (f" ({note})" if note else "")
-           + "\n# grid %d x %d, row-major, u varying slowest\n"
-           % samples.shape).encode()
-    for lo in _block_starts(len(samples)):
-        # the block's vertices, one per row, are laid out here
-        yield _text(_lines(_cells(y[:, lo:lo + BLOCK_POINTS].T), b"v ",
-                           b"  \n"))
-    for lo in _block_starts(len(faces)):
-        # each quad's corners a b c d make the lines f a b c and f a c d
-        corners = _int_cells(faces[lo:lo + BLOCK_POINTS])
-        yield _text(_lines(corners[:, [0, 1, 2, 0, 2, 3]].reshape(
-            -1, 3, _INT_CELL), b"f ", b"  \n"))
+    return y, ok
 
 
-def obj_text(samples, projector, note="") -> str:
-    return b"".join(_obj_chunks(samples, projector, note)).decode()
+def _block_floats(rows, y, lo):
+    """The floats of the block of rows from lo, laid out here a row each:
+    x0..x3, the CSV stats and the OBJ vertex of y."""
+    hi = lo + BLOCK_POINTS
+    return np.column_stack((rows.position[:, lo:hi].T,
+                            rows.stats[lo:hi, _CSV_STATS], y[:, lo:hi].T))
 
 
-def write_obj(samples, path, projector, note="") -> None:
-    chunks = _obj_chunks(samples, projector, note)
-    first = next(chunks)        # projects before the file opens
-    with open(path, "wb") as f:
-        f.writelines(chain([first], chunks))
+def _block_text(cells, rows, axes, table, lo):
+    """The CSV, mesh JSON and, where cells hold OBJ vertices, OBJ text of
+    the block of rows from lo: cells those of its _block_floats, axes the
+    lattice's axis cells and table the integer cells."""
+    nu, nv = rows.shape
+    k = np.arange(lo, lo + len(cells))
+    flags = rows.flags[lo:lo + len(cells)]
+    csv = np.empty((len(cells), 15, _CELL), np.uint8)
+    csv[:, 0] = axes[k // nv]
+    csv[:, 1] = axes[nu + k % nv]
+    csv[:, 2:14] = cells[:, :12]
+    csv[:, 14, :_INT_CELL] = table[flags]
+    csv[:, 14, _INT_CELL:] = 0
+    vertices = _lines(cells[:, :4], b",[", b",,,]")
+    vertices[flags >= FLAG_OUT_OF_DOMAIN] = _NULL_VERTEX
+    texts = [_text(_lines(csv, b"", b",,,,,,,,,,,,,,\n")),
+             _items(vertices, lo)]
+    if cells.shape[1] > 12:
+        texts.append(_text(_lines(cells[:, 12:], b"v ", b"  \n")))
+    return texts
+
+
+def _corner_chunks(corners, table, lead, seps):
+    """The text of rows of grid point indices, a block of rows at a time,
+    each index's cell from table, the integer cells of 0, 1, ..., and each
+    row framed by _lines and _items."""
+    for lo in _block_starts(len(corners)):
+        yield _items(_lines(table[corners[lo:lo + BLOCK_POINTS]], lead, seps),
+                     lo)

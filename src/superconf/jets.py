@@ -597,6 +597,13 @@ class Jet2(_Jet):
                 slot[i] = x
         return Jet2(*out)
 
+    @staticmethod
+    def join(jets):
+        """The vector jet over the batches of jets in turn, each slot
+        concatenated along the points."""
+        return Jet2(*(np.concatenate(xs, axis=1)
+                      for xs in zip(*(j.slots for j in jets))))
+
     def __getitem__(self, i):
         """Component i of a vector jet."""
         return Jet2(*(x[i] for x in self.slots))

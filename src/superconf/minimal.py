@@ -126,8 +126,7 @@ class SplitSample:
         if len(samples) == 1:
             return samples[0]
         return SplitSample(np.concatenate([s.z for s in samples]), *(
-            Jet2(*(np.concatenate(xs, axis=1) for xs in zip(*(
-                getattr(s, field).slots for s in samples))))
+            Jet2.join([getattr(s, field) for s in samples])
             for field in ("g", "h", "g_u", "g_v")))
 
 

@@ -320,22 +320,27 @@ def pair_transform_check(pair, inv, points):
         raise PreconditionError("pair transformation works in euclidean R4")
     z = point_set(points)
 
-    # only phi and its flags are kept, so the field context is freed before
-    # the images are built
     with np.errstate(all="ignore"), row_failures(z.size) as failed:
-        built = [(ps.phi, ps.flags) for ps in build_phi_pair(pair, z)]
+        built = build_phi_pair(pair, z)
     skipped = Counter(failed.counts())
     ok = ~failed.rows()
     if not ok.any():
         raise PreconditionError("every sample point was degenerate")
 
-    center_eff = inv.center.astype(complex) - 1j * pair.h_offset
-    w = pair.curve.eval(z[ok]) - center_eff[:, None]
-    q, scale = _complex_square(w.real, w.imag)
+    # the curve shifted by the center, G - c + i h_offset, is the built
+    # sample's (g - c) + i h
+    sample = built[0].ctx.sample
+    q, scale = _complex_square(sample.g.v[:, ok] - inv.center[:, None],
+                               sample.h.v[:, ok])
     if abs(q).max() <= 1e-8 * scale.max():
         raise PreconditionError(
             f"curve of {pair.name} shifted by the center lies on the null "
             "quadric; the quadratic inversion degenerates there")
+    # only phi and its flags are kept, so the field context is freed before
+    # the images are built
+    phis, flagged = [ps.phi for ps in built], [ps.flags != 0 for ps in built]
+    del built, sample
+    center_eff = inv.center.astype(complex) - 1j * pair.h_offset
     tcurve = transformed_curve(pair.curve, inv.radius, center_eff)
     route_two = np.zeros((4, z.size), complex)
     with np.errstate(all="ignore"), row_failures(ok.sum()) as unevaluated:
@@ -343,35 +348,31 @@ def pair_transform_check(pair, inv, points):
     skipped.update(unevaluated.counts())
     ok[ok] = ~unevaluated.rows()
     g_curve, h_curve = inv.center[:, None] + route_two.real, route_two.imag
-    sup_g, d_plus, d_minus, used = 0.0, 0.0, 0.0, 0
-    for phi, flags in built:
-        flagged = ok & (flags != 0)
-        skipped["flagged"] += int(np.count_nonzero(flagged))
-        rows = np.flatnonzero(ok & ~flagged)
-        if not rows.size:
-            continue
-        with np.errstate(all="ignore"), row_failures(rows.size) as bad:
-            ext = extract_minimal_pair(invert(phi.rows(rows), inv))
-        bad.raise_unless((InversionSingularError, FrameUndefinedError,
-                          SingularSampleError))
-        skipped.update(bad.counts())
-        good = ~bad.rows()
-        rows = rows[good]
-        used += rows.size
-        h_ext = ext.zeta_orientation[good] * ext.h[:, good]
-        sup_g = _vec_norm(ext.g[:, good] - g_curve[:, rows]).max(
-            initial=sup_g)
-        d_plus = _vec_norm(h_ext - h_curve[:, rows]).max(initial=d_plus)
-        d_minus = _vec_norm(h_ext + h_curve[:, rows]).max(initial=d_minus)
-    if used == 0:
+
+    # both signs' unflagged rows make one batch of images
+    skipped["flagged"] += int(np.count_nonzero(ok & np.array(flagged)))
+    rows = [np.flatnonzero(ok & ~f) for f in flagged]
+    with np.errstate(all="ignore"), row_failures(sum(map(len, rows))) as bad:
+        ext = extract_minimal_pair(invert(Jet2.join(
+            [phi.rows(r) for phi, r in zip(phis, rows)]), inv))
+    bad.raise_unless((InversionSingularError, FrameUndefinedError,
+                      SingularSampleError))
+    skipped.update(bad.counts())
+    good = ~bad.rows()
+    rows = np.concatenate(rows)[good]
+    if not rows.size:
         raise PreconditionError("every sample point was degenerate")
+    h_ext = ext.zeta_orientation[good] * ext.h[:, good]
+    sup_g = _vec_norm(ext.g[:, good] - g_curve[:, rows]).max()
+    d_plus = _vec_norm(h_ext - h_curve[:, rows]).max()
+    d_minus = _vec_norm(h_ext + h_curve[:, rows]).max()
     if d_minus <= d_plus:
         convention, sup_h = "-", d_minus
     else:
         convention, sup_h = "+", d_plus
     return PairTransformReport(sup_g=float(sup_g), sup_h=float(sup_h),
                                h_convention=convention,
-                               n_points=used, skipped=dict(+skipped))
+                               n_points=rows.size, skipped=dict(+skipped))
 
 
 # -- complex structure of null-quadric pairs ----------------------------------

@@ -22,9 +22,8 @@ from superconf.export import (_CSV_STATS, _K_MIN, _STAT_NAMES, BLOCK_POINTS,
                               FLAG_OUT_OF_DOMAIN, GridRows, _block_starts,
                               _cells, _int_cells, _lines, _quads, _tables,
                               _text, canonical_json, drop_projector,
-                              grid_text, obj_text, sample_grid, sample_grids,
-                              stereo_projector, summarize, write_csv,
-                              write_obj)
+                              grid_texts, sample_grid, sample_grids,
+                              stereo_projector, summarize, write_grids)
 from superconf.geometry import ellipse_descriptor, fundamental_data
 from superconf.jets import row_failures
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair
@@ -212,7 +211,7 @@ def test_summarize_skips_flagged_rows():
 def test_csv_shape_and_round_trip():
     pair = holed_pair()
     [samples] = sample_grid(pair, pair.domain.lattice(3, 3), ("+",))
-    text, _ = grid_text(samples)
+    text, _ = grid_texts([samples], None, None)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) == 10                       # header + 9 data rows
@@ -230,7 +229,7 @@ def test_csv_shape_and_round_trip():
 def test_csv_nan_rows_for_flagged_points():
     pair = holed_pair()
     [samples] = sample_grid(pair, pair.domain.lattice(3, 3), ("+",))
-    csv, _ = grid_text(samples)
+    csv, _ = grid_texts([samples], None, None)
     row = csv.strip().split("\n")[1]                      # (0.3, 0.3) is first
     cells = row.split(",")
     assert cells[0] == "0.3" and cells[-1] == "8"
@@ -240,7 +239,7 @@ def test_csv_nan_rows_for_flagged_points():
 def test_mesh_quads_skip_missing_corners():
     pair = holed_pair()
     [samples] = sample_grid(pair, pair.domain.lattice(3, 3), ("+",))
-    mesh = json.loads(grid_text(samples)[1])
+    mesh = json.loads(grid_texts([samples], None, None)[1])
     assert mesh["vertices"][0] is None
     assert len([v for v in mesh["vertices"] if v is not None]) == 8
     # of the 4 quads only the one at the excluded corner is dropped
@@ -250,8 +249,8 @@ def test_mesh_quads_skip_missing_corners():
 
 def test_mesh_json_round_trips_bit_exactly(tmp_path, catenoid):
     [samples] = sample_grid(catenoid, catenoid.domain.lattice(3, 3), ("+",))
-    path = tmp_path / "m.json"
-    write_csv(samples, tmp_path / "m.csv", path)
+    path = tmp_path / "m.mesh.json"
+    write_grids([samples], [str(tmp_path / "m")], None, None)
     text = path.read_text()
     with open(path) as f:
         loaded = json.load(f)
@@ -261,7 +260,7 @@ def test_mesh_json_round_trips_bit_exactly(tmp_path, catenoid):
 
 def test_obj_two_by_two(catenoid):
     [samples] = sample_grid(catenoid, catenoid.domain.lattice(2, 2), ("+",))
-    text = obj_text(samples, drop_projector(3), "drop coordinate 3")
+    text = grid_texts([samples], drop_projector(3), "drop coordinate 3")[2]
     lines = text.strip().split("\n")
     verts = [l for l in lines if l.startswith("v ")]
     faces = [l for l in lines if l.startswith("f ")]
@@ -273,7 +272,7 @@ def test_obj_two_by_two(catenoid):
 def test_obj_drops_faces_at_bad_vertices():
     pair = holed_pair()
     [samples] = sample_grid(pair, pair.domain.lattice(3, 3), ("+",))
-    text = obj_text(samples, drop_projector(0))
+    text = grid_texts([samples], drop_projector(0), "")[2]
     lines = text.strip().split("\n")
     assert sum(l.startswith("v ") for l in lines) == 9
     assert "v nan nan nan" in lines
@@ -317,20 +316,26 @@ def test_two_runs_of_one_grid_write_the_same_bytes(catenoid):
     lattice = catenoid.domain.lattice(5, 4)
     [first] = sample_grid(catenoid, lattice, ("+",))
     [second] = sample_grid(catenoid, lattice, ("+",))
-    assert grid_text(first) == grid_text(second)
+    assert (grid_texts([first], stereo_projector(), "stereo")
+            == grid_texts([second], stereo_projector(), "stereo"))
     assert (canonical_json(summarize(first))
             == canonical_json(summarize(second)))
 
 
 def test_write_csv_and_obj_files(tmp_path, catenoid):
-    [samples] = sample_grid(catenoid, catenoid.domain.lattice(2, 2), ("+",))
-    cpath, mpath = tmp_path / "g.csv", tmp_path / "g.mesh.json"
-    write_csv(samples, cpath, mpath)
-    assert (cpath.read_text(), mpath.read_text()) == grid_text(samples)
-    opath = tmp_path / "g.obj"
-    write_obj(samples, opath, stereo_projector(), "stereo")
-    assert opath.read_text().startswith("# lossy 3d projection")
-    assert opath.read_text() == obj_text(samples, stereo_projector(), "stereo")
+    # each sign's CSV, mesh JSON and OBJ, in the order write_grids names
+    # them, hold the text of grid_texts
+    grid = sample_grid(catenoid, catenoid.domain.lattice(2, 2), ("+", "-"))
+    bases = [str(tmp_path / "p"), str(tmp_path / "m")]
+    paths = write_grids(grid, bases, stereo_projector(), "stereo")
+    assert paths == [base + suffix for base in bases
+                     for suffix in (".csv", ".mesh.json", ".obj")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.rsplit("/", 1)[1] for p in paths)
+    texts = [open(path).read() for path in paths]
+    assert texts[2].startswith("# lossy 3d projection")
+    assert texts == grid_texts(grid, stereo_projector(), "stereo")
+    assert write_grids(grid[1:], bases[1:], None, None) == paths[3:5]
 
 
 # The per-row writers, projectors and reducers that the columnar ones
@@ -485,19 +490,28 @@ def test_projectors_map_columns_as_the_reference_maps_points(proj, ref, note):
         assert as_bits(y[:, k]) == as_bits(ref(x[:, k])), (note, k)
 
 
-def assert_writers_match_reference(rows, nu, nv):
-    listed = list(rows)
+def assert_writers_match_reference(grid, nu, nv):
+    """The text grid_texts writes for the signs' rows of one grid, all at
+    once, with no projection and under each of PROJECTIONS, is the per-row
+    reference's for each sign alone."""
+    listed = [list(rows) for rows in grid]
+    for rows, rows_listed in zip(grid, listed):
+        assert repr(summarize(rows)) == repr(reference_summarize(rows_listed))
     try:
-        mesh = canonical_json(reference_mesh_dict(listed, nu, nv))
+        meshes = [canonical_json(reference_mesh_dict(rows, nu, nv))
+                  for rows in listed]
     except ValueError:          # JSON has no nan: both refuse the rows
-        with pytest.raises(ValueError):
-            grid_text(rows)
-    else:
-        assert grid_text(rows) == (reference_csv_text(listed), mesh)
-    assert repr(summarize(rows)) == repr(reference_summarize(listed))
-    for proj, ref, note in PROJECTIONS:
-        assert (obj_text(rows, proj, note)
-                == reference_obj_text(listed, nu, nv, ref, note)), note
+        for proj, _, note in [(None, None, None)] + PROJECTIONS:
+            with pytest.raises(ValueError):
+                grid_texts(grid, proj, note)
+        return
+    for proj, ref, note in [(None, None, None)] + PROJECTIONS:
+        want = []
+        for rows, mesh in zip(listed, meshes):
+            want += [reference_csv_text(rows), mesh]
+            if proj is not None:
+                want.append(reference_obj_text(rows, nu, nv, ref, note))
+        assert grid_texts(grid, proj, note) == want, note
 
 
 @pytest.mark.parametrize("name", ["catenoid-helicoid", "enneper-r3", "q0-line",
@@ -506,8 +520,10 @@ def assert_writers_match_reference(rows, nu, nv):
 def test_writers_match_the_per_row_reference(name):
     pair = {"holed": holed_pair(), "jet-floor": JET_FLOOR_PAIR}.get(name)
     pair = pair or catalog.get(name).pair
-    for rows in sample_grid(pair, pair.domain.lattice(9, 7), ("+", "-")):
-        assert_writers_match_reference(rows, 9, 7)
+    grid = sample_grid(pair, pair.domain.lattice(9, 7), ("+", "-"))
+    assert_writers_match_reference(grid, 9, 7)
+    assert_writers_match_reference(grid[1:], 9, 7)
+    for rows in grid:
         assert (canonical_json(summarize(rows))
                 == canonical_json(reference_summarize(list(rows))))
 
@@ -526,8 +542,9 @@ def test_writers_match_the_per_row_reference_at_block_edges(nu, nv):
     # stats; both signs have out-of-domain rows around the excluded disc
     assert set(plus.flags.tolist()) == {6, FLAG_OUT_OF_DOMAIN}
     assert set(minus.flags.tolist()) == {0, FLAG_OUT_OF_DOMAIN}
-    for rows in (plus, minus):
-        assert_writers_match_reference(rows, nu, nv)
+    # both signs at once, whose flags differ, and a block of rows that ends
+    # mid-row at 27 x 19 and 25 x 41
+    assert_writers_match_reference([plus, minus], nu, nv)
 
 
 @pytest.mark.parametrize("sign", ["plus", "both"])
@@ -556,12 +573,10 @@ def test_construct_files_match_the_per_row_reference(tmp_path, capsys, sign):
     assert {p.name for p in tmp_path.iterdir()} == names
 
 
-def test_writers_hold_one_block_of_text(tmp_path):
-    # writing one sign of a 128 x 128 grid holds the columns plus one block
-    # of text: the whole text held at once peaked at 22.1 MB for the CSV and
-    # the mesh and at 7.1 MB for the OBJ
-    nu = nv = 128
-    rng = np.random.default_rng(5)
+def random_rows(nu, nv, seed):
+    """Made-up rows over a random nu x nv lattice: clear, flagged 4 with no
+    stats, and out of the domain."""
+    rng = np.random.default_rng(seed)
     rows = GridRows(rng.standard_normal(nu)[:, None]
                     + 1j * rng.standard_normal(nv))
     rows.flags[:] = rng.choice([0, 0, 0, 4, FLAG_OUT_OF_DOMAIN], nu * nv)
@@ -570,27 +585,35 @@ def test_writers_hold_one_block_of_text(tmp_path):
     rows.has_stats[:] = rows.flags == 0
     rows.stats[rows.has_stats] = rng.standard_normal(
         (rows.has_stats.sum(), len(_STAT_NAMES)))
-    writers = [
-        lambda: write_csv(rows, tmp_path / "g.csv", tmp_path / "g.mesh.json"),
-        lambda: write_obj(rows, tmp_path / "g.obj", stereo_projector())]
+    return rows
+
+
+def test_writers_hold_one_block_of_text(tmp_path):
+    # writing a 128 x 128 grid holds the columns plus one block of text:
+    # the whole text of one sign held at once peaked at 22.1 MB for the CSV
+    # and the mesh and at 7.1 MB for the OBJ
+    grid = [random_rows(128, 128, seed) for seed in (5, 6)]
     tracemalloc.start()
     try:
-        for write in writers:
+        for signs, projector in ((1, None), (1, stereo_projector()),
+                                 (2, stereo_projector())):
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            write()
-            assert tracemalloc.get_traced_memory()[1] - held < 4e6
+            write_grids(grid[:signs], [str(tmp_path / "p"),
+                                       str(tmp_path / "m")][:signs],
+                        projector, "stereo")
+            assert tracemalloc.get_traced_memory()[1] - held < 4e6, signs
     finally:
         tracemalloc.stop()
     # more text than the bound was written
-    assert sum(p.stat().st_size for p in tmp_path.iterdir()) > 4e6
+    assert sum(p.stat().st_size for p in tmp_path.iterdir()) > 8e6
 
 
 def test_obj_pole_at_a_vertex_drops_its_faces(catenoid):
     [rows] = sample_grid(catenoid, catenoid.domain.lattice(5, 4), ("+",))
     k = 6                                   # interior: 4 quads touch it
     pole = rows.position[:, k].tolist()
-    text = obj_text(rows, stereo_projector(pole))
+    text = grid_texts([rows], stereo_projector(pole), "")[2]
     assert text == reference_obj_text(list(rows), 5, 4, reference_stereo(pole))
     lines = text.split("\n")
     assert lines[2 + k] == "v nan nan nan"
@@ -623,13 +646,27 @@ def test_reducers_keep_the_builtin_max_nan_semantics(nan_at, tmp_path):
     worst = _grid_worst([rows, rows])
     assert repr(worst) == repr(reference_grid_worst([rows, rows]))
     assert np.isnan(worst[0]) == (nan_at == 0) and worst[1] == 10
-    # a nan position is written as it is to the CSV and the OBJ, where its
-    # faces stay; the mesh JSON refuses it before a file is opened
-    assert_writers_match_reference(rows, 3, 2)
-    assert obj_text(rows, stereo_projector()).count("\nf ") == 4
+    # the mesh JSON has no nan position, so the run is refused
+    assert_writers_match_reference([rows], 3, 2)
+
+
+@pytest.mark.parametrize("bad_sign", [0, 1])
+@pytest.mark.parametrize("projector", [None, stereo_projector()])
+def test_a_non_finite_position_refuses_the_run_before_a_file_opens(
+        tmp_path, bad_sign, projector):
+    # JSON has no nan or inf: a placed row with either in either sign stops
+    # every file of the run, the other sign's too
+    good = hand_rows(2)
+    good.position[2, 1] = 0.5
+    grid = [good, good]
+    grid[bad_sign] = hand_rows(2)
     with pytest.raises(ValueError):
-        write_csv(rows, tmp_path / "g.csv", tmp_path / "g.mesh.json")
+        write_grids(grid, [str(tmp_path / "p"), str(tmp_path / "m")],
+                    projector, "stereo")
     assert not any(tmp_path.iterdir())
+    grid[bad_sign].position[2, 1] = np.inf
+    with pytest.raises(ValueError):
+        grid_texts(grid, projector, "stereo")
 
 
 NAN, INF = float("nan"), float("inf")
@@ -751,16 +788,18 @@ def reference_obj_chunks(samples, nu, nv, projector, note):
                       for a, b, c, d in faces[lo:lo + BLOCK_POINTS].tolist())
 
 
-def assert_writers_match_repr_writers(rows, nu, nv, projector, note=""):
-    csv, mesh = zip(*reference_csv_mesh_chunks(rows, nu, nv))
-    placed = rows.flags < FLAG_OUT_OF_DOMAIN
-    if np.isfinite(rows.position[:, placed]).all():
-        assert grid_text(rows) == ("".join(csv), "".join(mesh))
-    else:
-        with pytest.raises(ValueError):
-            grid_text(rows)
-    assert (obj_text(rows, projector, note) == "".join(
-        reference_obj_chunks(rows, nu, nv, projector, note)))
+def assert_writers_match_repr_writers(grid, nu, nv, projector, note):
+    """The text grid_texts writes for the signs' rows of one grid, all at
+    once, is the repr writers' for each sign alone."""
+    want = []
+    for rows in grid:
+        placed = rows.flags < FLAG_OUT_OF_DOMAIN
+        assert np.isfinite(rows.position[:, placed]).all()
+        want += map("".join, zip(*reference_csv_mesh_chunks(rows, nu, nv)))
+        if projector is not None:
+            want.append("".join(
+                reference_obj_chunks(rows, nu, nv, projector, note)))
+    assert grid_texts(grid, projector, note) == want
 
 
 # a curve whose exp(z^3) overflows over part of the square: those points are
@@ -770,7 +809,7 @@ EXP_CUBE_PAIR = MinimalPair(HolomorphicCurve(
 
 
 @pytest.mark.parametrize("name, nu, nv, shows", [
-    # two blocks of rows, the second of one row
+    # two blocks of rows, the second of one row, which cuts a lattice row
     ("catenoid-helicoid", 27, 19,
      lambda rows, csv, obj: len(rows) > BLOCK_POINTS),
     # plus flagged 6 with nan stats, both signs flagged 8 with nan cells;
@@ -782,21 +821,48 @@ EXP_CUBE_PAIR = MinimalPair(HolomorphicCurve(
      lambda rows, csv, obj: re.search(r"(?<= )-0\.0(?=[ \n])", obj)),
     ("exp-cube", 13, 13,
      lambda rows, csv, obj: FLAG_DEGENERATE_SAMPLE in rows.flags.tolist()),
-], ids=["catenoid-helicoid", "whitney", "enneper-r3", "exp-cube"])
+    # fewer points than the largest flag, which the integer cells cover
+    ("exp-cube", 5, 4,
+     lambda rows, csv, obj: FLAG_DEGENERATE_SAMPLE in rows.flags.tolist()),
+    ("catenoid-helicoid", 2, 2, lambda rows, csv, obj: len(rows) == 4),
+], ids=["catenoid-helicoid", "whitney", "enneper-r3", "exp-cube",
+        "exp-cube-5x4", "catenoid-helicoid-2x2"])
 def test_writers_match_the_repr_writers(name, nu, nv, shows):
     pair = EXP_CUBE_PAIR if name == "exp-cube" else catalog.get(name).pair
-    for rows in sample_grid(pair, pair.domain.lattice(nu, nv), ("+", "-")):
-        assert shows(rows, grid_text(rows)[0],
-                     obj_text(rows, stereo_projector()))
-        for proj, _, note in PROJECTIONS:
-            assert_writers_match_repr_writers(rows, nu, nv, proj, note)
+    grid = sample_grid(pair, pair.domain.lattice(nu, nv), ("+", "-"))
+    for rows in grid:
+        csv, _, obj = grid_texts([rows], stereo_projector(), "")
+        assert shows(rows, csv, obj)
+    # both signs at once and the minus sign alone, with no projection and
+    # under each of the projections
+    for signs in (grid, grid[1:]):
+        for proj, _, note in [(None, None, None)] + PROJECTIONS:
+            assert_writers_match_repr_writers(signs, nu, nv, proj, note)
 
 
 def test_writers_match_the_repr_writers_on_the_stereo_horizon(catenoid):
     [rows] = sample_grid(catenoid, catenoid.domain.lattice(5, 4), ("+",))
     pole = stereo_projector(rows.position[:, 6].tolist())
-    assert "\nv nan nan nan\n" in obj_text(rows, pole)
-    assert_writers_match_repr_writers(rows, 5, 4, pole, "pole")
+    assert "\nv nan nan nan\n" in grid_texts([rows], pole, "pole")[2]
+    assert_writers_match_repr_writers([rows], 5, 4, pole, "pole")
+
+
+@pytest.mark.parametrize("signs", [1, 2])
+def test_integer_cells_cover_the_flags_past_the_grid_size(signs):
+    # a 2 x 2 grid's corner indices reach 4, its flags 16: the one table of
+    # integer cells holds both, for the rows of every sign
+    grid = [GridRows(Domain(0.0, 1.0, 0.0, 1.0).lattice(2, 2))
+            for _ in range(signs)]
+    for rows, flags in zip(grid, ([FLAG_OUT_OF_DOMAIN, 0, 4, 0],
+                                  [0, FLAG_DEGENERATE_SAMPLE, 0, 0])):
+        rows.flags[:] = flags
+        placed = rows.flags < FLAG_OUT_OF_DOMAIN
+        rows.position[:, placed] = np.arange(4.0 * placed.sum()).reshape(4, -1)
+        rows.has_stats[:] = rows.flags == 0
+        rows.stats[rows.has_stats] = 0.25
+    for proj, _, note in [(None, None, None)] + PROJECTIONS:
+        assert_writers_match_repr_writers(grid, 2, 2, proj, note)
+    assert_writers_match_reference(grid, 2, 2)
 
 
 def formatter_lines(x):

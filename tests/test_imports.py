@@ -215,8 +215,6 @@ def test_unset_default_scan():
 UNSET_DEFAULTS_ALLOWED = {
     # the entry point, whose argv the tests and the benchmark pass
     "cli.main.argv",
-    # mirrors write_obj, whose note cli sets
-    "export.obj_text.note",
     # test_fd_crosscheck_polynomial needs 1e-3: at 1e-4 its second-difference
     # error, 9.1e-9, is above its 1e-9 bound
     "jets.fd_crosscheck.step",
@@ -610,10 +608,12 @@ def test_cell_loop_scan():
         ("f", "ListComp"), ("f", "repr"), ("g", "For"), ("g", "repr")]
 
 
-# the writers' chunk functions and the formatter they call
-WRITER_DEFS = {"_csv_mesh_chunks", "_obj_chunks", "_cells", "_emit",
-               "_schubfach", "_scaled", "_mul", "_digit_words", "_int_cells",
-               "_subnormal_cells", "_lines", "_text", "_items"}
+# the writers' chunk and framing functions and the formatter they call;
+# _grid_chunks, which routes each sign's text to its files, loops over signs
+WRITER_DEFS = {"_block_floats", "_block_text", "_corner_chunks",
+               "_obj_vertices", "_cells", "_emit", "_schubfach", "_scaled",
+               "_mul", "_digit_words", "_int_cells", "_subnormal_cells",
+               "_lines", "_text", "_items"}
 # the subnormal fallback, which formats through repr one float at a time
 CELL_LOOPS_ALLOWED = [("_subnormal_cells", "ListComp"),
                       ("_subnormal_cells", "repr")]
@@ -624,6 +624,46 @@ def test_writers_format_in_array_passes():
     floats, never over cells, and call repr only for subnormal floats."""
     assert (cell_loops((SRC / "export.py").read_text(), WRITER_DEFS)
             == CELL_LOOPS_ALLOWED)
+
+
+def iterated(source, name):
+    """What the loops and comprehensions of the def name in source iterate,
+    through enumerate and zip: each a name, or the name of the function
+    whose call it is."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == name):
+            continue
+        for n in ast.walk(fn):
+            todo = ([n.iter] if isinstance(n, ast.For)
+                    else [g.iter for g in getattr(n, "generators", ())])
+            while todo:
+                it = todo.pop()
+                if (isinstance(it, ast.Call)
+                        and called_name(it.func) in ("enumerate", "zip")):
+                    todo += it.args
+                else:
+                    found.add(called_name(getattr(it, "func", it)))
+    return found
+
+
+def test_iterated_scan():
+    source = ("def f(rows):\n    for s, r in enumerate(rows):\n        g(r)\n"
+              "    return [h(x) for x, _ in zip(k(1), rows)]\n"
+              "def g(x):\n    for a in b:\n        pass\n")
+    assert iterated(source, "f") == {"rows", "k"}
+
+
+# the grid writer's routing def, whose loops go over the signs' rows and
+# OBJ vertices, the blocks of rows and the texts of writer defs
+ROUTED = {"rows", "obj", "_block_starts", "_corner_chunks", "_block_text"}
+
+
+def test_the_grid_writer_routes_signs_and_blocks():
+    """_grid_chunks, outside WRITER_DEFS, loops only over signs, blocks
+    and the chunks of the writer defs that format them."""
+    assert iterated((SRC / "export.py").read_text(), "_grid_chunks") == ROUTED
+    assert {"_corner_chunks", "_block_text"} <= WRITER_DEFS
 
 
 def floor_constants(source):

@@ -426,18 +426,21 @@ def test_pair_transform_counts_skips_by_reason():
                                               (PreconditionError, True)])
 def test_pair_transform_counts_or_propagates_row_failures(
         catenoid, shifted_inversion, monkeypatch, cls, propagates):
-    # one extracted row fails: an undefined adapted frame is a skip, and a
-    # pattern miss propagates, as each does for the point alone
+    # one extracted row of each sign fails: an undefined adapted frame is a
+    # skip, and a pattern miss propagates, as each does for the point alone
     from superconf import moebius
+    points = catenoid.domain.grid(4, 4, margin=0.05)
 
     def extract_failing_one_row(image):
+        # the images of both signs are one batch, the plus rows first
+        assert len(image.v[0]) == 2 * len(points)
         ext = extract_minimal_pair(image)
-        fail_rows(np.arange(len(ext.lam)) == 3, lambda k: cls("row 3"))
+        fail_rows(np.arange(len(ext.lam)) % len(points) == 3,
+                  lambda k: cls("row 3"))
         return ext
 
     monkeypatch.setattr(moebius, "extract_minimal_pair",
                         extract_failing_one_row)
-    points = catenoid.domain.grid(4, 4, margin=0.05)
     if propagates:
         with pytest.raises(cls):
             pair_transform_check(catenoid, shifted_inversion, points)
@@ -445,6 +448,25 @@ def test_pair_transform_counts_or_propagates_row_failures(
     rep = pair_transform_check(catenoid, shifted_inversion, points)
     assert rep.skipped == {cls.__name__: 2}     # row 3 of either sign
     assert rep.n_points == 2 * len(points) - 2
+
+
+@pytest.mark.parametrize("name", ["catenoid-helicoid", "whitney",
+                                  "enneper-r3"])
+@pytest.mark.parametrize("offset", [None, (0.1, -0.3, 0.2, 0.4)])
+def test_pair_transform_reads_the_shifted_curve_off_the_sample(name, offset):
+    # the null-quadric guard takes G - c + i h_offset as the built sample's
+    # (g - c) + i h: the bits of the curve's own values shifted by
+    # c - i h_offset
+    pair = catalog.get(name).pair
+    if offset is not None:
+        pair = pair.translated(offset)
+    z = pair.domain.grid(7, 5, margin=0.05)
+    center = np.array([0.3, -0.2, 0.1, 2.0])
+    w = pair.curve.eval(z) - (center - 1j * pair.h_offset)[:, None]
+    sample = pair.samples_at(z)
+    for got, want in ((sample.g.v - center[:, None], w.real),
+                      (sample.h.v, w.imag)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_pair_transform_huge_radius(catenoid):
