@@ -33,9 +33,7 @@ from .jets import (
     Jet2,
     fd_crosscheck,
     seed_first_derivative_fields,
-    seed_surface,
-    split_im,
-    split_re,
+    split,
 )
 from .minimal import (
     Domain,
@@ -117,9 +115,7 @@ __all__ = [
     "recover_complex_structure",
     "reflection_pair_check",
     "seed_first_derivative_fields",
-    "seed_surface",
-    "split_im",
-    "split_re",
+    "split",
     "superminimal_test",
     "transformed_curve",
     "translation_check",

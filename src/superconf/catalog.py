@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import PreconditionError, SingularSampleError, UnknownEntryError
 from .geometry import Ambient, R4, _gram, _pypow, fundamental_data
-from .jets import Jet2, fail_rows, graph_surface
+from .jets import Jet2, fail_rows, graph_surface, split
 from .minimal import Domain, HolomorphicCurve, MinimalPair, certify
 
 SQRT3 = np.sqrt(3.0)
@@ -86,8 +86,7 @@ def _whitney_display(z):
 
 def _whitney_graph_sample(pair_curve):
     def sample(z):
-        jets = pair_curve.eval_jets(z)
-        return graph_surface(jets)
+        return graph_surface(*split(pair_curve.eval_jets(z)))
     return sample
 
 

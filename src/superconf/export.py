@@ -45,10 +45,6 @@ def _block_starts(n):
     return range(0, n, BLOCK_POINTS)
 
 
-# one row of a GridRows, copied out of its columns
-GridSample = namedtuple("GridSample", "u v position stats flags")
-
-
 class GridRows:
     """The rows of one sign of a grid run over a complex (nu, nv) lattice
     (minimal.Domain.lattice), held as columns in its raveled order: shape
@@ -56,8 +52,7 @@ class GridRows:
     FLAG_OUT_OF_DOMAIN; stats (n, 9) in _STAT_NAMES order, set where
     has_stats; nan where unset.  flags holds the FLAG_* bits of construct,
     the out-of-domain and failed-sample ones included; rows with flags != 0
-    are written out but not aggregated.  Indexing and iteration give
-    GridSample rows, None for what a row lacks."""
+    are written out but not aggregated."""
 
     def __init__(self, lattice):
         self.shape = lattice.shape
@@ -69,15 +64,6 @@ class GridRows:
 
     def __len__(self):
         return self.u.size
-
-    def __getitem__(self, k):
-        flags = int(self.flags[k])
-        stats = (dict(zip(_STAT_NAMES, self.stats[k].tolist()))
-                 if self.has_stats[k] else None)
-        return GridSample(float(self.u[k]), float(self.v[k]),
-                          self.position[:, k].copy()
-                          if flags < FLAG_OUT_OF_DOMAIN
-                          else None, stats, flags)
 
     def clear(self):
         """Mask of the unflagged rows, the ones aggregated."""

@@ -477,8 +477,8 @@ class CurveExpr:
         return print_node(self.ast)
 
     def eval_jets(self, z):
-        """Component jets at the points z, every slot an array over them;
-        one point is a batch of one.
+        """The curve's vector ComplexJet at the points z, every slot a
+        (4, n) array over them; one point is a batch of one.
 
         The points where the curve has a pole or meets a branch cut are
         recorded as failed rows of EvaluationError (see jets.fail_rows),
@@ -516,7 +516,7 @@ class CurveExpr:
                 memo[k] = out
             return out
 
-        return [ev(c).batched(z.size) for c in self.ast.components]
+        return ComplexJet.stack([ev(c) for c in self.ast.components], z.size)
 
     def __repr__(self):
         return f"CurveExpr({self.to_text()!r})"

@@ -1,31 +1,34 @@
 """Exact differentiation substrate.
 
-ComplexJet carries (f, f', f'', f''') of a holomorphic function at a point of
-the z = u + iv parameter plane; Jet2 carries (value, du, dv, duu, duv, dvv) of
-a real function of (u, v).  Both kinds share one algebra, _Jet: powers and
+ComplexJet carries (f, f', f'', f''') of a holomorphic function of the
+z = u + iv parameter plane; Jet2 carries (value, du, dv, duu, duv, dvv) of a
+real function of (u, v).  Both kinds share one algebra, _Jet: powers and
 elementary functions are written once against each kind's chain rule.
-split_re / split_im convert the first kind into the second through the
-Cauchy-Riemann relations, slot by slot and exactly; the third holomorphic
+split converts the first kind into the second through the Cauchy-Riemann
+relations, exactly and in every component at once; the third holomorphic
 order lets the fields g_u, g_v be split from the window (f', f'', f''') as
 full Jet2 data.  Finite differences appear only in fd_crosscheck, the
 independent referee.
 
 Every slot holds an array over a batch of points; one point is a batch of
 one.  The only other slot values are constants, from literal sub-expressions
-and fixed coordinates, which stay numbers and broadcast.  A vector jet, the
-sample of a surface, is one Jet2 whose slots are (dim, n) arrays
-(Jet2.stack): the component axis comes first and the batch axis last, so a
-scalar jet broadcasts against it and one algebra serves both.  A batch
-rounds at each of its rows exactly as Python's complex, math and cmath
+and fixed coordinates, which stay numbers and broadcast.  A vector jet, a
+holomorphic curve or the sample of a surface, is one jet of either kind
+whose slots are (dim, n) arrays (_Jet.stack): the component axis comes first
+and the batch axis last, so a scalar jet broadcasts against it and one
+algebra serves both.  Slots may share one array (split gives Re f's du and
+Im f's dv the same one), so no code writes into a jet's slot in place.  A
+batch rounds at each of its rows exactly as Python's complex, math and cmath
 would at that point, so a row's bits do not depend on the batch around it:
-complex values are _CArray, their real and imaginary parts held as two
-float arrays, on which products and quotients follow CPython's formulas; a
-complex array is built only for numpy's elementary functions, a failed
-check and readers, and where numpy's functions round differently from
-math's and cmath's, those points are computed by the module's own function.  Where a floor or branch-cut check fails, the
-failed rows are recorded in the innermost row_failures() sink, which
-carries on with the harmless base value 1 in them; without a sink the check
-raises the error of its first failed row.
+complex values are _CArray, their real and imaginary parts held as two float
+arrays, on which products and quotients follow CPython's formulas; a complex
+array is built only for numpy's elementary functions, a failed check and
+readers, and where numpy's functions round differently from math's and
+cmath's, those points are computed by the module's own function.  Where a
+floor or branch-cut check fails, the failed rows are recorded in the
+innermost row_failures() sink, which carries on with the harmless base value
+1 in them; without a sink the check raises the error of its first failed
+row.
 """
 
 from __future__ import annotations
@@ -195,6 +198,9 @@ class _CArray:
     def __repr__(self):
         return f"_CArray({self.z!r})"
 
+    def __getitem__(self, i):
+        return _CArray(self.real[i], self.imag[i])
+
     def __add__(self, other):
         br, bi = _parts(other)
         return _CArray(self.real + br, self.imag + bi)
@@ -301,6 +307,15 @@ PAIRED = {
 }
 
 
+def _rows(xs, n):
+    """The numbers or float arrays xs as the rows of one (len(xs), m) array,
+    m the widest of them but at least n."""
+    out = np.empty((len(xs), max(n, *(getattr(x, "size", 1) for x in xs))))
+    for i, x in enumerate(xs):
+        out[i] = x
+    return out
+
+
 class _Jet:
     """What both jet kinds do the same way.
 
@@ -308,15 +323,36 @@ class _Jet:
     types _NUMBERS that add to its base value, its elementary functions
     _ELEMENTARY, its base value _base, its chain-rule kernel
     _compose(d0, d1, d2, d3) for an elementary function whose derivatives at
-    the base value are d0..d3 (Jet2, of order 2, ignores d3), and
+    the base value are d0..d3 (Jet2, of order 2, ignores d3),
     _check(fn, w), the floor and branch-cut check of log and sqrt, which
-    returns the base to go on with.
+    returns the base to go on with, and _stack_slot(xs, n), one slot of
+    stack.
     """
 
     __slots__ = ()
 
     def __repr__(self):
         return f"{type(self).__name__}{self._all!r}"
+
+    # a vector jet: every slot a (dim, n) array, one row per component; a
+    # vector times a scalar jet, in that order, rounds as each component
+    # times it, and a Jet2 vector times a (dim, 1) array each component
+    # takes its factor; its inner products are geometry.Ambient.dot's
+
+    @classmethod
+    def stack(cls, components, n=1):
+        """The vector jet of the components, jets of this kind or numbers;
+        each slot is (dim, m), m the widest batch of that slot's components
+        but at least n, over which a constant broadcasts."""
+        comps = [c if isinstance(c, cls) else cls.constant(c)
+                 for c in components]
+        return cls(*(cls._stack_slot(xs, n)
+                     for xs in zip(*(c._all for c in comps))))
+
+    def __getitem__(self, i):
+        """Component i of a vector jet, or the vector of the components a
+        slice picks."""
+        return type(self)(*(x[i] for x in self._all))
 
     def __add__(self, other):
         cls = type(self)
@@ -392,7 +428,8 @@ class _Jet:
 
 
 class ComplexJet(_Jet):
-    """Value and first three derivatives of a holomorphic function at a point.
+    """Value and first three derivatives of a holomorphic function, or of a
+    vector of them (stack).
 
     Slots hold derivative values, not Taylor coefficients; the product rule is
     the Leibniz rule with binomial weights.
@@ -426,12 +463,9 @@ class ComplexJet(_Jet):
         """The identity's jet at the points z; one point is a batch of one."""
         return ComplexJet(_CArray.of(np.atleast_1d(z)), 1 + 0j, 0j, 0j)
 
-    def batched(self, n):
-        """This jet with every slot an array over n points."""
-        return ComplexJet(*(
-            c if np.shape(c.real) == (n,)
-            else _CArray(*(np.full(n, x, float) for x in _parts(c)))
-            for c in self.coeffs))
+    @staticmethod
+    def _stack_slot(xs, n):
+        return _CArray(*(_rows(p, n) for p in zip(*map(_parts, xs))))
 
     def __mul__(self, other):
         if isinstance(other, self._NUMBERS):
@@ -578,24 +612,7 @@ class Jet2(_Jet):
         return _checked(v <= DIV_FLOOR, v, lambda b: DegenerateJetError(
             f"sqrt of jet at floor: value = {b:.3e}"))
 
-    # a vector jet: every slot a (dim, n) array, one row per component; a
-    # vector times a scalar jet, in that order, rounds as each component
-    # times it, and times a (dim, 1) array each component takes its factor;
-    # its inner products are geometry.Ambient.dot's
-
-    @staticmethod
-    def stack(components):
-        """The vector jet of the components, Jet2 or numbers; a constant
-        component broadcasts over the batch, and a slot constant in every
-        component is (dim, 1)."""
-        comps = [c if isinstance(c, Jet2) else Jet2.constant(c)
-                 for c in components]
-        out = [np.empty((len(xs), max(getattr(x, "size", 1) for x in xs)))
-               for xs in zip(*(c.slots for c in comps))]
-        for i, c in enumerate(comps):
-            for slot, x in zip(out, c.slots):
-                slot[i] = x
-        return Jet2(*out)
+    _stack_slot = staticmethod(_rows)
 
     @staticmethod
     def join(jets):
@@ -603,10 +620,6 @@ class Jet2(_Jet):
         concatenated along the points."""
         return Jet2(*(np.concatenate(xs, axis=1)
                       for xs in zip(*(j.slots for j in jets))))
-
-    def __getitem__(self, i):
-        """Component i of a vector jet."""
-        return Jet2(*(x[i] for x in self.slots))
 
     def rows(self, index):
         """The vector jet at the rows of its batch an index array or slice
@@ -616,49 +629,36 @@ class Jet2(_Jet):
                       for x in self.slots))
 
 
-def _re_part(w0, w1, w2):
-    """Jet2 of Re f, where f, f', f'' = w0, w1, w2 (Cauchy-Riemann)."""
-    return Jet2(w0.real, w1.real, -w1.imag, w2.real, -w2.imag, -w2.real)
+def _split(w0, w1, w2):
+    """(Re f, Im f) as Jet2, where f, f', f'' = w0, w1, w2 (Cauchy-Riemann)."""
+    return (Jet2(w0.real, w1.real, -w1.imag, w2.real, -w2.imag, -w2.real),
+            Jet2(w0.imag, w1.imag, w1.real, w2.imag, w2.real, -w2.imag))
 
 
-def _im_part(w0, w1, w2):
-    """Jet2 of Im f, where f, f', f'' = w0, w1, w2."""
-    return Jet2(w0.imag, w1.imag, w1.real, w2.imag, w2.real, -w2.imag)
+def split(cj):
+    """The conjugate pair (g, h) = (Re f, Im f) of a holomorphic jet f, in
+    every component of a vector jet at once, via the Cauchy-Riemann
+    relations."""
+    return _split(cj.c0, cj.c1, cj.c2)
 
 
-def split_re(cj):
-    """Jet2 of Re f for a holomorphic jet, via the Cauchy-Riemann relations."""
-    return _re_part(cj.c0, cj.c1, cj.c2)
+def seed_first_derivative_fields(cj):
+    """Full Jet2 data of the fields g_u and g_v of g = Re f.
 
-
-def split_im(cj):
-    """Jet2 of Im f for a holomorphic jet."""
-    return _im_part(cj.c0, cj.c1, cj.c2)
-
-
-def seed_surface(jets):
-    """Split component jets of a holomorphic curve into the conjugate pair of
-    real Jet2 bundles (g, h) = (Re, Im)."""
-    return (Jet2.stack([split_re(j) for j in jets]),
-            Jet2.stack([split_im(j) for j in jets]))
-
-
-def seed_first_derivative_fields(jets):
-    """Full Jet2 data of the fields g_u and g_v.
-
-    Uses the third holomorphic order: g_u = Re F' is split from the window
-    (c1, c2, c3) of F's jet, and g_v from i times it since dF/dv = iF'.
+    Uses the third holomorphic order: Re f' and Im f' are split from the
+    window (f', f'', f''') of f's jet, and g_u = Re f', g_v = -Im f'.
     """
-    g_u = Jet2.stack([_re_part(j.c1, j.c2, j.c3) for j in jets])
-    g_v = Jet2.stack([_re_part(j.c1 * 1j, j.c2 * 1j, j.c3 * 1j)
-                      for j in jets])
-    return g_u, g_v
+    re, im = _split(cj.c1, cj.c2, cj.c3)
+    return re, -im
 
 
-def graph_surface(jets):
-    """Vector jet of the real surface under a C^2 graph curve
-    (w1(z), w2(z)): components (Re w1, Im w1, Re w2, Im w2)."""
-    return Jet2.stack([f(j) for j in jets[:2] for f in (split_re, split_im)])
+def graph_surface(g, h):
+    """Vector jet of the R4 graph of a C^2 graph curve (w1, w2) from the
+    split (g, h) of its jet: components (g0, h0, g1, h1), that is
+    (Re w1, Im w1, Re w2, Im w2).  Of the pairs (g_u, h_u) and (g_v, h_v)
+    it is the graph's coordinate fields."""
+    return Jet2(*(np.stack((a[:2], b[:2]), axis=1).reshape(4, -1)
+                  for a, b in zip(g.slots, h.slots)))
 
 
 def fd_crosscheck(surface, points, step=1e-4):

@@ -19,7 +19,7 @@ import numpy as np
 from . import geometry
 from .errors import DomainError, PreconditionError, SingularSampleError
 from .expr import Bin, Curve, CurveExpr, const_node
-from .jets import Jet2, fail_rows, seed_first_derivative_fields, seed_surface
+from .jets import Jet2, fail_rows, seed_first_derivative_fields, split
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,15 @@ class HolomorphicCurve:
             f"{self.name}", reason="domain", where=self.name, z=complex(z[k])))
 
     def eval_jets(self, z):
-        """Component jets at the points z; one point is a batch of one."""
+        """The curve's vector ComplexJet at the points z (CurveExpr.eval_jets);
+        one point is a batch of one."""
         z = np.atleast_1d(np.asarray(z, complex))
         self.check_domain(z)
         return self.expr.eval_jets(z)
 
     def eval(self, z):
         """Component values, (4, n) over the n points z."""
-        return np.stack([j.c0.z for j in self.eval_jets(z)])
+        return self.eval_jets(z).c0.z
 
     def __repr__(self):
         return f"HolomorphicCurve({self.name!r}, {self.to_text()!r})"
@@ -159,11 +160,11 @@ class MinimalPair:
 
     def samples_at(self, z):
         z = np.atleast_1d(np.asarray(z, complex))
-        jets = self.curve.eval_jets(z)
-        g, h = seed_surface(jets)
+        jet = self.curve.eval_jets(z)
+        g, h = split(jet)
         if np.any(self.h_offset):
             h = h + Jet2.stack(self.h_offset)
-        g_u, g_v = seed_first_derivative_fields(jets)
+        g_u, g_v = seed_first_derivative_fields(jet)
         return SplitSample(z=z, g=g, h=h, g_u=g_u, g_v=g_v)
 
     def __repr__(self):

@@ -41,8 +41,8 @@ from .expr import Bin, Curve, CurveExpr, Pow, const_node
 from .geometry import (CIRCULAR_TOL, DIV_FLOOR, R4, Ambient, _coord_shape,
                        _gram, _largest, _normal_part, _vec_norm,
                        ellipse_descriptor, fundamental_data)
-from .jets import (Jet2, _im_part, _re_part, fail_rows, graph_surface,
-                   row_failures)
+from .jets import (Jet2, fail_rows, graph_surface, row_failures,
+                   seed_first_derivative_fields, split)
 from .minimal import HolomorphicCurve, point_set
 
 SIGNATURES = ("euclidean", "lorentzian")
@@ -213,13 +213,11 @@ def _graph_fields(curve, z):
         raise PreconditionError(
             f"graph surfaces take two-component curves; {curve.name} "
             f"declares {curve.expr.ast.declared_arity}")
-    jets = curve.eval_jets(z)[:2]
-    fu, fv = [], []
-    for j in jets:
-        re, im = _re_part(j.c1, j.c2, j.c3), _im_part(j.c1, j.c2, j.c3)
-        fu += [re, im]
-        fv += [-im, re]
-    return graph_surface(jets), Jet2.stack(fu), Jet2.stack(fv)
+    jet = curve.eval_jets(z)
+    g_u, g_v = seed_first_derivative_fields(jet)
+    # conjugacy: h_u = -g_v, h_v = g_u
+    return (graph_surface(*split(jet)), graph_surface(g_u, -g_v),
+            graph_surface(g_v, g_u))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tracemalloc
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +43,8 @@ def holed_pair():
 
 
 def test_sample_grid_row_major(catenoid):
-    [samples] = sample_grid(catenoid, catenoid.domain.lattice(4, 4), ("+",))
+    [rows] = sample_grid(catenoid, catenoid.domain.lattice(4, 4), ("+",))
+    samples = row_view(rows)
     assert len(samples) == 16
     us = [s.u for s in samples]
     vs = [s.v for s in samples]
@@ -57,7 +59,7 @@ def test_sample_grid_row_major(catenoid):
 def test_sample_grid_flags_domain_and_degenerate_points():
     pair = holed_pair()
     [samples] = sample_grid(pair, pair.domain.lattice(3, 3), ("+",))
-    by_uv = {(s.u, s.v): s for s in samples}
+    by_uv = {(s.u, s.v): s for s in row_view(samples)}
     corner = by_uv[(0.3, 0.3)]
     assert corner.flags == FLAG_OUT_OF_DOMAIN     # inside the excluded disc
     assert corner.position is None
@@ -66,7 +68,7 @@ def test_sample_grid_flags_domain_and_degenerate_points():
     dom = Domain(-1.0, 1.0, -1.0, 1.0)
     pair2 = MinimalPair(HolomorphicCurve("cat", "(cos(z), sin(z), -i*z, 0)", dom))
     [samples2] = sample_grid(pair2, dom.lattice(3, 3), ("+",))
-    center = {(s.u, s.v): s for s in samples2}[(0.0, 0.0)]
+    center = {(s.u, s.v): s for s in row_view(samples2)}[(0.0, 0.0)]
     assert center.flags == FLAG_DEGENERATE_SAMPLE
     assert center.position is None
 
@@ -116,9 +118,10 @@ JET_FLOOR_PAIR = MinimalPair(HolomorphicCurve(
 def test_grid_rows_are_bit_identical_to_points_built_alone(name):
     pair = {"holed": holed_pair(), "jet-floor": JET_FLOOR_PAIR}.get(name)
     pair = pair or catalog.get(name).pair
-    grid = sample_grid(pair, pair.domain.lattice(7, 5), ("+", "-"))
+    lattice = pair.domain.lattice(7, 5)
+    grid = sample_grid(pair, lattice, ("+", "-"))
     flags_seen = set()
-    for k, (plus, minus) in enumerate(zip(*grid)):
+    for k, (plus, minus) in enumerate(zip(*map(row_view, grid))):
         for row, (flags, position, stats) in zip(
                 (plus, minus), point_rows(pair, plus.u, plus.v)):
             assert row.flags == flags, (name, row.u, row.v)
@@ -135,7 +138,7 @@ def test_grid_rows_are_bit_identical_to_points_built_alone(name):
     # build_phi_pair over all the grid's points as one array: the full phi
     # jets and the flags of every row are those of the point built alone,
     # and the failed rows are the points that raise alone
-    z = np.array([complex(row.u, row.v) for row in grid[0]])
+    z = lattice.ravel()
     with np.errstate(all="ignore"), row_failures(z.size) as failed:
         batch = build_phi_pair(pair, z)
     bad = failed.rows()
@@ -155,16 +158,22 @@ def test_grid_rows_are_bit_identical_to_points_built_alone(name):
 
 POLE_PAIR = MinimalPair(HolomorphicCurve(
     "pole", "(1/(4*z), i/(4*z), z/4, i*z/4)", Domain(-1.0, 1.0, -1.0, 1.0)))
+# built with no product: each component's f', f'' and f''' are numbers
+LINEAR_PAIR = MinimalPair(HolomorphicCurve(
+    "linear", "(z, -z, z + 1, 0)", Domain(-1.0, 1.0, -1.0, 1.0)))
 
 
 def test_sample_grids_rows_are_each_jobs_own(monkeypatch):
-    # blocks of 16 points cut through the jobs of 35, 35, 9, 9 and 35
+    # blocks of 16 points cut through the jobs of 35, 35, 9, 9, 35 and 15
     # points; every job's rows are those of its own sample_grid run, bit
-    # for bit
+    # for bit.  The linear pair's jet holds one number per component in
+    # its f', f'' and f''' slots, yet its slots span its points, so the
+    # block it shares with whitney joins
     jobs = [(pair, pair.domain.lattice(*shape)) for pair, shape in (
         (catalog.get("catenoid-helicoid").pair, (7, 5)), (holed_pair(), (7, 5)),
         (POLE_PAIR, (3, 3)), (JET_FLOOR_PAIR, (3, 3)),
-        (catalog.get("whitney").pair, (7, 5)))]
+        (catalog.get("whitney").pair, (7, 5)),
+        (LINEAR_PAIR, (5, 3)))]
     alone = [sample_grid(pair, lattice, SIGNS) for pair, lattice in jobs]
     monkeypatch.setattr(export, "BLOCK_POINTS", 16)
     joint = sample_grids(jobs, SIGNS)
@@ -215,7 +224,7 @@ def test_csv_shape_and_round_trip():
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) == 10                       # header + 9 data rows
-    for line, s in zip(lines[1:], samples):
+    for line, s in zip(lines[1:], row_view(samples)):
         cells = line.split(",")
         assert len(cells) == 15
         # repr cells round-trip bit for bit
@@ -254,7 +263,7 @@ def test_mesh_json_round_trips_bit_exactly(tmp_path, catenoid):
     text = path.read_text()
     with open(path) as f:
         loaded = json.load(f)
-    assert loaded == reference_mesh_dict(list(samples), 3, 3)
+    assert loaded == reference_mesh_dict(row_view(samples), 3, 3)
     assert canonical_json(loaded) == text
 
 
@@ -342,6 +351,23 @@ def test_write_csv_and_obj_files(tmp_path, catenoid):
 # replaced, kept as the reference those must match byte for byte.  They take
 # lists of GridSample rows and project one vertex at a time.
 
+GridSample = namedtuple("GridSample", "u v position stats flags")
+
+
+def row_view(rows):
+    """The rows of a GridRows as GridSample tuples copied out of its
+    columns, None for what a row lacks."""
+    out = []
+    for k in range(len(rows)):
+        flags = int(rows.flags[k])
+        stats = (dict(zip(_STAT_NAMES, rows.stats[k].tolist()))
+                 if rows.has_stats[k] else None)
+        out.append(GridSample(float(rows.u[k]), float(rows.v[k]),
+                              rows.position[:, k].copy()
+                              if flags < FLAG_OUT_OF_DOMAIN else None,
+                              stats, flags))
+    return out
+
 def reference_summarize(samples):
     clear = [s for s in samples if s.flags == 0 and s.stats is not None]
     out = {"n_points": len(samples), "n_clear": len(clear),
@@ -365,7 +391,7 @@ def reference_grid_worst(grids):
     """verify's residual rule on the per-row summaries: the largest
     max_res_orth, max_res_len and max_wintgen_rel of the grids with clear
     rows, nan if one is nan, 0.0 for none."""
-    aggs = [reference_summarize(list(rows)) for rows in grids]
+    aggs = [reference_summarize(row_view(rows)) for rows in grids]
     aggs = [agg for agg in aggs if agg["n_clear"]]
     worst = 0.0
     for agg in aggs:
@@ -494,7 +520,7 @@ def assert_writers_match_reference(grid, nu, nv):
     """The text grid_texts writes for the signs' rows of one grid, all at
     once, with no projection and under each of PROJECTIONS, is the per-row
     reference's for each sign alone."""
-    listed = [list(rows) for rows in grid]
+    listed = [row_view(rows) for rows in grid]
     for rows, rows_listed in zip(grid, listed):
         assert repr(summarize(rows)) == repr(reference_summarize(rows_listed))
     try:
@@ -525,7 +551,7 @@ def test_writers_match_the_per_row_reference(name):
     assert_writers_match_reference(grid[1:], 9, 7)
     for rows in grid:
         assert (canonical_json(summarize(rows))
-                == canonical_json(reference_summarize(list(rows))))
+                == canonical_json(reference_summarize(row_view(rows))))
 
 
 # grids of fewer rows than a block of written text, one block, one block and
@@ -560,7 +586,7 @@ def test_construct_files_match_the_per_row_reference(tmp_path, capsys, sign):
     names = {"whitney-summary.json"}
     lattice = pair.domain.lattice(nu, nv)
     for s, rows in zip(signs, sample_grid(pair, lattice, signs)):
-        listed = list(rows)
+        listed = row_view(rows)
         stem = f"whitney-{cli.SIGN_WORDS[s]}"
         names |= {stem + ".csv", stem + ".mesh.json", stem + ".obj"}
         assert (tmp_path / f"{stem}.csv").read_text() == reference_csv_text(
@@ -614,7 +640,8 @@ def test_obj_pole_at_a_vertex_drops_its_faces(catenoid):
     k = 6                                   # interior: 4 quads touch it
     pole = rows.position[:, k].tolist()
     text = grid_texts([rows], stereo_projector(pole), "")[2]
-    assert text == reference_obj_text(list(rows), 5, 4, reference_stereo(pole))
+    assert text == reference_obj_text(row_view(rows), 5, 4,
+                                      reference_stereo(pole))
     lines = text.split("\n")
     assert lines[2 + k] == "v nan nan nan"
     faces = [l.split()[1:] for l in lines if l.startswith("f ")]
@@ -641,7 +668,7 @@ def test_reducers_keep_the_builtin_max_nan_semantics(nan_at, tmp_path):
     # builtin max keeps a nan only when it comes first; np.max always would
     rows = hand_rows(nan_at)
     agg = summarize(rows)
-    assert repr(agg) == repr(reference_summarize(list(rows)))
+    assert repr(agg) == repr(reference_summarize(row_view(rows)))
     assert np.isnan(agg["max_res_orth"]) == (nan_at == 0)
     worst = _grid_worst([rows, rows])
     assert repr(worst) == repr(reference_grid_worst([rows, rows]))
@@ -713,7 +740,7 @@ def test_reducers_keep_the_builtin_rule_on_ties_infinities_and_nan(name):
         rows = stat_rows(name, values)
         where = (name, values)
         assert repr(summarize(rows)) == repr(
-            reference_summarize(list(rows))), where
+            reference_summarize(row_view(rows))), where
         assert repr(_grid_worst([rows, rows])) == repr(
             reference_grid_worst([rows, rows])), where
     if name == "wintgen_rel":

@@ -840,6 +840,42 @@ def test_one_point_set_rule():
         COMPLEX_CONVERSIONS_ALLOWED)
 
 
+# a holomorphic jet's derivative slots, and the helpers that split them
+DERIVATIVE_SLOTS = {"c1", "c2", "c3"}
+SPLIT_HELPERS = {"_split", "_re_part", "_im_part"}
+
+
+def split_reads(source):
+    """The derivative slots a module reads, as attributes, and the split
+    helpers it imports or names, sorted."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Attribute) and n.attr in DERIVATIVE_SLOTS:
+            found.append(f".{n.attr}")
+        name = getattr(n, {ast.Name: "id", ast.Attribute: "attr",
+                           ast.alias: "name"}.get(type(n), "_"), None)
+        if name in SPLIT_HELPERS:
+            found.append(name)
+    return sorted(found)
+
+
+def test_split_read_scan():
+    source = ("from .jets import _re_part\n"
+              "def f(cj):\n    return cj.c0 + cj.c1 * cj.coeffs[2]\n"
+              "g = _im_part(a.c2, a.c3, b)\nh = jets._split(x)\n"
+              "c1 = 1\n")
+    assert split_reads(source) == [".c1", ".c2", ".c3", "_im_part",
+                                   "_re_part", "_split"]
+
+
+def test_one_cauchy_riemann_split():
+    """jets.split and seed_first_derivative_fields are the Cauchy-Riemann
+    split: no module but jets reads a holomorphic jet's derivative slots
+    or names the helpers that split them."""
+    assert {p.stem: split_reads(p.read_text()) for p in MODULES
+            if p.stem != "jets" and split_reads(p.read_text())} == {}
+
+
 GRID_BUILDERS = {"sample_grid", "build_phi_pair"}
 
 

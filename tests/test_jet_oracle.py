@@ -281,8 +281,8 @@ def per_occurrence_node(node, zjet, src, z):
 def per_occurrence_jets(curve_expr, z):
     zj = ComplexJet.variable(z)
     z = zj.c0.z
-    return [per_occurrence_node(c, zj, curve_expr.source, z).batched(z.size)
-            for c in curve_expr.ast.components]
+    return ComplexJet.stack([per_occurrence_node(c, zj, curve_expr.source, z)
+                             for c in curve_expr.ast.components], z.size)
 
 
 def evaluated(evaluate, points):

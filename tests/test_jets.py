@@ -13,12 +13,11 @@ from superconf import (
     Jet2,
     fd_crosscheck,
     seed_first_derivative_fields,
-    seed_surface,
+    split,
 )
 from superconf.errors import BranchCutError
 from superconf.geometry import R4, Ambient
-from superconf.jets import (_COMPLEX_BATCH_MATH, _REAL_BATCH_MATH, _CArray,
-                            _im_part)
+from superconf.jets import _COMPLEX_BATCH_MATH, _REAL_BATCH_MATH, _CArray
 
 
 def cj(*coeffs):
@@ -227,27 +226,26 @@ def test_jet2_division_roundtrip():
 
 
 def test_seed_identity_map():
-    jets = [ComplexJet.variable(1 + 2j)]
-    g, h = seed_surface(jets)
+    g, h = split(ComplexJet.stack([ComplexJet.variable(1 + 2j)]))
     assert g[0].slots == (1, 1, 0, 0, 0, 0)
     assert h[0].slots == (2, 0, 1, 0, 0, 0)
 
 
 def test_seed_z_squared_at_origin():
-    jets = [ComplexJet.variable(0j) ** 2]
-    g, _ = seed_surface(jets)
+    g, _ = split(ComplexJet.stack([ComplexJet.variable(0j) ** 2]))
     assert g[0].slots == (0, 0, 0, 2, 0, -2)
 
 
 def catenoid_jets(z):
     var = ComplexJet.variable(z)
-    return [var.cos(), var.sin(), var * -1j, ComplexJet.constant(0)]
+    return ComplexJet.stack([var.cos(), var.sin(), var * -1j,
+                             ComplexJet.constant(0)])
 
 
 def test_catenoid_seed_values_at_origin():
-    jets = catenoid_jets(0j)
-    g, h = seed_surface(jets)
-    g_u, g_v = seed_first_derivative_fields(jets)
+    jet = catenoid_jets(0j)
+    g, h = split(jet)
+    g_u, g_v = seed_first_derivative_fields(jet)
     assert np.allclose(g.v.T, [1, 0, 0, 0], atol=1e-15)
     assert np.allclose(h.v.T, [0, 0, 0, 0], atol=1e-15)
     assert np.allclose(g_u.v.T, [0, 1, 0, 0], atol=1e-15)
@@ -259,9 +257,9 @@ def test_cauchy_riemann_exact():
     for _ in range(20):
         z0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         var = ComplexJet.variable(z0)
-        jets = [var.exp() * (var ** 2 + 1), var.sin() / (var + 3),
-                var.cosh(), var ** 3 - 2j * var]
-        g, h = seed_surface(jets)
+        g, h = split(ComplexJet.stack([
+            var.exp() * (var ** 2 + 1), var.sin() / (var + 3), var.cosh(),
+            var ** 3 - 2j * var]))
         for gc, hc in zip(g, h):
             # exact equality of stored numbers, not a tolerance
             assert gc.du == hc.dv
@@ -269,22 +267,24 @@ def test_cauchy_riemann_exact():
 
 
 def test_derivative_field_consistency():
-    # the field Im F' split from the derivative window equals -g_v, the
-    # negated field Re(iF'), slot-exact
-    z0 = 0.3 - 0.8j
-    var = ComplexJet.variable(z0)
-    j = var.exp() * var.sin()
-    h_u = _im_part(j.c1, j.c2, j.c3)
-    _, [g_v] = seed_first_derivative_fields([j])
-    assert h_u.slots == (-g_v).slots
+    # the fields split from the derivative window are the derivatives of the
+    # split pair, slot-exact: g_u, g_v and h's fields h_u = -g_v, h_v = g_u
+    var = ComplexJet.variable(0.3 - 0.8j)
+    jet = ComplexJet.stack([var.exp() * var.sin(), var ** 3])
+    g, h = split(jet)
+    g_u, g_v = seed_first_derivative_fields(jet)
+    for a, b in ((g_u.v, g.du), (g_v.v, g.dv), (-g_v.v, h.du), (g_u.v, h.dv),
+                 (g_u.du, g.duu), (g_u.dv, g.duv), (g_v.du, g.duv),
+                 (g_v.dv, g.dvv)):
+        assert np.array_equal(a, b)
 
 
 def test_catenoid_fields_match_closed_form():
     # g = (cosh v cos u, cosh v sin u, v, 0)
     u0, v0 = 0.7, -0.4
-    jets = catenoid_jets(complex(u0, v0))
-    g, h = seed_surface(jets)
-    g_u, g_v = seed_first_derivative_fields(jets)
+    jet = catenoid_jets(complex(u0, v0))
+    g, h = split(jet)
+    g_u, g_v = seed_first_derivative_fields(jet)
     ch, sh, cu, su = (math.cosh(v0), math.sinh(v0), math.cos(u0), math.sin(u0))
     assert np.allclose(g.v.T, [ch * cu, ch * su, v0, 0], atol=1e-14)
     assert np.allclose(h.v.T, [-sh * su, sh * cu, -u0, 0], atol=1e-14)
@@ -395,7 +395,7 @@ def test_fd_crosscheck_polynomial():
 
 def test_fd_crosscheck_catenoid():
     def surf(u, v):
-        g, _ = seed_surface(catenoid_jets(u + 1j * v))
+        g, _ = split(catenoid_jets(u + 1j * v))
         return g
 
     rep = fd_crosscheck(surf, (0.7, 0.3), step=1e-4)

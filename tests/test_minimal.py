@@ -7,7 +7,7 @@ from superconf.construct import reflection_pair_check, translation_check
 from superconf.errors import DomainError, PreconditionError
 from superconf.expr import CurveExpr
 from superconf.geometry import R4
-from superconf.jets import _im_part
+from superconf.jets import Jet2
 from superconf.minimal import (
     Domain,
     HolomorphicCurve,
@@ -19,6 +19,7 @@ from superconf.minimal import (
 )
 from superconf.moebius import (
     Inversion,
+    _graph_fields,
     degenerate_collapse_check,
     duality,
     pair_transform_check,
@@ -32,6 +33,67 @@ CAT_DOM = Domain(-2.0, 2.0, -1.5, 1.5)
 def catenoid_pair():
     return MinimalPair(HolomorphicCurve(
         "catenoid-helicoid", "(cos(z), sin(z), -i*z, 0)", CAT_DOM))
+
+
+# The split one component at a time, each component's Jet2 stacked after:
+# the reference the vector split must match.  g_v is Re(iF'), split from i
+# times the window of F'.
+
+def reference_re_part(w0, w1, w2):
+    return Jet2(w0.real, w1.real, -w1.imag, w2.real, -w2.imag, -w2.real)
+
+
+def reference_im_part(w0, w1, w2):
+    return Jet2(w0.imag, w1.imag, w1.real, w2.imag, w2.real, -w2.imag)
+
+
+def reference_pair_fields(jet):
+    """(g, h, g_u, g_v) of the components of a curve's vector jet."""
+    comps = [jet[i] for i in range(4)]
+    g = Jet2.stack([reference_re_part(j.c0, j.c1, j.c2) for j in comps])
+    h = Jet2.stack([reference_im_part(j.c0, j.c1, j.c2) for j in comps])
+    g_u = Jet2.stack([reference_re_part(j.c1, j.c2, j.c3) for j in comps])
+    g_v = Jet2.stack([reference_re_part(j.c1 * 1j, j.c2 * 1j, j.c3 * 1j)
+                      for j in comps])
+    return g, h, g_u, g_v
+
+
+def reference_graph_fields(jet):
+    """Position and coordinate fields of the R4 graph of the first two
+    components of a curve's vector jet."""
+    comps = [jet[0], jet[1]]
+    pos = Jet2.stack([f(j.c0, j.c1, j.c2) for j in comps
+                      for f in (reference_re_part, reference_im_part)])
+    fu, fv = [], []
+    for j in comps:
+        re = reference_re_part(j.c1, j.c2, j.c3)
+        im = reference_im_part(j.c1, j.c2, j.c3)
+        fu += [re, im]
+        fv += [-im, re]
+    return pos, Jet2.stack(fu), Jet2.stack(fv)
+
+
+# components of random curves: constant, linear and polynomial ones among
+# them, so that whole slots of the curve's jet are constant
+COMPONENTS = ["{a}", "0", "{a}*z + {b}", "{a}*z^2 - {b}*z", "z^3*{a} + z",
+              "exp({a}*z)", "sin(z)*{a}", "{a}/(z + 3)", "cosh(z) - z*{b}",
+              "sqrt(z + 4)", "log(z + 5)*{a}"]
+
+
+def random_curve(rng, arity):
+    def coefficient():
+        x, y = rng.uniform(-2, 2, 2).round(3).tolist()
+        return f"({x!r} + {y!r}*i)"
+
+    comps = [rng.choice(COMPONENTS).format(a=coefficient(), b=coefficient())
+             for _ in range(arity)]
+    return HolomorphicCurve("random", f"({', '.join(comps)})",
+                            Domain(-1.0, 1.0, -1.0, 1.0))
+
+
+def assert_same_bits(got, want):
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(got.slots, want.slots, strict=True))
 
 
 class TestDomain:
@@ -95,19 +157,42 @@ class TestSplit:
         pair = catenoid_pair()
         z = complex(0.3, 0.8)
         s = pair.samples_at(z)
-        jets = pair.curve.eval_jets(z)
-        h_u = [_im_part(j.c1, j.c2, j.c3) for j in jets]
-        h_v = [_im_part(1j * j.c1, 1j * j.c2, 1j * j.c3) for j in jets]
-        for a, b in zip(-s.g_v, h_u, strict=True):
-            assert a.slots == b.slots
-        for a, b in zip(s.g_u, h_v, strict=True):
-            assert a.slots == b.slots
+        jet = pair.curve.eval_jets(z)
+        h_u = reference_im_part(jet.c1, jet.c2, jet.c3)
+        h_v = reference_im_part(1j * jet.c1, 1j * jet.c2, 1j * jet.c3)
+        for a, b in zip((-s.g_v).slots, h_u.slots, strict=True):
+            assert np.array_equal(a, b)
+        for a, b in zip(s.g_u.slots, h_v.slots, strict=True):
+            assert np.array_equal(a, b)
 
     def test_derivative_fields_match_position_jets(self):
         s = catenoid_pair().samples_at(complex(-0.6, 0.2))
         np.testing.assert_allclose(s.g_u.v, s.g.du, atol=1e-15)
         np.testing.assert_allclose(s.g_v.v, s.g.dv, atol=1e-15)
         np.testing.assert_allclose(s.g_u.dv, s.g_v.du, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vector_split_is_the_per_component_split(self, seed):
+        # g, h, g_u and the graph's position and fields are the reference's
+        # bits, every slot (4, n); g_v = -Im F' is the reference's Re(iF')
+        # but for the signs of exact zeros
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-0.9, 0.9, 17) + 1j * rng.uniform(-0.9, 0.9, 17)
+        curves = [random_curve(rng, 4) for _ in range(8)]
+        curves.append(HolomorphicCurve("line", "(z, i*z, 0, 0)", CAT_DOM))
+        for curve in curves:
+            s = MinimalPair(curve).samples_at(z)
+            g, h, g_u, g_v = reference_pair_fields(curve.eval_jets(z))
+            for got, want in ((s.g, g), (s.h, h), (s.g_u, g_u)):
+                assert_same_bits(got, want)
+            for a, b in zip(s.g_v.slots, g_v.slots, strict=True):
+                assert a.shape == b.shape == (4, z.size)
+                assert np.array_equal(a, b)
+                assert ((np.signbit(a) == np.signbit(b)) | (a == 0)).all()
+        for curve in [random_curve(rng, 2) for _ in range(8)]:
+            want = reference_graph_fields(curve.eval_jets(z))
+            for got, w in zip(_graph_fields(curve, z), want, strict=True):
+                assert_same_bits(got, w)
 
     def test_domain_violation(self):
         with pytest.raises(DomainError):
