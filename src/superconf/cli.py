@@ -267,9 +267,8 @@ def cmd_verify(args) -> int:
                  "tangency": rep.tangency_residual.values(),
                  "metric": [rep.metric_relation_residual]}
         for key in worst:
-            if worst[key] is not None:   # the largest finite residual
-                worst[key] = max(float(r[used & np.isfinite(r)].max(
-                    initial=0.0)) for r in found[key])
+            if worst[key] is not None:   # a nan residual is the worst
+                worst[key] = float(np.max([r[used] for r in found[key]]))
     n_dual = int(np.count_nonzero(used))
     report["dual_pair"] = {"n_points": n_dual, "skipped": skipped, **worst}
     ok = ok and n_dual > 0 and all(v < 1e-7 for v in worst.values()

@@ -278,13 +278,13 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
     metrics agree after scaling by their mu^2 (None unless both signs are
     asked for); the vector g_* Z + a xi is orthogonal to each surface's
     tangent plane and to its mean curvature.  Each residual is a ratio: the
-    first two are in the pair's units (ctx.unit).  The conformal-factor
-    entries are nan where a is below a small floor (the factor has a^2 in
-    the denominator and degenerates with it); the floor is far below the
-    a_small flag threshold, so flagged-but-sane samples still get a finite
-    entry.  A rank-deficient surface fails its row with PreconditionError;
-    a failed row's entries are meaningless, and computed without numpy's
-    floating-point warnings."""
+    first two are in the pair's units (ctx.unit).  A rank-deficient
+    surface fails its row with PreconditionError, and a row where a is
+    below CONFORMAL_A_FLOOR with FrameDegenerateError: the conformal factor
+    has a^2 in its denominator and degenerates with it.  That floor is far
+    below the a_small flag threshold, so flagged-but-sane samples still get
+    an entry.  A failed row's entries are meaningless, and computed without
+    numpy's floating-point warnings."""
     for sign in signs:
         check_sign(sign)
     both = build_phi_pair(pair, z)
@@ -297,6 +297,9 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
             PreconditionError(f"constructed surface {sign} is rank-deficient "
                               f"at z={complex(s.z[k])}")))
     a, r = ctx.a, ctx.r
+    fail_rows(a < CONFORMAL_A_FLOOR, lambda k: FrameDegenerateError(
+        f"conformal factor undefined at z={complex(s.z[k])}: "
+        f"a = {a[k]:.3e} is below {CONFORMAL_A_FLOOR:g}"))
     g_val, gu, gv = s.g.v, s.g_u.v, s.g_v.v
     # the coefficients (p, q) of grad r are (ru, rv) / E, and those of
     # Z = -J grad r are (-q, p); xi = -h^N / (a r), or g's first normal
@@ -307,7 +310,6 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
     if np.any(fallback):
         xi = np.where(fallback, ctx.fd_g.n1, xi)
     zeta_c = -grad_v * gu + grad_u * gv + a * xi
-    conformal_ok = a >= CONFORMAL_A_FLOOR
 
     mu, center, conformal, tangency, forms = {}, {}, {}, {}, {}
     for ps in built:
@@ -318,10 +320,10 @@ def dual_pair_report(pair: MinimalPair, z, signs=SIGNS) -> DualPairReport:
         lam2 = R4.dot(H, H)
         center[ps.sign] = _vec_norm(ps.phi.v + H / lam2 - g_val) / ctx.unit
         forms[ps.sign] = (fd.E, fd.F, fd.G)
-        rho = _pypow(r * fr.mu / np.where(conformal_ok, a, 1.0), 2)
-        conformal[ps.sign] = np.where(conformal_ok, _largest(
+        rho = _pypow(r * fr.mu / a, 2)
+        conformal[ps.sign] = _largest(
             abs(ctx.E - rho * fd.E), abs(ctx.F - rho * fd.F),
-            abs(ctx.G - rho * fd.G)) / _pypow(ctx.unit, 2), np.nan)[()]
+            abs(ctx.G - rho * fd.G)) / _pypow(ctx.unit, 2)
         tangency[ps.sign] = _largest(
             *(abs(R4.dot(zeta_c, w)) / _vec_norm(w)
               for w in (ps.phi.du, ps.phi.dv, H)))

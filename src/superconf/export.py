@@ -173,21 +173,12 @@ def _fill_rows(targets, ps, failed):
         rows.stats[at[stated[part]]] = stats[part][stated[part]]
 
 
-def _first_extreme(x, reduce):
-    """The builtin max (reduce np.fmax) or min (np.fmin) of the floats of
-    x, a nonempty 1-d array, in order, as a Python float: nan where x[0] is
-    nan, otherwise the first entry equal to the reduction, which skips nan,
-    so of tied zeros the first one."""
-    if np.isnan(x[0]):
-        return float(x[0])
-    return float(x[np.argmax(x == reduce.reduce(x))])
-
-
 def summarize(samples) -> dict:
     """Aggregate residuals over the unflagged rows of a grid run.
 
-    The extremes are the builtin max and min over the rows in order
-    (_first_extreme), so a nan among them counts only where it comes first.
+    The extremes are numpy's max and min over those rows, so a nan or inf
+    in any of them is the extreme (null in JSON, failing every tolerance);
+    a tie of signed zeros gives +0.0, whichever one numpy meets first.
     """
     n_clear = int(samples.clear().sum())
     out = {
@@ -201,15 +192,14 @@ def summarize(samples) -> dict:
                    Hnorm_max=None)
         return out
     stat = samples.clear_stat
-    out["max_res_orth"] = _first_extreme(abs(stat("res_orth")), np.fmax)
-    out["max_res_len"] = _first_extreme(abs(stat("res_len")), np.fmax)
-    out["max_wintgen"] = _first_extreme(abs(stat("wintgen")), np.fmax)
-    out["max_wintgen_rel"] = _first_extreme(abs(stat("wintgen_rel")),
-                                            np.fmax)
+    out["max_res_orth"] = float(np.max(abs(stat("res_orth"))))
+    out["max_res_len"] = float(np.max(abs(stat("res_len"))))
+    out["max_wintgen"] = float(np.max(abs(stat("wintgen"))))
+    out["max_wintgen_rel"] = float(np.max(abs(stat("wintgen_rel"))))
     mu = stat("mu")
-    out["mu_min"] = _first_extreme(mu, np.fmin)
-    out["mu_max"] = _first_extreme(mu, np.fmax)
-    out["Hnorm_max"] = _first_extreme(stat("Hnorm"), np.fmax)
+    out["mu_min"] = float(np.min(mu)) + 0.0
+    out["mu_max"] = float(np.max(mu)) + 0.0
+    out["Hnorm_max"] = float(np.max(stat("Hnorm"))) + 0.0
     return out
 
 
@@ -521,7 +511,7 @@ def stereo_projector(pole=(0.0, 0.0, 0.0, 1.0)):
 
     def project(x):
         den = R - R4.dot(x, axis[:, None])
-        ok = ~(abs(den) <= 1e-12 * np.fmax(R, np.abs(x).max(axis=0)))
+        ok = ~(abs(den) <= 1e-12 * np.maximum(R, np.abs(x).max(axis=0)))
         with np.errstate(divide="ignore", invalid="ignore"):
             y = (R / den) * _matvec(B, x)
         return y, ok

@@ -49,7 +49,7 @@ FRAME_FLOOR = 1e-10        # a frame vector against its projection; |H|, mu, a
 CIRCULAR_TOL = 1e-8        # circularity residuals; K_N of a point ellipse
 PATTERN_TOL = 1e-6         # the normal-form residual against max(|H|, mu)
 A_SMALL = 0.05             # a, for the FLAG_A_SMALL bit
-CONFORMAL_A_FLOOR = 1e-3   # a, below which the conformal residual is nan
+CONFORMAL_A_FLOOR = 1e-3   # a, below which the conformal factor fails its row
 # and jets.DIV_FLOOR: an inversion's denominator against its square scale
 
 

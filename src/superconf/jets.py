@@ -697,8 +697,7 @@ def fd_crosscheck(surface, points, step=1e-4):
     cross_2h = (F[2, 2] - F[2, -2] - F[-2, 2] + F[-2, -2]) / (16 * h * h)
     fd_duv = (4 * cross_h - cross_2h) / 3
 
-    first = max(np.max(np.abs(fd_du - du)), np.max(np.abs(fd_dv - dv)))
-    second = max(np.max(np.abs(fd_duu - duu)), np.max(np.abs(fd_duv - duv)),
-                 np.max(np.abs(fd_dvv - dvv)))
+    first = np.max(np.abs([fd_du - du, fd_dv - dv]))
+    second = np.max(np.abs([fd_duu - duu, fd_duv - duv, fd_dvv - dvv]))
     return {"first": float(first), "second": float(second),
-            "max": float(max(first, second))}
+            "max": float(np.maximum(first, second))}

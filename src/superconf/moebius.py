@@ -290,7 +290,7 @@ class PairTransformReport:
 
     @property
     def sup(self):
-        return max(self.sup_g, self.sup_h)
+        return float(_largest(self.sup_g, self.sup_h))
 
     @property
     def n_skipped(self):
@@ -435,7 +435,7 @@ def _complex_structure(pair, s):
             w2 = -w2
         J = J + np.outer(w2, w1) - np.outer(w1, w2)
 
-    xscale = max(_vec_norm(X.T).max(), 1e-300)
+    xscale = _largest(_vec_norm(X.T).max(), 1e-300)
     misfits = _vec_norm((np.matmul(J, X[..., None])[..., 0] - Y).T) / xscale
     return ComplexStructureReport(
         matrix=J,
@@ -532,8 +532,9 @@ def superminimal_test(sample, ambient):
     worst_H = float(fd.lam[ok].max())
     worst_circ = float(np.maximum(abs(ed.res_orth), abs(ed.res_len))[ok]
                        .max())
-    mus = ed.mu[ok].tolist()
-    degenerate = r * max(mus) <= 1e-9
+    mus = ed.mu[ok]
+    max_mu, min_mu = float(np.max(mus)), float(np.min(mus))
+    degenerate = r * max_mu <= 1e-9
     minimal = r * worst_H <= 1e-9
     if minimal and degenerate:
         verdict = "superminimal-degenerate"
@@ -545,9 +546,9 @@ def superminimal_test(sample, ambient):
         verdict = "not-minimal"
     return SpaceFormReport(max_mean_curvature=worst_H,
                            max_circularity=worst_circ,
-                           max_mu=max(mus), min_mu=min(mus),
+                           max_mu=max_mu, min_mu=min_mu,
                            degenerate=degenerate, verdict=verdict,
-                           n_points=len(mus))
+                           n_points=mus.size)
 
 
 # -- quadric classification ---------------------------------------------------

@@ -8,11 +8,14 @@ measured geometry by a documented amount; they are asserted at face value
 and fail, with the companion checks pinning the discrepancy.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from superconf import acceptance, catalog, construct, export
+from superconf import acceptance, catalog, cli, construct, export
 from superconf.construct import FLAG_RANK_DEFICIENT
+from superconf.errors import UnknownEntryError
 from superconf.expr import CurveExpr
 from superconf.minimal import Domain, MinimalPair
 from test_cli import count_calls
@@ -117,6 +120,44 @@ def test_run_all_covers_every_criterion(results):
                     "11", "12", "13"]
     assert all(r.detail for r in results)
     assert all(type(r.passed) is bool for r in results)
+
+
+def test_a_raised_criterion_keeps_its_title(monkeypatch, capsys):
+    # the selftest line of a criterion that raises names it by the title
+    # its own result has, not by its docstring
+    real = catalog.get
+
+    def get(name):
+        if name == "q0-trig-perturbed":
+            raise UnknownEntryError(f"no entry {name!r}")
+        return real(name)
+
+    monkeypatch.setattr(catalog, "get", get)
+    monkeypatch.setattr(acceptance, "CRITERIA", (acceptance.criterion_2,))
+    assert cli.main(["selftest"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL criterion 2: superconformality of the constructed surfaces "
+        "[raised UnknownEntryError: no entry 'q0-trig-perturbed']",
+        "0/1 criteria passed"]
+
+
+@pytest.mark.parametrize("key", ["center_residual", "conformal_residual"])
+def test_criterion_3_fails_on_a_nan_of_one_sign(monkeypatch, key):
+    # one nan entry of the "-" surface is the worst value, whatever the
+    # "+" surface's entries
+    real = acceptance.dual_pair_report
+
+    def nan_minus(*args):
+        rep = real(*args)
+        entries = dict(getattr(rep, key))
+        entries["-"] = entries["-"].copy()
+        entries["-"][5] = np.nan
+        return dataclasses.replace(rep, **{key: entries})
+
+    monkeypatch.setattr(acceptance, "dual_pair_report", nan_minus)
+    r = acceptance.criterion_3()
+    assert not r.passed
+    assert f"{key.split('_')[0]} nan," in r.detail
 
 
 # the calls a criterion makes, counted on the call; the entries it reads

@@ -426,6 +426,19 @@ def test_verify_dual_samples_check_only_the_requested_sign(capsys):
     assert max(dual["center"], dual["conformal"], dual["tangency"]) < 1e-14
 
 
+def test_verify_fails_on_a_nan_dual_residual(capsys):
+    # exp(z^3) overflows the squared norms at the one dual sample left,
+    # z = -6 - 6i, so each of its residuals is nan: the worst value, null in
+    # the JSON and failing the check
+    code, rep = run_json(capsys, "verify", "--curve",
+                         "(exp(z^3), i*exp(z^3), z, 0)",
+                         "--domain=-6,6,-6,6", "--grid", "9,9")
+    dual = rep["dual_pair"]
+    assert code == 3 and not rep["ok"] and dual["n_points"] == 1
+    assert [dual[k] for k in ("center", "conformal", "metric", "tangency")
+            ] == [None] * 4
+
+
 def test_usage_errors(capsys):
     code, rep = run_json(capsys, "certify", "--curve", "catenoid-helicoid",
                          "--grid", "1,5")

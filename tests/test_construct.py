@@ -637,6 +637,20 @@ def test_dual_pair_report_fails_rank_deficient_rows_without_warning(name):
     assert failed.counts() == {"PreconditionError": n_failed}
 
 
+def test_dual_pair_report_fails_the_rows_of_an_undefined_conformal_factor(
+        catenoid):
+    # a vanishes on the catenoid's v = 0 line, and with it the conformal
+    # factor (r mu / a)^2: those rows fail, with no nan entry to read
+    z = np.array([1.0 + 0j, 2.0 + 0j, 1.0 + 0.5j])
+    with row_failures(z.size) as failed:
+        rep = dual_pair_report(catenoid, z)
+    assert failed.counts() == {"FrameDegenerateError": 2}
+    assert failed.rows().tolist() == [True, True, False]
+    assert max(rep.conformal_residual[s][2] for s in ("+", "-")) < 1e-9
+    with pytest.raises(FrameDegenerateError, match=r"z=\(1\+0j\): a = 0"):
+        dual_pair_report(catenoid, 1.0 + 0j)
+
+
 def test_translation_moves_phi_by_offset_norm(catenoid, perturbed):
     offset = (0.3, -0.2, 0.5, 0.1)
     worst = translation_check(catenoid, offset, GENERIC)

@@ -368,6 +368,14 @@ def row_view(rows):
                               stats, flags))
     return out
 
+def reference_extreme(pick, values):
+    """numpy's max or min (pick the builtin) of the floats values: nan
+    where one of them is nan, wherever it comes, and a tie of signed zeros
+    +0.0."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else pick(values) + 0.0
+
+
 def reference_summarize(samples):
     clear = [s for s in samples if s.flags == 0 and s.stats is not None]
     out = {"n_points": len(samples), "n_clear": len(clear),
@@ -377,13 +385,13 @@ def reference_summarize(samples):
                    max_wintgen_rel=None, mu_min=None, mu_max=None,
                    Hnorm_max=None)
         return out
-    out["max_res_orth"] = max(abs(s.stats["res_orth"]) for s in clear)
-    out["max_res_len"] = max(abs(s.stats["res_len"]) for s in clear)
-    out["max_wintgen"] = max(abs(s.stats["wintgen"]) for s in clear)
-    out["max_wintgen_rel"] = max(abs(s.stats["wintgen_rel"]) for s in clear)
-    out["mu_min"] = min(s.stats["mu"] for s in clear)
-    out["mu_max"] = max(s.stats["mu"] for s in clear)
-    out["Hnorm_max"] = max(s.stats["Hnorm"] for s in clear)
+    for key in ("res_orth", "res_len", "wintgen", "wintgen_rel"):
+        out[f"max_{key}"] = reference_extreme(
+            max, (abs(s.stats[key]) for s in clear))
+    out["mu_min"] = reference_extreme(min, (s.stats["mu"] for s in clear))
+    out["mu_max"] = reference_extreme(max, (s.stats["mu"] for s in clear))
+    out["Hnorm_max"] = reference_extreme(max,
+                                         (s.stats["Hnorm"] for s in clear))
     return out
 
 
@@ -393,11 +401,9 @@ def reference_grid_worst(grids):
     rows, nan if one is nan, 0.0 for none."""
     aggs = [reference_summarize(row_view(rows)) for rows in grids]
     aggs = [agg for agg in aggs if agg["n_clear"]]
-    worst = 0.0
-    for agg in aggs:
-        for key in ("max_res_orth", "max_res_len", "max_wintgen_rel"):
-            if not worst > agg[key] and not math.isnan(worst):
-                worst = agg[key]
+    worst = reference_extreme(max, [0.0] + [
+        agg[key] for agg in aggs
+        for key in ("max_res_orth", "max_res_len", "max_wintgen_rel")])
     return worst, sum(agg["n_clear"] for agg in aggs)
 
 
@@ -665,14 +671,16 @@ def hand_rows(nan_at):
 
 @pytest.mark.parametrize("nan_at", [0, 2])
 def test_reducers_keep_the_builtin_max_nan_semantics(nan_at, tmp_path):
-    # builtin max keeps a nan only when it comes first; np.max always would
+    # named for the builtin max rule it once pinned, which kept a nan only
+    # where it came first: now a nan in any clear row is the extreme, as
+    # np.max has it
     rows = hand_rows(nan_at)
     agg = summarize(rows)
     assert repr(agg) == repr(reference_summarize(row_view(rows)))
-    assert np.isnan(agg["max_res_orth"]) == (nan_at == 0)
+    assert np.isnan(agg["max_res_orth"])
     worst = _grid_worst([rows, rows])
     assert repr(worst) == repr(reference_grid_worst([rows, rows]))
-    assert np.isnan(worst[0]) == (nan_at == 0) and worst[1] == 10
+    assert np.isnan(worst[0]) and worst[1] == 10
     # the mesh JSON has no nan position, so the run is refused
     assert_writers_match_reference([rows], 3, 2)
 
@@ -698,9 +706,9 @@ def test_a_non_finite_position_refuses_the_run_before_a_file_opens(
 
 NAN, INF = float("nan"), float("inf")
 # clear-row sequences of one stat column: a nan first and a nan later, tied
-# zeros in either order (the first one wins, so -0.0 can be a maximum or a
-# minimum; numpy's own reductions pick another tie from 16 entries on), and
-# infinities
+# zeros in either order (numpy's reductions meet either one first, from 16
+# entries on another one than for fewer, so the extreme of a tie is pinned
+# as +0.0), and infinities
 EXTREME_CASES = [
     [NAN, 1.0, -2.0, 3.0, 0.5],
     [1.0, -2.0, NAN, 3.0, 0.5],
@@ -734,8 +742,9 @@ def stat_rows(name, values):
 @pytest.mark.parametrize("name", ["res_orth", "res_len", "wintgen",
                                   "wintgen_rel", "mu", "Hnorm"])
 def test_reducers_keep_the_builtin_rule_on_ties_infinities_and_nan(name):
-    # the companion of the test above, over every stat that summarize or
-    # _grid_worst reads: each case in turn fills the clear rows of one column
+    # the companion of the test above, named like it for the rule it once
+    # pinned, over every stat that summarize or _grid_worst reads: each case
+    # in turn fills the clear rows of one column
     for values in EXTREME_CASES:
         rows = stat_rows(name, values)
         where = (name, values)
@@ -751,12 +760,15 @@ def test_reducers_keep_the_builtin_rule_on_ties_infinities_and_nan(name):
                            _STAT_NAMES.index("res_len")]] = 0.0
             assert repr(_grid_worst([rows])) == repr(
                 reference_grid_worst([rows])) == want
+    # a tie of signed zeros is +0.0, whichever of them comes first
     if name in ("mu", "Hnorm"):
-        maximum = summarize(stat_rows(name, EXTREME_CASES[3]))[f"{name}_max"]
-        assert repr(maximum) == "-0.0"
+        for values in EXTREME_CASES[3:5] + EXTREME_CASES[7:9]:
+            maximum = summarize(stat_rows(name, values))[f"{name}_max"]
+            assert repr(maximum) == "0.0", values
     if name == "mu":
-        assert repr(summarize(stat_rows(name, EXTREME_CASES[5]))["mu_min"]
-                    ) == "-0.0"
+        for values in EXTREME_CASES[5:9]:
+            minimum = summarize(stat_rows(name, values))["mu_min"]
+            assert repr(minimum) == "0.0", values
 
 
 # The repr-based writers that the array formatter replaced, kept as the

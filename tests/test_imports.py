@@ -5,7 +5,8 @@ LAPACK call, no product goes through BLAS, geometry owns the one inner
 product, rows are laid out only in the writers, the 2-form index tables are
 integer arrays, the writers format numbers in array passes, geometry
 owns the one scale rule and space-form membership, minimal decides every
-check's point set, and the self-test builds no grid per loop pass."""
+check's point set, the self-test builds no grid per loop pass, and every
+extreme keeps numpy's nan rule."""
 
 import argparse
 import ast
@@ -950,8 +951,7 @@ def test_row_python_call_scan():
 
 
 def test_grid_summaries_are_array_passes():
-    """summarize reduces a grid's stats columns in array passes
-    (export._first_extreme keeps the builtin max/min rule), and
+    """summarize reduces a grid's stats columns in array passes, and
     acceptance._grid_worst reads its summaries, so neither goes back to
     Python floats one row at a time."""
     for module, name in (("export", "summarize"),
@@ -960,6 +960,90 @@ def test_grid_summaries_are_array_passes():
         assert name in {getattr(n, "name", None)
                         for n in ast.parse(source).body}
         assert row_python_calls(source, {name}) == [], name
+
+
+# numpy's reductions that skip a nan
+NAN_SKIPPING = {"fmax", "fmin", "nanmax", "nanmin", "nanargmax", "nanargmin"}
+REDUCERS = {"max", "min", "amax", "amin"}
+
+
+def nan_rule_breaks(source):
+    """The sorted (def, what) of each call in source that takes an extreme
+    around numpy's nan rule: a builtin max or min ('max', 'min'), a numpy
+    reduction that skips a nan (its name), and a max or min reduction
+    with an isfinite call in its argument or receiver ('isfinite'); def is
+    the qualified name of the def the call sits in, or '<module>'."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>"
+                      else f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                name = called_name(child.func)
+                if isinstance(child.func, ast.Name) and name in REDUCERS:
+                    found.add((where, name))
+                if name in NAN_SKIPPING:
+                    found.add((where, name))
+                if name in REDUCERS and any(
+                        isinstance(n, ast.Call)
+                        and called_name(n.func) == "isfinite"
+                        for part in (child.func, *child.args,
+                                     *(k.value for k in child.keywords))
+                        for n in ast.walk(part)):
+                    found.add((where, "isfinite"))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_nan_rule_scan():
+    source = ("import numpy as np\n"
+              "w = max(np.max(a), b)\n"
+              "def f(r, used):\n"
+              "    return r[used & np.isfinite(r)].max(initial=0.0)\n"
+              "class A:\n"
+              "    def g(self, c):\n"
+              "        x = np.where(np.isfinite(c), c, np.inf).max()\n"
+              "        return np.fmax(x, 1.0), np.nanmin(c), min(x, 2)\n"
+              "    def h(self, c):\n"
+              "        ok = np.isfinite(c).all() and np.isfinite(c.max())\n"
+              "        return np.max(c), c.min(), _largest(c, 1.0)\n")
+    assert nan_rule_breaks(source) == [
+        ("<module>", "max"), ("A.g", "fmax"), ("A.g", "isfinite"),
+        ("A.g", "min"), ("A.g", "nanmin"), ("f", "isfinite")]
+
+
+# the builtin max and min calls left in src, all over integers or in an
+# error message, each with its reason
+NAN_RULE_ALLOWED = {
+    # the batch size of a jet's slots
+    ("jets._rows", "max"): "the largest slot size, an int",
+    ("jets.Jet2.rows", "max"): "the largest slot width, an int",
+    ("jets.RowFailures.raise_unless", "min"): "the first failed row, an int",
+    ("expr._Parser.build", "max"): "a node's depth, an int",
+    ("export._job_blocks", "max"): "a block's row bounds, ints",
+    ("export._job_blocks", "min"): "a block's row bounds, ints",
+    ("export.sample_grids", "min"): "a lattice's shape, ints",
+    ("export._grid_chunks", "max"): "the largest flag, an int",
+    ("cli.cmd_verify", "max"): "the dual samples' stride, an int",
+    ("construct._assemble", "max"): "||h|| in an error message",
+}
+
+
+def test_one_nan_rule():
+    """A worst or best value is numpy's max or min over an array, or
+    geometry._largest over separate values: both keep a nan, so a
+    non-finite residual is the worst value and fails its check.  No module
+    takes an extreme with a builtin max or min but over integers or for a
+    message, skips a nan with np.fmax, np.fmin, np.nanmax or np.nanmin, or
+    filters the non-finite values out in front of a reduction."""
+    found = {(f"{p.stem}.{where}", what) for p in MODULES
+             for where, what in nan_rule_breaks(p.read_text())}
+    assert found == set(NAN_RULE_ALLOWED)
 
 
 README = TESTS.parent / "README.md"

@@ -16,6 +16,7 @@ from superconf.geometry import (DIV_FLOOR, Ambient, _normal_part,
 from superconf.jets import Jet2, fail_rows, row_failures
 from superconf.minimal import Domain, HolomorphicCurve, MinimalPair, certify
 from superconf.moebius import (_J_INDEX, _J_SIGN, Inversion,
+                               PairTransformReport,
                                _check_denominator, _graph_fields,
                                degenerate_collapse_check,
                                duality, invert, normal_transform_check,
@@ -467,6 +468,13 @@ def test_pair_transform_reads_the_shifted_curve_off_the_sample(name, offset):
     for got, want in ((sample.g.v - center[:, None], w.real),
                       (sample.h.v, w.imag)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_pair_transform_sup_is_nan_where_either_sup_is():
+    for sup_g, sup_h in ((1e-15, np.nan), (np.nan, 1e-15)):
+        rep = PairTransformReport(sup_g=sup_g, sup_h=sup_h, h_convention="+",
+                                  n_points=1, skipped={})
+        assert np.isnan(rep.sup)
 
 
 def test_pair_transform_huge_radius(catenoid):
