@@ -216,15 +216,21 @@ def phi_pair(sample: SplitSample):
 
     The rows where the construction fails are recorded in the innermost
     jets.row_failures() sink (without one, the first raises), like the jets
-    it is built from."""
+    it is built from; last, a row whose a or phi value of either sign is
+    not finite (a norm past the float range) fails with
+    FrameDegenerateError."""
     ctx = _assemble(sample)
     base = ctx.sample.g + ctx.turn_t
-    out = []
-    for sign in SIGNS:
-        phi = base + ctx.turn_n * check_sign(sign)
-        out.append(PhiSample(sign=sign, phi=phi, ctx=ctx,
-                             flags=_flags(ctx, sign, phi)))
-    return tuple(out)
+    phis = [base + ctx.turn_n * check_sign(sign) for sign in SIGNS]
+    finite = np.isfinite(ctx.a)
+    for phi in phis:
+        finite &= np.isfinite(phi.v).all(axis=0)
+    fail_rows(~finite, lambda k: FrameDegenerateError(
+        f"construction overflows at z={complex(sample.z[k])}: "
+        f"a = {ctx.a[k]:.3e}, r = {ctx.r[k]:.3e}"))
+    return tuple(PhiSample(sign=sign, phi=phi, ctx=ctx,
+                           flags=_flags(ctx, sign, phi))
+                 for sign, phi in zip(SIGNS, phis))
 
 
 def phi_value(g_sample: Jet2, h_sample: Jet2, sign) -> np.ndarray:

@@ -7,7 +7,9 @@ so identical runs produce byte-identical files.  One writer, write_grids,
 streams every file of a grid run, all signs together, one block of rows at
 a time in array passes: Schubfach's shortest digits for all the block's
 floats of every sign at once, each number laid out in a fixed-width byte
-cell, and each file's text its cells' bytes with the padding dropped.
+cell, and each file's text its cells' bytes with the padding dropped.  A
+float a later sign shares bit for bit with the first sign at the same row
+and column is formatted once, its cell copied.
 """
 
 from __future__ import annotations
@@ -154,9 +156,7 @@ def _fill_rows(targets, ps, failed):
     fd = fundamental_data(phi)
     ed = ellipse_descriptor(fd)
     position = phi.v
-    # a position past the float range has no values to write either
-    flags = np.where(failed | ~np.isfinite(position).all(axis=0),
-                     FLAG_DEGENERATE_SAMPLE, ps.flags)
+    flags = np.where(failed, FLAG_DEGENERATE_SAMPLE, ps.flags)
     placed = flags < FLAG_OUT_OF_DOMAIN
     stated = placed & fd.regular
     stats = np.column_stack((
@@ -361,6 +361,21 @@ def _cells(x):
     return out.reshape(x.shape + (_CELL,))
 
 
+def _sign_cells(x):
+    """_cells(x) for x, a block's floats stacked by sign, in one _cells
+    pass over the first sign's floats and those of the later signs whose
+    bits differ from the first's at the same place; a later sign's other
+    cells are the first's, since a float's text is a function of its
+    bits."""
+    bits = x.view(np.uint64)
+    fresh = bits[1:] != bits[0]
+    cells = _cells(np.concatenate((x[0].ravel(), x[1:][fresh])))
+    out = np.empty(x.shape + (_CELL,), np.uint8)
+    out[:] = cells[:x[0].size].reshape(x.shape[1:] + (_CELL,))
+    out[1:][fresh] = cells[x[0].size:]
+    return out
+
+
 def _emit(bits, out):
     """Write the cells of the floats of bits to the rows of out."""
     tables = _tables()
@@ -555,8 +570,9 @@ def _grid_chunks(rows, projector, note):
     has.  Every check runs before the first chunk: a placed row whose
     position is not finite fails with ValueError, as canonical_json would.
 
-    A block's floats, of every sign, are formatted in one _cells pass; the
-    u and v cells are the lattice's axes' (rows.u[::nv], rows.v[:nv]), the
+    A block's floats, of every sign, are formatted in one _cells pass of
+    _sign_cells, a later sign's only where its bits differ; the u and v
+    cells are the lattice's axes' (rows.u[::nv], rows.v[:nv]), the
     flags and corners from one table of integer cells.  The mesh vertices
     (null where sampling failed) are the CSV's x0..x3 cells, its quads those
     whose four corners all exist, wound consistently.  Every grid point has
@@ -588,8 +604,8 @@ def _grid_chunks(rows, projector, note):
                               "# grid %d x %d, row-major, u varying slowest\n"
                               % (f" ({note})" if note else "", nu, nv)).encode()
     for lo in _block_starts(n):
-        cells = _cells(np.stack([_block_floats(r, y, lo)
-                                 for r, (y, _) in zip(rows, obj)]))
+        cells = _sign_cells(np.stack([_block_floats(r, y, lo)
+                                      for r, (y, _) in zip(rows, obj)]))
         for s, r in enumerate(rows):
             for j, text in enumerate(_block_text(cells[s], r, axes, table, lo)):
                 yield m * s + j, text

@@ -1,5 +1,6 @@
 """Driver subcommands, exit codes, error JSON, output determinism."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from superconf import catalog, cli
@@ -427,16 +429,38 @@ def test_verify_dual_samples_check_only_the_requested_sign(capsys):
 
 
 def test_verify_fails_on_a_nan_dual_residual(capsys):
-    # exp(z^3) overflows the squared norms at the one dual sample left,
-    # z = -6 - 6i, so each of its residuals is nan: the worst value, null in
-    # the JSON and failing the check
+    # exp(z^3) overflows the squared norms at the one dual sample the other
+    # checks leave, z = -6 - 6i, where a and phi are nan: the construction
+    # fails that row, so verify counts it in skipped, has no dual point left
+    # and fails
     code, rep = run_json(capsys, "verify", "--curve",
                          "(exp(z^3), i*exp(z^3), z, 0)",
                          "--domain=-6,6,-6,6", "--grid", "9,9")
     dual = rep["dual_pair"]
-    assert code == 3 and not rep["ok"] and dual["n_points"] == 1
-    assert [dual[k] for k in ("center", "conformal", "metric", "tangency")
-            ] == [None] * 4
+    assert code == 3 and not rep["ok"] and dual["n_points"] == 0
+    assert dual["skipped"]["FrameDegenerateError"] == 1
+
+
+@pytest.mark.parametrize("key", ["center_residual", "conformal_residual"])
+def test_verify_reports_a_nan_dual_residual_as_null(monkeypatch, capsys,
+                                                   key):
+    # one nan entry of the "-" surface is the worst value: null in the JSON
+    # and failing the check, whatever the other entries
+    real = cli.dual_pair_report
+
+    def nan_minus(*args):
+        rep = real(*args)
+        entries = dict(getattr(rep, key))
+        entries["-"] = entries["-"].copy()
+        entries["-"][5] = np.nan
+        return dataclasses.replace(rep, **{key: entries})
+
+    monkeypatch.setattr(cli, "dual_pair_report", nan_minus)
+    code, rep = run_json(capsys, "verify", "--curve", "catenoid-helicoid")
+    dual = rep["dual_pair"]
+    assert code == 3 and not rep["ok"] and dual["skipped"] == {}
+    assert dual[key.split("_")[0]] is None
+    assert dual["tangency"] < 1e-7 and dual["metric"] < 1e-7
 
 
 def test_usage_errors(capsys):

@@ -651,6 +651,25 @@ def test_dual_pair_report_fails_the_rows_of_an_undefined_conformal_factor(
         dual_pair_report(catenoid, 1.0 + 0j)
 
 
+def test_build_phi_pair_fails_the_rows_past_the_float_range():
+    # |exp(z^3)| ~ 4e187 at z = -6 -+ 6i: the squared norms overflow, so a
+    # and phi are nan there; those rows fail, the finite one between stays
+    pair = MinimalPair(HolomorphicCurve(
+        "exp-cube", "(exp(z^3), i*exp(z^3), z, 0)",
+        Domain(-6.0, 6.0, -6.0, 6.0)))
+    z = np.array([-6.0 - 6.0j, 0.5 + 0.5j, -6.0 + 6.0j])
+    with np.errstate(all="ignore"):
+        with row_failures(z.size) as failed:
+            built = build_phi_pair(pair, z)
+        assert failed.counts() == {"FrameDegenerateError": 2}
+        assert failed.rows().tolist() == [True, False, True]
+        for ps in built:
+            assert np.isfinite(ps.phi.v[:, 1]).all() and ps.flags[1] == 0
+        with pytest.raises(FrameDegenerateError,
+                           match=r"z=\(-6-6j\): a = nan, r = inf"):
+            build_phi_pair(pair, z[:1])
+
+
 def test_translation_moves_phi_by_offset_norm(catenoid, perturbed):
     offset = (0.3, -0.2, 0.5, 0.1)
     worst = translation_check(catenoid, offset, GENERIC)

@@ -1,5 +1,6 @@
 """Grid sampling, CSV/JSON/OBJ writers, byte determinism of the output."""
 
+import copy
 import json
 import math
 import re
@@ -902,6 +903,106 @@ def test_integer_cells_cover_the_flags_past_the_grid_size(signs):
     for proj, _, note in [(None, None, None)] + PROJECTIONS:
         assert_writers_match_repr_writers(grid, 2, 2, proj, note)
     assert_writers_match_reference(grid, 2, 2)
+
+
+def _nan_with(payload, sign=0):
+    return np.array(sign << 63 | 0x7FF8000000000000 | payload,
+                    np.uint64).view(np.float64)
+
+
+# (first sign's float, later sign's): texts that agree on bits that do not,
+# and texts one ulp or a subnormal apart; finite ones for the positions
+FINITE_TWINS = [(0.0, -0.0), (-0.0, 0.0), (0.1, np.nextafter(0.1, 1.0)),
+                (-3e5, np.nextafter(-3e5, 0.0)), (0.0, 5e-324),
+                (sys.float_info.min, np.nextafter(sys.float_info.min, 0.0)),
+                (2.5e-310, 2.5e-309)]
+NON_FINITE_TWINS = [(np.nan, _nan_with(1)), (np.nan, _nan_with(0, sign=1)),
+                    (_nan_with(3), _nan_with(3, sign=1)), (np.inf, -np.inf),
+                    (-np.inf, np.inf), (np.inf, 1.0), (np.nan, 0.0)]
+
+
+def sign_twin_rows(nu, nv, seed):
+    """Two signs' made-up rows (random_rows) over one lattice, the second a
+    copy of the first but at about half the written floats, where the two
+    hold the floats of a twin pair: all of them in the stats, the finite
+    ones in the positions."""
+    rng = np.random.default_rng(seed)
+    first = random_rows(nu, nv, seed)
+    second = copy.deepcopy(first)
+    for name, twins in (("position", FINITE_TWINS),
+                        ("stats", FINITE_TWINS + NON_FINITE_TWINS)):
+        a, b = getattr(first, name), getattr(second, name)
+        at = np.flatnonzero(np.isfinite(a) & (rng.random(a.shape) < 0.5))
+        kind = rng.integers(len(twins), size=at.size)
+        pairs = np.array(twins).T
+        a.flat[at], b.flat[at] = pairs[0, kind], pairs[1, kind]
+    return [first, second]
+
+
+def test_sign_shared_cells_are_each_signs_own_text():
+    # 23 x 29 rows: two blocks, each with equal, twin and differing floats
+    grid = sign_twin_rows(23, 29, 34)
+    bits = [np.column_stack((r.position.T, r.stats)).view(np.uint64)
+            for r in grid]
+    same = bits[0] == bits[1]
+    assert same.mean() > 0.3 and (~same).mean() > 0.3
+    # every twin kind is written with its bits kept
+    stats = [r.stats.view(np.uint64) for r in grid]
+    for a, b in FINITE_TWINS + NON_FINITE_TWINS:
+        pair = [np.float64(a).view(np.uint64), np.float64(b).view(np.uint64)]
+        assert ((stats[0] == pair[0]) & (stats[1] == pair[1])).any(), (a, b)
+    for proj, _, note in [(None, None, None)] + PROJECTIONS:
+        assert_writers_match_repr_writers(grid, 23, 29, proj, note)
+        assert_writers_match_repr_writers(grid[::-1], 23, 29, proj, note)
+
+
+def sign_floats(rows, projector):
+    """The floats a grid run writes for rows, a row each: x0..x3, the CSV
+    stats and, with a projector, the OBJ vertex."""
+    y = np.full((3 * (projector is not None), len(rows)), np.nan)
+    if projector is not None:
+        placed = rows.flags < FLAG_OUT_OF_DOMAIN
+        y[:, placed], ok = projector(rows.position[:, placed])
+        y[:, np.flatnonzero(placed)[~ok]] = np.nan
+    return np.column_stack((rows.position.T, rows.stats[:, _CSV_STATS], y.T))
+
+
+@pytest.mark.parametrize("projector", [None, stereo_projector()],
+                         ids=["no-projection", "stereo"])
+def test_a_later_sign_formats_only_the_floats_that_differ(monkeypatch,
+                                                          projector):
+    """The formatter gets, per block, the first sign's floats and those of
+    a later sign whose bits differ from the first's at the same row and
+    column; a single-sign run formats exactly its own floats."""
+    nu = nv = 32
+    pair = catalog.get("catenoid-helicoid").pair
+    grid = sample_grid(pair, pair.domain.lattice(nu, nv), SIGNS)
+    formatted = []
+    cells = export._cells
+
+    def recorded(x):
+        formatted.append(np.ravel(x).view(np.uint64).copy())
+        return cells(x)
+
+    monkeypatch.setattr(export, "_cells", recorded)
+    for signs in (grid, grid[:1], grid[1:]):
+        formatted.clear()
+        grid_texts(signs, projector, "")
+        floats = [sign_floats(rows, projector).view(np.uint64)
+                  for rows in signs]
+        want = [np.concatenate((signs[0].u[::nv], signs[0].v[:nv]))
+                .view(np.uint64)]
+        for lo in _block_starts(nu * nv):
+            first, *later = (f[lo:lo + BLOCK_POINTS] for f in floats)
+            want.append(np.concatenate(
+                [first.ravel()] + [f[f != first] for f in later]))
+        assert len(formatted) == len(want)
+        for got, block in zip(formatted, want):
+            assert np.array_equal(got, block)
+        if len(signs) == 2:
+            # x3 and the projected vertices differ, most of the rest agrees
+            fresh = sum(map(len, want[1:])) - floats[0].size
+            assert 0 < fresh < 0.5 * floats[1].size
 
 
 def formatter_lines(x):

@@ -612,9 +612,9 @@ def test_cell_loop_scan():
 # the writers' chunk and framing functions and the formatter they call;
 # _grid_chunks, which routes each sign's text to its files, loops over signs
 WRITER_DEFS = {"_block_floats", "_block_text", "_corner_chunks",
-               "_obj_vertices", "_cells", "_emit", "_schubfach", "_scaled",
-               "_mul", "_digit_words", "_int_cells", "_subnormal_cells",
-               "_lines", "_text", "_items"}
+               "_obj_vertices", "_cells", "_sign_cells", "_emit",
+               "_schubfach", "_scaled", "_mul", "_digit_words", "_int_cells",
+               "_subnormal_cells", "_lines", "_text", "_items"}
 # the subnormal fallback, which formats through repr one float at a time
 CELL_LOOPS_ALLOWED = [("_subnormal_cells", "ListComp"),
                       ("_subnormal_cells", "repr")]
